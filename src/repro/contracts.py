@@ -6,6 +6,9 @@ conventions exist to protect, at the moments they can actually break:
 
 * cache layer storage after :meth:`SemanticCache.set_layer_entries` —
   C-contiguous, cache-dtype, unit-norm rows, unique in-range class ids;
+* the stacked walk plan built by :meth:`SemanticCache.layer_pack` —
+  every block row equals its source layer matrix, the stacked layers
+  share one id set, floors line up with layers, nothing is writeable;
 * quantized-tier storage — positive float32 scales, symmetric int8 code
   range, bit-exact staged dequantization, a recorded error bound that
   dominates the measured worst-row reconstruction error, and the
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -49,6 +52,7 @@ __all__ = [
     "check_delta_apply",
     "check_distinct_views",
     "check_layer_entries",
+    "check_layer_pack",
     "check_merge_flat_indices",
     "check_merged_rows_normalized",
     "check_quantized_tier",
@@ -153,6 +157,61 @@ def check_layer_entries(
             f"layer {layer}: centroid row norm off unit by {worst:.2e} "
             f"(> {_NORM_ATOL:.0e})",
         )
+
+
+def check_layer_pack(
+    ids: np.ndarray,
+    blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    stored: Mapping[int, tuple[np.ndarray, np.ndarray]],
+    floor_of: Callable[[int], float],
+) -> None:
+    """Invariants of a cache's stacked walk plan.
+
+    The stacked kernel reads ``blocks`` — ``(layers, matrices, floors)``
+    triples — instead of the per-layer storage ``stored`` (layer ->
+    ``(ids, matrix)``), so the two must say the same thing: block row
+    ``g`` is layer ``layers[g]``'s matrix bit for bit, every stacked
+    layer scores the shared ``ids``, ``floors[g]`` is that layer's floor
+    in the matrix dtype, layers ascend across blocks, and a block is
+    never writeable (it may alias mapped snapshot bytes).
+    """
+    previous = -1
+    for layers, matrices, floors in blocks:
+        require(
+            matrices.ndim == 3 and matrices.shape[0] == layers.size,
+            f"layer pack: block of {layers.size} layers holds matrices of "
+            f"shape {matrices.shape}",
+        )
+        require(
+            not matrices.flags.writeable,
+            f"layer pack: block of layers {layers.tolist()} is writeable",
+        )
+        require(
+            floors.shape == (layers.size, 1) and floors.dtype == matrices.dtype,
+            f"layer pack: floors {floors.shape} {floors.dtype} do not line "
+            f"up with {layers.size} layers of {matrices.dtype}",
+        )
+        for g, layer in enumerate(layers.tolist()):
+            require(
+                layer > previous,
+                f"layer pack: layer {layer} follows layer {previous}",
+            )
+            previous = layer
+            layer_ids, matrix = stored[layer]
+            require(
+                np.array_equal(layer_ids, ids),
+                f"layer pack: layer {layer} does not score the shared id set",
+            )
+            require(
+                np.array_equal(matrices[g], matrix),
+                f"layer pack: block row {g} differs from layer {layer}'s "
+                "stored matrix",
+            )
+            require(
+                floors[g, 0] == floors.dtype.type(floor_of(layer)),
+                f"layer pack: floor {floors[g, 0]} is not layer {layer}'s "
+                f"floor {floor_of(layer)}",
+            )
 
 
 # ----------------------------------------------------------------------

@@ -119,6 +119,15 @@ QUANTIZED_DTYPES = (np.dtype(np.int8), np.dtype(np.float16))
 #: ``d * 127**2 < 2**24``.
 INT8_EXACT_MAX_DIM = (2**24 - 1) // (127 * 127)
 
+#: Most layers one block of a :class:`LayerPack` stacks.  The stacked
+#: walk scores every layer of a block for every row that entered it and
+#: lets resolved rows leave only between blocks: deeper blocks amortise
+#: the per-block overhead over more layers, shallower ones waste fewer
+#: products on rows that already hit.  Measured within 35% between 8 and
+#: 17 (table in ``src/repro/core/README.md``); 8 is the store's default
+#: shard depth, so an owned block has the shape of a mapped one.
+PACK_BLOCK_LAYERS = 8
+
 #: Fewest rows worth a thread block: below this, dispatch overhead
 #: exceeds the matmul itself and the kernel stays single-threaded.
 _MIN_BLOCK_ROWS = 16
@@ -199,6 +208,12 @@ def quantize_rows(
     return QuantizedTier(codes=codes, scales=scales, staged=staged, bound=bound)
 
 
+def _address(array: np.ndarray) -> int:
+    """Memory address of an array's first element."""
+    address: int = array.__array_interface__["data"][0]
+    return address
+
+
 def discriminative_score(
     a_best: float | np.ndarray, a_second: float | np.ndarray
 ) -> float | np.ndarray:
@@ -251,6 +266,10 @@ class LookupWorkspace:
 
     def __init__(self) -> None:
         self._pools: dict[tuple[str, np.dtype], np.ndarray] = {}
+        #: Single-frame :class:`StackLayout` per block depth, all of the
+        #: geometry ``_frame_geometry`` (:meth:`stack_layout`).
+        self._frame_layouts: dict[int, StackLayout] = {}
+        self._frame_geometry: tuple[int, int, np.dtype, np.dtype] | None = None
         self._arange = np.empty(0, dtype=np.intp)
         self._children: dict[int, LookupWorkspace] = {}
         self._executor: ThreadPoolExecutor | None = None
@@ -301,6 +320,7 @@ class LookupWorkspace:
             child.close()
         self._children.clear()
         self._pools.clear()
+        self._frame_layouts.clear()
         self._arange = np.empty(0, dtype=np.intp)
 
     def __enter__(self) -> "LookupWorkspace":
@@ -313,6 +333,10 @@ class LookupWorkspace:
         key = (name, dtype)
         buf = self._pools.get(key)
         if buf is None or buf.size < size:
+            if buf is not None:
+                # Kept layouts may view the buffer being replaced;
+                # dropping them lets it go.
+                self._frame_layouts.clear()
             buf = np.empty(max(size, 16), dtype=dtype)
             self._pools[key] = buf
         return buf
@@ -338,6 +362,36 @@ class LookupWorkspace:
         if self._arange.size < n:
             self._arange = np.arange(max(n, 16), dtype=np.intp)
         return self._arange[:n]
+
+    def stack_layout(
+        self,
+        rows: int,
+        depth: int,
+        entries: int,
+        dim: int,
+        query_dtype: np.dtype,
+        dtype: np.dtype,
+    ) -> "StackLayout":
+        """The scratch views of one stacked block step (:class:`StackLayout`).
+
+        Cutting the ~25 views costs a single frame as much as the
+        arithmetic between them, so the layouts of ``rows == 1`` — one
+        per block depth, for the geometry last served — are kept; any
+        other row count changes from block to block as rows resolve, and
+        its layout is cut per step.  Kept layouts go when the geometry
+        changes, when a pool they view regrows, and at :meth:`close`.
+        """
+        if rows != 1:
+            return StackLayout(self, rows, depth, entries, dim, query_dtype, dtype)
+        geometry = (entries, dim, query_dtype, dtype)
+        if geometry != self._frame_geometry:
+            self._frame_layouts.clear()
+            self._frame_geometry = geometry
+        layout = self._frame_layouts.get(depth)
+        if layout is None:
+            layout = StackLayout(self, 1, depth, entries, dim, query_dtype, dtype)
+            self._frame_layouts[depth] = layout
+        return layout
 
     def top2(
         self, matrix: np.ndarray
@@ -402,6 +456,117 @@ class LookupWorkspace:
         np.divide(out, denom, out=out)
         out[nonpos] = 0.0
         return out
+
+
+class StackLayout:
+    """Scratch of one stacked block step over ``rows`` rows and ``depth``
+    layers of ``entries`` entries: views of the workspace pools, nothing
+    of its own.  Every view is scratch — written before it is read within
+    a step — so layouts of different shapes may share the pools.
+    """
+
+    def __init__(  # repro-lint: kernel
+        self,
+        ws: LookupWorkspace,
+        rows: int,
+        depth: int,
+        entries: int,
+        dim: int,
+        query_dtype: np.dtype,
+        dtype: np.dtype,
+    ) -> None:
+        pairs = depth * rows
+        self.gather = ws.ints("stack.gather", (rows, depth))
+        self.raw = ws.floats("stack.raw", (rows, depth, dim), query_dtype)
+        #: The gathered levels in the cache dtype (``raw`` itself when the
+        #: request already has it), layer-major for the batched product.
+        self.queries = self.raw
+        if query_dtype != dtype:
+            self.queries = ws.floats("stack.queries", (rows, depth, dim), dtype)
+        self.queries_t = self.queries.transpose(1, 0, 2)
+        self.sim = ws.floats("stack.sim", (depth, rows, entries), dtype)
+        self.upd = ws.floats("stack.upd", (depth, rows, entries), dtype)
+        #: Eq. 1 per layer: (A_g to write, C_g to add).
+        self.folds = [(self.upd[g], self.sim[g]) for g in range(depth)]
+        self.sim_flat = self.sim.reshape(-1)
+        self.upd_flat = self.upd.reshape(-1)
+        self.upd_rows = self.upd.reshape(pairs, entries)
+        #: Index of every (layer, row) pair, and the flat offset of its
+        #: score row (``pair_index * entries``, refilled every step).
+        self.pair_index = ws.arange(pairs)
+        self.pair_off = ws.ints("stack.pair_off", (pairs,))
+        self.best_idx = ws.ints("stack.best_idx", (pairs,))
+        self.best_flat = ws.ints("stack.best_flat", (pairs,))
+        self.second_flat = ws.ints("stack.second_flat", (pairs,))
+        self.a_best = ws.floats("stack.a_best", (pairs,), dtype)
+        self.a_second = ws.floats("stack.a_second", (pairs,), dtype)
+        self.sim_best = ws.floats("stack.sim_best", (pairs,), dtype)
+        self.sim_best_rows = self.sim_best.reshape(depth, rows)
+        self.score = ws.floats("stack.score", (pairs,), dtype)
+        self.hit = ws.bools("stack.hit", (pairs,))
+        self.hits = self.hit.reshape(depth, rows)
+        self.aux = ws.bools("stack.aux", (pairs,))
+        self.floor_ok = self.aux.reshape(depth, rows)
+        self.resolved = ws.bools("stack.resolved", (rows,))
+        self.missed = ws.bools("stack.missed", (rows,))
+        self.stop = ws.ints("stack.stop", (rows,))
+        self.at = ws.ints("stack.at", (rows,))
+        self.top = ws.ints("stack.top", (rows,))
+        self.columns = ws.arange(rows)
+        if contracts.ENABLED:
+            contracts.check_distinct_views(
+                raw=self.raw, sim=self.sim, upd=self.upd, score=self.score,
+                a_best=self.a_best, a_second=self.a_second,
+                sim_best=self.sim_best, hit=self.hit, aux=self.aux,
+            )
+
+
+class LayerBlock(NamedTuple):
+    """A run of consecutive activated layers stacked into one tensor.
+
+    Attributes:
+        layers: ``(G,)`` cache-layer indices, ascending.
+        matrices: read-only ``(G, n, d)`` centroids, ``matrices[g]`` being
+            layer ``layers[g]``'s matrix.  It always *is* the layers'
+            storage, never a second copy: owned layers are moved into one
+            contiguous tensor when the block is built, view-backed ones
+            are aliased where they lie.
+        floors: ``(G, 1)`` similarity floors in the cache dtype.
+        sources: the borrowed per-layer matrices an aliasing block spans;
+            it reads their memory, so they live as long as it (empty for
+            owned layers).
+    """
+
+    layers: np.ndarray
+    matrices: np.ndarray
+    floors: np.ndarray
+    sources: tuple[np.ndarray, ...]
+
+
+class LayerPack(NamedTuple):
+    """Read-only walk plan of a cache: stacked prefix, per-layer tail.
+
+    ``blocks`` cover the longest prefix of the activated layers that are
+    dense (no LSH index, no quantized tier), hold at least two entries
+    and share one id set; ``tail`` lists the activated layers after it,
+    which only the per-layer session loop can probe.
+
+    Attributes:
+        ids: the id set every stacked layer shares (``None`` without a
+            stacked prefix).
+        blocks: the stacked prefix, in walk order.
+        tail: activated layers past the prefix, ascending.
+        levels: fewest levels (axis 1) a query tensor must carry —
+            one past the deepest activated layer.
+        dim: centroid dimension of the first activated layer (0 for an
+            empty cache).
+    """
+
+    ids: np.ndarray | None
+    blocks: tuple[LayerBlock, ...]
+    tail: tuple[int, ...]
+    levels: int
+    dim: int
 
 
 class LayerProbe(NamedTuple):
@@ -529,6 +694,9 @@ class SemanticCache:
         #: private copy.  A view layer is promoted to RAM by the first
         #: :meth:`set_layer_entries` write.
         self._view_layers: set[int] = set()
+        #: Lazily built stacked walk plan (:meth:`layer_pack`); every
+        #: mutator of layer storage or floors drops it.
+        self._pack: LayerPack | None = None
 
     # ------------------------------------------------------------------
     # Content management
@@ -546,6 +714,7 @@ class SemanticCache:
                 to unit L2 norm (in double precision) on insertion, then
                 stored C-contiguous in the cache dtype.
         """
+        self._pack = None
         ids = np.asarray(class_ids, dtype=int)
         mat = np.asarray(centroids, dtype=np.float64)
         if ids.ndim != 1 or mat.ndim != 2 or ids.shape[0] != mat.shape[0]:
@@ -602,6 +771,7 @@ class SemanticCache:
                 equals the cache dtype (no silent conversion — a cast
                 would copy and defeat the mapping).
         """
+        self._pack = None
         ids = np.asarray(class_ids, dtype=int)
         mat = np.asarray(centroids)
         if ids.ndim != 1 or mat.ndim != 2 or ids.shape[0] != mat.shape[0]:
@@ -724,11 +894,19 @@ class SemanticCache:
             raise ValueError(f"probe_threads must be >= 1, got {probe_threads}")
         self.probe_threads = int(probe_threads)
 
+    def probe_blocks(self, rows: int) -> int:
+        """Row blocks the dense kernel runs a ``rows``-row probe in:
+        one per probe thread while each keeps ``_MIN_BLOCK_ROWS`` rows."""
+        if self.probe_threads == 1:
+            return 1
+        return max(1, min(self.probe_threads, rows // _MIN_BLOCK_ROWS))
+
     def set_similarity_floor(self, layer: int, floor: float) -> None:
         """Require a minimum top-entry cosine at ``layer`` for a hit."""
         if not -1.0 <= floor <= 1.0:
             raise ValueError(f"floor must be a cosine in [-1, 1], got {floor}")
         self._similarity_floor[layer] = float(floor)
+        self._pack = None
 
     def similarity_floor(self, layer: int) -> float:
         """The hit floor at a layer (-1 when none is set)."""
@@ -741,6 +919,7 @@ class SemanticCache:
         self._positions.clear()
         self._similarity_floor.clear()
         self._view_layers.clear()
+        self._pack = None
 
     @property
     def active_layers(self) -> list[int]:
@@ -813,6 +992,111 @@ class SemanticCache:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
+
+    def layer_pack(self) -> LayerPack:
+        """The cache's stacked walk plan, built on first use.
+
+        Building copies nothing for view-backed layers (blocks alias the
+        borrowed storage) and moves each run of owned layers into one
+        contiguous ``(G, n, d)`` tensor that becomes their storage, so a
+        pack never holds a second copy; the plan is dropped by every mutator
+        (:meth:`set_layer_entries`, :meth:`set_layer_view`,
+        :meth:`set_similarity_floor`, :meth:`clear`) and rebuilt by the
+        next call.
+        """
+        pack = self._pack
+        if pack is None:
+            pack = self._build_layer_pack()
+            self._pack = pack
+        return pack
+
+    def _build_layer_pack(self) -> LayerPack:
+        active = self.active_layers
+        if not active:
+            return LayerPack(None, (), (), 0, 0)
+        shared_ids, first = self._layers[active[0]]
+        prefix: list[int] = []
+        for layer in active:
+            ids, mat = self._layers[layer]
+            if (
+                layer in self._indexes
+                or layer in self._quantized
+                or ids.size < 2
+                or mat.shape != first.shape
+                or not np.array_equal(ids, shared_ids)
+            ):
+                break
+            prefix.append(layer)
+        runs: list[list[int]] = []
+        for layer in prefix:
+            if runs and self._extends_run(runs[-1], layer):
+                runs[-1].append(layer)
+            else:
+                runs.append([layer])
+        blocks = tuple(self._stack_block(run) for run in runs)
+        pack = LayerPack(
+            ids=shared_ids if prefix else None,
+            blocks=blocks,
+            tail=tuple(active[len(prefix):]),
+            levels=active[-1] + 1,
+            dim=int(first.shape[1]),
+        )
+        if contracts.ENABLED:
+            contracts.check_layer_pack(
+                shared_ids,
+                [(b.layers, b.matrices, b.floors) for b in blocks],
+                self._layers,
+                self.similarity_floor,
+            )
+        return pack
+
+    def _extends_run(self, run: list[int], layer: int) -> bool:
+        """Whether one tensor can hold ``layer`` after the layers of ``run``.
+
+        Up to :data:`PACK_BLOCK_LAYERS`, owned layers always stack (they
+        are moved).  Borrowed layers stack only without a copy: their
+        matrices must sit at one constant, non-overlapping stride in
+        memory — true of the layers of one snapshot shard, false across
+        a shard boundary.
+        """
+        borrowed = layer in self._view_layers
+        if len(run) == PACK_BLOCK_LAYERS or borrowed != (
+            run[-1] in self._view_layers
+        ):
+            return False
+        if not borrowed:
+            return True
+        head, last, mat = (self._layers[j][1] for j in (run[0], run[-1], layer))
+        gap = _address(mat) - _address(last)
+        if len(run) == 1:
+            return gap >= head.nbytes and gap % head.itemsize == 0
+        return gap * (len(run) - 1) == _address(last) - _address(head)
+
+    def _stack_block(self, run: list[int]) -> LayerBlock:
+        """One :class:`LayerBlock` over a run :meth:`_extends_run` grew."""
+        sources = tuple(self._layers[layer][1] for layer in run)
+        head = sources[0]
+        if run[0] not in self._view_layers:
+            # Owned layers move into the block: each layer's storage
+            # becomes its row, so the pack is no second resident copy.
+            matrices = np.stack(sources)
+            matrices.flags.writeable = False
+            for row, layer in zip(matrices, run):
+                self._layers[layer] = (self._layers[layer][0], row)
+            sources = ()
+        elif len(run) == 1:
+            matrices = head[None]  # read-only, as every layer view is
+        else:
+            matrices = np.lib.stride_tricks.as_strided(
+                head,
+                shape=(len(run), *head.shape),
+                strides=(_address(sources[1]) - _address(head), *head.strides),
+                writeable=False,
+            )
+        floors = np.array(
+            [[self.similarity_floor(layer)] for layer in run], dtype=self.dtype
+        )
+        return LayerBlock(np.array(run, dtype=np.intp), matrices, floors, sources)
 
     def start_session(self) -> "LookupSession":
         """Begin the per-inference sequential lookup."""
@@ -1050,6 +1334,26 @@ class BatchedLookupSession:
             self._acc_full[:, self._acc_ids] = self._acc_cols
         self._acc_ids = None
         self._acc_cols = None
+
+    def resume(
+        self, ids: np.ndarray, rows: np.ndarray, accumulated: np.ndarray
+    ) -> None:
+        """Adopt Eq. 1 state folded outside the session, before any probe.
+
+        The stacked walk folds the layers of its prefix itself; the rows
+        it leaves unresolved continue through :meth:`probe` from the
+        ``A`` values it reached.
+
+        Args:
+            ids: the id set the state is aligned with.
+            rows: batch rows carrying state; every other row starts at 0.
+            accumulated: ``(len(rows), len(ids))`` values of ``A``.
+        """
+        self._acc_ids = ids
+        self._acc_cols = np.zeros(
+            (self.batch_size, ids.size), dtype=self._cache.dtype
+        )
+        self._acc_cols[rows] = accumulated
 
     def accumulated_score(self, row: int, class_id: int) -> float:
         """Current ``A`` value of a class for one batch row."""
@@ -1350,9 +1654,7 @@ class BatchedLookupSession:
         second_idx = ws.ints("dense.second_idx", (n,))
         score = ws.floats("dense.score", (n,), dtype)
         hit = ws.bools("dense.hit", (n,))
-        blocks = 1
-        if cache.probe_threads > 1:
-            blocks = min(cache.probe_threads, n // _MIN_BLOCK_ROWS)
+        blocks = cache.probe_blocks(n)
         if blocks > 1:
             pool = ws.executor(blocks - 1)
             step = -(-n // blocks)  # ceil division

@@ -58,7 +58,9 @@ class CoCaConfig:
             candidate margin of the two-tier kernel; larger keeps more
             candidates (safer against cross-layer rank drift, slower).
         probe_threads: worker count of the thread-blocked probe kernel
-            (1 = single-threaded execution, the default).
+            (1 = single-threaded execution, the default).  Above 1, a
+            batch of 32 rows or more is walked by the per-layer loop in
+            row blocks instead of the single-threaded stacked kernel.
     """
 
     alpha: float = 0.5

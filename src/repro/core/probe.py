@@ -15,6 +15,22 @@ workers of :mod:`repro.serve` call it directly: a worker process
 rebuilds a view-backed cache from a snapshot path and walks it — no
 model object, no pickled tables, nothing but the mapped centroid bytes.
 
+The walk has two kernels behind that one entry point.  The *stacked*
+kernel (:func:`_walk_stacked`) scores a whole block of consecutive dense
+layers in one batched product and resolves every row to its first
+hitting layer afterwards — early exit kept in the answer, not in the
+control flow — which removes the per-layer interpreter overhead that is
+nearly all of a single-frame walk.  The *per-layer* loop
+(:func:`walk_cache_batch_reference`) advances one layer per iteration
+through a :class:`~repro.core.cache.BatchedLookupSession`; it is the
+reference the stacked kernel is tested against, and it serves the layers
+the stacked kernel cannot (accelerated tiers, diverging id sets,
+single-entry layers) and the batches ``probe_threads`` splits into row
+blocks.  Both kernels take the same decisions; ``hit_score`` is
+bit-equal between them for a single frame and for a batch no row leaves
+mid-block, and equal to the last bits otherwise.  See "Stacked walk" in
+``src/repro/core/README.md``.
+
 For rows that miss every layer the walk still reports the deepest
 layer's top class as ``miss_guess``: the best answer the cache alone
 can give.  The engine ignores it (misses run the full model); a serving
@@ -23,11 +39,13 @@ worker returns it as the cache-served approximate prediction.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import time
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.cache import LookupWorkspace, SemanticCache
+from repro import contracts
+from repro.core.cache import LayerPack, LookupWorkspace, SemanticCache
 
 
 class CacheWalk(NamedTuple):
@@ -67,35 +85,129 @@ def walk_cache_batch(
 ) -> CacheWalk:
     """Probe every activated cache layer over a batch, with early exit.
 
+    The layers of the cache's stacked prefix
+    (:meth:`~repro.core.cache.SemanticCache.layer_pack`) go through the
+    stacked kernel a block at a time, the layers after it through the
+    per-layer loop.  The stacked kernel is single-threaded: a batch the
+    cache's ``probe_threads`` would split into row blocks takes the loop
+    for every layer, which runs them.  Either way the decisions
+    (``predicted`` / ``hit_layer`` / ``layers_probed``) are those of the
+    loop; ``hit_score`` is bit-equal to the loop's for a single frame
+    and for a batch no row leaves mid-block, and may differ from it in
+    the last bits otherwise (the BLAS rounds a row of a small product
+    by its row count).
+
     Args:
         vectors: ``(B, L+1, d)`` per-layer query tensor; row index along
             axis 1 is the model layer id, matching the cache's layer
             indexing.  Cast to the cache dtype at most once.
         workspace: probe buffer pool; the returned arrays live in it.
-        timings: optional accumulator for the session's probe-kernel
-            split (keys ``"shortlist"`` / ``"rescore"``), matching the
-            :class:`~repro.core.cache.BatchedLookupSession` convention.
+        timings: optional accumulator for the probe-kernel split (keys
+            ``"shortlist"`` / ``"rescore"``), matching the
+            :class:`~repro.core.cache.BatchedLookupSession` convention;
+            the stacked kernel is exact scoring and counts as
+            ``"rescore"``.
 
     Returns:
-        A :class:`CacheWalk` with one entry per batch row, identical to
-        what the scalar ``LookupSession`` would produce row by row.
+        A :class:`CacheWalk` with one entry per batch row: the decisions
+        the scalar ``LookupSession`` takes row by row.
+
+    Raises:
+        ValueError: ``vectors`` is not 3-D, has fewer levels than the
+            deepest activated layer needs, or another feature dimension
+            than the cached centroids.
     """
+    walk, pack = _begin_walk(cache, vectors, workspace)
+    batch = vectors.shape[0]
+    if batch == 0 or pack.levels == 0:
+        return walk
+    ids = pack.ids
+    if ids is None or cache.probe_blocks(batch) > 1:
+        _walk_layers(cache, cache.active_layers, vectors, workspace, walk, timings)
+        return walk
+    start = time.perf_counter() if timings is not None else 0.0
+    alive, accumulated = _walk_stacked(cache, pack, vectors, workspace, walk)
+    if timings is not None:
+        timings["rescore"] = (
+            timings.get("rescore", 0.0) + time.perf_counter() - start
+        )
+    if pack.tail and alive.size:
+        _walk_layers(
+            cache, pack.tail, vectors, workspace, walk, timings,
+            resume=(ids, alive, accumulated),
+        )
+    return walk
+
+
+def walk_cache_batch_reference(
+    cache: SemanticCache,
+    vectors: np.ndarray,
+    workspace: LookupWorkspace,
+    timings: dict[str, float] | None = None,
+) -> CacheWalk:
+    """:func:`walk_cache_batch` through the per-layer loop alone.
+
+    One :meth:`~repro.core.cache.BatchedLookupSession.probe` per
+    activated layer over the rows still unresolved — the walk as it was
+    before the stacked kernel, kept as the reference the equivalence
+    suite compares against (same arguments, same :class:`CacheWalk`).
+    """
+    walk, pack = _begin_walk(cache, vectors, workspace)
+    if vectors.shape[0] and pack.levels:
+        _walk_layers(cache, cache.active_layers, vectors, workspace, walk, timings)
+    return walk
+
+
+def _begin_walk(
+    cache: SemanticCache, vectors: np.ndarray, workspace: LookupWorkspace
+) -> tuple[CacheWalk, LayerPack]:
+    """Check the request geometry against the cache once, and hand out
+    the walk's result arrays in their no-layer-probed state."""
     if vectors.ndim != 3:
         raise ValueError(
             f"expected a (B, L+1, d) vector tensor, got shape {vectors.shape}"
         )
+    pack = cache.layer_pack()
+    if pack.levels and (
+        vectors.shape[1] < pack.levels or vectors.shape[2] != pack.dim
+    ):
+        raise ValueError(
+            f"query tensor of shape {vectors.shape} does not fit the cache: "
+            f"expected (B, >= {pack.levels}, {pack.dim}) — its deepest "
+            f"activated layer is {pack.levels - 1}, its centroid dim "
+            f"{pack.dim}"
+        )
     batch = vectors.shape[0]
-    predicted = workspace.ints("walk.predicted", (batch,))
-    hit_layer = workspace.ints("walk.hit_layer", (batch,))
-    hit_score = workspace.floats("walk.hit_score", (batch,), np.float64)
-    layers_probed = workspace.ints("walk.layers_probed", (batch,))
-    predicted.fill(-1)
-    hit_layer.fill(-1)
-    hit_score.fill(np.nan)
-    layers_probed.fill(0)
-    if batch == 0 or not cache.active_layers:
-        return CacheWalk(predicted, hit_layer, hit_score, layers_probed)
+    walk = CacheWalk(
+        predicted=workspace.ints("walk.predicted", (batch,)),
+        hit_layer=workspace.ints("walk.hit_layer", (batch,)),
+        hit_score=workspace.floats("walk.hit_score", (batch,), np.float64),
+        layers_probed=workspace.ints("walk.layers_probed", (batch,)),
+    )
+    walk.predicted.fill(-1)
+    walk.hit_layer.fill(-1)
+    walk.hit_score.fill(np.nan)
+    walk.layers_probed.fill(0)
+    return walk, pack
 
+
+def _walk_layers(
+    cache: SemanticCache,
+    layers: Sequence[int],
+    vectors: np.ndarray,
+    workspace: LookupWorkspace,
+    walk: CacheWalk,
+    timings: dict[str, float] | None,
+    resume: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> None:
+    """The per-layer loop over ``layers``, writing into ``walk``.
+
+    ``resume`` is ``(ids, rows, accumulated)`` from a stacked prefix:
+    only ``rows`` are still unresolved, and their Eq. 1 state continues
+    from ``accumulated``.
+    """
+    batch = vectors.shape[0]
+    predicted, hit_layer, hit_score, layers_probed = walk
     session = cache.start_batch_session(batch, workspace=workspace)
     if timings is not None:
         session.timings = timings
@@ -105,11 +217,17 @@ def walk_cache_batch(
         probe_vectors = vectors.astype(cache.dtype, copy=False)
     accelerated = cache.shortlist_layers()
     if accelerated:
+        # Primed from every row of the batch, resolved or not, so that a
+        # stacked prefix leaves the shortlist what the loop alone pins.
         deepest = accelerated[-1]
         session.prime_shortlist(deepest, probe_vectors[:, deepest, :])
+    if resume is None:
+        alive = workspace.arange(batch)
+    else:
+        ids, alive, accumulated = resume
+        session.resume(ids, alive, accumulated)
     dim = probe_vectors.shape[-1]
-    alive = workspace.arange(batch)
-    for layer in cache.active_layers:
+    for layer in layers:
         layers_probed[alive] += 1
         gathered = workspace.floats("walk.take", (alive.size, dim), cache.dtype)
         np.take(probe_vectors[:, layer, :], alive, axis=0, out=gathered)
@@ -125,4 +243,107 @@ def walk_cache_batch(
             alive = alive[~result.hit]
             if alive.size == 0:
                 break
-    return CacheWalk(predicted, hit_layer, hit_score, layers_probed)
+
+
+def _walk_stacked(  # repro-lint: kernel
+    cache: SemanticCache,
+    pack: LayerPack,
+    vectors: np.ndarray,
+    workspace: LookupWorkspace,
+    walk: CacheWalk,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Walk the pack's stacked prefix, one block of layers per iteration.
+
+    Per block, for the ``m`` rows no earlier block resolved: gather their
+    ``(m, G, d)`` levels, score all ``G`` layers in one batched product
+    (per layer the loop's own ``(m, d) @ (d, n)``), fold Eq. 1 down the
+    layer axis in the loop's order (``A_g = alpha * A_{g-1} + C_g``, one
+    multiply and one add per layer), take top-2, Eq. 2 and the floor
+    check for all ``G * m`` (layer, row) pairs at once, and resolve each
+    row to its *first* hitting layer.  A row's layers past its hit are
+    scored and discarded; between blocks resolved rows drop out.
+
+    Returns ``(alive, accumulated)``: the rows that missed every stacked
+    layer and their ``(len(alive), n)`` Eq. 1 state after the last one.
+    """
+    ws = workspace
+    dtype = cache.dtype
+    alpha, theta = cache.alpha, cache.theta
+    predicted, hit_layer, hit_score, layers_probed = walk
+    batch, levels, dim = vectors.shape
+    ids = pack.ids
+    assert ids is not None
+    n = ids.size
+    level_rows = vectors.reshape(batch * levels, dim)
+    alive = ws.arange(batch)
+    row_off = ws.ints("stack.row_off", (batch,))
+    np.multiply(alive, levels, out=row_off)
+    acc = ws.floats("stack.acc", (batch, n), dtype)
+    acc.fill(0)
+    for block in pack.blocks:
+        m = alive.size
+        depth = block.layers.size
+        s = ws.stack_layout(m, depth, n, dim, vectors.dtype, dtype)
+        if contracts.ENABLED:
+            contracts.check_distinct_views(acc=acc, sim=s.sim, upd=s.upd)
+
+        np.add(row_off[:, None], block.layers, out=s.gather)
+        level_rows.take(s.gather, axis=0, out=s.raw, mode="clip")
+        if s.queries is not s.raw:
+            np.copyto(s.queries, s.raw, casting="unsafe")
+        np.matmul(s.queries_t, block.matrices.transpose(0, 2, 1), out=s.sim)
+        previous = acc[:m]
+        for current, similarity in s.folds:
+            np.multiply(previous, alpha, out=current)
+            np.add(current, similarity, out=current)
+            previous = current
+
+        # Top-2 of every pair's A row, as LookupWorkspace.top2 takes it
+        # (winner, mask it, runner-up, restore).
+        best_idx, best_flat, second_flat = s.best_idx, s.best_flat, s.second_flat
+        a_best, upd_flat = s.a_best, s.upd_flat
+        np.multiply(s.pair_index, n, out=s.pair_off)
+        s.upd_rows.argmax(axis=1, out=best_idx)
+        np.add(s.pair_off, best_idx, out=best_flat)
+        upd_flat.take(best_flat, out=a_best, mode="clip")
+        upd_flat[best_flat] = -np.inf
+        s.upd_rows.argmax(axis=1, out=second_flat)
+        np.add(s.pair_off, second_flat, out=second_flat)
+        upd_flat.take(second_flat, out=s.a_second, mode="clip")
+        upd_flat[best_flat] = a_best
+
+        # Eq. 2 above theta, A_best > 0, winner's similarity >= floor.
+        score, hit, aux = s.score, s.hit, s.aux
+        ws.scores_into(a_best, s.a_second, score)
+        np.greater(score, theta, out=hit)
+        np.greater(a_best, 0, out=aux)
+        np.logical_and(hit, aux, out=hit)
+        s.sim_flat.take(best_flat, out=s.sim_best, mode="clip")
+        np.greater_equal(s.sim_best_rows, block.floors, out=s.floor_ok)
+        np.logical_and(hit, aux, out=hit)  # aux holds floor_ok now
+
+        # Resolve each row to its first hitting layer of the block, or
+        # to the block's last layer (the running miss guess).
+        resolved, missed, stop, at = s.resolved, s.missed, s.stop, s.at
+        s.hits.any(axis=0, out=resolved)
+        np.logical_not(resolved, out=missed)
+        s.hits.argmax(axis=0, out=stop)
+        stop[missed] = depth - 1
+        np.multiply(stop, m, out=at)
+        np.add(at, s.columns, out=at)
+        best_idx.take(at, out=s.top, mode="clip")
+        predicted[alive] = ids[s.top]
+        np.add(stop, 1, out=stop)
+        layers_probed[alive] += stop
+        if missed.all():
+            np.copyto(acc[:m], previous)
+            continue
+        hitters = alive[resolved]
+        hit_layer[hitters] = block.layers[stop[resolved] - 1]
+        hit_score[hitters] = score[at[resolved]]
+        alive = alive[missed]
+        if alive.size == 0:
+            break
+        row_off = row_off[missed]
+        np.compress(missed, previous, axis=0, out=acc[: alive.size])
+    return alive, acc[: alive.size]

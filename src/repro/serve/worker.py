@@ -18,6 +18,16 @@ and a small :class:`WorkerReply` of per-frame results — kilobytes.  The
 centroid table itself is never serialized: every process maps the same
 snapshot bytes from the page cache.
 
+The walk's stacked kernel reads the cache through a *layer pack*
+(:meth:`~repro.core.cache.SemanticCache.layer_pack`) whose blocks alias
+those mapped bytes — no resident copy, no promotion of a view-backed
+layer.  Nothing builds it at pool start: :func:`initialize_worker` costs
+what it did, and the worker's **first request** builds the pack (about
+half a millisecond for a 34-layer snapshot) and keeps it for every later
+one.  A request whose tensor does not fit the snapshot's geometry is
+refused by the walk with a ``ValueError`` naming expected and got
+shapes; the worker keeps serving.
+
 **Emulated device compute.**  As everywhere in this reproduction, the
 DNN itself is simulated: the probe math is real, and the edge device's
 per-request service time is emulated by a wall-clock *service floor*

@@ -125,6 +125,69 @@ def test_layer_entries_row_count_mismatch_fires():
 
 
 # ----------------------------------------------------------------------
+# check_layer_pack
+# ----------------------------------------------------------------------
+
+def good_pack(layers=(0, 2, 3), n=4, d=8):
+    """``check_layer_pack`` arguments for one read-only block over
+    ``layers`` (floor of layer ``l`` is ``0.1 * l``)."""
+    ids = np.arange(n)
+    stored = {
+        layer: (ids.copy(), np.ascontiguousarray(unit_rows(n, d, seed=layer)))
+        for layer in layers
+    }
+    matrices = np.stack([stored[layer][1] for layer in layers])
+    matrices.flags.writeable = False
+    floors = np.array([[0.1 * layer] for layer in layers])
+    block = (np.array(layers), matrices, floors)
+    return ids, [block], stored, lambda layer: 0.1 * layer
+
+
+def test_layer_pack_passes_on_good_state():
+    contracts.check_layer_pack(*good_pack())
+
+
+def test_layer_pack_stale_block_row_fires():
+    ids, blocks, stored, floor_of = good_pack()
+    stored[2] = (ids, np.ascontiguousarray(unit_rows(4, 8, seed=99)))
+    with pytest.raises(ContractViolation, match="block row 1 differs"):
+        contracts.check_layer_pack(ids, blocks, stored, floor_of)
+
+
+def test_layer_pack_diverging_ids_fire():
+    ids, blocks, stored, floor_of = good_pack()
+    stored[3] = (ids[::-1].copy(), stored[3][1])
+    with pytest.raises(ContractViolation, match="shared id set"):
+        contracts.check_layer_pack(ids, blocks, stored, floor_of)
+
+
+def test_layer_pack_misaligned_floor_fires():
+    ids, blocks, stored, _ = good_pack()
+    with pytest.raises(ContractViolation, match="floor"):
+        contracts.check_layer_pack(ids, blocks, stored, lambda layer: 0.5)
+    layers, matrices, floors = blocks[0]
+    with pytest.raises(ContractViolation, match="line up"):
+        contracts.check_layer_pack(
+            ids, [(layers, matrices, floors[:-1])], stored, lambda layer: 0.1 * layer
+        )
+
+
+def test_layer_pack_writeable_block_fires():
+    ids, blocks, stored, floor_of = good_pack()
+    layers, matrices, floors = blocks[0]
+    with pytest.raises(ContractViolation, match="writeable"):
+        contracts.check_layer_pack(
+            ids, [(layers, matrices.copy(), floors)], stored, floor_of
+        )
+
+
+def test_layer_pack_unordered_layers_fire():
+    ids, blocks, stored, floor_of = good_pack()
+    with pytest.raises(ContractViolation, match="follows"):
+        contracts.check_layer_pack(ids, blocks + blocks, stored, floor_of)
+
+
+# ----------------------------------------------------------------------
 # Merge contracts
 # ----------------------------------------------------------------------
 
@@ -275,6 +338,24 @@ def test_cache_calls_layer_contract_only_when_enabled(monkeypatch):
     assert calls == []
     with contracts.activated():
         cache.set_layer_entries(1, np.arange(3), unit_rows(3, 4))
+    assert len(calls) == 1
+
+
+def test_cache_calls_pack_contract_only_when_enabled(monkeypatch):
+    calls: list[tuple] = []
+    monkeypatch.setattr(
+        contracts, "check_layer_pack", lambda *a: calls.append(a)
+    )
+    cache = SemanticCache(num_classes=6, dtype=np.float32)
+    for layer in range(3):
+        cache.set_layer_entries(layer, np.arange(3), unit_rows(3, 4, seed=layer))
+    with contracts.activated(False):
+        cache.layer_pack()
+    assert calls == []
+    cache.set_similarity_floor(1, 0.2)  # drops the pack: the next call builds
+    with contracts.activated():
+        cache.layer_pack()
+        cache.layer_pack()
     assert len(calls) == 1
 
 

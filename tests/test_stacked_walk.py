@@ -1,0 +1,594 @@
+"""Equivalence of the stacked walk kernel and the per-layer loop.
+
+``walk_cache_batch`` dispatches between two kernels; ``walk_cache_batch_
+reference`` is the per-layer loop alone.  Every case here walks the same
+cache with the same queries through both and requires the same
+decisions — ``predicted`` / ``hit_layer`` / ``layers_probed`` exactly
+equal — and the same ``hit_score`` as far as the BLAS allows.
+
+That is bit for bit wherever the two kernels issue the same BLAS calls:
+always at ``B = 1``, and at ``B > 1`` whenever no row leaves the batch
+before a block's last layer (the loop then multiplies the same
+``(m, d)`` row set the block does).  When rows do leave mid-block, the
+loop's later products run on fewer rows, and OpenBLAS's small-matrix
+kernels do not compute a row identically at different row counts; those
+cases compare scores to the dtype's rounding only, so ISSUE 17's
+bit-equality criterion is *not* met there, and equal decisions on such a
+batch are what these cases observe, not something the arithmetic
+guarantees for a score within rounding of theta (see "Stacked walk" in
+``src/repro/core/README.md``).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import contracts
+from repro.core import probe
+from repro.core.cache import PACK_BLOCK_LAYERS, LookupWorkspace, SemanticCache
+from repro.core.probe import (
+    CacheWalk,
+    walk_cache_batch,
+    walk_cache_batch_reference,
+)
+from repro.core.server import GlobalCacheTable
+from repro.serve import (
+    WorkerOptions,
+    initialize_worker,
+    probe_chunk,
+    shutdown_worker,
+)
+from repro.store import MappedTableStore, write_snapshot
+
+DTYPES = (np.float32, np.float64)
+BATCHES = (1, 2, 7, 64, 300)
+
+
+def unit(rows: np.ndarray) -> np.ndarray:
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+
+class Scene:
+    """Class-structured centroids and queries that hit at varied depths.
+
+    Layer ``l``'s centroid of class ``c`` is a shared class direction plus
+    a layer-specific offset; a query is its class's centroid plus noise
+    that shrinks with depth, so easy frames exit early and hard ones
+    late; every fifth frame is a direction of no class, which a floor
+    keeps from hitting anywhere.
+    """
+
+    def __init__(self, seed: int, classes: int = 12, layers: int = 6, dim: int = 16):
+        self.rng = np.random.default_rng(seed)
+        self.classes, self.layers, self.dim = classes, layers, dim
+        base = self.rng.standard_normal((classes, 1, dim))
+        offsets = 0.5 * self.rng.standard_normal((classes, layers, dim))
+        self.centroids = unit(base + offsets)  # (classes, layers, dim)
+
+    def queries(self, batch: int, dtype: type = np.float64) -> np.ndarray:
+        labels = self.rng.integers(self.classes, size=batch)
+        noise = self.rng.standard_normal((batch, self.layers, self.dim))
+        scale = self.rng.uniform(0.05, 1.2, size=(batch, 1, 1))
+        depth = np.linspace(1.0, 0.3, self.layers)[None, :, None]
+        vectors = self.centroids[labels] + scale * depth * noise
+        vectors[4::5] = noise[4::5]
+        return np.ascontiguousarray(unit(vectors), dtype=dtype)
+
+    def cache(
+        self,
+        dtype: type = np.float64,
+        floors: bool = False,
+        theta: float = 0.3,
+        layers: list[int] | None = None,
+        ids_of: dict[int, np.ndarray] | None = None,
+        **options: object,
+    ) -> SemanticCache:
+        cache = SemanticCache(
+            self.classes, alpha=0.5, theta=theta, dtype=dtype, **options
+        )
+        for layer in range(self.layers) if layers is None else layers:
+            ids = np.arange(self.classes)
+            if ids_of is not None and layer in ids_of:
+                ids = ids_of[layer]
+            cache.set_layer_entries(layer, ids, self.centroids[ids, layer])
+            if floors:
+                cache.set_similarity_floor(layer, 0.5 + 0.02 * layer)
+        return cache
+
+
+def both_walks(
+    cache: SemanticCache, vectors: np.ndarray
+) -> tuple[CacheWalk, CacheWalk]:
+    """(dispatching walk, per-layer reference), as owned copies."""
+    with LookupWorkspace() as workspace:
+        new = CacheWalk(*(a.copy() for a in walk_cache_batch(cache, vectors, workspace)))
+    with LookupWorkspace() as workspace:
+        ref = CacheWalk(
+            *(a.copy() for a in walk_cache_batch_reference(cache, vectors, workspace))
+        )
+    return new, ref
+
+
+def assert_same_walk(new: CacheWalk, ref: CacheWalk, dtype: type, bitwise: bool) -> None:
+    assert np.array_equal(new.predicted, ref.predicted)
+    assert np.array_equal(new.hit_layer, ref.hit_layer)
+    assert np.array_equal(new.layers_probed, ref.layers_probed)
+    assert new.hit_score.dtype == ref.hit_score.dtype == np.float64
+    if bitwise:
+        assert new.hit_score.tobytes() == ref.hit_score.tobytes()
+    else:
+        # Eq. 2 divides a difference of two rounded O(1) sums by the
+        # smaller one, b: an ulp in either moves (a - b) / b by about
+        # eps * (1 + score) / b, and 1 / b is about (1 + score) / a with a = O(1).
+        bound = 64 * float(np.finfo(dtype).eps) * (1.0 + np.abs(ref.hit_score)) ** 2
+        assert np.array_equal(np.isnan(new.hit_score), np.isnan(ref.hit_score))
+        assert not (np.abs(new.hit_score - ref.hit_score) > bound).any()
+
+
+# ----------------------------------------------------------------------
+# Dense caches: the stacked kernel against the loop
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("floors", (False, True))
+@pytest.mark.parametrize("batch", BATCHES)
+def test_stacked_equals_loop(dtype, floors, batch):
+    scene = Scene(seed=batch)
+    cache = scene.cache(dtype=dtype, floors=floors)
+    pack = cache.layer_pack()
+    assert [b.layers.tolist() for b in pack.blocks] == [list(range(6))]
+    assert pack.tail == ()
+    vectors = scene.queries(batch, dtype)
+    new, ref = both_walks(cache, vectors)
+    assert_same_walk(new, ref, dtype, bitwise=batch == 1)
+    if batch >= 64:
+        # The scene must exercise early exits at several depths and misses.
+        assert len(set(ref.hit_layer.tolist())) >= 4
+        assert (ref.hit_layer == -1).any() or not floors
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_single_frames_are_bit_equal(dtype):
+    scene = Scene(seed=3, layers=9)
+    cache = scene.cache(dtype=dtype, floors=True)
+    frames = scene.queries(200, dtype)
+    seen = set()
+    for row in range(frames.shape[0]):
+        new, ref = both_walks(cache, frames[row : row + 1])
+        assert_same_walk(new, ref, dtype, bitwise=True)
+        seen.add(int(ref.hit_layer[0]))
+    assert len(seen) >= 5
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("batch", (2, 7, 64))
+def test_batches_without_mid_block_exits_are_bit_equal(dtype, batch):
+    """All rows alive through every layer of the block: the loop issues
+    the block's own products, so even the scores agree bit for bit."""
+    scene = Scene(seed=11)
+    vectors = scene.queries(batch, dtype)
+    # Nothing can hit: every row walks the whole block in both kernels.
+    new, ref = both_walks(scene.cache(dtype=dtype, theta=1e6), vectors)
+    assert (ref.hit_layer == -1).all()
+    assert_same_walk(new, ref, dtype, bitwise=True)
+    # One frame repeated: every row hits at the same layer.
+    clones = np.ascontiguousarray(np.repeat(vectors[:1], batch, axis=0))
+    new, ref = both_walks(scene.cache(dtype=dtype, theta=0.05), clones)
+    assert (ref.hit_layer >= 0).all()
+    assert_same_walk(new, ref, dtype, bitwise=True)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_queries_in_another_dtype_are_cast_once(dtype):
+    scene = Scene(seed=5)
+    cache = scene.cache(dtype=dtype)
+    other = np.float64 if dtype is np.float32 else np.float32
+    vectors = scene.queries(1, other)
+    new, ref = both_walks(cache, vectors)
+    assert_same_walk(new, ref, dtype, bitwise=True)
+
+
+def test_non_contiguous_queries():
+    scene = Scene(seed=6)
+    cache = scene.cache()
+    wide = scene.queries(7)
+    strided = np.asfortranarray(wide)
+    assert not strided.flags.c_contiguous
+    new, _ = both_walks(cache, strided)
+    expected, _ = both_walks(cache, wide)
+    assert_same_walk(new, expected, np.float64, bitwise=True)
+
+
+def test_thread_blocked_batches_take_the_loop(monkeypatch):
+    """The stacked kernel is single-threaded; a batch ``probe_threads``
+    splits into row blocks goes to the loop, which runs them."""
+    scene = Scene(seed=7)
+    cache = scene.cache(probe_threads=2)
+    calls = []
+    stacked = probe._walk_stacked
+    monkeypatch.setattr(
+        probe, "_walk_stacked", lambda *a: calls.append(1) or stacked(*a)
+    )
+    both_walks(cache, scene.queries(31))  # one block of 16+ rows: not split
+    assert calls == [1]
+    new, ref = both_walks(cache, scene.queries(32))
+    assert calls == [1]  # two row blocks: the loop served them
+    assert_same_walk(new, ref, np.float64, bitwise=True)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_decisions_on_the_threshold(dtype):
+    """Theta one ulp below, on and one ulp above a frame's own score:
+    where the kernels' scores are bit-equal (a single frame, a batch of
+    its clones) they flip the decision at the same ulp."""
+    scene = Scene(seed=13, layers=9)
+    cache = scene.cache(dtype=dtype)
+    frames = scene.queries(30, dtype)
+    _, base = both_walks(cache, frames)
+    rows = np.flatnonzero(base.hit_layer >= 0)
+    assert rows.size >= 10
+    for row in rows:
+        frame = frames[row : row + 1]
+        _, alone = both_walks(cache, frame)
+        score = dtype(alone.hit_score[0])
+        below, above = np.nextafter(score, dtype(-np.inf)), np.nextafter(score, dtype(np.inf))
+        for theta in (below, score, above):
+            cache.theta = float(theta)
+            new, ref = both_walks(cache, frame)
+            assert_same_walk(new, ref, dtype, bitwise=True)
+            # Eq. 2 is strict: the frame's own score is not above itself.
+            assert (ref.hit_layer[0] == alone.hit_layer[0]) == (theta == below)
+            clones = np.ascontiguousarray(np.repeat(frame, 7, axis=0))
+            new, ref = both_walks(cache, clones)
+            assert_same_walk(new, ref, dtype, bitwise=True)
+        cache.theta = 0.3
+
+
+# ----------------------------------------------------------------------
+# Structure the stacked kernel cannot take
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("batch", (1, 7, 64))
+def test_diverging_id_set_falls_back_mid_walk(dtype, batch):
+    scene = Scene(seed=21, layers=7)
+    fewer = np.arange(0, scene.classes, 2)
+    cache = scene.cache(dtype=dtype, floors=True, ids_of={4: fewer, 5: fewer})
+    pack = cache.layer_pack()
+    assert [b.layers.tolist() for b in pack.blocks] == [[0, 1, 2, 3]]
+    assert pack.tail == (4, 5, 6)
+    vectors = scene.queries(batch, dtype)
+    new, ref = both_walks(cache, vectors)
+    assert_same_walk(new, ref, dtype, bitwise=batch == 1)
+    if batch == 64:
+        assert (ref.hit_layer >= 4).any()  # some rows resolved in the tail
+        assert (ref.hit_layer == -1).any()
+
+
+@pytest.mark.parametrize("position", (0, 3, 5))
+def test_single_entry_layer(position):
+    scene = Scene(seed=31)
+    cache = scene.cache(ids_of={position: np.array([2])}, theta=0.5)
+    pack = cache.layer_pack()
+    assert [layer for b in pack.blocks for layer in b.layers] == list(range(position))
+    assert pack.tail == tuple(range(position, scene.layers))
+    for batch in (1, 7):
+        new, ref = both_walks(cache, scene.queries(batch))
+        assert_same_walk(new, ref, np.float64, bitwise=batch == 1)
+
+
+def test_one_active_layer():
+    scene = Scene(seed=41)
+    cache = scene.cache(layers=[3], theta=0.05)
+    assert [b.layers.tolist() for b in cache.layer_pack().blocks] == [[3]]
+    for batch in (1, 7):
+        new, ref = both_walks(cache, scene.queries(batch))
+        assert_same_walk(new, ref, np.float64, bitwise=True)
+        assert set(new.layers_probed.tolist()) == {1}
+
+
+def test_blocks_hold_at_most_pack_block_layers():
+    scene = Scene(seed=42, layers=19)
+    cache = scene.cache(floors=True)
+    depths = [b.layers.size for b in cache.layer_pack().blocks]
+    assert depths == [8, 8, 3] and max(depths) == PACK_BLOCK_LAYERS
+    for batch in (1, 64):
+        new, ref = both_walks(cache, scene.queries(batch))
+        assert_same_walk(new, ref, np.float64, bitwise=batch == 1)
+    assert ref.hit_layer.max() >= 8  # rows carried across a block boundary
+
+
+def test_sparse_layer_indices():
+    scene = Scene(seed=43, layers=9)
+    cache = scene.cache(layers=[1, 4, 8])
+    assert [b.layers.tolist() for b in cache.layer_pack().blocks] == [[1, 4, 8]]
+    for batch in (1, 7):
+        new, ref = both_walks(cache, scene.queries(batch))
+        assert_same_walk(new, ref, np.float64, bitwise=batch == 1)
+
+
+def test_empty_batch_and_empty_cache():
+    scene = Scene(seed=51)
+    cache = scene.cache()
+    with LookupWorkspace() as workspace:
+        walk = walk_cache_batch(cache, np.empty((0, scene.layers, scene.dim)), workspace)
+        assert all(a.shape == (0,) for a in walk)
+        empty = SemanticCache(scene.classes)
+        assert empty.layer_pack().blocks == ()
+        walk = walk_cache_batch(empty, scene.queries(3), workspace)
+        assert (walk.predicted == -1).all()
+        assert (walk.layers_probed == 0).all()
+
+
+def test_accelerated_layers_are_never_stacked():
+    scene = Scene(seed=61, classes=40)
+    vectors = scene.queries(16, np.float32)
+    for options in ({"prune_threshold": 8}, {"quantize_threshold": 8}):
+        cache = scene.cache(dtype=np.float32, **options)
+        pack = cache.layer_pack()
+        assert pack.blocks == ()
+        assert list(pack.tail) == cache.active_layers == cache.shortlist_layers()
+        new, ref = both_walks(cache, vectors)
+        assert_same_walk(new, ref, np.float32, bitwise=True)
+
+
+# ----------------------------------------------------------------------
+# View-backed caches: blocks alias the snapshot
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def snapshot(tmp_path):
+    scene = Scene(seed=71, classes=10, layers=11, dim=8)
+    table = GlobalCacheTable(scene.classes, scene.layers, scene.dim)
+    table.entries = scene.centroids.copy()
+    table.filled[:] = True
+    table.class_freq = np.full(scene.classes, 4.0)
+    path = tmp_path / "snap"
+    write_snapshot(path, table, epoch=1, layers_per_shard=4)
+    return scene, str(path)
+
+
+def test_view_backed_blocks_alias_the_snapshot(snapshot):
+    scene, path = snapshot
+    floors = np.linspace(0.5, 0.8, scene.layers)
+    with MappedTableStore(path) as store:
+        cache = store.serving_cache(theta=0.3, floors=floors)
+        pack = cache.layer_pack()
+        # One block per shard: a block never spans two mapped files.
+        assert [b.layers.tolist() for b in pack.blocks] == [
+            [0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10]
+        ]
+        for block in pack.blocks:
+            assert not block.matrices.flags.writeable
+            assert not block.matrices.flags.owndata
+            for g, layer in enumerate(block.layers.tolist()):
+                assert np.shares_memory(block.matrices[g], store.layer_view(layer))
+                assert np.array_equal(block.matrices[g], store.layer_view(layer))
+        frames = scene.queries(1000)
+        with LookupWorkspace() as workspace, LookupWorkspace() as other:
+            for row in range(frames.shape[0]):
+                frame = frames[row : row + 1]
+                new = walk_cache_batch(cache, frame, workspace)
+                ref = walk_cache_batch_reference(cache, frame, other)
+                assert_same_walk(new, ref, np.float64, bitwise=True)
+        assert cache.layer_pack() is pack
+        assert cache.view_backed_layers() == cache.active_layers
+        clip_new, clip_ref = both_walks(cache, frames[:64])
+        assert_same_walk(clip_new, clip_ref, np.float64, bitwise=False)
+
+
+def test_partially_filled_snapshot_layers(tmp_path):
+    scene = Scene(seed=73, classes=10, layers=6, dim=8)
+    table = GlobalCacheTable(scene.classes, scene.layers, scene.dim)
+    table.entries = scene.centroids.copy()
+    table.filled[:] = True
+    table.filled[::3, 2:] = False  # layers 2.. hold a subset: private gathers
+    table.class_freq = np.full(scene.classes, 4.0)
+    write_snapshot(tmp_path / "snap", table, epoch=1)
+    with MappedTableStore(tmp_path / "snap") as store:
+        cache = store.serving_cache(theta=0.3)
+        pack = cache.layer_pack()
+        assert [b.layers.tolist() for b in pack.blocks] == [[0, 1]]
+        assert pack.tail == (2, 3, 4, 5)
+        for batch in (1, 7):
+            new, ref = both_walks(cache, scene.queries(batch))
+            assert_same_walk(new, ref, np.float64, bitwise=batch == 1)
+
+
+def test_borrowed_views_without_a_common_stride_get_their_own_blocks():
+    scene = Scene(seed=75, layers=3)
+    cache = SemanticCache(scene.classes, theta=0.3, dtype=np.float64)
+    ids = np.arange(scene.classes)
+    # Separately allocated matrices, the middle one far away in memory.
+    keep = [np.ascontiguousarray(scene.centroids[:, layer]) for layer in (0, 1, 2)]
+    spacer = np.empty(1 << 16)
+    keep[1] = np.ascontiguousarray(scene.centroids[:, 1]) + 0.0 * spacer[0] * 0
+    for layer, mat in enumerate(keep):
+        cache.set_layer_view(layer, ids, mat)
+    blocks = cache.layer_pack().blocks
+    assert sorted(layer for b in blocks for layer in b.layers) == [0, 1, 2]
+    for block in blocks:
+        for g, layer in enumerate(block.layers.tolist()):
+            assert np.shares_memory(block.matrices[g], keep[layer])
+    new, ref = both_walks(cache, scene.queries(1))
+    assert_same_walk(new, ref, np.float64, bitwise=True)
+
+
+# ----------------------------------------------------------------------
+# Pack lifetime
+# ----------------------------------------------------------------------
+
+
+def test_pack_is_lazy_and_dropped_by_every_mutator():
+    scene = Scene(seed=81)
+    cache = scene.cache()
+    assert cache._pack is None  # building a cache builds no pack
+    stored = {layer: cache.entries_at(layer)[1] for layer in cache.active_layers}
+    pack = cache.layer_pack()
+    assert cache.layer_pack() is pack
+    # Owned layers were moved into the block: it is their storage, not a
+    # second copy of it.
+    for g, layer in enumerate(pack.blocks[0].layers.tolist()):
+        assert np.shares_memory(pack.blocks[0].matrices[g], cache._layers[layer][1])
+        assert np.array_equal(cache.entries_at(layer)[1], stored[layer])
+
+    ids = np.arange(scene.classes)
+    cache.set_layer_entries(2, ids, scene.centroids[::-1, 2])
+    rebuilt = cache.layer_pack()
+    assert rebuilt is not pack
+    assert np.array_equal(rebuilt.blocks[0].matrices[2], cache.entries_at(2)[1])
+
+    pack = rebuilt
+    cache.set_similarity_floor(1, 0.9)
+    rebuilt = cache.layer_pack()
+    assert rebuilt is not pack
+    assert rebuilt.blocks[0].floors[1, 0] == 0.9
+
+    pack = rebuilt
+    view = np.ascontiguousarray(scene.centroids[:, 4])
+    cache.set_layer_view(4, ids, view)
+    rebuilt = cache.layer_pack()
+    assert rebuilt is not pack
+    assert [b.layers.tolist() for b in rebuilt.blocks] == [[0, 1, 2, 3], [4], [5]]
+
+    cache.set_layer_entries(5, np.empty(0, dtype=int), np.empty((0, scene.dim)))
+    assert cache.layer_pack().levels == 5
+
+    cache.clear()
+    assert cache.layer_pack().blocks == ()
+    # A walk after each mutation sees the new state, not the old pack.
+    cache = scene.cache(theta=0.05)
+    frame = scene.queries(1)
+    before, _ = both_walks(cache, frame)
+    cache.set_similarity_floor(int(before.hit_layer[0]), 1.0)
+    after, ref = both_walks(cache, frame)
+    assert after.hit_layer[0] != before.hit_layer[0]
+    assert_same_walk(after, ref, np.float64, bitwise=True)
+
+
+def test_pack_contract_is_armed_at_build():
+    scene = Scene(seed=83)
+    with contracts.activated():
+        cache = scene.cache()
+        pack = cache.layer_pack()
+        assert len(pack.blocks) == 1
+        new, ref = both_walks(cache, scene.queries(7))
+        assert_same_walk(new, ref, np.float64, bitwise=False)
+
+
+def test_single_frame_layouts_are_kept():
+    scene = Scene(seed=85, layers=11)  # blocks of 8 and 3 layers
+    # Nothing can hit, so every frame walks both blocks.
+    wide = scene.cache(theta=1e6)
+    narrow = scene.cache(theta=1e6, ids_of=dict.fromkeys(range(11), np.arange(5)))
+    frame = scene.queries(1)
+    with LookupWorkspace() as workspace:
+        walk_cache_batch(wide, frame, workspace)
+        kept = dict(workspace._frame_layouts)
+        assert sorted(kept) == [3, 8]  # one per block depth
+        walk_cache_batch(wide, frame, workspace)
+        assert workspace._frame_layouts == kept  # reused, not cut again
+        # Caches of different widths take turns on one workspace: the
+        # layouts follow the geometry being served.
+        for cache in (narrow, wide, narrow):
+            new = CacheWalk(*(a.copy() for a in walk_cache_batch(cache, frame, workspace)))
+            _, ref = both_walks(cache, frame)
+            assert_same_walk(new, ref, np.float64, bitwise=True)
+            assert sorted(workspace._frame_layouts) == [3, 8]
+        # A batch's layouts change with the rows left and are not kept;
+        # its larger pools replace the ones the kept layouts view, and
+        # the layouts go with them instead of pinning them.
+        walk_cache_batch(wide, scene.queries(64), workspace)
+        assert not workspace._frame_layouts
+        new = CacheWalk(*(a.copy() for a in walk_cache_batch(wide, frame, workspace)))
+        _, ref = both_walks(wide, frame)
+        assert_same_walk(new, ref, np.float64, bitwise=True)
+        assert sorted(workspace._frame_layouts) == [3, 8]
+    assert not workspace._frame_layouts  # close() drops them with the pools
+
+
+# ----------------------------------------------------------------------
+# Request geometry
+# ----------------------------------------------------------------------
+
+
+class TestRequestGeometry:
+    def test_walk_rejects_short_and_narrow_tensors(self):
+        scene = Scene(seed=91)
+        cache = scene.cache()
+        good = scene.queries(2)
+        with LookupWorkspace() as workspace:
+            for walk in (walk_cache_batch, walk_cache_batch_reference):
+                with pytest.raises(ValueError, match=r"expected \(B, >= 6, 16\)"):
+                    walk(cache, good[:, :5, :], workspace)
+                with pytest.raises(ValueError, match=r"\(2, 6, 15\)"):
+                    walk(cache, good[:, :, :15], workspace)
+                with pytest.raises(ValueError, match=r"\(0, 6, 15\)"):
+                    walk(cache, good[:0, :, :15], workspace)
+                with pytest.raises(ValueError, match="vector tensor"):
+                    walk(cache, good[0], workspace)
+                # Extra levels past the deepest activated layer are fine.
+                taller = np.concatenate([good, good[:, :2]], axis=1)
+                assert walk(cache, taller, workspace).predicted.shape == (2,)
+
+    def test_probe_chunk_rejects_short_and_narrow_tensors(self, snapshot):
+        scene, path = snapshot
+        initialize_worker(path, WorkerOptions())
+        try:
+            good = scene.queries(1)
+            assert probe_chunk(good).predicted.shape == (1,)
+            with pytest.raises(ValueError, match=r"expected \(B, >= 11, 8\)"):
+                probe_chunk(good[:, :10, :])
+            with pytest.raises(ValueError, match=r"\(1, 11, 7\)"):
+                probe_chunk(good[:, :, :7])
+            assert probe_chunk(good).predicted.shape == (1,)  # still serving
+        finally:
+            shutdown_worker()
+
+
+# ----------------------------------------------------------------------
+# Property: random geometry
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    classes=st.integers(2, 9),
+    layers=st.integers(1, 19),
+    dim=st.integers(2, 12),
+    batch=st.integers(1, 40),
+    dtype=st.sampled_from(DTYPES),
+    floors=st.booleans(),
+    theta=st.sampled_from((0.02, 0.3, 1e6)),
+    narrow_from=st.one_of(st.none(), st.integers(0, 18)),
+    view_backed=st.booleans(),
+)
+def test_random_geometry(
+    seed, classes, layers, dim, batch, dtype, floors, theta, narrow_from, view_backed
+):
+    scene = Scene(seed, classes=classes, layers=layers, dim=dim)
+    ids_of = None
+    if narrow_from is not None and narrow_from < layers:
+        # From some layer on the cache holds a strict subset of the ids.
+        subset = np.arange(classes)[: max(1, classes - 1)]
+        ids_of = {layer: subset for layer in range(narrow_from, layers)}
+    cache = scene.cache(dtype=dtype, floors=floors, theta=theta, ids_of=ids_of)
+    if view_backed:
+        table = np.ascontiguousarray(
+            scene.centroids.transpose(1, 0, 2), dtype=dtype
+        )  # layer-major, like a snapshot shard
+        for layer in cache.active_layers:
+            ids, _ = cache.entries_at(layer)
+            if ids.size == classes:
+                cache.set_layer_view(layer, ids, table[layer])
+    covered = [int(l) for b in cache.layer_pack().blocks for l in b.layers]
+    assert covered + list(cache.layer_pack().tail) == cache.active_layers
+    new, ref = both_walks(cache, scene.queries(batch, dtype))
+    assert_same_walk(new, ref, dtype, bitwise=batch == 1)

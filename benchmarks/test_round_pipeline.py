@@ -4,10 +4,9 @@ A 10-client ResNet101 deployment on UCF101-50 executes one full protocol
 round — status upload, cache allocation, frame generation, sample draw,
 cached inference, status/Eq. 3 collection, Eq. 4/5 global merge — through
 the vectorized pipeline (``CoCaFramework.run_round()``) and through the
-seed per-frame scalar path (``run_round(reference=True)``).  Unlike
-``test_throughput.py``, which isolates the inference engine over
-pre-drawn samples, this measures the *whole* round: sample generation,
-collection, and merging included.
+seed per-frame scalar path (``run_round(reference=True)``).  This
+measures the *whole* round: sample generation, collection, and merging
+included.
 
 The vectorized pipeline must deliver at least a 3x end-to-end speedup
 (2x under CI, where shared runners have noisy clocks) and, on identical
@@ -159,5 +158,5 @@ def test_round_pipeline_speedup(benchmark, report):
     required = 2.0 if os.environ.get("CI") else 3.0
     assert speedups["full preset cache"] >= required, speedups
     # The ACA sub-table round is draw-dominated and lighter per sample;
-    # still a clear end-to-end win (mirroring test_throughput.py).
+    # still a clear end-to-end win.
     assert speedups["ACA-allocated"] >= 2.0, speedups

@@ -224,18 +224,7 @@ def cmd_profile_round(args: argparse.Namespace) -> int:
     makes future probe-kernel regressions diagnosable at a glance.
     """
     dataset = get_dataset(args.dataset, args.classes)
-    quantize_threshold = getattr(args, "quantize_threshold", None)
-    if args.dtype == "int8" and quantize_threshold is None:
-        quantize_threshold = 2  # quantize every non-trivial layer
-    config = CoCaConfig(
-        theta=args.theta,
-        # int8 is a *storage/shortlist* tier: decisions still come from the
-        # exact float32 re-score, so the lookup dtype stays float32.
-        lookup_dtype="float32" if args.dtype == "int8" else args.dtype,
-        prune_threshold=args.prune_threshold,
-        quantize_threshold=quantize_threshold,
-        probe_threads=getattr(args, "threads", 1),
-    )
+    config = CoCaConfig(theta=args.theta, lookup_dtype=args.dtype)
     framework = CoCaFramework(
         dataset=dataset,
         model_name=args.model,
@@ -265,19 +254,10 @@ def cmd_profile_round(args: argparse.Namespace) -> int:
             "frames": frames,
             "seed": args.seed,
             "lookup_dtype": args.dtype,
-            "prune_threshold": args.prune_threshold,
-            "quantize_threshold": quantize_threshold,
-            "probe_threads": config.probe_threads,
         },
         "stages_ms": {
             stage: round(1e3 * timings.get(stage, 0.0), 3)
             for stage in PROFILE_STAGES
-        },
-        # Two-tier probe split (subset of the probe stage, not additive
-        # with it): coarse/LSH shortlist selection vs exact re-score.
-        "probe_split_ms": {
-            part: round(1e3 * timings.get(f"probe-{part}", 0.0), 3)
-            for part in ("shortlist", "rescore")
         },
         "total_ms": round(1e3 * accounted, 3),
         "inferences_per_s": round(frames / accounted, 1) if accounted else None,
@@ -291,23 +271,13 @@ def cmd_profile_round(args: argparse.Namespace) -> int:
     print(
         f"{args.model} on {dataset.name}, {args.clients} clients x "
         f"{args.rounds} rounds x {config.frames_per_round} frames, "
-        f"dtype={args.dtype}, threads={config.probe_threads}, "
-        f"seed={args.seed}\n"
+        f"dtype={args.dtype}, seed={args.seed}\n"
     )
     print(f"{'stage':>14s}{'time':>12s}{'share':>9s}")
     for stage in PROFILE_STAGES:
         ms = 1e3 * timings.get(stage, 0.0)
         share = 100.0 * ms / (1e3 * accounted) if accounted else 0.0
         print(f"{stage:>14s}{ms:10.1f}ms{share:8.1f}%")
-        if stage != "probe":
-            continue
-        for part in ("shortlist", "rescore"):
-            part_ms = 1e3 * timings.get(f"probe-{part}", 0.0)
-            if part_ms:
-                part_share = 100.0 * part_ms / ms if ms else 0.0
-                print(
-                    f"{'· ' + part:>14s}{part_ms:10.1f}ms{part_share:8.1f}%"
-                )
     print(
         f"\ntotal {1e3 * accounted:.1f}ms for {frames} inferences "
         f"({frames / accounted:,.0f} inf/s)"
@@ -808,18 +778,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scenario_args(profile)
     profile.add_argument("--dtype", default="float32",
-                         choices=("float32", "float64", "int8"),
-                         help="cache lookup dtype (int8 = float32 exact "
-                              "re-score over an int8 coarse shortlist)")
-    profile.add_argument("--prune-threshold", dest="prune_threshold",
-                         type=int, default=None,
-                         help="entry count enabling LSH-pruned probes")
-    profile.add_argument("--quantize-threshold", dest="quantize_threshold",
-                         type=int, default=None,
-                         help="entry count enabling the two-tier quantized "
-                              "kernel (default 2 when --dtype int8)")
-    profile.add_argument("--threads", type=int, default=1,
-                         help="probe worker count (CoCaConfig.probe_threads)")
+                         choices=("float32", "float64"),
+                         help="cache lookup dtype")
     profile.add_argument("--json", action="store_true",
                          help="emit machine-readable JSON instead of a table")
     profile.set_defaults(func=cmd_profile_round)

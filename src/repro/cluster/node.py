@@ -72,11 +72,6 @@ class EdgeServerNode:
             driver points the batched engines of all clients assigned to
             this node at it, so one buffer set per shard survives the
             whole fleet run instead of one per client.
-        probe_threads: per-node worker budget for the thread-blocked
-            probe kernel — applied to every cache this node allocates,
-            overriding the server config's ``probe_threads`` (``None``
-            = keep the config's value).  Lets heterogeneous nodes run
-            different thread counts against the same global config.
     """
 
     def __init__(
@@ -87,21 +82,17 @@ class EdgeServerNode:
         merge_service_ms: float = 0.5,
         sync_service_ms: float = 2.0,
         workspace: LookupWorkspace | None = None,
-        probe_threads: int | None = None,
     ) -> None:
         if merge_service_ms < 0:
             raise ValueError(f"merge_service_ms must be >= 0, got {merge_service_ms}")
         if sync_service_ms < 0:
             raise ValueError(f"sync_service_ms must be >= 0, got {sync_service_ms}")
-        if probe_threads is not None and probe_threads < 1:
-            raise ValueError(f"probe_threads must be >= 1, got {probe_threads}")
         self.node_id = node_id
         self.server = server
         self.load = load if load is not None else ServerLoadModel()
         self.merge_service_ms = float(merge_service_ms)
         self.sync_service_ms = float(sync_service_ms)
         self.workspace = workspace if workspace is not None else LookupWorkspace()
-        self.probe_threads = probe_threads
         self.clock = VirtualClock()  # tracks the CPU's busy horizon
         self.assigned_clients: list[int] = []
         self.requests_served = 0
@@ -212,20 +203,14 @@ class EdgeServerNode:
             status.cache_budget_bytes,
             local_freq=status.frequencies,
         )
-        return self._apply_thread_budget(cache)
+        return cache
 
     def build_cache(self, layer_classes: dict[int, np.ndarray]) -> SemanticCache:
         """Materialize a static allocation from the replica table."""
-        return self._apply_thread_budget(self.server.build_cache(layer_classes))
-
-    def _apply_thread_budget(self, cache: SemanticCache) -> SemanticCache:
-        """Stamp this node's probe-thread budget onto an allocated cache."""
-        if self.probe_threads is not None:
-            cache.set_probe_threads(self.probe_threads)
-        return cache
+        return self.server.build_cache(layer_classes)
 
     def close(self) -> None:
-        """Release the node's probe workspace (threads + buffer pools)."""
+        """Release the node's probe workspace (its buffer pools)."""
         self.workspace.close()
 
     @property

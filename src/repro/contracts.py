@@ -9,11 +9,6 @@ conventions exist to protect, at the moments they can actually break:
 * the stacked walk plan built by :meth:`SemanticCache.layer_pack` —
   every block row equals its source layer matrix, the stacked layers
   share one id set, floors line up with layers, nothing is writeable;
-* quantized-tier storage — positive float32 scales, symmetric int8 code
-  range, bit-exact staged dequantization, a recorded error bound that
-  dominates the measured worst-row reconstruction error, and the
-  ``d * 127**2 < 2**24`` precondition of exact int8 scoring on the
-  float32 BLAS path;
 * the Eq. 4 merge's flat ``(class, layer)`` indices — in bounds and
   unique — and post-merge row normalization;
 * :class:`VirtualClock` monotonicity (virtual time never runs backwards,
@@ -47,7 +42,6 @@ __all__ = [
     "ENABLED",
     "activated",
     "check_admission_invariants",
-    "check_candidate_ids",
     "check_clock_monotonic",
     "check_delta_apply",
     "check_distinct_views",
@@ -55,7 +49,6 @@ __all__ = [
     "check_layer_pack",
     "check_merge_flat_indices",
     "check_merged_rows_normalized",
-    "check_quantized_tier",
     "check_snapshot_manifest",
     "enabled",
     "require",
@@ -212,108 +205,6 @@ def check_layer_pack(
                 f"layer pack: floor {floors[g, 0]} is not layer {layer}'s "
                 f"floor {floor_of(layer)}",
             )
-
-
-# ----------------------------------------------------------------------
-# Quantized-tier contracts
-# ----------------------------------------------------------------------
-
-#: Slack on the re-verified worst-row reconstruction error: the bound is
-#: recomputed here in float64 exactly as the builder computed it, so any
-#: excess beyond tiny re-summation rounding is a real violation.
-_BOUND_ATOL = 1e-9
-
-
-def check_quantized_tier(
-    layer: int,
-    stored: np.ndarray,
-    codes: np.ndarray,
-    scales: np.ndarray,
-    staged: np.ndarray,
-    bound: float,
-) -> None:
-    """Invariants of one layer's quantized companion storage.
-
-    The two-tier kernel's correctness argument rests on exactly these:
-    positive float32 per-row scales, codes inside the symmetric int8
-    range, a staged matrix that is *bit-exactly* ``codes * scales`` in
-    float32 (the matrix the coarse matmul consumes), a ``bound`` that
-    really dominates the worst row's reconstruction error, and — for
-    int8 codes — a centroid dimension small enough that float32 BLAS
-    evaluates the integer dot products exactly (``d * 127**2 < 2**24``).
-    """
-    e, d = stored.shape
-    require(
-        codes.shape == (e, d) and staged.shape == (e, d),
-        f"layer {layer}: quantized shapes {codes.shape} / {staged.shape} "
-        f"do not match stored {stored.shape}",
-    )
-    require(
-        codes.dtype in (np.dtype(np.int8), np.dtype(np.float16)),
-        f"layer {layer}: quantized codes stored as {codes.dtype}, "
-        "expected int8 or float16",
-    )
-    require(
-        scales.dtype == np.dtype(np.float32)
-        and staged.dtype == np.dtype(np.float32),
-        f"layer {layer}: scales/staged must be float32, got "
-        f"{scales.dtype} / {staged.dtype}",
-    )
-    require(
-        scales.shape == (e,),
-        f"layer {layer}: expected ({e},) scales, got {scales.shape}",
-    )
-    require(
-        staged.flags.c_contiguous,
-        f"layer {layer}: staged dequantization is not C-contiguous "
-        "(the coarse matmul assumes row-major storage)",
-    )
-    if e == 0:
-        return
-    require(
-        bool((scales > 0).all()),
-        f"layer {layer}: non-positive quantization scale",
-    )
-    if codes.dtype == np.dtype(np.int8):
-        require(
-            bool((codes >= -127).all()),
-            f"layer {layer}: int8 code below -127 (symmetric range)",
-        )
-        require(
-            d * 127 * 127 < 2**24,
-            f"layer {layer}: dim {d} breaks exact int8-in-float32 "
-            f"arithmetic (d * 127**2 must stay below 2**24)",
-        )
-    expected = codes.astype(np.float32) * scales[:, None]
-    require(
-        np.array_equal(staged, expected),
-        f"layer {layer}: staged dequantization is not bit-exactly "
-        "codes * scales in float32",
-    )
-    err = stored.astype(np.float64, copy=False) - staged.astype(np.float64)
-    worst = float(np.sqrt(np.max(np.einsum("ij,ij->i", err, err))))
-    require(
-        worst <= bound + _BOUND_ATOL,
-        f"layer {layer}: worst-row reconstruction error {worst:.3e} "
-        f"exceeds the recorded bound {bound:.3e}",
-    )
-
-
-def check_candidate_ids(candidates: np.ndarray, num_classes: int) -> None:
-    """A pinned coarse-tier candidate set: unique, in-range class ids."""
-    require(
-        candidates.ndim == 1 and candidates.size >= 2,
-        f"candidate set must be 1-D with >= 2 ids, got shape "
-        f"{candidates.shape}",
-    )
-    require(
-        bool((candidates >= 0).all() and (candidates < num_classes).all()),
-        f"candidate class id out of [0, {num_classes})",
-    )
-    require(
-        np.unique(candidates).size == candidates.size,
-        "duplicate class ids in the coarse-tier candidate set",
-    )
 
 
 # ----------------------------------------------------------------------

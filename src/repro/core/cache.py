@@ -26,7 +26,7 @@ batch of samples per layer as single NumPy matrix operations (one
 ``(n_alive, d) @ (d, n_entries)`` product, vectorized Eq. 1/2), producing
 outcomes identical to the scalar path.
 
-Serving-path performance rests on three policies layered on top:
+Serving-path performance rests on two policies layered on top:
 
 * **Dtype policy.**  Centroid matrices are stored C-contiguous in a
   configurable dtype, ``float32`` by default: unit-norm cosine geometry
@@ -36,65 +36,23 @@ Serving-path performance rests on three policies layered on top:
   so all probe math runs in single precision end to end.  Constructing
   with ``dtype=np.float64`` restores the bit-exact double-precision
   path the exact-equivalence suites run on.
-* **Zero-allocation kernel.**  A :class:`LookupWorkspace` owns reusable
-  flat buffer pools; the batched probe writes its matmul, accumulator
-  gather/scatter, top-2 selection and scoring into workspace views
-  (``out=`` everywhere), so steady-state probes allocate only their
-  small per-row output arrays.  Engines own a workspace and thread it
-  through every session they open, so buffers persist across probes,
-  batches and protocol rounds.
-* **LSH-pruned candidate lookup.**  With ``prune_threshold`` set, any
-  layer holding at least that many entries keeps an array-backed
-  :class:`~repro.lsh.alsh.AdaptiveLSH` index over its centroids
-  (rebuilt in place — same hyperplanes — whenever
-  :meth:`SemanticCache.set_layer_entries` replaces the layer).  At a
-  session's first pruned probe, the multi-probe buckets of every query
-  in the batch are unioned into one *session shortlist* of candidate
-  classes; every pruned layer is then probed with the exact dense
-  kernel restricted to that shortlist's columns.  Pinning the shortlist
-  per session keeps Eq. 1 accumulation consistent across layers, and
-  unioning over the batch exploits the stream's hot-spot runs: a batch
-  that revisits few classes probes few columns.  Layers below the
-  threshold, and shortlists with fewer than two usable columns, fall
-  back to the full dense kernel.  Pruning is approximate (a query's
-  true top-2 can land outside the shortlist), which is why it is
-  opt-in and disabled wherever exact equivalence is asserted.
-* **Two-tier quantized probe.**  With ``quantize_threshold`` set, any
-  layer holding at least that many entries additionally stores its
-  centroids quantized — ``int8`` codes with a symmetric per-row
-  ``float32`` scale (or a straight ``float16`` copy) — alongside an
-  eagerly *staged* ``float32`` dequantization of those codes.  The
-  session's first quantized probe scores the staged matrix (over the
-  LSH shortlist's columns when both accelerators are active) in one
-  coarse pass, keeps every column whose coarse score reaches the
-  per-row runner-up minus a margin of ``2 * bound + coarse_margin``
-  (``bound`` is the layer's measured worst-row reconstruction error:
-  for unit-norm queries a column whose exact score reaches the exact
-  top-2 cannot score below the coarse runner-up minus twice the error),
-  and pins the surviving classes as the session's *candidate set*.
-  Every quantized layer is then re-scored **exactly** — the float32
-  dense kernel on the candidates' columns — so Eq. 1/2 decisions come
-  from full-precision arithmetic; only candidate selection is
-  approximate, and the margin makes missing a decisive column require
-  cross-layer rank drift larger than the configured slack.  The staged
-  matrix keeps coarse scoring on the float32 BLAS path, where the int8
-  dot products are computed *exactly* as long as
-  ``d * 127**2 < 2**24`` (the float32 mantissa; ``d <= 1040``).
-* **Thread-blocked execution.**  With ``probe_threads > 1`` the dense
-  kernel splits the batch into contiguous row blocks dispatched across
-  a worker pool owned by the workspace; each block runs the full
-  matmul + fold + top-2 + scoring pipeline against a per-thread child
-  workspace and writes disjoint row slices of parent-pooled outputs,
-  so the zero-allocation property survives threading.  Row math is
-  independent, so blocked results are identical to the single-threaded
-  kernel.
+* **Zero-allocation workspace.**  A :class:`LookupWorkspace` owns
+  reusable flat buffer pools; the batched probe writes its matmul,
+  accumulator gather/scatter, top-2 selection and scoring into
+  workspace views (``out=`` everywhere), so steady-state probes
+  allocate only their small per-row output arrays.  Engines own a
+  workspace and thread it through every session they open, so buffers
+  persist across probes, batches and protocol rounds.
+
+Every probe is exact: each layer scores all of its entries.  A cache
+additionally offers its activated layers as a :class:`LayerPack` — the
+stacked prefix :func:`repro.core.probe.walk_cache_batch` scores a block
+at a time, and the tail only the per-layer session loop can probe.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -102,22 +60,11 @@ import numpy as np
 from numpy.typing import DTypeLike
 
 from repro import contracts
-from repro.core.rng import derive_rng
-from repro.lsh.alsh import AdaptiveLSH
 
 _EPS = 1e-9
 
 #: Dtypes the cache may store centroids in (the probe-kernel contract).
 SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-
-#: Dtypes a quantized tier may store codes in.
-QUANTIZED_DTYPES = (np.dtype(np.int8), np.dtype(np.float16))
-
-#: Largest centroid dimension at which float32 BLAS evaluates int8 dot
-#: products exactly: every partial sum of ``d`` products of magnitude
-#: <= 127**2 stays below the 2**24 float32 mantissa when
-#: ``d * 127**2 < 2**24``.
-INT8_EXACT_MAX_DIM = (2**24 - 1) // (127 * 127)
 
 #: Most layers one block of a :class:`LayerPack` stacks.  The stacked
 #: walk scores every layer of a block for every row that entered it and
@@ -127,85 +74,6 @@ INT8_EXACT_MAX_DIM = (2**24 - 1) // (127 * 127)
 #: 17 (table in ``src/repro/core/README.md``); 8 is the store's default
 #: shard depth, so an owned block has the shape of a mapped one.
 PACK_BLOCK_LAYERS = 8
-
-#: Fewest rows worth a thread block: below this, dispatch overhead
-#: exceeds the matmul itself and the kernel stays single-threaded.
-_MIN_BLOCK_ROWS = 16
-
-
-class QuantizedTier(NamedTuple):
-    """Quantized companion storage of one cache layer.
-
-    Attributes:
-        codes: ``(e, d)`` quantized centroids — ``int8`` (symmetric
-            per-row scale) or ``float16``.
-        scales: ``(e,)`` positive ``float32`` per-row dequantization
-            scales (all ones for ``float16`` codes).
-        staged: ``(e, d)`` C-contiguous ``float32`` dequantization
-            ``codes * scales[:, None]`` — the matrix the coarse tier
-            actually multiplies, kept staged so every coarse pass runs
-            on the float32 BLAS path.
-        bound: worst-row L2 reconstruction error
-            ``max_i ||stored[i] - staged[i]||_2`` (measured, not the
-            ``sqrt(d) * scale / 2`` analytic envelope) — the quantity
-            the coarse candidate margin is built from.
-    """
-
-    codes: np.ndarray
-    scales: np.ndarray
-    staged: np.ndarray
-    bound: float
-
-
-def quantize_rows(
-    matrix: np.ndarray, quant_dtype: DTypeLike = np.int8
-) -> QuantizedTier:
-    """Quantize a row matrix into a :class:`QuantizedTier`.
-
-    ``int8`` uses a symmetric per-row scale ``maxabs(row) / 127`` so the
-    rounded codes span the full code range without clipping error;
-    ``float16`` is a straight downcast with unit scales.  The returned
-    ``staged`` matrix is exactly ``codes.astype(float32) * scales`` (the
-    invariant :func:`repro.contracts.check_quantized_tier` enforces) and
-    ``bound`` is the measured worst-row L2 reconstruction error against
-    the input rows.
-    """
-    mat = np.asarray(matrix)
-    if mat.ndim != 2:
-        raise ValueError(f"expected a 2-D row matrix, got shape {mat.shape}")
-    qdtype = np.dtype(quant_dtype)
-    if qdtype not in QUANTIZED_DTYPES:
-        raise ValueError(
-            f"quant_dtype must be one of {[str(d) for d in QUANTIZED_DTYPES]}, "
-            f"got {qdtype}"
-        )
-    if qdtype == np.dtype(np.int8):
-        mat64 = mat.astype(np.float64, copy=False)
-        if mat.shape[0] == 0 or mat.shape[1] == 0:
-            maxabs = np.ones(mat.shape[0], dtype=np.float64)
-        else:
-            maxabs = np.max(np.abs(mat64), axis=1)
-        scales = (np.maximum(maxabs, _EPS) / 127.0).astype(np.float32, copy=False)
-        codes = np.clip(
-            np.rint(mat64 / scales.astype(np.float64, copy=False)[:, None]),
-            -127.0,
-            127.0,
-        ).astype(np.int8, copy=False)
-    else:
-        codes = np.ascontiguousarray(mat, dtype=np.float16)
-        scales = np.ones(mat.shape[0], dtype=np.float32)
-    # repro-lint: disable=dtype-discipline -- fresh buffer wanted: scaled in place
-    staged = codes.astype(np.float32)
-    staged *= scales[:, None]
-    staged = np.ascontiguousarray(staged)
-    if mat.shape[0]:
-        err = mat.astype(np.float64, copy=False) - staged.astype(
-            np.float64, copy=False
-        )
-        bound = float(np.sqrt(np.max(np.einsum("ij,ij->i", err, err))))
-    else:
-        bound = 0.0
-    return QuantizedTier(codes=codes, scales=scales, staged=staged, bound=bound)
 
 
 def _address(array: np.ndarray) -> int:
@@ -253,15 +121,8 @@ class LookupWorkspace:
     and rounds — the steady-state probe path allocates nothing
     proportional to ``batch x n_entries``.
 
-    Thread-safety contract: a workspace is single-threaded and not
-    re-entrant — a buffer name is a claim on the pool until the caller
-    is done with the view.  The threaded probe kernel honours this by
-    *never sharing pools across workers*: each row block runs against a
-    persistent child workspace (:meth:`for_thread`), and only the
-    parent's pre-sliced per-row output views are written concurrently,
-    at disjoint row ranges.  The single-threaded round pipeline (and
-    the virtual-time cluster driver, which runs clients sequentially)
-    satisfies the contract by construction.
+    A workspace is single-threaded and not re-entrant: a buffer name is
+    a claim on the pool until the caller is done with the view.
     """
 
     def __init__(self) -> None:
@@ -271,54 +132,15 @@ class LookupWorkspace:
         self._frame_layouts: dict[int, StackLayout] = {}
         self._frame_geometry: tuple[int, int, np.dtype, np.dtype] | None = None
         self._arange = np.empty(0, dtype=np.intp)
-        self._children: dict[int, LookupWorkspace] = {}
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_workers = 0
-
-    def for_thread(self, worker: int) -> "LookupWorkspace":
-        """The persistent child workspace of one probe worker.
-
-        Children are created lazily and live as long as the parent, so
-        threaded probes stay zero-allocation in steady state; worker 0
-        is the caller's own block and gets a child too, keeping block
-        buffer sizes uniform across workers.
-        """
-        child = self._children.get(worker)
-        if child is None:
-            child = LookupWorkspace()
-            self._children[worker] = child
-        return child
-
-    def executor(self, workers: int) -> ThreadPoolExecutor:
-        """The workspace's probe worker pool, grown to ``workers``."""
-        if self._executor is None or self._executor_workers < workers:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-probe"
-            )
-            self._executor_workers = workers
-        return self._executor
 
     def close(self) -> None:
-        """Release the workspace: join probe threads, drop pooled buffers.
+        """Release the workspace: drop the pooled buffers and kept layouts.
 
-        Shuts down the probe :class:`ThreadPoolExecutor` (joining its
-        ``repro-probe`` threads), closes every per-thread child
-        workspace, and clears the buffer pools.  Idempotent, and the
-        workspace stays usable afterwards — pools regrow and the
-        executor is recreated on demand — so a shared workspace closed
-        twice along two teardown paths is harmless.  Long-lived serving
-        processes call this on worker shutdown; without it the probe
-        executor only ever stops on a *resize* (see :meth:`executor`).
+        Idempotent, and the workspace stays usable afterwards — pools
+        regrow on demand — so a shared workspace closed twice along two
+        teardown paths is harmless.  Long-lived serving processes call
+        this on worker shutdown.
         """
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-            self._executor_workers = 0
-        for child in self._children.values():
-            child.close()
-        self._children.clear()
         self._pools.clear()
         self._frame_layouts.clear()
         self._arange = np.empty(0, dtype=np.intp)
@@ -546,10 +368,10 @@ class LayerBlock(NamedTuple):
 class LayerPack(NamedTuple):
     """Read-only walk plan of a cache: stacked prefix, per-layer tail.
 
-    ``blocks`` cover the longest prefix of the activated layers that are
-    dense (no LSH index, no quantized tier), hold at least two entries
-    and share one id set; ``tail`` lists the activated layers after it,
-    which only the per-layer session loop can probe.
+    ``blocks`` cover the longest prefix of the activated layers that
+    hold at least two entries and share one id set; ``tail`` lists the
+    activated layers after it, which only the per-layer session loop can
+    probe.
 
     Attributes:
         ids: the id set every stacked layer shares (``None`` without a
@@ -601,22 +423,6 @@ class SemanticCache:
         theta: Eq. 2 discriminative-score hit threshold.
         dtype: storage/compute dtype of the probe path (``float32``
             default; ``float64`` is the exact-equivalence mode).
-        prune_threshold: entry count at which a layer gains an A-LSH
-            candidate index and probes switch to the pruned kernel
-            (``None`` disables pruning everywhere — the exact mode).
-        prune_seed: seed of the per-layer LSH hyperplane draws.
-        quantize_threshold: entry count at which a layer additionally
-            stores a :class:`QuantizedTier` and probes switch to the
-            two-tier coarse-then-exact-rescore kernel (``None``
-            disables quantization everywhere).
-        quantize_dtype: code dtype of the quantized tier — ``int8``
-            (symmetric per-row scale, the default) or ``float16``.
-        coarse_margin: empirical slack added on top of the provable
-            ``2 * bound`` coarse-candidate margin; larger keeps more
-            candidates (safer against cross-layer rank drift, slower).
-        probe_threads: worker count of the thread-blocked dense kernel
-            (1 = single-threaded; mutable via :meth:`set_probe_threads`
-            so cluster nodes can apply a per-node budget).
     """
 
     def __init__(
@@ -625,12 +431,6 @@ class SemanticCache:
         alpha: float = 0.5,
         theta: float = 0.05,
         dtype: DTypeLike = np.float32,
-        prune_threshold: int | None = None,
-        prune_seed: int = 0,
-        quantize_threshold: int | None = None,
-        quantize_dtype: DTypeLike = np.int8,
-        coarse_margin: float = 0.05,
-        probe_threads: int = 1,
     ) -> None:
         if num_classes < 1:
             raise ValueError(f"num_classes must be >= 1, got {num_classes}")
@@ -644,43 +444,10 @@ class SemanticCache:
                 f"dtype must be one of {[str(d) for d in SUPPORTED_DTYPES]}, "
                 f"got {self.dtype}"
             )
-        if prune_threshold is not None and prune_threshold < 2:
-            raise ValueError(
-                f"prune_threshold must be >= 2 (a layer needs a runner-up), "
-                f"got {prune_threshold}"
-            )
-        if quantize_threshold is not None and quantize_threshold < 2:
-            raise ValueError(
-                f"quantize_threshold must be >= 2 (a layer needs a runner-up), "
-                f"got {quantize_threshold}"
-            )
-        self.quantize_dtype = np.dtype(quantize_dtype)
-        if self.quantize_dtype not in QUANTIZED_DTYPES:
-            raise ValueError(
-                f"quantize_dtype must be one of "
-                f"{[str(d) for d in QUANTIZED_DTYPES]}, got {self.quantize_dtype}"
-            )
-        if coarse_margin < 0:
-            raise ValueError(f"coarse_margin must be >= 0, got {coarse_margin}")
-        if probe_threads < 1:
-            raise ValueError(f"probe_threads must be >= 1, got {probe_threads}")
         self.num_classes = num_classes
         self.alpha = alpha
         self.theta = theta
-        self.prune_threshold = prune_threshold
-        self.prune_seed = int(prune_seed)
-        self.quantize_threshold = quantize_threshold
-        self.coarse_margin = float(coarse_margin)
-        self.probe_threads = int(probe_threads)
         self._layers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        #: Per-layer A-LSH candidate indexes (pruned layers only).
-        self._indexes: dict[int, AdaptiveLSH] = {}
-        #: Per-layer quantized companion storage (quantized layers only).
-        self._quantized: dict[int, QuantizedTier] = {}
-        #: Per-layer class -> column maps (pruned / quantized layers
-        #: only): session shortlists and candidate sets are class-id
-        #: sets, resolved to each layer's columns through these.
-        self._positions: dict[int, np.ndarray] = {}
         # Optional per-layer absolute similarity floors: a hit additionally
         # requires the top entry's *current-layer* cosine to reach the
         # floor.  The relative score D alone cannot reject a sample of an
@@ -723,9 +490,6 @@ class SemanticCache:
             )
         if ids.size == 0:
             self._layers.pop(layer, None)
-            self._indexes.pop(layer, None)
-            self._quantized.pop(layer, None)
-            self._positions.pop(layer, None)
             self._view_layers.discard(layer)
             return
         if np.unique(ids).size != ids.size:
@@ -744,9 +508,6 @@ class SemanticCache:
             contracts.check_layer_entries(
                 layer, ids, stored, self.dtype, self.num_classes
             )
-        self._refresh_index(layer, ids, stored)
-        self._refresh_quantized(layer, stored)
-        self._refresh_positions(layer, ids)
 
     def set_layer_view(
         self, layer: int, class_ids: np.ndarray, centroids: np.ndarray
@@ -780,9 +541,6 @@ class SemanticCache:
             )
         if ids.size == 0:
             self._layers.pop(layer, None)
-            self._indexes.pop(layer, None)
-            self._quantized.pop(layer, None)
-            self._positions.pop(layer, None)
             self._view_layers.discard(layer)
             return
         if mat.dtype != self.dtype:
@@ -805,75 +563,6 @@ class SemanticCache:
             contracts.check_layer_entries(
                 layer, ids, view, self.dtype, self.num_classes
             )
-        self._refresh_index(layer, ids, view)
-        self._refresh_quantized(layer, view)
-        self._refresh_positions(layer, ids)
-
-    def _refresh_index(
-        self, layer: int, ids: np.ndarray, stored: np.ndarray
-    ) -> None:
-        """Build / rebuild / drop the layer's A-LSH candidate index."""
-        if self.prune_threshold is None or stored.shape[0] < self.prune_threshold:
-            self._indexes.pop(layer, None)
-            return
-        index = self._indexes.get(layer)
-        if index is None or index.dim != stored.shape[1]:
-            index = AdaptiveLSH(
-                dim=stored.shape[1],
-                rng=derive_rng(self.prune_seed, "cache.prune-lsh", index=layer),
-                base_bits=7,
-                max_bits=18,
-                # Bucket capacity is clamped to [16, 64]: beyond the
-                # clamp, candidate neighbourhoods stay bounded as the
-                # cache grows — that is where sub-linear lookup comes
-                # from.
-                max_bucket_size=min(64, max(16, self.prune_threshold // 16)),
-                multi_probe=2,
-            )
-            self._indexes[layer] = index
-        # Hyperplanes are anchored at the layer's centroid mean: cached
-        # semantic vectors share a large common component, and
-        # origin-anchored planes would barely separate them.
-        index.set_center(stored.mean(axis=0))
-        index.rebuild(stored)
-
-    def _refresh_quantized(self, layer: int, stored: np.ndarray) -> None:
-        """Build / drop the layer's quantized companion storage."""
-        if (
-            self.quantize_threshold is None
-            or stored.shape[0] < self.quantize_threshold
-        ):
-            self._quantized.pop(layer, None)
-            return
-        tier = quantize_rows(stored, self.quantize_dtype)
-        self._quantized[layer] = tier
-        if contracts.ENABLED:
-            contracts.check_quantized_tier(
-                layer, stored, tier.codes, tier.scales, tier.staged, tier.bound
-            )
-
-    def _refresh_positions(self, layer: int, ids: np.ndarray) -> None:
-        """Maintain the class -> column map of an accelerated layer."""
-        if layer not in self._indexes and layer not in self._quantized:
-            self._positions.pop(layer, None)
-            return
-        positions = np.full(self.num_classes, -1, dtype=np.int64)
-        positions[ids] = np.arange(ids.size)
-        self._positions[layer] = positions
-
-    def pruned_layers(self) -> list[int]:
-        """Layers currently probed through the A-LSH shortlist."""
-        return sorted(self._indexes)
-
-    def quantized_layers(self) -> list[int]:
-        """Layers currently probed through the two-tier quantized kernel."""
-        return sorted(self._quantized)
-
-    def shortlist_layers(self) -> list[int]:
-        """Layers a session shortlist / candidate set can be primed from
-        (pruned or quantized), in depth order — engines prime from the
-        deepest."""
-        return sorted(set(self._indexes) | set(self._quantized))
 
     def view_backed_layers(self) -> list[int]:
         """Layers served from borrowed read-only views (mapped storage)."""
@@ -882,24 +571,6 @@ class SemanticCache:
     def is_view_backed(self, layer: int) -> bool:
         """Whether a layer's centroids are a borrowed read-only view."""
         return layer in self._view_layers
-
-    def quantized_tier(self, layer: int) -> QuantizedTier | None:
-        """The layer's quantized companion storage (``None`` when the
-        layer is below the threshold or quantization is disabled)."""
-        return self._quantized.get(layer)
-
-    def set_probe_threads(self, probe_threads: int) -> None:
-        """Apply a (per-node) worker budget to the probe kernels."""
-        if probe_threads < 1:
-            raise ValueError(f"probe_threads must be >= 1, got {probe_threads}")
-        self.probe_threads = int(probe_threads)
-
-    def probe_blocks(self, rows: int) -> int:
-        """Row blocks the dense kernel runs a ``rows``-row probe in:
-        one per probe thread while each keeps ``_MIN_BLOCK_ROWS`` rows."""
-        if self.probe_threads == 1:
-            return 1
-        return max(1, min(self.probe_threads, rows // _MIN_BLOCK_ROWS))
 
     def set_similarity_floor(self, layer: int, floor: float) -> None:
         """Require a minimum top-entry cosine at ``layer`` for a hit."""
@@ -914,9 +585,6 @@ class SemanticCache:
 
     def clear(self) -> None:
         self._layers.clear()
-        self._indexes.clear()
-        self._quantized.clear()
-        self._positions.clear()
         self._similarity_floor.clear()
         self._view_layers.clear()
         self._pack = None
@@ -1019,9 +687,7 @@ class SemanticCache:
         for layer in active:
             ids, mat = self._layers[layer]
             if (
-                layer in self._indexes
-                or layer in self._quantized
-                or ids.size < 2
+                ids.size < 2
                 or mat.shape != first.shape
                 or not np.array_equal(ids, shared_ids)
             ):
@@ -1126,67 +792,16 @@ class LookupSession:
 
     Probe layers in ascending order via :meth:`probe`; the session keeps the
     per-class accumulated similarity ``A`` between calls.  Math runs in the
-    cache's dtype; with pruning enabled, the first probe of an indexed
-    layer pins the session's candidate-class shortlist (the query's
-    multi-probe LSH buckets) and subsequent indexed layers score only
-    those classes' columns — falling back to the dense scan when the
-    shortlist resolves to fewer than two columns.
+    cache's dtype.
     """
 
     def __init__(self, cache: SemanticCache) -> None:
         self._cache = cache
         self._accumulated = np.zeros(cache.num_classes, dtype=cache.dtype)
-        self._shortlist: np.ndarray | None = None  # LSH candidate class ids
-        self._candidates: np.ndarray | None = None  # coarse-tier class ids
-        self._primed = False
 
     def accumulated_score(self, class_id: int) -> float:
         """Current ``A`` value of a class (0 before its first probe)."""
         return float(self._accumulated[class_id])
-
-    def prime_shortlist(self, layer: int, vector: np.ndarray) -> None:
-        """Pin the session's candidate shortlist from a chosen layer.
-
-        Class separation grows with depth, so the deepest activated
-        accelerated layer concentrates best — engines prime from there
-        before probing shallow layers.  An indexed layer pins the LSH
-        shortlist; a quantized layer additionally runs the coarse tier
-        (over the shortlist's columns when both are present) and pins
-        the re-score candidate set.  No-op when the layer has neither
-        accelerator or the session is already primed.
-        """
-        if self._primed:
-            return
-        cache = self._cache
-        index = cache._indexes.get(layer)
-        tier = cache._quantized.get(layer)
-        if index is None and tier is None:
-            return
-        self._primed = True
-        vec = np.asarray(vector, dtype=float)
-        ids = cache._layers[layer][0]
-        if index is not None and self._shortlist is None:
-            # ``query`` unions disjoint buckets, so the candidate
-            # positions (and the gathered class ids) are duplicate-free.
-            candidates = index.query(vec)
-            self._shortlist = ids[np.asarray(candidates, dtype=np.intp)]
-        if tier is not None:
-            cols: np.ndarray | None = None
-            if self._shortlist is not None:
-                pos = cache._positions[layer][self._shortlist]
-                pos = pos[pos >= 0]
-                if 2 <= pos.size < ids.size:
-                    cols = pos
-            staged = tier.staged if cols is None else tier.staged[cols]
-            sub_ids = ids if cols is None else ids[cols]
-            coarse = staged @ vec.astype(np.float32, copy=False)
-            if coarse.size >= 2:
-                order = np.argsort(coarse)
-                second = float(coarse[order[-2]])
-                margin = 2.0 * tier.bound + cache.coarse_margin
-                keep = np.flatnonzero(coarse >= second - margin)
-                if 2 <= keep.size < ids.size:
-                    self._candidates = sub_ids[keep]
 
     def probe(self, layer: int, vector: np.ndarray) -> LayerProbe:
         """Probe one activated layer with the sample's semantic vector.
@@ -1207,40 +822,14 @@ class LookupSession:
             raise ValueError(
                 f"vector shape {vec.shape} does not match centroid dim {mat.shape[1]}"
             )
+        similarity = mat @ vec
+        updated = similarity + cache.alpha * self._accumulated[ids]
+        self._accumulated[ids] = updated
         if ids.size < 2:
-            similarity = mat @ vec
-            updated = similarity + cache.alpha * self._accumulated[ids]
-            self._accumulated[ids] = updated
             top = int(ids[0]) if ids.size == 1 else -1
             return LayerProbe(
                 layer=layer, top_class=top, second_class=-1, score=0.0, hit=False
             )
-
-        if cache._quantized.get(layer) is not None:
-            self.prime_shortlist(layer, vec)
-            if self._candidates is not None:
-                cols = cache._positions[layer][self._candidates]
-                cols = cols[cols >= 0]
-                if cols.size >= 2:
-                    # Exact float32/float64 re-score of the coarse-tier
-                    # candidates: decisions come from full precision.
-                    return self._finish(layer, ids[cols], mat[cols] @ vec)
-        if cache._indexes.get(layer) is not None:
-            self.prime_shortlist(layer, vec)
-            if self._shortlist is not None:
-                cols = cache._positions[layer][self._shortlist]
-                cols = cols[cols >= 0]
-                if cols.size >= 2:
-                    return self._finish(layer, ids[cols], mat[cols] @ vec)
-        return self._finish(layer, ids, mat @ vec)
-
-    def _finish(
-        self, layer: int, sub_ids: np.ndarray, similarity: np.ndarray
-    ) -> LayerProbe:
-        """Eq. 1 fold + Eq. 2 scoring over the scored entry subset."""
-        cache = self._cache
-        updated = similarity + cache.alpha * self._accumulated[sub_ids]
-        self._accumulated[sub_ids] = updated
         order = np.argsort(updated)
         best_idx, second_idx = order[-1], order[-2]
         a_best = float(updated[best_idx])
@@ -1254,8 +843,8 @@ class LookupSession:
         )
         return LayerProbe(
             layer=layer,
-            top_class=int(sub_ids[best_idx]),
-            second_class=int(sub_ids[second_idx]),
+            top_class=int(ids[best_idx]),
+            second_class=int(ids[second_idx]),
             score=score,
             hit=hit,
         )
@@ -1283,19 +872,18 @@ class BatchedLookupSession:
     The accumulated-similarity state lives in the cache dtype in one of
     two layouts.  While every probed layer scores the *same* entry-id
     set — the common case: ACA allocates one hot-spot class set across
-    its activated layers, and the pruned kernel pins one shortlist per
-    session — the accumulator is a ``(batch, n_entries)`` matrix aligned
-    with the scored columns, so Eq. 1 needs only contiguous row
-    gathers.  The first layer that scores a *different* id set spills
-    into the general ``(batch, num_classes)`` matrix, which every
-    later probe addresses through flat-index gather/scatter.  Each
-    :meth:`probe` call advances one cache layer for the still-alive
-    subset of rows with a single ``(n_alive, d) @ (d, n_entries)``
-    matmul followed by vectorized top-2 selection and scoring — the
-    batch counterpart of running one :class:`LookupSession` per sample.
-    All intermediates live in the session's :class:`LookupWorkspace`;
-    only the per-row result arrays of each :class:`BatchLayerProbe` are
-    freshly allocated.
+    its activated layers — the accumulator is a ``(batch, n_entries)``
+    matrix aligned with the scored columns, so Eq. 1 needs only
+    contiguous row gathers.  The first layer that scores a *different*
+    id set spills into the general ``(batch, num_classes)`` matrix,
+    which every later probe addresses through flat-index
+    gather/scatter.  Each :meth:`probe` call advances one cache layer
+    for the still-alive subset of rows with a single
+    ``(n_alive, d) @ (d, n_entries)`` matmul followed by vectorized
+    top-2 selection and scoring — the batch counterpart of running one
+    :class:`LookupSession` per sample.  All intermediates live in the
+    session's :class:`LookupWorkspace`; only the per-row result arrays
+    of each :class:`BatchLayerProbe` are freshly allocated.
     """
 
     def __init__(
@@ -1315,14 +903,6 @@ class BatchedLookupSession:
         self._acc_cols: np.ndarray | None = None
         #: General accumulator, lazily materialized on id-set divergence.
         self._acc_full: np.ndarray | None = None
-        self._shortlist: np.ndarray | None = None  # LSH candidate class ids
-        self._candidates: np.ndarray | None = None  # coarse-tier class ids
-        self._primed = False
-        #: Optional wall-clock stage accumulator (seconds) for the
-        #: ``repro profile-round`` probe split: ``"shortlist"`` covers
-        #: session priming (LSH buckets + the coarse quantized pass),
-        #: ``"rescore"`` the exact dense-kernel scoring.
-        self.timings: dict[str, float] | None = None
 
     def _spill_to_full(self) -> None:
         """Leave column mode: scatter A into the (batch, num_classes)
@@ -1365,105 +945,6 @@ class BatchedLookupSession:
         if position.size == 0:
             return 0.0
         return float(self._acc_cols[row, position[0]])
-
-    def prime_shortlist(self, layer: int, vectors: np.ndarray) -> None:
-        """Pin the session's candidate shortlist from a chosen layer.
-
-        An indexed layer unions the multi-probe A-LSH buckets of every
-        query into the session shortlist; a quantized layer additionally
-        runs the coarse tier — one staged-float32 matmul over the
-        shortlist's columns (or all columns) — and pins the re-score
-        candidate set.  Class separation grows with depth, so engines
-        prime from the *deepest* activated accelerated layer — it
-        concentrates far better than the shallow layers a session
-        probes first.  No-op when the layer has no accelerator or the
-        session is already primed (probing an accelerated layer without
-        priming primes from that layer instead).
-        """
-        if self._primed:
-            return
-        cache = self._cache
-        index = cache._indexes.get(layer)
-        tier = cache._quantized.get(layer)
-        if index is None and tier is None:
-            return
-        self._primed = True
-        start = time.perf_counter() if self.timings is not None else 0.0
-        if index is not None and self._shortlist is None:
-            ids = cache._layers[layer][0]
-            # ``shortlist`` returns sorted unique positions and a layer
-            # stores each class once, so the gather is duplicate-free.
-            self._shortlist = ids[index.shortlist(vectors)]
-        if tier is not None:
-            self._coarse_candidates(layer, tier, vectors)
-        if self.timings is not None:
-            self.timings["shortlist"] = (
-                self.timings.get("shortlist", 0.0) + time.perf_counter() - start
-            )
-
-    def _coarse_candidates(
-        self, layer: int, tier: QuantizedTier, vectors: np.ndarray
-    ) -> None:
-        """Coarse quantized pass: pin the session's re-score candidates.
-
-        Scores the staged dequantized matrix (restricted to the LSH
-        shortlist's columns when one is pinned) against every query in
-        one float32 matmul, then keeps each column whose coarse score
-        reaches any row's runner-up minus ``2 * bound + coarse_margin``:
-        for unit-norm queries, a column whose *exact* score reaches the
-        exact top-2 of the primed layer can never fall below that
-        threshold (each coarse score is within ``bound`` of its exact
-        score, and the second order statistic moves by at most
-        ``bound``), so the provable part of the margin guarantees the
-        primed layer's decisive columns survive; ``coarse_margin``
-        covers cross-layer rank drift.  Degenerate selections (fewer
-        than two candidates, or no reduction) leave the candidate set
-        unpinned and probes fall back to the shortlist / dense kernels.
-        """
-        # repro-lint: kernel
-        cache = self._cache
-        ws = self._workspace
-        ids = cache._layers[layer][0]
-        cols: np.ndarray | None = None
-        if self._shortlist is not None:
-            pos = cache._positions[layer][self._shortlist]
-            pos = pos[pos >= 0]
-            if 2 <= pos.size < ids.size:
-                cols = pos
-        if cols is None:
-            sub = tier.staged
-            sub_ids = ids
-        else:
-            sub = ws.floats(
-                "coarse.mat", (cols.size, tier.staged.shape[1]), np.float32
-            )
-            np.take(tier.staged, cols, axis=0, out=sub)
-            sub_ids = ids[cols]
-        n, e = vectors.shape[0], sub.shape[0]
-        if vectors.dtype == np.float32:
-            qvecs = vectors
-        else:
-            qvecs = ws.floats("coarse.vecs", vectors.shape, np.float32)
-            np.copyto(qvecs, vectors)
-        coarse = ws.floats("coarse.sim", (n, e), np.float32)
-        if contracts.ENABLED:
-            contracts.check_distinct_views(coarse=coarse, qvecs=qvecs, sub=sub)
-        np.matmul(qvecs, sub.T, out=coarse)
-        _, _, _, second = ws.top2(coarse)
-        margin = np.float32(2.0 * tier.bound + cache.coarse_margin)
-        thresh = ws.floats("coarse.thresh", (n,), np.float32)
-        np.subtract(second, margin, out=thresh)
-        mask = ws.bools("coarse.mask", (n, e))
-        np.greater_equal(coarse, thresh[:, None], out=mask)
-        keep = ws.bools("coarse.keep", (e,))
-        np.any(mask, axis=0, out=keep)
-        cand = np.flatnonzero(keep)
-        if 2 <= cand.size < ids.size:
-            self._candidates = sub_ids[cand]
-            if contracts.ENABLED:
-                contracts.check_candidate_ids(
-                    self._candidates, cache.num_classes
-                )
 
     def probe(
         self, layer: int, vectors: np.ndarray, rows: np.ndarray | None = None
@@ -1523,11 +1004,6 @@ class BatchedLookupSession:
                 score=np.zeros(n, dtype=cache.dtype),
                 hit=np.zeros(n, dtype=bool),
             )
-
-        if cache._quantized.get(layer) is not None:
-            return self._probe_twotier(layer, ids, mat, vecs, rows)
-        if cache._indexes.get(layer) is not None:
-            return self._probe_pruned(layer, ids, mat, vecs, rows)
         return self._probe_dense(layer, ids, mat, vecs, rows)
 
     # ------------------------------------------------------------------
@@ -1537,9 +1013,7 @@ class BatchedLookupSession:
     def _sync_acc_mode(self, ids: np.ndarray, e: int) -> None:
         """Establish the accumulator layout for the id set about to be
         folded — column mode on the first probe / matching id sets, a
-        one-way spill to the general matrix on divergence.  Called once
-        per probe *before* row blocks dispatch, so the fold itself is
-        free of shared-state transitions and thread-safe."""
+        one-way spill to the general matrix on divergence."""
         if self._acc_full is not None:
             return
         if self._acc_ids is None:
@@ -1557,50 +1031,35 @@ class BatchedLookupSession:
         Stays in column mode while every probed layer scores the same id
         set (contiguous row gathers, no index arithmetic); the first
         divergent id set spills to the general per-class matrix.
-        """
-        self._sync_acc_mode(ids, similarity.shape[1])
-        return self._fold_block(similarity, ids, rows, 0, rows.size, self._workspace)
 
-    def _fold_block(
-        self,
-        similarity: np.ndarray,
-        ids: np.ndarray,
-        rows: np.ndarray,
-        lo: int,
-        hi: int,
-        ws: LookupWorkspace,
-    ) -> np.ndarray:
-        """Eq. 1 fold of one row block (``rows[lo:hi]``) against the
-        established accumulator layout.
-
-        Fused fast path: when the block's rows are consecutive batch
-        rows (the whole-batch probe, and every thread block of one),
-        the accumulator slice is updated *in place* — ``A = alpha * A +
-        C`` with no gather, no scratch ``upd`` buffer and no scatter —
-        and the returned view aliases the accumulator.  Thread-safe for
-        disjoint row blocks: every path writes only its own rows.
+        Fused fast path: when ``rows`` are consecutive batch rows (the
+        whole-batch probe), the accumulator slice is updated *in place*
+        — ``A = alpha * A + C`` with no gather, no scratch ``upd``
+        buffer and no scatter — and the returned view aliases the
+        accumulator.
         """
         # repro-lint: kernel
         cache = self._cache
+        ws = self._workspace
         n, e = similarity.shape
-        rblk = rows[lo:hi]
+        self._sync_acc_mode(ids, e)
         if self._acc_full is None:
             assert self._acc_cols is not None
-            if self._consecutive(rblk, ws):
-                view = self._acc_cols[int(rblk[0]) : int(rblk[0]) + n]
+            if self._consecutive(rows, ws):
+                view = self._acc_cols[int(rows[0]) : int(rows[0]) + n]
                 np.multiply(view, cache.alpha, out=view)
                 np.add(view, similarity, out=view)
                 return view
             upd = ws.floats("probe.upd", (n, e), cache.dtype)
-            np.take(self._acc_cols, rblk, axis=0, out=upd)
+            np.take(self._acc_cols, rows, axis=0, out=upd)
             np.multiply(upd, cache.alpha, out=upd)
             np.add(upd, similarity, out=upd)
-            self._acc_cols[rblk] = upd
+            self._acc_cols[rows] = upd
             return upd
         upd = ws.floats("probe.upd", (n, e), cache.dtype)
         flat = ws.ints("probe.flat", (n, e))
         row_off = ws.ints("probe.row_off", (n,))
-        np.multiply(rblk, cache.num_classes, out=row_off)
+        np.multiply(rows, cache.num_classes, out=row_off)
         np.add(row_off[:, None], ids[None, :], out=flat)
         acc_flat = self._acc_full.reshape(-1)
         np.take(acc_flat, flat, out=upd)
@@ -1610,15 +1069,15 @@ class BatchedLookupSession:
         return upd
 
     @staticmethod
-    def _consecutive(rblk: np.ndarray, ws: LookupWorkspace) -> bool:
-        """Whether a row block addresses strictly consecutive batch rows."""
-        n = rblk.size
+    def _consecutive(rows: np.ndarray, ws: LookupWorkspace) -> bool:
+        """Whether ``rows`` addresses strictly consecutive batch rows."""
+        n = rows.size
         if n <= 1:
             return True
-        if int(rblk[n - 1]) - int(rblk[0]) != n - 1:
+        if int(rows[n - 1]) - int(rows[0]) != n - 1:
             return False
         mono = ws.bools("fold.mono", (n - 1,))
-        np.less(rblk[:-1], rblk[1:], out=mono)
+        np.less(rows[:-1], rows[1:], out=mono)
         return bool(mono.all())
 
     # ------------------------------------------------------------------
@@ -1633,106 +1092,28 @@ class BatchedLookupSession:
         vecs: np.ndarray,
         rows: np.ndarray,
     ) -> BatchLayerProbe:
-        """Exact probe: matmul + fold + top-2 + scoring, zero large allocs.
-
-        With ``probe_threads > 1`` and enough rows, the batch splits
-        into contiguous row blocks dispatched across the workspace's
-        worker pool; every block runs :meth:`_dense_block` against its
-        own child workspace and writes disjoint row slices of the
-        parent-pooled outputs.  Row math is independent, so the blocked
-        result is identical to the single-threaded one.
-        """
+        """Exact probe: matmul, Eq. 1 fold, top-2 selection, Eq. 2
+        scoring and the floor check, all scratch from the workspace —
+        zero large allocations."""
         # repro-lint: kernel
         cache = self._cache
         ws = self._workspace
         n, e = vecs.shape[0], ids.size
         dtype = cache.dtype
-        start = time.perf_counter() if self.timings is not None else 0.0
-        self._sync_acc_mode(ids, e)
-
-        top_idx = ws.ints("dense.top_idx", (n,))
-        second_idx = ws.ints("dense.second_idx", (n,))
-        score = ws.floats("dense.score", (n,), dtype)
-        hit = ws.bools("dense.hit", (n,))
-        blocks = cache.probe_blocks(n)
-        if blocks > 1:
-            pool = ws.executor(blocks - 1)
-            step = -(-n // blocks)  # ceil division
-            futures: list[Future[None]] = []
-            for b in range(1, blocks):
-                lo = b * step
-                hi = min(n, lo + step)
-                if lo >= hi:
-                    continue
-                futures.append(
-                    pool.submit(
-                        self._dense_block,
-                        layer, ids, mat, vecs, rows, lo, hi,
-                        ws.for_thread(b), top_idx, second_idx, score, hit,
-                    )
-                )
-            self._dense_block(
-                layer, ids, mat, vecs, rows, 0, min(n, step),
-                ws.for_thread(0), top_idx, second_idx, score, hit,
-            )
-            for future in futures:
-                future.result()
-        else:
-            self._dense_block(
-                layer, ids, mat, vecs, rows, 0, n,
-                ws, top_idx, second_idx, score, hit,
-            )
-        if self.timings is not None:
-            self.timings["rescore"] = (
-                self.timings.get("rescore", 0.0) + time.perf_counter() - start
-            )
-        return BatchLayerProbe(
-            layer=layer,
-            rows=rows,
-            top_class=ids[top_idx],
-            second_class=ids[second_idx],
-            score=score.copy(),
-            hit=hit.copy(),
-        )
-
-    def _dense_block(
-        self,
-        layer: int,
-        ids: np.ndarray,
-        mat: np.ndarray,
-        vecs: np.ndarray,
-        rows: np.ndarray,
-        lo: int,
-        hi: int,
-        ws: LookupWorkspace,
-        top_idx_out: np.ndarray,
-        second_idx_out: np.ndarray,
-        score_out: np.ndarray,
-        hit_out: np.ndarray,
-    ) -> None:
-        """One row block of the dense kernel: matmul over ``vecs[lo:hi]``,
-        Eq. 1 fold, top-2 selection, Eq. 2 scoring and the floor check —
-        all scratch from the block's own workspace, all per-row results
-        written into the caller's ``[lo:hi]`` output slices."""
-        # repro-lint: kernel
-        cache = self._cache
-        n, e = hi - lo, ids.size
-        dtype = cache.dtype
-        vblk = vecs[lo:hi]
 
         sim = ws.floats("probe.sim", (n, e), dtype)
         if contracts.ENABLED:
-            contracts.check_distinct_views(sim=sim, vecs=vblk, mat=mat)
-        np.matmul(vblk, mat.T, out=sim)
-        upd = self._fold_block(sim, ids, rows, lo, hi, ws)
+            contracts.check_distinct_views(sim=sim, vecs=vecs, mat=mat)
+        np.matmul(vecs, mat.T, out=sim)
+        upd = self._fold(sim, ids, rows)
         if contracts.ENABLED:
             contracts.check_distinct_views(sim=sim, upd=upd)
 
         best_idx, second_idx, a_best, a_second = ws.top2(upd)
-        score = score_out[lo:hi]
+        score = ws.floats("dense.score", (n,), dtype)
         ws.scores_into(a_best, a_second, score)
 
-        hit = hit_out[lo:hi]
+        hit = ws.bools("dense.hit", (n,))
         aux = ws.bools("probe.aux", (n,))
         np.greater(score, cache.theta, out=hit)
         np.greater(a_best, 0, out=aux)
@@ -1744,90 +1125,11 @@ class BatchedLookupSession:
         np.take(sim.reshape(-1), best_flat, out=sim_best)
         np.greater_equal(sim_best, cache.similarity_floor(layer), out=aux)
         np.logical_and(hit, aux, out=hit)
-        top_idx_out[lo:hi] = best_idx
-        second_idx_out[lo:hi] = second_idx
-
-    # ------------------------------------------------------------------
-    # LSH-pruned kernel
-    # ------------------------------------------------------------------
-
-    def _probe_pruned(
-        self,
-        layer: int,
-        ids: np.ndarray,
-        mat: np.ndarray,
-        vecs: np.ndarray,
-        rows: np.ndarray,
-    ) -> BatchLayerProbe:
-        """Approximate probe: the dense kernel on the session shortlist.
-
-        The first pruned probe of the session unions the multi-probe
-        LSH buckets of every probed row into a pinned candidate-class
-        shortlist (rows only ever leave a batch, so the first probed
-        set covers all later ones).  Each pruned layer then gathers the
-        shortlist's columns once and runs the exact dense kernel on the
-        sub-matrix: accumulation stays consistent across layers, and a
-        batch dominated by hot-spot runs probes a small fraction of the
-        cache.  Falls back to the full dense kernel when the shortlist
-        resolves to fewer than two of this layer's columns (no Eq. 2
-        runner-up) or to no reduction at all.
-        """
-        cache = self._cache
-        ws = self._workspace
-        self.prime_shortlist(layer, vecs)
-        if self._shortlist is None:
-            # Session primed at a quantized-only layer: no LSH shortlist
-            # exists, so this indexed layer probes dense.
-            return self._probe_dense(layer, ids, mat, vecs, rows)
-        cols = cache._positions[layer][self._shortlist]
-        cols = cols[cols >= 0]
-        if cols.size < 2 or cols.size >= ids.size:
-            return self._probe_dense(layer, ids, mat, vecs, rows)
-        sub_mat = ws.floats(
-            "pruned.mat", (cols.size, mat.shape[1]), cache.dtype
+        return BatchLayerProbe(
+            layer=layer,
+            rows=rows,
+            top_class=ids[best_idx],
+            second_class=ids[second_idx],
+            score=score.copy(),
+            hit=hit.copy(),
         )
-        np.take(mat, cols, axis=0, out=sub_mat)
-        return self._probe_dense(layer, ids[cols], sub_mat, vecs, rows)
-
-    # ------------------------------------------------------------------
-    # Two-tier quantized kernel
-    # ------------------------------------------------------------------
-
-    def _probe_twotier(
-        self,
-        layer: int,
-        ids: np.ndarray,
-        mat: np.ndarray,
-        vecs: np.ndarray,
-        rows: np.ndarray,
-    ) -> BatchLayerProbe:
-        """Two-tier probe: coarse quantized shortlist, exact re-score.
-
-        The session's first quantized probe runs the coarse tier (via
-        :meth:`prime_shortlist`, unless an engine already primed from a
-        deeper layer); every quantized layer then gathers the pinned
-        candidate set's columns and runs the **exact** dense kernel on
-        the full-precision sub-matrix, so Eq. 1 accumulation and Eq. 2
-        decisions are computed entirely in the cache dtype — the
-        quantized codes only ever choose *which* columns to score.
-        Falls back to the LSH-pruned or dense kernel when the candidate
-        set is unpinned or resolves to fewer than two of this layer's
-        columns.
-        """
-        # repro-lint: kernel
-        cache = self._cache
-        ws = self._workspace
-        self.prime_shortlist(layer, vecs)
-        if self._candidates is None:
-            if cache._indexes.get(layer) is not None:
-                return self._probe_pruned(layer, ids, mat, vecs, rows)
-            return self._probe_dense(layer, ids, mat, vecs, rows)
-        cols = cache._positions[layer][self._candidates]
-        cols = cols[cols >= 0]
-        if cols.size < 2 or cols.size >= ids.size:
-            return self._probe_dense(layer, ids, mat, vecs, rows)
-        sub_mat = ws.floats(
-            "rescore.mat", (cols.size, mat.shape[1]), cache.dtype
-        )
-        np.take(mat, cols, axis=0, out=sub_mat)
-        return self._probe_dense(layer, ids[cols], sub_mat, vecs, rows)

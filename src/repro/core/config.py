@@ -46,21 +46,6 @@ class CoCaConfig:
             carry ~1e-6 relative rounding against decision margins of
             ~1e-2, at twice the matmul throughput) or ``"float64"`` (the
             bit-exact mode the scalar/batch equivalence suites run on).
-        prune_threshold: entry count at which a cache layer gains an
-            A-LSH candidate index and probes switch to the shortlist
-            kernel (``None`` = always probe the dense exact kernel).
-        quantize_threshold: entry count at which a cache layer
-            additionally stores int8-quantized centroids and probes
-            switch to the two-tier kernel — a coarse quantized pass
-            picks re-score candidates, then the exact float kernel
-            scores only those columns (``None`` = no quantized tier).
-        coarse_margin: empirical slack added to the provable coarse
-            candidate margin of the two-tier kernel; larger keeps more
-            candidates (safer against cross-layer rank drift, slower).
-        probe_threads: worker count of the thread-blocked probe kernel
-            (1 = single-threaded execution, the default).  Above 1, a
-            batch of 32 rows or more is walked by the per-layer loop in
-            row blocks instead of the single-threaded stacked kernel.
     """
 
     alpha: float = 0.5
@@ -75,10 +60,6 @@ class CoCaConfig:
     cache_budget_fraction: float = 0.10
     accuracy_loss_budget: float = 0.03
     lookup_dtype: str = "float32"
-    prune_threshold: int | None = None
-    quantize_threshold: int | None = None
-    coarse_margin: float = 0.05
-    probe_threads: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -106,22 +87,6 @@ class CoCaConfig:
             raise ValueError(
                 f'lookup_dtype must be "float32" or "float64", '
                 f"got {self.lookup_dtype!r}"
-            )
-        if self.prune_threshold is not None and self.prune_threshold < 2:
-            raise ValueError(
-                f"prune_threshold must be >= 2, got {self.prune_threshold}"
-            )
-        if self.quantize_threshold is not None and self.quantize_threshold < 2:
-            raise ValueError(
-                f"quantize_threshold must be >= 2, got {self.quantize_threshold}"
-            )
-        if self.coarse_margin < 0:
-            raise ValueError(
-                f"coarse_margin must be >= 0, got {self.coarse_margin}"
-            )
-        if self.probe_threads < 1:
-            raise ValueError(
-                f"probe_threads must be >= 1, got {self.probe_threads}"
             )
 
     @property

@@ -17,9 +17,7 @@ batch operations — per activated layer, one matmul over all
 still-unresolved samples with early-exit masking — producing outcomes
 identical to the scalar engine at a fraction of the interpreter cost.
 The batched engine accepts a :class:`~repro.models.feature.SampleBatch`
-directly (no per-sample re-packing) and offers two result shapes:
-:meth:`BatchedInferenceEngine.infer_batch` builds one
-:class:`InferenceOutcome` per sample (probe records included), while
+directly (no per-sample re-packing):
 :meth:`BatchedInferenceEngine.infer_batch_soa` returns a
 :class:`BatchOutcomes` structure of arrays — the round pipeline's hot
 path, which never materializes per-sample objects.
@@ -116,10 +114,6 @@ class CachedInferenceEngine:
             )
 
         session = self.cache.start_session()
-        accelerated = self.cache.shortlist_layers()
-        if accelerated:
-            deepest = accelerated[-1]
-            session.prime_shortlist(deepest, sample.vector(deepest))
         probes: list[LayerProbe] = []
         lookup_ms = 0.0
         for layer in self.cache.active_layers:
@@ -158,7 +152,7 @@ class BatchOutcomes(NamedTuple):
     Ownership: arrays returned by
     :meth:`BatchedInferenceEngine.infer_batch_soa` are views into the
     engine's :class:`~repro.core.cache.LookupWorkspace` pools — valid
-    until the next ``infer_batch``/``infer_batch_soa`` call on any
+    until the next ``infer_batch_soa`` call on any
     engine sharing that workspace.  The round pipeline consumes each
     batch's outcomes before the next inference call by construction;
     ``.copy()`` individual arrays to retain them longer.
@@ -195,7 +189,7 @@ class BatchedInferenceEngine:
     applied vectorized, and samples that hit are masked out of deeper
     layers.  Samples that miss everywhere are classified by one batched
     final-layer product.  Outcomes (predictions, hit layers, latencies,
-    probe records) are identical to calling ``infer`` per sample.
+    hit scores) are identical to calling ``infer`` per sample.
 
     Args:
         model: the simulated model substrate.
@@ -228,7 +222,7 @@ class BatchedInferenceEngine:
         self.workspace = workspace
 
     def close(self) -> None:
-        """Release the engine's workspace (probe threads + buffer pools).
+        """Release the engine's workspace (its buffer pools).
 
         Safe on shared workspaces —
         :meth:`~repro.core.cache.LookupWorkspace.close` is idempotent —
@@ -237,98 +231,6 @@ class BatchedInferenceEngine:
         """
         self.workspace.close()
 
-    def infer_batch(
-        self, samples: SampleBatch | Sequence[SampleFeatures]
-    ) -> list[InferenceOutcome]:
-        """Run a batch of samples, returning one outcome per sample in order.
-
-        Accepts a :class:`SampleBatch` (its vector tensor is consumed
-        directly) or any sequence of :class:`SampleFeatures`.
-        """
-        if not len(samples):
-            return []
-        profile = self.model.profile
-        cache = self.cache
-        batch = len(samples)
-        vectors = _batch_vectors(samples)  # (B, L+1, d)
-        final = self.model.feature_space.final_layer
-
-        if cache is None or not cache.active_layers:
-            predictions, gaps = self.model.classify_vectors(vectors[:, final, :])
-            total = profile.total_compute_ms
-            return [
-                InferenceOutcome(
-                    predicted_class=predicted,
-                    hit_layer=None,
-                    latency_ms=total,
-                    top2_prob_gap=gap,
-                )
-                for predicted, gap in zip(predictions.tolist(), gaps.tolist())
-            ]
-
-        session = cache.start_batch_session(batch, workspace=self.workspace)
-        if vectors.dtype == cache.dtype:
-            probe_vectors = vectors
-        else:
-            probe_vectors = vectors.astype(cache.dtype, copy=False)
-        accelerated = cache.shortlist_layers()
-        if accelerated:
-            deepest = accelerated[-1]
-            session.prime_shortlist(deepest, probe_vectors[:, deepest, :])
-        dim = probe_vectors.shape[-1]
-        outcomes: list[InferenceOutcome | None] = [None] * batch
-        probes: list[list[LayerProbe]] = [[] for _ in range(batch)]
-        lookup_ms = self.workspace.floats("engine.lookup_ms", (batch,), np.float64)
-        lookup_ms.fill(0.0)
-        alive = self.workspace.arange(batch)
-        for layer in cache.active_layers:
-            lookup_ms[alive] += profile.lookup_cost_ms(cache.num_entries(layer))
-            gathered = self.workspace.floats(
-                "engine.take", (alive.size, dim), cache.dtype
-            )
-            np.take(probe_vectors[:, layer, :], alive, axis=0, out=gathered)
-            result = session.probe(layer, gathered, rows=alive)
-            # Bulk-convert once: per-element numpy scalar indexing would
-            # dominate the whole batch pass.
-            rows = alive.tolist()
-            tops = result.top_class.tolist()
-            seconds = result.second_class.tolist()
-            scores = result.score.tolist()
-            hits = result.hit.tolist()
-            for row, top, second, score, hit in zip(rows, tops, seconds, scores, hits):
-                probes[row].append(LayerProbe(layer, top, second, score, hit))
-            if result.hit.any():
-                compute_prefix = profile.compute_up_to_layer_ms(layer)
-                costs = lookup_ms[alive].tolist()
-                for i, row in enumerate(rows):
-                    if hits[i]:
-                        outcomes[row] = InferenceOutcome(
-                            predicted_class=tops[i],
-                            hit_layer=layer,
-                            latency_ms=compute_prefix + costs[i],
-                            probes=tuple(probes[row]),
-                            hit_score=scores[i],
-                        )
-                alive = alive[~result.hit]
-                if alive.size == 0:
-                    break
-
-        if alive.size:
-            predictions, gaps = self.model.classify_vectors(vectors[alive, final, :])
-            total = profile.total_compute_ms
-            costs = lookup_ms[alive].tolist()
-            preds = predictions.tolist()
-            gap_list = gaps.tolist()
-            for i, row in enumerate(alive.tolist()):
-                outcomes[row] = InferenceOutcome(
-                    predicted_class=preds[i],
-                    hit_layer=None,
-                    latency_ms=total + costs[i],
-                    probes=tuple(probes[row]),
-                    top2_prob_gap=gap_list[i],
-                )
-        return outcomes  # type: ignore[return-value]
-
     def infer_batch_soa(
         self,
         samples: SampleBatch | Sequence[SampleFeatures],
@@ -336,8 +238,8 @@ class BatchedInferenceEngine:
     ) -> BatchOutcomes:
         """Run a batch, returning :class:`BatchOutcomes` arrays.
 
-        Same early-exit semantics and per-sample results as
-        :meth:`infer_batch` (and therefore as the scalar engine), but the
+        Same early-exit semantics and per-sample results as the scalar
+        :meth:`CachedInferenceEngine.infer`, but the
         outcomes stay as whole-batch arrays: nothing per-sample is
         constructed, which is what keeps a full protocol round
         array-at-a-time end to end.  The probe math itself is the shared
@@ -350,10 +252,8 @@ class BatchedInferenceEngine:
             samples: the batch to run.
             timings: optional accumulator for wall-clock stage seconds
                 (keys ``"probe"`` — cache lookups including gathers —
-                and ``"model"`` — final-layer classification, plus the
-                probe sub-stages ``"probe-shortlist"`` / ``"probe-rescore"``
-                when the session's kernels record a split); used by the
-                ``repro profile-round`` CLI breakdown.
+                and ``"model"`` — final-layer classification); used by
+                the ``repro profile-round`` CLI breakdown.
         """
         profile = self.model.profile
         cache = self.cache
@@ -397,20 +297,11 @@ class BatchedInferenceEngine:
         # Pure probe math: the shared cache walk (identical kernels and
         # early-exit semantics to the scalar engine and the serving path).
         start = time.perf_counter() if timings is not None else 0.0
-        session_split: dict[str, float] | None = (
-            {} if timings is not None else None
-        )
-        walk = walk_cache_batch(cache, vectors, ws, timings=session_split)
+        walk = walk_cache_batch(cache, vectors, ws)
         if timings is not None:
             timings["probe"] = (
                 timings.get("probe", 0.0) + time.perf_counter() - start
             )
-            # Session-level probe split (the coarse/LSH shortlist pass
-            # vs exact scoring) for the profile-round breakdown.
-            assert session_split is not None
-            for stage, seconds in session_split.items():
-                key = f"probe-{stage}"
-                timings[key] = timings.get(key, 0.0) + seconds
 
         # Orchestration: Eq. 7 latency accounting on top of the walk.  A
         # row that probed k layers paid the lookup cost of the first k

@@ -1,12 +1,12 @@
 """Pure batched cache-walk: probe math with no model, profile or clock.
 
 The cache-instrumented inference loop has two halves.  The *probe
-math* — prime the shortlist from the deepest accelerated layer, score
-each activated layer against the still-unresolved rows, apply Eq. 1/2,
-mask out rows that hit — needs only a :class:`SemanticCache` and the
-query vectors.  The *orchestration* around it — charging profile
-latencies, classifying misses with the simulated model, collecting
-training pairs — needs the whole client stack.
+math* — score each activated layer against the still-unresolved rows,
+apply Eq. 1/2, mask out rows that hit — needs only a
+:class:`SemanticCache` and the query vectors.  The *orchestration*
+around it — charging profile latencies, classifying misses with the
+simulated model, collecting training pairs — needs the whole client
+stack.
 
 :func:`walk_cache_batch` is the first half on its own.  The batched
 engine builds its latency accounting on top of it (hit layers determine
@@ -15,20 +15,20 @@ workers of :mod:`repro.serve` call it directly: a worker process
 rebuilds a view-backed cache from a snapshot path and walks it — no
 model object, no pickled tables, nothing but the mapped centroid bytes.
 
-The walk has two kernels behind that one entry point.  The *stacked*
-kernel (:func:`_walk_stacked`) scores a whole block of consecutive dense
-layers in one batched product and resolves every row to its first
-hitting layer afterwards — early exit kept in the answer, not in the
-control flow — which removes the per-layer interpreter overhead that is
-nearly all of a single-frame walk.  The *per-layer* loop
+The walk has two kernels behind that one entry point, chosen by the
+cache's structure alone.  The *stacked* kernel (:func:`_walk_stacked`)
+scores a whole block of consecutive layers in one batched product and
+resolves every row to its first hitting layer afterwards — early exit
+kept in the answer, not in the control flow — which removes the
+per-layer interpreter overhead that is nearly all of a single-frame
+walk.  The *per-layer* loop
 (:func:`walk_cache_batch_reference`) advances one layer per iteration
 through a :class:`~repro.core.cache.BatchedLookupSession`; it is the
 reference the stacked kernel is tested against, and it serves the layers
-the stacked kernel cannot (accelerated tiers, diverging id sets,
-single-entry layers) and the batches ``probe_threads`` splits into row
-blocks.  Both kernels take the same decisions; ``hit_score`` is
-bit-equal between them for a single frame and for a batch no row leaves
-mid-block, and equal to the last bits otherwise.  See "Stacked walk" in
+the stacked kernel cannot (diverging id sets, single-entry layers).
+Both kernels take the same decisions; ``hit_score`` is bit-equal
+between them for a single frame and for a batch no row leaves mid-block,
+and equal to the last bits otherwise.  See "Stacked walk" in
 ``src/repro/core/README.md``.
 
 For rows that miss every layer the walk still reports the deepest
@@ -39,7 +39,6 @@ worker returns it as the cache-served approximate prediction.
 
 from __future__ import annotations
 
-import time
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -81,32 +80,24 @@ def walk_cache_batch(
     cache: SemanticCache,
     vectors: np.ndarray,
     workspace: LookupWorkspace,
-    timings: dict[str, float] | None = None,
 ) -> CacheWalk:
     """Probe every activated cache layer over a batch, with early exit.
 
     The layers of the cache's stacked prefix
     (:meth:`~repro.core.cache.SemanticCache.layer_pack`) go through the
     stacked kernel a block at a time, the layers after it through the
-    per-layer loop.  The stacked kernel is single-threaded: a batch the
-    cache's ``probe_threads`` would split into row blocks takes the loop
-    for every layer, which runs them.  Either way the decisions
-    (``predicted`` / ``hit_layer`` / ``layers_probed``) are those of the
-    loop; ``hit_score`` is bit-equal to the loop's for a single frame
-    and for a batch no row leaves mid-block, and may differ from it in
-    the last bits otherwise (the BLAS rounds a row of a small product
-    by its row count).
+    per-layer loop.  Either way the decisions (``predicted`` /
+    ``hit_layer`` / ``layers_probed``) are those of the loop;
+    ``hit_score`` is bit-equal to the loop's for a single frame and for
+    a batch no row leaves mid-block, and may differ from it in the last
+    bits otherwise (the BLAS rounds a row of a small product by its row
+    count).
 
     Args:
         vectors: ``(B, L+1, d)`` per-layer query tensor; row index along
             axis 1 is the model layer id, matching the cache's layer
             indexing.  Cast to the cache dtype at most once.
         workspace: probe buffer pool; the returned arrays live in it.
-        timings: optional accumulator for the probe-kernel split (keys
-            ``"shortlist"`` / ``"rescore"``), matching the
-            :class:`~repro.core.cache.BatchedLookupSession` convention;
-            the stacked kernel is exact scoring and counts as
-            ``"rescore"``.
 
     Returns:
         A :class:`CacheWalk` with one entry per batch row: the decisions
@@ -118,22 +109,16 @@ def walk_cache_batch(
             than the cached centroids.
     """
     walk, pack = _begin_walk(cache, vectors, workspace)
-    batch = vectors.shape[0]
-    if batch == 0 or pack.levels == 0:
+    if vectors.shape[0] == 0 or pack.levels == 0:
         return walk
     ids = pack.ids
-    if ids is None or cache.probe_blocks(batch) > 1:
-        _walk_layers(cache, cache.active_layers, vectors, workspace, walk, timings)
+    if ids is None:
+        _walk_layers(cache, pack.tail, vectors, workspace, walk)
         return walk
-    start = time.perf_counter() if timings is not None else 0.0
     alive, accumulated = _walk_stacked(cache, pack, vectors, workspace, walk)
-    if timings is not None:
-        timings["rescore"] = (
-            timings.get("rescore", 0.0) + time.perf_counter() - start
-        )
     if pack.tail and alive.size:
         _walk_layers(
-            cache, pack.tail, vectors, workspace, walk, timings,
+            cache, pack.tail, vectors, workspace, walk,
             resume=(ids, alive, accumulated),
         )
     return walk
@@ -143,7 +128,6 @@ def walk_cache_batch_reference(
     cache: SemanticCache,
     vectors: np.ndarray,
     workspace: LookupWorkspace,
-    timings: dict[str, float] | None = None,
 ) -> CacheWalk:
     """:func:`walk_cache_batch` through the per-layer loop alone.
 
@@ -154,7 +138,7 @@ def walk_cache_batch_reference(
     """
     walk, pack = _begin_walk(cache, vectors, workspace)
     if vectors.shape[0] and pack.levels:
-        _walk_layers(cache, cache.active_layers, vectors, workspace, walk, timings)
+        _walk_layers(cache, cache.active_layers, vectors, workspace, walk)
     return walk
 
 
@@ -197,7 +181,6 @@ def _walk_layers(
     vectors: np.ndarray,
     workspace: LookupWorkspace,
     walk: CacheWalk,
-    timings: dict[str, float] | None,
     resume: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> None:
     """The per-layer loop over ``layers``, writing into ``walk``.
@@ -209,18 +192,10 @@ def _walk_layers(
     batch = vectors.shape[0]
     predicted, hit_layer, hit_score, layers_probed = walk
     session = cache.start_batch_session(batch, workspace=workspace)
-    if timings is not None:
-        session.timings = timings
     if vectors.dtype == cache.dtype:
         probe_vectors = vectors
     else:
         probe_vectors = vectors.astype(cache.dtype, copy=False)
-    accelerated = cache.shortlist_layers()
-    if accelerated:
-        # Primed from every row of the batch, resolved or not, so that a
-        # stacked prefix leaves the shortlist what the loop alone pins.
-        deepest = accelerated[-1]
-        session.prime_shortlist(deepest, probe_vectors[:, deepest, :])
     if resume is None:
         alive = workspace.arange(batch)
     else:

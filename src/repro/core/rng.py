@@ -37,7 +37,7 @@ class StreamSpec:
     Attributes:
         offset: the stream's base displacement from the caller's seed.
         stride: per-index displacement for families of streams (e.g. one
-            LSH generator per cache layer); 0 for scalar streams.
+            generator per layer or shard); 0 for scalar streams.
     """
 
     offset: int
@@ -64,9 +64,6 @@ STREAMS: dict[str, StreamSpec] = {
     "learnedcache.noise": StreamSpec(offset=77_001),
     # Global-updates experiment: probe-set sample draws (was seed + 9_901).
     "experiments.global-updates-probe": StreamSpec(offset=9_901),
-    # SemanticCache: per-layer A-LSH hyperplane draws, indexed by cache
-    # layer (was prune_seed + 7_919 * layer).
-    "cache.prune-lsh": StreamSpec(offset=0, stride=7_919),
 }
 
 
@@ -100,7 +97,7 @@ def derive_rng(
     """A seeded generator for a registered named stream.
 
     Args:
-        seed: the run's base seed (scenario seed, prune seed, ...).
+        seed: the run's base seed (scenario seed, ...).
         stream: a key of :data:`STREAMS`.
         index: which member of a strided stream family (must be 0 for
             scalar streams).

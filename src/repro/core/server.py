@@ -585,23 +585,13 @@ class CoCaServer:
     def build_cache(self, layer_classes: dict[int, np.ndarray]) -> SemanticCache:
         """Materialize a client cache from a layer -> classes mapping.
 
-        The cache follows the config's serving policy: centroids stored
-        in ``config.lookup_dtype``; when ``config.prune_threshold`` is
-        set, A-LSH candidate indexes on every layer large enough to
-        benefit from shortlisted probes; when ``config.quantize_threshold``
-        is set, an int8 quantized tier (two-tier coarse-then-rescore
-        probes) on every layer past that size; and the config's
-        ``probe_threads`` worker budget for the blocked dense kernel.
+        Centroids are stored in ``config.lookup_dtype``.
         """
         cache = SemanticCache(
             self.model.num_classes,
             alpha=self.config.alpha,
             theta=self.config.theta,
             dtype=self.config.cache_dtype,
-            prune_threshold=self.config.prune_threshold,
-            quantize_threshold=self.config.quantize_threshold,
-            coarse_margin=self.config.coarse_margin,
-            probe_threads=self.config.probe_threads,
         )
         for layer, (ids, centroids) in self.table.subtable(layer_classes).items():
             cache.set_layer_entries(layer, ids, centroids)

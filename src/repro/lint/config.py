@@ -53,11 +53,7 @@ class LintConfig:
         "repro/core/cache.py::LookupWorkspace.top2",
         "repro/core/cache.py::LookupWorkspace.scores_into",
         "repro/core/cache.py::BatchedLookupSession._probe_dense",
-        "repro/core/cache.py::BatchedLookupSession._dense_block",
-        "repro/core/cache.py::BatchedLookupSession._probe_pruned",
-        "repro/core/cache.py::BatchedLookupSession._probe_twotier",
-        "repro/core/cache.py::BatchedLookupSession._coarse_candidates",
-        "repro/core/cache.py::BatchedLookupSession._fold_block",
+        "repro/core/cache.py::BatchedLookupSession._fold",
     )
     wallclock_dirs: tuple[str, ...] = (
         "repro/sim",

@@ -7,7 +7,8 @@ re-allocates ``batch x n_entries`` scratch on every probe and the
 zero-allocation property degrades without any test failing.  Functions
 are registered as kernels in the lint config
 (``path.py::Class.method``) or inline with a ``# repro-lint: kernel``
-marker comment on the ``def`` line; inside them this rule bans the
+marker comment on the ``def`` line (a configured entry naming no
+function of its file is itself a finding); inside them this rule bans the
 allocating numpy constructors and the concatenation helpers
 (``np.concatenate`` / ``np.stack`` / friends), which have no ``out=``
 form.  Small *per-row output* arrays (``.copy()`` of an ``(n,)`` view,
@@ -74,7 +75,9 @@ class ZeroAllocKernel(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         registered = ctx.config.kernel_qualnames(ctx.rel_path)
         assert ctx.imports is not None
+        unresolved = set(registered)
         for qualname, func in walk_functions(ctx.tree):
+            unresolved.discard(qualname)
             if qualname not in registered and not (
                 self._is_marked(ctx, func.lineno)
                 or self._is_marked(ctx, func.lineno - 1)
@@ -90,3 +93,16 @@ class ZeroAllocKernel(Rule):
                         f"np.{short} allocates inside workspace kernel "
                         f"{qualname}",
                     )
+        # A renamed or merged kernel must not drop out of the check
+        # silently: its registration has to follow it.
+        for qualname in sorted(unresolved):
+            yield ctx.finding(
+                self,
+                ctx.tree,
+                f"registered workspace kernel {qualname} is not defined "
+                f"in {ctx.rel_path}",
+                hint=(
+                    "point the kernel_functions entry at the function "
+                    "that now holds the kernel, or drop it"
+                ),
+            )

@@ -17,9 +17,8 @@ matrix, each row's full sign pattern is packed into a single ``uint64``
 code at insertion, and bucket keys are ``(bits, code & mask)`` pairs —
 so locating a bucket is integer masking, never a re-hash.  Item ids are
 stable across deletions via an id -> row indirection; when dead rows
-outnumber live ones the storage compacts automatically (and
-:meth:`AdaptiveLSH.rebuild` replaces the whole content in one shot,
-purging every dead row).  :meth:`AdaptiveLSH.query_batch` resolves many
+outnumber live ones the storage compacts automatically.
+:meth:`AdaptiveLSH.query_batch` resolves many
 queries with one batched sign-hash matmul and a per-*level* vectorized
 trie descent (``np.isin`` against the split keys of each bit length),
 matching per-vector :meth:`AdaptiveLSH.query` result for result.
@@ -103,7 +102,10 @@ class AdaptiveLSH:
             dtype=np.uint64,
         )
         if center is not None:
-            self.set_center(center)
+            point = np.asarray(center, dtype=float)
+            if point.shape != (dim,):
+                raise ValueError(f"center shape {point.shape} != ({dim},)")
+            self._offsets = self._planes @ point
         # Row storage: vectors, packed sign codes and the owning item id
         # per row (-1 = dead).  Ids stay stable through compaction via the
         # id -> row map; rows are recycled wholesale, never individually.
@@ -124,9 +126,8 @@ class AdaptiveLSH:
         # built lazily from _split_by_bits and invalidated on split.
         self._split_arrays: dict[int, np.ndarray] = {}
         # Deletions whose ids may still linger in bucket lists (purged
-        # lazily).  0 means every bucket list is clean — the common
-        # rebuild-only lifecycle — so _live_bucket can skip the purge
-        # scan entirely.
+        # lazily).  0 means every bucket list is clean, so _live_bucket
+        # can skip the purge scan entirely.
         self._lazy_dead = 0
 
     def __len__(self) -> int:
@@ -136,18 +137,6 @@ class AdaptiveLSH:
     def storage_rows(self) -> int:
         """Rows currently held in the backing matrix (live + dead)."""
         return self._rows
-
-    def set_center(self, center: np.ndarray) -> None:
-        """Anchor the hyperplanes at ``center`` (affects future hashes).
-
-        Call before indexing (or let :meth:`rebuild` re-hash everything);
-        changing the center of a populated index would silently orphan
-        the existing codes.
-        """
-        point = np.asarray(center, dtype=float)
-        if point.shape != (self.dim,):
-            raise ValueError(f"center shape {point.shape} != ({self.dim},)")
-        self._offsets = self._planes @ point
 
     # ------------------------------------------------------------------
     # Hashing
@@ -252,7 +241,7 @@ class AdaptiveLSH:
     def delete(self, item_id: int) -> None:
         """Remove a vector by id (lazy: purged from its bucket on
         split/query; the backing row is reclaimed when dead rows
-        outnumber live ones, or at the next :meth:`rebuild`)."""
+        outnumber live ones)."""
         if not 0 <= item_id < self._next_id:
             raise KeyError(f"unknown item id {item_id}")
         row = self._row_of.pop(item_id, None)
@@ -274,55 +263,6 @@ class AdaptiveLSH:
         self._row_of = {
             int(item_id): row for row, item_id in enumerate(self._row_ids)
         }
-
-    def rebuild(self, vectors: np.ndarray) -> np.ndarray:
-        """Replace the whole content, reusing the hyperplanes.
-
-        Storage shrinks to exactly ``len(vectors)`` rows (every dead row
-        from prior deletions is purged) and fresh ids ``0..n-1`` are
-        returned.  This is how an incrementally maintained consumer —
-        :meth:`repro.core.cache.SemanticCache.set_layer_entries` — swaps
-        a layer's entries without re-drawing hyperplanes.
-
-        Rebuilding into an empty trie means every vector's leaf is its
-        base-bits key, so buckets are built by one vectorized group-by
-        on the packed codes (no per-row trie descent); splits then run
-        per overflowing bucket.  The trie fixpoint — a node is interior
-        iff more than ``max_bucket_size`` codes share its prefix — is
-        the same one sequential insertion reaches.
-        """
-        vecs = np.asarray(vectors, dtype=float)
-        if vecs.ndim != 2 or vecs.shape[1] != self.dim:
-            raise ValueError(f"vectors shape {vecs.shape} != (n, {self.dim})")
-        n = vecs.shape[0]
-        self._buckets = {}
-        self._split = set()
-        self._split_by_bits = {}
-        self._split_arrays = {}
-        self._lazy_dead = 0
-        if n == 0:
-            self._matrix = np.empty((0, self.dim), dtype=np.float64)
-            self._codes = np.empty(0, dtype=np.uint64)
-            self._row_ids = np.empty(0, dtype=np.int64)
-            self._rows = 0
-            self._row_of = {}
-            self._next_id = 0
-            return np.empty(0, dtype=np.int64)
-        self._matrix = vecs.copy()
-        self._codes = self._codes_of(vecs)
-        self._row_ids = np.arange(n, dtype=np.int64)
-        self._rows = n
-        self._row_of = {item: item for item in range(n)}
-        self._next_id = n
-        base_keys = self._codes & np.uint64(self._mask(self.base_bits))
-        order = np.argsort(base_keys, kind="stable")  # id order within key
-        uniq, starts = np.unique(base_keys[order], return_index=True)
-        bounds = np.append(starts, n)
-        for k, key_code in enumerate(uniq.tolist()):
-            key = (self.base_bits, int(key_code))
-            self._buckets[key] = order[bounds[k] : bounds[k + 1]].tolist()
-            self._maybe_split(key)
-        return np.arange(n, dtype=np.int64)
 
     def _maybe_split(self, key: tuple[int, int]) -> None:
         bucket = self._buckets.get(key, [])
@@ -413,9 +353,7 @@ class AdaptiveLSH:
         One batched sign-hash matmul, multi-probe code expansion, and
         per-bit-level trie descent; returns ``(combos, num_probes)``
         where ``combos`` is the flat ``(n * num_probes,)`` array of
-        ``(bits << max_bits) | masked_code`` leaf keys.  The single
-        implementation behind :meth:`query_batch` and
-        :meth:`shortlist`.
+        ``(bits << max_bits) | masked_code`` leaf keys.
         """
         raw = vecs @ self._planes.T
         codes = ((raw > self._offsets) * self._bit_values).sum(
@@ -482,39 +420,6 @@ class AdaptiveLSH:
             results.append(merged)
         return results
 
-    def shortlist(self, vectors: np.ndarray) -> np.ndarray:
-        """Sorted unique candidate ids across *all* queries at once.
-
-        The union of every query's (multi-probe) buckets, computed at
-        bucket granularity: the batched sign-hash matmul and trie
-        descent run once, the distinct probe keys are deduplicated with
-        one ``np.unique``, and each distinct bucket is touched exactly
-        once — far cheaper than unioning :meth:`query_batch`'s per-row
-        lists.  This is the per-session candidate shortlist of the
-        pruned probe kernel: a batch dominated by hot-spot runs touches
-        few distinct buckets.
-        """
-        vecs = np.asarray(vectors, dtype=float)
-        if vecs.ndim != 2 or vecs.shape[1] != self.dim:
-            raise ValueError(f"vectors shape {vecs.shape} != (n, {self.dim})")
-        if vecs.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        combo = np.unique(self._leaf_combos(vecs)[0])
-        merged: list[int] = []
-        for combo_key in combo.tolist():
-            merged.extend(
-                self._live_bucket(
-                    (combo_key >> self.max_bits,
-                     combo_key & self._mask(self.max_bits))
-                )
-            )
-        if not merged:
-            return np.empty(0, dtype=np.int64)
-        # Buckets partition the ids and the probed keys are distinct, so
-        # the concatenation is already duplicate-free: a sort (not the
-        # hash-dedup of ``np.unique``) restores the documented order.
-        return np.sort(np.asarray(merged, dtype=np.int64))
-
     def _live_bucket(self, key: tuple[int, int]) -> list[int]:
         """Live ids of one bucket, purging dead entries in place.
 
@@ -523,9 +428,8 @@ class AdaptiveLSH:
         """
         bucket = self._buckets.get(key, [])
         if not self._lazy_dead:
-            # No deletion since the last rebuild: every bucket list is
-            # clean, and the purge scan (which dominates shortlist cost
-            # on hot caches) is skipped outright.
+            # No pending deletion: every bucket list is clean, and the
+            # purge scan is skipped outright.
             return bucket
         live = [i for i in bucket if i in self._row_of]
         if len(live) != len(bucket):

@@ -152,11 +152,11 @@ def initialize_worker(snapshot_path: str, options: WorkerOptions) -> None:
 
 
 def shutdown_worker() -> None:
-    """Release the worker's mmap handle and probe threads (idempotent).
+    """Release the worker's mmap handle and probe buffers (idempotent).
 
     Submitted as the last task on a shard lane before the executor shuts
-    down, so long-lived serving workers do not leak probe threads or
-    file handles — the teardown half of the
+    down, so long-lived serving workers do not leak file handles or
+    pooled buffers — the teardown half of the
     :meth:`~repro.core.cache.LookupWorkspace.close` contract.
     """
     state = getattr(_TLS, "state", None)

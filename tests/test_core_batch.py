@@ -1,9 +1,12 @@
 """Scalar/batch equivalence suite.
 
 The batched inference subsystem must be a pure performance optimization:
-for any cache configuration, :class:`BatchedInferenceEngine.infer_batch`
-must reproduce ``CachedInferenceEngine.infer`` outcome for outcome —
-predictions, hit layers, latencies, and per-layer probe records.
+for any cache configuration,
+:meth:`BatchedInferenceEngine.infer_batch_soa` must reproduce
+``CachedInferenceEngine.infer`` outcome for outcome, field by field —
+predictions, hit layers, latencies, hit scores and top-2 gaps — and
+:class:`BatchedLookupSession` the scalar session's per-layer probe
+records.
 
 Caches here are built in the float64 exact mode: scalar probes run
 through BLAS gemv and batched probes through gemm, whose float32
@@ -60,27 +63,23 @@ def _build_cache(model, variant):
     return cache
 
 
-def _assert_outcomes_match(scalar, batched):
-    assert len(scalar) == len(batched)
-    for a, b in zip(scalar, batched):
-        assert b.predicted_class == a.predicted_class
-        assert b.hit_layer == a.hit_layer
-        assert b.latency_ms == pytest.approx(a.latency_ms, rel=1e-12, abs=1e-12)
-        assert len(b.probes) == len(a.probes)
-        for pa, pb in zip(a.probes, b.probes):
-            assert pb.layer == pa.layer
-            assert pb.top_class == pa.top_class
-            assert pb.second_class == pa.second_class
-            assert pb.hit == pa.hit
-            assert pb.score == pytest.approx(pa.score, rel=1e-9, abs=1e-12)
+def _assert_outcomes_match(scalar, soa):
+    """Scalar ``InferenceOutcome`` objects against ``BatchOutcomes``
+    arrays, field by field (``None`` is ``-1`` / ``nan`` in the arrays)."""
+    assert all(len(column) == len(scalar) for column in soa)
+    for i, a in enumerate(scalar):
+        assert soa.predicted_class[i] == a.predicted_class
+        assert soa.hit_layer[i] == (-1 if a.hit_layer is None else a.hit_layer)
+        assert bool(soa.hit[i]) == a.hit
+        assert soa.latency_ms[i] == pytest.approx(a.latency_ms, rel=1e-12, abs=1e-12)
         if a.hit_score is None:
-            assert b.hit_score is None
+            assert np.isnan(soa.hit_score[i])
         else:
-            assert b.hit_score == pytest.approx(a.hit_score, rel=1e-9, abs=1e-12)
+            assert soa.hit_score[i] == pytest.approx(a.hit_score, rel=1e-9, abs=1e-12)
         if a.top2_prob_gap is None:
-            assert b.top2_prob_gap is None
+            assert np.isnan(soa.top2_prob_gap[i])
         else:
-            assert b.top2_prob_gap == pytest.approx(
+            assert soa.top2_prob_gap[i] == pytest.approx(
                 a.top2_prob_gap, rel=1e-9, abs=1e-12
             )
 
@@ -96,8 +95,7 @@ class TestBatchEquivalence:
         scalar_engine = CachedInferenceEngine(tiny_model, cache)
         batch_engine = BatchedInferenceEngine(tiny_model, cache)
         scalar = [scalar_engine.infer(s) for s in samples]
-        batched = batch_engine.infer_batch(samples)
-        _assert_outcomes_match(scalar, batched)
+        _assert_outcomes_match(scalar, batch_engine.infer_batch_soa(samples))
 
     def test_no_cache_matches_scalar(self, tiny_model):
         samples = _draw_samples(tiny_model, 5, 20)
@@ -105,7 +103,7 @@ class TestBatchEquivalence:
         batch_engine = BatchedInferenceEngine(tiny_model, cache=None)
         _assert_outcomes_match(
             [scalar_engine.infer(s) for s in samples],
-            batch_engine.infer_batch(samples),
+            batch_engine.infer_batch_soa(samples),
         )
 
     def test_empty_cache_matches_scalar(self, tiny_model):
@@ -115,18 +113,22 @@ class TestBatchEquivalence:
         batch_engine = BatchedInferenceEngine(tiny_model, cache)
         _assert_outcomes_match(
             [scalar_engine.infer(s) for s in samples],
-            batch_engine.infer_batch(samples),
+            batch_engine.infer_batch_soa(samples),
         )
 
     def test_empty_batch(self, tiny_model):
-        engine = BatchedInferenceEngine(tiny_model, _build_cache(tiny_model, "all_layers"))
-        assert engine.infer_batch([]) == []
+        for cache in (_build_cache(tiny_model, "all_layers"), None):
+            outcomes = BatchedInferenceEngine(tiny_model, cache).infer_batch_soa([])
+            assert all(column.shape == (0,) for column in outcomes)
 
     def test_set_cache_swaps(self, tiny_model):
         engine = BatchedInferenceEngine(tiny_model, cache=None)
-        engine.set_cache(_build_cache(tiny_model, "all_layers"))
         samples = _draw_samples(tiny_model, 1, 3)
-        assert all(o.probes for o in engine.infer_batch(samples))
+        total = tiny_model.profile.total_compute_ms
+        assert np.all(engine.infer_batch_soa(samples).latency_ms == total)
+        engine.set_cache(_build_cache(tiny_model, "all_layers"))
+        # Every frame now probes: it exits early or pays lookups on top.
+        assert np.all(engine.infer_batch_soa(samples).latency_ms != total)
 
     def test_sample_batch_input_matches_loose_samples(self, tiny_model):
         """A SampleBatch feeds the engine directly (no re-stacking) with
@@ -142,9 +144,11 @@ class TestBatchEquivalence:
         )
         batch = tiny_model.draw_samples(stream.take_block(40), 0, rng)
         engine = BatchedInferenceEngine(tiny_model, _build_cache(tiny_model, "all_layers"))
-        _assert_outcomes_match(
-            engine.infer_batch(batch.samples()), engine.infer_batch(batch)
-        )
+        # Outcome arrays are workspace views: copy before the next call.
+        loose = [column.copy() for column in engine.infer_batch_soa(batch.samples())]
+        for a, b in zip(loose, engine.infer_batch_soa(batch)):
+            assert np.array_equal(a, b, equal_nan=True)
+        assert (loose[1] >= 0).any() and (loose[1] < 0).any()  # hits and misses
 
 
 class TestBatchedLookupSession:

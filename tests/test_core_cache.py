@@ -256,10 +256,6 @@ class TestDtypePolicy:
         with pytest.raises(ValueError):
             SemanticCache(4, dtype=np.float16)
 
-    def test_rejects_bad_prune_threshold(self):
-        with pytest.raises(ValueError):
-            SemanticCache(4, prune_threshold=1)
-
     def test_content_equal_distinguishes_dtype(self):
         ids, mat = _orthogonal_entries(3)
         caches = []
@@ -377,6 +373,109 @@ class TestColumnModeAccumulator:
                 )
 
 
+class SeedDenseSession:
+    """The seed dense-float64 probe math, verbatim (fresh allocations,
+    fancy-index gathers, no workspace) — the oracle of
+    :class:`TestSeedFloat64Equivalence`."""
+
+    def __init__(self, layers, batch, num_classes, alpha, theta):
+        self._layers = layers
+        self._batch = batch
+        self._alpha = alpha
+        self._theta = theta
+        self._accumulated = np.zeros((batch, num_classes))
+
+    def probe(self, layer, vecs):
+        ids, mat = self._layers[layer]
+        similarity = vecs @ mat.T
+        row_index = np.arange(self._batch)[:, None]
+        updated = similarity + self._alpha * self._accumulated[row_index, ids]
+        self._accumulated[row_index, ids] = updated
+        take = np.arange(self._batch)
+        best_idx = np.argmax(updated, axis=1)
+        a_best = updated[take, best_idx]
+        updated[take, best_idx] = -np.inf
+        second_idx = np.argmax(updated, axis=1)
+        a_second = updated[take, second_idx]
+        updated[take, best_idx] = a_best
+        score = discriminative_score(a_best, a_second)
+        hit = (score > self._theta) & (a_best > 0)
+        return ids[best_idx], hit
+
+
+class TestSeedFloat64Equivalence:
+    """The float32 dense kernel against the seed float64 math on a
+    serving-shaped cache: 3 layers x 512 entries of 600 classes (sibling
+    clusters, a smooth similarity continuum, one shared direction, class
+    energy growing with depth), 256 queries arriving in hot-spot runs."""
+
+    LAYERS, DIM, RUN = 3, 48, 32
+    CLASSES, ENTRIES, BATCH = 600, 512, 256
+    ALPHA, THETA = 0.5, 0.05
+
+    def _geometry(self, rng):
+        dim, classes = self.DIM, self.CLASSES
+        shared = rng.standard_normal(dim)
+        shared /= np.linalg.norm(shared)
+        clusters = -(-classes // 5)
+        cluster_dirs = rng.standard_normal((clusters, dim))
+        cluster_dirs /= np.linalg.norm(cluster_dirs, axis=1, keepdims=True)
+        smooth_basis = rng.standard_normal((8, dim))
+        smooth = rng.standard_normal((classes, 8)) @ smooth_basis
+        smooth /= np.linalg.norm(smooth, axis=1, keepdims=True)
+        unique = rng.standard_normal((classes, dim))
+        unique /= np.linalg.norm(unique, axis=1, keepdims=True)
+        class_dirs = (
+            np.sqrt(0.40) * cluster_dirs[np.arange(classes) // 5]
+            + np.sqrt(0.32) * smooth
+            + np.sqrt(0.28) * unique
+        )
+        class_dirs /= np.linalg.norm(class_dirs, axis=1, keepdims=True)
+        ids = np.sort(rng.choice(classes, size=self.ENTRIES, replace=False))
+        layers = []
+        for layer in range(self.LAYERS):
+            energy = 0.2 + 0.3 * layer / (self.LAYERS - 1)
+            mats = np.sqrt(energy) * class_dirs[ids] + np.sqrt(1 - energy) * shared
+            mats /= np.linalg.norm(mats, axis=1, keepdims=True)
+            layers.append((ids, mats))
+        return layers
+
+    def _queries(self, rng, layers):
+        batch, dim = self.BATCH, self.DIM
+        runs = rng.integers(self.ENTRIES, size=-(-batch // self.RUN))
+        pick = np.repeat(runs, self.RUN)[:batch]
+        queries = np.empty((batch, self.LAYERS, dim))
+        for layer, (_, mats) in enumerate(layers):
+            noisy = mats[pick] + 0.25 * rng.standard_normal((batch, dim)) / np.sqrt(dim)
+            queries[:, layer, :] = noisy / np.linalg.norm(
+                noisy, axis=1, keepdims=True
+            )
+        return queries
+
+    def test_float32_dense_reproduces_every_seed_decision(self):
+        rng = np.random.default_rng(17)
+        layers = self._geometry(rng)
+        queries = self._queries(rng, layers)
+        seed = SeedDenseSession(
+            layers, self.BATCH, self.CLASSES, self.ALPHA, self.THETA
+        )
+        cache = SemanticCache(
+            self.CLASSES, alpha=self.ALPHA, theta=self.THETA, dtype=np.float32
+        )
+        for layer, (ids, mats) in enumerate(layers):
+            cache.set_layer_entries(layer, ids, mats)
+        session = cache.start_batch_session(self.BATCH)
+        probe_queries = np.ascontiguousarray(queries, dtype=np.float32)
+        hits = 0
+        for layer in range(self.LAYERS):
+            seed_top, seed_hit = seed.probe(layer, queries[:, layer, :])
+            result = session.probe(layer, probe_queries[:, layer, :])
+            assert np.array_equal(result.top_class, seed_top), layer
+            assert np.array_equal(result.hit, seed_hit), layer
+            hits += int(seed_hit.sum())
+        assert 0 < hits < self.LAYERS * self.BATCH  # both decisions occur
+
+
 class TestLookupWorkspace:
     def test_buffers_are_reused(self):
         from repro.core.cache import LookupWorkspace
@@ -396,6 +495,20 @@ class TestLookupWorkspace:
         f64 = workspace.floats("x", (8,), np.float64)
         assert f32.dtype == np.float32 and f64.dtype == np.float64
         assert not np.shares_memory(f32, f64)
+
+    def test_dtype_switch_never_reuses_stale_width(self):
+        """The (name, dtype) pool key regression: switching a pool's
+        dtype mid-session must hand back a fresh correctly-typed buffer,
+        not a reinterpreted view of the old one."""
+        from repro.core.cache import LookupWorkspace
+
+        ws = LookupWorkspace()
+        f64 = ws.floats("sim", (4, 4), np.float64)
+        f64.fill(7.0)
+        f32 = ws.floats("sim", (4, 4), np.float32)
+        assert f32.dtype == np.float32
+        assert not np.shares_memory(f64, f32)
+        assert np.all(ws.floats("sim", (4, 4), np.float64) == 7.0)
 
     def test_top2_matches_sort(self):
         from repro.core.cache import LookupWorkspace
@@ -426,63 +539,39 @@ class TestLookupWorkspace:
 
 
 class TestLookupWorkspaceClose:
-    """Teardown contract: close() must join the probe threads."""
-
-    @staticmethod
-    def _probe_threads() -> list:
-        import threading
-
-        return [
-            t for t in threading.enumerate()
-            if t.name.startswith("repro-probe") and t.is_alive()
-        ]
-
-    def test_close_joins_probe_threads(self):
-        from repro.core.cache import LookupWorkspace
-
-        workspace = LookupWorkspace()
-        executor = workspace.executor(2)
-        # Force the pool to actually spawn its threads.
-        assert executor.submit(lambda: 1).result() == 1
-        assert executor.submit(lambda: 2).result() == 2
-        before = len(self._probe_threads())
-        assert before >= 1
-        workspace.close()
-        assert self._probe_threads() == []
-        assert workspace._executor is None
+    """Teardown contract: close() drops the pools, any number of times."""
 
     def test_close_is_idempotent_and_workspace_stays_usable(self):
         from repro.core.cache import LookupWorkspace
 
         workspace = LookupWorkspace()
         workspace.floats("x", (4,), np.float32)
-        workspace.for_thread(1).floats("y", (4,), np.float32)
+        workspace.stack_layout(1, 2, 3, 4, np.dtype(np.float32), np.dtype(np.float32))
         workspace.close()
         workspace.close()
-        assert workspace._children == {}
         assert workspace._pools == {}
-        # Pools regrow and the executor comes back on demand.
+        assert workspace._frame_layouts == {}
+        # Pools regrow on demand.
         assert workspace.floats("x", (8,), np.float32).shape == (8,)
-        assert workspace.executor(1).submit(lambda: 3).result() == 3
         workspace.close()
-        assert self._probe_threads() == []
+        assert workspace._pools == {}
 
     def test_context_manager_closes(self):
         from repro.core.cache import LookupWorkspace
 
         with LookupWorkspace() as workspace:
-            workspace.executor(1).submit(lambda: 0).result()
-        assert workspace._executor is None
-        assert self._probe_threads() == []
+            workspace.floats("x", (4,), np.float32)
+            assert workspace._pools
+        assert workspace._pools == {}
 
     def test_engine_and_node_teardown_close_their_workspaces(self, tiny_model):
         from repro.cluster.node import EdgeServerNode
         from repro.core.engine import BatchedInferenceEngine
 
         engine = BatchedInferenceEngine(tiny_model)
-        engine.workspace.executor(1).submit(lambda: 0).result()
+        engine.workspace.floats("x", (4,), np.float32)
         engine.close()
-        assert engine.workspace._executor is None
+        assert engine.workspace._pools == {}
 
         from repro.core.server import GlobalCacheTable
 
@@ -491,7 +580,6 @@ class TestLookupWorkspaceClose:
                 self.table = table
 
         node = EdgeServerNode(0, _Holder(GlobalCacheTable(8, 6, 16)))
-        node.workspace.executor(1).submit(lambda: 0).result()
+        node.workspace.floats("x", (4,), np.float32)
         node.close()
-        assert node.workspace._executor is None
-        assert self._probe_threads() == []
+        assert node.workspace._pools == {}

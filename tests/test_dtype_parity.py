@@ -8,56 +8,26 @@ the preset cache must produce identical hit/miss decisions, predictions,
 and per-class hit rates in both precisions — and, since collection is
 decision-driven and update vectors stay float64, bit-identical merged
 global tables.
-
-The LSH-pruned kernel has the complementary contract: with the shortlist
-threshold disabled (``prune_threshold=None`` or above the layer size),
-probes run the dense kernel bit for bit; and when the shortlist covers
-every cached class, the pruned kernel's outputs equal the dense kernel's
-exactly (it *is* the dense kernel on the full column set).
 """
 
 import numpy as np
-import pytest
 
-from repro.core.cache import LookupWorkspace, SemanticCache
+from repro.core.cache import SemanticCache
 from repro.core.config import CoCaConfig
 from repro.core.framework import CoCaFramework
 from repro.data.datasets import get_dataset
 from repro.sim.metrics import per_class_hit_rates
 
 
-def _framework(
-    lookup_dtype: str,
-    quantize_threshold: int | None = None,
-    probe_threads: int = 1,
-) -> CoCaFramework:
+def _framework(lookup_dtype: str) -> CoCaFramework:
     return CoCaFramework(
         dataset=get_dataset("ucf101", 30),
         model_name="resnet101",
         num_clients=4,
         seed=11,
         enable_dca=False,  # the preset cache: every class at every layer
-        config=CoCaConfig(
-            frames_per_round=150,
-            lookup_dtype=lookup_dtype,
-            quantize_threshold=quantize_threshold,
-            # A 30-class cache is the worst case for cross-layer rank
-            # drift (every class is near the top-2 of *some* layer), so
-            # the parity tiers run the conservative margin; the coarse
-            # pass still pins a strict candidate subset in almost every
-            # session at this setting.
-            coarse_margin=0.15,
-            probe_threads=probe_threads,
-        ),
+        config=CoCaConfig(frames_per_round=150, lookup_dtype=lookup_dtype),
     )
-
-
-def _run_collecting(framework: CoCaFramework, rounds: int = 3) -> list:
-    records: list = []
-    for r in range(rounds):
-        for report in framework.run_round(r):
-            records.extend(report.records)
-    return records
 
 
 class TestFrameworkPrecisionParity:
@@ -89,45 +59,6 @@ class TestFrameworkPrecisionParity:
             fast.server.table.class_freq, exact.server.table.class_freq
         )
 
-    def test_int8_shortlist_reproduces_float32_run(self):
-        """The two-tier kernel's parity contract: int8 coarse shortlist +
-        exact float32 re-score must reproduce the plain float32 run —
-        identical decisions, hence bit-identical merged tables (the
-        quantized codes only choose *which* columns the exact kernel
-        scores, never the scores themselves)."""
-        plain = _framework("float32")
-        twotier = _framework("float32", quantize_threshold=2)
-        records_p = _run_collecting(plain)
-        records_q = _run_collecting(twotier)
-        served = twotier.clients[0].engine.cache
-        assert served is not None and served.quantized_layers()
-        assert len(records_p) == len(records_q) == 4 * 150 * 3
-        for a, b in zip(records_p, records_q):
-            assert a.predicted_class == b.predicted_class
-            assert a.hit_layer == b.hit_layer
-        assert np.array_equal(
-            plain.server.table.entries, twotier.server.table.entries
-        )
-        assert np.array_equal(
-            plain.server.table.class_freq, twotier.server.table.class_freq
-        )
-
-    def test_probe_threads_reproduce_single_thread_run(self):
-        """Thread-blocked probes split rows into disjoint blocks of
-        independent row math: a multithreaded full framework run must be
-        indistinguishable from the single-threaded one."""
-        single = _framework("float32", quantize_threshold=2)
-        threaded = _framework("float32", quantize_threshold=2, probe_threads=4)
-        records_s = _run_collecting(single, rounds=2)
-        records_t = _run_collecting(threaded, rounds=2)
-        assert len(records_s) == len(records_t) == 4 * 150 * 2
-        for a, b in zip(records_s, records_t):
-            assert a.predicted_class == b.predicted_class
-            assert a.hit_layer == b.hit_layer
-        assert np.array_equal(
-            single.server.table.entries, threaded.server.table.entries
-        )
-
     def test_float32_is_the_serving_default(self):
         assert CoCaConfig().lookup_dtype == "float32"
         assert CoCaConfig().cache_dtype == np.dtype(np.float32)
@@ -145,81 +76,3 @@ class TestFrameworkPrecisionParity:
                 _, mat = cache.entries_at(layer)
                 assert mat.dtype == np.dtype(dtype)
                 assert mat.flags.c_contiguous
-
-
-def _populate(cache: SemanticCache, rng: np.random.Generator, layers=3, dim=24):
-    num = cache.num_classes
-    for layer in range(layers):
-        mats = rng.standard_normal((num, dim))
-        cache.set_layer_entries(layer, np.arange(num), mats)
-
-
-class TestPrunedDenseEquivalence:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_disabled_threshold_is_bitwise_dense(self, dtype):
-        """A threshold above the layer size builds no index: probes are
-        the dense kernel, bit for bit."""
-        rng = np.random.default_rng(5)
-        dense = SemanticCache(40, theta=0.03, dtype=dtype)
-        disabled = SemanticCache(40, theta=0.03, dtype=dtype, prune_threshold=1000)
-        for cache in (dense, disabled):
-            _populate(cache, np.random.default_rng(7))
-        assert disabled.pruned_layers() == []
-        workspace = LookupWorkspace()
-        queries = rng.standard_normal((16, 3, 24))
-        s_dense = dense.start_batch_session(16, workspace=workspace)
-        s_off = disabled.start_batch_session(16, workspace=workspace)
-        for layer in range(3):
-            vecs = np.ascontiguousarray(queries[:, layer, :], dtype=dtype)
-            a = s_dense.probe(layer, vecs)
-            b = s_off.probe(layer, vecs)
-            assert np.array_equal(a.top_class, b.top_class)
-            assert np.array_equal(a.second_class, b.second_class)
-            assert np.array_equal(a.score, b.score)
-            assert np.array_equal(a.hit, b.hit)
-
-    def test_full_shortlist_equals_dense_exactly(self):
-        """When the session shortlist covers every cached class, the
-        pruned kernel is the dense kernel on the full column set."""
-        rng = np.random.default_rng(9)
-        dense = SemanticCache(30, theta=0.03, dtype=np.float64)
-        pruned = SemanticCache(30, theta=0.03, dtype=np.float64, prune_threshold=2)
-        for cache in (dense, pruned):
-            _populate(cache, np.random.default_rng(3))
-        assert pruned.pruned_layers() == [0, 1, 2]
-        workspace = LookupWorkspace()
-        queries = rng.standard_normal((12, 3, 24))
-        s_dense = dense.start_batch_session(12, workspace=workspace)
-        s_pruned = pruned.start_batch_session(12, workspace=workspace)
-        # Force the full shortlist: every class is a candidate.
-        s_pruned._shortlist = np.arange(30)
-        for layer in range(3):
-            vecs = np.ascontiguousarray(queries[:, layer, :])
-            a = s_dense.probe(layer, vecs)
-            b = s_pruned.probe(layer, vecs)
-            assert np.array_equal(a.top_class, b.top_class)
-            assert np.array_equal(a.second_class, b.second_class)
-            assert np.array_equal(a.score, b.score)
-            assert np.array_equal(a.hit, b.hit)
-
-    def test_pruned_session_pins_a_shortlist(self):
-        pruned = SemanticCache(50, theta=0.03, prune_threshold=2)
-        _populate(pruned, np.random.default_rng(3))
-        session = pruned.start_batch_session(4)
-        assert session._shortlist is None
-        queries = np.random.default_rng(1).standard_normal((4, 24))
-        session.probe(0, np.ascontiguousarray(queries, dtype=np.float32))
-        shortlist = session._shortlist
-        assert shortlist is not None and shortlist.size >= 1
-        # The shortlist is pinned: deeper probes reuse it unchanged.
-        session.probe(1, np.ascontiguousarray(queries, dtype=np.float32))
-        assert session._shortlist is shortlist
-
-    def test_scalar_pruned_probe_well_formed(self):
-        pruned = SemanticCache(50, theta=0.0, prune_threshold=2)
-        _populate(pruned, np.random.default_rng(3))
-        ids, mat = pruned.entries_at(1)
-        session = pruned.start_session()
-        probe = session.probe(1, mat[7])
-        assert probe.top_class == 7  # its own centroid wins
-        assert probe.second_class != probe.top_class

@@ -103,6 +103,22 @@ def test_zero_alloc_kernel_quiet_on_out_parameter_kernel():
     assert run_fixture("kernel_good.py").new == []
 
 
+def test_zero_alloc_kernel_reports_an_entry_naming_no_function():
+    # A kernel renamed or merged away must take its registration along:
+    # an entry that resolves to nothing would check nothing, silently.
+    fixture = "tests/lint_fixtures/kernel_stale.py"
+    config = LintConfig(
+        kernel_functions=(
+            f"{fixture}::Session._fold",
+            f"{fixture}::Session._fold_block",
+            "some/other_file.py::never_linted_here",
+        )
+    )
+    report = run_fixture("kernel_stale.py", config=config)
+    assert new_rules(report) == ["zero-alloc-kernel"]
+    assert "Session._fold_block" in report.new[0].message
+
+
 def test_wallclock_fires_in_configured_dirs():
     report = run_fixture("wallclock_bad.py", config=WALLCLOCK_FIXTURES)
     assert new_rules(report) == ["no-wallclock-in-sim"] * 4

@@ -169,26 +169,9 @@ class TestHomogenizedKnn:
 
 
 class TestStorageReclamation:
-    def test_rebuild_purges_dead_rows(self, rng):
-        """`delete` leaks no storage past the next rebuild: the backing
-        matrix shrinks to exactly the new content."""
-        index = AdaptiveLSH(dim=8, rng=rng)
-        for vec in _unit_rows(rng, 30, 8):
-            index.insert(vec)
-        for item in range(0, 30, 2):
-            index.delete(item)
-        assert index.storage_rows >= 30  # dead rows still held
-        fresh = _unit_rows(rng, 6, 8)
-        ids = index.rebuild(fresh)
-        assert index.storage_rows == 6
-        assert len(index) == 6
-        assert list(ids) == list(range(6))
-        for item, vec in zip(ids, fresh):
-            assert item in index.query(vec)
-
     def test_heavy_deletion_compacts_automatically(self, rng):
-        """Once dead rows outnumber live ones, storage compacts without
-        an explicit rebuild — and surviving ids stay valid."""
+        """Once dead rows outnumber live ones, storage compacts on its
+        own — and surviving ids stay valid."""
         index = AdaptiveLSH(dim=8, rng=rng, base_bits=3, max_bucket_size=8)
         vectors = _unit_rows(rng, 120, 8)
         ids = [index.insert(vec) for vec in vectors]
@@ -207,12 +190,6 @@ class TestStorageReclamation:
         index.delete(item)
         index.delete(item)  # no-op, no error
         assert len(index) == 0
-
-    def test_rebuild_reuses_hyperplanes(self, rng):
-        index = AdaptiveLSH(dim=8, rng=rng)
-        planes_before = index._planes.copy()
-        index.rebuild(_unit_rows(rng, 10, 8))
-        assert np.array_equal(index._planes, planes_before)
 
     def test_insert_many_matches_sequential_inserts(self, rng):
         vectors = _unit_rows(rng, 50, 10)
@@ -271,21 +248,7 @@ class TestMultiProbe:
             AdaptiveLSH(dim=8, rng=rng, multi_probe=-1)
 
 
-class TestShortlist:
-    def test_union_of_query_batch(self, rng):
-        index = AdaptiveLSH(dim=10, rng=rng, base_bits=4, max_bucket_size=6,
-                            multi_probe=2)
-        vectors = _unit_rows(rng, 60, 10)
-        index.insert_many(vectors)
-        queries = _unit_rows(rng, 15, 10)
-        shortlist = index.shortlist(queries)
-        expected = sorted({i for b in index.query_batch(queries) for i in b})
-        assert list(shortlist) == expected
-
-    def test_empty_inputs(self, rng):
-        index = AdaptiveLSH(dim=6, rng=rng)
-        assert index.shortlist(np.zeros((0, 6))).size == 0
-
+class TestCentering:
     def test_centering_separates_offset_clusters(self, rng):
         """With a large common component, origin-anchored planes lump
         everything into one bucket; centred planes split the structure."""

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.client import CoCaClient
 from repro.core.config import CoCaConfig
-from repro.core.engine import BatchedInferenceEngine, CachedInferenceEngine
+from repro.core.engine import CachedInferenceEngine
 from repro.core.server import CoCaServer, GlobalCacheTable
 from repro.data.stream import StreamGenerator
 
@@ -314,15 +314,16 @@ class TestEndToEndEquivalence:
         )
 
     def test_soa_outcomes_match_object_outcomes(self, tiny_model):
-        """BatchOutcomes arrays must mirror the per-sample outcome objects."""
+        """BatchOutcomes arrays must mirror the scalar engine's per-sample
+        outcome objects on the batch a client round runs."""
         cache = _all_layer_cache(tiny_model)
         client = _build_client(tiny_model, 2, frames=60)
         client.install_cache(cache)
         batch = tiny_model.draw_samples(client.stream.take_block(60), 0, client._rng)
         soa = client.batch_engine.infer_batch_soa(batch)
-        objects = BatchedInferenceEngine(tiny_model, cache).infer_batch(batch)
         scalar_engine = CachedInferenceEngine(tiny_model, cache)
-        for i, outcome in enumerate(objects):
+        for i in range(len(batch)):
+            outcome = scalar_engine.infer(batch.sample(i))
             assert soa.predicted_class[i] == outcome.predicted_class
             expected_layer = -1 if outcome.hit_layer is None else outcome.hit_layer
             assert soa.hit_layer[i] == expected_layer
@@ -337,6 +338,3 @@ class TestEndToEndEquivalence:
                 assert soa.top2_prob_gap[i] == pytest.approx(
                     outcome.top2_prob_gap, rel=1e-9
                 )
-            scalar = scalar_engine.infer(batch.sample(i))
-            assert scalar.predicted_class == outcome.predicted_class
-            assert scalar.hit_layer == outcome.hit_layer

@@ -146,13 +146,14 @@ class TestWorker:
         with pytest.raises(RuntimeError):
             probe_chunk(vectors)
 
-    def test_shutdown_is_idempotent_and_joins_probe_threads(self, snapshot):
+    def test_shutdown_is_idempotent_and_drops_probe_buffers(self, snapshot):
         initialize_worker(snapshot, WorkerOptions())
         state = _state()
-        state.workspace.executor(2)  # spin up probe threads
+        probe_chunk(centroid_queries(snapshot, [3]))  # fill the pools
+        assert state.workspace._pools
         shutdown_worker()
         shutdown_worker()
-        assert state.workspace._executor is None
+        assert state.workspace._pools == {}
 
 
 # ----------------------------------------------------------------------

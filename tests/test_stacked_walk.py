@@ -21,13 +21,14 @@ guarantees for a score within rounding of theta (see "Stacked walk" in
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import contracts
-from repro.core import probe
 from repro.core.cache import PACK_BLOCK_LAYERS, LookupWorkspace, SemanticCache
 from repro.core.probe import (
     CacheWalk,
@@ -84,11 +85,8 @@ class Scene:
         theta: float = 0.3,
         layers: list[int] | None = None,
         ids_of: dict[int, np.ndarray] | None = None,
-        **options: object,
     ) -> SemanticCache:
-        cache = SemanticCache(
-            self.classes, alpha=0.5, theta=theta, dtype=dtype, **options
-        )
+        cache = SemanticCache(self.classes, alpha=0.5, theta=theta, dtype=dtype)
         for layer in range(self.layers) if layers is None else layers:
             ids = np.arange(self.classes)
             if ids_of is not None and layer in ids_of:
@@ -203,21 +201,35 @@ def test_non_contiguous_queries():
     assert_same_walk(new, expected, np.float64, bitwise=True)
 
 
-def test_thread_blocked_batches_take_the_loop(monkeypatch):
-    """The stacked kernel is single-threaded; a batch ``probe_threads``
-    splits into row blocks goes to the loop, which runs them."""
-    scene = Scene(seed=7)
-    cache = scene.cache(probe_threads=2)
-    calls = []
-    stacked = probe._walk_stacked
+def test_dispatch_is_structural(monkeypatch):
+    """The pack alone picks the kernels, whatever the batch size: a fully
+    stackable cache never opens a per-layer session (nor starts a
+    thread), a diverging tail opens exactly one per walk."""
+    sessions, threads = [], []
+    start_session = SemanticCache.start_batch_session
     monkeypatch.setattr(
-        probe, "_walk_stacked", lambda *a: calls.append(1) or stacked(*a)
+        SemanticCache,
+        "start_batch_session",
+        lambda *a, **kw: sessions.append(1) or start_session(*a, **kw),
     )
-    both_walks(cache, scene.queries(31))  # one block of 16+ rows: not split
-    assert calls == [1]
-    new, ref = both_walks(cache, scene.queries(32))
-    assert calls == [1]  # two row blocks: the loop served them
-    assert_same_walk(new, ref, np.float64, bitwise=True)
+    monkeypatch.setattr(threading.Thread, "start", lambda self: threads.append(self))
+    scene = Scene(seed=7)
+    cache = scene.cache()
+    assert cache.layer_pack().tail == ()
+    with LookupWorkspace() as workspace:
+        for batch in (1, 31, 32, 64, 300):
+            walk_cache_batch(cache, scene.queries(batch), workspace)
+    assert sessions == [] and threads == []
+
+    fewer = np.arange(0, scene.classes, 2)
+    cache = scene.cache(floors=True, ids_of={4: fewer, 5: fewer})
+    assert cache.layer_pack().tail == (4, 5)
+    with LookupWorkspace() as workspace:
+        for walks, batch in enumerate((31, 32, 64, 300), start=1):
+            walk = walk_cache_batch(cache, scene.queries(batch), workspace)
+            assert (walk.layers_probed > 4).any()  # rows reached the tail
+            assert len(sessions) == walks
+    assert threads == []
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -323,18 +335,6 @@ def test_empty_batch_and_empty_cache():
         walk = walk_cache_batch(empty, scene.queries(3), workspace)
         assert (walk.predicted == -1).all()
         assert (walk.layers_probed == 0).all()
-
-
-def test_accelerated_layers_are_never_stacked():
-    scene = Scene(seed=61, classes=40)
-    vectors = scene.queries(16, np.float32)
-    for options in ({"prune_threshold": 8}, {"quantize_threshold": 8}):
-        cache = scene.cache(dtype=np.float32, **options)
-        pack = cache.layer_pack()
-        assert pack.blocks == ()
-        assert list(pack.tail) == cache.active_layers == cache.shortlist_layers()
-        new, ref = both_walks(cache, vectors)
-        assert_same_walk(new, ref, np.float32, bitwise=True)
 
 
 # ----------------------------------------------------------------------

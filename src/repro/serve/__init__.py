@@ -5,9 +5,10 @@ is the one place wall-clock concurrency is real.  An asyncio front-end
 (:class:`~repro.serve.frontend.ServeFrontend`) admits requests behind
 bounded per-shard queues, routes them with the cluster's
 :class:`~repro.cluster.sharding.ClassShardRouter`, and dispatches to one
-single-worker executor per shard — threads or processes, selectable —
-where each worker serves from a shared read-only
-:class:`~repro.store.MappedTableStore` snapshot.  The load generator
+worker per shard — a thread behind a single-worker executor, or a
+persistent process reached over a stream socket that the event loop
+itself reads and writes, selectable — where each worker serves from a
+shared read-only :class:`~repro.store.MappedTableStore` snapshot.  The load generator
 (:mod:`repro.serve.loadgen`) replays synthetic sessions at a target rate
 and reports measured wall-clock percentiles next to the analytic
 :class:`~repro.sim.network.ServerLoadModel` prediction.
@@ -23,6 +24,7 @@ from repro.serve.frontend import (
     ServeConfig,
     ServeFrontend,
     ServeResult,
+    WorkerLost,
 )
 from repro.serve.loadgen import (
     LoadgenConfig,
@@ -55,6 +57,7 @@ __all__ = [
     "ServeConfig",
     "ServeFrontend",
     "ServeResult",
+    "WorkerLost",
     "WorkerOptions",
     "WorkerReply",
     "analytic_wait_ms",

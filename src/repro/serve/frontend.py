@@ -1,7 +1,8 @@
 """Asyncio serving front-end: admission control over per-shard workers.
 
-The front-end owns one *lane* per shard: a single-worker executor
-(process or thread, per :attr:`ServeConfig.mode`) hosting the
+The front-end owns one *lane* per shard: a worker (a thread behind a
+single-worker executor, or a persistent process on a stream socket the
+loop reads and writes itself, per :attr:`ServeConfig.mode`) hosting the
 snapshot-backed serving path of :mod:`repro.serve.worker`, a bounded
 admission queue, and a service slot.  Requests are routed to lanes with
 the cluster's :class:`~repro.cluster.sharding.ClassShardRouter` — the
@@ -32,21 +33,29 @@ protocol: bounded retries of shed requests with exponential backoff.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
+import socket
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from repro import contracts
 from repro.cluster.sharding import ClassShardRouter
 from repro.serve.worker import (
+    MessageReader,
     WorkerOptions,
     WorkerReply,
     initialize_worker,
+    pack_message,
     probe_chunk,
+    send_some,
     shutdown_worker,
     worker_info,
+    worker_main,
 )
 from repro.store import MappedTableStore
 
@@ -65,10 +74,12 @@ class ServeConfig:
     Attributes:
         snapshot_path: snapshot directory every worker warm-starts from.
         num_workers: shard (= lane = worker) count.
-        mode: ``"process"`` for one OS process per shard (real
-            parallelism, requests cross the boundary pickled) or
-            ``"thread"`` for one thread per shard (lower dispatch
-            overhead; the mmap is trivially shared).
+        mode: ``"process"`` for one persistent OS process per shard
+            (real parallelism; a request is pickled onto the lane's
+            socket and the reply read back by the event loop — two
+            process wake-ups, no helper thread) or ``"thread"`` for one
+            thread per shard (lower dispatch overhead; the mmap is
+            trivially shared).
         queue_depth: per-lane admission bound — waiting requests beyond
             it are shed with a retry-after hint.
         deadline_ms: per-request deadline covering queueing + service.
@@ -139,16 +150,154 @@ class ServeResult:
         return self.outcome == OUTCOME_SUCCESS
 
 
-class _Lane:
-    """One shard's executor, service slot and admission bookkeeping."""
+class WorkerLost(RuntimeError):
+    """A shard's worker process is gone; the lane serves nothing more."""
 
-    def __init__(self, shard: int, executor: Any) -> None:
+    def __init__(self, shard: int, pid: int | None) -> None:
+        super().__init__(f"worker process {pid} of shard {shard} is gone")
         self.shard = shard
-        self.executor = executor
+        self.pid = pid
+
+
+class _Lane:
+    """One shard's worker, service slot and admission bookkeeping.
+
+    :meth:`call` is the only way anything reaches the worker.
+    """
+
+    def __init__(self, shard: int) -> None:
+        self.shard = shard
         self.slot = asyncio.Semaphore(1)
         self.queued = 0
         self.in_flight = 0
         self.served = 0
+
+    def call(self, fn: Callable[..., Any], *args: Any) -> asyncio.Future[Any]:
+        """Run ``fn(*args)`` on the worker; never raises, the future does."""
+        raise NotImplementedError
+
+    def stop(self) -> None:
+        """Join the worker; call after its ``shutdown_worker`` resolved."""
+        raise NotImplementedError
+
+
+class _ThreadLane(_Lane):
+    """A worker thread in this process, behind a single-worker executor."""
+
+    def __init__(self, shard: int, config: ServeConfig) -> None:
+        super().__init__(shard)
+        self.executor = ThreadPoolExecutor(
+            max_workers=1,
+            thread_name_prefix=f"repro-serve-{shard}",
+            initializer=initialize_worker,
+            initargs=(str(config.snapshot_path), config.worker),
+        )
+
+    def call(self, fn: Callable[..., Any], *args: Any) -> asyncio.Future[Any]:
+        return asyncio.get_running_loop().run_in_executor(self.executor, fn, *args)
+
+    def stop(self) -> None:
+        self.executor.shutdown(wait=True)
+
+
+class _ProcessLane(_Lane):
+    """A persistent worker process on the far end of a stream socket.
+
+    A call is written to the socket and its future queued; the worker
+    answers in order, so a reader on the loop resolves the oldest
+    pending future with each reply — two process wake-ups per call and
+    no helper thread.  The front-end's end is non-blocking: what the
+    socket buffer does not take at once goes out when it is writable.
+    """
+
+    def __init__(
+        self, shard: int, config: ServeConfig, inherited: list[socket.socket]
+    ) -> None:
+        super().__init__(shard)
+        self.sock, worker_end = socket.socketpair()
+        self.process = multiprocessing.Process(
+            target=worker_main,
+            args=(
+                worker_end,
+                str(config.snapshot_path),
+                config.worker,
+                [*inherited, self.sock],
+            ),
+            name=f"repro-serve-{shard}",
+            daemon=True,
+        )
+        self.process.start()
+        self.pid = self.process.pid
+        worker_end.close()
+        self.sock.setblocking(False)
+        self.lost = False
+        self._reader = MessageReader()
+        self._pending: deque[asyncio.Future[Any]] = deque()
+        self._outbox: deque[memoryview] = deque()
+        self._loop = asyncio.get_running_loop()
+        self._loop.add_reader(self.sock, self._on_readable)
+
+    def call(self, fn: Callable[..., Any], *args: Any) -> asyncio.Future[Any]:
+        future = self._loop.create_future()
+        if self.lost:
+            future.set_exception(WorkerLost(self.shard, self.pid))
+            return future
+        self._pending.append(future)
+        # A non-empty outbox already has its writer registered.
+        idle = not self._outbox
+        self._outbox.extend(pack_message((fn.__name__, args)))
+        if idle and not self._flush():
+            self._loop.add_writer(self.sock, self._on_writable)
+        return future
+
+    def _flush(self) -> bool:
+        """Write what the socket takes now; true once the outbox is empty."""
+        try:
+            while self._outbox:
+                send_some(self.sock, self._outbox)
+        except BlockingIOError:
+            return False
+        except OSError:
+            self._lose()
+        return True
+
+    def _on_writable(self) -> None:
+        if self._flush():
+            self._loop.remove_writer(self.sock)
+
+    def _on_readable(self) -> None:
+        try:
+            ok, value = self._reader.read(self.sock)
+        except BlockingIOError:
+            return
+        except (EOFError, OSError):
+            self._lose()
+            return
+        future = self._pending.popleft()
+        if future.done():  # cancelled by its caller
+            return
+        if ok:
+            future.set_result(value)
+        else:
+            future.set_exception(value)
+
+    def _lose(self) -> None:
+        """The worker is gone: fail what is pending, refuse what comes."""
+        self.lost = True
+        self._loop.remove_reader(self.sock)
+        self._loop.remove_writer(self.sock)
+        self._outbox.clear()
+        while self._pending:
+            future = self._pending.popleft()
+            if not future.done():
+                future.set_exception(WorkerLost(self.shard, self.pid))
+
+    def stop(self) -> None:
+        # Closing the socket ends a worker that is still reading it.
+        self._lose()
+        self.sock.close()
+        self.process.join()
+        self.process.close()
 
 
 class ServeFrontend:
@@ -159,9 +308,11 @@ class ServeFrontend:
         async with ServeFrontend(config) as frontend:
             result = await frontend.submit_with_retry(class_hint, vectors)
 
-    ``async with`` starts the worker pools (warm — every worker builds
-    its serving cache from the snapshot before the first request) and
-    shuts them down on exit, closing each worker's workspace and mmap.
+    ``async with`` starts the workers (warm — every worker builds its
+    serving cache from the snapshot before the first request) and shuts
+    them down on exit, closing each worker's workspace and mmap and
+    reaping every worker process.  A worker process that dies fails its
+    lane's requests with :class:`WorkerLost`; the other lanes serve on.
     """
 
     def __init__(self, config: ServeConfig) -> None:
@@ -192,58 +343,38 @@ class ServeFrontend:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def _make_executor(self, shard: int) -> Any:
-        initargs = (str(self.config.snapshot_path), self.config.worker)
-        if self.config.mode == "process":
-            from concurrent.futures import ProcessPoolExecutor
-
-            return ProcessPoolExecutor(
-                max_workers=1,
-                initializer=initialize_worker,
-                initargs=initargs,
-            )
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(
-            max_workers=1,
-            thread_name_prefix=f"repro-serve-{shard}",
-            initializer=initialize_worker,
-            initargs=initargs,
-        )
-
     async def start(self) -> None:
         """Spin up one warm worker per shard (idempotent)."""
         if self._started:
             return
-        loop = asyncio.get_running_loop()
-        self._lanes = [
-            _Lane(shard, self._make_executor(shard))
-            for shard in range(self.config.num_workers)
-        ]
-        self.worker_infos = list(
-            await asyncio.gather(
-                *(
-                    loop.run_in_executor(lane.executor, worker_info)
-                    for lane in self._lanes
-                )
+        # A forked worker inherits the front-end ends opened before it.
+        ends: list[socket.socket] = []
+        try:
+            for shard in range(self.config.num_workers):
+                if self.config.mode == "process":
+                    lane = _ProcessLane(shard, self.config, ends)
+                    ends.append(lane.sock)
+                    self._lanes.append(lane)
+                else:
+                    self._lanes.append(_ThreadLane(shard, self.config))
+            self.worker_infos = list(
+                await asyncio.gather(*(lane.call(worker_info) for lane in self._lanes))
             )
-        )
+        except BaseException:
+            await self.close()
+            raise
         self._started = True
 
     async def close(self) -> None:
-        """Shut the lanes down: worker teardown task, then executor join."""
+        """Shut the lanes down: worker teardown call, then worker join."""
         if not self._lanes:
             return
-        loop = asyncio.get_running_loop()
         await asyncio.gather(
-            *(
-                loop.run_in_executor(lane.executor, shutdown_worker)
-                for lane in self._lanes
-            ),
+            *(lane.call(shutdown_worker) for lane in self._lanes),
             return_exceptions=True,
         )
         for lane in self._lanes:
-            lane.executor.shutdown(wait=True)
+            lane.stop()
         self._lanes = []
         self._started = False
 
@@ -333,8 +464,7 @@ class ServeFrontend:
         lane.in_flight += 1
         self._check(lane)
 
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(lane.executor, probe_chunk, vectors)
+        future: asyncio.Future[WorkerReply] = lane.call(probe_chunk, vectors)
         resolved_late = [False]
 
         def _on_worker_done(done: asyncio.Future[WorkerReply]) -> None:

@@ -7,21 +7,24 @@ rebuilt from a :class:`~repro.store.MappedTableStore` snapshot (warm,
 O(ms), read-only mmap shared with every sibling worker) plus a private
 :class:`~repro.core.cache.LookupWorkspace`, walked with the pure
 :func:`~repro.core.probe.walk_cache_batch` kernel.  The front-end runs
-one single-worker executor per shard — a ``ProcessPoolExecutor`` or a
-``ThreadPoolExecutor``, selectable — and both executors run
-:func:`initialize_worker` once per worker and tasks on that worker's
-(single) thread, so worker state lives in a ``threading.local`` and the
-same module serves both modes unchanged.
+one worker per shard, selectable: a thread behind a single-worker
+``ThreadPoolExecutor`` that runs :func:`initialize_worker` once and then
+one task per request, or a persistent process running
+:func:`worker_main` — :func:`initialize_worker`, then a loop that reads a
+call from the lane's socket, runs it and writes the answer back.  Either
+way one thread does all of a worker's work, so worker state lives in a
+``threading.local`` and the same functions serve both modes unchanged.
 
 What crosses the boundary per request is the query tensor ``(B, L+1, d)``
-and a small :class:`WorkerReply` of per-frame results — kilobytes.  The
-centroid table itself is never serialized: every process maps the same
-snapshot bytes from the page cache.
+and a small :class:`WorkerReply` of per-frame results — kilobytes — each
+as one length-prefixed pickle on the socket (see :func:`pack_message`).
+The centroid table itself is never serialized: every process maps the
+same snapshot bytes from the page cache.
 
 The walk's stacked kernel reads the cache through a *layer pack*
 (:meth:`~repro.core.cache.SemanticCache.layer_pack`) whose blocks alias
 those mapped bytes — no resident copy, no promotion of a view-backed
-layer.  Nothing builds it at pool start: :func:`initialize_worker` costs
+layer.  Nothing builds it at worker start: :func:`initialize_worker` costs
 what it did, and the worker's **first request** builds the pack (about
 half a millisecond for a 34-layer snapshot) and keeps it for every later
 one.  A request whose tensor does not fit the snapshot's geometry is
@@ -43,9 +46,13 @@ layer rather than NumPy's single-core matmul throughput.
 from __future__ import annotations
 
 import os
+import pickle
+import socket
+import struct
 import threading
 import time
-from typing import NamedTuple
+from collections import deque
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -59,7 +66,7 @@ _FLOOR_REFERENCE = "reference_similarity_floor"
 
 
 class WorkerOptions(NamedTuple):
-    """Picklable knobs shipped to every worker at pool start.
+    """Picklable knobs shipped to every worker at its start.
 
     Attributes:
         alpha: Eq. 1 cross-layer accumulation factor.
@@ -138,15 +145,15 @@ def _state() -> WorkerState:
     state = getattr(_TLS, "state", None)
     if state is None:
         raise RuntimeError(
-            "worker not initialized: run initialize_worker as the pool "
-            "initializer before submitting probe_chunk tasks"
+            "worker not initialized: run initialize_worker on the worker's "
+            "thread before probe_chunk"
         )
     assert isinstance(state, WorkerState)
     return state
 
 
 def initialize_worker(snapshot_path: str, options: WorkerOptions) -> None:
-    """Pool initializer: build this worker's serving state from the
+    """Worker start: build this worker's serving state from the
     snapshot path (the only table 'transfer' that ever happens)."""
     _TLS.state = WorkerState(snapshot_path, options)
 
@@ -154,8 +161,8 @@ def initialize_worker(snapshot_path: str, options: WorkerOptions) -> None:
 def shutdown_worker() -> None:
     """Release the worker's mmap handle and probe buffers (idempotent).
 
-    Submitted as the last task on a shard lane before the executor shuts
-    down, so long-lived serving workers do not leak file handles or
+    The last call on a shard lane before its worker is joined, so
+    long-lived serving workers do not leak file handles or
     pooled buffers — the teardown half of the
     :meth:`~repro.core.cache.LookupWorkspace.close` contract.
     """
@@ -213,3 +220,111 @@ def worker_info() -> dict[str, int | float | list[int]]:
         "num_classes": state.cache.num_classes,
         "epoch": state.store.epoch,
     }
+
+
+# ----------------------------------------------------------------------
+# Process-mode transport: messages on a stream socket
+# ----------------------------------------------------------------------
+
+#: Frame prefix: bytes of pickle that follow.
+_LENGTH = struct.Struct("<Q")
+
+
+def pack_message(message: Any) -> list[memoryview]:
+    """Frame one message for a stream socket, as buffers for ``sendmsg``."""
+    payload = pickle.dumps(message, protocol=5)
+    return [memoryview(_LENGTH.pack(len(payload))), memoryview(payload)]
+
+
+class MessageReader:
+    """Incremental decoder of the messages arriving on one socket."""
+
+    def __init__(self) -> None:
+        self._prefix = bytearray(_LENGTH.size)
+        self._target = memoryview(self._prefix)
+        self._filled = 0
+        self._in_payload = False
+
+    def read(self, conn: socket.socket) -> Any:
+        """Receive until one message is complete and return it.
+
+        Raises:
+            BlockingIOError: a non-blocking socket ran dry; the partial
+                message is kept and the next call continues it.
+            EOFError: the peer closed its end.
+        """
+        while True:
+            received = conn.recv_into(self._target[self._filled :])
+            if received == 0:
+                raise EOFError("peer closed the connection")
+            self._filled += received
+            if self._filled < len(self._target):
+                continue
+            self._filled = 0
+            if self._in_payload:
+                payload, self._target = self._target, memoryview(self._prefix)
+                self._in_payload = False
+                return pickle.loads(payload)
+            (size,) = _LENGTH.unpack(self._prefix)
+            # Uninitialised on purpose: recv_into fills every byte.
+            self._target = memoryview(np.empty(size, dtype=np.uint8))
+            self._in_payload = True
+
+
+def send_some(conn: socket.socket, parts: deque[memoryview]) -> None:
+    """One ``sendmsg`` of the queued buffers; drop what went out.
+
+    On a non-blocking socket that takes nothing this raises
+    ``BlockingIOError`` and leaves ``parts`` as it was.
+    """
+    sent = conn.sendmsg(parts)
+    while parts and sent >= parts[0].nbytes:
+        sent -= parts.popleft().nbytes
+    if sent:
+        parts[0] = parts[0][sent:]
+
+
+#: What a front-end may ask of a worker process, by function name.
+_CALLS: dict[str, Callable[..., Any]] = {
+    fn.__name__: fn for fn in (probe_chunk, worker_info, shutdown_worker)
+}
+
+
+def worker_main(
+    conn: socket.socket,
+    snapshot_path: str,
+    options: WorkerOptions,
+    inherited: Iterable[socket.socket] = (),
+) -> None:
+    """Body of a process-mode shard worker: serve calls until shutdown.
+
+    Reads ``(function name, args)`` messages from ``conn``, runs the
+    named function, and answers ``(True, value)`` or ``(False,
+    exception)`` — an exception is the caller's to handle, the worker
+    keeps serving.  Returns after answering ``shutdown_worker``, or when
+    the front-end's end of ``conn`` closes (a front-end that died leaves
+    no orphan).  ``inherited`` are front-end ends of lane sockets that a
+    forked worker holds a copy of; they are closed first, or the copies
+    would keep every lane's connection open after the front-end is gone.
+    """
+    for end in inherited:
+        end.close()
+    initialize_worker(snapshot_path, options)
+    reader = MessageReader()
+    try:
+        while True:
+            name, args = reader.read(conn)
+            try:
+                reply = (True, _CALLS[name](*args))
+            except Exception as error:
+                reply = (False, error)
+            parts = deque(pack_message(reply))
+            while parts:
+                send_some(conn, parts)
+            if name == shutdown_worker.__name__:
+                return
+    except (EOFError, ConnectionError):
+        return  # the front-end is gone
+    finally:
+        shutdown_worker()
+        conn.close()

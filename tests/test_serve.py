@@ -4,7 +4,10 @@ Covers the pure cache-walk kernel the workers run, worker lifecycle
 (initialize / probe / shutdown over a snapshot path), the asyncio
 admission path (success, shed, timeout, retry, conservation ledger,
 armed contracts), the load generator and its analytic cross-check, and
-the ``repro serve`` / ``repro loadgen`` CLI round-trip.
+the process-mode transport (replies over the socket equal the in-process
+probe, FIFO reply matching, relayed worker exceptions, a loop that never
+blocks on a large write, a killed worker), and the ``repro serve`` /
+``repro loadgen`` CLI round-trip in both modes.
 
 Everything here runs wall-clock (this is the one package where that is
 the point); floors and durations are kept to tens of milliseconds so
@@ -14,8 +17,14 @@ the suite stays fast on one core.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +39,7 @@ from repro.serve import (
     LoadgenConfig,
     ServeConfig,
     ServeFrontend,
+    WorkerLost,
     WorkerOptions,
     analytic_wait_ms,
     initialize_worker,
@@ -166,9 +176,15 @@ def drive(coro):
 
 
 class TestFrontend:
+    #: Worker mode the admission cases run under; the process-mode
+    #: subclass below runs every one of them again.
+    mode = "thread"
+
     def test_round_trip_and_routing(self, snapshot):
         async def scenario():
-            config = ServeConfig(snapshot_path=snapshot, num_workers=2)
+            config = ServeConfig(
+                snapshot_path=snapshot, num_workers=2, mode=self.mode
+            )
             async with ServeFrontend(config) as frontend:
                 vectors = centroid_queries(snapshot, [4])
                 result = await frontend.submit(4, vectors)
@@ -191,6 +207,7 @@ class TestFrontend:
             config = ServeConfig(
                 snapshot_path=snapshot,
                 num_workers=1,
+                mode=self.mode,
                 queue_depth=1,
                 deadline_ms=2000.0,
                 worker=WorkerOptions(service_floor_ms=30.0),
@@ -217,6 +234,7 @@ class TestFrontend:
             config = ServeConfig(
                 snapshot_path=snapshot,
                 num_workers=1,
+                mode=self.mode,
                 deadline_ms=10.0,
                 worker=WorkerOptions(service_floor_ms=80.0),
             )
@@ -238,6 +256,7 @@ class TestFrontend:
             config = ServeConfig(
                 snapshot_path=snapshot,
                 num_workers=1,
+                mode=self.mode,
                 queue_depth=1,
                 deadline_ms=2000.0,
                 max_retries=8,
@@ -265,7 +284,9 @@ class TestFrontend:
 
     def test_admission_contract_armed_and_fires(self, snapshot):
         async def scenario():
-            config = ServeConfig(snapshot_path=snapshot, num_workers=1)
+            config = ServeConfig(
+                snapshot_path=snapshot, num_workers=1, mode=self.mode
+            )
             async with ServeFrontend(config) as frontend:
                 vectors = centroid_queries(snapshot, [0])
                 with contracts.activated():
@@ -302,6 +323,288 @@ class TestFrontend:
         assert os.getpid() not in pids
         assert all(r.ok for r in results)
         assert {r.worker_pid for r in results} == pids
+
+
+class TestFrontendProcessMode(TestFrontend):
+    """Every admission case above, with the workers in their own processes."""
+
+    mode = "process"
+    # Already process-mode in the base class; not run a second time.
+    test_process_mode_uses_distinct_processes = None
+
+
+# ----------------------------------------------------------------------
+# Process-mode transport
+# ----------------------------------------------------------------------
+
+
+def mixed_queries(snapshot: str, batch: int, seed: int = 0) -> np.ndarray:
+    """Exact centroids (hits) interleaved with unit noise (mostly misses)."""
+    vectors = centroid_queries(snapshot, [i % NUM_CLASSES for i in range(batch)])
+    vectors[1::2] = unit_rows(vectors[1::2].shape, seed=seed)
+    return vectors
+
+
+def process_config(snapshot: str, **settings) -> ServeConfig:
+    return ServeConfig(snapshot_path=snapshot, mode="process", **settings)
+
+
+def is_gone(pid: int) -> bool:
+    """No such process, or only its unreaped remains."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            return handle.read().rsplit(b")", 1)[1].split()[0] == b"Z"
+    except FileNotFoundError:
+        return True
+
+
+def reaped(pid: int) -> bool:
+    """True once this process has waited for its child ``pid``."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def shard_hints(frontend: ServeFrontend) -> dict[int, int]:
+    """One class hint per shard."""
+    hints: dict[int, int] = {}
+    for class_id in range(NUM_CLASSES):
+        hints.setdefault(frontend.shard_of(class_id), class_id)
+    return hints
+
+
+class TestProcessTransport:
+    # 1 frame, a clip, and a chunk far larger than any socket buffer.
+    @pytest.mark.parametrize("batch", [1, 64, 4096])
+    def test_replies_equal_the_in_process_probe(self, snapshot, batch):
+        vectors = mixed_queries(snapshot, batch)
+        assert batch < 4096 or vectors.nbytes >= 2 << 20
+        # A threshold the noise rows mostly miss: NaN scores and -1
+        # layers cross the boundary too.
+        options = WorkerOptions(theta=1.0)
+
+        async def scenario():
+            config = process_config(snapshot, num_workers=1, worker=options)
+            async with ServeFrontend(config) as frontend:
+                return await frontend._lanes[0].call(probe_chunk, vectors)
+
+        reply = drive(scenario())
+        initialize_worker(snapshot, options)
+        try:
+            expected = probe_chunk(vectors)
+        finally:
+            shutdown_worker()
+        assert 0 < expected.hits < batch or batch == 1
+        for name in ("predicted", "hit_layer", "hit_score"):
+            got, want = getattr(reply, name), getattr(expected, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        assert reply.worker_pid != os.getpid()
+
+    def test_concurrent_sessions_receive_their_own_replies(self, snapshot):
+        sessions, requests = 8, 50
+
+        async def session(frontend, class_id):
+            lane = frontend._lanes[frontend.shard_of(class_id)]
+            vectors = centroid_queries(snapshot, [class_id])
+            for _ in range(requests):
+                # Straight to the lane: with no service slot in between,
+                # several calls of one lane are pending at once.
+                reply = await lane.call(probe_chunk, vectors)
+                assert reply.predicted.tolist() == [class_id]
+
+        async def scenario():
+            async with ServeFrontend(process_config(snapshot, num_workers=2)) as frontend:
+                await asyncio.gather(
+                    *(session(frontend, 3 * index) for index in range(sessions))
+                )
+                return [await lane.call(worker_info) for lane in frontend._lanes]
+
+        infos = drive(scenario())
+        assert sum(info["requests_served"] for info in infos) == sessions * requests
+
+    def test_worker_exception_reaches_the_caller_and_the_worker_serves_on(
+        self, snapshot
+    ):
+        async def scenario():
+            async with ServeFrontend(process_config(snapshot, num_workers=1)) as frontend:
+                with contracts.activated():
+                    with pytest.raises(ValueError, match="does not fit the cache"):
+                        await frontend.submit(0, np.zeros((1, NUM_LAYERS, DIM + 1)))
+                    assert frontend.stats()["in_flight"] == 0
+                    result = await frontend.submit(0, centroid_queries(snapshot, [0]))
+                assert result.ok
+                assert result.worker_pid == frontend.worker_infos[0]["pid"]
+                return frontend.stats()
+
+        stats = drive(scenario())
+        assert stats["submitted"] == 1 and stats["success"] == 1
+
+    def test_loop_keeps_running_while_a_large_chunk_is_written(self, snapshot):
+        small = centroid_queries(snapshot, [2])
+        large = mixed_queries(snapshot, 4096)
+        ticks = 0
+
+        async def ticker():
+            nonlocal ticks
+            while True:
+                await asyncio.sleep(0.001)
+                ticks += 1
+
+        async def scenario():
+            config = process_config(
+                snapshot, num_workers=1, worker=WorkerOptions(service_floor_ms=50.0)
+            )
+            async with ServeFrontend(config) as frontend:
+                lane = frontend._lanes[0]
+                # The worker sleeps in the first call's floor and reads
+                # nothing: the second call cannot be written in one go.
+                first = lane.call(probe_chunk, small)
+                second = lane.call(probe_chunk, large)
+                assert lane._outbox
+                ticking = asyncio.create_task(ticker())
+                replies = await asyncio.gather(first, second)
+                ticking.cancel()
+                assert not lane._outbox
+                return replies
+
+        first, second = drive(scenario())
+        assert ticks >= 5
+        assert first.predicted.tolist() == [2]
+        assert second.predicted.shape == (4096,)
+        assert second.predicted[0::2].tolist() == [i % NUM_CLASSES for i in range(0, 4096, 2)]
+
+
+class TestWorkerLoss:
+    """A worker process that dies resolves to a typed error, a balanced
+    ledger and a clean shutdown — never a hang or a dead slot."""
+
+    @staticmethod
+    def watch(loop_errors: list) -> None:
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: loop_errors.append(context)
+        )
+
+    def test_killed_worker_fails_its_lane_only(self, snapshot):
+        loop_errors: list = []
+
+        async def scenario():
+            self.watch(loop_errors)
+            config = process_config(
+                snapshot,
+                num_workers=2,
+                deadline_ms=60_000.0,
+                worker=WorkerOptions(service_floor_ms=100.0),
+            )
+            frontend = ServeFrontend(config)
+            await frontend.start()
+            pids = [info["pid"] for info in frontend.worker_infos]
+            hints = shard_hints(frontend)
+            vectors = {s: centroid_queries(snapshot, [c]) for s, c in hints.items()}
+            with contracts.activated():
+                # One request in service and one queued on shard 0 when
+                # its worker is killed: both fail with the typed error.
+                doomed = [
+                    asyncio.create_task(frontend.submit(hints[0], vectors[0]))
+                    for _ in range(2)
+                ]
+                await asyncio.sleep(0.02)
+                os.kill(pids[0], signal.SIGKILL)
+                for task in doomed:
+                    with pytest.raises(WorkerLost) as lost:
+                        await asyncio.wait_for(task, timeout=10.0)
+                    assert (lost.value.shard, lost.value.pid) == (0, pids[0])
+                # Later submits fail at once (the deadline is a minute).
+                with pytest.raises(WorkerLost):
+                    await asyncio.wait_for(
+                        frontend.submit(hints[0], vectors[0]), timeout=10.0
+                    )
+                assert frontend.stats()["in_flight"] == 0
+                assert frontend.stats()["queued"] == 0
+                served = await frontend.submit(hints[1], vectors[1])
+            assert served.ok and served.worker_pid == pids[1]
+            stats = frontend.stats()
+            await frontend.close()
+            await frontend.close()  # idempotent
+            return frontend, pids, stats
+
+        frontend, pids, stats = drive(scenario())
+        assert stats["submitted"] == stats["success"] == 1
+        assert stats["timeout"] == stats["shed"] == stats["in_flight"] == 0
+        assert frontend._lanes == []
+        assert all(reaped(pid) for pid in pids)
+        assert multiprocessing.active_children() == []
+        gc.collect()
+        assert loop_errors == []
+
+    def test_close_reaps_every_worker_when_one_is_dead(self, snapshot):
+        loop_errors: list = []
+
+        async def scenario():
+            self.watch(loop_errors)
+            frontend = ServeFrontend(process_config(snapshot, num_workers=2))
+            await frontend.start()
+            pids = [info["pid"] for info in frontend.worker_infos]
+            os.kill(pids[0], signal.SIGKILL)
+            await frontend.close()
+            await asyncio.sleep(0)
+            return frontend, pids
+
+        frontend, pids = drive(scenario())
+        assert frontend._lanes == []
+        assert all(reaped(pid) for pid in pids)
+        assert multiprocessing.active_children() == []
+        gc.collect()
+        assert loop_errors == []
+
+    def test_normal_shutdown_is_silent(self, snapshot, capfd):
+        loop_errors: list = []
+
+        async def scenario():
+            self.watch(loop_errors)
+            async with ServeFrontend(process_config(snapshot, num_workers=2)) as frontend:
+                pids = [info["pid"] for info in frontend.worker_infos]
+                assert (await frontend.submit(0, centroid_queries(snapshot, [0]))).ok
+            # Let the loop see the end-of-file the exited workers left.
+            await asyncio.sleep(0.01)
+            return pids
+
+        pids = drive(scenario())
+        assert all(reaped(pid) for pid in pids)
+        gc.collect()
+        assert loop_errors == []
+        assert capfd.readouterr().err == ""
+
+    def test_workers_exit_when_the_frontend_dies_without_close(self, snapshot):
+        script = (
+            "import asyncio, os, signal, sys\n"
+            "from repro.serve import ServeConfig, ServeFrontend\n"
+            "async def main():\n"
+            "    frontend = ServeFrontend(ServeConfig(\n"
+            "        snapshot_path=sys.argv[1], num_workers=2, mode='process'))\n"
+            "    await frontend.start()\n"
+            "    print(*(info['pid'] for info in frontend.worker_infos), flush=True)\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "asyncio.run(main())\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, snapshot],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        pids = [int(word) for word in done.stdout.split()]
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10.0
+        while not all(is_gone(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        orphans = [pid for pid in pids if not is_gone(pid)]
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+        assert orphans == []
 
 
 # ----------------------------------------------------------------------
@@ -401,3 +704,39 @@ class TestServeCli:
         assert payload["latency_ms"]["count"] == payload["success"]
         assert "analytic" in payload
         assert payload["analytic"]["utilization"] is not None
+
+    def test_serve_smoke_json_process_mode(self, snapshot, capsys):
+        rc = cli_main(
+            [
+                "serve", snapshot,
+                "--workers", "2",
+                "--mode", "process",
+                "--requests", "8",
+                "--json",
+            ]
+        )
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["smoke"]["success"] == 8
+        pids = {lane["worker"]["pid"] for lane in payload["lanes"]}
+        assert len(pids) == 2 and os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_loadgen_closed_loop_process_mode(self, snapshot, capsys):
+        rc = cli_main(
+            [
+                "loadgen", snapshot,
+                "--workers", "2",
+                "--mode", "process",
+                "--concurrency", "4",
+                "--duration", "0.2",
+                "--service-floor-ms", "2",
+                "--deadline-ms", "2000",
+                "--json",
+            ]
+        )
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["offered"] > 0
+        assert payload["success"] + payload["timeout"] + payload["shed"] == payload["offered"]
+        assert multiprocessing.active_children() == []

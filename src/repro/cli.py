@@ -15,7 +15,6 @@ Usage::
     python -m repro loadgen runs/table.snapshot --workers 2 --rate 200 --json
     python -m repro lint src --json
     python -m repro store inspect runs/table.snapshot --verify
-    python -m repro store convert runs/table.npz runs/table.snapshot
     python -m repro store diff runs/before.snapshot runs/after.snapshot --json
 
 All runs are fully offline and deterministic for a given ``--seed``.
@@ -554,76 +553,6 @@ def cmd_store_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_store_convert(args: argparse.Namespace) -> int:
-    """Convert a legacy npz archive to a snapshot directory."""
-    import numpy as np
-
-    from repro.core.server import GlobalCacheTable
-    from repro.store import write_snapshot
-
-    try:
-        with np.load(args.src) as archive:
-            for key in ("entries", "filled", "class_freq"):
-                if key not in archive:
-                    print(
-                        f"{args.src} is missing array {key!r} — not a "
-                        "save_table archive",
-                        file=sys.stderr,
-                    )
-                    return 1
-            entries = np.asarray(archive["entries"], dtype=np.float64)
-            if entries.ndim != 3:
-                print(
-                    f"entries has shape {entries.shape}, expected (I, L, d)",
-                    file=sys.stderr,
-                )
-                return 1
-            filled = np.asarray(archive["filled"], dtype=bool)
-            class_freq = np.asarray(archive["class_freq"], dtype=np.float64)
-            # Older archives predate the similarity floor; carry over
-            # whichever reference vectors the archive actually has.
-            references = {
-                name: np.asarray(archive[name], dtype=np.float64)
-                for name in archive.files
-                if name.startswith("reference_")
-            }
-    except (OSError, ValueError) as exc:
-        print(f"cannot read archive {args.src}: {exc}", file=sys.stderr)
-        return 1
-    num_classes, num_layers, dim = entries.shape
-    table = GlobalCacheTable(num_classes, num_layers, dim)
-    table.entries = entries
-    table.filled = filled
-    table.class_freq = class_freq
-    manifest = write_snapshot(
-        args.dest,
-        table,
-        references=references,
-        epoch=args.epoch,
-        layers_per_shard=args.layers_per_shard,
-        dtype=args.dtype,
-    )
-    payload = {
-        "src": str(args.src),
-        "dest": str(args.dest),
-        "epoch": manifest.epoch,
-        "dtype": manifest.dtype,
-        "shards": len(manifest.shards),
-        "entries_nbytes": sum(spec.nbytes for spec in manifest.shards),
-        "references": sorted(references),
-    }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(
-        f"wrote {args.dest}: epoch {manifest.epoch}, "
-        f"{len(manifest.shards)} shard(s), dtype {manifest.dtype}, "
-        f"{payload['entries_nbytes']:,d} entry bytes, "
-        f"{len(references)} reference vector(s)"
-    )
-    return 0
-
-
 def cmd_store_diff(args: argparse.Namespace) -> int:
     """Row-level difference between two snapshots of one table."""
     from repro.store import (
@@ -869,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.set_defaults(func=cmd_lint)
 
     store = sub.add_parser(
-        "store", help="inspect, convert and diff table snapshot stores"
+        "store", help="inspect and diff table snapshot stores"
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
 
@@ -883,23 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
     store_inspect.add_argument("--json", action="store_true",
                                help="emit machine-readable JSON")
     store_inspect.set_defaults(func=cmd_store_inspect)
-
-    store_convert = store_sub.add_parser(
-        "convert", help="convert a legacy save_table npz to a snapshot"
-    )
-    store_convert.add_argument("src", help="npz archive written by save_table")
-    store_convert.add_argument("dest", help="snapshot directory to write")
-    store_convert.add_argument("--layers-per-shard", dest="layers_per_shard",
-                               type=int, default=8,
-                               help="cache layers per shard file")
-    store_convert.add_argument("--dtype", default=None,
-                               choices=("float64", "float32"),
-                               help="entry storage dtype (default: float64)")
-    store_convert.add_argument("--epoch", type=int, default=None,
-                               help="snapshot epoch (default: auto-increment)")
-    store_convert.add_argument("--json", action="store_true",
-                               help="emit machine-readable JSON")
-    store_convert.set_defaults(func=cmd_store_convert)
 
     store_diff = store_sub.add_parser(
         "diff", help="row-level difference between two snapshots"

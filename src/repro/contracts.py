@@ -158,15 +158,16 @@ def check_layer_pack(
     stored: Mapping[int, tuple[np.ndarray, np.ndarray]],
     floor_of: Callable[[int], float],
 ) -> None:
-    """Invariants of a cache's stacked walk plan.
+    """Invariants of a cache's complete stacked walk plan.
 
     The stacked kernel reads ``blocks`` — ``(layers, matrices, floors)``
     triples — instead of the per-layer storage ``stored`` (layer ->
-    ``(ids, matrix)``), so the two must say the same thing: block row
-    ``g`` is layer ``layers[g]``'s matrix bit for bit, every stacked
-    layer scores the shared ``ids``, ``floors[g]`` is that layer's floor
-    in the matrix dtype, layers ascend across blocks, and a block is
-    never writeable (it may alias mapped snapshot bytes).
+    ``(ids, matrix)``), and it is the only kernel a walk over a complete
+    pack runs, so the two must say the same thing: block row ``g`` is
+    layer ``layers[g]``'s matrix bit for bit, every stacked layer scores
+    the shared ``ids``, ``floors[g]`` is that layer's floor in the matrix
+    dtype, layers ascend across blocks, and a block is never writeable
+    (it may alias mapped snapshot bytes).
     """
     previous = -1
     for layers, matrices, floors in blocks:

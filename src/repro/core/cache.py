@@ -15,7 +15,7 @@ two best classes ``a`` and ``b``:
     D[j] = (A[a, j] - A[b, j]) / A[b, j]                        (Eq. 2)
 
 The cache hits when ``D[j]`` exceeds the threshold theta; inference then
-terminates early returning class ``a``.  Eq. 2 presumes a positive
+terminates early returning class ``a``.  Eq. 2 assumes a positive
 runner-up: when ``A[b] <= 0`` the relative gap is undefined and no
 confident hit is possible, so :func:`discriminative_score` clamps ``D``
 to 0 instead of dividing by a tiny epsilon.
@@ -45,9 +45,10 @@ Serving-path performance rests on two policies layered on top:
   persist across probes, batches and protocol rounds.
 
 Every probe is exact: each layer scores all of its entries.  A cache
-additionally offers its activated layers as a :class:`LayerPack` — the
-stacked prefix :func:`repro.core.probe.walk_cache_batch` scores a block
-at a time, and the tail only the per-layer session loop can probe.
+additionally offers its activated layers as a :class:`LayerPack`, which
+is either *complete* — every activated layer stacked into blocks
+:func:`repro.core.probe.walk_cache_batch` scores a block at a time — or
+*empty*, in which case the walk is the per-layer session loop.
 """
 
 from __future__ import annotations
@@ -366,27 +367,27 @@ class LayerBlock(NamedTuple):
 
 
 class LayerPack(NamedTuple):
-    """Read-only walk plan of a cache: stacked prefix, per-layer tail.
+    """Read-only walk plan of a cache: complete or empty.
 
-    ``blocks`` cover the longest prefix of the activated layers that
-    hold at least two entries and share one id set; ``tail`` lists the
-    activated layers after it, which only the per-layer session loop can
-    probe.
+    A *complete* pack stacks every activated layer: all of them hold at
+    least two entries and share one id set and one shape, and ``blocks``
+    cover them in walk order.  Any other cache — no activated layer, a
+    single-entry layer, id sets that differ between layers — gets the
+    *empty* pack (``ids is None``, ``blocks == ()``), which only the
+    per-layer session loop can walk.
 
     Attributes:
-        ids: the id set every stacked layer shares (``None`` without a
-            stacked prefix).
-        blocks: the stacked prefix, in walk order.
-        tail: activated layers past the prefix, ascending.
+        ids: the id set every layer shares (``None`` for an empty pack).
+        blocks: every activated layer, stacked, in walk order (``()``
+            for an empty pack).
         levels: fewest levels (axis 1) a query tensor must carry —
             one past the deepest activated layer.
-        dim: centroid dimension of the first activated layer (0 for an
-            empty cache).
+        dim: centroid dimension of the first activated layer (0 for a
+            cache with no activated layer).
     """
 
     ids: np.ndarray | None
     blocks: tuple[LayerBlock, ...]
-    tail: tuple[int, ...]
     levels: int
     dim: int
 
@@ -664,10 +665,11 @@ class SemanticCache:
     def layer_pack(self) -> LayerPack:
         """The cache's stacked walk plan, built on first use.
 
-        Building copies nothing for view-backed layers (blocks alias the
-        borrowed storage) and moves each run of owned layers into one
-        contiguous ``(G, n, d)`` tensor that becomes their storage, so a
-        pack never holds a second copy; the plan is dropped by every mutator
+        Building a complete pack copies nothing for view-backed layers
+        (blocks alias the borrowed storage) and moves each run of owned
+        layers into one contiguous ``(G, n, d)`` tensor that becomes
+        their storage, so a pack never holds a second copy; building an
+        empty one touches no layer.  The plan is dropped by every mutator
         (:meth:`set_layer_entries`, :meth:`set_layer_view`,
         :meth:`set_similarity_floor`, :meth:`clear`) and rebuilt by the
         next call.
@@ -681,9 +683,9 @@ class SemanticCache:
     def _build_layer_pack(self) -> LayerPack:
         active = self.active_layers
         if not active:
-            return LayerPack(None, (), (), 0, 0)
+            return LayerPack(None, (), 0, 0)
         shared_ids, first = self._layers[active[0]]
-        prefix: list[int] = []
+        levels, dim = active[-1] + 1, int(first.shape[1])
         for layer in active:
             ids, mat = self._layers[layer]
             if (
@@ -691,22 +693,15 @@ class SemanticCache:
                 or mat.shape != first.shape
                 or not np.array_equal(ids, shared_ids)
             ):
-                break
-            prefix.append(layer)
+                return LayerPack(None, (), levels, dim)
         runs: list[list[int]] = []
-        for layer in prefix:
+        for layer in active:
             if runs and self._extends_run(runs[-1], layer):
                 runs[-1].append(layer)
             else:
                 runs.append([layer])
         blocks = tuple(self._stack_block(run) for run in runs)
-        pack = LayerPack(
-            ids=shared_ids if prefix else None,
-            blocks=blocks,
-            tail=tuple(active[len(prefix):]),
-            levels=active[-1] + 1,
-            dim=int(first.shape[1]),
-        )
+        pack = LayerPack(shared_ids, blocks, levels, dim)
         if contracts.ENABLED:
             contracts.check_layer_pack(
                 shared_ids,
@@ -869,21 +864,20 @@ class BatchLayerProbe:
 class BatchedLookupSession:
     """Eq. 1/2 accumulation for a whole batch of concurrent inferences.
 
-    The accumulated-similarity state lives in the cache dtype in one of
-    two layouts.  While every probed layer scores the *same* entry-id
-    set — the common case: ACA allocates one hot-spot class set across
-    its activated layers — the accumulator is a ``(batch, n_entries)``
-    matrix aligned with the scored columns, so Eq. 1 needs only
-    contiguous row gathers.  The first layer that scores a *different*
-    id set spills into the general ``(batch, num_classes)`` matrix,
-    which every later probe addresses through flat-index
-    gather/scatter.  Each :meth:`probe` call advances one cache layer
-    for the still-alive subset of rows with a single
-    ``(n_alive, d) @ (d, n_entries)`` matmul followed by vectorized
-    top-2 selection and scoring — the batch counterpart of running one
-    :class:`LookupSession` per sample.  All intermediates live in the
-    session's :class:`LookupWorkspace`; only the per-row result arrays
-    of each :class:`BatchLayerProbe` are freshly allocated.
+    The per-layer loop's state: the accumulated similarity ``A`` of every
+    (row, class) pair, one ``(batch, num_classes)`` matrix in the cache
+    dtype that each probe addresses through flat-index gather/scatter —
+    so layers may score any id sets, in any order.  Each :meth:`probe`
+    call advances one cache layer for the still-alive subset of rows
+    with a single ``(n_alive, d) @ (d, n_entries)`` matmul followed by
+    vectorized top-2 selection and scoring — the batch counterpart of
+    running one :class:`LookupSession` per sample.  The loop is the
+    reference :func:`repro.core.probe.walk_cache_batch` is tested
+    against and its fallback for caches without a complete
+    :class:`LayerPack`; no benchmark row reaches it, so it is kept
+    general rather than fast.  All intermediates live in the session's
+    :class:`LookupWorkspace`; only the per-row result arrays of each
+    :class:`BatchLayerProbe` are freshly allocated.
     """
 
     def __init__(
@@ -897,54 +891,13 @@ class BatchedLookupSession:
         self._cache = cache
         self.batch_size = batch_size
         self._workspace = workspace if workspace is not None else LookupWorkspace()
-        #: Column-mode accumulator state: the id set shared by every
-        #: layer probed so far and its (batch, n_entries) A matrix.
-        self._acc_ids: np.ndarray | None = None
-        self._acc_cols: np.ndarray | None = None
-        #: General accumulator, lazily materialized on id-set divergence.
-        self._acc_full: np.ndarray | None = None
-
-    def _spill_to_full(self) -> None:
-        """Leave column mode: scatter A into the (batch, num_classes)
-        matrix (one-way — later probes use flat-index addressing)."""
-        self._acc_full = np.zeros(
-            (self.batch_size, self._cache.num_classes), dtype=self._cache.dtype
+        self._accumulated = np.zeros(
+            (batch_size, cache.num_classes), dtype=cache.dtype
         )
-        if self._acc_ids is not None:
-            self._acc_full[:, self._acc_ids] = self._acc_cols
-        self._acc_ids = None
-        self._acc_cols = None
-
-    def resume(
-        self, ids: np.ndarray, rows: np.ndarray, accumulated: np.ndarray
-    ) -> None:
-        """Adopt Eq. 1 state folded outside the session, before any probe.
-
-        The stacked walk folds the layers of its prefix itself; the rows
-        it leaves unresolved continue through :meth:`probe` from the
-        ``A`` values it reached.
-
-        Args:
-            ids: the id set the state is aligned with.
-            rows: batch rows carrying state; every other row starts at 0.
-            accumulated: ``(len(rows), len(ids))`` values of ``A``.
-        """
-        self._acc_ids = ids
-        self._acc_cols = np.zeros(
-            (self.batch_size, ids.size), dtype=self._cache.dtype
-        )
-        self._acc_cols[rows] = accumulated
 
     def accumulated_score(self, row: int, class_id: int) -> float:
         """Current ``A`` value of a class for one batch row."""
-        if self._acc_full is not None:
-            return float(self._acc_full[row, class_id])
-        if self._acc_ids is None:
-            return 0.0
-        position = np.flatnonzero(self._acc_ids == class_id)
-        if position.size == 0:
-            return 0.0
-        return float(self._acc_cols[row, position[0]])
+        return float(self._accumulated[row, class_id])
 
     def probe(
         self, layer: int, vectors: np.ndarray, rows: np.ndarray | None = None
@@ -964,14 +917,7 @@ class BatchedLookupSession:
         ids, mat = cache._layers.get(layer, (None, None))
         if ids is None:
             raise KeyError(f"cache layer {layer} is not activated")
-        if (
-            isinstance(vectors, np.ndarray)
-            and vectors.dtype == cache.dtype
-            and vectors.ndim == 2
-        ):
-            vecs = vectors  # already conforming: no cast, no copy
-        else:
-            vecs = np.asarray(vectors, dtype=cache.dtype)
+        vecs = np.asarray(vectors, dtype=cache.dtype)
         if rows is None:
             rows = np.arange(self.batch_size)
         else:
@@ -1010,75 +956,27 @@ class BatchedLookupSession:
     # Eq. 1 fold
     # ------------------------------------------------------------------
 
-    def _sync_acc_mode(self, ids: np.ndarray, e: int) -> None:
-        """Establish the accumulator layout for the id set about to be
-        folded — column mode on the first probe / matching id sets, a
-        one-way spill to the general matrix on divergence."""
-        if self._acc_full is not None:
-            return
-        if self._acc_ids is None:
-            self._acc_ids = ids
-            self._acc_cols = np.zeros((self.batch_size, e), dtype=self._cache.dtype)
-        elif self._acc_ids is not ids and not np.array_equal(self._acc_ids, ids):
-            self._spill_to_full()
-
     def _fold(
         self, similarity: np.ndarray, ids: np.ndarray, rows: np.ndarray
     ) -> np.ndarray:
-        """Accumulate Eq. 1 over the scored entries: returns the updated
-        ``A`` values (a workspace view) and writes them back.
-
-        Stays in column mode while every probed layer scores the same id
-        set (contiguous row gathers, no index arithmetic); the first
-        divergent id set spills to the general per-class matrix.
-
-        Fused fast path: when ``rows`` are consecutive batch rows (the
-        whole-batch probe), the accumulator slice is updated *in place*
-        — ``A = alpha * A + C`` with no gather, no scratch ``upd``
-        buffer and no scatter — and the returned view aliases the
-        accumulator.
-        """
+        """Accumulate Eq. 1 over the scored entries —
+        ``A = alpha * A + C`` in the cache dtype: returns the updated
+        ``A`` values (a workspace view) and writes them back."""
         # repro-lint: kernel
         cache = self._cache
         ws = self._workspace
         n, e = similarity.shape
-        self._sync_acc_mode(ids, e)
-        if self._acc_full is None:
-            assert self._acc_cols is not None
-            if self._consecutive(rows, ws):
-                view = self._acc_cols[int(rows[0]) : int(rows[0]) + n]
-                np.multiply(view, cache.alpha, out=view)
-                np.add(view, similarity, out=view)
-                return view
-            upd = ws.floats("probe.upd", (n, e), cache.dtype)
-            np.take(self._acc_cols, rows, axis=0, out=upd)
-            np.multiply(upd, cache.alpha, out=upd)
-            np.add(upd, similarity, out=upd)
-            self._acc_cols[rows] = upd
-            return upd
         upd = ws.floats("probe.upd", (n, e), cache.dtype)
         flat = ws.ints("probe.flat", (n, e))
         row_off = ws.ints("probe.row_off", (n,))
         np.multiply(rows, cache.num_classes, out=row_off)
         np.add(row_off[:, None], ids[None, :], out=flat)
-        acc_flat = self._acc_full.reshape(-1)
+        acc_flat = self._accumulated.reshape(-1)
         np.take(acc_flat, flat, out=upd)
         np.multiply(upd, cache.alpha, out=upd)
         np.add(upd, similarity, out=upd)
         acc_flat[flat] = upd
         return upd
-
-    @staticmethod
-    def _consecutive(rows: np.ndarray, ws: LookupWorkspace) -> bool:
-        """Whether ``rows`` addresses strictly consecutive batch rows."""
-        n = rows.size
-        if n <= 1:
-            return True
-        if int(rows[n - 1]) - int(rows[0]) != n - 1:
-            return False
-        mono = ws.bools("fold.mono", (n - 1,))
-        np.less(rows[:-1], rows[1:], out=mono)
-        return bool(mono.all())
 
     # ------------------------------------------------------------------
     # Dense (exact) kernel

@@ -103,36 +103,6 @@ class CoCaConfig:
         return replace(self, cache_budget_fraction=fraction)
 
 
-@dataclass(frozen=True)
-class StoreConfig:
-    """Snapshot-store and delta-sync tuning knobs.
-
-    Attributes:
-        layers_per_shard: cache layers per on-disk shard file.  Smaller
-            shards map (and promote) at finer granularity; larger shards
-            mean fewer files.  The default of 8 keeps even the deepest
-            preset (resnet152, 51 cache layers) at 7 shard files.
-        delta_fallback_fraction: dirty-row fraction of a shard above
-            which cross-shard sync ships the full-snapshot fallback
-            instead of a row delta — past this point a delta's per-row
-            id overhead stops paying for itself.
-    """
-
-    layers_per_shard: int = 8
-    delta_fallback_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.layers_per_shard < 1:
-            raise ValueError(
-                f"layers_per_shard must be >= 1, got {self.layers_per_shard}"
-            )
-        if not 0.0 < self.delta_fallback_fraction <= 1.0:
-            raise ValueError(
-                f"delta_fallback_fraction must be in (0, 1], got "
-                f"{self.delta_fallback_fraction}"
-            )
-
-
 #: Thresholds recommended by this reproduction's own Sec. VI-D-style
 #: calibration, keyed by (model name, accuracy-loss budget).  The absolute
 #: scale of theta depends on the feature calibration, so the values differ

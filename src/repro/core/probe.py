@@ -15,21 +15,26 @@ workers of :mod:`repro.serve` call it directly: a worker process
 rebuilds a view-backed cache from a snapshot path and walks it — no
 model object, no pickled tables, nothing but the mapped centroid bytes.
 
-The walk has two kernels behind that one entry point, chosen by the
-cache's structure alone.  The *stacked* kernel (:func:`_walk_stacked`)
-scores a whole block of consecutive layers in one batched product and
-resolves every row to its first hitting layer afterwards — early exit
-kept in the answer, not in the control flow — which removes the
-per-layer interpreter overhead that is nearly all of a single-frame
-walk.  The *per-layer* loop
+The walk has two kernels behind that one entry point, and one walk runs
+exactly one of them, chosen by the cache's structure alone.  The
+*stacked* kernel (:func:`_walk_stacked`) scores a whole block of
+consecutive layers in one batched product and resolves every row to its
+first hitting layer afterwards — early exit kept in the answer, not in
+the control flow — which removes the per-layer interpreter overhead that
+is nearly all of a single-frame walk.  It walks every cache whose
+:class:`~repro.core.cache.LayerPack` is complete: all activated layers
+hold at least two entries of one shared id set, which is every cache ACA
+extracts from a fully initialized table and every snapshot serving
+cache — all rows of all four ``bench`` workloads and of the
+``benchmarks/`` fig/table runs.  The *per-layer* loop
 (:func:`walk_cache_batch_reference`) advances one layer per iteration
 through a :class:`~repro.core.cache.BatchedLookupSession`; it is the
-reference the stacked kernel is tested against, and it serves the layers
-the stacked kernel cannot (diverging id sets, single-entry layers).
-Both kernels take the same decisions; ``hit_score`` is bit-equal
-between them for a single frame and for a batch no row leaves mid-block,
-and equal to the last bits otherwise.  See "Stacked walk" in
-``src/repro/core/README.md``.
+reference the stacked kernel is tested against, and the whole walk of
+any cache the stacked kernel cannot hold (diverging id sets,
+single-entry layers, partially filled snapshots).  Both kernels take the
+same decisions; ``hit_score`` is bit-equal between them for a single
+frame and for a batch no row leaves mid-block, and equal to the last
+bits otherwise.  See "Stacked walk" in ``src/repro/core/README.md``.
 
 For rows that miss every layer the walk still reports the deepest
 layer's top class as ``miss_guess``: the best answer the cache alone
@@ -39,7 +44,7 @@ worker returns it as the cache-served approximate prediction.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,10 +88,10 @@ def walk_cache_batch(
 ) -> CacheWalk:
     """Probe every activated cache layer over a batch, with early exit.
 
-    The layers of the cache's stacked prefix
-    (:meth:`~repro.core.cache.SemanticCache.layer_pack`) go through the
-    stacked kernel a block at a time, the layers after it through the
-    per-layer loop.  Either way the decisions (``predicted`` /
+    A cache with a complete
+    :meth:`~repro.core.cache.SemanticCache.layer_pack` goes through the
+    stacked kernel a block at a time, any other through the per-layer
+    loop.  Either way the decisions (``predicted`` /
     ``hit_layer`` / ``layers_probed``) are those of the loop;
     ``hit_score`` is bit-equal to the loop's for a single frame and for
     a batch no row leaves mid-block, and may differ from it in the last
@@ -111,16 +116,10 @@ def walk_cache_batch(
     walk, pack = _begin_walk(cache, vectors, workspace)
     if vectors.shape[0] == 0 or pack.levels == 0:
         return walk
-    ids = pack.ids
-    if ids is None:
-        _walk_layers(cache, pack.tail, vectors, workspace, walk)
-        return walk
-    alive, accumulated = _walk_stacked(cache, pack, vectors, workspace, walk)
-    if pack.tail and alive.size:
-        _walk_layers(
-            cache, pack.tail, vectors, workspace, walk,
-            resume=(ids, alive, accumulated),
-        )
+    if pack.ids is None:
+        _walk_layers(cache, vectors, workspace, walk)
+    else:
+        _walk_stacked(cache, pack, vectors, workspace, walk)
     return walk
 
 
@@ -138,7 +137,7 @@ def walk_cache_batch_reference(
     """
     walk, pack = _begin_walk(cache, vectors, workspace)
     if vectors.shape[0] and pack.levels:
-        _walk_layers(cache, cache.active_layers, vectors, workspace, walk)
+        _walk_layers(cache, vectors, workspace, walk)
     return walk
 
 
@@ -177,32 +176,18 @@ def _begin_walk(
 
 def _walk_layers(
     cache: SemanticCache,
-    layers: Sequence[int],
     vectors: np.ndarray,
     workspace: LookupWorkspace,
     walk: CacheWalk,
-    resume: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> None:
-    """The per-layer loop over ``layers``, writing into ``walk``.
-
-    ``resume`` is ``(ids, rows, accumulated)`` from a stacked prefix:
-    only ``rows`` are still unresolved, and their Eq. 1 state continues
-    from ``accumulated``.
-    """
+    """The per-layer loop over the activated layers, writing into ``walk``."""
     batch = vectors.shape[0]
     predicted, hit_layer, hit_score, layers_probed = walk
     session = cache.start_batch_session(batch, workspace=workspace)
-    if vectors.dtype == cache.dtype:
-        probe_vectors = vectors
-    else:
-        probe_vectors = vectors.astype(cache.dtype, copy=False)
-    if resume is None:
-        alive = workspace.arange(batch)
-    else:
-        ids, alive, accumulated = resume
-        session.resume(ids, alive, accumulated)
+    probe_vectors = vectors.astype(cache.dtype, copy=False)
+    alive = workspace.arange(batch)
     dim = probe_vectors.shape[-1]
-    for layer in layers:
+    for layer in cache.active_layers:
         layers_probed[alive] += 1
         gathered = workspace.floats("walk.take", (alive.size, dim), cache.dtype)
         np.take(probe_vectors[:, layer, :], alive, axis=0, out=gathered)
@@ -226,8 +211,8 @@ def _walk_stacked(  # repro-lint: kernel
     vectors: np.ndarray,
     workspace: LookupWorkspace,
     walk: CacheWalk,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Walk the pack's stacked prefix, one block of layers per iteration.
+) -> None:
+    """Walk a complete pack, one block of layers per iteration.
 
     Per block, for the ``m`` rows no earlier block resolved: gather their
     ``(m, G, d)`` levels, score all ``G`` layers in one batched product
@@ -237,9 +222,6 @@ def _walk_stacked(  # repro-lint: kernel
     check for all ``G * m`` (layer, row) pairs at once, and resolve each
     row to its *first* hitting layer.  A row's layers past its hit are
     scored and discarded; between blocks resolved rows drop out.
-
-    Returns ``(alive, accumulated)``: the rows that missed every stacked
-    layer and their ``(len(alive), n)`` Eq. 1 state after the last one.
     """
     ws = workspace
     dtype = cache.dtype
@@ -321,4 +303,3 @@ def _walk_stacked(  # repro-lint: kernel
             break
         row_off = row_off[missed]
         np.compress(missed, previous, axis=0, out=acc[: alive.size])
-    return alive, acc[: alive.size]

@@ -41,6 +41,7 @@ from repro.models.base import SimulatedModel
 
 if TYPE_CHECKING:
     from repro.store.format import SnapshotManifest
+    from repro.store.reader import MappedTableStore
 
 _EPS = 1e-12
 
@@ -671,24 +672,6 @@ class CoCaServer:
     # Persistence
     # ------------------------------------------------------------------
 
-    def save_table(self, path: str | Path) -> None:
-        """Persist the global cache table (entries, fill mask, Phi) to
-        ``path`` as a compressed npz archive.
-
-        Lets a server restart warm, or ship a trained global cache to a
-        new deployment of the same model geometry.
-        """
-        np.savez_compressed(
-            path,
-            entries=self.table.entries,
-            filled=self.table.filled,
-            class_freq=self.table.class_freq,
-            reference_hit_ratio=self.reference_hit_ratio,
-            reference_hit_accuracy=self.reference_hit_accuracy,
-            reference_exit_loss=self.reference_exit_loss,
-            reference_similarity_floor=self.reference_similarity_floor,
-        )
-
     def save_snapshot(
         self,
         path: str | Path,
@@ -697,11 +680,12 @@ class CoCaServer:
     ) -> "SnapshotManifest":
         """Persist the table as a mmap-ready snapshot directory.
 
-        The sharded counterpart of :meth:`save_table`: a JSON manifest
-        plus per-layer-block ``.npy`` shards (see :mod:`repro.store`),
-        carrying the calibrated reference vectors in the snapshot's meta
-        arrays.  Restores warm in O(ms) through
-        ``load_table(path, mode="mmap")``.  Returns the written manifest.
+        A JSON manifest plus per-layer-block ``.npy`` shards (see
+        :mod:`repro.store`), carrying the calibrated reference vectors
+        in the snapshot's meta arrays: lets a server restart warm
+        (O(ms) through ``load_table(path, mode="mmap")``) or ship a
+        trained global cache to a new deployment of the same model
+        geometry.  Returns the written manifest.
         """
         from repro.store.writer import write_snapshot
 
@@ -719,96 +703,59 @@ class CoCaServer:
         )
 
     def load_table(self, path: str | Path, mode: str = "ram") -> None:
-        """Restore a global cache table from either persistence format.
+        """Restore a global cache table from a snapshot directory.
 
-        The format is auto-detected: a directory with a snapshot
-        manifest loads through :mod:`repro.store`; anything else is a
-        legacy :meth:`save_table` npz archive.  Every array is validated
-        against this server's model geometry (class count, layer count,
-        feature dim) and expected dtype before any state is mutated, so
-        a mismatched archive can never corrupt the server halfway
-        through a load.
+        The snapshot (:meth:`save_snapshot`, :mod:`repro.store`) is
+        validated against this server's model geometry (class count,
+        layer count, feature dim) and must carry every calibrated
+        reference vector, all checked before any state is mutated, so a
+        mismatched or incomplete snapshot can never corrupt the server
+        halfway through a load — nor silently leave it with all-zero
+        hit ratios, i.e. no eligible layer and an Edge-Only cache.
 
         Args:
-            path: snapshot directory or npz archive.
-            mode: ``"ram"`` materializes the table eagerly (the legacy
-                behaviour, and the only mode npz archives support);
-                ``"mmap"`` maps snapshot shards read-only in O(ms) —
-                centroid bytes are faulted in on first use and a layer
-                is promoted to a RAM copy only when first written
+            path: snapshot directory.
+            mode: ``"ram"`` materializes the table eagerly; ``"mmap"``
+                maps snapshot shards read-only in O(ms) — centroid
+                bytes are faulted in on first use and a layer is
+                promoted to a RAM copy only when first written
                 (:class:`~repro.store.mapped.MappedGlobalCacheTable`).
 
         Raises:
-            ValueError: naming the offending array when anything is
-                missing or mismatched, or when ``mode="mmap"`` is asked
-                of an npz archive.
+            ValueError: naming ``path`` when it is not a snapshot
+                directory (no readable manifest), or the offending array
+                when anything is missing or mismatched
+                (``reference_similarity_floor`` alone may be absent: it
+                defaults to ``-1``, no floor).
         """
         if mode not in ("ram", "mmap"):
             raise ValueError(f'mode must be "ram" or "mmap", got {mode!r}')
-        from repro.store.format import is_snapshot_path
-
-        if is_snapshot_path(path):
-            self._load_snapshot(Path(path), mode)
-            return
-        if mode == "mmap":
-            raise ValueError(
-                "mode='mmap' needs a snapshot-store directory; convert "
-                "the npz archive first (repro store convert)"
-            )
-        num_layers = self.model.num_cache_layers
-        expected: dict[str, tuple[tuple[int, ...], type]] = {
-            "entries": (self.table.entries.shape, np.floating),
-            "filled": (self.table.filled.shape, np.bool_),
-            "class_freq": (self.table.class_freq.shape, np.floating),
-            "reference_hit_ratio": ((num_layers,), np.floating),
-            "reference_hit_accuracy": ((num_layers,), np.floating),
-            "reference_exit_loss": ((num_layers,), np.floating),
-        }
-        # np.load on an npz holds the zip member file open; the context
-        # manager closes it even when validation rejects the archive.
-        with np.load(path) as archive:
-            has_floor = "reference_similarity_floor" in archive
-            if has_floor:
-                expected["reference_similarity_floor"] = (
-                    (num_layers,),
-                    np.floating,
-                )
-            validated: dict[str, np.ndarray] = {}
-            for key, (shape, kind) in expected.items():
-                if key not in archive:
-                    raise ValueError(f"archive is missing array {key!r}")
-                array = archive[key]
-                if array.shape != shape:
-                    raise ValueError(
-                        f"archive array {key!r} has shape {array.shape}, "
-                        f"expected {shape}"
-                    )
-                if not np.issubdtype(array.dtype, kind):
-                    raise ValueError(
-                        f"archive array {key!r} has dtype {array.dtype}, "
-                        f"expected {np.dtype(kind) if kind is np.bool_ else 'floating'}"
-                    )
-                validated[key] = array
-        # A fresh table rather than in-place mutation: the previous table
-        # may be a mapped one whose storage must not be written through.
-        table = GlobalCacheTable(
-            self.table.num_classes, self.table.num_layers, self.table.dim
-        )
-        table.entries = validated["entries"]
-        table.filled = validated["filled"]
-        table.class_freq = validated["class_freq"]
-        self.table = table
-        self.reference_hit_ratio = validated["reference_hit_ratio"]
-        self.reference_hit_accuracy = validated["reference_hit_accuracy"]
-        self.reference_exit_loss = validated["reference_exit_loss"]
-        if has_floor:
-            self.reference_similarity_floor = validated["reference_similarity_floor"]
-
-    def _load_snapshot(self, path: Path, mode: str) -> None:
-        """Load a :mod:`repro.store` snapshot directory (both modes)."""
         from repro.store.reader import MappedTableStore
 
-        store = MappedTableStore(path)
+        store = MappedTableStore(path)  # raises, naming a non-snapshot path
+        try:
+            references = self._validated_references(store)
+        except ValueError:
+            store.close()
+            raise
+        if mode == "ram":
+            self.table = store.as_table()
+            store.close()
+        else:
+            self.table = store.as_mapped_table()
+        self.reference_hit_ratio = references["reference_hit_ratio"]
+        self.reference_hit_accuracy = references["reference_hit_accuracy"]
+        self.reference_exit_loss = references["reference_exit_loss"]
+        self.reference_similarity_floor = references.get(
+            "reference_similarity_floor",
+            np.full(self.model.num_cache_layers, -1.0),
+        )
+
+    def _validated_references(
+        self, store: "MappedTableStore"
+    ) -> dict[str, np.ndarray]:
+        """A snapshot's reference vectors, once its geometry and theirs
+        are known to fit this server's model."""
         manifest = store.manifest
         num_layers = self.model.num_cache_layers
         expected_geometry = (
@@ -822,36 +769,20 @@ class CoCaServer:
                 f"snapshot geometry {actual} does not match the model's "
                 f"{expected_geometry}"
             )
-        if contracts.ENABLED:
-            contracts.check_snapshot_manifest(
-                layout_version=manifest.layout_version,
-                epoch=manifest.epoch,
-                geometry=actual,
-                expected_geometry=expected_geometry,
-                checksums={},
-                recomputed={},
-            )
         references = store.references()
+        for name in (
+            "reference_hit_ratio",
+            "reference_hit_accuracy",
+            "reference_exit_loss",
+        ):
+            if name not in references:
+                raise ValueError(
+                    f"snapshot {store.path} is missing reference array {name!r}"
+                )
         for name, vector in references.items():
             if vector.shape != (num_layers,):
                 raise ValueError(
                     f"snapshot reference array {name!r} has shape "
                     f"{vector.shape}, expected ({num_layers},)"
                 )
-        if mode == "ram":
-            self.table = store.as_table()
-            store.close()
-        else:
-            self.table = store.as_mapped_table()
-        self.reference_hit_ratio = references.get(
-            "reference_hit_ratio", np.zeros(num_layers)
-        )
-        self.reference_hit_accuracy = references.get(
-            "reference_hit_accuracy", np.zeros(num_layers)
-        )
-        self.reference_exit_loss = references.get(
-            "reference_exit_loss", np.zeros(num_layers)
-        )
-        self.reference_similarity_floor = references.get(
-            "reference_similarity_floor", np.full(num_layers, -1.0)
-        )
+        return references

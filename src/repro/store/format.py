@@ -207,7 +207,7 @@ def manifest_path(snapshot_dir: str | Path) -> Path:
 
 
 def is_snapshot_path(path: str | Path) -> bool:
-    """Whether ``path`` is a snapshot directory (the load auto-detect)."""
+    """Whether ``path`` is a snapshot directory (it holds a manifest)."""
     return manifest_path(path).is_file()
 
 

@@ -11,8 +11,8 @@ alone, which is the warm-restart contract of ``load_table(mode="mmap")``.
 
 Accessing :attr:`entries` (the full ``(I, L, d)`` tensor) is supported
 but materializes the whole table once, after which the object behaves
-exactly like a plain RAM table — the escape hatch for legacy code paths
-such as ``save_table``.
+exactly like a plain RAM table — the escape hatch for code that wants
+the dense tensor.
 """
 
 from __future__ import annotations

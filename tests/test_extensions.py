@@ -4,6 +4,7 @@ global-cache persistence, and the design-ablation drivers."""
 import numpy as np
 import pytest
 
+from repro import contracts
 from repro.core.config import CoCaConfig
 from repro.core.framework import CoCaFramework
 from repro.core.server import CoCaServer
@@ -141,26 +142,38 @@ class TestClientDropout:
             )
 
 
+def _rewrite_meta(snapshot, **replace):
+    """Rewrite a snapshot's meta arrays in place (``None`` drops one)."""
+    with np.load(snapshot / "meta.npz") as archive:
+        arrays = dict(archive)
+    arrays.update(replace)
+    np.savez(
+        snapshot / "meta.npz",
+        **{name: array for name, array in arrays.items() if array is not None},
+    )
+    return arrays
+
+
 class TestTablePersistence:
     def test_save_load_roundtrip(self, tiny_model, rng, tmp_path, config):
         server = CoCaServer(tiny_model, config)
         server.initialize_from_shared_dataset(rng, calibration_samples=100)
         server.table.class_freq[3] = 123.0
-        path = tmp_path / "table.npz"
-        server.save_table(path)
+        path = tmp_path / "table.snapshot"
+        server.save_snapshot(path)
 
         other = CoCaServer(tiny_model, config)
         other.load_table(path)
-        assert np.allclose(other.table.entries, server.table.entries)
+        assert np.array_equal(other.table.entries, server.table.entries)
         assert np.array_equal(other.table.filled, server.table.filled)
         assert other.table.class_freq[3] == 123.0
-        assert np.allclose(other.reference_hit_ratio, server.reference_hit_ratio)
+        assert np.array_equal(other.reference_hit_ratio, server.reference_hit_ratio)
 
     def test_load_rejects_shape_mismatch(self, tiny_model, rng, tmp_path, config):
         server = CoCaServer(tiny_model, config)
         server.initialize_from_shared_dataset(rng, calibration_samples=100)
-        path = tmp_path / "table.npz"
-        server.save_table(path)
+        path = tmp_path / "table.snapshot"
+        server.save_snapshot(path)
 
         from repro.models.base import SimulatedModel
         from repro.models.feature import FeatureSpaceConfig
@@ -174,55 +187,53 @@ class TestTablePersistence:
             seed=1,
         )
         other = CoCaServer(other_model, config)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="geometry"):
             other.load_table(path)
 
     def test_load_rejects_corrupt_auxiliary_arrays(
         self, tiny_model, rng, tmp_path, config
     ):
-        """Every array is validated, not only ``entries``: a mismatched
-        filled/class_freq/reference archive names the offending key."""
+        """Every meta array is validated, not only the entry shards: a
+        mismatched filled/class_freq/reference array is named."""
         server = CoCaServer(tiny_model, config)
         server.initialize_from_shared_dataset(rng, calibration_samples=100)
-        good = tmp_path / "table.npz"
-        server.save_table(good)
-        archive = dict(np.load(good))
+        path = tmp_path / "table.snapshot"
+        server.save_snapshot(path)
+        good = _rewrite_meta(path)
 
         corruptions = {
-            "filled": archive["filled"][:, :-1],  # wrong shape
-            "class_freq": archive["class_freq"].astype(int),  # wrong dtype
-            "reference_hit_ratio": archive["reference_hit_ratio"][:-1],
-            "reference_exit_loss": archive["reference_exit_loss"].astype(bool),
+            "filled": ("fill mask", good["filled"][:, :-1]),
+            "class_freq": ("class_freq", good["class_freq"][:-1]),
+            "reference_hit_ratio": (
+                "reference_hit_ratio", good["reference_hit_ratio"][:-1]
+            ),
         }
-        for key, bad_value in corruptions.items():
-            bad = dict(archive)
-            bad[key] = bad_value
-            path = tmp_path / f"bad_{key}.npz"
-            np.savez_compressed(path, **bad)
-            fresh = CoCaServer(tiny_model, config)
-            with pytest.raises(ValueError, match=key):
-                fresh.load_table(path)
-            # Failed loads must not half-mutate server state.
-            assert not fresh.table.filled.any()
+        # The shape checks are what is under test; with contracts armed
+        # the checksum contract would reject the edited file first.
+        with contracts.activated(False):
+            for key, (named, bad_value) in corruptions.items():
+                _rewrite_meta(path, **{**good, key: bad_value})
+                fresh = CoCaServer(tiny_model, config)
+                with pytest.raises(ValueError, match=named):
+                    fresh.load_table(path)
+                # Failed loads must not half-mutate server state.
+                assert not fresh.table.filled.any()
 
     def test_load_rejects_missing_array(self, tiny_model, rng, tmp_path, config):
         server = CoCaServer(tiny_model, config)
         server.initialize_from_shared_dataset(rng, calibration_samples=100)
-        good = tmp_path / "table.npz"
-        server.save_table(good)
-        archive = dict(np.load(good))
-        del archive["filled"]
-        path = tmp_path / "missing.npz"
-        np.savez_compressed(path, **archive)
+        path = tmp_path / "table.snapshot"
+        server.save_snapshot(path)
+        _rewrite_meta(path, filled=None)
         fresh = CoCaServer(tiny_model, config)
-        with pytest.raises(ValueError, match="filled"):
+        with contracts.activated(False), pytest.raises(ValueError, match="filled"):
             fresh.load_table(path)
 
     def test_warm_started_server_allocates(self, tiny_model, rng, tmp_path, config):
         server = CoCaServer(tiny_model, config)
         server.initialize_from_shared_dataset(rng, calibration_samples=100)
-        path = tmp_path / "table.npz"
-        server.save_table(path)
+        path = tmp_path / "table.snapshot"
+        server.save_snapshot(path)
 
         warm = CoCaServer(tiny_model, config)
         warm.load_table(path)

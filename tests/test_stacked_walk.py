@@ -1,7 +1,9 @@
 """Equivalence of the stacked walk kernel and the per-layer loop.
 
-``walk_cache_batch`` dispatches between two kernels; ``walk_cache_batch_
-reference`` is the per-layer loop alone.  Every case here walks the same
+``walk_cache_batch`` runs one of two kernels — the stacked one for a
+cache whose pack is complete, the per-layer loop for any other;
+``walk_cache_batch_reference`` is the loop whatever the cache.  Every
+case here walks the same
 cache with the same queries through both and requires the same
 decisions — ``predicted`` / ``hit_layer`` / ``layers_probed`` exactly
 equal — and the same ``hit_score`` as far as the BLAS allows.
@@ -29,13 +31,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import contracts
+from repro.cluster import ClusterFramework
+from repro.core import probe
 from repro.core.cache import PACK_BLOCK_LAYERS, LookupWorkspace, SemanticCache
+from repro.core.config import CoCaConfig
+from repro.core.framework import CoCaFramework
 from repro.core.probe import (
     CacheWalk,
     walk_cache_batch,
     walk_cache_batch_reference,
 )
-from repro.core.server import GlobalCacheTable
+from repro.core.server import CoCaServer, GlobalCacheTable
+from repro.data.datasets import get_dataset
 from repro.serve import (
     WorkerOptions,
     initialize_worker,
@@ -139,7 +146,6 @@ def test_stacked_equals_loop(dtype, floors, batch):
     cache = scene.cache(dtype=dtype, floors=floors)
     pack = cache.layer_pack()
     assert [b.layers.tolist() for b in pack.blocks] == [list(range(6))]
-    assert pack.tail == ()
     vectors = scene.queries(batch, dtype)
     new, ref = both_walks(cache, vectors)
     assert_same_walk(new, ref, dtype, bitwise=batch == 1)
@@ -202,9 +208,10 @@ def test_non_contiguous_queries():
 
 
 def test_dispatch_is_structural(monkeypatch):
-    """The pack alone picks the kernels, whatever the batch size: a fully
-    stackable cache never opens a per-layer session (nor starts a
-    thread), a diverging tail opens exactly one per walk."""
+    """The pack alone picks the kernel, whatever the batch size: a
+    complete pack never opens a per-layer session (nor starts a thread),
+    an empty one opens exactly one per walk — and never runs the stacked
+    kernel."""
     sessions, threads = [], []
     start_session = SemanticCache.start_batch_session
     monkeypatch.setattr(
@@ -215,7 +222,7 @@ def test_dispatch_is_structural(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", lambda self: threads.append(self))
     scene = Scene(seed=7)
     cache = scene.cache()
-    assert cache.layer_pack().tail == ()
+    assert cache.layer_pack().ids is not None
     with LookupWorkspace() as workspace:
         for batch in (1, 31, 32, 64, 300):
             walk_cache_batch(cache, scene.queries(batch), workspace)
@@ -223,13 +230,15 @@ def test_dispatch_is_structural(monkeypatch):
 
     fewer = np.arange(0, scene.classes, 2)
     cache = scene.cache(floors=True, ids_of={4: fewer, 5: fewer})
-    assert cache.layer_pack().tail == (4, 5)
+    assert cache.layer_pack().blocks == ()
+    stacked = []
+    monkeypatch.setattr(probe, "_walk_stacked", lambda *a: stacked.append(1))
     with LookupWorkspace() as workspace:
-        for walks, batch in enumerate((31, 32, 64, 300), start=1):
+        for walks, batch in enumerate((1, 31, 32, 64, 300), start=1):
             walk = walk_cache_batch(cache, scene.queries(batch), workspace)
-            assert (walk.layers_probed > 4).any()  # rows reached the tail
+            assert (walk.layers_probed > 0).all()
             assert len(sessions) == walks
-    assert threads == []
+    assert stacked == [] and threads == []
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -272,13 +281,14 @@ def test_diverging_id_set_falls_back_mid_walk(dtype, batch):
     fewer = np.arange(0, scene.classes, 2)
     cache = scene.cache(dtype=dtype, floors=True, ids_of={4: fewer, 5: fewer})
     pack = cache.layer_pack()
-    assert [b.layers.tolist() for b in pack.blocks] == [[0, 1, 2, 3]]
-    assert pack.tail == (4, 5, 6)
+    assert pack.ids is None and pack.blocks == ()
+    # An empty pack moved no owned layer into a block tensor.
+    assert all(cache._layers[layer][1].flags.owndata for layer in cache.active_layers)
     vectors = scene.queries(batch, dtype)
     new, ref = both_walks(cache, vectors)
     assert_same_walk(new, ref, dtype, bitwise=batch == 1)
     if batch == 64:
-        assert (ref.hit_layer >= 4).any()  # some rows resolved in the tail
+        assert (ref.hit_layer >= 4).any()  # some rows resolved past the divergence
         assert (ref.hit_layer == -1).any()
 
 
@@ -287,8 +297,8 @@ def test_single_entry_layer(position):
     scene = Scene(seed=31)
     cache = scene.cache(ids_of={position: np.array([2])}, theta=0.5)
     pack = cache.layer_pack()
-    assert [layer for b in pack.blocks for layer in b.layers] == list(range(position))
-    assert pack.tail == tuple(range(position, scene.layers))
+    assert pack.ids is None and pack.blocks == ()
+    assert pack.levels == scene.layers
     for batch in (1, 7):
         new, ref = both_walks(cache, scene.queries(batch))
         assert_same_walk(new, ref, np.float64, bitwise=batch == 1)
@@ -394,8 +404,7 @@ def test_partially_filled_snapshot_layers(tmp_path):
     with MappedTableStore(tmp_path / "snap") as store:
         cache = store.serving_cache(theta=0.3)
         pack = cache.layer_pack()
-        assert [b.layers.tolist() for b in pack.blocks] == [[0, 1]]
-        assert pack.tail == (2, 3, 4, 5)
+        assert pack.ids is None and pack.blocks == ()
         for batch in (1, 7):
             new, ref = both_walks(cache, scene.queries(batch))
             assert_same_walk(new, ref, np.float64, bitwise=batch == 1)
@@ -418,6 +427,54 @@ def test_borrowed_views_without_a_common_stride_get_their_own_blocks():
             assert np.shares_memory(block.matrices[g], keep[layer])
     new, ref = both_walks(cache, scene.queries(1))
     assert_same_walk(new, ref, np.float64, bitwise=True)
+
+
+# ----------------------------------------------------------------------
+# What the protocol builds: complete packs only
+# ----------------------------------------------------------------------
+
+
+def assert_complete_pack(cache: SemanticCache) -> None:
+    pack = cache.layer_pack()
+    assert cache.active_layers and pack.ids is not None
+    assert [int(l) for b in pack.blocks for l in b.layers] == cache.active_layers
+
+
+def test_protocol_caches_have_complete_packs(monkeypatch, tmp_path):
+    """The per-layer loop walks no row of any workload because the
+    protocol never builds a cache the stacked kernel cannot hold: the
+    shared dataset fills every (class, layer) cell, so ACA hands every
+    activated layer the same hot-spot set.  Pinned here so that a change
+    to initialization, ACA or the store that breaks it is seen."""
+    built: list[SemanticCache] = []
+    build_cache = CoCaServer.build_cache
+
+    def recording(self, layer_classes):
+        built.append(build_cache(self, layer_classes))
+        return built[-1]
+
+    monkeypatch.setattr(CoCaServer, "build_cache", recording)
+    kwargs = dict(
+        dataset=get_dataset("ucf101", 15),
+        model_name="resnet50",
+        num_clients=3,
+        config=CoCaConfig(frames_per_round=40),
+        seed=5,
+        non_iid_level=1.0,
+        longtail_rho=10.0,
+    )
+    CoCaFramework(**kwargs).run(3)
+    assert len(built) == 9  # every allocation of 3 clients x 3 rounds
+    CoCaFramework(enable_dca=False, **kwargs).run(1)
+    assert len(built) == 12  # plus the static-allocation cache, per client
+    cluster = ClusterFramework(num_shards=4, **kwargs)
+    cluster.run(3)
+    assert len(built) == 21
+    for cache in built:
+        assert_complete_pack(cache)
+    write_snapshot(tmp_path / "snap", cluster.merged_table(), epoch=1)
+    with MappedTableStore(tmp_path / "snap") as store:
+        assert_complete_pack(store.serving_cache())
 
 
 # ----------------------------------------------------------------------
@@ -589,6 +646,6 @@ def test_random_geometry(
             if ids.size == classes:
                 cache.set_layer_view(layer, ids, table[layer])
     covered = [int(l) for b in cache.layer_pack().blocks for l in b.layers]
-    assert covered + list(cache.layer_pack().tail) == cache.active_layers
+    assert covered in ([], cache.active_layers)  # complete or empty
     new, ref = both_walks(cache, scene.queries(batch, dtype))
     assert_same_walk(new, ref, dtype, bitwise=batch == 1)

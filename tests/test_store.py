@@ -3,14 +3,13 @@
 Covers the on-disk format (round-trips, epoch monotonicity, corrupt and
 truncated shards), the lazy reader (read-only zero-copy views), the
 copy-on-write mapped table, serving caches backed by mapped views, the
-delta codec and its full-snapshot fallback, the server integration for
-both persistence formats, and the ``repro store`` CLI.
+delta codec and its full-snapshot fallback, the server integration, and
+the ``repro store`` CLI.
 """
 
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from repro import contracts
 from repro.cli import main as cli_main
 from repro.contracts import ContractViolation
 from repro.core.cache import SemanticCache
-from repro.core.config import CoCaConfig, StoreConfig
+from repro.core.config import CoCaConfig
 from repro.core.server import CoCaServer, GlobalCacheTable
 from repro.data.datasets import get_dataset
 from repro.models.zoo import build_model
@@ -121,6 +120,8 @@ class TestSnapshotRoundtrip:
         assert [s.num_layers for s in manifest.shards] == [4, 4, 2]
         with MappedTableStore(tmp_path / "snap") as store:
             assert tables_equal(store.as_table(), table)
+        with pytest.raises(ValueError, match="layers_per_shard"):
+            write_snapshot(tmp_path / "other", table, layers_per_shard=0)
 
     def test_rewrite_unlinks_stale_shards(self, tmp_path):
         table = filled_table(num_layers=10)
@@ -506,7 +507,7 @@ class TestSnapshotDelta:
 
 
 # ----------------------------------------------------------------------
-# Server integration: both persistence formats
+# Server integration
 # ----------------------------------------------------------------------
 
 
@@ -521,7 +522,7 @@ class TestServerPersistence:
         server.save_snapshot(tmp_path / "snap")
         model = build_model("resnet50", get_dataset("ucf101", 12), seed=0)
         other = CoCaServer(model, CoCaConfig())
-        other.load_table(tmp_path / "snap")  # auto-detected, mode="ram"
+        other.load_table(tmp_path / "snap")  # mode="ram"
         assert type(other.table) is GlobalCacheTable
         assert tables_equal(other.table, server.table)
         assert np.array_equal(
@@ -534,50 +535,57 @@ class TestServerPersistence:
         other = CoCaServer(model, CoCaConfig())
         other.load_table(tmp_path / "snap", mode="mmap")
         assert isinstance(other.table, MappedGlobalCacheTable)
-        assert other.table.promoted_layers() == []
-        for layer in (0, server.table.num_layers - 1):
+        for layer in range(server.table.num_layers):
             assert np.array_equal(
                 other.table.layer_entries(layer),
                 server.table.entries[:, layer, :],
             )
+        assert np.array_equal(other.table.filled, server.table.filled)
+        assert np.array_equal(other.table.class_freq, server.table.class_freq)
+        assert other.table.promoted_layers() == []  # reading promoted nothing
 
-    def test_legacy_npz_roundtrip(self, tmp_path, server):
-        server.save_table(tmp_path / "table.npz")
+    def test_non_snapshot_path_rejected(self, tmp_path, server):
+        np.savez(tmp_path / "table.npz", entries=server.table.entries)
+        (tmp_path / "empty").mkdir()
+        for name in ("table.npz", "empty", "missing"):
+            for mode in ("ram", "mmap"):
+                with pytest.raises(ValueError, match=name):
+                    server.load_table(tmp_path / name, mode=mode)
+
+    def test_missing_reference_vector_rejected(self, tmp_path):
         model = build_model("resnet50", get_dataset("ucf101", 12), seed=0)
-        other = CoCaServer(model, CoCaConfig())
-        other.load_table(tmp_path / "table.npz")
-        assert tables_equal(other.table, server.table)
+        server = CoCaServer(model, CoCaConfig())
+        required = (
+            "reference_hit_ratio", "reference_hit_accuracy", "reference_exit_loss"
+        )
+        state = ("table", *required, "reference_similarity_floor")
+        before = [getattr(server, name) for name in state]
+        for missing in required:
+            kept = {name: getattr(server, name) for name in required if name != missing}
+            write_snapshot(tmp_path / missing, server.table, references=kept)
+            for mode in ("ram", "mmap"):
+                with pytest.raises(ValueError, match=missing):
+                    server.load_table(tmp_path / missing, mode=mode)
+        after = [getattr(server, name) for name in state]
+        assert all(a is b for a, b in zip(after, before))  # nothing mutated
 
-    def test_legacy_npz_load_closes_file_handle(self, tmp_path, server):
-        server.save_table(tmp_path / "table.npz")
-        if not os.path.isdir("/proc/self/fd"):
-            pytest.skip("needs /proc to observe open file descriptors")
-        before = len(os.listdir("/proc/self/fd"))
-        server.load_table(tmp_path / "table.npz")
-        assert len(os.listdir("/proc/self/fd")) == before
-
-    def test_floor_absent_legacy_archive_defaults(self, tmp_path, server):
+    def test_absent_similarity_floor_defaults(self, tmp_path, server):
         num_layers = server.table.num_layers
-        np.savez_compressed(
-            tmp_path / "old.npz",
-            entries=server.table.entries,
-            filled=server.table.filled,
-            class_freq=server.table.class_freq,
-            reference_hit_ratio=np.zeros(num_layers),
-            reference_hit_accuracy=np.zeros(num_layers),
-            reference_exit_loss=np.zeros(num_layers),
+        write_snapshot(
+            tmp_path / "snap",
+            server.table,
+            references={
+                "reference_hit_ratio": np.zeros(num_layers),
+                "reference_hit_accuracy": np.zeros(num_layers),
+                "reference_exit_loss": np.zeros(num_layers),
+            },
         )
         model = build_model("resnet50", get_dataset("ucf101", 12), seed=0)
         other = CoCaServer(model, CoCaConfig())
-        other.load_table(tmp_path / "old.npz")
+        other.load_table(tmp_path / "snap")
         assert np.array_equal(
             other.reference_similarity_floor, np.full(num_layers, -1.0)
         )
-
-    def test_mmap_mode_rejected_for_npz(self, tmp_path, server):
-        server.save_table(tmp_path / "table.npz")
-        with pytest.raises(ValueError, match="convert"):
-            server.load_table(tmp_path / "table.npz", mode="mmap")
 
     def test_unknown_mode_rejected(self, tmp_path, server):
         with pytest.raises(ValueError, match="mode"):
@@ -592,26 +600,6 @@ class TestServerPersistence:
         first = server.save_snapshot(tmp_path / "snap")
         second = server.save_snapshot(tmp_path / "snap")
         assert second.epoch == first.epoch + 1
-
-
-# ----------------------------------------------------------------------
-# StoreConfig validation
-# ----------------------------------------------------------------------
-
-
-class TestStoreConfig:
-    def test_defaults_valid(self):
-        config = StoreConfig()
-        assert config.layers_per_shard == 8
-        assert 0.0 < config.delta_fallback_fraction <= 1.0
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError, match="layers_per_shard"):
-            StoreConfig(layers_per_shard=0)
-        with pytest.raises(ValueError, match="delta_fallback_fraction"):
-            StoreConfig(delta_fallback_fraction=0.0)
-        with pytest.raises(ValueError, match="delta_fallback_fraction"):
-            StoreConfig(delta_fallback_fraction=1.5)
 
 
 # ----------------------------------------------------------------------
@@ -724,7 +712,7 @@ class TestSnapshotContracts:
 
 
 # ----------------------------------------------------------------------
-# CLI: repro store inspect / convert / diff
+# CLI: repro store inspect / diff
 # ----------------------------------------------------------------------
 
 
@@ -747,38 +735,6 @@ class TestStoreCli:
         (tmp_path / "empty").mkdir()
         assert cli_main(["store", "inspect", str(tmp_path / "empty")]) == 1
         assert "cannot open" in capsys.readouterr().err
-
-    def test_convert_then_inspect(self, tmp_path, capsys):
-        table = filled_table(num_layers=6)
-        np.savez_compressed(
-            tmp_path / "legacy.npz",
-            entries=table.entries,
-            filled=table.filled,
-            class_freq=table.class_freq,
-            reference_hit_ratio=np.zeros(6),
-            reference_hit_accuracy=np.zeros(6),
-            reference_exit_loss=np.zeros(6),
-        )
-        code = cli_main([
-            "store", "convert",
-            str(tmp_path / "legacy.npz"), str(tmp_path / "snap"),
-            "--layers-per-shard", "4", "--json",
-        ])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["shards"] == 2
-        assert "reference_hit_ratio" in payload["references"]
-        with MappedTableStore(tmp_path / "snap") as store:
-            assert tables_equal(store.as_table(), table)
-
-    def test_convert_rejects_non_table_archive(self, tmp_path, capsys):
-        np.savez(tmp_path / "junk.npz", other=np.zeros(3))
-        code = cli_main([
-            "store", "convert",
-            str(tmp_path / "junk.npz"), str(tmp_path / "snap"),
-        ])
-        assert code == 1
-        assert "missing array" in capsys.readouterr().err
 
     def test_diff_reports_changed_rows(self, tmp_path, capsys):
         base = filled_table()

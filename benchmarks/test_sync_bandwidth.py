@@ -1,31 +1,29 @@
 """Cross-shard sync bandwidth: delta rows vs full row copies.
 
 A 4-shard cluster at the largest preset geometry (101 classes x 51
-layers x 48 dim) runs identical upload sequences under two coordinators
-— ``delta_sync=True`` (ship :class:`~repro.store.delta.SnapshotDelta`
-row payloads) and ``delta_sync=False`` (ship full owned-row copies) —
-across a sweep of dirty-row fractions.  Each round dirties a chosen
-fraction of the class universe, then the coordinator syncs every
-replica.
+layers x 48 dim) runs a seeded upload sequence across a sweep of
+dirty-row fractions.  Each round dirties a chosen fraction of the class
+universe, then the coordinator syncs every replica by shipping
+:class:`~repro.store.delta.SnapshotDelta` row payloads, while a second
+replica set is refreshed with full owned-row copies
+(:meth:`ShardedGlobalCache.sync_into`).
 
 Asserted per fraction:
 
-* every node replica is **bit-identical** between the two coordinators
-  (delta sync is a bandwidth optimization, never a semantics change),
-  and so is the merged table;
-* shipped bytes are accounted on both sides
-  (:attr:`ClusterCoordinator.sync_bytes_shipped`).
+* every node replica is **bit-identical** to its full-copy twin after
+  every sync (delta sync is a bandwidth optimization, never a semantics
+  change), and to the merged table;
+* shipped bytes are accounted on both sides:
+  :attr:`ClusterCoordinator.sync_bytes_shipped` against ``HEADER_NBYTES +
+  full_rows_nbytes(...)`` per remote shard per node.
 
 Gate: at dirty fractions **<= 10%** the delta path must ship at most
 **1/5** of the full-copy bytes (same floor under CI — byte accounting
 is deterministic, so no relaxation is needed).  The sweep also records
-wall time per sync path and the fraction where the full-snapshot
-fallback takes over.
+the fraction where the full-snapshot fallback takes over.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -33,6 +31,7 @@ from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.node import EdgeServerNode
 from repro.cluster.sharding import ClassShardRouter, ShardedGlobalCache
 from repro.core.server import GlobalCacheTable
+from repro.store.delta import HEADER_NBYTES, full_rows_nbytes
 
 NUM_CLASSES = 101
 NUM_LAYERS = 51
@@ -51,29 +50,35 @@ class _TableHolder:
         self.table = table
 
 
-def _build(delta_sync: bool):
+def _replicas() -> list[GlobalCacheTable]:
+    return [
+        GlobalCacheTable(NUM_CLASSES, NUM_LAYERS, DIM) for _ in range(NUM_SHARDS)
+    ]
+
+
+def _run(dirty_fraction: float):
+    """Seeded upload/sync rounds; returns (coordinator, delta, full bytes)."""
     router = ClassShardRouter(NUM_CLASSES, NUM_SHARDS, salt=0)
     sharded = ShardedGlobalCache(router, num_layers=NUM_LAYERS, dim=DIM)
     nodes = [
-        EdgeServerNode(
-            i, _TableHolder(GlobalCacheTable(NUM_CLASSES, NUM_LAYERS, DIM))
-        )
-        for i in range(NUM_SHARDS)
+        EdgeServerNode(i, _TableHolder(table))
+        for i, table in enumerate(_replicas())
     ]
-    coordinator = ClusterCoordinator(
-        sharded, nodes, sync_interval=1, delta_sync=delta_sync
+    coordinator = ClusterCoordinator(sharded, nodes, sync_interval=1)
+    full_copies = _replicas()
+    # What one full-copy sync ships: every remote shard's owned rows,
+    # framed, to every node.
+    sizes = router.shard_sizes()
+    full_sync_bytes = sum(
+        HEADER_NBYTES + full_rows_nbytes(int(sizes[shard]), NUM_LAYERS, DIM)
+        for node in range(NUM_SHARDS)
+        for shard in range(NUM_SHARDS)
+        if shard != node
     )
-    return sharded, nodes, coordinator
-
-
-def _run(delta_sync: bool, dirty_fraction: float):
-    """Seeded upload/sync rounds; returns (nodes, sharded, bytes, sync_s)."""
-    sharded, nodes, coordinator = _build(delta_sync)
     coordinator.sync_all()  # establish a common base epoch (full fallback)
     base_bytes = coordinator.sync_bytes_shipped
     rng = np.random.default_rng(7)
     dirty_rows = max(1, round(dirty_fraction * NUM_CLASSES))
-    sync_seconds = 0.0
     for _ in range(ROUNDS):
         for _ in range(UPDATES_PER_ROUND):
             ids = rng.choice(NUM_CLASSES, size=dirty_rows, replace=False)
@@ -84,44 +89,32 @@ def _run(delta_sync: bool, dirty_fraction: float):
             freq = np.zeros(NUM_CLASSES)
             freq[ids] = rng.integers(1, 5, size=dirty_rows).astype(float)
             sharded.apply_client_update(update, freq, gamma=0.99)
-        start = time.perf_counter()
         coordinator.sync_all()
-        sync_seconds += time.perf_counter() - start
+        for node, full in zip(nodes, full_copies):
+            sharded.sync_into(full)
+            assert np.array_equal(node.server.table.entries, full.entries)
+            assert np.array_equal(node.server.table.filled, full.filled)
+            assert np.array_equal(node.server.table.class_freq, full.class_freq)
+    merged = sharded.merged_table()
+    for node in nodes:
+        assert np.array_equal(node.server.table.entries, merged.entries)
     shipped = coordinator.sync_bytes_shipped - base_bytes
-    return nodes, sharded, coordinator, shipped, sync_seconds
+    return coordinator, shipped, ROUNDS * full_sync_bytes
 
 
 def test_sync_bandwidth(benchmark, report):
     def run_sweep():
         rows = []
         for fraction in DIRTY_FRACTIONS:
-            d_nodes, d_sharded, d_coord, d_bytes, d_secs = _run(True, fraction)
-            f_nodes, f_sharded, _, f_bytes, f_secs = _run(False, fraction)
-            for node_d, node_f in zip(d_nodes, f_nodes):
-                assert np.array_equal(
-                    node_d.server.table.entries, node_f.server.table.entries
-                )
-                assert np.array_equal(
-                    node_d.server.table.filled, node_f.server.table.filled
-                )
-                assert np.array_equal(
-                    node_d.server.table.class_freq,
-                    node_f.server.table.class_freq,
-                )
-            assert np.array_equal(
-                d_sharded.merged_table().entries,
-                f_sharded.merged_table().entries,
-            )
+            coordinator, delta_bytes, full_bytes = _run(fraction)
             rows.append(
                 {
                     "fraction": fraction,
-                    "delta_bytes": d_bytes,
-                    "full_bytes": f_bytes,
-                    "ratio": d_bytes / f_bytes,
-                    "delta_ms": 1e3 * d_secs,
-                    "full_ms": 1e3 * f_secs,
-                    "fallbacks": d_coord.full_syncs,
-                    "deltas": d_coord.delta_syncs,
+                    "delta_bytes": delta_bytes,
+                    "full_bytes": full_bytes,
+                    "ratio": delta_bytes / full_bytes,
+                    "fallbacks": coordinator.full_syncs,
+                    "deltas": coordinator.delta_syncs,
                 }
             )
         return rows
@@ -130,13 +123,12 @@ def test_sync_bandwidth(benchmark, report):
 
     lines = [
         f"{'dirty':>7s}{'delta bytes':>13s}{'full bytes':>12s}{'ratio':>8s}"
-        f"{'delta':>9s}{'full':>9s}{'xfers (delta/full)':>20s}"
+        f"{'xfers (delta/full)':>20s}"
     ]
     for row in rows:
         lines.append(
             f"{100 * row['fraction']:6.0f}%{row['delta_bytes']:13,d}"
             f"{row['full_bytes']:12,d}{row['ratio']:8.3f}"
-            f"{row['delta_ms']:7.1f}ms{row['full_ms']:7.1f}ms"
             f"{row['deltas']:10d}/{row['fallbacks']:<9d}"
         )
     report(

@@ -1,6 +1,6 @@
 """Baseline inference pipelines evaluated against CoCa (Sec. VI-B)."""
 
-from repro.baselines.base import BaselineRunner, EdgeOnly, top2_gap
+from repro.baselines.base import BaselineRunner, EdgeOnly
 from repro.baselines.coca_runner import CoCaRunner
 from repro.baselines.foggy_cache import FoggyCache, LshLruCache
 from repro.baselines.learned_cache import LearnedCache
@@ -17,5 +17,4 @@ __all__ = [
     "LshLruCache",
     "ReplacementPolicyCache",
     "SMTM",
-    "top2_gap",
 ]

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-import numpy as np
-
 from repro.experiments.scenario import Scenario
 from repro.models.feature import SampleFeatures
 from repro.sim.metrics import InferenceRecord, MetricsCollector
@@ -91,11 +89,3 @@ class EdgeOnly(BaselineRunner):
             hit_layer=None,
             client_id=client_id,
         )
-
-
-def top2_gap(probabilities: np.ndarray) -> float:
-    """Gap between the two largest entries of a probability vector."""
-    if probabilities.size < 2:
-        return 1.0
-    top2 = np.partition(probabilities, -2)[-2:]
-    return float(abs(top2[1] - top2[0]))

@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.cluster.node import EdgeServerNode
 from repro.cluster.sharding import ShardedGlobalCache
-from repro.store.delta import HEADER_NBYTES, full_rows_nbytes
 
 ASSIGNMENT_POLICIES = ("hash", "region", "least-loaded")
 
@@ -126,13 +125,6 @@ class ClusterCoordinator:
         sync_interval: rounds between cross-shard replica refreshes
             (1 = refresh every round, i.e. no cross-shard staleness at
             round boundaries).
-        delta_sync: ship per-row :class:`~repro.store.delta.SnapshotDelta`
-            payloads for remote shards instead of full row copies.
-            Bit-identical replicas either way (the delta covers every
-            stamped row); deltas just ship fewer bytes when few rows
-            changed since the node's last sync.
-        delta_fallback_fraction: entry-dirty fraction of a shard above
-            which a delta degenerates to the full-snapshot fallback.
     """
 
     def __init__(
@@ -140,8 +132,6 @@ class ClusterCoordinator:
         sharded: ShardedGlobalCache,
         nodes: list[EdgeServerNode],
         sync_interval: int = 1,
-        delta_sync: bool = True,
-        delta_fallback_fraction: float = 0.5,
     ) -> None:
         if len(nodes) != sharded.num_shards:
             raise ValueError(
@@ -150,16 +140,9 @@ class ClusterCoordinator:
             )
         if sync_interval < 1:
             raise ValueError(f"sync_interval must be >= 1, got {sync_interval}")
-        if not 0.0 < delta_fallback_fraction <= 1.0:
-            raise ValueError(
-                f"delta_fallback_fraction must be in (0, 1], got "
-                f"{delta_fallback_fraction}"
-            )
         self.sharded = sharded
         self.nodes = nodes
         self.sync_interval = int(sync_interval)
-        self.delta_sync = bool(delta_sync)
-        self.delta_fallback_fraction = float(delta_fallback_fraction)
         self.rounds_since_sync = 0
         self.syncs_performed = 0
         #: Bytes shipped for remote-shard rows across all syncs so far.
@@ -180,12 +163,6 @@ class ClusterCoordinator:
             self.sharded.sync_into(node.server.table, shards=[node.node_id])
             self._synced_epoch[node.node_id, node.node_id] = self.sharded.epoch
 
-    def _full_copy_nbytes(self, shard_id: int) -> int:
-        owned = int(self.sharded.router.shard_sizes()[shard_id])
-        return HEADER_NBYTES + full_rows_nbytes(
-            owned, self.sharded.num_layers, self.sharded.dim
-        )
-
     def sync_all(self) -> None:
         """Pull every shard's rows into every replica (cross-shard sync).
 
@@ -199,9 +176,11 @@ class ClusterCoordinator:
         observes a remote row earlier than the merge that produced it.
 
         A node's own shard is co-located (no bytes cross the network);
-        remote shards ship either full row copies or
-        :class:`~repro.store.delta.SnapshotDelta` payloads depending on
-        :attr:`delta_sync`, accounted in :attr:`sync_bytes_shipped`.
+        remote shards ship :class:`~repro.store.delta.SnapshotDelta`
+        payloads — the rows dirtied since the node's last sync, or the
+        full-snapshot fallback — accounted in :attr:`sync_bytes_shipped`.
+        Either way the replica ends bit-identical to a
+        :meth:`ShardedGlobalCache.sync_into` row copy.
         """
         remote = self.sharded.num_shards - 1
         writes_done_ms = max(node.clock.now_ms for node in self.nodes)
@@ -209,18 +188,13 @@ class ClusterCoordinator:
         for node in self.nodes:
             payload = 0
             for shard_id in range(self.sharded.num_shards):
-                own = shard_id == node.node_id
-                if own or not self.delta_sync:
+                if shard_id == node.node_id:
                     self.sharded.sync_into(node.server.table, shards=[shard_id])
-                    if not own:
-                        payload += self._full_copy_nbytes(shard_id)
-                        self.full_syncs += 1
                 else:
                     delta = self.sharded.sync_delta_into(
                         node.server.table,
                         shard_id,
                         since_epoch=int(self._synced_epoch[node.node_id, shard_id]),
-                        fallback_fraction=self.delta_fallback_fraction,
                     )
                     payload += delta.nbytes
                     if delta.full:

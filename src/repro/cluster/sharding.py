@@ -33,6 +33,11 @@ from repro.core.server import GlobalCacheTable, unpack_update_entries
 if TYPE_CHECKING:
     from repro.store.delta import SnapshotDelta
 
+#: Entry-dirty fraction of a shard's owned rows above which a delta
+#: degenerates to the full-snapshot fallback (it would ship most of the
+#: shard anyway, plus row ids).
+DELTA_FALLBACK_FRACTION = 0.5
+
 
 class ClassShardRouter:
     """Deterministic, balanced class -> shard assignment.
@@ -259,20 +264,16 @@ class ShardedGlobalCache:
             replica.filled[rows] = source.filled[rows]
             replica.class_freq[rows] = source.class_freq[rows]
 
-    def snapshot_delta(
-        self,
-        shard_id: int,
-        since_epoch: int,
-        fallback_fraction: float = 0.5,
-    ) -> "SnapshotDelta":
+    def snapshot_delta(self, shard_id: int, since_epoch: int) -> "SnapshotDelta":
         """The rows of one shard a replica synced at ``since_epoch`` misses.
 
         Entry-dirty rows (entry-epoch stamp ``> since_epoch``) ship their
         full ``(L, d)`` centroid rows plus fill-mask rows; freq-dirty
         rows ship Phi scalars only.  When the replica has no usable base
         (``since_epoch < 0``) or the entry-dirty fraction of the owned
-        rows exceeds ``fallback_fraction``, the delta degenerates to the
-        full-snapshot fallback carrying every owned row.
+        rows exceeds :data:`DELTA_FALLBACK_FRACTION`, the delta
+        degenerates to the full-snapshot fallback carrying every owned
+        row.
 
         Applying the returned delta to a replica whose owned rows matched
         this shard at ``since_epoch`` reproduces
@@ -289,7 +290,7 @@ class ShardedGlobalCache:
         freq_dirty = owned[self._freq_epoch[shard_id, owned] > since_epoch]
         full = (
             since_epoch < 0
-            or entry_dirty.size > fallback_fraction * owned.size
+            or entry_dirty.size > DELTA_FALLBACK_FRACTION * owned.size
         )
         if full:
             entry_dirty = owned
@@ -307,11 +308,7 @@ class ShardedGlobalCache:
         )
 
     def sync_delta_into(
-        self,
-        replica: GlobalCacheTable,
-        shard_id: int,
-        since_epoch: int,
-        fallback_fraction: float = 0.5,
+        self, replica: GlobalCacheTable, shard_id: int, since_epoch: int
     ) -> "SnapshotDelta":
         """Catch a replica up on one shard by shipping only dirty rows.
 
@@ -326,9 +323,7 @@ class ShardedGlobalCache:
             or replica.dim != self.dim
         ):
             raise ValueError("replica geometry does not match the sharded cache")
-        delta = self.snapshot_delta(
-            shard_id, since_epoch, fallback_fraction=fallback_fraction
-        )
+        delta = self.snapshot_delta(shard_id, since_epoch)
         if contracts.ENABLED and not delta.full:
             # Value-level dirty rows (replica vs shard) must be covered
             # by the shipped delta — a changed row outside it would be a

@@ -300,8 +300,7 @@ class CoCaClient:
 
         Draws, infers, tracks status, and collects one frame at a time on
         the scalar engine — the seed implementation, kept as the
-        behavioural reference for the vectorized round and as the
-        baseline of ``benchmarks/test_round_pipeline.py``.  Given the
+        behavioural reference for the vectorized round.  Given the
         same pre-drawn ``batch``, the report matches :meth:`run_round`
         exactly (update tables, phi/tau, records, diagnostics).
         """

@@ -13,9 +13,9 @@ One framework round follows Fig. 3 of the paper, per client:
 4. the server merges the update table into the global cache with one
    vectorized Eq. 4 scatter pass (Eq. 5 for frequencies).
 
-``run_round(reference=True)`` executes the same protocol on the scalar
-per-frame reference path instead, for equivalence testing and the
-round-pipeline benchmark.
+The scalar per-frame oracles (:meth:`CoCaClient.run_round_reference`,
+:meth:`CoCaServer.apply_client_update_reference`) are called directly by
+the equivalence suite, never from here.
 
 The two core mechanisms can be disabled independently for the Fig. 9
 ablation: with ``enable_dca=False`` allocation is *static* (computed once
@@ -35,12 +35,9 @@ from repro.core.allocation import AllocationResult
 from repro.core.cache import LookupWorkspace
 from repro.core.client import CoCaClient, RoundReport
 from repro.core.config import CoCaConfig
+from repro.core.deployment import derive_deployment
 from repro.core.server import CoCaServer
 from repro.data.datasets import DatasetSpec
-from repro.data.partition import apply_longtail, dirichlet_partition
-from repro.data.stream import StreamGenerator
-from repro.models.base import SimulatedModel
-from repro.models.zoo import build_model
 from repro.sim.metrics import MetricsCollector, MetricsSummary
 
 
@@ -74,9 +71,8 @@ class CoCaFramework:
     """Builds and drives a complete multi-client CoCa deployment.
 
     Args:
-        model: a pre-built :class:`SimulatedModel`, or ``None`` to build
-            ``model_name`` against ``dataset``.
-        model_name / dataset: used when ``model`` is ``None``.
+        dataset / model_name: the zoo model to deploy and the dataset it
+            is built against.
         num_clients: number of participating edge clients.
         config: CoCa hyper-parameters.
         seed: master seed; every stochastic component derives from it.
@@ -92,7 +88,6 @@ class CoCaFramework:
         self,
         dataset: DatasetSpec,
         model_name: str = "resnet101",
-        model: SimulatedModel | None = None,
         num_clients: int = 10,
         config: CoCaConfig | None = None,
         seed: int = 0,
@@ -118,38 +113,22 @@ class CoCaFramework:
         self.enable_gcu = enable_gcu
         self.participation_rate = participation_rate
         self.temporal_drift_per_round = temporal_drift_per_round
-        root = np.random.SeedSequence(seed)
-        geometry_seed, partition_seed, server_seed, *client_seeds = root.spawn(
-            3 + num_clients
+        deployment = derive_deployment(
+            dataset,
+            model_name,
+            num_clients,
+            seed,
+            non_iid_level,
+            longtail_rho,
+            client_drift_scale,
         )
-
-        if model is None:
-            model = build_model(
-                model_name,
-                dataset,
-                num_clients=num_clients,
-                seed=int(geometry_seed.generate_state(1)[0]),
-                client_drift_scale=client_drift_scale,
-            )
-        self.model = model
-
-        partition_rng = np.random.default_rng(partition_seed)
-        distributions = dirichlet_partition(
-            model.num_classes, num_clients, non_iid_level, partition_rng
-        )
-        if longtail_rho > 1.0:
-            distributions = np.stack(
-                [
-                    apply_longtail(dist, longtail_rho, partition_rng)
-                    for dist in distributions
-                ]
-            )
+        self.model = model = deployment.model
         #: Per-client class distributions, ``(num_clients, num_classes)``
         #: (read by the cluster driver's region-affinity assignment).
-        self.distributions = distributions
+        self.distributions = deployment.distributions
 
         self.server = CoCaServer(model, self.config)
-        self.server.initialize_from_shared_dataset(np.random.default_rng(server_seed))
+        self.server.initialize_from_shared_dataset(deployment.server_rng())
 
         budget = self.server.cache_size_limit_bytes(budget_fraction)
         #: One probe-buffer pool for the whole deployment: rounds run
@@ -158,17 +137,11 @@ class CoCaFramework:
         self.workspace = LookupWorkspace()
         self.clients: list[CoCaClient] = []
         for k in range(num_clients):
-            rng = np.random.default_rng(client_seeds[k])
-            stream = StreamGenerator(
-                class_distribution=distributions[k],
-                mean_run_length=dataset.mean_run_length,
-                rng=rng,
-                base_difficulty=dataset.difficulty,
-            )
+            rng = deployment.client_rng(k)
             client = CoCaClient(
                 client_id=k,
                 model=model,
-                stream=stream,
+                stream=deployment.make_stream(k, rng),
                 config=self.config,
                 rng=rng,
                 cache_budget_bytes=budget,
@@ -221,7 +194,6 @@ class CoCaFramework:
         self,
         round_index: int = 0,
         *,
-        reference: bool = False,
         timings: dict[str, float] | None = None,
     ) -> list[RoundReport]:
         """Execute one full protocol round.
@@ -233,12 +205,7 @@ class CoCaFramework:
         ``temporal_drift_per_round > 0`` the feature environment evolves
         before the round (Sec. IV-A's "contextual feature changes").
 
-        With ``reference=True`` the round runs on the per-frame scalar
-        path instead (:meth:`CoCaClient.run_round_reference` and the
-        per-entry Eq. 4 merge) — the seed implementation, kept for the
-        equivalence suite and the round-pipeline benchmark.
-
-        ``timings`` (vectorized path only) accumulates wall-clock stage
+        ``timings`` accumulates wall-clock stage
         seconds — ``allocate`` / ``sample-gen`` / ``probe`` / ``model``
         / ``collect`` / ``merge`` — for the ``repro profile-round``
         breakdown.
@@ -281,9 +248,7 @@ class CoCaFramework:
                     timings.get("allocate", 0.0) + time.perf_counter() - start
                 )
             client.install_cache(cache)
-            if reference:
-                report = client.run_round_reference()
-            elif timings is not None:
+            if timings is not None:
                 report = client.run_round(timings=timings)
             else:
                 report = client.run_round()
@@ -292,14 +257,9 @@ class CoCaFramework:
         if self.enable_gcu:
             start = time.perf_counter() if timings is not None else 0.0
             for report in reports:
-                if reference:
-                    self.server.apply_client_update_reference(
-                        report.update_entries, report.frequencies
-                    )
-                else:
-                    self.server.apply_client_update(
-                        report.update_entries, report.frequencies
-                    )
+                self.server.apply_client_update(
+                    report.update_entries, report.frequencies
+                )
             if timings is not None:
                 timings["merge"] = (
                     timings.get("merge", 0.0) + time.perf_counter() - start

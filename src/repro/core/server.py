@@ -62,63 +62,6 @@ def unpack_update_entries(
     return keys[:, 0], keys[:, 1], vectors
 
 
-def scatter_merge(
-    entries_rows: np.ndarray,
-    filled_rows: np.ndarray,
-    rows: np.ndarray,
-    global_freqs: np.ndarray,
-    new: np.ndarray,
-    freqs: np.ndarray,
-    gamma: float,
-) -> None:
-    """The Eq. 4 scatter core over one 2-D row storage.
-
-    Shared verbatim by the flat ``(class, layer)`` path of
-    :meth:`GlobalCacheTable.merge_updates` (``entries_rows`` = the table
-    reshaped to ``(I * L, d)``) and the per-layer path of
-    :class:`~repro.store.mapped.MappedGlobalCacheTable` (``entries_rows``
-    = one promoted ``(I, d)`` layer block) — every operation is
-    element-wise per row, so splitting a batch by layer produces
-    bit-identical entries.
-
-    Args:
-        entries_rows: ``(S, d)`` row storage scattered into, in place.
-        filled_rows: ``(S,)`` bool fill flags (may be a strided view).
-        rows: ``(k,)`` unique row indices of the update entries.
-        global_freqs: ``(k,)`` Phi of each entry's class *before* Eq. 5.
-        new: ``(k, d)`` uploaded centroid vectors.
-        freqs: ``(k,)`` positive local frequencies.
-        gamma: Eq. 4 decay of the old entry.
-    """
-    if contracts.ENABLED:
-        contracts.check_merge_flat_indices(rows, entries_rows.shape[0])
-    norms = np.sqrt(np.einsum("kd,kd->k", new, new))
-    filled = filled_rows[rows]
-
-    install = ~filled & (norms >= _EPS)
-    if install.any():
-        idx = rows[install]
-        entries_rows[idx] = new[install] / norms[install, None]
-        filled_rows[idx] = True
-
-    if filled.any():
-        idx = rows[filled]
-        global_freq = global_freqs[filled]
-        denom = global_freq + freqs[filled]
-        old = entries_rows[idx]
-        merged = (
-            gamma * (global_freq / denom)[:, None] * old
-            + (freqs[filled] / denom)[:, None] * new[filled]
-        )
-        merged_norms = np.sqrt(np.einsum("kd,kd->k", merged, merged))
-        ok = merged_norms >= _EPS
-        entries_rows[idx[ok]] = merged[ok] / merged_norms[ok, None]
-
-    if contracts.ENABLED:
-        touched = rows[filled_rows[rows]]
-        contracts.check_merged_rows_normalized(entries_rows, touched)
-
-
 class GlobalCacheTable:
     """The I x L table of per-(class, layer) semantic centroids.
 
@@ -138,28 +81,13 @@ class GlobalCacheTable:
         self.filled = np.zeros((num_classes, num_layers), dtype=bool)
         self.class_freq = np.zeros(num_classes)  # Phi
 
-    def layer_entries(self, layer: int) -> np.ndarray:
-        """One layer's ``(I, d)`` centroid block (a view).
-
-        The layout-agnostic accessor: callers that go through it (the
-        snapshot writer, :meth:`subtable`) work unchanged on a
-        memory-mapped table, which overrides this to hand out lazy
-        shard views instead of slices of :attr:`entries`.
-        """
-        return self.entries[:, layer, :]
-
-    def _writable_layer(self, layer: int) -> np.ndarray:
-        """The mutable counterpart of :meth:`layer_entries` — the hook a
-        copy-on-write subclass uses to promote a layer before a write."""
-        return self.entries[:, layer, :]
-
     def install(self, class_id: int, layer: int, vector: np.ndarray) -> None:
         """Set an entry directly (initialization from the shared dataset)."""
         vec = np.asarray(vector, dtype=float)
         norm = np.linalg.norm(vec)
         if norm < _EPS:
             raise ValueError("cannot install a zero centroid")
-        self._writable_layer(layer)[class_id] = vec / norm
+        self.entries[class_id, layer] = vec / norm
         self.filled[class_id, layer] = True
 
     def merge_update(
@@ -183,13 +111,13 @@ class GlobalCacheTable:
             return
         global_freq = self.class_freq[class_id]
         denom = global_freq + local_freq
-        old = self.layer_entries(layer)[class_id]
+        old = self.entries[class_id, layer]
         merged = (
             gamma * (global_freq / denom) * old + (local_freq / denom) * new
         )
         norm = np.linalg.norm(merged)
         if norm >= _EPS:
-            self._writable_layer(layer)[class_id] = merged / norm
+            self.entries[class_id, layer] = merged / norm
 
     def merge_updates(
         self,
@@ -208,33 +136,6 @@ class GlobalCacheTable:
         a flat ``(class, layer)`` index.  Keys must be unique (one update
         table never holds two entries for the same key).
         """
-        prepared = self._prepare_merge(
-            class_ids, layers, update_vectors, local_freqs
-        )
-        if prepared is None:
-            return
-        ids, lays, new, freqs = prepared
-        flat = ids * self.num_layers + lays
-        scatter_merge(
-            self.entries.reshape(-1, self.dim),
-            self.filled.reshape(-1),
-            flat,
-            self.class_freq[ids],
-            new,
-            freqs,
-            gamma,
-        )
-
-    def _prepare_merge(
-        self,
-        class_ids: np.ndarray,
-        layers: np.ndarray,
-        update_vectors: np.ndarray,
-        local_freqs: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """Validate one merge batch; returns the active entries or
-        ``None`` when nothing is left to merge (shared by the flat-index
-        and the per-layer copy-on-write merge paths)."""
         ids = np.asarray(class_ids, dtype=int)
         lays = np.asarray(layers, dtype=int)
         new = np.asarray(update_vectors, dtype=float)
@@ -250,26 +151,50 @@ class GlobalCacheTable:
                 f"vectors {new.shape}, freqs {freqs.shape}"
             )
         if ids.size == 0:
-            return None
+            return
         if np.any(ids < 0) or np.any(ids >= self.num_classes):
             raise ValueError("class id out of range")
         if np.any(lays < 0) or np.any(lays >= self.num_layers):
             raise ValueError("layer out of range")
-        flat = ids * self.num_layers + lays
-        if np.unique(flat).size != flat.size:
+        rows = ids * self.num_layers + lays
+        if np.unique(rows).size != rows.size:
             raise ValueError("duplicate (class, layer) keys in one update")
         if np.any(freqs < 0):
             raise ValueError("local_freq must be >= 0")
         active = freqs > 0
-        ids, lays, new, freqs = (
-            ids[active],
-            lays[active],
-            new[active],
-            freqs[active],
-        )
-        if ids.size == 0:
-            return None
-        return ids, lays, new, freqs
+        if not active.any():
+            return
+        rows, new, freqs = rows[active], new[active], freqs[active]
+        global_freqs = self.class_freq[ids[active]]  # Phi before Eq. 5
+        entries_rows = self.entries.reshape(-1, self.dim)  # (I * L, d) view
+        filled_rows = self.filled.reshape(-1)
+        if contracts.ENABLED:
+            contracts.check_merge_flat_indices(rows, entries_rows.shape[0])
+        norms = np.sqrt(np.einsum("kd,kd->k", new, new))
+        filled = filled_rows[rows]
+
+        install = ~filled & (norms >= _EPS)
+        if install.any():
+            idx = rows[install]
+            entries_rows[idx] = new[install] / norms[install, None]
+            filled_rows[idx] = True
+
+        if filled.any():
+            idx = rows[filled]
+            global_freq = global_freqs[filled]
+            denom = global_freq + freqs[filled]
+            old = entries_rows[idx]
+            merged = (
+                gamma * (global_freq / denom)[:, None] * old
+                + (freqs[filled] / denom)[:, None] * new[filled]
+            )
+            merged_norms = np.sqrt(np.einsum("kd,kd->k", merged, merged))
+            ok = merged_norms >= _EPS
+            entries_rows[idx[ok]] = merged[ok] / merged_norms[ok, None]
+
+        if contracts.ENABLED:
+            touched = rows[filled_rows[rows]]
+            contracts.check_merged_rows_normalized(entries_rows, touched)
 
     def add_frequencies(self, local_freq: np.ndarray) -> None:
         """Eq. 5: accumulate a client's round frequencies into Phi."""
@@ -298,9 +223,8 @@ class GlobalCacheTable:
             usable = np.asarray(ids)[mask]
             if usable.size == 0:
                 continue
-            # Fancy-indexing the layer block yields a fresh array (and
-            # faults in only these rows on a memory-mapped table).
-            out[layer] = (usable, np.asarray(self.layer_entries(layer)[usable]))
+            # Fancy-indexing the layer block yields a fresh array.
+            out[layer] = (usable, self.entries[:, layer, :][usable])
         return out
 
 
@@ -682,10 +606,11 @@ class CoCaServer:
 
         A JSON manifest plus per-layer-block ``.npy`` shards (see
         :mod:`repro.store`), carrying the calibrated reference vectors
-        in the snapshot's meta arrays: lets a server restart warm
-        (O(ms) through ``load_table(path, mode="mmap")``) or ship a
-        trained global cache to a new deployment of the same model
-        geometry.  Returns the written manifest.
+        in the snapshot's meta arrays: lets a server restart from it
+        (:meth:`load_table`), serving workers map it read-only
+        (:meth:`~repro.store.reader.MappedTableStore.serving_cache`), or
+        a trained global cache ship to a new deployment of the same
+        model geometry.  Returns the written manifest.
         """
         from repro.store.writer import write_snapshot
 
@@ -702,24 +627,17 @@ class CoCaServer:
             layers_per_shard=layers_per_shard,
         )
 
-    def load_table(self, path: str | Path, mode: str = "ram") -> None:
+    def load_table(self, path: str | Path) -> None:
         """Restore a global cache table from a snapshot directory.
 
         The snapshot (:meth:`save_snapshot`, :mod:`repro.store`) is
         validated against this server's model geometry (class count,
         layer count, feature dim) and must carry every calibrated
-        reference vector, all checked before any state is mutated, so a
-        mismatched or incomplete snapshot can never corrupt the server
-        halfway through a load — nor silently leave it with all-zero
-        hit ratios, i.e. no eligible layer and an Edge-Only cache.
-
-        Args:
-            path: snapshot directory.
-            mode: ``"ram"`` materializes the table eagerly; ``"mmap"``
-                maps snapshot shards read-only in O(ms) — centroid
-                bytes are faulted in on first use and a layer is
-                promoted to a RAM copy only when first written
-                (:class:`~repro.store.mapped.MappedGlobalCacheTable`).
+        reference vector; it is read into a RAM table in full before any
+        state is mutated, so a mismatched, incomplete or truncated
+        snapshot can never corrupt the server halfway through a load —
+        nor silently leave it with all-zero hit ratios, i.e. no eligible
+        layer and an Edge-Only cache.
 
         Raises:
             ValueError: naming ``path`` when it is not a snapshot
@@ -727,22 +645,16 @@ class CoCaServer:
                 when anything is missing or mismatched
                 (``reference_similarity_floor`` alone may be absent: it
                 defaults to ``-1``, no floor).
+            SnapshotIntegrityError: a shard is truncated or does not
+                match the manifest.
         """
-        if mode not in ("ram", "mmap"):
-            raise ValueError(f'mode must be "ram" or "mmap", got {mode!r}')
         from repro.store.reader import MappedTableStore
 
-        store = MappedTableStore(path)  # raises, naming a non-snapshot path
-        try:
+        # Raises, naming a non-snapshot path; the store never outlives
+        # the call, whichever step fails.
+        with MappedTableStore(path) as store:
             references = self._validated_references(store)
-        except ValueError:
-            store.close()
-            raise
-        if mode == "ram":
             self.table = store.as_table()
-            store.close()
-        else:
-            self.table = store.as_mapped_table()
         self.reference_hit_ratio = references["reference_hit_ratio"]
         self.reference_hit_accuracy = references["reference_hit_accuracy"]
         self.reference_exit_loss = references["reference_exit_loss"]

@@ -1,12 +1,13 @@
 """Shared experiment scenario: identical workloads for every method.
 
 A :class:`Scenario` captures one evaluation setting (dataset, model,
-client count, non-IID level, long-tail shape, seed) and deterministically
-builds the model substrate, the per-client class distributions and the
-per-client streams.  CoCa and every baseline are run against scenarios
-built from the *same* seed, so they see byte-identical feature geometry
-and (given the same draw order) statistically identical streams — the
-comparisons in the benchmark tables are therefore apples-to-apples.
+client count, non-IID level, long-tail shape, seed); the model
+substrate, the per-client class distributions and the per-client streams
+come from :func:`repro.core.deployment.derive_deployment`, the same
+derivation :class:`~repro.core.framework.CoCaFramework` runs.  CoCa and
+every baseline built from the *same* seed therefore see byte-identical
+feature geometry and (given the same draw order) statistically identical
+streams — the comparisons in the benchmark tables are apples-to-apples.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.deployment import Deployment, derive_deployment
 from repro.data.datasets import DatasetSpec
-from repro.data.partition import apply_longtail, dirichlet_partition
 from repro.data.stream import StreamGenerator
 from repro.models.base import SimulatedModel
-from repro.models.zoo import build_model
 
 
 @dataclass
@@ -48,69 +48,38 @@ class Scenario:
     client_drift_scale: float | None = None
     working_set_size: int | None = 10
 
-    _model: SimulatedModel | None = field(default=None, repr=False)
-    _distributions: np.ndarray | None = field(default=None, repr=False)
-    _client_seeds: list | None = field(default=None, repr=False)
-    _server_seed: object = field(default=None, repr=False)
+    _deployment: Deployment | None = field(default=None, repr=False)
 
-    def _materialize(self) -> None:
-        if self._model is not None:
-            return
-        root = np.random.SeedSequence(self.seed)
-        geometry_seed, partition_seed, server_seed, *client_seeds = root.spawn(
-            3 + self.num_clients
-        )
-        self._server_seed = server_seed
-        self._client_seeds = client_seeds
-        self._model = build_model(
-            self.model_name,
-            self.dataset,
-            num_clients=self.num_clients,
-            seed=int(geometry_seed.generate_state(1)[0]),
-            client_drift_scale=self.client_drift_scale,
-        )
-        partition_rng = np.random.default_rng(partition_seed)
-        distributions = dirichlet_partition(
-            self.dataset.num_classes,
-            self.num_clients,
-            self.non_iid_level,
-            partition_rng,
-        )
-        if self.longtail_rho > 1.0:
-            distributions = np.stack(
-                [
-                    apply_longtail(dist, self.longtail_rho, partition_rng)
-                    for dist in distributions
-                ]
+    def _materialize(self) -> Deployment:
+        if self._deployment is None:
+            self._deployment = derive_deployment(
+                self.dataset,
+                self.model_name,
+                self.num_clients,
+                self.seed,
+                self.non_iid_level,
+                self.longtail_rho,
+                self.client_drift_scale,
             )
-        self._distributions = distributions
+        return self._deployment
 
     @property
     def model(self) -> SimulatedModel:
         """The shared simulated model (built lazily, cached)."""
-        self._materialize()
-        assert self._model is not None
-        return self._model
+        return self._materialize().model
 
     @property
     def distributions(self) -> np.ndarray:
         """Per-client class distributions, shape (num_clients, I)."""
-        self._materialize()
-        assert self._distributions is not None
-        return self._distributions.copy()
+        return self._materialize().distributions.copy()
 
     def server_rng(self) -> np.random.Generator:
         """Generator for server-side calibration (shared dataset)."""
-        self._materialize()
-        return np.random.default_rng(self._server_seed)
+        return self._materialize().server_rng()
 
     def client_rng(self, client_id: int) -> np.random.Generator:
         """Fresh generator for one client (same sequence every call)."""
-        self._materialize()
-        assert self._client_seeds is not None
-        if not 0 <= client_id < self.num_clients:
-            raise IndexError(f"client_id {client_id} out of range")
-        return np.random.default_rng(self._client_seeds[client_id])
+        return self._materialize().client_rng(client_id)
 
     def make_stream(
         self, client_id: int, rng: np.random.Generator
@@ -122,12 +91,6 @@ class Scenario:
         generator returned by :meth:`client_rng` and reuse it for feature
         draws.
         """
-        self._materialize()
-        assert self._distributions is not None
-        return StreamGenerator(
-            class_distribution=self._distributions[client_id],
-            mean_run_length=self.dataset.mean_run_length,
-            rng=rng,
-            base_difficulty=self.dataset.difficulty,
-            working_set_size=self.working_set_size,
+        return self._materialize().make_stream(
+            client_id, rng, self.working_set_size
         )

@@ -58,13 +58,7 @@ def _run_method(
 
 def fresh_scenario(scenario: Scenario) -> Scenario:
     """A pristine copy (runners consume stream state, so never share)."""
-    return replace(
-        scenario,
-        _model=None,
-        _distributions=None,
-        _client_seeds=None,
-        _server_seed=None,
-    )
+    return replace(scenario, _deployment=None)
 
 
 def run_slo_experiment(

@@ -2,18 +2,13 @@
 
 Persists a :class:`~repro.core.server.GlobalCacheTable` as a versioned
 snapshot directory — JSON manifest + per-layer-block ``.npy`` shards —
-that restarts warm in O(ms) via read-only mmap views, serves caches
-larger than RAM, and syncs across shards by shipping only changed rows
+that opens in O(ms), serves caches larger than RAM through read-only
+mmap views, and syncs across shards by shipping only changed rows
 (:class:`SnapshotDelta`).  See ``src/repro/store/README.md`` for the
 on-disk schema and the delta-sync protocol.
 """
 
-from repro.store.delta import (
-    SnapshotDelta,
-    diff_tables,
-    full_rows_nbytes,
-    load_delta,
-)
+from repro.store.delta import SnapshotDelta, diff_tables, full_rows_nbytes
 from repro.store.format import (
     FORMAT_NAME,
     LAYOUT_VERSION,
@@ -25,14 +20,12 @@ from repro.store.format import (
     is_snapshot_path,
     read_manifest,
 )
-from repro.store.mapped import MappedGlobalCacheTable
 from repro.store.reader import MappedTableStore
 from repro.store.writer import write_snapshot
 
 __all__ = [
     "FORMAT_NAME",
     "LAYOUT_VERSION",
-    "MappedGlobalCacheTable",
     "MappedTableStore",
     "ShardSpec",
     "SnapshotDelta",
@@ -43,7 +36,6 @@ __all__ = [
     "diff_tables",
     "full_rows_nbytes",
     "is_snapshot_path",
-    "load_delta",
     "read_manifest",
     "write_snapshot",
 ]

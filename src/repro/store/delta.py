@@ -13,14 +13,13 @@ Applying a delta is a plain scatter; given a replica that was in sync at
 ``base_epoch``, the result is bit-identical to a full
 :meth:`~repro.cluster.sharding.ShardedGlobalCache.sync_into` row copy
 (both assign the source's bytes — the equivalence the sync suite
-asserts).  Deltas also serialize to a single ``.npz`` so they can cross
-process boundaries as files, same as snapshots.
+asserts).  A delta is an in-memory payload; the one on-disk format is
+the snapshot directory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -119,51 +118,6 @@ class SnapshotDelta:
             replica.filled[self.entry_rows] = self.filled
         if self.freq_rows.size:
             replica.class_freq[self.freq_rows] = self.freqs
-
-    # ------------------------------------------------------------------
-    # File codec (deltas cross process boundaries as files)
-    # ------------------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Serialize to one uncompressed ``.npz``."""
-        np.savez(
-            path,
-            header=np.array(
-                [
-                    self.shard_id,
-                    self.base_epoch,
-                    self.target_epoch,
-                    int(self.full),
-                ],
-                dtype=np.int64,
-            ),
-            entry_rows=self.entry_rows,
-            entries=self.entries,
-            filled=self.filled,
-            freq_rows=self.freq_rows,
-            freqs=self.freqs,
-        )
-
-
-def load_delta(path: str | Path) -> SnapshotDelta:
-    """Deserialize a delta written by :meth:`SnapshotDelta.save`."""
-    with np.load(path) as archive:
-        header = archive["header"]
-        if header.shape != (4,):
-            raise ValueError(
-                f"delta header has shape {header.shape}, expected (4,)"
-            )
-        return SnapshotDelta(
-            shard_id=int(header[0]),
-            base_epoch=int(header[1]),
-            target_epoch=int(header[2]),
-            full=bool(header[3]),
-            entry_rows=np.asarray(archive["entry_rows"], dtype=np.int64),
-            entries=np.asarray(archive["entries"], dtype=np.float64),
-            filled=np.asarray(archive["filled"], dtype=bool),
-            freq_rows=np.asarray(archive["freq_rows"], dtype=np.int64),
-            freqs=np.asarray(archive["freqs"], dtype=np.float64),
-        )
 
 
 def diff_tables(

@@ -9,7 +9,7 @@ A snapshot is a *directory* holding
   ``entries.transpose(1, 0, 2)[lo:hi]`` of shape
   ``(layers_in_block, num_classes, dim)``, so one layer's ``(I, d)``
   centroid matrix is a contiguous slice of exactly one shard — the unit
-  of lazy mmap fault-in and of copy-on-write promotion;
+  of lazy mmap fault-in and of a serving cache's promotion to RAM;
 * ``meta.npz`` — the small side arrays (fill mask, Phi frequencies, the
   server's calibrated reference vectors), loaded eagerly on open.
 

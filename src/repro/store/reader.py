@@ -31,7 +31,6 @@ from repro.store.format import (
 if TYPE_CHECKING:
     from repro.core.cache import SemanticCache
     from repro.core.server import GlobalCacheTable
-    from repro.store.mapped import MappedGlobalCacheTable
 
 #: Meta arrays every snapshot carries; the rest are reference vectors.
 _CORE_META = ("filled", "class_freq")
@@ -230,7 +229,7 @@ class MappedTableStore:
     # ------------------------------------------------------------------
 
     def as_table(self) -> "GlobalCacheTable":
-        """A fully materialized RAM table (the ``mode="ram"`` load)."""
+        """A fully materialized RAM table (what ``load_table`` installs)."""
         from repro.core.server import GlobalCacheTable
 
         table = GlobalCacheTable(self.num_classes, self.num_layers, self.dim)
@@ -239,12 +238,6 @@ class MappedTableStore:
         table.filled = self.load_filled()
         table.class_freq = self.load_class_freq()
         return table
-
-    def as_mapped_table(self) -> "MappedGlobalCacheTable":
-        """A lazy table over this store (the ``mode="mmap"`` load)."""
-        from repro.store.mapped import MappedGlobalCacheTable
-
-        return MappedGlobalCacheTable(self)
 
     # ------------------------------------------------------------------
     # Integrity

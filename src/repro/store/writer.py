@@ -1,11 +1,8 @@
 """Snapshot writer: layer-block sharding with a monotonic epoch.
 
 :func:`write_snapshot` serializes a
-:class:`~repro.core.server.GlobalCacheTable` (or any subclass exposing
-``layer_entries``) into the directory format of
-:mod:`repro.store.format`.  Writing goes through the per-layer accessor,
-never ``table.entries``, so snapshotting a memory-mapped table does not
-force it to materialize.
+:class:`~repro.core.server.GlobalCacheTable` into the directory format
+of :mod:`repro.store.format`.
 
 Epoch policy: every rewrite of an existing snapshot directory must carry
 a *strictly larger* epoch — the manifest's epoch is the restart
@@ -72,8 +69,8 @@ def write_snapshot(
             the fill mask and Phi and restored verbatim on load.
         epoch: monotonic snapshot epoch (``None`` = previous + 1).
         layers_per_shard: cache layers per ``.npy`` shard file.  Small
-            enough that copy-on-write promotion and first-probe fault-in
-            stay per-layer-block, large enough that opening shards stays
+            enough that a serving cache's first-probe fault-in stays
+            per-layer-block, large enough that opening shards stays
             O(files) cheap.
         dtype: entry storage dtype (``None`` = keep the table's float64).
             ``"float32"`` halves the bytes for serving snapshots whose
@@ -103,7 +100,7 @@ def write_snapshot(
         # Layer-major block (layers, classes, dim): each layer is one
         # contiguous (I, d) slice, the unit of mmap fault-in.
         block = np.stack(
-            [table.layer_entries(layer) for layer in range(lo, hi)]
+            [table.entries[:, layer, :] for layer in range(lo, hi)]
         ).astype(out_dtype, copy=False)
         name = SHARD_PATTERN.format(index=index)
         np.save(target / name, block)

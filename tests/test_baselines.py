@@ -10,10 +10,10 @@ from repro.baselines import (
     LearnedCache,
     ReplacementPolicyCache,
     SMTM,
-    top2_gap,
 )
 from repro.baselines.foggy_cache import LshLruCache
 from repro.core.config import CoCaConfig
+from repro.core.engine import _top2_prob_gap
 from repro.data.datasets import get_dataset
 from repro.experiments.scenario import Scenario
 
@@ -32,22 +32,15 @@ def small_scenario():
 def _fresh(scenario, **overrides):
     from dataclasses import replace
 
-    return replace(
-        scenario,
-        _model=None,
-        _distributions=None,
-        _client_seeds=None,
-        _server_seed=None,
-        **overrides,
-    )
+    return replace(scenario, _deployment=None, **overrides)
 
 
 class TestTop2Gap:
     def test_gap_of_sorted_vector(self):
-        assert top2_gap(np.array([0.1, 0.6, 0.3])) == pytest.approx(0.3)
+        assert _top2_prob_gap(np.array([0.1, 0.6, 0.3])) == pytest.approx(0.3)
 
     def test_single_class(self):
-        assert top2_gap(np.array([1.0])) == 1.0
+        assert _top2_prob_gap(np.array([1.0])) == 1.0
 
 
 class TestEdgeOnly:

@@ -12,6 +12,7 @@ from repro.cluster import (
     ShardedGlobalCache,
     assign_clients,
 )
+from repro.cluster.sharding import DELTA_FALLBACK_FRACTION
 from repro.core.config import CoCaConfig
 from repro.core.framework import CoCaFramework
 from repro.core.server import CoCaServer, GlobalCacheTable
@@ -19,6 +20,7 @@ from repro.data.datasets import get_dataset
 from repro.models.zoo import build_model
 from repro.sim.metrics import InferenceRecord, per_class_hit_rates
 from repro.sim.network import ServerLoadModel
+from repro.store.delta import HEADER_NBYTES, full_rows_nbytes
 
 
 # ----------------------------------------------------------------------
@@ -591,26 +593,39 @@ class _TableHolder:
 
 
 class TestDeltaSync:
+    """Delta sync against its reference: ``sync_into`` row copies on a
+    second replica set, and ``merged_table()``."""
+
     I, L, D = 60, 6, 8
 
-    def _build(self, delta_sync, num_shards=3, fallback=0.5):
+    def _build(self, num_shards=3):
         router = ClassShardRouter(self.I, num_shards, salt=7)
         sharded = ShardedGlobalCache(router, num_layers=self.L, dim=self.D)
         nodes = [
             EdgeServerNode(i, _TableHolder(GlobalCacheTable(self.I, self.L, self.D)))
             for i in range(num_shards)
         ]
-        coord = ClusterCoordinator(
-            sharded,
-            nodes,
-            sync_interval=1,
-            delta_sync=delta_sync,
-            delta_fallback_fraction=fallback,
+        return sharded, nodes, ClusterCoordinator(sharded, nodes, sync_interval=1)
+
+    def _full_copy_nbytes(self, sharded):
+        """Bytes one full-copy sync of every remote shard to every node ships."""
+        sizes = sharded.router.shard_sizes()
+        return sum(
+            HEADER_NBYTES + full_rows_nbytes(int(sizes[shard]), self.L, self.D)
+            for node in range(sharded.num_shards)
+            for shard in range(sharded.num_shards)
+            if shard != node
         )
-        return sharded, nodes, coord
 
     def _run_uploads(self, sharded, coord, rounds=6, classes_per_upload=4):
+        """Seeded upload rounds; after each round's sync every replica is
+        compared with a full ``sync_into`` copy.  Returns the bytes full
+        copies would have shipped."""
         rng = np.random.default_rng(42)
+        full_copies = [
+            GlobalCacheTable(self.I, self.L, self.D) for _ in coord.nodes
+        ]
+        full_bytes = 0
         for _ in range(rounds):
             for _ in range(2):
                 ids = rng.choice(self.I, size=classes_per_upload, replace=False)
@@ -622,60 +637,74 @@ class TestDeltaSync:
                 freq[ids] = rng.integers(1, 5, size=ids.size).astype(float)
                 sharded.apply_client_update(update, freq, gamma=0.99)
             coord.end_round()
+            full_bytes += self._full_copy_nbytes(sharded)
+            for node, full in zip(coord.nodes, full_copies):
+                sharded.sync_into(full)
+                assert np.array_equal(node.server.table.entries, full.entries)
+                assert np.array_equal(node.server.table.filled, full.filled)
+                assert np.array_equal(
+                    node.server.table.class_freq, full.class_freq
+                )
+        return full_bytes
 
     def test_delta_sync_replicas_bit_identical_to_full(self):
-        s_delta, n_delta, c_delta = self._build(delta_sync=True)
-        s_full, n_full, c_full = self._build(delta_sync=False)
-        self._run_uploads(s_delta, c_delta)
-        self._run_uploads(s_full, c_full)
-        for a, b in zip(n_delta, n_full):
-            assert np.array_equal(a.server.table.entries, b.server.table.entries)
-            assert np.array_equal(a.server.table.filled, b.server.table.filled)
-            assert np.array_equal(
-                a.server.table.class_freq, b.server.table.class_freq
-            )
-        assert np.array_equal(
-            s_delta.merged_table().entries, s_full.merged_table().entries
-        )
+        sharded, nodes, coord = self._build()
+        self._run_uploads(sharded, coord)
+        assert coord.delta_syncs > 0  # the delta path did the work
+        merged = sharded.merged_table()
+        for node in nodes:
+            assert np.array_equal(node.server.table.entries, merged.entries)
 
     def test_delta_ships_fewer_bytes_when_few_rows_dirty(self):
-        s_delta, _, c_delta = self._build(delta_sync=True)
-        s_full, _, c_full = self._build(delta_sync=False)
-        self._run_uploads(s_delta, c_delta, classes_per_upload=2)
-        self._run_uploads(s_full, c_full, classes_per_upload=2)
-        assert c_delta.sync_bytes_shipped < c_full.sync_bytes_shipped
-        assert c_delta.delta_syncs > 0
+        sharded, _, coord = self._build()
+        full_bytes = self._run_uploads(sharded, coord, classes_per_upload=2)
+        assert coord.sync_bytes_shipped < full_bytes
+        assert coord.delta_syncs > 0
 
     def test_first_sync_is_full_fallback(self):
-        sharded, _, coord = self._build(delta_sync=True)
+        sharded, _, coord = self._build()
         coord.sync_all()
         remote_transfers = len(coord.nodes) * (sharded.num_shards - 1)
         assert coord.full_syncs == remote_transfers
         assert coord.delta_syncs == 0
 
     def test_fallback_threshold_degrades_to_full(self):
-        # Dirty every class -> dirty fraction 1.0 > any threshold.
-        sharded, _, coord = self._build(delta_sync=True, fallback=0.5)
+        sharded, _, coord = self._build()
         coord.sync_all()  # establish a base epoch everywhere
-        freq = np.ones(self.I)
-        update = {
-            (cid, 0): np.random.default_rng(cid).normal(size=self.D)
-            for cid in range(self.I)
-        }
-        sharded.apply_client_update(update, freq, gamma=0.99)
+        owned = sharded.router.classes_of(0)
+        at_threshold = int(DELTA_FALLBACK_FRACTION * owned.size)
+
+        def dirty(rows):
+            update = {
+                (int(cid), 0): np.random.default_rng(int(cid)).normal(size=self.D)
+                for cid in rows
+            }
+            freq = np.zeros(self.I)
+            freq[rows] = 1.0
+            sharded.apply_client_update(update, freq, gamma=0.99)
+
+        # At the threshold a delta still ships; one more dirty row of the
+        # shard tips it into the full-snapshot fallback.
+        base = sharded.epoch
+        dirty(owned[:at_threshold])
+        assert not sharded.snapshot_delta(0, since_epoch=base).full
+        dirty(owned[at_threshold : at_threshold + 1])
+        assert sharded.snapshot_delta(0, since_epoch=base).full
+        # Dirty every class -> every remote transfer falls back.
+        dirty(np.arange(self.I))
         before_full = coord.full_syncs
         coord.sync_all()
         assert coord.full_syncs > before_full
         assert coord.delta_syncs == 0
 
     def test_epoch_counts_uploads(self):
-        sharded, _, _ = self._build(delta_sync=True)
+        sharded, _, _ = self._build()
         assert sharded.epoch == 0
         sharded.apply_client_update({}, np.zeros(self.I), gamma=0.99)
         assert sharded.epoch == 1
 
     def test_sync_delta_into_matches_sync_into(self):
-        sharded, _, coord = self._build(delta_sync=True)
+        sharded, _, _ = self._build()
         rng = np.random.default_rng(3)
         replica_a = GlobalCacheTable(self.I, self.L, self.D)
         replica_b = GlobalCacheTable(self.I, self.L, self.D)
@@ -700,19 +729,9 @@ class TestDeltaSync:
             )
 
     def test_node_payload_telemetry_accumulates(self):
-        sharded, nodes, coord = self._build(delta_sync=True)
+        sharded, nodes, coord = self._build()
         self._run_uploads(sharded, coord, rounds=2)
         assert all(node.sync_payload_bytes > 0 for node in nodes)
         assert sum(node.sync_payload_bytes for node in nodes) == (
             coord.sync_bytes_shipped
         )
-
-    def test_coordinator_rejects_bad_fallback_fraction(self):
-        router = ClassShardRouter(self.I, 2, salt=0)
-        sharded = ShardedGlobalCache(router, num_layers=self.L, dim=self.D)
-        nodes = [
-            EdgeServerNode(i, _TableHolder(GlobalCacheTable(self.I, self.L, self.D)))
-            for i in range(2)
-        ]
-        with pytest.raises(ValueError, match="delta_fallback_fraction"):
-            ClusterCoordinator(sharded, nodes, delta_fallback_fraction=0.0)

@@ -59,7 +59,7 @@ class TestScenario:
         scenario = _scenario()
         _ = scenario.model  # materialize
         fresh = fresh_scenario(scenario)
-        assert fresh._model is None
+        assert fresh._deployment is None
         assert fresh.seed == scenario.seed
         # And rebuilds identically.
         assert np.allclose(

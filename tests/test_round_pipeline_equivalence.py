@@ -274,6 +274,7 @@ class TestEndToEndEquivalence:
                 np.random.default_rng(1), calibration_samples=80
             )
         fast_server, ref_server = servers
+        collected = 0
         for client_seed in range(3):
             fast = _build_client(tiny_model, client_seed, frames=80)
             ref = _build_client(tiny_model, client_seed, frames=80)
@@ -299,6 +300,7 @@ class TestEndToEndEquivalence:
             report_fast = fast.run_round(batch=batch)
             report_ref = ref.run_round_reference(batch=batch)
             _assert_reports_equal(report_fast, report_ref)
+            collected += report_fast.collected_total
             fast_server.apply_client_update(
                 report_fast.update_entries, report_fast.frequencies
             )
@@ -312,6 +314,7 @@ class TestEndToEndEquivalence:
         assert np.array_equal(
             fast_server.table.class_freq, ref_server.table.class_freq
         )
+        assert collected > 0, "the equivalence rounds collected nothing"
 
     def test_soa_outcomes_match_object_outcomes(self, tiny_model):
         """BatchOutcomes arrays must mirror the scalar engine's per-sample

@@ -1,10 +1,9 @@
 """Tests for the mmap snapshot store (:mod:`repro.store`).
 
 Covers the on-disk format (round-trips, epoch monotonicity, corrupt and
-truncated shards), the lazy reader (read-only zero-copy views), the
-copy-on-write mapped table, serving caches backed by mapped views, the
-delta codec and its full-snapshot fallback, the server integration, and
-the ``repro store`` CLI.
+truncated shards), the lazy reader (read-only zero-copy views), serving
+caches backed by mapped views, in-memory deltas and their full-snapshot
+fallback, the server integration, and the ``repro store`` CLI.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.core.server import CoCaServer, GlobalCacheTable
 from repro.data.datasets import get_dataset
 from repro.models.zoo import build_model
 from repro.store import (
-    MappedGlobalCacheTable,
     MappedTableStore,
     SnapshotDelta,
     SnapshotFormatError,
@@ -31,7 +29,6 @@ from repro.store import (
     diff_tables,
     full_rows_nbytes,
     is_snapshot_path,
-    load_delta,
     read_manifest,
     write_snapshot,
 )
@@ -109,8 +106,6 @@ class TestSnapshotRoundtrip:
             view = store.layer_view(0)
             assert view.dtype == np.dtype(np.float32)
             assert np.allclose(view, table.entries[:, 0, :], atol=1e-6)
-            with pytest.raises(ValueError, match="float64"):
-                store.as_mapped_table()
 
     def test_layers_per_shard_controls_file_count(self, tmp_path):
         table = filled_table(num_layers=10)
@@ -242,81 +237,6 @@ class TestMappedTableStore:
 
 
 # ----------------------------------------------------------------------
-# Copy-on-write mapped table
-# ----------------------------------------------------------------------
-
-
-class TestMappedGlobalCacheTable:
-    def _mapped(self, tmp_path, table) -> MappedGlobalCacheTable:
-        write_snapshot(tmp_path / "snap", table)
-        return MappedTableStore(tmp_path / "snap").as_mapped_table()
-
-    def test_reads_are_mapped_until_written(self, tmp_path):
-        table = filled_table()
-        mapped = self._mapped(tmp_path, table)
-        assert mapped.promoted_layers() == []
-        assert not mapped.is_materialized
-        view = mapped.layer_entries(2)
-        assert not view.flags.writeable
-        assert np.shares_memory(view, mapped._store.layer_view(2))
-
-    def test_merge_promotes_only_touched_layers(self, tmp_path):
-        table = filled_table()
-        mapped = self._mapped(tmp_path, table)
-        reference = table.copy()
-        ids = np.array([1, 4, 7])
-        layers = np.array([2, 2, 5])
-        vectors = unit_rows((3, table.dim), seed=9)
-        freqs = np.array([2.0, 1.0, 3.0])
-        mapped.merge_updates(ids, layers, vectors, freqs, gamma=0.99)
-        reference.merge_updates(ids, layers, vectors, freqs, gamma=0.99)
-        assert mapped.promoted_layers() == [2, 5]
-        # Bit-identical to the flat single-table scatter.
-        for layer in range(table.num_layers):
-            assert np.array_equal(
-                mapped.layer_entries(layer), reference.entries[:, layer, :]
-            ), f"layer {layer}"
-        assert np.array_equal(mapped.filled, reference.filled)
-        # Untouched layers still read from the mapped shards.
-        assert np.shares_memory(
-            mapped.layer_entries(0), mapped._store.layer_view(0)
-        )
-
-    def test_install_promotes_layer(self, tmp_path):
-        table = filled_table()
-        mapped = self._mapped(tmp_path, table)
-        vector = unit_rows((table.dim,), seed=5)
-        mapped.install(3, 1, vector)
-        assert mapped.promoted_layers() == [1]
-        assert np.allclose(mapped.layer_entries(1)[3], vector)
-
-    def test_entries_property_materializes_once(self, tmp_path):
-        table = filled_table()
-        mapped = self._mapped(tmp_path, table)
-        full = mapped.entries
-        assert mapped.is_materialized
-        assert np.array_equal(full, table.entries)
-        assert mapped.entries is full  # no second materialization
-
-    def test_copy_is_plain_and_does_not_materialize(self, tmp_path):
-        table = filled_table()
-        mapped = self._mapped(tmp_path, table)
-        clone = mapped.copy()
-        assert type(clone) is GlobalCacheTable
-        assert tables_equal(clone, table)
-        assert not mapped.is_materialized
-
-    def test_subtable_reads_through_views(self, tmp_path):
-        table = filled_table()
-        mapped = self._mapped(tmp_path, table)
-        out = mapped.subtable({2: np.array([0, 3, 6])})
-        ids, mat = out[2]
-        assert np.array_equal(ids, [0, 3, 6])
-        assert np.array_equal(mat, table.entries[[0, 3, 6], 2, :])
-        assert not mapped.is_materialized
-
-
-# ----------------------------------------------------------------------
 # Serving caches over mapped views
 # ----------------------------------------------------------------------
 
@@ -413,7 +333,7 @@ class TestMappedServing:
 
 
 # ----------------------------------------------------------------------
-# Delta codec and fallback
+# Deltas
 # ----------------------------------------------------------------------
 
 
@@ -430,19 +350,6 @@ class TestSnapshotDelta:
             freq_rows=np.array([3, 8, 9], dtype=np.int64),
             freqs=np.array([1.0, 2.0, 4.0]),
         )
-
-    def test_codec_roundtrip(self, tmp_path):
-        delta = self._delta()
-        delta.save(tmp_path / "delta.npz")
-        loaded = load_delta(tmp_path / "delta.npz")
-        assert loaded.shard_id == 1
-        assert loaded.base_epoch == 2 and loaded.target_epoch == 7
-        assert not loaded.full
-        assert np.array_equal(loaded.entry_rows, delta.entry_rows)
-        assert np.array_equal(loaded.entries, delta.entries)
-        assert np.array_equal(loaded.filled, delta.filled)
-        assert np.array_equal(loaded.freq_rows, delta.freq_rows)
-        assert np.array_equal(loaded.freqs, delta.freqs)
 
     def test_apply_scatters_rows(self):
         delta = self._delta()
@@ -511,6 +418,14 @@ class TestSnapshotDelta:
 # ----------------------------------------------------------------------
 
 
+REFERENCE_NAMES = (
+    "reference_hit_ratio",
+    "reference_hit_accuracy",
+    "reference_exit_loss",
+    "reference_similarity_floor",
+)
+
+
 @pytest.fixture(scope="module")
 def server() -> CoCaServer:
     model = build_model("resnet50", get_dataset("ucf101", 12), seed=0)
@@ -518,54 +433,81 @@ def server() -> CoCaServer:
 
 
 class TestServerPersistence:
-    def test_save_snapshot_load_ram_roundtrip(self, tmp_path, server):
-        server.save_snapshot(tmp_path / "snap")
+    def test_save_snapshot_load_ram_roundtrip(self, tmp_path):
         model = build_model("resnet50", get_dataset("ucf101", 12), seed=0)
-        other = CoCaServer(model, CoCaConfig())
-        other.load_table(tmp_path / "snap")  # mode="ram"
-        assert type(other.table) is GlobalCacheTable
-        assert tables_equal(other.table, server.table)
-        assert np.array_equal(
-            other.reference_similarity_floor, server.reference_similarity_floor
+        server = CoCaServer(model, CoCaConfig())
+        server.initialize_from_shared_dataset(
+            np.random.default_rng(0), calibration_samples=40
         )
-
-    def test_load_mmap_is_lazy_and_equivalent(self, tmp_path, server):
-        server.save_snapshot(tmp_path / "snap")
-        model = build_model("resnet50", get_dataset("ucf101", 12), seed=0)
+        server.table.filled[3, 1] = False  # a gap the fill mask must carry
+        server.save_snapshot(tmp_path / "snap", layers_per_shard=4)
         other = CoCaServer(model, CoCaConfig())
-        other.load_table(tmp_path / "snap", mode="mmap")
-        assert isinstance(other.table, MappedGlobalCacheTable)
+        other.load_table(tmp_path / "snap")
+        assert type(other.table) is GlobalCacheTable
+        # Bit for bit: every layer's centroids, the fill mask, Phi and the
+        # four calibrated reference vectors.
         for layer in range(server.table.num_layers):
             assert np.array_equal(
-                other.table.layer_entries(layer),
+                other.table.entries[:, layer, :],
                 server.table.entries[:, layer, :],
-            )
+            ), f"layer {layer}"
         assert np.array_equal(other.table.filled, server.table.filled)
         assert np.array_equal(other.table.class_freq, server.table.class_freq)
-        assert other.table.promoted_layers() == []  # reading promoted nothing
+        for name in REFERENCE_NAMES:
+            assert np.array_equal(getattr(other, name), getattr(server, name))
+        # The restored table owns its memory: an Eq. 4 merge writes RAM,
+        # never a read-only mapped view.
+        assert other.table.entries.flags.writeable
+        assert other.table.entries.flags.owndata
+
+    def test_truncated_shard_leaves_server_untouched(
+        self, tmp_path, server, monkeypatch
+    ):
+        """A shard that fails to map *after* the manifest and meta checks
+        passed (shards open lazily) is a typed error, mutates nothing and
+        still closes the store."""
+        manifest = server.save_snapshot(
+            tmp_path / "snap", layers_per_shard=-(-server.table.num_layers // 2)
+        )
+        assert len(manifest.shards) == 2
+        last = tmp_path / "snap" / manifest.shards[-1].file
+        last.write_bytes(last.read_bytes()[:40])
+        closed = []
+        real_close = MappedTableStore.close
+
+        def counting_close(store):
+            closed.append(store)
+            real_close(store)
+
+        monkeypatch.setattr(MappedTableStore, "close", counting_close)
+        state = ("table", *REFERENCE_NAMES)
+        before = [getattr(server, name) for name in state]
+        # Under contracts the open itself re-hashes every shard and trips
+        # on the truncation before the store exists; nothing to close.
+        with pytest.raises(SnapshotIntegrityError, match="truncated|corrupt"):
+            server.load_table(tmp_path / "snap")
+        after = [getattr(server, name) for name in state]
+        assert all(a is b for a, b in zip(after, before))
+        assert len(closed) == (0 if contracts.ENABLED else 1)
 
     def test_non_snapshot_path_rejected(self, tmp_path, server):
         np.savez(tmp_path / "table.npz", entries=server.table.entries)
         (tmp_path / "empty").mkdir()
         for name in ("table.npz", "empty", "missing"):
-            for mode in ("ram", "mmap"):
-                with pytest.raises(ValueError, match=name):
-                    server.load_table(tmp_path / name, mode=mode)
+            with pytest.raises(ValueError, match=name):
+                server.load_table(tmp_path / name)
 
     def test_missing_reference_vector_rejected(self, tmp_path):
         model = build_model("resnet50", get_dataset("ucf101", 12), seed=0)
         server = CoCaServer(model, CoCaConfig())
-        required = (
-            "reference_hit_ratio", "reference_hit_accuracy", "reference_exit_loss"
-        )
-        state = ("table", *required, "reference_similarity_floor")
+        required = REFERENCE_NAMES[:3]  # the floor alone may be absent
+        state = ("table", *REFERENCE_NAMES)
         before = [getattr(server, name) for name in state]
         for missing in required:
             kept = {name: getattr(server, name) for name in required if name != missing}
             write_snapshot(tmp_path / missing, server.table, references=kept)
-            for mode in ("ram", "mmap"):
-                with pytest.raises(ValueError, match=missing):
-                    server.load_table(tmp_path / missing, mode=mode)
+            with pytest.raises(ValueError, match=missing):
+                server.load_table(tmp_path / missing)
         after = [getattr(server, name) for name in state]
         assert all(a is b for a, b in zip(after, before))  # nothing mutated
 
@@ -586,10 +528,6 @@ class TestServerPersistence:
         assert np.array_equal(
             other.reference_similarity_floor, np.full(num_layers, -1.0)
         )
-
-    def test_unknown_mode_rejected(self, tmp_path, server):
-        with pytest.raises(ValueError, match="mode"):
-            server.load_table(tmp_path / "anything", mode="lazy")
 
     def test_geometry_mismatch_rejected(self, tmp_path, server):
         write_snapshot(tmp_path / "snap", filled_table(4, 3, 5))

@@ -5,30 +5,18 @@ Each benchmark runs one paper experiment exactly once (via
 reproduced table/series, and archives it under ``benchmarks/results/`` so
 the output survives pytest's capture regardless of ``-s``.
 
-Archived results are self-describing: the ``report`` fixture stamps a
-host header (CPU count, numpy version, CI flag) above every table, and
-the probe-throughput tables stamp each kernel line with its dtype and
-thread count, so an anchor read months later states the conditions it
-was measured under.
+Archived tables carry nothing about the host that produced them: they
+are seeded and byte-identical across hosts, and a file is rewritten only
+when its content changed, so a run leaves the tracked tables untouched.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def _host_header() -> str:
-    """One-line provenance stamp for archived result tables."""
-    return (
-        f"[host: cpus={os.cpu_count()} numpy={np.__version__} "
-        f"ci={'yes' if os.environ.get('CI') else 'no'}]"
-    )
 
 
 @pytest.fixture
@@ -37,9 +25,10 @@ def report():
     RESULTS_DIR.mkdir(exist_ok=True)
 
     def _report(name: str, text: str) -> None:
-        stamped = _host_header() + "\n" + text
-        print("\n" + stamped + "\n")
+        print("\n" + text + "\n")
         path = RESULTS_DIR / f"{name}.txt"
-        path.write_text(stamped + "\n")
+        content = text + "\n"
+        if not path.exists() or path.read_text() != content:
+            path.write_text(content)
 
     return _report

@@ -59,7 +59,9 @@ def _replicas() -> list[GlobalCacheTable]:
 def _run(dirty_fraction: float):
     """Seeded upload/sync rounds; returns (coordinator, delta, full bytes)."""
     router = ClassShardRouter(NUM_CLASSES, NUM_SHARDS, salt=0)
-    sharded = ShardedGlobalCache(router, num_layers=NUM_LAYERS, dim=DIM)
+    sharded = ShardedGlobalCache(
+        router, GlobalCacheTable(NUM_CLASSES, NUM_LAYERS, DIM)
+    )
     nodes = [
         EdgeServerNode(i, _TableHolder(table))
         for i, table in enumerate(_replicas())

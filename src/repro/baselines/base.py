@@ -60,6 +60,8 @@ class BaselineRunner(ABC):
         """Run the pipeline and collect records from the measured rounds."""
         if num_rounds < 1:
             raise ValueError(f"num_rounds must be >= 1, got {num_rounds}")
+        if warmup_rounds < 0:
+            raise ValueError(f"warmup_rounds must be >= 0, got {warmup_rounds}")
         metrics = MetricsCollector()
         for r in range(warmup_rounds + num_rounds):
             measured = r >= warmup_rounds

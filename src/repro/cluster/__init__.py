@@ -3,8 +3,9 @@
 One :class:`~repro.core.server.CoCaServer` holding the entire global
 cache table is the paper's deployment; this package is the scale-out
 story on top of it.  The table's rows (classes) are partitioned across N
-shards (:class:`ClassShardRouter`, :class:`ShardedGlobalCache`), each
-hosted on an :class:`EdgeServerNode` with its own queueing behaviour;
+shards (:class:`ClassShardRouter`, :class:`ShardedGlobalCache` — row
+sets of the one authoritative table), each hosted on an
+:class:`EdgeServerNode` with its own queueing behaviour;
 clients are routed to nodes by hash, region affinity, or load
 (:func:`assign_clients`); and a :class:`ClusterCoordinator` bounds
 cross-shard staleness with a configurable sync interval.

@@ -2,8 +2,8 @@
 
 The coordinator owns the two cluster-wide policies:
 
-* **Synchronization.**  Authoritative state lives in the shards; every
-  node serves allocations from a local replica.  A node's *own* shard is
+* **Synchronization.**  Authoritative state lives in the sharded
+  cache's one table; every node serves allocations from a local replica.  A node's *own* shard is
   co-located, so its rows are refreshed after every round (zero
   staleness); rows owned by *remote* shards are pulled only every
   ``sync_interval`` rounds.  The interval therefore bounds cross-shard

@@ -3,8 +3,9 @@
 :class:`ClusterFramework` is the multi-node counterpart of
 :class:`~repro.core.framework.CoCaFramework`.  It builds the identical
 deployment (same seed derivation, same model geometry, same client
-streams — a canonical framework is constructed internally), then splits
-the global cache across N shards hosted on N
+streams — a canonical framework is constructed internally, and its
+``server.table`` is the cluster's one authoritative table), splits that
+table's rows into N shards hosted on N
 :class:`~repro.cluster.node.EdgeServerNode` replicas and drives the
 protocol in virtual time:
 
@@ -14,9 +15,10 @@ protocol in virtual time:
 2. the client runs its round through the batched pipeline
    (:meth:`~repro.core.client.CoCaClient.run_round`) and its clock
    advances by the response latency plus the round's inference time;
-3. after all clients finish, uploads are routed per shard through the
-   one-pass Eq. 4 merge (:meth:`ShardedGlobalCache.apply_client_update`)
-   and merge work is charged to the owning nodes' CPUs;
+3. after all clients finish, uploads fold into the authoritative table
+   through the one-pass Eq. 4 merge
+   (:meth:`ShardedGlobalCache.apply_client_update`) and merge work is
+   charged to the CPUs of the nodes owning the uploaded rows;
 4. the coordinator refreshes replicas — local shard every round,
    cross-shard rows every ``sync_interval`` rounds.
 
@@ -110,7 +112,6 @@ class ClusterFramework:
         merge_service_ms: node CPU time per merged upload piece.
         sync_service_ms: node CPU time per remote shard pulled at each
             cross-shard sync (free for a 1-shard cluster).
-        shard_salt: seed of the class -> shard permutation.
     """
 
     def __init__(
@@ -130,7 +131,6 @@ class ClusterFramework:
         load: ServerLoadModel | None = None,
         merge_service_ms: float = 0.5,
         sync_service_ms: float = 2.0,
-        shard_salt: int = 0,
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
@@ -152,10 +152,8 @@ class ClusterFramework:
         self.load = load if load is not None else ServerLoadModel()
 
         canonical = self.framework.server
-        self.router = ClassShardRouter(
-            self.model.num_classes, num_shards, salt=shard_salt
-        )
-        self.sharded = ShardedGlobalCache(self.router, initial=canonical.table)
+        self.router = ClassShardRouter(self.model.num_classes, num_shards)
+        self.sharded = ShardedGlobalCache(self.router, canonical.table)
         self.nodes = [
             EdgeServerNode(
                 node_id=shard_id,
@@ -178,12 +176,6 @@ class ClusterFramework:
         )
         for client_id, node_id in enumerate(self.assignment):
             self.nodes[node_id].assigned_clients.append(client_id)
-            # Clients run sequentially in virtual time, so everyone served
-            # by a node shares its probe-buffer pool: one workspace per
-            # shard for the whole fleet run, not one per client.
-            self.clients[client_id].batch_engine.set_workspace(
-                self.nodes[node_id].workspace
-            )
         self.client_clocks = [VirtualClock() for _ in range(num_clients)]
         self._last_round_synced = False
         self._last_round_wait_ms = 0.0
@@ -212,7 +204,7 @@ class ClusterFramework:
         current virtual time and merges at each client's round-end time,
         regardless of client id.  The two orders can differ freely
         because cache allocation only reads the replica (frozen during a
-        round) and the Eq. 4 shard content only depends on the upload
+        round) and the Eq. 4 table content only depends on the upload
         order, never on when CPU time was charged.
         """
         # Cache requests queue FCFS at each client's current time.
@@ -246,7 +238,7 @@ class ClusterFramework:
             reports.append(report)
             round_ends.append(clock.now_ms)
 
-        # Uploads fold into the shards in client order (the single-server
+        # Uploads fold into the table in client order (the single-server
         # protocol's ordering); the merge CPU work queues on the
         # shard-owning nodes FCFS by upload arrival (round-end) time.
         gamma = self.config.gamma
@@ -277,6 +269,8 @@ class ClusterFramework:
         """
         if num_rounds < 1:
             raise ValueError(f"num_rounds must be >= 1, got {num_rounds}")
+        if warmup_rounds < 0:
+            raise ValueError(f"warmup_rounds must be >= 0, got {warmup_rounds}")
         metrics = MetricsCollector()
         rounds: list[ClusterRoundSummary] = []
         all_reports: list[RoundReport] = []
@@ -323,14 +317,7 @@ class ClusterFramework:
         )
 
     def close(self) -> None:
-        """Release every probe workspace of the fleet.
-
-        Node workspaces are shared with the engines of the clients
-        assigned to them, so both teardown paths meet at the same
-        idempotent :meth:`~repro.core.cache.LookupWorkspace.close`.
-        """
-        for node in self.nodes:
-            node.close()
+        """Release the fleet's probe workspace (the framework's one pool)."""
         self.framework.close()
 
     def merged_table(self) -> GlobalCacheTable:

@@ -1,15 +1,17 @@
 """One edge-server node of the cluster: replica server + request queue.
 
-Each node hosts one shard of the sharded global cache and serves its
-assigned clients from a *replica* :class:`~repro.core.server.CoCaServer`
-— a full table whose rows are refreshed from the authoritative shards by
-the coordinator.  The node serializes its server-side work (cache
-allocation, sub-table packing, update merging) on a single virtual CPU
-modelled after :class:`~repro.sim.network.ServerLoadModel`: requests are
-processed first-come-first-served against a ``busy_until`` horizon, so a
-node with many concurrent clients develops queueing delay exactly like
-the paper's single edge server does in Fig. 10b — and splitting clients
-across nodes relieves it.
+Each node hosts one shard (a row set) of the sharded global cache and
+serves its assigned clients from a *replica*
+:class:`~repro.core.server.CoCaServer` — a full table whose rows the
+coordinator refreshes from the authoritative table, its own shard every
+round and the others at the sync interval.  The node serializes its
+server-side work (cache allocation, sub-table packing, update merging)
+on a single virtual CPU modelled after
+:class:`~repro.sim.network.ServerLoadModel`: requests are processed
+first-come-first-served against a ``busy_until`` horizon, so a node with
+many concurrent clients develops queueing delay exactly like the paper's
+single edge server does in Fig. 10b — and splitting clients across nodes
+relieves it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cache import LookupWorkspace, SemanticCache
+from repro.core.cache import SemanticCache
 from repro.core.client import ClientStatus
 from repro.core.server import CoCaServer
 from repro.sim.clock import VirtualClock
@@ -67,11 +69,6 @@ class EdgeServerNode:
         sync_service_ms: CPU time charged per *remote* shard pulled
             during a cross-shard replica refresh (deserialize + scatter
             of the owned rows); the local shard is co-located and free.
-        workspace: probe-buffer pool shared by every engine this node
-            serves (``None`` = create a private one).  The cluster
-            driver points the batched engines of all clients assigned to
-            this node at it, so one buffer set per shard survives the
-            whole fleet run instead of one per client.
     """
 
     def __init__(
@@ -81,7 +78,6 @@ class EdgeServerNode:
         load: ServerLoadModel | None = None,
         merge_service_ms: float = 0.5,
         sync_service_ms: float = 2.0,
-        workspace: LookupWorkspace | None = None,
     ) -> None:
         if merge_service_ms < 0:
             raise ValueError(f"merge_service_ms must be >= 0, got {merge_service_ms}")
@@ -92,7 +88,6 @@ class EdgeServerNode:
         self.load = load if load is not None else ServerLoadModel()
         self.merge_service_ms = float(merge_service_ms)
         self.sync_service_ms = float(sync_service_ms)
-        self.workspace = workspace if workspace is not None else LookupWorkspace()
         self.clock = VirtualClock()  # tracks the CPU's busy horizon
         self.assigned_clients: list[int] = []
         self.requests_served = 0
@@ -208,10 +203,6 @@ class EdgeServerNode:
     def build_cache(self, layer_classes: dict[int, np.ndarray]) -> SemanticCache:
         """Materialize a static allocation from the replica table."""
         return self.server.build_cache(layer_classes)
-
-    def close(self) -> None:
-        """Release the node's probe workspace (its buffer pools)."""
-        self.workspace.close()
 
     @property
     def mean_wait_ms(self) -> float:

@@ -3,15 +3,12 @@
 A single :class:`~repro.core.server.GlobalCacheTable` holds every
 ``(class, layer)`` centroid on one edge server.  To scale past one
 server, the cluster partitions the table's *rows* (classes) across N
-shards: each shard is the authority for the entries and Eq. 5 frequency
-counts of the classes it owns, and every Eq. 4 write for a class is
-routed to — and only to — the owning shard.  Because Eq. 4 merges are
-independent per ``(class, layer)`` key, routing a client's update table
-shard by shard and applying each piece with the one-pass flat-index
-:meth:`~repro.core.server.GlobalCacheTable.merge_updates` scatter yields
-*exactly* the table a single server would have produced from the same
-sequence of uploads.  Sharding therefore changes where rows live and who
-contends for them, never what they contain.
+shards: each shard owns the entries and Eq. 5 frequency counts of its
+classes, and its host node's replica is fresh for exactly those rows.
+The rows themselves stay in one authoritative table that every upload
+folds into through the single-server Eq. 4/5 write path, so sharding
+changes where replicas are fresh and who contends for merge work, never
+what the table contains.
 
 :class:`ClassShardRouter` defines the class -> shard map: a seeded
 permutation of the class universe dealt round-robin across shards, so
@@ -82,30 +79,9 @@ class ClassShardRouter:
             raise ValueError(f"shard {shard} out of range [0, {self.num_shards})")
         return np.flatnonzero(self._assignment == shard)
 
-    def owned_mask(self, shard: int) -> np.ndarray:
-        """Boolean ``(num_classes,)`` ownership mask of one shard."""
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(f"shard {shard} out of range [0, {self.num_shards})")
-        return self._assignment == shard
-
     def shard_sizes(self) -> np.ndarray:
         """Classes per shard; max and min differ by at most one."""
         return np.bincount(self._assignment, minlength=self.num_shards)
-
-    def mass_per_shard(self, class_distribution: np.ndarray) -> np.ndarray:
-        """Probability mass each shard owns under a class distribution.
-
-        The region-affinity assignment policy routes a client to the node
-        hosting the shard with the largest share of the client's stream.
-        """
-        probs = np.asarray(class_distribution, dtype=float)
-        if probs.shape != (self.num_classes,):
-            raise ValueError(
-                f"distribution shape {probs.shape} != ({self.num_classes},)"
-            )
-        return np.bincount(
-            self._assignment, weights=probs, minlength=self.num_shards
-        )
 
     def __repr__(self) -> str:
         return (
@@ -117,60 +93,38 @@ class ClassShardRouter:
 class ShardedGlobalCache:
     """The global cache table partitioned row-wise across N shards.
 
-    Each shard is a full-geometry :class:`GlobalCacheTable` of which only
-    the owned rows are authoritative; the non-owned rows of a shard are
-    never written through the sharded write path and never read through
-    the merged view.  Keeping full geometry lets every shard reuse the
-    vectorized ``merge_updates`` scatter unchanged.
+    A shard is a row set of one table — ``router.classes_of(s)`` — not a
+    table of its own.  The table handed in (a deployment's
+    ``server.table``, shared by reference) is the single authority: every
+    upload folds into it exactly as
+    :meth:`~repro.core.server.CoCaServer.apply_client_update` would, and
+    replicas catch up shard by shard from its rows.  The shard split adds
+    only bookkeeping: which shards an upload's merge work lands on, and
+    per-class write epochs for delta sync.
 
     Args:
         router: the class -> shard map.
-        initial: canonical table to seed every shard's owned rows from
-            (the shared-dataset initialization), or ``None`` to start
-            empty with zero frequencies.
-        num_layers / dim: table geometry when ``initial`` is ``None``.
+        table: the authoritative table (not copied).
     """
 
-    def __init__(
-        self,
-        router: ClassShardRouter,
-        initial: GlobalCacheTable | None = None,
-        num_layers: int | None = None,
-        dim: int | None = None,
-    ) -> None:
+    def __init__(self, router: ClassShardRouter, table: GlobalCacheTable) -> None:
+        if table.num_classes != router.num_classes:
+            raise ValueError(
+                f"table has {table.num_classes} classes, router expects "
+                f"{router.num_classes}"
+            )
         self.router = router
-        if initial is not None:
-            if initial.num_classes != router.num_classes:
-                raise ValueError(
-                    f"table has {initial.num_classes} classes, router expects "
-                    f"{router.num_classes}"
-                )
-            num_layers, dim = initial.num_layers, initial.dim
-        elif num_layers is None or dim is None:
-            raise ValueError("need either an initial table or num_layers and dim")
-        self.num_layers = int(num_layers)
-        self.dim = int(dim)
-        self.shards: list[GlobalCacheTable] = [
-            initial.copy()
-            if initial is not None
-            else GlobalCacheTable(router.num_classes, self.num_layers, self.dim)
-            for _ in range(router.num_shards)
-        ]
-        # Ownership masks are immutable per router; precompute them once
-        # rather than per upload on the hot Eq. 5 path.
-        self._owned_masks = [
-            router.owned_mask(shard_id) for shard_id in range(router.num_shards)
-        ]
+        self.table = table
         # Write-epoch bookkeeping for delta sync: ``_epoch`` counts
         # uploads applied through :meth:`apply_client_update`, and the
-        # per-(shard, class) stamp arrays record the epoch of each row's
-        # last entry write / frequency accumulation.  A replica synced at
-        # epoch ``e`` catches up by receiving exactly the rows stamped
-        # ``> e`` — see :meth:`snapshot_delta`.
+        # per-class stamp arrays record the epoch of each row's last
+        # entry write / frequency accumulation (every class has exactly
+        # one owning shard).  A replica synced at epoch ``e`` catches up
+        # by receiving exactly the rows stamped ``> e`` — see
+        # :meth:`snapshot_delta`.
         self._epoch = 0
-        shape = (router.num_shards, router.num_classes)
-        self._entry_epoch = np.full(shape, -1, dtype=np.int64)
-        self._freq_epoch = np.full(shape, -1, dtype=np.int64)
+        self._entry_epoch = np.full(router.num_classes, -1, dtype=np.int64)
+        self._freq_epoch = np.full(router.num_classes, -1, dtype=np.int64)
 
     @property
     def num_shards(self) -> int:
@@ -191,19 +145,16 @@ class ShardedGlobalCache:
         local_freq: np.ndarray,
         gamma: float,
     ) -> dict[int, int]:
-        """Route one client upload to the owning shards (Eq. 4 + Eq. 5).
+        """Fold one client upload into the table (Eq. 4 + Eq. 5).
 
-        The upload is split by class ownership; each shard folds its piece
-        with one :meth:`GlobalCacheTable.merge_updates` scatter pass and
-        accumulates the frequency vector masked to its owned rows.
-        Entry-for-entry identical to a single server applying the same
-        upload, because Eq. 4 rows are independent and each row's merge
-        sees the same prior frequency state on its owning shard.
+        One :meth:`GlobalCacheTable.merge_updates` scatter pass and one
+        frequency accumulation — the single-server write path, so the
+        result is the single server's table by construction.
 
         Returns:
-            ``{shard_id: entries merged}`` for the shards that received
-            entries (frequency-only shards excluded) — the per-shard write
-            fan-out the driver charges merge time for.
+            ``{shard_id: entries merged}`` for the shards that own the
+            uploaded entries (frequency-only shards excluded) — the
+            per-shard write fan-out the driver charges merge time for.
         """
         local_freq = np.asarray(local_freq, dtype=float)
         if local_freq.shape != (self.num_classes,):
@@ -215,54 +166,47 @@ class ShardedGlobalCache:
         touched: dict[int, int] = {}
         if update_entries:
             ids, layers, vectors = unpack_update_entries(update_entries)
-            owners = self.router.shard_of(ids)
-            for shard_id in np.unique(owners):
-                piece = owners == shard_id
-                self.shards[shard_id].merge_updates(
-                    ids[piece],
-                    layers[piece],
-                    vectors[piece],
-                    local_freq[ids[piece]],
-                    gamma,
-                )
-                touched[int(shard_id)] = int(piece.sum())
-                # Stamp conservatively: rows the merge filtered out as
-                # inactive are still stamped — a delta may over-ship an
-                # unchanged row, never miss a changed one.
-                self._entry_epoch[shard_id, ids[piece]] = self._epoch
-        for shard_id, (shard, mask) in enumerate(
-            zip(self.shards, self._owned_masks)
-        ):
-            shard.add_frequencies(np.where(mask, local_freq, 0.0))
-            # Only rows with positive round frequency change value
-            # (adding +0.0 is bit-identical for the non-negative Phi).
-            self._freq_epoch[shard_id, mask & (local_freq > 0.0)] = self._epoch
+            self.table.merge_updates(ids, layers, vectors, local_freq[ids], gamma)
+            counts = np.bincount(
+                self.router.shard_of(ids), minlength=self.num_shards
+            )
+            touched = {int(s): int(n) for s, n in enumerate(counts) if n}
+            # Stamp conservatively: rows the merge filtered out as
+            # inactive are still stamped — a delta may over-ship an
+            # unchanged row, never miss a changed one.
+            self._entry_epoch[ids] = self._epoch
+        self.table.add_frequencies(local_freq)
+        # Only rows with positive round frequency change value.
+        self._freq_epoch[local_freq > 0.0] = self._epoch
         return touched
+
+    def _check_geometry(self, replica: GlobalCacheTable) -> None:
+        table = self.table
+        if (replica.num_classes, replica.num_layers, replica.dim) != (
+            table.num_classes,
+            table.num_layers,
+            table.dim,
+        ):
+            raise ValueError("replica geometry does not match the sharded cache")
 
     def sync_into(
         self, replica: GlobalCacheTable, shards: list[int] | None = None
     ) -> None:
-        """Copy authoritative owned rows into a replica table, in place.
+        """Copy the rows of some shards into a replica table, in place.
 
         Args:
             replica: the table to refresh (a node's local serving copy).
-            shards: which shards to pull from (default: all).  A node
+            shards: which shards' rows to pull (default: all).  A node
                 refreshes its *own* shard every round and the remote
                 shards only at the coordinator's sync interval — bounded
                 staleness for cross-shard rows, none for local ones.
         """
-        if (
-            replica.num_classes != self.num_classes
-            or replica.num_layers != self.num_layers
-            or replica.dim != self.dim
-        ):
-            raise ValueError("replica geometry does not match the sharded cache")
+        self._check_geometry(replica)
         for shard_id in range(self.num_shards) if shards is None else shards:
             rows = self.router.classes_of(shard_id)
-            source = self.shards[shard_id]
-            replica.entries[rows] = source.entries[rows]
-            replica.filled[rows] = source.filled[rows]
-            replica.class_freq[rows] = source.class_freq[rows]
+            replica.entries[rows] = self.table.entries[rows]
+            replica.filled[rows] = self.table.filled[rows]
+            replica.class_freq[rows] = self.table.class_freq[rows]
 
     def snapshot_delta(self, shard_id: int, since_epoch: int) -> "SnapshotDelta":
         """The rows of one shard a replica synced at ``since_epoch`` misses.
@@ -276,18 +220,17 @@ class ShardedGlobalCache:
         row.
 
         Applying the returned delta to a replica whose owned rows matched
-        this shard at ``since_epoch`` reproduces
-        :meth:`sync_into`'s result bit-for-bit: both paths assign the
-        shard's current bytes, and stamps are written conservatively (a
-        stamped-but-unchanged row re-ships its identical bytes; a changed
-        row is always stamped).
+        the table at ``since_epoch`` reproduces :meth:`sync_into`'s
+        result bit-for-bit: both paths assign the table's current bytes,
+        and stamps are written conservatively (a stamped-but-unchanged
+        row re-ships its identical bytes; a changed row is always
+        stamped).
         """
         from repro.store.delta import SnapshotDelta
 
         owned = self.router.classes_of(shard_id)
-        source = self.shards[shard_id]
-        entry_dirty = owned[self._entry_epoch[shard_id, owned] > since_epoch]
-        freq_dirty = owned[self._freq_epoch[shard_id, owned] > since_epoch]
+        entry_dirty = owned[self._entry_epoch[owned] > since_epoch]
+        freq_dirty = owned[self._freq_epoch[owned] > since_epoch]
         full = (
             since_epoch < 0
             or entry_dirty.size > DELTA_FALLBACK_FRACTION * owned.size
@@ -301,10 +244,10 @@ class ShardedGlobalCache:
             target_epoch=self._epoch,
             full=full,
             entry_rows=entry_dirty,
-            entries=source.entries[entry_dirty],
-            filled=source.filled[entry_dirty],
+            entries=self.table.entries[entry_dirty],
+            filled=self.table.filled[entry_dirty],
             freq_rows=freq_dirty,
-            freqs=source.class_freq[freq_dirty],
+            freqs=self.table.class_freq[freq_dirty],
         )
 
     def sync_delta_into(
@@ -317,48 +260,33 @@ class ShardedGlobalCache:
         changed since ``since_epoch``.  Returns the applied delta so the
         caller can account shipped bytes (:attr:`SnapshotDelta.nbytes`).
         """
-        if (
-            replica.num_classes != self.num_classes
-            or replica.num_layers != self.num_layers
-            or replica.dim != self.dim
-        ):
-            raise ValueError("replica geometry does not match the sharded cache")
+        self._check_geometry(replica)
         delta = self.snapshot_delta(shard_id, since_epoch)
         if contracts.ENABLED and not delta.full:
-            # Value-level dirty rows (replica vs shard) must be covered
+            # Value-level dirty rows (replica vs table) must be covered
             # by the shipped delta — a changed row outside it would be a
             # silently missed write.
             owned = self.router.classes_of(shard_id)
-            source = self.shards[shard_id]
+            source = self.table
             entries_differ = (
                 replica.entries[owned] != source.entries[owned]
             ).any(axis=(1, 2))
             filled_differ = (
                 replica.filled[owned] != source.filled[owned]
             ).any(axis=1)
-            changed_entries = owned[entries_differ | filled_differ]
-            changed_freqs = owned[
-                replica.class_freq[owned] != source.class_freq[owned]
-            ]
-            stamped_entries = owned[
-                self._entry_epoch[shard_id, owned] > since_epoch
-            ]
-            stamped_freqs = owned[
-                self._freq_epoch[shard_id, owned] > since_epoch
-            ]
             contracts.check_delta_apply(
                 delta.entry_rows,
                 delta.freq_rows,
-                stamped_entries,
-                stamped_freqs,
-                changed_entry_rows=changed_entries,
-                changed_freq_rows=changed_freqs,
+                owned[self._entry_epoch[owned] > since_epoch],
+                owned[self._freq_epoch[owned] > since_epoch],
+                changed_entry_rows=owned[entries_differ | filled_differ],
+                changed_freq_rows=owned[
+                    replica.class_freq[owned] != source.class_freq[owned]
+                ],
             )
         delta.apply(replica)
         return delta
 
     def merged_table(self) -> GlobalCacheTable:
-        """The equivalent single-server table (owned rows of every shard)."""
-        merged = GlobalCacheTable(self.num_classes, self.num_layers, self.dim)
-        self.sync_into(merged)
-        return merged
+        """The equivalent single-server table: a copy of the authority."""
+        return self.table.copy()

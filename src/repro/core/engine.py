@@ -196,8 +196,8 @@ class BatchedInferenceEngine:
         cache: the client's current :class:`SemanticCache`, or ``None``
             for pure Edge-Only execution.
         workspace: reusable probe buffers; pass a shared
-            :class:`~repro.core.cache.LookupWorkspace` (e.g. one per
-            cluster node) to pool scratch memory across engines, or let
+            :class:`~repro.core.cache.LookupWorkspace` (a framework's
+            one pool) to pool scratch memory across engines, or let
             the engine own a private one.  Buffers persist across
             batches and rounds, so steady-state probes allocate nothing
             proportional to ``batch x n_entries``.
@@ -217,17 +217,13 @@ class BatchedInferenceEngine:
         """Swap in a newly allocated cache (start of a CoCa round)."""
         self.cache = cache
 
-    def set_workspace(self, workspace: LookupWorkspace) -> None:
-        """Re-point the engine at a shared workspace (cluster pooling)."""
-        self.workspace = workspace
-
     def close(self) -> None:
         """Release the engine's workspace (its buffer pools).
 
         Safe on shared workspaces —
         :meth:`~repro.core.cache.LookupWorkspace.close` is idempotent —
-        so every engine pointing at a pooled cluster workspace may call
-        this on teardown.
+        so every engine pointing at a framework's pool may call this on
+        teardown.
         """
         self.workspace.close()
 

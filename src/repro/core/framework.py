@@ -281,6 +281,8 @@ class CoCaFramework:
         """
         if num_rounds < 1:
             raise ValueError(f"num_rounds must be >= 1, got {num_rounds}")
+        if warmup_rounds < 0:
+            raise ValueError(f"warmup_rounds must be >= 0, got {warmup_rounds}")
         metrics = MetricsCollector()
         rounds: list[RoundSummary] = []
         all_reports: list[RoundReport] = []
@@ -316,12 +318,5 @@ class CoCaFramework:
         )
 
     def close(self) -> None:
-        """Release probe resources: every engine workspace and the shared pool.
-
-        Engines pointed at the shared framework workspace close it
-        idempotently; engines re-pointed elsewhere (the cluster driver
-        pools them per node) close their own.
-        """
-        for client in self.clients:
-            client.batch_engine.close()
+        """Release the deployment's one probe pool (every engine shares it)."""
         self.workspace.close()

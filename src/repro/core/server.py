@@ -45,6 +45,22 @@ if TYPE_CHECKING:
 
 _EPS = 1e-12
 
+#: Expected *residual* client drift: the per-client component that global
+#: updates cannot learn (the shared component is absorbed into the global
+#: table).  The exit-loss estimate G perturbs the cache entries by this
+#: much so that layers which are only accurate for *pristine* centroids
+#: (typically the shallow ones, whose margins are smallest) are not
+#: declared SLO-safe.
+DRIFT_MARGIN = 0.08
+#: Share of the classes cached during layer-statistics calibration
+#: (allocations are always partial sub-tables; this matches the ~90%
+#: stream coverage hot-spot selection achieves in deployment).
+CACHED_FRACTION = 0.9
+#: Similarity floors: this low quantile of correct fires' own-class
+#: cosines, minus the margin.
+FLOOR_QUANTILE = 0.03
+FLOOR_MARGIN = 0.01
+
 
 def unpack_update_entries(
     update_entries: dict[tuple[int, int], np.ndarray],
@@ -243,17 +259,9 @@ class CoCaServer:
         model: SimulatedModel,
         config: CoCaConfig,
         freq_prior: float = 50.0,
-        drift_margin: float = 0.08,
     ) -> None:
         self.model = model
         self.config = config
-        #: Expected *residual* client drift: the per-client component that
-        #: global updates cannot learn (the shared component is absorbed
-        #: into the global table).  The exit-loss estimate G perturbs the
-        #: cache entries by this much so that layers which are only
-        #: accurate for *pristine* centroids (typically the shallow ones,
-        #: whose margins are smallest) are not declared SLO-safe.
-        self.drift_margin = float(drift_margin)
         num_layers = model.num_cache_layers
         self.table = GlobalCacheTable(
             num_classes=model.num_classes,
@@ -274,8 +282,6 @@ class CoCaServer:
         self._entry_sizes = np.array(
             [model.profile.entry_size_bytes(j) for j in range(num_layers)]
         )
-        #: Scratch buffers reused by every batched calibration pass.
-        self.workspace = LookupWorkspace()
 
     # ------------------------------------------------------------------
     # Initialization from the global shared dataset
@@ -315,18 +321,15 @@ class CoCaServer:
         self,
         rng: np.random.Generator,
         num_samples: int = 600,
-        cached_fraction: float = 0.9,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-layer cache statistics on the shared dataset.
 
         The measurement mirrors deployment conditions: only a random
-        ``cached_fraction`` of the classes is cached (allocations are
-        always partial sub-tables; the default matches the ~90% stream
-        coverage hot-spot selection achieves in deployment), and entries
-        are perturbed by the expected client drift.  A stream sample of an *uncached* class
-        that still fires the threshold is an erroneous hit and counts
-        against the layer's accuracy — the mechanism that makes shallow
-        layers SLO-unsafe.
+        :data:`CACHED_FRACTION` of the classes is cached, and entries
+        are perturbed by the expected client drift (:data:`DRIFT_MARGIN`).
+        A stream sample of an *uncached* class that still fires the
+        threshold is an erroneous hit and counts against the layer's
+        accuracy — the mechanism that makes shallow layers SLO-unsafe.
 
         Returns three vectors of length L:
 
@@ -347,20 +350,17 @@ class CoCaServer:
         model = self.model
         num_layers = model.num_cache_layers
         num_classes = model.num_classes
-        if not 0.0 < cached_fraction <= 1.0:
-            raise ValueError(f"cached_fraction must be in (0, 1], got {cached_fraction}")
-        num_cached = max(2, int(round(cached_fraction * num_classes)))
+        num_cached = max(2, int(round(CACHED_FRACTION * num_classes)))
         cached = rng.choice(num_classes, size=num_cached, replace=False)
 
         perturb_rng = np.random.default_rng(rng.integers(2**32))
         centroids = []
         for layer in range(num_layers):
             base = model.ideal_centroids(layer)[cached]
-            if self.drift_margin > 0:
-                noise = perturb_rng.standard_normal(base.shape)
-                noise /= np.linalg.norm(noise, axis=1, keepdims=True)
-                base = base + self.drift_margin * noise
-                base /= np.linalg.norm(base, axis=1, keepdims=True)
+            noise = perturb_rng.standard_normal(base.shape)
+            noise /= np.linalg.norm(noise, axis=1, keepdims=True)
+            base = base + DRIFT_MARGIN * noise
+            base /= np.linalg.norm(base, axis=1, keepdims=True)
             centroids.append(base)
         stream = StreamGenerator(
             class_distribution=np.full(num_classes, 1.0 / num_classes),
@@ -387,20 +387,20 @@ class CoCaServer:
         cached_hits = np.zeros(num_layers)
         correct = np.zeros(num_layers)
         model_correct_on_hitters = np.zeros(num_layers)
-        workspace = self.workspace
         score = np.empty(num_samples)
-        for layer in range(num_layers):
-            # Top-2 and Eq. 2 scoring through the shared workspace (the
-            # BatchedLookupSession kernel's buffers): mask the winner,
-            # find the runner-up, restore — no per-layer temporaries.
-            best_idx, _, best, second = workspace.top2(similarity[layer])
-            workspace.scores_into(best, second, score)
-            fire = (score > theta) & (best > 0)
-            fires[layer] = fire.sum()
-            cached_hits[layer] = (fire & is_cached).sum()
-            predicted = cached[best_idx]
-            correct[layer] = (fire & (predicted == class_ids)).sum()
-            model_correct_on_hitters[layer] = (fire & model_ok).sum()
+        with LookupWorkspace() as workspace:
+            for layer in range(num_layers):
+                # Top-2 and Eq. 2 scoring through one workspace (the
+                # BatchedLookupSession kernel's buffers): mask the winner,
+                # find the runner-up, restore — no per-layer temporaries.
+                best_idx, _, best, second = workspace.top2(similarity[layer])
+                workspace.scores_into(best, second, score)
+                fire = (score > theta) & (best > 0)
+                fires[layer] = fire.sum()
+                cached_hits[layer] = (fire & is_cached).sum()
+                predicted = cached[best_idx]
+                correct[layer] = (fire & (predicted == class_ids)).sum()
+                model_correct_on_hitters[layer] = (fire & model_ok).sum()
         ratio = cached_hits / max(1, num_cached_samples)
         accuracy = np.divide(correct, fires, out=np.zeros(num_layers), where=fires > 0)
         model_acc = np.divide(
@@ -413,18 +413,17 @@ class CoCaServer:
         self,
         rng: np.random.Generator,
         num_samples: int = 600,
-        quantile: float = 0.03,
-        margin: float = 0.01,
     ) -> np.ndarray:
         """Per-layer absolute similarity floors for cache hits.
 
         For each layer, draw shared-dataset samples of *cached* classes
         and record the cosine between the sample and its own class
         centroid; the floor is a low quantile of that distribution minus a
-        small margin.  True hits clear the floor essentially always, while
-        a sample of an uncached class — whose best cosine is to some
-        *other* class's centroid — falls below it, because an entry of the
-        wrong class can never be as close as the sample's own centroid.
+        small margin (:data:`FLOOR_QUANTILE`, :data:`FLOOR_MARGIN`).  True
+        hits clear the floor essentially always, while a sample of an
+        uncached class — whose best cosine is to some *other* class's
+        centroid — falls below it, because an entry of the wrong class
+        can never be as close as the sample's own centroid.
         """
         model = self.model
         num_layers = model.num_cache_layers
@@ -445,17 +444,15 @@ class CoCaServer:
         # Floors gate *confident* hits, so calibrate on the easy
         # majority (hard samples would not hit their own class anyway).
         keep = batch.confusion_weights <= 0.4
-        floors = np.full(num_layers, -1.0)
         if not keep.any():
-            return floors
+            return np.full(num_layers, -1.0)
         class_ids = block.class_ids[keep]
         vectors = batch.vectors[keep]  # (K, L+1, d)
         # own_sims[k, l] = centroid(class of k, layer l) . vector(k, layer l)
         own_sims = np.einsum(
             "lkd,kld->kl", centroids[:, class_ids, :], vectors[:, :num_layers, :]
         )
-        floors = np.quantile(own_sims, quantile, axis=0) - margin
-        return floors
+        return np.quantile(own_sims, FLOOR_QUANTILE, axis=0) - FLOOR_MARGIN
 
     def eligible_layers(self, accuracy_loss_budget: float | None = None) -> np.ndarray:
         """Cache layers whose early-exit accuracy loss fits the SLO budget.
@@ -579,12 +576,7 @@ class CoCaServer:
         then each :class:`~repro.cluster.node.EdgeServerNode` serves from
         a replica that the coordinator refreshes from the shards.
         """
-        replica = CoCaServer(
-            self.model,
-            self.config,
-            freq_prior=0.0,
-            drift_margin=self.drift_margin,
-        )
+        replica = CoCaServer(self.model, self.config, freq_prior=0.0)
         replica.table = self.table.copy()
         replica.reference_hit_ratio = self.reference_hit_ratio.copy()
         replica.reference_hit_accuracy = self.reference_hit_accuracy.copy()

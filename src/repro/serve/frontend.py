@@ -66,6 +66,9 @@ OUTCOME_SHED = "shed"
 
 SERVE_MODES = ("thread", "process")
 
+#: Backpressure hint (ms) returned with a shed response.
+RETRY_AFTER_MS = 5.0
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -86,7 +89,6 @@ class ServeConfig:
         max_retries: client-side retries of *shed* attempts in
             :meth:`ServeFrontend.submit_with_retry`.
         backoff_base_ms: first retry backoff; doubles per attempt.
-        retry_after_ms: hint returned with a shed response.
         router_salt: seed of the class-to-shard permutation.
         worker: knobs forwarded to every shard worker.
     """
@@ -98,7 +100,6 @@ class ServeConfig:
     deadline_ms: float = 250.0
     max_retries: int = 3
     backoff_base_ms: float = 4.0
-    retry_after_ms: float = 5.0
     router_salt: int = 0
     worker: WorkerOptions = WorkerOptions()
 
@@ -443,7 +444,7 @@ class ServeFrontend:
                 shard=lane.shard,
                 latency_ms=1e3 * (time.perf_counter() - started),
                 frames=frames,
-                retry_after_ms=self.config.retry_after_ms,
+                retry_after_ms=RETRY_AFTER_MS,
             )
         lane.queued += 1
         self._check(lane)

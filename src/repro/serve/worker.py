@@ -75,15 +75,15 @@ class WorkerOptions(NamedTuple):
             worker sleeps out the remainder after the real probe math.
         miss_ms: emulated full-model time per frame that missed every
             cache layer (0 = serve the cache's best guess immediately).
-        use_floors: apply the snapshot's calibrated per-layer similarity
-            floors when present.
+
+    The snapshot's calibrated per-layer similarity floors are applied
+    whenever it carries them.
     """
 
     alpha: float = 0.5
     theta: float = 0.05
     service_floor_ms: float = 0.0
     miss_ms: float = 0.0
-    use_floors: bool = True
 
 
 class WorkerReply(NamedTuple):
@@ -123,11 +123,10 @@ class WorkerState:
         started = time.perf_counter()
         self.options = options
         self.store = MappedTableStore(snapshot_path)
-        floors = None
-        if options.use_floors:
-            floors = self.store.references().get(_FLOOR_REFERENCE)
         self.cache: SemanticCache = self.store.serving_cache(
-            alpha=options.alpha, theta=options.theta, floors=floors
+            alpha=options.alpha,
+            theta=options.theta,
+            floors=self.store.references().get(_FLOOR_REFERENCE),
         )
         self.workspace = LookupWorkspace()
         self.init_ms = 1e3 * (time.perf_counter() - started)

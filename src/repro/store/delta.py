@@ -123,8 +123,6 @@ class SnapshotDelta:
 def diff_tables(
     base: GlobalCacheTable,
     target: GlobalCacheTable,
-    rows: np.ndarray | None = None,
-    shard_id: int = 0,
     base_epoch: int = 0,
     target_epoch: int = 0,
 ) -> SnapshotDelta:
@@ -132,8 +130,8 @@ def diff_tables(
 
     Used by ``repro store diff`` to report how much a delta sync would
     ship between two snapshots; row-level change detection compares
-    entries and fill mask (entry-dirty) and Phi (freq-dirty) over
-    ``rows`` (default: all classes).
+    entries and fill mask (entry-dirty) and Phi (freq-dirty) over every
+    class (the delta's ``shard_id`` is 0).
     """
     if (
         base.num_classes != target.num_classes
@@ -141,23 +139,12 @@ def diff_tables(
         or base.dim != target.dim
     ):
         raise ValueError("tables must share geometry to diff")
-    universe = (
-        np.arange(target.num_classes, dtype=np.int64)
-        if rows is None
-        else np.asarray(rows, dtype=np.int64)
-    )
-    entries_differ = (
-        base.entries[universe] != target.entries[universe]
-    ).any(axis=(1, 2))
-    filled_differ = (
-        base.filled[universe] != target.filled[universe]
-    ).any(axis=1)
-    entry_rows = universe[entries_differ | filled_differ]
-    freq_rows = universe[
-        base.class_freq[universe] != target.class_freq[universe]
-    ]
+    entries_differ = (base.entries != target.entries).any(axis=(1, 2))
+    filled_differ = (base.filled != target.filled).any(axis=1)
+    entry_rows = np.flatnonzero(entries_differ | filled_differ)
+    freq_rows = np.flatnonzero(base.class_freq != target.class_freq)
     return SnapshotDelta(
-        shard_id=shard_id,
+        shard_id=0,
         base_epoch=base_epoch,
         target_epoch=target_epoch,
         full=False,

@@ -60,14 +60,6 @@ class TestClassShardRouter:
             shard = router.shard_of(class_id)
             assert isinstance(shard, int)
             assert class_id in router.classes_of(shard)
-            assert router.owned_mask(shard)[class_id]
-
-    def test_mass_per_shard_sums_to_one(self):
-        router = ClassShardRouter(20, 3)
-        probs = np.random.default_rng(0).dirichlet(np.ones(20))
-        mass = router.mass_per_shard(probs)
-        assert mass.shape == (3,)
-        assert mass.sum() == pytest.approx(1.0)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -106,7 +98,7 @@ class TestShardedGlobalCache:
         single = GlobalCacheTable(num_classes, num_layers, dim)
         single.class_freq += 10.0
         router = ClassShardRouter(num_classes, 3, salt=2)
-        sharded = ShardedGlobalCache(router, initial=single)
+        sharded = ShardedGlobalCache(router, single.copy())
         for _ in range(5):
             update, freq = _random_update(rng, num_classes, num_layers, dim)
             keys = np.array(list(update.keys()), dtype=int)
@@ -123,7 +115,7 @@ class TestShardedGlobalCache:
 
     def test_touched_shards_reported(self):
         router = ClassShardRouter(12, 3, salt=0)
-        sharded = ShardedGlobalCache(router, num_layers=2, dim=4)
+        sharded = ShardedGlobalCache(router, GlobalCacheTable(12, 2, 4))
         class_a = int(router.classes_of(0)[0])
         class_b = int(router.classes_of(2)[0])
         update = {
@@ -138,7 +130,7 @@ class TestShardedGlobalCache:
 
     def test_sync_into_refreshes_only_requested_shards(self):
         router = ClassShardRouter(12, 2, salt=0)
-        sharded = ShardedGlobalCache(router, num_layers=2, dim=4)
+        sharded = ShardedGlobalCache(router, GlobalCacheTable(12, 2, 4))
         replica = GlobalCacheTable(12, 2, 4)
         class_a = int(router.classes_of(0)[0])
         class_b = int(router.classes_of(1)[0])
@@ -154,15 +146,13 @@ class TestShardedGlobalCache:
 
     def test_geometry_validation(self):
         router = ClassShardRouter(12, 2)
-        with pytest.raises(ValueError):
-            ShardedGlobalCache(router)  # no geometry
-        sharded = ShardedGlobalCache(router, num_layers=2, dim=4)
+        sharded = ShardedGlobalCache(router, GlobalCacheTable(12, 2, 4))
         with pytest.raises(ValueError):
             sharded.sync_into(GlobalCacheTable(12, 3, 4))
         with pytest.raises(ValueError):
             sharded.apply_client_update({}, np.zeros(5), gamma=0.99)
         with pytest.raises(ValueError):
-            ShardedGlobalCache(router, initial=GlobalCacheTable(13, 2, 4))
+            ShardedGlobalCache(router, GlobalCacheTable(13, 2, 4))
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +245,7 @@ class TestAssignment:
 
     def test_region_prefers_owned_mass(self):
         router = ClassShardRouter(12, 2, salt=0)
-        sharded = ShardedGlobalCache(router, num_layers=2, dim=4)
+        sharded = ShardedGlobalCache(router, GlobalCacheTable(12, 2, 4))
         dists = np.zeros((2, 12))
         # Each client streams only classes owned by one shard.
         dists[0, router.classes_of(1)] = 1.0 / router.classes_of(1).size
@@ -267,7 +257,7 @@ class TestAssignment:
 
     def test_region_caps_node_population(self):
         router = ClassShardRouter(12, 2, salt=0)
-        sharded = ShardedGlobalCache(router, num_layers=2, dim=4)
+        sharded = ShardedGlobalCache(router, GlobalCacheTable(12, 2, 4))
         # Every client prefers shard 0; capacity forces a spill.
         dists = np.zeros((6, 12))
         dists[:, router.classes_of(0)] = 1.0 / router.classes_of(0).size
@@ -289,7 +279,7 @@ class TestAssignment:
 
     def test_region_rejects_node_shard_mismatch(self):
         router = ClassShardRouter(12, 2, salt=0)
-        sharded = ShardedGlobalCache(router, num_layers=2, dim=4)
+        sharded = ShardedGlobalCache(router, GlobalCacheTable(12, 2, 4))
         dists = np.full((12, 12), 1.0 / 12)
         with pytest.raises(ValueError, match="hosted shard"):
             assign_clients(
@@ -302,7 +292,7 @@ class TestCoordinator:
         model = build_model("resnet50", get_dataset("ucf101", 12), seed=0)
         canonical = CoCaServer(model, CoCaConfig())
         router = ClassShardRouter(model.num_classes, 2, salt=0)
-        sharded = ShardedGlobalCache(router, initial=canonical.table)
+        sharded = ShardedGlobalCache(router, canonical.table)
         nodes = [
             EdgeServerNode(i, canonical.replicate()) for i in range(2)
         ]
@@ -322,7 +312,7 @@ class TestCoordinator:
     def test_local_shard_fresh_between_syncs(self):
         sharded, nodes, coord = self._cluster_bits(sync_interval=5)
         router = sharded.router
-        dim = sharded.dim
+        dim = sharded.table.dim
         class_a = int(router.classes_of(0)[0])
         class_b = int(router.classes_of(1)[0])
         update = {(class_a, 0): np.ones(dim), (class_b, 0): np.ones(dim)}
@@ -333,16 +323,16 @@ class TestCoordinator:
         # Node 0 sees its own shard's write, not the remote one.
         assert np.array_equal(
             nodes[0].server.table.entries[class_a, 0],
-            sharded.shards[0].entries[class_a, 0],
+            sharded.table.entries[class_a, 0],
         )
         assert not np.array_equal(
             nodes[0].server.table.entries[class_b, 0],
-            sharded.shards[1].entries[class_b, 0],
+            sharded.table.entries[class_b, 0],
         )
         coord.sync_all()
         assert np.array_equal(
             nodes[0].server.table.entries[class_b, 0],
-            sharded.shards[1].entries[class_b, 0],
+            sharded.table.entries[class_b, 0],
         )
 
     def test_node_count_must_match_shards(self):
@@ -397,6 +387,29 @@ class TestClusterFramework:
         ref_rates = per_class_hit_rates(reference.metrics.records)
         cluster_rates = per_class_hit_rates(cluster.metrics.records)
         assert ref_rates == cluster_rates
+
+    def test_authoritative_table_tracks_single_server_between_syncs(self):
+        """The cluster's one table is the deployment's ``server.table``
+        and equals a single server fed the same uploads after every
+        round; node replicas lag behind it until the interval's sync."""
+        kwargs = _cluster_kwargs()
+        single_server = CoCaFramework(**kwargs).server
+        cluster = ClusterFramework(num_shards=3, sync_interval=3, **kwargs)
+        assert cluster.sharded.table is cluster.framework.server.table
+        for round_index in range(6):
+            for report in cluster.run_round(round_index):
+                single_server.apply_client_update(
+                    report.update_entries, report.frequencies
+                )
+            table, single = cluster.sharded.table, single_server.table
+            assert np.array_equal(table.entries, single.entries)
+            assert np.array_equal(table.filled, single.filled)
+            assert np.array_equal(table.class_freq, single.class_freq)
+            replica = cluster.nodes[0].server.table
+            in_sync = np.array_equal(
+                replica.entries, table.entries
+            ) and np.array_equal(replica.class_freq, table.class_freq)
+            assert in_sync == (round_index % 3 == 2)
 
     def test_stale_sync_still_runs_and_counts(self):
         cluster_fw = ClusterFramework(
@@ -564,22 +577,6 @@ class TestPerClassHitRates:
             per_class_hit_rates(records, min_samples=0)
 
 
-class TestNodeWorkspaceSharing:
-    def test_assigned_clients_share_their_node_workspace(self):
-        cluster = ClusterFramework(
-            dataset=get_dataset("ucf101", 12),
-            model_name="resnet50",
-            num_shards=2,
-            num_clients=4,
-            config=CoCaConfig(frames_per_round=30),
-            seed=5,
-        )
-        for client_id, node_id in enumerate(cluster.assignment):
-            engine = cluster.clients[client_id].batch_engine
-            assert engine.workspace is cluster.nodes[node_id].workspace
-        assert cluster.nodes[0].workspace is not cluster.nodes[1].workspace
-
-
 # ----------------------------------------------------------------------
 # Delta-based cross-shard sync
 # ----------------------------------------------------------------------
@@ -600,7 +597,9 @@ class TestDeltaSync:
 
     def _build(self, num_shards=3):
         router = ClassShardRouter(self.I, num_shards, salt=7)
-        sharded = ShardedGlobalCache(router, num_layers=self.L, dim=self.D)
+        sharded = ShardedGlobalCache(
+            router, GlobalCacheTable(self.I, self.L, self.D)
+        )
         nodes = [
             EdgeServerNode(i, _TableHolder(GlobalCacheTable(self.I, self.L, self.D)))
             for i in range(num_shards)

@@ -562,22 +562,10 @@ class TestLookupWorkspaceClose:
             assert workspace._pools
         assert workspace._pools == {}
 
-    def test_engine_and_node_teardown_close_their_workspaces(self, tiny_model):
-        from repro.cluster.node import EdgeServerNode
+    def test_engine_teardown_closes_its_workspace(self, tiny_model):
         from repro.core.engine import BatchedInferenceEngine
 
         engine = BatchedInferenceEngine(tiny_model)
         engine.workspace.floats("x", (4,), np.float32)
         engine.close()
         assert engine.workspace._pools == {}
-
-        from repro.core.server import GlobalCacheTable
-
-        class _Holder:
-            def __init__(self, table):
-                self.table = table
-
-        node = EdgeServerNode(0, _Holder(GlobalCacheTable(8, 6, 16)))
-        node.workspace.floats("x", (4,), np.float32)
-        node.close()
-        assert node.workspace._pools == {}

@@ -142,3 +142,34 @@ class TestWorkspaceAndTimings:
         first_probe = timings["probe"]
         fw.run_round(1, timings=timings)
         assert timings["probe"] >= first_probe
+
+
+def _coca_runner(dataset, config):
+    return _framework(dataset, config)
+
+
+def _cluster_runner(dataset, config):
+    from repro.cluster import ClusterFramework
+
+    return ClusterFramework(
+        dataset, model_name="resnet50", num_shards=2, num_clients=2, config=config
+    )
+
+
+def _baseline_runner(dataset, config):
+    from repro.baselines import EdgeOnly
+    from repro.experiments.scenario import Scenario
+
+    scenario = Scenario(dataset=dataset, model_name="resnet50", num_clients=2)
+    return EdgeOnly(scenario, frames_per_round=config.frames_per_round)
+
+
+@pytest.mark.parametrize(
+    "build, warmup",
+    [(_coca_runner, -3), (_cluster_runner, -1), (_baseline_runner, -2)],
+    ids=["framework", "cluster", "baseline"],
+)
+def test_negative_warmup_rounds_rejected(small_setup, build, warmup):
+    runner = build(*small_setup)
+    with pytest.raises(ValueError, match=f"warmup_rounds must be >= 0, got {warmup}"):
+        runner.run(2, warmup_rounds=warmup)

@@ -782,9 +782,9 @@ class TestConcurrentReaders:
         snapshot = self._snapshot(tmp_path)
         vectors = self._queries(snapshot)
         reference = self._walk_once(snapshot, vectors)
-        # Snapshots carry no calibrated floors here, and the in-process
-        # reference used serving_cache defaults — match them.
-        options = WorkerOptions(use_floors=False)
+        # Snapshots carry no calibrated floors here, so workers serve the
+        # same floor-free cache as the in-process reference.
+        options = WorkerOptions()
         pools = [
             ProcessPoolExecutor(
                 max_workers=1,

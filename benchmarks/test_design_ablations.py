@@ -95,3 +95,7 @@ def test_update_weighting_ablation(benchmark, report, scenario):
     # Eq. 4's shrinking weights keep entries at least as accurate as a
     # fixed-rate EMA, whose updates never converge.
     assert eq4.accuracy_pct > ema.accuracy_pct - 1.5
+    # The two rows measure two different merges.
+    assert (eq4.latency_ms, eq4.accuracy_pct, eq4.hit_ratio_pct) != (
+        ema.latency_ms, ema.accuracy_pct, ema.hit_ratio_pct
+    )

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.baselines.base import BaselineRunner
 from repro.core.cache import SemanticCache
-from repro.core.engine import CachedInferenceEngine
+from repro.core.engine import BatchedInferenceEngine
 from repro.core.rng import derive_rng
 from repro.experiments.scenario import Scenario
 from repro.models.feature import SampleFeatures
@@ -80,7 +80,7 @@ class ReplacementPolicyCache(BaselineRunner):
         # Per-client residency: class id -> insertion order (OrderedDict
         # gives both FIFO order and, via move_to_end, LRU order).
         self._resident: list[OrderedDict[int, None]] = []
-        self._engines: list[CachedInferenceEngine] = []
+        self._engines: list[BatchedInferenceEngine] = []
         for k in range(scenario.num_clients):
             resident: OrderedDict[int, None] = OrderedDict()
             # Warm start: the first `cache_size` classes by client prior.
@@ -88,8 +88,7 @@ class ReplacementPolicyCache(BaselineRunner):
             for class_id in order[: self.cache_size]:
                 resident[int(class_id)] = None
             self._resident.append(resident)
-            engine = CachedInferenceEngine(model, cache=None)
-            self._engines.append(engine)
+            self._engines.append(BatchedInferenceEngine(model))
             self._rebuild(k)
 
     # ------------------------------------------------------------------
@@ -115,11 +114,13 @@ class ReplacementPolicyCache(BaselineRunner):
             resident.popitem(last=False)
 
     def process(self, client_id: int, sample: SampleFeatures) -> InferenceRecord:
-        outcome = self._engines[client_id].infer(sample)
-        predicted = outcome.predicted_class
+        out = self._engines[client_id].infer_batch_soa([sample])
+        predicted = int(out.predicted_class[0])
+        hit_layer = int(out.hit_layer[0])
+        latency_ms = float(out.latency_ms[0])
         resident = self._resident[client_id]
 
-        if outcome.hit_layer is not None:
+        if hit_layer >= 0:
             if self.policy == "lru" and predicted in resident:
                 resident.move_to_end(predicted)
         elif predicted not in resident:
@@ -134,8 +135,8 @@ class ReplacementPolicyCache(BaselineRunner):
         return InferenceRecord(
             true_class=sample.true_class,
             predicted_class=predicted,
-            latency_ms=outcome.latency_ms,
-            hit_layer=outcome.hit_layer,
+            latency_ms=latency_ms,
+            hit_layer=hit_layer if hit_layer >= 0 else None,
             client_id=client_id,
         )
 

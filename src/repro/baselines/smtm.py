@@ -25,7 +25,7 @@ import numpy as np
 from repro.baselines.base import BaselineRunner
 from repro.core.allocation import select_hotspot_classes
 from repro.core.cache import SemanticCache
-from repro.core.engine import CachedInferenceEngine
+from repro.core.engine import BatchedInferenceEngine
 from repro.experiments.scenario import Scenario
 from repro.models.feature import SampleFeatures
 from repro.sim.metrics import InferenceRecord
@@ -89,10 +89,10 @@ class SMTM(BaselineRunner):
         }
         self._freq = np.zeros((scenario.num_clients, num_classes))
         self._tau = np.zeros((scenario.num_clients, num_classes))
-        self._engines: list[CachedInferenceEngine] = []
+        self._engines = [
+            BatchedInferenceEngine(model) for _ in range(scenario.num_clients)
+        ]
         for k in range(scenario.num_clients):
-            engine = CachedInferenceEngine(model, cache=None)
-            self._engines.append(engine)
             self._refresh_cache(k)
 
     # ------------------------------------------------------------------
@@ -117,21 +117,20 @@ class SMTM(BaselineRunner):
         self._engines[client_id].set_cache(cache)
 
     def process(self, client_id: int, sample: SampleFeatures) -> InferenceRecord:
-        outcome = self._engines[client_id].infer(sample)
-        predicted = outcome.predicted_class
+        engine = self._engines[client_id]
+        out = engine.infer_batch_soa([sample])
+        predicted = int(out.predicted_class[0])
+        hit_layer = int(out.hit_layer[0])
+        latency_ms = float(out.latency_ms[0])
         self._tau[client_id] += 1.0
         self._tau[client_id, predicted] = 0.0
         self._freq[client_id, predicted] += 1.0
 
         # Local adaptation: confident hits pull their entries toward the
-        # sample (SMTM's online centroid update), up to the hit layer.
-        if (
-            outcome.hit_layer is not None
-            and outcome.hit_score is not None
-            and outcome.hit_score > self.reinforce_margin
-        ):
-            for probe in outcome.probes:
-                layer = probe.layer
+        # sample (SMTM's online centroid update) at every layer probed.
+        if hit_layer >= 0 and float(out.hit_score[0]) > self.reinforce_margin:
+            assert engine.cache is not None
+            for layer in [j for j in engine.cache.active_layers if j <= hit_layer]:
                 current = self._centroids[layer][client_id, predicted]
                 updated = (1 - self.ema) * current + self.ema * sample.vector(layer)
                 norm = np.linalg.norm(updated)
@@ -141,8 +140,8 @@ class SMTM(BaselineRunner):
         return InferenceRecord(
             true_class=sample.true_class,
             predicted_class=predicted,
-            latency_ms=outcome.latency_ms,
-            hit_layer=outcome.hit_layer,
+            latency_ms=latency_ms,
+            hit_layer=hit_layer if hit_layer >= 0 else None,
             client_id=client_id,
         )
 

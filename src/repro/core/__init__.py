@@ -9,20 +9,12 @@ from repro.core.allocation import (
 from repro.core.cache import (
     BatchedLookupSession,
     BatchLayerProbe,
-    LayerProbe,
-    LookupSession,
     LookupWorkspace,
     SemanticCache,
-    discriminative_score,
 )
 from repro.core.client import ClientStatus, CoCaClient, RoundReport
 from repro.core.config import CoCaConfig, recommended_theta
-from repro.core.engine import (
-    BatchedInferenceEngine,
-    BatchOutcomes,
-    CachedInferenceEngine,
-    InferenceOutcome,
-)
+from repro.core.engine import BatchedInferenceEngine, BatchOutcomes
 from repro.core.framework import CoCaFramework, FrameworkResult, RoundSummary
 from repro.core.server import CoCaServer, GlobalCacheTable
 
@@ -32,7 +24,6 @@ __all__ = [
     "BatchedInferenceEngine",
     "BatchOutcomes",
     "BatchedLookupSession",
-    "CachedInferenceEngine",
     "ClientStatus",
     "CoCaClient",
     "CoCaConfig",
@@ -40,16 +31,12 @@ __all__ = [
     "CoCaServer",
     "FrameworkResult",
     "GlobalCacheTable",
-    "InferenceOutcome",
-    "LayerProbe",
-    "LookupSession",
     "LookupWorkspace",
     "RoundReport",
     "RoundSummary",
     "SemanticCache",
     "aca_allocate",
     "class_scores",
-    "discriminative_score",
     "recommended_theta",
     "select_hotspot_classes",
 ]

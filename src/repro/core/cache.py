@@ -1,9 +1,9 @@
 """The class-based semantic cache (Sec. II-3).
 
 A :class:`SemanticCache` holds, per activated cache layer, one unit-norm
-semantic centroid per hot-spot class.  During inference a
-:class:`LookupSession` walks the activated layers in order, accumulating
-per-class cosine similarities:
+semantic centroid per hot-spot class.  During inference a lookup walks
+the activated layers in order, accumulating per-class cosine
+similarities:
 
     A[i, j] = C[i, j] + alpha * A[i, j-1]                       (Eq. 1)
 
@@ -17,14 +17,14 @@ two best classes ``a`` and ``b``:
 The cache hits when ``D[j]`` exceeds the threshold theta; inference then
 terminates early returning class ``a``.  Eq. 2 assumes a positive
 runner-up: when ``A[b] <= 0`` the relative gap is undefined and no
-confident hit is possible, so :func:`discriminative_score` clamps ``D``
-to 0 instead of dividing by a tiny epsilon.
+confident hit is possible, so :meth:`LookupWorkspace.scores_into`
+clamps ``D`` to 0 instead of dividing by a tiny epsilon.
 
-Two session flavours share the machinery: :class:`LookupSession` walks
-one sample at a time, and :class:`BatchedLookupSession` runs a whole
-batch of samples per layer as single NumPy matrix operations (one
-``(n_alive, d) @ (d, n_entries)`` product, vectorized Eq. 1/2), producing
-outcomes identical to the scalar path.
+Lookups run a batch of samples at a time:
+:func:`repro.core.probe.walk_cache_batch` scores whole blocks of layers
+of the cache's :class:`LayerPack`, and :class:`BatchedLookupSession`
+advances one layer per call — one ``(n_alive, d) @ (d, n_entries)``
+product, vectorized Eq. 1/2 — for caches whose pack is empty.
 
 Serving-path performance rests on two policies layered on top:
 
@@ -81,34 +81,6 @@ def _address(array: np.ndarray) -> int:
     """Memory address of an array's first element."""
     address: int = array.__array_interface__["data"][0]
     return address
-
-
-def discriminative_score(
-    a_best: float | np.ndarray, a_second: float | np.ndarray
-) -> float | np.ndarray:
-    """Eq. 2 score ``(A[a] - A[b]) / A[b]`` with a safe denominator.
-
-    When the runner-up accumulated similarity ``A[b]`` is non-positive
-    the relative gap is undefined — naively substituting an epsilon
-    denominator explodes the score to ~1e9 and manufactures spurious
-    hits.  No confident hit is possible against a non-positive runner-up,
-    so the score clamps to 0 there.  A *genuinely positive but tiny*
-    runner-up still yields a large score: that is Eq. 2's own unbounded
-    semantics (a huge relative margin), and deployments gate such fires
-    with the calibrated per-layer similarity floors.
-
-    Accepts scalars or equally-shaped arrays; returns a float for scalar
-    inputs and an array otherwise.
-    """
-    best = np.asarray(a_best, dtype=float)
-    second = np.asarray(a_second, dtype=float)
-    positive = second > _EPS
-    score = np.where(
-        positive, (best - second) / np.where(positive, second, 1.0), 0.0
-    )
-    if score.ndim == 0:
-        return float(score)
-    return score
 
 
 class LookupWorkspace:
@@ -267,8 +239,16 @@ class LookupWorkspace:
     def scores_into(
         self, best: np.ndarray, second: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
-        """Eq. 2 scores written into ``out`` (allocation-free
-        :func:`discriminative_score` for equal-shaped 1-D arrays)."""
+        """Eq. 2 scores ``(best - second) / second`` of equal-shaped 1-D
+        arrays, written into ``out`` without allocating.
+
+        A non-positive runner-up leaves the relative gap undefined — an
+        epsilon denominator would explode it to ~1e9 and manufacture
+        spurious hits — so the score is 0 there.  A positive but tiny
+        runner-up still yields a large score: that is Eq. 2's own
+        unbounded semantics, and deployments gate such fires with the
+        calibrated per-layer similarity floors.
+        """
         n = best.shape[0]
         nonpos = self.bools("scores.nonpos", (n,))
         denom = self.floats("scores.denom", (n,), out.dtype)
@@ -390,28 +370,6 @@ class LayerPack(NamedTuple):
     blocks: tuple[LayerBlock, ...]
     levels: int
     dim: int
-
-
-class LayerProbe(NamedTuple):
-    """Outcome of probing one cache layer during an inference.
-
-    A ``NamedTuple`` rather than a dataclass: probe records are built per
-    (sample, layer) on the hot path, where tuple construction is several
-    times cheaper than frozen-dataclass field assignment.
-
-    Attributes:
-        layer: index of the probed cache layer.
-        top_class: class with the highest accumulated similarity.
-        second_class: runner-up class (or ``-1`` with a single entry).
-        score: discriminative score ``D`` of Eq. 2.
-        hit: whether ``score`` exceeded the session threshold.
-    """
-
-    layer: int
-    top_class: int
-    second_class: int
-    score: float
-    hit: bool
 
 
 class SemanticCache:
@@ -759,10 +717,6 @@ class SemanticCache:
         )
         return LayerBlock(np.array(run, dtype=np.intp), matrices, floors, sources)
 
-    def start_session(self) -> "LookupSession":
-        """Begin the per-inference sequential lookup."""
-        return LookupSession(self)
-
     def start_batch_session(
         self, batch_size: int, workspace: LookupWorkspace | None = None
     ) -> "BatchedLookupSession":
@@ -782,75 +736,13 @@ class SemanticCache:
         )
 
 
-class LookupSession:
-    """Accumulates Eq. 1 scores across the activated layers of one inference.
-
-    Probe layers in ascending order via :meth:`probe`; the session keeps the
-    per-class accumulated similarity ``A`` between calls.  Math runs in the
-    cache's dtype.
-    """
-
-    def __init__(self, cache: SemanticCache) -> None:
-        self._cache = cache
-        self._accumulated = np.zeros(cache.num_classes, dtype=cache.dtype)
-
-    def accumulated_score(self, class_id: int) -> float:
-        """Current ``A`` value of a class (0 before its first probe)."""
-        return float(self._accumulated[class_id])
-
-    def probe(self, layer: int, vector: np.ndarray) -> LayerProbe:
-        """Probe one activated layer with the sample's semantic vector.
-
-        Returns a :class:`LayerProbe`; ``hit`` is ``True`` when the Eq. 2
-        score exceeds the cache's theta.  A layer with fewer than two
-        entries can never hit (the discriminative score needs a runner-up).
-        """
-        cache = self._cache
-        ids, mat = cache._layers.get(layer, (None, None))
-        if ids is None:
-            raise KeyError(f"cache layer {layer} is not activated")
-        if isinstance(vector, np.ndarray) and vector.dtype == cache.dtype:
-            vec = vector  # already conforming: no cast, no copy
-        else:
-            vec = np.asarray(vector, dtype=cache.dtype)
-        if vec.shape != (mat.shape[1],):
-            raise ValueError(
-                f"vector shape {vec.shape} does not match centroid dim {mat.shape[1]}"
-            )
-        similarity = mat @ vec
-        updated = similarity + cache.alpha * self._accumulated[ids]
-        self._accumulated[ids] = updated
-        if ids.size < 2:
-            top = int(ids[0]) if ids.size == 1 else -1
-            return LayerProbe(
-                layer=layer, top_class=top, second_class=-1, score=0.0, hit=False
-            )
-        order = np.argsort(updated)
-        best_idx, second_idx = order[-1], order[-2]
-        a_best = float(updated[best_idx])
-        a_second = float(updated[second_idx])
-        score = discriminative_score(a_best, a_second)
-        floor = cache.similarity_floor(layer)
-        hit = (
-            score > cache.theta
-            and a_best > 0
-            and float(similarity[best_idx]) >= floor
-        )
-        return LayerProbe(
-            layer=layer,
-            top_class=int(ids[best_idx]),
-            second_class=int(ids[second_idx]),
-            score=score,
-            hit=hit,
-        )
-
-
 @dataclass(frozen=True)
 class BatchLayerProbe:
     """Outcome of probing one cache layer for a batch of samples.
 
-    All arrays are aligned with ``rows`` (the batch rows probed); entry
-    semantics per row match the scalar :class:`LayerProbe` fields.
+    All arrays are aligned with ``rows`` (the batch rows probed): the
+    class with the highest accumulated similarity, the runner-up (``-1``
+    on a single-entry layer), the Eq. 2 score and whether the row hit.
     """
 
     layer: int
@@ -870,12 +762,11 @@ class BatchedLookupSession:
     so layers may score any id sets, in any order.  Each :meth:`probe`
     call advances one cache layer for the still-alive subset of rows
     with a single ``(n_alive, d) @ (d, n_entries)`` matmul followed by
-    vectorized top-2 selection and scoring — the batch counterpart of
-    running one :class:`LookupSession` per sample.  The loop is the
-    reference :func:`repro.core.probe.walk_cache_batch` is tested
-    against and its fallback for caches without a complete
-    :class:`LayerPack`; no benchmark row reaches it, so it is kept
-    general rather than fast.  All intermediates live in the session's
+    vectorized top-2 selection and scoring.  The loop is
+    :func:`repro.core.probe.walk_cache_batch`'s walk of caches without a
+    complete :class:`LayerPack` and the reference its stacked kernel is
+    tested against; no benchmark row reaches it, so it is kept general
+    rather than fast.  All intermediates live in the session's
     :class:`LookupWorkspace`; only the per-row result arrays of each
     :class:`BatchLayerProbe` are freshly allocated.
     """

@@ -26,9 +26,9 @@ Rounds are array-at-a-time end to end: frames come as one
 (tau, phi) update with batch arithmetic, and Eq. 3 collection folds the
 selected samples with grouped array updates — one vectorized multi-layer
 fold per collected sample instead of a per-(sample, layer) dict walk.
-:meth:`CoCaClient.run_round_reference` preserves the historical
-per-frame scalar path; given the same pre-drawn batch the two produce
-identical reports (see ``tests/test_round_pipeline_equivalence.py``).
+Given the same pre-drawn batch, the per-frame scalar oracle of
+``tests/oracle.py`` produces an identical report (see
+``tests/test_round_pipeline_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -40,15 +40,10 @@ import numpy as np
 
 from repro.core.cache import LookupWorkspace, SemanticCache
 from repro.core.config import CoCaConfig
-from repro.core.engine import (
-    BatchedInferenceEngine,
-    BatchOutcomes,
-    CachedInferenceEngine,
-    InferenceOutcome,
-)
+from repro.core.engine import BatchedInferenceEngine, BatchOutcomes
 from repro.data.stream import StreamGenerator
 from repro.models.base import SimulatedModel
-from repro.models.feature import SampleBatch, SampleFeatures
+from repro.models.feature import SampleBatch
 from repro.sim.metrics import InferenceRecord
 
 
@@ -160,12 +155,13 @@ class CoCaClient:
         self.timestamps = np.zeros(num_classes)  # tau
         self.last_frequencies = np.zeros(num_classes)  # phi of last round
         self.hit_ratio = np.zeros(num_layers)  # R, seeded by the server
-        # The scalar engine stays the reference (and the public accessor
-        # for the installed cache); rounds execute on the batched engine.
-        self.engine = CachedInferenceEngine(model, cache=None)
-        self.batch_engine = BatchedInferenceEngine(
-            model, cache=None, workspace=workspace
-        )
+        #: The client's one inference engine, holding the installed cache.
+        self.engine = BatchedInferenceEngine(model, cache=None, workspace=workspace)
+
+    @property
+    def batch_engine(self) -> BatchedInferenceEngine:
+        """Another name for :attr:`engine`."""
+        return self.engine
 
     # ------------------------------------------------------------------
     # Protocol steps
@@ -193,7 +189,6 @@ class CoCaClient:
     def install_cache(self, cache: SemanticCache | None) -> None:
         """Load the cache allocated by the server for the coming round."""
         self.engine.set_cache(cache)
-        self.batch_engine.set_cache(cache)
 
     def run_round(
         self,
@@ -208,7 +203,7 @@ class CoCaClient:
         one :class:`SampleBatch`, the batched engine returns
         :class:`BatchOutcomes` arrays, and status updates plus Eq. 3
         collection run as grouped array operations.  Outcomes are
-        identical to :meth:`run_round_reference` on the same batch.
+        identical to a frame-by-frame replay of the same batch.
 
         Args:
             num_frames: round length (default ``config.frames_per_round``);
@@ -238,7 +233,7 @@ class CoCaClient:
                 raise ValueError("batch must contain at least one sample")
 
         num_classes = self.model.num_classes
-        out = self.batch_engine.infer_batch_soa(batch, timings=timings)
+        out = self.engine.infer_batch_soa(batch, timings=timings)
         predictions = out.predicted_class
 
         # Status vectors track the *inferred* class (no labels online).
@@ -291,67 +286,6 @@ class CoCaClient:
         self.last_frequencies = phi.copy()
         return report
 
-    def run_round_reference(
-        self,
-        num_frames: int | None = None,
-        batch: SampleBatch | None = None,
-    ) -> RoundReport:
-        """Per-frame scalar reference of :meth:`run_round`.
-
-        Draws, infers, tracks status, and collects one frame at a time on
-        the scalar engine — the seed implementation, kept as the
-        behavioural reference for the vectorized round.  Given the
-        same pre-drawn ``batch``, the report matches :meth:`run_round`
-        exactly (update tables, phi/tau, records, diagnostics).
-        """
-        if batch is None:
-            frames = (
-                num_frames if num_frames is not None else self.config.frames_per_round
-            )
-            if frames < 1:
-                raise ValueError(f"num_frames must be >= 1, got {frames}")
-            samples = [
-                self.model.draw_sample(frame, self.client_id, self._rng)
-                for frame in self.stream.take(frames)
-            ]
-        else:
-            frames = len(batch)
-            if frames < 1:
-                raise ValueError("batch must contain at least one sample")
-            samples = batch.samples()
-
-        num_classes = self.model.num_classes
-        update_entries: dict[tuple[int, int], np.ndarray] = {}
-        phi = np.zeros(num_classes)
-        layer_hits = np.zeros(self.model.num_cache_layers)
-        report = RoundReport(
-            client_id=self.client_id,
-            records=[],
-            update_entries=update_entries,
-            frequencies=phi,
-        )
-        for sample in samples:
-            outcome = self.engine.infer(sample)
-            self.timestamps += 1.0
-            self.timestamps[outcome.predicted_class] = 0.0
-            phi[outcome.predicted_class] += 1.0
-            if outcome.hit_layer is not None:
-                layer_hits[outcome.hit_layer] += 1.0
-            self._maybe_collect(sample, outcome, update_entries, report)
-            report.records.append(
-                InferenceRecord(
-                    true_class=sample.true_class,
-                    predicted_class=outcome.predicted_class,
-                    latency_ms=outcome.latency_ms,
-                    hit_layer=outcome.hit_layer,
-                    client_id=self.client_id,
-                )
-            )
-
-        self._refresh_hit_ratio(layer_hits, frames)
-        self.last_frequencies = phi.copy()
-        return report
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -388,11 +322,10 @@ class CoCaClient:
         is pure array arithmetic.  The Eq. 3 fold itself is sequential
         *per (class, layer) key* — each absorb renormalizes, so the
         recurrence cannot be collapsed — but the selected samples are a
-        minority of the round and each one now folds all of its collected
-        layers in a single grouped array update, instead of the scalar
-        path's per-(sample, layer) dict walk.  Key-for-key, the folds see
-        the same vectors in the same stream order as
-        :meth:`_maybe_collect`, so the resulting table is identical.
+        minority of the round and each one folds all of its collected
+        layers in a single grouped array update.  Key for key, the folds
+        see the same vectors in the same stream order as a per-frame,
+        per-layer fold, so the resulting table is identical.
         """
         batch_size = len(batch)
         predictions = out.predicted_class
@@ -453,51 +386,3 @@ class CoCaClient:
             for layer in np.flatnonzero(exists).tolist():
                 update_entries[(class_id, layer)] = table[layer].copy()
         return update_entries
-
-    def _maybe_collect(
-        self,
-        sample: SampleFeatures,
-        outcome: InferenceOutcome,
-        update_entries: dict[tuple[int, int], np.ndarray],
-        report: RoundReport,
-    ) -> None:
-        """Apply the two Sec. IV-C collection rules to one inference."""
-        predicted = outcome.predicted_class
-        if outcome.hit:
-            report.eligible_hits += 1
-            assert outcome.hit_score is not None
-            if outcome.hit_score > self.config.collect_gamma:
-                layers = [p.layer for p in outcome.probes]  # up to the hit
-                self._absorb(sample, predicted, layers, update_entries)
-                report.absorbed_hits += 1
-                report.collected_total += 1
-                report.collected_correct += int(predicted == sample.true_class)
-        else:
-            assert outcome.top2_prob_gap is not None
-            report.eligible_misses += 1
-            if outcome.top2_prob_gap > self.config.collect_delta:
-                layers = list(range(self.model.num_cache_layers))
-                self._absorb(sample, predicted, layers, update_entries)
-                report.absorbed_misses += 1
-                report.collected_total += 1
-                report.collected_correct += int(predicted == sample.true_class)
-
-    def _absorb(
-        self,
-        sample: SampleFeatures,
-        class_id: int,
-        layers: list[int],
-        update_entries: dict[tuple[int, int], np.ndarray],
-    ) -> None:
-        """Fold the sample's vectors into the update table via Eq. 3."""
-        beta = self.config.beta
-        for layer in layers:
-            vector = sample.vector(layer)
-            key = (class_id, layer)
-            if key in update_entries:
-                merged = vector + beta * update_entries[key]
-            else:
-                merged = vector.copy()
-            norm = np.linalg.norm(merged)
-            if norm > 0:
-                update_entries[key] = merged / norm

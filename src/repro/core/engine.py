@@ -10,17 +10,16 @@ Lookup costs come from the model profile's
 :class:`~repro.models.profiles.LookupCostModel` — the same definition
 ACA optimizes against during allocation.
 
-Two engines share the semantics: :class:`CachedInferenceEngine` runs one
-sample at a time (the reference scalar path), and
-:class:`BatchedInferenceEngine` runs a whole round of frames as NumPy
-batch operations — per activated layer, one matmul over all
-still-unresolved samples with early-exit masking — producing outcomes
-identical to the scalar engine at a fraction of the interpreter cost.
-The batched engine accepts a :class:`~repro.models.feature.SampleBatch`
-directly (no per-sample re-packing):
-:meth:`BatchedInferenceEngine.infer_batch_soa` returns a
-:class:`BatchOutcomes` structure of arrays — the round pipeline's hot
-path, which never materializes per-sample objects.
+:class:`BatchedInferenceEngine` is the one engine: a protocol round
+hands it a whole round of frames, a baseline with per-frame state one
+frame at a time.  Per activated layer it scores every still-unresolved
+sample at once with early-exit masking, through the shared cache walk
+(:func:`~repro.core.probe.walk_cache_batch`), and accepts a
+:class:`~repro.models.feature.SampleBatch` directly (no per-sample
+re-packing): :meth:`BatchedInferenceEngine.infer_batch_soa` returns a
+:class:`BatchOutcomes` structure of arrays and never materializes
+per-sample objects.  Its one-sample-at-a-time oracle lives in
+``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -30,124 +29,28 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.cache import LayerProbe, LookupWorkspace, SemanticCache
+from repro.core.cache import LookupWorkspace, SemanticCache
 from repro.core.probe import walk_cache_batch
 from repro.models.base import SimulatedModel
 from repro.models.feature import SampleBatch, SampleFeatures
 
 
-def _top2_prob_gap(probs: np.ndarray) -> float:
-    """Gap between the two largest entries of a probability vector."""
-    if probs.size < 2:
-        return 1.0
-    top2 = np.partition(probs, probs.size - 2)[-2:]
-    return float(top2[1] - top2[0])
-
-
 def _batch_vectors(samples: SampleBatch | Sequence[SampleFeatures]) -> np.ndarray:
     """The ``(B, L+1, d)`` vector tensor of a batch, stacking only when
-    given loose per-sample objects."""
+    given several loose per-sample objects."""
     if isinstance(samples, SampleBatch):
         return samples.vectors
+    if len(samples) == 1:
+        return samples[0].vector_matrix()[None]
     return np.stack([s.vector_matrix() for s in samples])
-
-
-class InferenceOutcome(NamedTuple):
-    """Everything observable from one cached inference.
-
-    A ``NamedTuple`` rather than a dataclass: one outcome is built per
-    inference on the hot path, where tuple construction is several times
-    cheaper than frozen-dataclass field assignment.
-
-    Attributes:
-        predicted_class: class returned to the application.
-        hit_layer: cache layer that hit, or ``None`` on full execution.
-        latency_ms: compute + lookup latency of this inference.
-        probes: per-layer lookup outcomes, in probe order.
-        hit_score: Eq. 2 score at the hit layer (``None`` on miss) — used
-            by the Gamma collection rule.
-        top2_prob_gap: gap between the two largest softmax probabilities of
-            the full model (``None`` unless the model ran to completion) —
-            used by the Delta collection rule.
-    """
-
-    predicted_class: int
-    hit_layer: int | None
-    latency_ms: float
-    probes: tuple[LayerProbe, ...] = ()
-    hit_score: float | None = None
-    top2_prob_gap: float | None = None
-
-    @property
-    def hit(self) -> bool:
-        return self.hit_layer is not None
-
-
-class CachedInferenceEngine:
-    """Runs samples through a model with an optional semantic cache.
-
-    Args:
-        model: the simulated model substrate.
-        cache: the client's current :class:`SemanticCache`, or ``None``
-            for pure Edge-Only execution.
-    """
-
-    def __init__(self, model: SimulatedModel, cache: SemanticCache | None = None) -> None:
-        self.model = model
-        self.cache = cache
-
-    def set_cache(self, cache: SemanticCache | None) -> None:
-        """Swap in a newly allocated cache (start of a CoCa round)."""
-        self.cache = cache
-
-    def infer(self, sample: SampleFeatures) -> InferenceOutcome:
-        """Run one sample, returning prediction and charged latency."""
-        profile = self.model.profile
-        if self.cache is None or not self.cache.active_layers:
-            predicted, probs = self.model.classify(sample)
-            gap = _top2_prob_gap(probs)
-            return InferenceOutcome(
-                predicted_class=predicted,
-                hit_layer=None,
-                latency_ms=profile.total_compute_ms,
-                top2_prob_gap=gap,
-            )
-
-        session = self.cache.start_session()
-        probes: list[LayerProbe] = []
-        lookup_ms = 0.0
-        for layer in self.cache.active_layers:
-            num_entries = self.cache.num_entries(layer)
-            lookup_ms += profile.lookup_cost_ms(num_entries)
-            probe = session.probe(layer, sample.vector(layer))
-            probes.append(probe)
-            if probe.hit:
-                latency = profile.compute_up_to_layer_ms(layer) + lookup_ms
-                return InferenceOutcome(
-                    predicted_class=probe.top_class,
-                    hit_layer=layer,
-                    latency_ms=latency,
-                    probes=tuple(probes),
-                    hit_score=probe.score,
-                )
-
-        predicted, probs = self.model.classify(sample)
-        gap = _top2_prob_gap(probs)
-        return InferenceOutcome(
-            predicted_class=predicted,
-            hit_layer=None,
-            latency_ms=profile.total_compute_ms + lookup_ms,
-            probes=tuple(probes),
-            top2_prob_gap=gap,
-        )
 
 
 class BatchOutcomes(NamedTuple):
     """Structure-of-arrays outcomes of one batched inference pass.
 
-    The array counterpart of a ``list[InferenceOutcome]`` for consumers
-    that post-process outcomes with vectorized arithmetic (the round
-    pipeline): no per-sample objects, no per-layer probe records.
+    One entry per sample, for consumers that post-process outcomes with
+    vectorized arithmetic (the round pipeline): no per-sample objects,
+    no per-layer probe records.
 
     Ownership: arrays returned by
     :meth:`BatchedInferenceEngine.infer_batch_soa` are views into the
@@ -181,15 +84,15 @@ class BatchOutcomes(NamedTuple):
 
 
 class BatchedInferenceEngine:
-    """Vectorized counterpart of :class:`CachedInferenceEngine`.
+    """Runs samples through a model with an optional semantic cache.
 
-    Runs a whole batch of samples through the cache-instrumented loop at
-    once: per activated layer, a single matmul scores every
-    still-unresolved sample against the layer's entries, Eq. 1/2 are
-    applied vectorized, and samples that hit are masked out of deeper
-    layers.  Samples that miss everywhere are classified by one batched
-    final-layer product.  Outcomes (predictions, hit layers, latencies,
-    hit scores) are identical to calling ``infer`` per sample.
+    Runs a batch of samples through the cache-instrumented loop at once:
+    per activated layer, a single matmul scores every still-unresolved
+    sample against the layer's entries, Eq. 1/2 are applied vectorized,
+    and samples that hit are masked out of deeper layers.  Samples that
+    miss everywhere are classified by one batched final-layer product.
+    Outcomes (predictions, hit layers, latencies, hit scores) are those
+    of running the samples one at a time.
 
     Args:
         model: the simulated model substrate.
@@ -210,12 +113,38 @@ class BatchedInferenceEngine:
         workspace: LookupWorkspace | None = None,
     ) -> None:
         self.model = model
-        self.cache = cache
         self.workspace = workspace if workspace is not None else LookupWorkspace()
+        self.set_cache(cache)
+
+    @property
+    def cache(self) -> SemanticCache | None:
+        """The installed cache (:meth:`set_cache` replaces it)."""
+        return self._cache
 
     def set_cache(self, cache: SemanticCache | None) -> None:
-        """Swap in a newly allocated cache (start of a CoCa round)."""
-        self.cache = cache
+        """Swap in a newly allocated cache (start of a CoCa round).
+
+        Eq. 7's per-cache terms are tabulated here, once per installed
+        cache rather than per call: the lookup cost of the first ``k``
+        activated layers, summed in walk order, and the compute a hit at
+        the ``k``-th activated layer has executed.  An installed cache
+        therefore keeps its layers: callers install a new cache instead
+        of editing the one in use.
+        """
+        self._cache = cache
+        profile = self.model.profile
+        layers: list[tuple[int, int]] = (
+            [] if cache is None
+            else [(layer, cache.num_entries(layer)) for layer in cache.active_layers]
+        )
+        self._cum_lookup = np.cumsum(
+            [0.0] + [profile.lookup_cost_ms(entries) for _, entries in layers]
+        )
+        self._prefix_ms = np.array(
+            [profile.compute_up_to_layer_ms(layer) for layer, _ in layers],
+            dtype=np.float64,
+        )
+        self._total_ms = profile.total_compute_ms
 
     def close(self) -> None:
         """Release the engine's workspace (its buffer pools).
@@ -234,15 +163,13 @@ class BatchedInferenceEngine:
     ) -> BatchOutcomes:
         """Run a batch, returning :class:`BatchOutcomes` arrays.
 
-        Same early-exit semantics and per-sample results as the scalar
-        :meth:`CachedInferenceEngine.infer`, but the
-        outcomes stay as whole-batch arrays: nothing per-sample is
-        constructed, which is what keeps a full protocol round
-        array-at-a-time end to end.  The probe math itself is the shared
-        :func:`~repro.core.probe.walk_cache_batch` walk (the same pure
-        kernel the serving workers run); this method layers the profile's
-        latency accounting and the full-model miss classification on top
-        of the walk's hit layers.
+        Early exit per sample, but the outcomes stay as whole-batch
+        arrays: nothing per-sample is constructed, which is what keeps a
+        full protocol round array-at-a-time end to end.  The probe math
+        itself is the shared :func:`~repro.core.probe.walk_cache_batch`
+        walk (the same pure kernel the serving workers run); this method
+        layers the profile's latency accounting and the full-model miss
+        classification on top of the walk's hit layers.
 
         Args:
             samples: the batch to run.
@@ -251,8 +178,7 @@ class BatchedInferenceEngine:
                 and ``"model"`` — final-layer classification); used by
                 the ``repro profile-round`` CLI breakdown.
         """
-        profile = self.model.profile
-        cache = self.cache
+        cache = self._cache
         batch = len(samples)
         # Outcome arrays live in the engine workspace pools (explicit
         # dtypes, no per-call float64 allocations); see the BatchOutcomes
@@ -260,10 +186,10 @@ class BatchedInferenceEngine:
         ws = self.workspace
         latency = ws.floats("engine.latency", (batch,), np.float64)
         top2_gap = ws.floats("engine.top2_gap", (batch,), np.float64)
-        latency.fill(0.0)
         top2_gap.fill(np.nan)
+        final = self.model.feature_space.final_layer
 
-        if batch == 0 or cache is None or not cache.active_layers:
+        if batch == 0 or cache is None or not self._prefix_ms.size:
             predicted = ws.ints("engine.predicted", (batch,))
             hit_layer = ws.ints("engine.hit_layer", (batch,))
             hit_score = ws.floats("engine.hit_score", (batch,), np.float64)
@@ -275,7 +201,6 @@ class BatchedInferenceEngine:
                     predicted, hit_layer, latency, hit_score, top2_gap
                 )
             vectors = _batch_vectors(samples)  # (B, L+1, d)
-            final = self.model.feature_space.final_layer
             start = time.perf_counter() if timings is not None else 0.0
             predictions, gaps = self.model.classify_vectors(vectors[:, final, :])
             if timings is not None:
@@ -283,15 +208,14 @@ class BatchedInferenceEngine:
                     timings.get("model", 0.0) + time.perf_counter() - start
                 )
             predicted[:] = predictions
-            latency[:] = profile.total_compute_ms
+            latency[:] = self._total_ms
             top2_gap[:] = gaps
             return BatchOutcomes(predicted, hit_layer, latency, hit_score, top2_gap)
 
         vectors = _batch_vectors(samples)  # (B, L+1, d)
-        final = self.model.feature_space.final_layer
 
-        # Pure probe math: the shared cache walk (identical kernels and
-        # early-exit semantics to the scalar engine and the serving path).
+        # Pure probe math: the shared cache walk (the same kernels and
+        # early-exit semantics as the serving path).
         start = time.perf_counter() if timings is not None else 0.0
         walk = walk_cache_batch(cache, vectors, ws)
         if timings is not None:
@@ -301,30 +225,15 @@ class BatchedInferenceEngine:
 
         # Orchestration: Eq. 7 latency accounting on top of the walk.  A
         # row that probed k layers paid the lookup cost of the first k
-        # activated layers; a hit at layer j additionally executed the
-        # model only up to j.
-        active = cache.active_layers
-        cum_lookup = ws.floats(
-            "engine.cum_lookup", (len(active) + 1,), np.float64
-        )
-        cum_lookup[0] = 0.0
-        for k, layer in enumerate(active):
-            cum_lookup[k + 1] = cum_lookup[k] + profile.lookup_cost_ms(
-                cache.num_entries(layer)
-            )
-        np.take(cum_lookup, walk.layers_probed, out=latency)
-
-        hit_rows = np.flatnonzero(walk.hit)
+        # activated layers; a hit at the k-th additionally executed the
+        # model only up to it.
+        np.take(self._cum_lookup, walk.layers_probed, out=latency)
+        hit = walk.hit
+        hit_rows = np.flatnonzero(hit)
         if hit_rows.size:
-            prefix_ms = ws.floats(
-                "engine.prefix_ms", (len(active),), np.float64
-            )
-            for k, layer in enumerate(active):
-                prefix_ms[k] = profile.compute_up_to_layer_ms(layer)
-            # The hit layer of a row that probed k layers is active[k-1].
-            latency[hit_rows] += prefix_ms[walk.layers_probed[hit_rows] - 1]
+            latency[hit_rows] += self._prefix_ms[walk.layers_probed[hit_rows] - 1]
 
-        miss_rows = np.flatnonzero(~walk.hit)
+        miss_rows = np.flatnonzero(~hit)
         if miss_rows.size:
             start = time.perf_counter() if timings is not None else 0.0
             predictions, gaps = self.model.classify_vectors(
@@ -335,7 +244,7 @@ class BatchedInferenceEngine:
                     timings.get("model", 0.0) + time.perf_counter() - start
                 )
             walk.predicted[miss_rows] = predictions
-            latency[miss_rows] += profile.total_compute_ms
+            latency[miss_rows] += self._total_ms
             top2_gap[miss_rows] = gaps
         return BatchOutcomes(
             walk.predicted, walk.hit_layer, latency, walk.hit_score, top2_gap

@@ -13,9 +13,8 @@ One framework round follows Fig. 3 of the paper, per client:
 4. the server merges the update table into the global cache with one
    vectorized Eq. 4 scatter pass (Eq. 5 for frequencies).
 
-The scalar per-frame oracles (:meth:`CoCaClient.run_round_reference`,
-:meth:`CoCaServer.apply_client_update_reference`) are called directly by
-the equivalence suite, never from here.
+The per-frame scalar oracle of steps 3 and 4 lives in ``tests/oracle.py``;
+nothing here reaches it.
 
 The two core mechanisms can be disabled independently for the Fig. 9
 ablation: with ``enable_dca=False`` allocation is *static* (computed once

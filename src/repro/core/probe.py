@@ -27,11 +27,12 @@ hold at least two entries of one shared id set, which is every cache ACA
 extracts from a fully initialized table and every snapshot serving
 cache — all rows of all four ``bench`` workloads and of the
 ``benchmarks/`` fig/table runs.  The *per-layer* loop
-(:func:`walk_cache_batch_reference`) advances one layer per iteration
-through a :class:`~repro.core.cache.BatchedLookupSession`; it is the
-reference the stacked kernel is tested against, and the whole walk of
+(:func:`_walk_layers`) advances one layer per iteration through a
+:class:`~repro.core.cache.BatchedLookupSession`; it is the whole walk of
 any cache the stacked kernel cannot hold (diverging id sets,
-single-entry layers, partially filled snapshots).  Both kernels take the
+single-entry layers, partially filled snapshots), and the equivalence
+suite forces it on every cache as the stacked kernel's reference.  Both
+kernels take the
 same decisions; ``hit_score`` is bit-equal between them for a single
 frame and for a batch no row leaves mid-block, and equal to the last
 bits otherwise.  See "Stacked walk" in ``src/repro/core/README.md``.
@@ -106,7 +107,7 @@ def walk_cache_batch(
 
     Returns:
         A :class:`CacheWalk` with one entry per batch row: the decisions
-        the scalar ``LookupSession`` takes row by row.
+        of probing that row's layers one at a time.
 
     Raises:
         ValueError: ``vectors`` is not 3-D, has fewer levels than the
@@ -120,24 +121,6 @@ def walk_cache_batch(
         _walk_layers(cache, vectors, workspace, walk)
     else:
         _walk_stacked(cache, pack, vectors, workspace, walk)
-    return walk
-
-
-def walk_cache_batch_reference(
-    cache: SemanticCache,
-    vectors: np.ndarray,
-    workspace: LookupWorkspace,
-) -> CacheWalk:
-    """:func:`walk_cache_batch` through the per-layer loop alone.
-
-    One :meth:`~repro.core.cache.BatchedLookupSession.probe` per
-    activated layer over the rows still unresolved — the walk as it was
-    before the stacked kernel, kept as the reference the equivalence
-    suite compares against (same arguments, same :class:`CacheWalk`).
-    """
-    walk, pack = _begin_walk(cache, vectors, workspace)
-    if vectors.shape[0] and pack.levels:
-        _walk_layers(cache, vectors, workspace, walk)
     return walk
 
 

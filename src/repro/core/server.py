@@ -16,9 +16,8 @@ the server's *global shared dataset*, exactly as in the paper.
 
 Merging is vectorized: :meth:`CoCaServer.apply_client_update` folds the
 whole uploaded table with one Eq. 4 scatter pass over the flat
-``(class, layer)`` index (:meth:`GlobalCacheTable.merge_updates`);
-:meth:`GlobalCacheTable.merge_update` remains the per-entry scalar
-reference.  Calibration (:meth:`CoCaServer.measure_layer_statistics`,
+``(class, layer)`` index (:meth:`GlobalCacheTable.merge_updates`).
+Calibration (:meth:`CoCaServer.measure_layer_statistics`,
 :meth:`CoCaServer.measure_similarity_floors`) draws its shared-dataset
 streams as blocks and its samples as one
 :class:`~repro.models.feature.SampleBatch` — no per-sample Python
@@ -106,35 +105,6 @@ class GlobalCacheTable:
         self.entries[class_id, layer] = vec / norm
         self.filled[class_id, layer] = True
 
-    def merge_update(
-        self,
-        class_id: int,
-        layer: int,
-        update_vector: np.ndarray,
-        local_freq: float,
-        gamma: float,
-    ) -> None:
-        """Eq. 4: frequency-weighted merge of one client update entry."""
-        if local_freq < 0:
-            raise ValueError(f"local_freq must be >= 0, got {local_freq}")
-        if local_freq == 0:
-            return
-        new = np.asarray(update_vector, dtype=float)
-        if not self.filled[class_id, layer]:
-            norm = np.linalg.norm(new)
-            if norm >= _EPS:
-                self.install(class_id, layer, new)
-            return
-        global_freq = self.class_freq[class_id]
-        denom = global_freq + local_freq
-        old = self.entries[class_id, layer]
-        merged = (
-            gamma * (global_freq / denom) * old + (local_freq / denom) * new
-        )
-        norm = np.linalg.norm(merged)
-        if norm >= _EPS:
-            self.entries[class_id, layer] = merged / norm
-
     def merge_updates(
         self,
         class_ids: np.ndarray,
@@ -145,12 +115,13 @@ class GlobalCacheTable:
     ) -> None:
         """Eq. 4 for a whole batch of ``(class, layer)`` entries at once.
 
-        Entry-for-entry equivalent to calling :meth:`merge_update` per
-        ``(class_ids[k], layers[k])`` — installs into unfilled slots,
-        blends filled ones by frequency weight, skips zero-frequency and
-        zero-norm updates — but executed as vectorized scatter updates on
-        a flat ``(class, layer)`` index.  Keys must be unique (one update
-        table never holds two entries for the same key).
+        Per ``(class_ids[k], layers[k])`` entry: an unfilled slot installs
+        the normalized update, a filled one becomes the normalized
+        ``gamma * Phi/(Phi+phi) * E + phi/(Phi+phi) * U``; zero-frequency
+        and zero-norm updates are skipped.  Executed as vectorized
+        scatter updates on a flat ``(class, layer)`` index.  Keys must be
+        unique (one update table never holds two entries for the same
+        key).
         """
         ids = np.asarray(class_ids, dtype=int)
         lays = np.asarray(layers, dtype=int)
@@ -531,28 +502,14 @@ class CoCaServer:
 
         The whole uploaded table is merged with a single
         :meth:`GlobalCacheTable.merge_updates` scatter pass over the flat
-        ``(class, layer)`` index; entry-for-entry equivalent to
-        :meth:`apply_client_update_reference` (entries of one upload are
-        independent — Phi only accumulates afterwards).
+        ``(class, layer)`` index: the entries of one upload are
+        independent, since Phi only accumulates afterwards.
         """
         gamma = self.config.gamma
         local_freq = np.asarray(local_freq, dtype=float)
         if update_entries:
             ids, layers, vectors = unpack_update_entries(update_entries)
             self.table.merge_updates(ids, layers, vectors, local_freq[ids], gamma)
-        self.table.add_frequencies(local_freq)
-
-    def apply_client_update_reference(
-        self,
-        update_entries: dict[tuple[int, int], np.ndarray],
-        local_freq: np.ndarray,
-    ) -> None:
-        """Per-entry scalar reference of :meth:`apply_client_update`."""
-        gamma = self.config.gamma
-        for (class_id, layer), vector in update_entries.items():
-            self.table.merge_update(
-                class_id, layer, vector, float(local_freq[class_id]), gamma
-            )
         self.table.add_frequencies(local_freq)
 
     def cache_size_limit_bytes(self, fraction: float | None = None) -> int:

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.baselines import CoCaRunner
 from repro.core.config import CoCaConfig
+from repro.core.server import GlobalCacheTable
 from repro.experiments.scenario import Scenario
 from repro.experiments.slo import fresh_scenario
 
@@ -134,6 +135,37 @@ def run_local_blend_ablation(
     return points
 
 
+class _FixedRateTable(GlobalCacheTable):
+    """Eq. 4 with its frequency weights replaced by one constant blend:
+    every update with a positive local frequency moves its entry ``rate``
+    of the way, however much evidence the entry already holds."""
+
+    def __init__(self, table: GlobalCacheTable, rate: float) -> None:
+        super().__init__(table.num_classes, table.num_layers, table.dim)
+        self.entries, self.filled = table.entries, table.filled
+        self.class_freq = table.class_freq
+        self.rate = rate
+
+    def merge_updates(
+        self,
+        class_ids: np.ndarray,
+        layers: np.ndarray,
+        update_vectors: np.ndarray,
+        local_freqs: np.ndarray,
+        gamma: float,
+    ) -> None:
+        active = np.asarray(local_freqs) > 0
+        rows = (np.asarray(class_ids) * self.num_layers + np.asarray(layers))[active]
+        entries = self.entries.reshape(-1, self.dim)
+        merged = (1 - self.rate) * entries[rows] + self.rate * np.asarray(
+            update_vectors, dtype=float
+        )[active]
+        norms = np.linalg.norm(merged, axis=1)
+        ok = norms > 0
+        entries[rows[ok]] = merged[ok] / norms[ok, None]
+        self.filled.reshape(-1)[rows[ok]] = True
+
+
 def run_update_weighting_ablation(
     scenario: Scenario,
     theta: float = 0.05,
@@ -151,19 +183,8 @@ def run_update_weighting_ablation(
     for label, fixed in (("frequency-weighted (Eq. 4)", False), ("fixed-rate EMA", True)):
         runner = CoCaRunner(fresh_scenario(scenario), config=CoCaConfig(theta=theta))
         if fixed:
-            table = runner.framework.server.table
-
-            def fixed_merge(class_id, layer, update_vector, local_freq, gamma,
-                            _table=table, _rate=fixed_rate):
-                if local_freq <= 0:
-                    return
-                old = _table.entries[class_id, layer]
-                merged = (1 - _rate) * old + _rate * np.asarray(update_vector)
-                norm = np.linalg.norm(merged)
-                if norm > 0:
-                    _table.entries[class_id, layer] = merged / norm
-
-            table.merge_update = fixed_merge
+            server = runner.framework.server
+            server.table = _FixedRateTable(server.table, fixed_rate)
         summary = runner.run(rounds, warmup_rounds=warmup).summary()
         points.append(
             DesignPoint(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.cache import SemanticCache
-from repro.core.engine import CachedInferenceEngine
+from repro.core.engine import BatchedInferenceEngine
 from repro.data.datasets import DatasetSpec
 from repro.data.stream import StreamGenerator
 from repro.models.base import SimulatedModel
@@ -63,7 +63,6 @@ def _run_static_cache(
         cache.set_layer_entries(
             layer, class_ids, model.ideal_centroids(layer)[class_ids]
         )
-    engine = CachedInferenceEngine(model, cache if layers else None)
     rng = np.random.default_rng(seed)
     stream = StreamGenerator(
         class_distribution=np.full(model.num_classes, 1.0 / model.num_classes),
@@ -71,18 +70,27 @@ def _run_static_cache(
         rng=rng,
         base_difficulty=dataset.difficulty,
     )
+    # Frames are drawn one at a time (the draws share one generator with
+    # the stream); the static cache then runs them as one batch.
+    samples = [model.draw_sample(frame, 0, rng) for frame in stream.take(num_samples)]
+    out = BatchedInferenceEngine(model, cache).infer_batch_soa(samples)
     metrics = MetricsCollector()
-    for frame in stream.take(num_samples):
-        sample = model.draw_sample(frame, 0, rng)
-        outcome = engine.infer(sample)
-        metrics.record(
+    metrics.extend(
+        [
             InferenceRecord(
-                true_class=frame.class_id,
-                predicted_class=outcome.predicted_class,
-                latency_ms=outcome.latency_ms,
-                hit_layer=outcome.hit_layer,
+                true_class=sample.true_class,
+                predicted_class=predicted,
+                latency_ms=latency,
+                hit_layer=hit if hit >= 0 else None,
             )
-        )
+            for sample, predicted, latency, hit in zip(
+                samples,
+                out.predicted_class.tolist(),
+                out.latency_ms.tolist(),
+                out.hit_layer.tolist(),
+            )
+        ]
+    )
     return metrics.summary()
 
 

@@ -36,11 +36,6 @@ class LintConfig:
             marker comment on the ``def`` line registers one inline.
         wallclock_dirs: directories whose modules may not read host time
             (the virtual-time contract).
-        wallclock_exempt: files inside ``wallclock_dirs`` that are the
-            designated timing-hook escape hatch.
-        tests_dirs: where the ``reference-parity`` rule looks for the
-            equivalence tests naming each ``*_reference`` pair.
-        reference_suffix: suffix marking scalar reference functions.
     """
 
     hot_path_modules: tuple[str, ...] = (
@@ -59,11 +54,6 @@ class LintConfig:
         "repro/sim",
         "repro/cluster",
     )
-    wallclock_exempt: tuple[str, ...] = (
-        "repro/sim/timing.py",
-    )
-    tests_dirs: tuple[str, ...] = ("tests",)
-    reference_suffix: str = "_reference"
 
     # ------------------------------------------------------------------
     # Path matching
@@ -74,10 +64,7 @@ class LintConfig:
         return any(rel.endswith(_norm(m)) for m in self.hot_path_modules)
 
     def is_wallclock_banned(self, rel_path: str) -> bool:
-        rel = _norm(rel_path)
-        if any(rel.endswith(_norm(e)) for e in self.wallclock_exempt):
-            return False
-        padded = "/" + rel
+        padded = "/" + _norm(rel_path)
         return any("/" + _norm(d) + "/" in padded for d in self.wallclock_dirs)
 
     def kernel_qualnames(self, rel_path: str) -> set[str]:

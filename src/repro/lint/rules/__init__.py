@@ -1,11 +1,8 @@
 """Rule registry and the shared AST analysis context.
 
 Every rule is a subclass of :class:`Rule` registered through
-:func:`register`.  File-scoped rules implement :meth:`Rule.check` over a
-:class:`FileContext`; project-scoped rules (``project_level = True``)
-additionally implement :meth:`Rule.check_project` over the whole scanned
-file set, for invariants no single file can witness (e.g. that every
-``*_reference`` function has a tested vectorized counterpart).
+:func:`register` and implements :meth:`Rule.check` over one file's
+:class:`FileContext`.
 
 The :class:`ImportTracker` resolves attribute chains to canonical dotted
 names through the file's imports — ``np.random.seed`` and
@@ -112,27 +109,14 @@ class FileContext:
         )
 
 
-@dataclass
-class ProjectContext:
-    """Cross-file context handed to project-level rules."""
-
-    files: list[FileContext]
-    config: LintConfig
-    tests_text: str  # concatenated source of the configured tests dirs
-
-
 class Rule:
     """Base class: one named, registered invariant."""
 
     id: str = ""
     description: str = ""
     hint: str = ""
-    project_level: bool = False
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         return iter(())
 
 
@@ -184,7 +168,6 @@ def load_all_rules() -> dict[str, Rule]:
         dtype,
         hygiene,
         kernel,
-        parity,
         rng,
         wallclock,
     )

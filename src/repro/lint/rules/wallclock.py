@@ -5,8 +5,7 @@ millisecond flows through :class:`~repro.sim.clock.VirtualClock`, which
 is what makes runs bit-reproducible and machine-independent.  One
 ``time.time()`` (or ``perf_counter``, or ``datetime.now``) inside
 ``sim/`` or ``cluster/`` couples results to host speed and destroys
-that.  Profiling instrumentation belongs in the configured exempt
-timing-hooks module, never inline.
+that.  Profiling instrumentation belongs outside these directories.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ class NoWallclockInSim(Rule):
     )
     hint = (
         "charge costs to a VirtualClock instead; wall-clock profiling "
-        "hooks belong in the exempt timing module"
+        "belongs outside the virtual-time directories"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

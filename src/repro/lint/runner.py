@@ -5,8 +5,7 @@ CLI and the test suite both call it):
 
 1. collect ``.py`` files under the given paths (skipping caches and
    hidden directories), parse each once;
-2. run every file-scoped rule over each file, then every project-scoped
-   rule over the whole set;
+2. run every rule over each file;
 3. drop findings covered by an inline
    ``# repro-lint: disable=<rule> -- <justification>`` on the offending
    or preceding line;
@@ -28,12 +27,7 @@ from typing import Iterator, Sequence
 from repro.lint.baseline import Baseline
 from repro.lint.config import LintConfig, load_config
 from repro.lint.findings import Finding, assign_occurrences
-from repro.lint.rules import (
-    FileContext,
-    ProjectContext,
-    Rule,
-    load_all_rules,
-)
+from repro.lint.rules import FileContext, Rule, load_all_rules
 from repro.lint.rules.hygiene import SUPPRESS_PATTERN
 
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "venv", "node_modules"}
@@ -135,23 +129,6 @@ def _is_suppressed(
     return False
 
 
-def _read_tests_text(config: LintConfig, root: Path) -> str:
-    chunks: list[str] = []
-    for tests_dir in config.tests_dirs:
-        directory = (root / tests_dir) if not Path(tests_dir).is_absolute() \
-            else Path(tests_dir)
-        if not directory.is_dir():
-            continue
-        for path in sorted(directory.rglob("*.py")):
-            if set(path.parts) & _SKIP_DIRS:
-                continue
-            try:
-                chunks.append(path.read_text(encoding="utf-8"))
-            except OSError:
-                continue
-    return "\n".join(chunks)
-
-
 def lint_paths(
     paths: Sequence[Path | str],
     config: LintConfig | None = None,
@@ -187,8 +164,6 @@ def lint_paths(
         if unknown:
             raise KeyError(f"unknown rule ids: {unknown}")
         rules = [registry[r] for r in rule_ids]
-    file_rules = [r for r in rules if not r.project_level]
-    project_rules = [r for r in rules if r.project_level]
 
     report = LintReport()
     contexts: list[FileContext] = []
@@ -210,17 +185,8 @@ def lint_paths(
             )
             continue
         contexts.append(ctx)
-        for rule in file_rules:
+        for rule in rules:
             raw.extend(rule.check(ctx))
-
-    if project_rules:
-        project = ProjectContext(
-            files=contexts,
-            config=config,
-            tests_text=_read_tests_text(config, root),
-        )
-        for rule in project_rules:
-            raw.extend(rule.check_project(project))
 
     suppression_maps = {
         ctx.rel_path: _suppressions(ctx) for ctx in contexts

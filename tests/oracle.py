@@ -1,0 +1,336 @@
+"""Scalar oracle of the CoCa probe, inference and protocol round.
+
+Production code (``src/repro/core``) runs everything a batch at a time:
+the cache walk scores blocks of layers for many rows at once, the engine
+turns the walk into Eq. 7 latencies with array arithmetic, the client
+collects a round's Eq. 3 update table with grouped updates, and the
+server folds it into the global table with one Eq. 4 scatter pass.  This
+module is the same protocol written the plain way — one sample, one
+layer, one table entry at a time — so the equivalence suites can compare
+the two:
+
+* :func:`probe` — Eq. 1 accumulation and the Eq. 2 score (clamped at a
+  non-positive runner-up) plus the similarity-floor test, for one sample
+  at one cache layer;
+* :func:`infer` — the cache-instrumented inference of one sample: probe
+  the activated layers in order, exit at the first hit, otherwise run the
+  full model; latency is the executed compute prefix plus the lookup
+  costs of the probed layers;
+* :func:`run_round` — a client round frame by frame: status vectors,
+  the Gamma / Delta collection rules and the Eq. 3 fold;
+* :func:`merge_update` / :func:`apply_client_update` — Eq. 4 per entry,
+  then Eq. 5;
+* :func:`walk_layers` — :func:`repro.core.probe.walk_cache_batch` forced
+  through its per-layer loop whatever the cache's pack.
+
+Nothing under ``src/`` imports this module.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from repro.core import probe as walk_module
+from repro.core.cache import LookupWorkspace, SemanticCache
+from repro.core.client import CoCaClient, RoundReport
+from repro.core.probe import CacheWalk
+from repro.core.server import CoCaServer, GlobalCacheTable
+from repro.models.base import SimulatedModel
+from repro.models.feature import SampleBatch, SampleFeatures
+from repro.sim.metrics import InferenceRecord
+
+_EPS = 1e-9
+
+
+def discriminative_score(
+    a_best: float | np.ndarray, a_second: float | np.ndarray
+) -> float | np.ndarray:
+    """Eq. 2, ``(A[a] - A[b]) / A[b]``, and 0 where ``A[b] <= 0``.
+
+    Accepts scalars or equally-shaped arrays; returns a float for scalar
+    inputs and an array otherwise.
+    """
+    best = np.asarray(a_best, dtype=float)
+    second = np.asarray(a_second, dtype=float)
+    positive = second > _EPS
+    score = np.where(
+        positive, (best - second) / np.where(positive, second, 1.0), 0.0
+    )
+    if score.ndim == 0:
+        return float(score)
+    return score
+
+
+class LayerProbe(NamedTuple):
+    """Outcome of probing one cache layer for one sample."""
+
+    layer: int
+    top_class: int
+    second_class: int  # -1 on a single-entry layer
+    score: float
+    hit: bool
+
+
+def accumulator(cache: SemanticCache) -> np.ndarray:
+    """A fresh per-class Eq. 1 accumulator ``A`` for one sample."""
+    return np.zeros(cache.num_classes, dtype=cache.dtype)
+
+
+def probe(
+    cache: SemanticCache, accumulated: np.ndarray, layer: int, vector: np.ndarray
+) -> LayerProbe:
+    """Probe one activated layer, folding Eq. 1 into ``accumulated``.
+
+    Raises ``KeyError`` for a layer that is not activated and
+    ``ValueError`` for a vector of another dimension.  A layer with fewer
+    than two entries never hits: Eq. 2 needs a runner-up.
+    """
+    ids, mat = cache.entries_at(layer)
+    vec = np.asarray(vector, dtype=cache.dtype)
+    if vec.shape != (mat.shape[1],):
+        raise ValueError(
+            f"vector shape {vec.shape} does not match centroid dim {mat.shape[1]}"
+        )
+    similarity = mat @ vec
+    updated = similarity + cache.alpha * accumulated[ids]
+    accumulated[ids] = updated
+    if ids.size < 2:
+        return LayerProbe(layer, int(ids[0]), -1, 0.0, False)
+    order = np.argsort(updated)
+    best_idx, second_idx = order[-1], order[-2]
+    a_best = float(updated[best_idx])
+    score = discriminative_score(a_best, float(updated[second_idx]))
+    hit = (
+        score > cache.theta
+        and a_best > 0
+        and float(similarity[best_idx]) >= cache.similarity_floor(layer)
+    )
+    return LayerProbe(
+        layer, int(ids[best_idx]), int(ids[second_idx]), score, hit
+    )
+
+
+def top2_prob_gap(probs: np.ndarray) -> float:
+    """Gap between the two largest entries of a probability vector."""
+    if probs.size < 2:
+        return 1.0
+    top2 = np.partition(probs, probs.size - 2)[-2:]
+    return float(top2[1] - top2[0])
+
+
+class InferenceOutcome(NamedTuple):
+    """Everything observable from one cached inference.
+
+    ``hit_layer`` and ``hit_score`` are ``None`` on a miss;
+    ``top2_prob_gap`` is ``None`` unless the full model ran.
+    """
+
+    predicted_class: int
+    hit_layer: int | None
+    latency_ms: float
+    probes: tuple[LayerProbe, ...] = ()
+    hit_score: float | None = None
+    top2_prob_gap: float | None = None
+
+    @property
+    def hit(self) -> bool:
+        return self.hit_layer is not None
+
+
+def infer(
+    model: SimulatedModel, cache: SemanticCache | None, sample: SampleFeatures
+) -> InferenceOutcome:
+    """Run one sample through the model with early exit on a cache hit."""
+    profile = model.profile
+    if cache is None or not cache.active_layers:
+        predicted, probs = model.classify(sample)
+        return InferenceOutcome(
+            predicted, None, profile.total_compute_ms,
+            top2_prob_gap=top2_prob_gap(probs),
+        )
+    accumulated = accumulator(cache)
+    probes: list[LayerProbe] = []
+    lookup_ms = 0.0
+    for layer in cache.active_layers:
+        lookup_ms += profile.lookup_cost_ms(cache.num_entries(layer))
+        result = probe(cache, accumulated, layer, sample.vector(layer))
+        probes.append(result)
+        if result.hit:
+            return InferenceOutcome(
+                result.top_class,
+                layer,
+                profile.compute_up_to_layer_ms(layer) + lookup_ms,
+                tuple(probes),
+                hit_score=result.score,
+            )
+    predicted, probs = model.classify(sample)
+    return InferenceOutcome(
+        predicted,
+        None,
+        profile.total_compute_ms + lookup_ms,
+        tuple(probes),
+        top2_prob_gap=top2_prob_gap(probs),
+    )
+
+
+# ----------------------------------------------------------------------
+# Client round (Sec. IV-C) and server update (Eq. 4 / 5)
+# ----------------------------------------------------------------------
+
+
+def absorb(
+    update_entries: dict[tuple[int, int], np.ndarray],
+    sample: SampleFeatures,
+    class_id: int,
+    layers: list[int],
+    beta: float,
+) -> None:
+    """Eq. 3: ``U = V + beta * U`` per collected layer, L2-normalized."""
+    for layer in layers:
+        vector = sample.vector(layer)
+        key = (class_id, layer)
+        if key in update_entries:
+            merged = vector + beta * update_entries[key]
+        else:
+            merged = vector.copy()
+        norm = np.linalg.norm(merged)
+        if norm > 0:
+            update_entries[key] = merged / norm
+
+
+def collect(
+    client: CoCaClient,
+    sample: SampleFeatures,
+    outcome: InferenceOutcome,
+    update_entries: dict[tuple[int, int], np.ndarray],
+    report: RoundReport,
+) -> None:
+    """The Gamma rule (hits, up to the hit layer) and the Delta rule
+    (misses, every preset layer) for one inference."""
+    config = client.config
+    predicted = outcome.predicted_class
+    if outcome.hit:
+        report.eligible_hits += 1
+        assert outcome.hit_score is not None
+        if outcome.hit_score <= config.collect_gamma:
+            return
+        layers = [p.layer for p in outcome.probes]
+        report.absorbed_hits += 1
+    else:
+        report.eligible_misses += 1
+        assert outcome.top2_prob_gap is not None
+        if outcome.top2_prob_gap <= config.collect_delta:
+            return
+        layers = list(range(client.model.num_cache_layers))
+        report.absorbed_misses += 1
+    absorb(update_entries, sample, predicted, layers, config.beta)
+    report.collected_total += 1
+    report.collected_correct += int(predicted == sample.true_class)
+
+
+def run_round(client: CoCaClient, batch: SampleBatch) -> RoundReport:
+    """Run a pre-drawn batch through ``client`` one frame at a time.
+
+    Updates the client's tau, phi and R exactly as
+    :meth:`CoCaClient.run_round` does, and returns its report.
+    """
+    frames = len(batch)
+    if frames < 1:
+        raise ValueError("batch must contain at least one sample")
+    model = client.model
+    cache = client.engine.cache
+    phi = np.zeros(model.num_classes)
+    layer_hits = np.zeros(model.num_cache_layers)
+    update_entries: dict[tuple[int, int], np.ndarray] = {}
+    report = RoundReport(
+        client_id=client.client_id,
+        records=[],
+        update_entries=update_entries,
+        frequencies=phi,
+    )
+    for sample in batch.samples():
+        outcome = infer(model, cache, sample)
+        client.timestamps += 1.0
+        client.timestamps[outcome.predicted_class] = 0.0
+        phi[outcome.predicted_class] += 1.0
+        if outcome.hit_layer is not None:
+            layer_hits[outcome.hit_layer] += 1.0
+        collect(client, sample, outcome, update_entries, report)
+        report.records.append(
+            InferenceRecord(
+                true_class=sample.true_class,
+                predicted_class=outcome.predicted_class,
+                latency_ms=outcome.latency_ms,
+                hit_layer=outcome.hit_layer,
+                client_id=client.client_id,
+            )
+        )
+    if cache is not None:
+        # R blends in the hits at or before each active layer.
+        cumulative = 0.0
+        for layer in cache.active_layers:
+            cumulative += layer_hits[layer] / frames
+            client.hit_ratio[layer] = 0.5 * client.hit_ratio[layer] + 0.5 * cumulative
+    client.last_frequencies = phi.copy()
+    return report
+
+
+def merge_update(
+    table: GlobalCacheTable,
+    class_id: int,
+    layer: int,
+    update_vector: np.ndarray,
+    local_freq: float,
+    gamma: float,
+) -> None:
+    """Eq. 4 for one entry: install into an unfilled slot, else blend
+    ``gamma * Phi/(Phi+phi) * E + phi/(Phi+phi) * U`` and normalize."""
+    if local_freq == 0:
+        return
+    new = np.asarray(update_vector, dtype=float)
+    if not table.filled[class_id, layer]:
+        if np.linalg.norm(new) >= 1e-12:
+            table.install(class_id, layer, new)
+        return
+    global_freq = table.class_freq[class_id]
+    denom = global_freq + local_freq
+    merged = (
+        gamma * (global_freq / denom) * table.entries[class_id, layer]
+        + (local_freq / denom) * new
+    )
+    norm = np.linalg.norm(merged)
+    if norm >= 1e-12:
+        table.entries[class_id, layer] = merged / norm
+
+
+def apply_client_update(
+    server: CoCaServer,
+    update_entries: dict[tuple[int, int], np.ndarray],
+    local_freq: np.ndarray,
+) -> None:
+    """One client's global update: Eq. 4 entry by entry, then Eq. 5."""
+    for (class_id, layer), vector in update_entries.items():
+        merge_update(
+            server.table, class_id, layer, vector,
+            float(local_freq[class_id]), server.config.gamma,
+        )
+    server.table.add_frequencies(local_freq)
+
+
+# ----------------------------------------------------------------------
+# The per-layer walk
+# ----------------------------------------------------------------------
+
+
+def walk_layers(
+    cache: SemanticCache, vectors: np.ndarray, workspace: LookupWorkspace
+) -> CacheWalk:
+    """:func:`~repro.core.probe.walk_cache_batch` through the per-layer
+    loop alone (one batched session probe per activated layer), whatever
+    the cache's pack; same arguments, same checks, same result."""
+    walk, pack = walk_module._begin_walk(cache, vectors, workspace)
+    if vectors.shape[0] and pack.levels:
+        walk_module._walk_layers(cache, vectors, workspace, walk)
+    return walk

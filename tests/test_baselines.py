@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import oracle
+
 from repro.baselines import (
     CoCaRunner,
     EdgeOnly,
@@ -13,7 +15,6 @@ from repro.baselines import (
 )
 from repro.baselines.foggy_cache import LshLruCache
 from repro.core.config import CoCaConfig
-from repro.core.engine import _top2_prob_gap
 from repro.data.datasets import get_dataset
 from repro.experiments.scenario import Scenario
 
@@ -33,14 +34,6 @@ def _fresh(scenario, **overrides):
     from dataclasses import replace
 
     return replace(scenario, _deployment=None, **overrides)
-
-
-class TestTop2Gap:
-    def test_gap_of_sorted_vector(self):
-        assert _top2_prob_gap(np.array([0.1, 0.6, 0.3])) == pytest.approx(0.3)
-
-    def test_single_class(self):
-        assert _top2_prob_gap(np.array([1.0])) == 1.0
 
 
 class TestEdgeOnly:
@@ -196,6 +189,40 @@ class TestReplacementPolicies:
             runner.model.profile.entry_size_bytes(j) for j in runner.active_layers
         )
         assert runner.memory_bytes() == expected
+
+
+class TestBaselinesMatchOracle:
+    """SMTM and the replacement policies run each frame through the
+    batched engine; frame by frame they must decide and charge exactly
+    what the scalar oracle does on the cache the runner holds then."""
+
+    @pytest.mark.parametrize("method", ["smtm", "lru", "fifo", "rand"])
+    def test_every_frame_matches_the_oracle(self, small_scenario, method):
+        scenario = _fresh(small_scenario)
+        if method == "smtm":
+            runner = SMTM(scenario, frames_per_round=60)
+        else:
+            runner = ReplacementPolicyCache(
+                scenario, policy=method, cache_size=8, frames_per_round=60
+            )
+        process = runner.process
+        hit_layers = []
+
+        def checked(client_id, sample):
+            cache = runner._engines[client_id].cache
+            assert cache.dtype == np.float32
+            expected = oracle.infer(runner.model, cache, sample)
+            record = process(client_id, sample)
+            assert record.predicted_class == expected.predicted_class
+            assert record.hit_layer == expected.hit_layer
+            assert record.latency_ms == expected.latency_ms
+            hit_layers.append(record.hit_layer)
+            return record
+
+        runner.process = checked
+        runner.run(2)
+        assert len(hit_layers) == 2 * 2 * 60
+        assert {layer is None for layer in hit_layers} == {True, False}
 
 
 class TestCoCaRunner:

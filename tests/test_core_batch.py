@@ -3,7 +3,7 @@
 The batched inference subsystem must be a pure performance optimization:
 for any cache configuration,
 :meth:`BatchedInferenceEngine.infer_batch_soa` must reproduce
-``CachedInferenceEngine.infer`` outcome for outcome, field by field —
+the scalar oracle's ``infer`` (``tests/oracle.py``) outcome for outcome, field by field —
 predictions, hit layers, latencies, hit scores and top-2 gaps — and
 :class:`BatchedLookupSession` the scalar session's per-layer probe
 records.
@@ -18,8 +18,10 @@ tolerance.  The float32-vs-float64 *decision* parity has its own suite
 import numpy as np
 import pytest
 
+import oracle
+
 from repro.core.cache import BatchedLookupSession, SemanticCache
-from repro.core.engine import BatchedInferenceEngine, CachedInferenceEngine
+from repro.core.engine import BatchedInferenceEngine
 from repro.data.stream import StreamGenerator
 
 
@@ -92,27 +94,24 @@ class TestBatchEquivalence:
     def test_batch_matches_scalar(self, tiny_model, seed, variant):
         cache = _build_cache(tiny_model, variant)
         samples = _draw_samples(tiny_model, seed, 50)
-        scalar_engine = CachedInferenceEngine(tiny_model, cache)
         batch_engine = BatchedInferenceEngine(tiny_model, cache)
-        scalar = [scalar_engine.infer(s) for s in samples]
+        scalar = [oracle.infer(tiny_model, cache, s) for s in samples]
         _assert_outcomes_match(scalar, batch_engine.infer_batch_soa(samples))
 
     def test_no_cache_matches_scalar(self, tiny_model):
         samples = _draw_samples(tiny_model, 5, 20)
-        scalar_engine = CachedInferenceEngine(tiny_model, cache=None)
         batch_engine = BatchedInferenceEngine(tiny_model, cache=None)
         _assert_outcomes_match(
-            [scalar_engine.infer(s) for s in samples],
+            [oracle.infer(tiny_model, None, s) for s in samples],
             batch_engine.infer_batch_soa(samples),
         )
 
     def test_empty_cache_matches_scalar(self, tiny_model):
         cache = SemanticCache(tiny_model.num_classes, dtype=np.float64)
         samples = _draw_samples(tiny_model, 5, 10)
-        scalar_engine = CachedInferenceEngine(tiny_model, cache)
         batch_engine = BatchedInferenceEngine(tiny_model, cache)
         _assert_outcomes_match(
-            [scalar_engine.infer(s) for s in samples],
+            [oracle.infer(tiny_model, cache, s) for s in samples],
             batch_engine.infer_batch_soa(samples),
         )
 
@@ -156,20 +155,20 @@ class TestBatchedLookupSession:
         cache = _build_cache(tiny_model, "all_layers")
         samples = _draw_samples(tiny_model, 9, 8)
         batch = cache.start_batch_session(len(samples))
-        scalars = [cache.start_session() for _ in samples]
+        scalars = [oracle.accumulator(cache) for _ in samples]
         for layer in cache.active_layers:
             vectors = np.stack([s.vector(layer) for s in samples])
             result = batch.probe(layer, vectors)
-            for i, (sample, session) in enumerate(zip(samples, scalars)):
-                probe = session.probe(layer, sample.vector(layer))
+            for i, (sample, acc) in enumerate(zip(samples, scalars)):
+                probe = oracle.probe(cache, acc, layer, sample.vector(layer))
                 assert result.top_class[i] == probe.top_class
                 assert result.second_class[i] == probe.second_class
                 assert bool(result.hit[i]) == probe.hit
                 assert result.score[i] == pytest.approx(probe.score, rel=1e-9)
-        for i, session in enumerate(scalars):
+        for i, acc in enumerate(scalars):
             for class_id in range(tiny_model.num_classes):
                 assert batch.accumulated_score(i, class_id) == pytest.approx(
-                    session.accumulated_score(class_id), rel=1e-9, abs=1e-12
+                    float(acc[class_id]), rel=1e-9, abs=1e-12
                 )
 
     def test_rejects_unknown_layer(self, tiny_model):
@@ -234,7 +233,7 @@ class TestClientRoundUsesBatchPath:
         samples = batch.samples()
         timestamps = np.zeros(tiny_model.num_classes)
         phi = np.zeros(tiny_model.num_classes)
-        outcomes = [replay.engine.infer(s) for s in samples]
+        outcomes = [oracle.infer(tiny_model, cache, s) for s in samples]
         for outcome in outcomes:
             timestamps += 1.0
             timestamps[outcome.predicted_class] = 0.0

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cache import SemanticCache, discriminative_score
+import oracle
+from repro.core.cache import SemanticCache
 
 
 def _unit(v):
@@ -17,6 +18,30 @@ def _orthogonal_entries(num, dim=8):
     """num orthonormal centroids."""
     basis = np.eye(dim)[:num]
     return np.arange(num), basis
+
+
+class _Row:
+    """One query as row 0 of a one-row batch session: ``probe`` returns
+    that row's fields as scalars, ``accumulated_score`` reads its ``A``."""
+
+    def __init__(self, cache):
+        self._session = cache.start_batch_session(1)
+
+    def probe(self, layer, query):
+        result = self._session.probe(layer, np.asarray(query)[None, :])
+        return _Probe(
+            int(result.top_class[0]), int(result.second_class[0]),
+            float(result.score[0]), bool(result.hit[0]),
+        )
+
+    def accumulated_score(self, class_id):
+        return self._session.accumulated_score(0, class_id)
+
+
+class _Probe:
+    def __init__(self, top_class, second_class, score, hit):
+        self.top_class, self.second_class = top_class, second_class
+        self.score, self.hit = score, hit
 
 
 class TestCacheContent:
@@ -101,7 +126,7 @@ class TestLookup:
         cache = SemanticCache(4, theta=0.05)
         ids, mat = _orthogonal_entries(4)
         cache.set_layer_entries(0, ids, mat)
-        session = cache.start_session()
+        session = _Row(cache)
         # Strong match with a positive runner-up (as in the real feature
         # geometry, where similarities share a positive common base).
         probe = session.probe(0, _unit(mat[2] + 0.2 * mat[1]))
@@ -114,7 +139,7 @@ class TestLookup:
         ids, mat = _orthogonal_entries(2)
         cache.set_layer_entries(0, ids, mat)
         query = _unit(mat[0] + mat[1])  # equidistant
-        probe = cache.start_session().probe(0, query)
+        probe = _Row(cache).probe(0, query)
         assert not probe.hit
         assert probe.score == pytest.approx(0.0, abs=1e-9)
 
@@ -124,7 +149,7 @@ class TestLookup:
         cache = SemanticCache(2, theta=0.05)
         mat = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
         cache.set_layer_entries(0, np.array([0, 1]), mat)
-        probe = cache.start_session().probe(0, np.array([1.0, 0.0, 0.0, 0.0]))
+        probe = _Row(cache).probe(0, np.array([1.0, 0.0, 0.0, 0.0]))
         # a_best = 1, a_second = -1: the old expression gave ~2e9.
         assert probe.score == 0.0
         assert not probe.hit
@@ -134,14 +159,14 @@ class TestLookup:
         cache = SemanticCache(4, theta=0.05)
         ids, mat = _orthogonal_entries(4)
         cache.set_layer_entries(0, ids, mat)
-        probe = cache.start_session().probe(0, mat[2])
+        probe = _Row(cache).probe(0, mat[2])
         assert probe.score == 0.0
         assert not probe.hit
 
     def test_single_entry_layer_never_hits(self):
         cache = SemanticCache(4, theta=0.0)
         cache.set_layer_entries(0, np.array([1]), np.eye(8)[:1])
-        probe = cache.start_session().probe(0, np.eye(8)[0])
+        probe = _Row(cache).probe(0, np.eye(8)[0])
         assert not probe.hit
         assert probe.top_class == 1
         assert probe.second_class == -1
@@ -156,7 +181,7 @@ class TestLookup:
         cache.set_layer_entries(0, ids, mat)
         cache.set_layer_entries(1, ids, mat)
         query = _unit([3.0, 4.0, 0, 0, 0, 0])  # cos 0.6 / 0.8 to the entries
-        session = cache.start_session()
+        session = _Row(cache)
         session.probe(0, query)
         assert session.accumulated_score(0) == pytest.approx(0.6)
         assert session.accumulated_score(1) == pytest.approx(0.8)
@@ -170,22 +195,22 @@ class TestLookup:
         mat = np.eye(4)[:2]
         cache.set_layer_entries(0, np.array([0, 1]), mat)
         query = _unit([0.8, 0.6, 0, 0])
-        probe = cache.start_session().probe(0, query)
+        probe = _Row(cache).probe(0, query)
         assert probe.top_class == 0
         assert probe.second_class == 1
-        assert probe.score == pytest.approx((0.8 - 0.6) / 0.6)
+        assert probe.score == pytest.approx((0.8 - 0.6) / 0.6, rel=1e-5)
 
     def test_negative_best_never_hits(self):
         cache = SemanticCache(3, theta=0.0)
         mat = np.eye(4)[:2]
         cache.set_layer_entries(0, np.array([0, 1]), mat)
-        probe = cache.start_session().probe(0, -_unit([1.0, 1.0, 0, 0]))
+        probe = _Row(cache).probe(0, -_unit([1.0, 1.0, 0, 0]))
         assert not probe.hit
 
     def test_unknown_layer_rejected(self):
         cache = SemanticCache(3)
         with pytest.raises(KeyError):
-            cache.start_session().probe(0, np.ones(4))
+            _Row(cache).probe(0, np.ones(4))
         with pytest.raises(KeyError):
             cache.entries_at(0)
 
@@ -194,15 +219,15 @@ class TestLookup:
         ids, mat = _orthogonal_entries(2, dim=8)
         cache.set_layer_entries(0, ids, mat)
         with pytest.raises(ValueError):
-            cache.start_session().probe(0, np.ones(5))
+            _Row(cache).probe(0, np.ones(5))
 
     def test_sessions_are_independent(self):
         cache = SemanticCache(3, theta=np.inf)
         ids, mat = _orthogonal_entries(2)
         cache.set_layer_entries(0, ids, mat)
-        s1 = cache.start_session()
+        s1 = _Row(cache)
         s1.probe(0, mat[0])
-        s2 = cache.start_session()
+        s2 = _Row(cache)
         assert s2.accumulated_score(0) == 0.0
 
 
@@ -219,9 +244,9 @@ class TestLookupProperties:
         mat /= np.linalg.norm(mat, axis=1, keepdims=True)
         cache.set_layer_entries(0, np.arange(4), mat)
         query = _unit(rng.standard_normal(8))
-        probe = cache.start_session().probe(0, query)
+        probe = _Row(cache).probe(0, query)
         if probe.hit:
-            assert probe.score > theta
+            assert probe.score > np.float32(theta)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
@@ -231,7 +256,7 @@ class TestLookupProperties:
         mat = rng.standard_normal((5, 8))
         mat /= np.linalg.norm(mat, axis=1, keepdims=True)
         cache.set_layer_entries(0, np.arange(5), mat)
-        session = cache.start_session()
+        session = _Row(cache)
         probe = session.probe(0, _unit(rng.standard_normal(8)))
         scores = [session.accumulated_score(i) for i in range(5)]
         assert probe.top_class == int(np.argmax(scores))
@@ -270,9 +295,6 @@ class TestDtypePolicy:
         cache = SemanticCache(4, dtype=np.float32)
         ids, mat = _orthogonal_entries(3)
         cache.set_layer_entries(0, ids, mat)
-        session = cache.start_session()
-        probe = session.probe(0, _unit([1.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
-        assert isinstance(probe.score, float)
         batch = cache.start_batch_session(2)
         result = batch.probe(0, np.tile(_unit(np.ones(8)), (2, 1)))
         assert result.score.dtype == np.dtype(np.float32)
@@ -336,18 +358,18 @@ class TestColumnModeAccumulator:
         rng = np.random.default_rng(4)
         vectors = rng.standard_normal((3, 2, 6))
         batch = mixed.start_batch_session(3)
-        scalars = [mixed.start_session() for _ in range(3)]
+        scalars = [oracle.accumulator(mixed) for _ in range(3)]
         for layer in range(2):
             vecs = np.ascontiguousarray(vectors[:, layer, :], dtype=dtype)
             result = batch.probe(layer, vecs)
-            for i, session in enumerate(scalars):
-                probe = session.probe(layer, vecs[i])
+            for i, acc in enumerate(scalars):
+                probe = oracle.probe(mixed, acc, layer, vecs[i])
                 assert result.top_class[i] == probe.top_class
                 assert result.score[i] == pytest.approx(probe.score, rel=1e-5)
-        for i, session in enumerate(scalars):
+        for i, acc in enumerate(scalars):
             for class_id in range(10):
                 assert batch.accumulated_score(i, class_id) == pytest.approx(
-                    session.accumulated_score(class_id), rel=1e-5, abs=1e-6
+                    float(acc[class_id]), rel=1e-5, abs=1e-6
                 )
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -356,18 +378,18 @@ class TestColumnModeAccumulator:
         rng = np.random.default_rng(4)
         vectors = rng.standard_normal((3, 3, 6))
         batch = same.start_batch_session(3)
-        scalars = [same.start_session() for _ in range(3)]
+        scalars = [oracle.accumulator(same) for _ in range(3)]
         for layer in range(3):
             vecs = np.ascontiguousarray(vectors[:, layer, :], dtype=dtype)
             result = batch.probe(layer, vecs)
-            for i, session in enumerate(scalars):
-                probe = session.probe(layer, vecs[i])
+            for i, acc in enumerate(scalars):
+                probe = oracle.probe(same, acc, layer, vecs[i])
                 assert result.top_class[i] == probe.top_class
                 assert bool(result.hit[i]) == probe.hit
-        for i, session in enumerate(scalars):
+        for i, acc in enumerate(scalars):
             for class_id in range(10):
                 assert batch.accumulated_score(i, class_id) == pytest.approx(
-                    session.accumulated_score(class_id), rel=1e-5, abs=1e-6
+                    float(acc[class_id]), rel=1e-5, abs=1e-6
                 )
 
 
@@ -396,7 +418,7 @@ class SeedDenseSession:
         second_idx = np.argmax(updated, axis=1)
         a_second = updated[take, second_idx]
         updated[take, best_idx] = a_best
-        score = discriminative_score(a_best, a_second)
+        score = oracle.discriminative_score(a_best, a_second)
         hit = (score > self._theta) & (a_best > 0)
         return ids[best_idx], hit
 
@@ -533,7 +555,7 @@ class TestLookupWorkspace:
         second[:8] = -np.abs(second[:8])  # non-positive runner-ups clamp
         out = np.empty(32)
         workspace.scores_into(best, second, out)
-        assert np.array_equal(out, discriminative_score(best, second))
+        assert np.array_equal(out, oracle.discriminative_score(best, second))
 
 
 class TestLookupWorkspaceClose:

@@ -58,7 +58,7 @@ class TestGlobalCacheTable:
         old = np.array([1.0, 0.0, 0.0, 0.0])
         new = np.array([0.0, 1.0, 0.0, 0.0])
         table.install(0, 0, old)
-        table.merge_update(0, 0, new, local_freq=10.0, gamma=0.99)
+        table.merge_updates(np.array([0]), np.array([0]), new[None, :], np.array([10.0]), 0.99)
         expected = 0.99 * (30 / 40) * old + (10 / 40) * new
         expected /= np.linalg.norm(expected)
         assert np.allclose(table.entries[0, 0], expected)
@@ -67,12 +67,12 @@ class TestGlobalCacheTable:
         table = GlobalCacheTable(2, 1, 4)
         table.install(0, 0, np.eye(4)[0])
         before = table.entries[0, 0].copy()
-        table.merge_update(0, 0, np.eye(4)[1], local_freq=0.0, gamma=0.99)
+        table.merge_updates(np.array([0]), np.array([0]), np.eye(4)[1:2], np.array([0.0]), 0.99)
         assert np.allclose(table.entries[0, 0], before)
 
     def test_merge_into_unfilled_installs(self):
         table = GlobalCacheTable(2, 1, 4)
-        table.merge_update(1, 0, np.eye(4)[2], local_freq=5.0, gamma=0.99)
+        table.merge_updates(np.array([1]), np.array([0]), np.eye(4)[2:3], np.array([5.0]), 0.99)
         assert table.filled[1, 0]
 
     def test_eq5_frequency_accumulation(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.cache import SemanticCache
-from repro.core.engine import CachedInferenceEngine
+from repro.core.engine import BatchedInferenceEngine
 from repro.data.stream import Frame
 
 
@@ -21,51 +21,48 @@ def _all_layer_cache(model, theta):
     return cache
 
 
+def _easy_samples(model, rng, count):
+    return [model.draw_sample(_frame(class_id=i % 8), 0, rng) for i in range(count)]
+
+
 class TestEngineNoCache:
     def test_full_latency_charged(self, tiny_model, rng):
-        engine = CachedInferenceEngine(tiny_model, cache=None)
-        sample = tiny_model.draw_sample(_frame(), 0, rng)
-        outcome = engine.infer(sample)
-        assert outcome.latency_ms == pytest.approx(tiny_model.total_compute_ms)
-        assert outcome.hit_layer is None
-        assert not outcome.hit
-        assert outcome.top2_prob_gap is not None
+        engine = BatchedInferenceEngine(tiny_model, cache=None)
+        out = engine.infer_batch_soa(_easy_samples(tiny_model, rng, 1))
+        assert out.latency_ms[0] == pytest.approx(tiny_model.total_compute_ms)
+        assert out.hit_layer[0] == -1
+        assert not out.hit[0]
+        assert not np.isnan(out.top2_prob_gap[0])
 
     def test_empty_cache_behaves_like_no_cache(self, tiny_model, rng):
-        engine = CachedInferenceEngine(tiny_model, SemanticCache(tiny_model.num_classes))
-        sample = tiny_model.draw_sample(_frame(), 0, rng)
-        outcome = engine.infer(sample)
-        assert outcome.latency_ms == pytest.approx(tiny_model.total_compute_ms)
+        engine = BatchedInferenceEngine(tiny_model, SemanticCache(tiny_model.num_classes))
+        out = engine.infer_batch_soa(_easy_samples(tiny_model, rng, 1))
+        assert out.latency_ms[0] == pytest.approx(tiny_model.total_compute_ms)
 
 
 class TestEngineWithCache:
     def test_easy_sample_hits_and_saves_time(self, tiny_model, rng):
         cache = _all_layer_cache(tiny_model, theta=0.05)
-        engine = CachedInferenceEngine(tiny_model, cache)
-        hits = 0
-        for i in range(30):
-            sample = tiny_model.draw_sample(_frame(class_id=i % 8), 0, rng)
-            outcome = engine.infer(sample)
-            if outcome.hit:
-                hits += 1
-                assert outcome.predicted_class == i % 8
-                assert outcome.latency_ms < tiny_model.total_compute_ms
-                assert outcome.hit_score is not None
-                assert outcome.hit_score > 0.05
-        assert hits >= 20  # easy samples should mostly hit
+        out = BatchedInferenceEngine(tiny_model, cache).infer_batch_soa(
+            _easy_samples(tiny_model, rng, 30)
+        )
+        hits = np.flatnonzero(out.hit)
+        assert np.array_equal(out.predicted_class[hits], hits % 8)
+        assert (out.latency_ms[hits] < tiny_model.total_compute_ms).all()
+        assert (out.hit_score[hits] > 0.05).all()
+        assert hits.size >= 20  # easy samples should mostly hit
 
     def test_impossible_threshold_never_hits(self, tiny_model, rng):
         cache = _all_layer_cache(tiny_model, theta=np.inf)
-        engine = CachedInferenceEngine(tiny_model, cache)
-        sample = tiny_model.draw_sample(_frame(), 0, rng)
-        outcome = engine.infer(sample)
-        assert not outcome.hit
+        out = BatchedInferenceEngine(tiny_model, cache).infer_batch_soa(
+            _easy_samples(tiny_model, rng, 1)
+        )
+        assert not out.hit[0]
         # Paid every lookup plus full compute.
         expected = tiny_model.total_compute_ms + sum(
             tiny_model.lookup_cost_ms(8) for _ in range(tiny_model.num_cache_layers)
         )
-        assert outcome.latency_ms == pytest.approx(expected)
-        assert len(outcome.probes) == tiny_model.num_cache_layers
+        assert out.latency_ms[0] == pytest.approx(expected)
 
     def test_hit_latency_decomposition(self, tiny_model, rng):
         """Latency = prefix compute + lookup costs of the probed layers."""
@@ -74,38 +71,42 @@ class TestEngineWithCache:
             cache.set_layer_entries(
                 layer, np.arange(8), tiny_model.ideal_centroids(layer)
             )
-        engine = CachedInferenceEngine(tiny_model, cache)
-        for i in range(40):
-            sample = tiny_model.draw_sample(_frame(class_id=i % 8), 0, rng)
-            outcome = engine.infer(sample)
-            if outcome.hit_layer == 1:
-                expected = tiny_model.profile.compute_up_to_layer_ms(
-                    1
-                ) + tiny_model.lookup_cost_ms(8)
-                assert outcome.latency_ms == pytest.approx(expected)
-                break
-        else:
-            pytest.fail("no hit at layer 1 in 40 easy samples")
+        out = BatchedInferenceEngine(tiny_model, cache).infer_batch_soa(
+            _easy_samples(tiny_model, rng, 40)
+        )
+        at_one = np.flatnonzero(out.hit_layer == 1)
+        assert at_one.size, "no hit at layer 1 in 40 easy samples"
+        expected = tiny_model.profile.compute_up_to_layer_ms(
+            1
+        ) + tiny_model.lookup_cost_ms(8)
+        assert np.allclose(out.latency_ms[at_one], expected)
 
     def test_probes_stop_at_hit(self, tiny_model, rng):
+        """A hit at layer j pays the lookups of layers 0..j and no more."""
         cache = _all_layer_cache(tiny_model, theta=0.02)
-        engine = CachedInferenceEngine(tiny_model, cache)
-        sample = tiny_model.draw_sample(_frame(), 0, rng)
-        outcome = engine.infer(sample)
-        if outcome.hit:
-            assert outcome.probes[-1].layer == outcome.hit_layer
-            assert all(not p.hit for p in outcome.probes[:-1])
+        out = BatchedInferenceEngine(tiny_model, cache).infer_batch_soa(
+            _easy_samples(tiny_model, rng, 20)
+        )
+        hits = np.flatnonzero(out.hit)
+        assert hits.size
+        lookup = tiny_model.lookup_cost_ms(8)
+        for i in hits:
+            layer = int(out.hit_layer[i])
+            expected = tiny_model.profile.compute_up_to_layer_ms(layer) + (
+                layer + 1
+            ) * lookup
+            assert out.latency_ms[i] == pytest.approx(expected)
 
     def test_set_cache_swaps(self, tiny_model, rng):
-        engine = CachedInferenceEngine(tiny_model, cache=None)
+        engine = BatchedInferenceEngine(tiny_model, cache=None)
         engine.set_cache(_all_layer_cache(tiny_model, theta=0.02))
-        sample = tiny_model.draw_sample(_frame(), 0, rng)
-        assert engine.infer(sample).probes  # cache active now
+        out = engine.infer_batch_soa(_easy_samples(tiny_model, rng, 1))
+        # The cache is active now: the frame exited early or paid lookups.
+        assert out.latency_ms[0] != pytest.approx(tiny_model.total_compute_ms)
 
     def test_miss_exposes_probability_gap(self, tiny_model, rng):
         cache = _all_layer_cache(tiny_model, theta=np.inf)
-        engine = CachedInferenceEngine(tiny_model, cache)
-        sample = tiny_model.draw_sample(_frame(), 0, rng)
-        outcome = engine.infer(sample)
-        assert outcome.top2_prob_gap is not None
-        assert 0.0 <= outcome.top2_prob_gap <= 1.0
+        out = BatchedInferenceEngine(tiny_model, cache).infer_batch_soa(
+            _easy_samples(tiny_model, rng, 1)
+        )
+        assert 0.0 <= out.top2_prob_gap[0] <= 1.0

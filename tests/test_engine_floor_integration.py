@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.cache import SemanticCache
 from repro.core.config import CoCaConfig
-from repro.core.engine import CachedInferenceEngine
+from repro.core.engine import BatchedInferenceEngine
 from repro.core.server import CoCaServer
 from repro.data.datasets import get_dataset
 from repro.data.stream import StreamGenerator
@@ -53,17 +53,14 @@ class TestFloorCalibration:
         cache = server.build_cache(
             {j: np.arange(model.num_classes) for j in (5, 10, 15, 20)}
         )
-        engine = CachedInferenceEngine(model, cache)
+        engine = BatchedInferenceEngine(model, cache)
         rng = np.random.default_rng(4)
         stream = StreamGenerator(
             np.full(30, 1 / 30), dataset.mean_run_length, rng,
             base_difficulty=dataset.difficulty,
         )
-        hits = 0
-        for frame in stream.take(300):
-            sample = model.draw_sample(frame, 0, rng)
-            if engine.infer(sample).hit:
-                hits += 1
+        samples = [model.draw_sample(frame, 0, rng) for frame in stream.take(300)]
+        hits = int(engine.infer_batch_soa(samples).hit.sum())
         assert hits > 100  # floors must not suffocate legitimate hits
 
     def test_absent_class_samples_rarely_hit(self, calibrated):
@@ -71,20 +68,17 @@ class TestFloorCalibration:
         dataset, model, server = calibrated
         cached = np.arange(20)  # classes 20-29 absent
         cache = server.build_cache({j: cached for j in (5, 10, 15, 20)})
-        engine = CachedInferenceEngine(model, cache)
+        engine = BatchedInferenceEngine(model, cache)
         rng = np.random.default_rng(6)
         absent_only = np.r_[np.zeros(20), np.full(10, 1 / 10)]
         stream = StreamGenerator(
             absent_only, dataset.mean_run_length, rng,
             base_difficulty=dataset.difficulty,
         )
-        erroneous = 0
         total = 300
-        for frame in stream.take(total):
-            sample = model.draw_sample(frame, 0, rng)
-            outcome = engine.infer(sample)
-            if outcome.hit and sample.confusion_weight < 0.5:
-                erroneous += 1
+        samples = [model.draw_sample(frame, 0, rng) for frame in stream.take(total)]
+        confident = np.array([s.confusion_weight < 0.5 for s in samples])
+        erroneous = int((engine.infer_batch_soa(samples).hit & confident).sum())
         assert erroneous / total < 0.08
 
     def test_floor_reduces_erroneous_hits(self, calibrated):
@@ -104,18 +98,14 @@ class TestFloorCalibration:
                     cache.set_similarity_floor(
                         j, float(server.reference_similarity_floor[j])
                     )
-            engine = CachedInferenceEngine(model, cache)
+            engine = BatchedInferenceEngine(model, cache)
             rng = np.random.default_rng(11)
             absent_only = np.r_[np.zeros(20), np.full(10, 1 / 10)]
             stream = StreamGenerator(
                 absent_only, dataset.mean_run_length, rng,
                 base_difficulty=dataset.difficulty,
             )
-            count = 0
-            for frame in stream.take(250):
-                sample = model.draw_sample(frame, 0, rng)
-                if engine.infer(sample).hit:
-                    count += 1
-            return count
+            samples = [model.draw_sample(frame, 0, rng) for frame in stream.take(250)]
+            return int(engine.infer_batch_soa(samples).hit.sum())
 
         assert erroneous_count(True) <= erroneous_count(False)

@@ -39,9 +39,6 @@ HOT_FIXTURES = LintConfig(
     )
 )
 WALLCLOCK_FIXTURES = LintConfig(wallclock_dirs=("tests/lint_fixtures",))
-PARITY_FIXTURES = LintConfig(
-    tests_dirs=("tests/lint_fixtures/fake_tests",)
-)
 
 
 def run_fixture(
@@ -128,27 +125,8 @@ def test_wallclock_quiet_outside_configured_dirs():
     assert run_fixture("wallclock_bad.py").new == []
 
 
-def test_wallclock_exemption_is_honoured():
-    config = apply_overrides(
-        WALLCLOCK_FIXTURES,
-        {"wallclock-exempt": ["tests/lint_fixtures/wallclock_bad.py"]},
-    )
-    assert run_fixture("wallclock_bad.py", config=config).new == []
-
-
 def test_wallclock_quiet_on_virtual_time_code():
     assert run_fixture("wallclock_good.py", config=WALLCLOCK_FIXTURES).new == []
-
-
-def test_reference_parity_fires_on_orphan_and_untested_pair():
-    report = run_fixture("parity_bad.py", config=PARITY_FIXTURES)
-    assert new_rules(report) == ["reference-parity"] * 2
-    messages = " ".join(f.message for f in report.new)
-    assert "lonely" in messages and "untested" in messages
-
-
-def test_reference_parity_quiet_on_paired_and_tested():
-    assert run_fixture("parity_good.py", config=PARITY_FIXTURES).new == []
 
 
 def test_hygiene_rules_fire():
@@ -243,7 +221,6 @@ def test_registry_contains_the_documented_rules():
         "dtype-discipline",
         "zero-alloc-kernel",
         "no-wallclock-in-sim",
-        "reference-parity",
         "mutable-default",
         "shape-comment-drift",
         "suppression-justification",

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.cache import SemanticCache
 from repro.core.config import CoCaConfig
-from repro.core.engine import CachedInferenceEngine
+from repro.core.engine import BatchedInferenceEngine
 from repro.core.framework import CoCaFramework
 from repro.data.datasets import DatasetSpec, get_dataset
 from repro.data.stream import Frame
@@ -114,10 +114,10 @@ class TestFailureInjection:
             layer, np.arange(4), tiny_model.ideal_centroids(layer)[:4]
         )
         cache.set_similarity_floor(layer, 0.99)  # virtually unreachable
-        engine = CachedInferenceEngine(tiny_model, cache)
+        engine = BatchedInferenceEngine(tiny_model, cache)
         frame = Frame(class_id=6, difficulty=0.1, run_position=3, stream_index=0)
-        outcome = engine.infer(tiny_model.draw_sample(frame, 0, rng))
-        assert not outcome.hit
+        outcome = engine.infer_batch_soa([tiny_model.draw_sample(frame, 0, rng)])
+        assert not outcome.hit[0]
 
     def test_floor_validation(self):
         cache = SemanticCache(4)

@@ -10,19 +10,20 @@ The end-to-end vectorized round (block frame generation, batched sample
 draw, SoA inference, grouped Eq. 3 collection, one-pass Eq. 4 merge) must
 be a pure performance optimization.  Given the *same* pre-drawn
 :class:`~repro.models.feature.SampleBatch`, ``CoCaClient.run_round`` and
-``CoCaClient.run_round_reference`` must produce identical
+``oracle.run_round`` (``tests/oracle.py``) must produce identical
 :class:`RoundReport` contents — records, update tables, phi/tau vectors,
 absorption diagnostics — and ``CoCaServer.apply_client_update`` /
-``apply_client_update_reference`` must then produce identical global
+``oracle.apply_client_update`` must then produce identical global
 tables.
 """
 
 import numpy as np
 import pytest
 
+import oracle
+
 from repro.core.client import CoCaClient
 from repro.core.config import CoCaConfig
-from repro.core.engine import CachedInferenceEngine
 from repro.core.server import CoCaServer, GlobalCacheTable
 from repro.data.stream import StreamGenerator
 
@@ -93,7 +94,7 @@ class TestClientRoundEquivalence:
         batch = tiny_model.draw_samples(block, 0, fast._rng)
 
         report_fast = fast.run_round(batch=batch)
-        report_ref = ref.run_round_reference(batch=batch)
+        report_ref = oracle.run_round(ref, batch)
 
         _assert_reports_equal(report_fast, report_ref)
         assert np.array_equal(fast.timestamps, ref.timestamps)
@@ -106,7 +107,7 @@ class TestClientRoundEquivalence:
         block = fast.stream.take_block(60)
         batch = tiny_model.draw_samples(block, 0, fast._rng)
         _assert_reports_equal(
-            fast.run_round(batch=batch), ref.run_round_reference(batch=batch)
+            fast.run_round(batch=batch), oracle.run_round(ref, batch)
         )
 
     def test_low_gamma_collects_everything_identically(self, tiny_model):
@@ -140,7 +141,7 @@ class TestClientRoundEquivalence:
         fast, ref = clients
         batch = tiny_model.draw_samples(fast.stream.take_block(100), 0, fast._rng)
         report_fast = fast.run_round(batch=batch)
-        report_ref = ref.run_round_reference(batch=batch)
+        report_ref = oracle.run_round(ref, batch)
         assert report_fast.collected_total == 100
         _assert_reports_equal(report_fast, report_ref)
 
@@ -155,8 +156,9 @@ class TestClientRoundEquivalence:
         client = _build_client(tiny_model, 1)
         with pytest.raises(ValueError):
             client.run_round(0)
+        empty = tiny_model.draw_samples(client.stream.take_block(0), 0, client._rng)
         with pytest.raises(ValueError):
-            client.run_round_reference(0)
+            oracle.run_round(client, empty)
 
 
 class TestServerMergeEquivalence:
@@ -187,7 +189,7 @@ class TestServerMergeEquivalence:
             0, 12, tiny_model.num_classes
         ).astype(float)
         fast.apply_client_update(updates, freq)
-        ref.apply_client_update_reference(updates, freq)
+        oracle.apply_client_update(ref, updates, freq)
         assert np.allclose(fast.table.entries, ref.table.entries, atol=1e-12)
         assert np.array_equal(fast.table.filled, ref.table.filled)
         assert np.array_equal(fast.table.class_freq, ref.table.class_freq)
@@ -211,7 +213,7 @@ class TestServerMergeEquivalence:
         vectors = np.stack(list(updates.values()))
         fast.merge_updates(keys[:, 0], keys[:, 1], vectors, freq[keys[:, 0]], 0.99)
         for (class_id, layer), vec in updates.items():
-            ref.merge_update(class_id, layer, vec, float(freq[class_id]), 0.99)
+            oracle.merge_update(ref, class_id, layer, vec, float(freq[class_id]), 0.99)
         assert np.allclose(fast.entries, ref.entries, atol=1e-12)
         assert np.array_equal(fast.filled, ref.filled)
 
@@ -298,14 +300,14 @@ class TestEndToEndEquivalence:
                 fast.stream.take_block(80), 0, fast._rng
             )
             report_fast = fast.run_round(batch=batch)
-            report_ref = ref.run_round_reference(batch=batch)
+            report_ref = oracle.run_round(ref, batch)
             _assert_reports_equal(report_fast, report_ref)
             collected += report_fast.collected_total
             fast_server.apply_client_update(
                 report_fast.update_entries, report_fast.frequencies
             )
-            ref_server.apply_client_update_reference(
-                report_ref.update_entries, report_ref.frequencies
+            oracle.apply_client_update(
+                ref_server, report_ref.update_entries, report_ref.frequencies
             )
         assert np.allclose(
             fast_server.table.entries, ref_server.table.entries, atol=1e-9
@@ -324,9 +326,8 @@ class TestEndToEndEquivalence:
         client.install_cache(cache)
         batch = tiny_model.draw_samples(client.stream.take_block(60), 0, client._rng)
         soa = client.batch_engine.infer_batch_soa(batch)
-        scalar_engine = CachedInferenceEngine(tiny_model, cache)
         for i in range(len(batch)):
-            outcome = scalar_engine.infer(batch.sample(i))
+            outcome = oracle.infer(tiny_model, cache, batch.sample(i))
             assert soa.predicted_class[i] == outcome.predicted_class
             expected_layer = -1 if outcome.hit_layer is None else outcome.hit_layer
             assert soa.hit_layer[i] == expected_layer

@@ -2,7 +2,7 @@
 
 ``walk_cache_batch`` runs one of two kernels — the stacked one for a
 cache whose pack is complete, the per-layer loop for any other;
-``walk_cache_batch_reference`` is the loop whatever the cache.  Every
+``oracle.walk_layers`` (``tests/oracle.py``) is the loop whatever the cache.  Every
 case here walks the same
 cache with the same queries through both and requires the same
 decisions — ``predicted`` / ``hit_layer`` / ``layers_probed`` exactly
@@ -30,17 +30,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
+
 from repro import contracts
 from repro.cluster import ClusterFramework
 from repro.core import probe
 from repro.core.cache import PACK_BLOCK_LAYERS, LookupWorkspace, SemanticCache
 from repro.core.config import CoCaConfig
 from repro.core.framework import CoCaFramework
-from repro.core.probe import (
-    CacheWalk,
-    walk_cache_batch,
-    walk_cache_batch_reference,
-)
+from repro.core.probe import CacheWalk, walk_cache_batch
 from repro.core.server import CoCaServer, GlobalCacheTable
 from repro.data.datasets import get_dataset
 from repro.serve import (
@@ -112,7 +110,7 @@ def both_walks(
         new = CacheWalk(*(a.copy() for a in walk_cache_batch(cache, vectors, workspace)))
     with LookupWorkspace() as workspace:
         ref = CacheWalk(
-            *(a.copy() for a in walk_cache_batch_reference(cache, vectors, workspace))
+            *(a.copy() for a in oracle.walk_layers(cache, vectors, workspace))
         )
     return new, ref
 
@@ -385,7 +383,7 @@ def test_view_backed_blocks_alias_the_snapshot(snapshot):
             for row in range(frames.shape[0]):
                 frame = frames[row : row + 1]
                 new = walk_cache_batch(cache, frame, workspace)
-                ref = walk_cache_batch_reference(cache, frame, other)
+                ref = oracle.walk_layers(cache, frame, other)
                 assert_same_walk(new, ref, np.float64, bitwise=True)
         assert cache.layer_pack() is pack
         assert cache.view_backed_layers() == cache.active_layers
@@ -581,7 +579,7 @@ class TestRequestGeometry:
         cache = scene.cache()
         good = scene.queries(2)
         with LookupWorkspace() as workspace:
-            for walk in (walk_cache_batch, walk_cache_batch_reference):
+            for walk in (walk_cache_batch, oracle.walk_layers):
                 with pytest.raises(ValueError, match=r"expected \(B, >= 6, 16\)"):
                     walk(cache, good[:, :5, :], workspace)
                 with pytest.raises(ValueError, match=r"\(2, 6, 15\)"):

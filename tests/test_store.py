@@ -287,14 +287,14 @@ class TestMappedServing:
         rng = np.random.default_rng(11)
         for _ in range(20):
             query = unit_rows((table.dim,), seed=int(rng.integers(1 << 30)))
-            sess_a = mapped_cache.start_session()
-            sess_b = owned_cache.start_session()
+            sess_a = mapped_cache.start_batch_session(1)
+            sess_b = owned_cache.start_batch_session(1)
             for layer in range(table.num_layers):
-                res_a = sess_a.probe(layer, query)
-                res_b = sess_b.probe(layer, query)
-                assert res_a.hit == res_b.hit
-                assert res_a.top_class == res_b.top_class
-                assert abs(res_a.score - res_b.score) < 1e-12
+                res_a = sess_a.probe(layer, query[None, :])
+                res_b = sess_b.probe(layer, query[None, :])
+                assert res_a.hit[0] == res_b.hit[0]
+                assert res_a.top_class[0] == res_b.top_class[0]
+                assert abs(res_a.score[0] - res_b.score[0]) < 1e-12
 
     def test_set_layer_view_rejects_mismatched_dtype(self):
         cache = SemanticCache(8, dtype=np.float32)

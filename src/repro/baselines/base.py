@@ -4,7 +4,10 @@ Every baseline (Edge-Only, LearnedCache, FoggyCache, SMTM) processes the
 same scenario streams in rounds of ``F`` frames per client, producing
 :class:`~repro.sim.metrics.InferenceRecord` rows that aggregate exactly
 like CoCa's.  Subclasses implement :meth:`process` (one inference) and may
-override the round hooks for cache maintenance / uploads.
+override the round hooks for cache maintenance / uploads.  A runner whose
+cache holds still for stretches of a round overrides
+:meth:`process_round` to run up to :data:`BATCH_WINDOW` frames of a
+stretch through its engine at once.
 """
 
 from __future__ import annotations
@@ -14,6 +17,11 @@ from abc import ABC, abstractmethod
 from repro.experiments.scenario import Scenario
 from repro.models.feature import SampleFeatures
 from repro.sim.metrics import InferenceRecord, MetricsCollector
+
+#: Most frames one engine call takes from a round.  A window bounds the
+#: frames a cache change sends back through the engine, and keeps each
+#: probe product small enough for the BLAS to run it on one thread.
+BATCH_WINDOW = 64
 
 
 class BaselineRunner(ABC):
@@ -46,6 +54,13 @@ class BaselineRunner(ABC):
     def process(self, client_id: int, sample: SampleFeatures) -> InferenceRecord:
         """Run one inference and return its record."""
 
+    def process_round(
+        self, client_id: int, samples: list[SampleFeatures]
+    ) -> list[InferenceRecord]:
+        """Run one client's round of frames in stream order, one record
+        per frame: by default :meth:`process` on each in turn."""
+        return [self.process(client_id, sample) for sample in samples]
+
     def on_client_round_end(self, client_id: int, round_index: int) -> None:
         """Per-client end-of-round maintenance (cache refresh, uploads)."""
 
@@ -67,11 +82,13 @@ class BaselineRunner(ABC):
             measured = r >= warmup_rounds
             for client_id in range(self.scenario.num_clients):
                 rng = self._rngs[client_id]
-                for frame in self._streams[client_id].take(self.frames_per_round):
-                    sample = self.model.draw_sample(frame, client_id, rng)
-                    record = self.process(client_id, sample)
-                    if measured:
-                        metrics.record(record)
+                samples = [
+                    self.model.draw_sample(frame, client_id, rng)
+                    for frame in self._streams[client_id].take(self.frames_per_round)
+                ]
+                records = self.process_round(client_id, samples)
+                if measured:
+                    metrics.extend(records)
                 self.on_client_round_end(client_id, r)
             self.on_round_end(r)
         return metrics

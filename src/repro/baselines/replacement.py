@@ -21,7 +21,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.baselines.base import BaselineRunner
+from repro.baselines.base import BATCH_WINDOW, BaselineRunner
 from repro.core.cache import SemanticCache
 from repro.core.engine import BatchedInferenceEngine
 from repro.core.rng import derive_rng
@@ -114,13 +114,30 @@ class ReplacementPolicyCache(BaselineRunner):
             resident.popitem(last=False)
 
     def process(self, client_id: int, sample: SampleFeatures) -> InferenceRecord:
-        out = self._engines[client_id].infer_batch_soa([sample])
-        predicted = int(out.predicted_class[0])
-        hit_layer = int(out.hit_layer[0])
-        latency_ms = float(out.latency_ms[0])
-        resident = self._resident[client_id]
+        return self.process_round(client_id, [sample])[0]
 
-        if hit_layer >= 0:
+    def process_round(
+        self, client_id: int, samples: list[SampleFeatures]
+    ) -> list[InferenceRecord]:
+        # Only a miss that installs a class rebuilds the cache.  So the
+        # frames ahead run through the engine a window at a time, and the
+        # ones after an install run again on the rebuilt cache.
+        engine = self._engines[client_id]
+        records: list[InferenceRecord] = []
+        while len(records) < len(samples):
+            pending = samples[len(records) : len(records) + BATCH_WINDOW]
+            out = engine.infer_batch_soa(pending)
+            for record in out.records([s.true_class for s in pending], client_id):
+                records.append(record)
+                if self._admit(client_id, record.predicted_class, record.hit_layer):
+                    break
+        return records
+
+    def _admit(self, client_id: int, predicted: int, hit_layer: int | None) -> bool:
+        """Update the client's residency after one frame; whether the
+        frame installed its class (and so rebuilt the cache)."""
+        resident = self._resident[client_id]
+        if hit_layer is not None:
             if self.policy == "lru" and predicted in resident:
                 resident.move_to_end(predicted)
         elif predicted not in resident:
@@ -129,16 +146,10 @@ class ReplacementPolicyCache(BaselineRunner):
                 self._evict_one(client_id)
             resident[predicted] = None
             self._rebuild(client_id)
+            return True
         elif self.policy == "lru":
             resident.move_to_end(predicted)
-
-        return InferenceRecord(
-            true_class=sample.true_class,
-            predicted_class=predicted,
-            latency_ms=latency_ms,
-            hit_layer=hit_layer if hit_layer >= 0 else None,
-            client_id=client_id,
-        )
+        return False
 
     def memory_bytes(self) -> int:
         """Total cache memory of one client (for budget-matched ACA runs)."""

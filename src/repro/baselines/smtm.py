@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import BaselineRunner
+from repro.baselines.base import BATCH_WINDOW, BaselineRunner
 from repro.core.allocation import select_hotspot_classes
 from repro.core.cache import SemanticCache
 from repro.core.engine import BatchedInferenceEngine
@@ -117,33 +117,42 @@ class SMTM(BaselineRunner):
         self._engines[client_id].set_cache(cache)
 
     def process(self, client_id: int, sample: SampleFeatures) -> InferenceRecord:
+        return self.process_round(client_id, [sample])[0]
+
+    def process_round(
+        self, client_id: int, samples: list[SampleFeatures]
+    ) -> list[InferenceRecord]:
+        # Adaptation writes the runner's centroids, which reach the cache
+        # only at the next refresh: the installed cache holds still for
+        # the whole round, so its frames run through the engine a window
+        # at a time.
         engine = self._engines[client_id]
-        out = engine.infer_batch_soa([sample])
-        predicted = int(out.predicted_class[0])
-        hit_layer = int(out.hit_layer[0])
-        latency_ms = float(out.latency_ms[0])
-        self._tau[client_id] += 1.0
-        self._tau[client_id, predicted] = 0.0
-        self._freq[client_id, predicted] += 1.0
+        records: list[InferenceRecord] = []
+        for start in range(0, len(samples), BATCH_WINDOW):
+            window = samples[start : start + BATCH_WINDOW]
+            out = engine.infer_batch_soa(window)
+            records.extend(out.records([s.true_class for s in window], client_id))
+            for sample, predicted, hit_layer, hit_score in zip(
+                window,
+                out.predicted_class.tolist(),
+                out.hit_layer.tolist(),
+                out.hit_score.tolist(),
+            ):
+                self._tau[client_id] += 1.0
+                self._tau[client_id, predicted] = 0.0
+                self._freq[client_id, predicted] += 1.0
 
-        # Local adaptation: confident hits pull their entries toward the
-        # sample (SMTM's online centroid update) at every layer probed.
-        if hit_layer >= 0 and float(out.hit_score[0]) > self.reinforce_margin:
-            assert engine.cache is not None
-            for layer in [j for j in engine.cache.active_layers if j <= hit_layer]:
-                current = self._centroids[layer][client_id, predicted]
-                updated = (1 - self.ema) * current + self.ema * sample.vector(layer)
-                norm = np.linalg.norm(updated)
-                if norm > 0:
-                    self._centroids[layer][client_id, predicted] = updated / norm
-
-        return InferenceRecord(
-            true_class=sample.true_class,
-            predicted_class=predicted,
-            latency_ms=latency_ms,
-            hit_layer=hit_layer if hit_layer >= 0 else None,
-            client_id=client_id,
-        )
+                # Local adaptation: confident hits pull their entries toward
+                # the sample (SMTM's online centroid update) at every layer
+                # probed.
+                if hit_layer >= 0 and hit_score > self.reinforce_margin:
+                    for layer in [j for j in self.active_layers if j <= hit_layer]:
+                        current = self._centroids[layer][client_id, predicted]
+                        updated = (1 - self.ema) * current + self.ema * sample.vector(layer)
+                        norm = np.linalg.norm(updated)
+                        if norm > 0:
+                            self._centroids[layer][client_id, predicted] = updated / norm
+        return records
 
     def on_client_round_end(self, client_id: int, round_index: int) -> None:
         self._refresh_cache(client_id)

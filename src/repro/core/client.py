@@ -265,22 +265,7 @@ class CoCaClient:
                 timings.get("collect", 0.0) + time.perf_counter() - start
             )
 
-        true_list = batch.class_ids.tolist()
-        pred_list = predictions.tolist()
-        latency_list = out.latency_ms.tolist()
-        hit_list = out.hit_layer.tolist()
-        report.records = [
-            InferenceRecord(
-                true_class=true,
-                predicted_class=pred,
-                latency_ms=latency,
-                hit_layer=(hit if hit >= 0 else None),
-                client_id=self.client_id,
-            )
-            for true, pred, latency, hit in zip(
-                true_list, pred_list, latency_list, hit_list
-            )
-        ]
+        report.records = out.records(batch.class_ids.tolist(), self.client_id)
 
         self._refresh_hit_ratio(layer_hits, frames)
         self.last_frequencies = phi.copy()

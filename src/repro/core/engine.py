@@ -11,9 +11,10 @@ Lookup costs come from the model profile's
 ACA optimizes against during allocation.
 
 :class:`BatchedInferenceEngine` is the one engine: a protocol round
-hands it a whole round of frames, a baseline with per-frame state one
-frame at a time.  Per activated layer it scores every still-unresolved
-sample at once with early-exit masking, through the shared cache walk
+hands it a whole round of frames, a baseline with per-frame state a
+window of frames its cache holds still for.  Per activated layer it
+scores every still-unresolved sample at once with early-exit masking,
+through the shared cache walk
 (:func:`~repro.core.probe.walk_cache_batch`), and accepts a
 :class:`~repro.models.feature.SampleBatch` directly (no per-sample
 re-packing): :meth:`BatchedInferenceEngine.infer_batch_soa` returns a
@@ -29,10 +30,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.cache import LookupWorkspace, SemanticCache
+from repro.core.cache import LayerPack, LookupWorkspace, SemanticCache
 from repro.core.probe import walk_cache_batch
 from repro.models.base import SimulatedModel
 from repro.models.feature import SampleBatch, SampleFeatures
+from repro.sim.metrics import InferenceRecord
 
 
 def _batch_vectors(samples: SampleBatch | Sequence[SampleFeatures]) -> np.ndarray:
@@ -82,6 +84,26 @@ class BatchOutcomes(NamedTuple):
         """Boolean hit mask, ``(B,)``."""
         return self.hit_layer >= 0
 
+    def records(
+        self, true_classes: Sequence[int], client_id: int = 0
+    ) -> list[InferenceRecord]:
+        """One :class:`~repro.sim.metrics.InferenceRecord` per sample."""
+        return [
+            InferenceRecord(
+                true_class=true,
+                predicted_class=predicted,
+                latency_ms=latency,
+                hit_layer=hit if hit >= 0 else None,
+                client_id=client_id,
+            )
+            for true, predicted, latency, hit in zip(
+                true_classes,
+                self.predicted_class.tolist(),
+                self.latency_ms.tolist(),
+                self.hit_layer.tolist(),
+            )
+        ]
+
 
 class BatchedInferenceEngine:
     """Runs samples through a model with an optional semantic cache.
@@ -114,6 +136,7 @@ class BatchedInferenceEngine:
     ) -> None:
         self.model = model
         self.workspace = workspace if workspace is not None else LookupWorkspace()
+        self._total_ms = model.profile.total_compute_ms
         self.set_cache(cache)
 
     @property
@@ -122,29 +145,33 @@ class BatchedInferenceEngine:
         return self._cache
 
     def set_cache(self, cache: SemanticCache | None) -> None:
-        """Swap in a newly allocated cache (start of a CoCa round).
-
-        Eq. 7's per-cache terms are tabulated here, once per installed
-        cache rather than per call: the lookup cost of the first ``k``
-        activated layers, summed in walk order, and the compute a hit at
-        the ``k``-th activated layer has executed.  An installed cache
-        therefore keeps its layers: callers install a new cache instead
-        of editing the one in use.
-        """
+        """Swap in a newly allocated cache (start of a CoCa round)."""
         self._cache = cache
-        profile = self.model.profile
-        layers: list[tuple[int, int]] = (
-            [] if cache is None
-            else [(layer, cache.num_entries(layer)) for layer in cache.active_layers]
-        )
-        self._cum_lookup = np.cumsum(
-            [0.0] + [profile.lookup_cost_ms(entries) for _, entries in layers]
-        )
-        self._prefix_ms = np.array(
-            [profile.compute_up_to_layer_ms(layer) for layer, _ in layers],
-            dtype=np.float64,
-        )
-        self._total_ms = profile.total_compute_ms
+        self._tables_pack: LayerPack | None = None
+
+    def _eq7_tables(self, cache: SemanticCache) -> tuple[np.ndarray, np.ndarray]:
+        """Eq. 7's per-cache terms: the lookup cost of the first ``k``
+        activated layers, summed in walk order (``cum_lookup[k]``), and the
+        compute a hit at the ``k``-th activated layer has executed
+        (``prefix_ms[k - 1]``).
+
+        Tabulated once per layer pack rather than per call.  Every cache
+        mutator drops the pack, so an edited cache gets fresh tables.
+        """
+        pack = cache.layer_pack()
+        if pack is not self._tables_pack:
+            profile = self.model.profile
+            layers = cache.active_layers
+            self._cum_lookup = np.cumsum(
+                [0.0]
+                + [profile.lookup_cost_ms(cache.num_entries(j)) for j in layers]
+            )
+            self._prefix_ms = np.array(
+                [profile.compute_up_to_layer_ms(j) for j in layers],
+                dtype=np.float64,
+            )
+            self._tables_pack = pack
+        return self._cum_lookup, self._prefix_ms
 
     def close(self) -> None:
         """Release the engine's workspace (its buffer pools).
@@ -189,7 +216,7 @@ class BatchedInferenceEngine:
         top2_gap.fill(np.nan)
         final = self.model.feature_space.final_layer
 
-        if batch == 0 or cache is None or not self._prefix_ms.size:
+        if batch == 0 or cache is None or not cache.active_layers:
             predicted = ws.ints("engine.predicted", (batch,))
             hit_layer = ws.ints("engine.hit_layer", (batch,))
             hit_score = ws.floats("engine.hit_score", (batch,), np.float64)
@@ -212,6 +239,7 @@ class BatchedInferenceEngine:
             top2_gap[:] = gaps
             return BatchOutcomes(predicted, hit_layer, latency, hit_score, top2_gap)
 
+        cum_lookup, prefix_ms = self._eq7_tables(cache)
         vectors = _batch_vectors(samples)  # (B, L+1, d)
 
         # Pure probe math: the shared cache walk (the same kernels and
@@ -227,11 +255,11 @@ class BatchedInferenceEngine:
         # row that probed k layers paid the lookup cost of the first k
         # activated layers; a hit at the k-th additionally executed the
         # model only up to it.
-        np.take(self._cum_lookup, walk.layers_probed, out=latency)
+        np.take(cum_lookup, walk.layers_probed, out=latency)
         hit = walk.hit
         hit_rows = np.flatnonzero(hit)
         if hit_rows.size:
-            latency[hit_rows] += self._prefix_ms[walk.layers_probed[hit_rows] - 1]
+            latency[hit_rows] += prefix_ms[walk.layers_probed[hit_rows] - 1]
 
         miss_rows = np.flatnonzero(~hit)
         if miss_rows.size:

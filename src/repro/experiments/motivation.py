@@ -23,7 +23,7 @@ from repro.data.datasets import DatasetSpec
 from repro.data.stream import StreamGenerator
 from repro.models.base import SimulatedModel
 from repro.models.zoo import build_model
-from repro.sim.metrics import InferenceRecord, MetricsCollector, MetricsSummary
+from repro.sim.metrics import MetricsCollector, MetricsSummary
 
 
 @dataclass(frozen=True)
@@ -75,22 +75,7 @@ def _run_static_cache(
     samples = [model.draw_sample(frame, 0, rng) for frame in stream.take(num_samples)]
     out = BatchedInferenceEngine(model, cache).infer_batch_soa(samples)
     metrics = MetricsCollector()
-    metrics.extend(
-        [
-            InferenceRecord(
-                true_class=sample.true_class,
-                predicted_class=predicted,
-                latency_ms=latency,
-                hit_layer=hit if hit >= 0 else None,
-            )
-            for sample, predicted, latency, hit in zip(
-                samples,
-                out.predicted_class.tolist(),
-                out.latency_ms.tolist(),
-                out.hit_layer.tolist(),
-            )
-        ]
-    )
+    metrics.extend(out.records([sample.true_class for sample in samples]))
     return metrics.summary()
 
 

@@ -13,6 +13,7 @@ from repro.baselines import (
     ReplacementPolicyCache,
     SMTM,
 )
+from repro.baselines.base import BATCH_WINDOW
 from repro.baselines.foggy_cache import LshLruCache
 from repro.core.config import CoCaConfig
 from repro.data.datasets import get_dataset
@@ -191,38 +192,76 @@ class TestReplacementPolicies:
         assert runner.memory_bytes() == expected
 
 
+def _runner(scenario, method, frames_per_round=60):
+    if method == "smtm":
+        return SMTM(scenario, frames_per_round=frames_per_round)
+    return ReplacementPolicyCache(
+        scenario, policy=method, cache_size=8, frames_per_round=frames_per_round
+    )
+
+
 class TestBaselinesMatchOracle:
-    """SMTM and the replacement policies run each frame through the
-    batched engine; frame by frame they must decide and charge exactly
-    what the scalar oracle does on the cache the runner holds then."""
+    """SMTM and the replacement policies run a round's frames through the
+    batched engine a window at a time; every row must decide and charge
+    exactly what the scalar oracle does on the cache installed then, and
+    the records must be those of running the frames one at a time."""
 
     @pytest.mark.parametrize("method", ["smtm", "lru", "fifo", "rand"])
     def test_every_frame_matches_the_oracle(self, small_scenario, method):
-        scenario = _fresh(small_scenario)
-        if method == "smtm":
-            runner = SMTM(scenario, frames_per_round=60)
-        else:
-            runner = ReplacementPolicyCache(
-                scenario, policy=method, cache_size=8, frames_per_round=60
-            )
-        process = runner.process
+        runner = _runner(_fresh(small_scenario), method)
         hit_layers = []
 
-        def checked(client_id, sample):
-            cache = runner._engines[client_id].cache
-            assert cache.dtype == np.float32
-            expected = oracle.infer(runner.model, cache, sample)
-            record = process(client_id, sample)
-            assert record.predicted_class == expected.predicted_class
-            assert record.hit_layer == expected.hit_layer
-            assert record.latency_ms == expected.latency_ms
-            hit_layers.append(record.hit_layer)
-            return record
+        def checked(engine):
+            infer = engine.infer_batch_soa
 
-        runner.process = checked
-        runner.run(2)
-        assert len(hit_layers) == 2 * 2 * 60
+            def run(samples):
+                cache = engine.cache
+                assert cache.dtype == np.float32
+                out = infer(samples)
+                for i, sample in enumerate(samples):
+                    expected = oracle.infer(runner.model, cache, sample)
+                    hit_layer = int(out.hit_layer[i])
+                    assert int(out.predicted_class[i]) == expected.predicted_class
+                    assert (hit_layer if hit_layer >= 0 else None) == expected.hit_layer
+                    assert float(out.latency_ms[i]) == expected.latency_ms
+                    hit_layers.append(expected.hit_layer)
+                return out
+
+            return run
+
+        for engine in runner._engines:
+            engine.infer_batch_soa = checked(engine)
+        assert runner.run(2).summary().num_samples == 2 * 2 * 60
+        assert len(hit_layers) >= 2 * 2 * 60
         assert {layer is None for layer in hit_layers} == {True, False}
+
+    @pytest.mark.parametrize("method", ["smtm", "lru", "fifo", "rand"])
+    def test_windowed_rounds_equal_frame_by_frame(self, small_scenario, method):
+        batched = _runner(_fresh(small_scenario), method, frames_per_round=150)
+        single = _runner(_fresh(small_scenario), method, frames_per_round=150)
+        process_round = type(single).process_round
+        single.process_round = lambda client_id, samples: [
+            process_round(single, client_id, [sample])[0] for sample in samples
+        ]
+        calls = []
+        for engine in batched._engines:
+            infer = engine.infer_batch_soa
+            engine.infer_batch_soa = lambda s, infer=infer: calls.append(len(s)) or infer(s)
+
+        rows = [
+            [
+                (r.predicted_class, r.hit_layer, r.latency_ms)
+                for r in runner.run(2, warmup_rounds=1).records
+            ]
+            for runner in (batched, single)
+        ]
+        assert rows[0] == rows[1]
+        assert max(calls) == BATCH_WINDOW
+        if method == "smtm":
+            for layer, centroids in batched._centroids.items():
+                assert np.array_equal(centroids, single._centroids[layer])
+        else:
+            assert batched._resident == single._resident
 
 
 class TestCoCaRunner:

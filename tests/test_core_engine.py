@@ -104,6 +104,24 @@ class TestEngineWithCache:
         # The cache is active now: the frame exited early or paid lookups.
         assert out.latency_ms[0] != pytest.approx(tiny_model.total_compute_ms)
 
+    def test_edited_installed_cache_is_charged_as_edited(self, tiny_model, rng):
+        """Layers added to or removed from the installed cache change the
+        Eq. 7 latency exactly as installing the edited cache would."""
+        cache = SemanticCache(tiny_model.num_classes, theta=np.inf)
+        cache.set_layer_entries(0, np.arange(8), tiny_model.ideal_centroids(0))
+        engine = BatchedInferenceEngine(tiny_model, cache)
+        samples = _easy_samples(tiny_model, rng, 4)
+        engine.infer_batch_soa(samples)
+        lookup = tiny_model.lookup_cost_ms(8)
+        for layers in ((0, 1, 2), (0,), ()):
+            for layer in range(tiny_model.num_cache_layers):
+                entries = np.arange(8) if layer in layers else np.arange(0)
+                centroids = tiny_model.ideal_centroids(layer)[entries]
+                cache.set_layer_entries(layer, entries, centroids)
+            out = engine.infer_batch_soa(samples)
+            expected = tiny_model.total_compute_ms + len(layers) * lookup
+            assert np.allclose(out.latency_ms, expected)
+
     def test_miss_exposes_probability_gap(self, tiny_model, rng):
         cache = _all_layer_cache(tiny_model, theta=np.inf)
         out = BatchedInferenceEngine(tiny_model, cache).infer_batch_soa(

@@ -9,6 +9,8 @@ conventions exist to protect, at the moments they can actually break:
 * the stacked walk plan built by :meth:`SemanticCache.layer_pack` —
   every block row equals its source layer matrix, the stacked layers
   share one id set, floors line up with layers, nothing is writeable;
+* an ACA allocation — its byte count, eligible layers and per-layer
+  hot-spot fill;
 * the Eq. 4 merge's flat ``(class, layer)`` indices — in bounds and
   unique — and post-merge row normalization;
 * :class:`VirtualClock` monotonicity (virtual time never runs backwards,
@@ -42,6 +44,7 @@ __all__ = [
     "ENABLED",
     "activated",
     "check_admission_invariants",
+    "check_allocation",
     "check_clock_monotonic",
     "check_delta_apply",
     "check_distinct_views",
@@ -206,6 +209,50 @@ def check_layer_pack(
                 f"layer pack: floor {floors[g, 0]} is not layer {layer}'s "
                 f"floor {floor_of(layer)}",
             )
+
+
+# ----------------------------------------------------------------------
+# ACA allocation contracts
+# ----------------------------------------------------------------------
+
+def check_allocation(
+    layer_classes: Mapping[int, np.ndarray],
+    size_bytes: int,
+    budget_bytes: int,
+    entry_sizes: np.ndarray,
+    hotspot: np.ndarray,
+    available: np.ndarray | None,
+    eligible: np.ndarray,
+) -> None:
+    """Invariants of one ACA result.
+
+    ``size_bytes`` is the byte count of exactly the allocated entries and
+    fits the budget, every layer is eligible (``eligible`` is the boolean
+    per-layer mask of ``allowed_layers``), and a layer's ids are the
+    hot-spot classes with an entry there (``available[class, layer]``,
+    every class when ``available`` is ``None``), in hot-spot order.
+    """
+    total = 0
+    for layer, ids in layer_classes.items():
+        require(
+            0 <= layer < eligible.size and bool(eligible[layer]),
+            f"allocation: layer {layer} is not an allowed layer",
+        )
+        expected = hotspot if available is None else hotspot[available[hotspot, layer]]
+        require(
+            np.array_equal(ids, expected),
+            f"allocation: layer {layer} ids are not the hot-spot classes "
+            "with entries there, in hot-spot order",
+        )
+        total += int(entry_sizes[layer]) * len(ids)
+    require(
+        size_bytes == total,
+        f"allocation: size_bytes {size_bytes} != {total} bytes of entries",
+    )
+    require(
+        size_bytes <= budget_bytes,
+        f"allocation: size_bytes {size_bytes} exceeds budget {budget_bytes}",
+    )
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,23 @@ ACA allocates cache entries for one client in two stages:
    this coincides exactly with the paper's ``R[j] -= R[b]`` discount
    rule; unlike the literal rule it does not double-discount deep
    backstop layers when a shallower layer is picked after a deeper one.
+
+   How the greedy is evaluated: a layer's fill size (how many hot-spot
+   classes have an entry there), its lookup cost and its byte count never
+   change between steps, so each is computed once per call — at most one
+   ``lookup_cost_ms`` call per eligible layer.  Each step then scores
+   every affordable candidate ``j`` in one array pass over a
+   ``(picks + 1, candidates)`` matrix whose columns are the layer sets
+   ``picked + [j]`` in ascending layer order, accumulating lookups, hit
+   mass and expected cost down each column.  Every column adds the same
+   floats in the same order as a scalar loop over its sorted layers, so
+   costs — and therefore picks — are exact, not just close.
+
+   Tie rule: candidates are scanned in ascending layer order and one
+   displaces the running best (initially the current cost) only when it
+   is cheaper by more than ``1e-12``, so a near-tie goes to the shallower
+   layer — this is not an ``argmin``.  The greedy stops when no
+   affordable candidate beats the current cost by that margin.
 """
 
 from __future__ import annotations
@@ -35,6 +52,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro import contracts
 from repro.models.profiles import LookupCostModel
 
 
@@ -179,12 +197,16 @@ def aca_allocate(
         An :class:`AllocationResult`; ``layer_classes`` may be empty when
         even one layer of hot-spot entries exceeds the budget.
     """
-    R = np.asarray(hit_ratio, dtype=float).copy()
+    R = np.asarray(hit_ratio, dtype=float)
     upsilon = np.asarray(saved_time_ms, dtype=float)
     sizes = np.asarray(entry_sizes_bytes, dtype=float)
     num_layers = R.size
     if upsilon.shape != (num_layers,) or sizes.shape != (num_layers,):
         raise ValueError("hit_ratio, saved_time_ms, entry_sizes_bytes lengths differ")
+    if not (np.isfinite(R).all() and np.isfinite(upsilon).all()):
+        raise ValueError("hit_ratio and saved_time_ms must be finite")
+    if not np.isfinite(sizes).all():
+        raise ValueError("entry_sizes_bytes must be finite")
     if budget_bytes <= 0:
         raise ValueError(f"budget_bytes must be positive, got {budget_bytes}")
 
@@ -198,14 +220,28 @@ def aca_allocate(
     )
     hotspot = select_hotspot_classes(scores, hotspot_mass)
 
-    layer_classes: dict[int, np.ndarray] = {}
-    if allowed_layers is None:
-        remaining = set(range(num_layers))
+    available: np.ndarray | None = None
+    if available_classes is None:
+        fill_size = np.full(num_layers, hotspot.size)
     else:
-        remaining = {int(j) for j in allowed_layers}
-        if not remaining.issubset(range(num_layers)):
+        available = np.asarray(available_classes, dtype=bool)
+        if available.shape != (scores.size, num_layers):
+            raise ValueError(
+                f"available_classes has shape {available.shape}, expected "
+                f"{(scores.size, num_layers)} (classes x layers)"
+            )
+        fill_size = available[hotspot].sum(axis=0)
+
+    if allowed_layers is None:
+        eligible = np.ones(num_layers, dtype=bool)
+    else:
+        allowed = np.asarray(allowed_layers, dtype=np.int64)
+        if np.any((allowed < 0) | (allowed >= num_layers)):
             raise ValueError("allowed_layers contains out-of-range indices")
-    used_bytes = 0
+        eligible = np.zeros(num_layers, dtype=bool)
+        eligible[allowed] = True
+    # A layer with no entry to fill can never be picked.
+    open_layers = eligible & (fill_size > 0)
 
     # Hits propagate deeper, so the standalone curve must be monotone;
     # measurement noise is smoothed out by a running maximum.
@@ -216,59 +252,105 @@ def aca_allocate(
     # Upsilon[0] is the largest saving; the true total compute also
     # includes the blocks before layer 0, but constants cancel in the
     # greedy comparison, so prefix_cost[j] = -upsilon[j] works up to a
-    # shared offset.
-    prefix_cost = -upsilon
+    # shared offset, and exiting at j costs total_compute - upsilon[j].
+    exit_cost = total_compute - upsilon
 
-    def fill_for(layer: int) -> np.ndarray:
-        if available_classes is not None:
-            return hotspot[available_classes[hotspot, layer]]
-        return hotspot
-
+    # Lookup cost and byte count of every layer's fill, once for the
+    # whole greedy: a fill never changes between steps.  The cost model
+    # is called once per distinct fill size (at most once per layer).
     lookup_cost = LookupCostModel() if lookup_cost_ms is None else lookup_cost_ms
+    fills = fill_size[open_layers]
+    cost_of = {n: lookup_cost(n) for n in set(fills.tolist())}
+    lookup = np.zeros(num_layers)
+    lookup[open_layers] = [cost_of[n] for n in fills.tolist()]
+    added = np.zeros(num_layers, dtype=np.int64)
+    added[open_layers] = sizes[open_layers].astype(np.int64) * fills
 
-    def expected_cost(picked: list[int]) -> float:
-        """Expected per-inference cost (up to a constant) for a layer set."""
-        if not picked:
-            return total_compute  # full execution for everyone (offset-free)
-        ordered = sorted(picked)
-        cost = 0.0
-        lookups_so_far = 0.0
-        prev_mass = 0.0
-        for layer in ordered:
-            lookups_so_far += lookup_cost(fill_for(layer).size)
-            mass = R_monotone[layer] - prev_mass
-            prev_mass = R_monotone[layer]
-            cost += mass * (total_compute + prefix_cost[layer] + lookups_so_far)
-        cost += (1.0 - prev_mass) * (total_compute + lookups_so_far)
-        return cost
-
-    current_cost = expected_cost([])
-    while remaining:
-        best_layer = None
-        best_cost = current_cost
-        best_added = 0
-        for j in sorted(remaining):
-            fill = fill_for(j)
-            if fill.size == 0:
-                continue
-            added = int(sizes[j]) * int(fill.size)
-            if used_bytes + added > budget_bytes:
-                continue
-            candidate_cost = expected_cost(list(layer_classes) + [j])
-            if candidate_cost < best_cost - 1e-12:
-                best_cost = candidate_cost
-                best_layer = j
-                best_added = added
-        if best_layer is None:
+    layer_classes: dict[int, np.ndarray] = {}
+    picked = np.zeros(num_layers, dtype=bool)
+    used_bytes = 0
+    current_cost = total_compute  # nothing cached: full execution
+    while True:
+        candidates = (open_layers & (used_bytes + added <= budget_bytes)).nonzero()[0]
+        if candidates.size == 0:
             break
-        layer_classes[best_layer] = fill_for(best_layer).copy()
-        used_bytes += best_added
+        costs = _expected_costs(
+            picked.nonzero()[0], candidates, R_monotone, exit_cost, lookup,
+            total_compute,
+        )
+        # Ascending-layer scan: a candidate displaces the running best
+        # only when cheaper by more than 1e-12, so near-ties go to the
+        # shallower layer (this is not argmin).  Only candidates that
+        # beat the current cost by the margin can win.
+        best = -1
+        best_cost = current_cost
+        for i in (costs < current_cost - 1e-12).nonzero()[0].tolist():
+            if costs[i] < best_cost - 1e-12:
+                best, best_cost = i, costs[i]
+        if best < 0:
+            break
+        layer = int(candidates[best])
+        if available is None:
+            layer_classes[layer] = hotspot.copy()
+        else:
+            layer_classes[layer] = hotspot[available[hotspot, layer]]
+        used_bytes += int(added[layer])
         current_cost = best_cost
-        remaining.discard(best_layer)
+        open_layers[layer] = False
+        picked[layer] = True
 
+    if contracts.ENABLED:
+        contracts.check_allocation(
+            layer_classes,
+            used_bytes,
+            budget_bytes,
+            sizes,
+            hotspot,
+            available,
+            eligible,
+        )
     return AllocationResult(
         layer_classes=layer_classes,
         hotspot_classes=hotspot,
         size_bytes=used_bytes,
         scores=scores,
     )
+
+
+def _expected_costs(
+    picked: np.ndarray,
+    candidates: np.ndarray,
+    reach: np.ndarray,
+    exit_cost: np.ndarray,
+    lookup: np.ndarray,
+    total_compute: float,
+) -> np.ndarray:
+    """Expected per-inference cost (up to a constant) of ``picked + [j]``
+    for every candidate layer ``j``.
+
+    Column ``c`` of the ``(picks + 1, candidates)`` layer matrix is the
+    ascending layer set ``picked`` with ``candidates[c]`` inserted.
+    Walking a column top to bottom, a sample whose shallowest hittable
+    layer lies between the previous and the current activated layer (hit
+    mass ``reach[layer] - reach[prev]``) exits at the current one, paying
+    its compute prefix plus every lookup so far; samples past the deepest
+    activated layer run the full model after all the lookups.  Every
+    running sum is an accumulate down the columns, so each candidate's
+    cost adds the same floats in the same order as a scalar loop over its
+    sorted layers would.
+    """
+    layers = np.empty((picked.size + 1, candidates.size), dtype=np.intp)
+    layers[:-1] = picked[:, None]
+    layers[-1] = candidates
+    layers.sort(axis=0)
+    lookups = lookup[layers]
+    np.add.accumulate(lookups, axis=0, out=lookups)
+    hit = reach[layers]
+    mass = hit.copy()
+    mass[1:] -= hit[:-1]
+    terms = exit_cost[layers]
+    terms += lookups
+    terms *= mass
+    np.add.accumulate(terms, axis=0, out=terms)
+    costs: np.ndarray = terms[-1] + (1.0 - hit[-1]) * (total_compute + lookups[-1])
+    return costs

@@ -21,24 +21,33 @@ the two:
 * :func:`merge_update` / :func:`apply_client_update` — Eq. 4 per entry,
   then Eq. 5;
 * :func:`walk_layers` — :func:`repro.core.probe.walk_cache_batch` forced
-  through its per-layer loop whatever the cache's pack.
+  through its per-layer loop whatever the cache's pack;
+* :func:`aca_allocate` — Algorithm 1's greedy stage re-evaluating the
+  expected cost of every candidate layer set from scratch, one layer at a
+  time.
 
 Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.core import probe as walk_module
+from repro.core.allocation import (
+    AllocationResult,
+    class_scores,
+    select_hotspot_classes,
+)
 from repro.core.cache import LookupWorkspace, SemanticCache
 from repro.core.client import CoCaClient, RoundReport
 from repro.core.probe import CacheWalk
 from repro.core.server import CoCaServer, GlobalCacheTable
 from repro.models.base import SimulatedModel
 from repro.models.feature import SampleBatch, SampleFeatures
+from repro.models.profiles import LookupCostModel
 from repro.sim.metrics import InferenceRecord
 
 _EPS = 1e-9
@@ -334,3 +343,107 @@ def walk_layers(
     if vectors.shape[0] and pack.levels:
         walk_module._walk_layers(cache, vectors, workspace, walk)
     return walk
+
+
+# ----------------------------------------------------------------------
+# ACA, one candidate at a time
+# ----------------------------------------------------------------------
+
+
+def aca_allocate(
+    global_freq: np.ndarray,
+    timestamps: np.ndarray,
+    hit_ratio: np.ndarray,
+    saved_time_ms: np.ndarray,
+    entry_sizes_bytes: np.ndarray,
+    budget_bytes: int,
+    frames_per_round: int,
+    hotspot_mass: float = 0.95,
+    recency_base: float = 0.20,
+    available_classes: np.ndarray | None = None,
+    allowed_layers: np.ndarray | None = None,
+    local_freq: np.ndarray | None = None,
+    local_weight: float = 0.5,
+    lookup_cost_ms: Callable[[int], float] | None = None,
+) -> AllocationResult:
+    """:func:`repro.core.allocation.aca_allocate`, greedy stage written
+    the plain way: every step rebuilds the expected cost of ``picked +
+    [j]`` for each remaining layer ``j`` in ascending order, gathering the
+    layer's fill and calling ``lookup_cost_ms`` per picked layer, and a
+    candidate displaces the running best only when cheaper by more than
+    1e-12.  Same arguments and result; well-formed inputs only."""
+    R = np.asarray(hit_ratio, dtype=float)
+    upsilon = np.asarray(saved_time_ms, dtype=float)
+    sizes = np.asarray(entry_sizes_bytes, dtype=float)
+    num_layers = R.size
+    scores = class_scores(
+        global_freq,
+        timestamps,
+        frames_per_round,
+        recency_base,
+        local_freq=local_freq,
+        local_weight=local_weight,
+    )
+    hotspot = select_hotspot_classes(scores, hotspot_mass)
+
+    layer_classes: dict[int, np.ndarray] = {}
+    if allowed_layers is None:
+        remaining = set(range(num_layers))
+    else:
+        remaining = {int(j) for j in allowed_layers}
+    used_bytes = 0
+    R_monotone = np.maximum.accumulate(np.clip(R, 0.0, 1.0))
+    total_compute = float(upsilon.max()) if upsilon.size else 0.0
+    prefix_cost = -upsilon
+
+    def fill_for(layer: int) -> np.ndarray:
+        if available_classes is not None:
+            return hotspot[available_classes[hotspot, layer]]
+        return hotspot
+
+    lookup_cost = LookupCostModel() if lookup_cost_ms is None else lookup_cost_ms
+
+    def expected_cost(picked: list[int]) -> float:
+        if not picked:
+            return total_compute
+        cost = 0.0
+        lookups_so_far = 0.0
+        prev_mass = 0.0
+        for layer in sorted(picked):
+            lookups_so_far += lookup_cost(fill_for(layer).size)
+            mass = R_monotone[layer] - prev_mass
+            prev_mass = R_monotone[layer]
+            cost += mass * (total_compute + prefix_cost[layer] + lookups_so_far)
+        cost += (1.0 - prev_mass) * (total_compute + lookups_so_far)
+        return cost
+
+    current_cost = expected_cost([])
+    while remaining:
+        best_layer = None
+        best_cost = current_cost
+        best_added = 0
+        for j in sorted(remaining):
+            fill = fill_for(j)
+            if fill.size == 0:
+                continue
+            added = int(sizes[j]) * int(fill.size)
+            if used_bytes + added > budget_bytes:
+                continue
+            candidate_cost = expected_cost(list(layer_classes) + [j])
+            if candidate_cost < best_cost - 1e-12:
+                best_cost = candidate_cost
+                best_layer = j
+                best_added = added
+        if best_layer is None:
+            break
+        layer_classes[best_layer] = fill_for(best_layer).copy()
+        used_bytes += best_added
+        current_cost = best_cost
+        remaining.discard(best_layer)
+
+    return AllocationResult(
+        layer_classes=layer_classes,
+        hotspot_classes=hotspot,
+        size_bytes=used_bytes,
+        scores=scores,
+    )

@@ -17,6 +17,7 @@ import pytest
 
 from repro import contracts
 from repro.contracts import ContractViolation
+from repro.core.allocation import AllocationResult, aca_allocate
 from repro.core.cache import SemanticCache
 from repro.sim.clock import VirtualClock
 
@@ -188,6 +189,73 @@ def test_layer_pack_unordered_layers_fire():
 
 
 # ----------------------------------------------------------------------
+# Allocation contracts
+# ----------------------------------------------------------------------
+
+def _allocation_inputs() -> dict:
+    available = np.ones((5, 4), dtype=bool)
+    available[1, 2] = False  # layer 2 lacks class 1
+    return dict(
+        global_freq=np.array([5.0, 4.0, 3.0, 2.0, 1.0]),
+        timestamps=np.zeros(5),
+        hit_ratio=np.array([0.2, 0.4, 0.6, 0.8]),
+        saved_time_ms=np.array([8.0, 6.0, 4.0, 2.0]),
+        entry_sizes_bytes=np.array([4, 8, 16, 32]),
+        budget_bytes=400,
+        frames_per_round=300,
+        available_classes=available,
+        allowed_layers=np.array([0, 2, 3]),
+    )
+
+
+def _check(result: AllocationResult, inputs: dict) -> None:
+    eligible = np.zeros(4, dtype=bool)
+    eligible[inputs["allowed_layers"]] = True
+    contracts.check_allocation(
+        result.layer_classes,
+        result.size_bytes,
+        inputs["budget_bytes"],
+        inputs["entry_sizes_bytes"],
+        result.hotspot_classes,
+        inputs["available_classes"],
+        eligible,
+    )
+
+
+def test_allocation_passes_on_aca_result():
+    inputs = _allocation_inputs()
+    with contracts.activated():
+        result = aca_allocate(**inputs)
+    assert 2 in result.layer_classes
+    _check(result, inputs)
+
+
+@pytest.mark.parametrize(
+    ("tamper", "message"),
+    [
+        (lambda lc, size: (lc, size + 1), "size_bytes"),
+        (lambda lc, size: ({**lc, 1: np.array([0])}, size + 8), "allowed"),
+        (lambda lc, size: ({**lc, 2: lc[2][::-1]}, size), "hot-spot order"),
+        (lambda lc, size: ({**lc, 2: np.append(lc[2], 1)}, size + 16), "entries"),
+    ],
+)
+def test_allocation_tampered_result_fires(tamper, message):
+    inputs = _allocation_inputs()
+    result = aca_allocate(**inputs)
+    layer_classes, size = tamper(dict(result.layer_classes), result.size_bytes)
+    tampered = AllocationResult(layer_classes, result.hotspot_classes, size)
+    with pytest.raises(ContractViolation, match=message):
+        _check(tampered, inputs)
+
+
+def test_allocation_over_budget_fires():
+    inputs = _allocation_inputs()
+    result = aca_allocate(**inputs)
+    with pytest.raises(ContractViolation, match="exceeds budget"):
+        _check(result, {**inputs, "budget_bytes": result.size_bytes - 1})
+
+
+# ----------------------------------------------------------------------
 # Merge contracts
 # ----------------------------------------------------------------------
 
@@ -356,6 +424,19 @@ def test_cache_calls_pack_contract_only_when_enabled(monkeypatch):
     with contracts.activated():
         cache.layer_pack()
         cache.layer_pack()
+    assert len(calls) == 1
+
+
+def test_aca_calls_allocation_contract_only_when_enabled(monkeypatch):
+    calls: list[tuple] = []
+    monkeypatch.setattr(
+        contracts, "check_allocation", lambda *a: calls.append(a)
+    )
+    with contracts.activated(False):
+        aca_allocate(**_allocation_inputs())
+    assert calls == []
+    with contracts.activated():
+        aca_allocate(**_allocation_inputs())
     assert len(calls) == 1
 
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
+
 from repro.core.allocation import (
     aca_allocate,
     class_scores,
@@ -197,6 +199,52 @@ class TestAcaAllocate:
             **_basic_inputs(), lookup_cost_ms=LookupCostModel()
         )
         assert default.layer_classes.keys() == explicit.layer_classes.keys()
+
+
+class TestAcaInputValidation:
+    @pytest.mark.parametrize("shape", [(4, 5), (6, 3), (4, 2), (3, 3)])
+    def test_mask_shape_must_be_classes_by_layers(self, shape):
+        inputs = _basic_inputs(num_classes=4, num_layers=3)
+        with pytest.raises(ValueError, match="available_classes"):
+            aca_allocate(**inputs, available_classes=np.ones(shape, dtype=bool))
+
+    @pytest.mark.parametrize("key", ["hit_ratio", "saved_time_ms"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_curves_rejected(self, key, bad):
+        inputs = _basic_inputs()
+        inputs[key][2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            aca_allocate(**inputs)
+
+
+class TestAcaComplexity:
+    def test_lookup_cost_called_at_most_once_per_layer(self):
+        """The greedy must not rebuild every candidate's cost from
+        scratch (O(L^2 k) lookup-cost calls per client); one call per
+        layer is all the arithmetic needs.  Counted, not timed."""
+        num_layers = 12
+        inputs = _basic_inputs(num_classes=10, num_layers=num_layers)
+        inputs["hit_ratio"] = np.linspace(0.05, 0.9, num_layers)
+        inputs["saved_time_ms"] = np.linspace(40.0, 1.0, num_layers)
+        # Layer j holds classes 0..j: fill sizes differ between layers.
+        classes, layers = np.indices((10, num_layers))
+        inputs["available_classes"] = classes <= layers
+
+        def counting(fn):
+            calls = []
+
+            def cost(n: int) -> float:
+                calls.append(n)
+                return 0.01 + 0.001 * n
+
+            return fn(**inputs, lookup_cost_ms=cost), len(calls)
+
+        result, calls = counting(aca_allocate)
+        want, oracle_calls = counting(oracle.aca_allocate)
+        assert len(result.layer_classes) > 2
+        assert result.layer_classes.keys() == want.layer_classes.keys()
+        assert calls <= num_layers
+        assert oracle_calls > 10 * num_layers  # the loop this test forbids
 
 
 class TestAcaProperties:

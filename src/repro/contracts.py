@@ -20,7 +20,10 @@ conventions exist to protect, at the moments they can actually break:
 * snapshot-store integrity — manifest checksums match the stored bytes,
   epochs stay monotonic, geometry matches the model, and a shipped
   :class:`~repro.store.delta.SnapshotDelta` covers exactly the dirty
-  row set (a changed row outside the delta is a silent divergence).
+  row set (a changed row outside the delta is a silent divergence);
+* the serving front-end's admission ledger, per lane and in total, and
+  each coalesced worker call — one reply per request, each of its
+  request's row count, their service times tiling the call's busy time.
 
 Contracts are **off by default** (every check site is one truthy test of
 :data:`ENABLED`).  Set ``REPRO_CONTRACTS=1`` in the environment before
@@ -45,6 +48,7 @@ __all__ = [
     "activated",
     "check_admission_invariants",
     "check_allocation",
+    "check_call_replies",
     "check_clock_monotonic",
     "check_delta_apply",
     "check_distinct_views",
@@ -396,6 +400,7 @@ def check_admission_invariants(
     in_flight: int,
     outcomes: dict[str, int],
     total_queued: int | None = None,
+    lanes: Sequence[tuple[int, int, bool]] = (),
 ) -> None:
     """Bookkeeping invariants of the serving front-end's admission control.
 
@@ -418,7 +423,38 @@ def check_admission_invariants(
     must pass the queue depth summed over every shard as
     ``total_queued`` (defaults to ``queue_depth`` for the single-queue
     case).
+
+    ``lanes`` — ``(queued, in_flight, busy)`` of every lane, where a lane
+    hands all of its waiting requests to its worker as one call whenever
+    the worker is free — adds the per-lane ledger: each lane's queue
+    within its bound and its in-flight count non-negative, the lanes
+    summing to the totals, and no request waiting on a lane whose worker
+    is free (a free worker takes everything waiting at once).
     """
+    for shard, (queued_here, in_flight_here, busy) in enumerate(lanes):
+        require(
+            0 <= queued_here <= queue_bound,
+            f"lane {shard}: queue depth {queued_here} outside [0, {queue_bound}]",
+        )
+        require(
+            in_flight_here >= 0,
+            f"lane {shard}: in-flight count is negative: {in_flight_here}",
+        )
+        require(
+            busy or queued_here == 0,
+            f"lane {shard}: {queued_here} request(s) wait on a free worker",
+        )
+    if lanes:
+        require(
+            sum(lane[1] for lane in lanes) == in_flight,
+            f"lanes hold {sum(lane[1] for lane in lanes)} requests in flight, "
+            f"the ledger {in_flight}",
+        )
+        require(
+            total_queued is None or sum(lane[0] for lane in lanes) == total_queued,
+            f"lanes hold {sum(lane[0] for lane in lanes)} queued requests, "
+            f"the ledger {total_queued}",
+        )
     require(
         0 <= queue_depth <= queue_bound,
         f"admission queue depth {queue_depth} outside [0, {queue_bound}]",
@@ -445,6 +481,41 @@ def check_admission_invariants(
         f"admission conservation broken: {submitted} submitted != "
         f"{resolved} resolved + {queued} queued + "
         f"{in_flight} in flight (a request was lost or resolved twice)",
+    )
+
+
+def check_call_replies(
+    rows: Sequence[int], replies: Sequence[object], busy_ms: float
+) -> None:
+    """A coalesced worker call answered each of its requests exactly once.
+
+    ``rows`` are the requests' row counts in call order; ``replies`` the
+    call's answers in the same order — a reply with ``predicted`` /
+    ``hit_layer`` / ``hit_score`` arrays and a ``service_ms``, or the
+    exception that refused its request.  One answer per request, every
+    reply's arrays of its own request's row count, and the replies'
+    ``service_ms`` summing to ``busy_ms``, the call's measured busy time
+    (each request's service is its own share, none shared or lost).
+    """
+    require(
+        len(replies) == len(rows),
+        f"a call of {len(rows)} request(s) got {len(replies)} answer(s)",
+    )
+    total_ms = 0.0
+    for index, (count, reply) in enumerate(zip(rows, replies)):
+        if isinstance(reply, BaseException):
+            continue
+        for name in ("predicted", "hit_layer", "hit_score"):
+            got = getattr(reply, name).shape
+            require(
+                got == (count,),
+                f"reply {index}: {name} has shape {got}, its request {count} row(s)",
+            )
+        total_ms += float(getattr(reply, "service_ms"))
+    require(
+        abs(total_ms - busy_ms) <= 1e-6 * max(1.0, abs(busy_ms)),
+        f"replies' service times sum to {total_ms!r} ms, the call was busy "
+        f"{busy_ms!r} ms",
     )
 
 

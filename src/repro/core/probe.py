@@ -124,11 +124,12 @@ def walk_cache_batch(
     return walk
 
 
-def _begin_walk(
-    cache: SemanticCache, vectors: np.ndarray, workspace: LookupWorkspace
-) -> tuple[CacheWalk, LayerPack]:
-    """Check the request geometry against the cache once, and hand out
-    the walk's result arrays in their no-layer-probed state."""
+def check_fit(cache: SemanticCache, vectors: np.ndarray) -> LayerPack:
+    """Raise the walk's ``ValueError`` unless ``vectors`` fits ``cache``.
+
+    Returns the cache's layer pack, whose ``levels`` are all a walk reads
+    of axis 1.
+    """
     if vectors.ndim != 3:
         raise ValueError(
             f"expected a (B, L+1, d) vector tensor, got shape {vectors.shape}"
@@ -143,6 +144,15 @@ def _begin_walk(
             f"activated layer is {pack.levels - 1}, its centroid dim "
             f"{pack.dim}"
         )
+    return pack
+
+
+def _begin_walk(
+    cache: SemanticCache, vectors: np.ndarray, workspace: LookupWorkspace
+) -> tuple[CacheWalk, LayerPack]:
+    """Check the request geometry against the cache once, and hand out
+    the walk's result arrays in their no-layer-probed state."""
+    pack = check_fit(cache, vectors)
     batch = vectors.shape[0]
     walk = CacheWalk(
         predicted=workspace.ints("walk.predicted", (batch,)),

@@ -41,7 +41,7 @@ from repro.serve.worker import (
     WorkerOptions,
     WorkerReply,
     initialize_worker,
-    probe_chunk,
+    serve_requests,
     shutdown_worker,
     worker_info,
 )
@@ -62,11 +62,11 @@ __all__ = [
     "WorkerReply",
     "analytic_wait_ms",
     "initialize_worker",
-    "probe_chunk",
     "run_closed_loop",
     "run_loadgen",
     "run_loadgen_async",
     "run_open_loop",
+    "serve_requests",
     "shutdown_worker",
     "synthesize_requests",
     "worker_info",

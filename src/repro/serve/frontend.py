@@ -4,27 +4,44 @@ The front-end owns one *lane* per shard: a worker (a thread behind a
 single-worker executor, or a persistent process on a stream socket the
 loop reads and writes itself, per :attr:`ServeConfig.mode`) hosting the
 snapshot-backed serving path of :mod:`repro.serve.worker`, a bounded
-admission queue, and a service slot.  Requests are routed to lanes with
+admission queue, and a dispatcher.  Requests are routed to lanes with
 the cluster's :class:`~repro.cluster.sharding.ClassShardRouter` — the
 same class-to-shard hash the virtual-time cluster uses to place
 clients — keyed on each request's *class hint* (the session's hot
 class, which is what the cluster's region assignment keys on too).
 
+**Dispatch.**  A lane's worker serves one call at a time.  A request
+that finds the worker free is handed to it at once, as a call of one,
+inside :meth:`ServeFrontend.submit`.  One that finds it busy waits in
+the lane's queue; when the call in service has answered its last
+request, the lane hands *every* waiting request to the worker, in FIFO
+order, as one call (:func:`~repro.serve.worker.serve_requests`: one
+cache walk over all their rows, then one reply per request, each
+resolving its own request as soon as its emulated service is done).
+There is no wait timer and no batch cap: a call holds what queued while
+the previous one was served, at most ``queue_depth`` requests.
+
 Admission semantics, per attempt:
 
 * **shed** — the lane's queue already holds ``queue_depth`` waiting
-  requests; the request is rejected immediately with a retry-after
-  hint (backpressure, never silent loss).
+  requests (requests handed to the worker do not count); the request is
+  rejected immediately with a retry-after hint (backpressure, never
+  silent loss).
 * **timeout** — the per-request deadline expired, either while queued
-  or during service.  A service-side timeout resolves the *request*
-  but not the *worker*: the slot stays occupied until the worker
-  finishes, and the completion is counted as ``late_responses``.
+  (the request leaves the queue and is never sent) or during service.
+  A service-side timeout resolves the *request* but not the *worker*:
+  the worker still serves it with the rest of its call, and the reply
+  is counted as ``late_responses``.
 * **success** — the worker's reply arrived inside the deadline.
+
+``ServeResult.wait_ms`` of a served request is the time until its own
+service started: its wait for the worker, plus the services of the
+requests ahead of it in its call.
 
 Every admitted request resolves with exactly one of the three —
 :func:`repro.contracts.check_admission_invariants` asserts the
-conservation law at every admission and terminal event when contracts
-are armed (``REPRO_CONTRACTS=1``).
+conservation law, per lane and in total, at every admission and
+terminal event when contracts are armed (``REPRO_CONTRACTS=1``).
 
 :meth:`ServeFrontend.submit_with_retry` adds the client half of the
 protocol: bounded retries of shed requests with exponential backoff.
@@ -33,12 +50,15 @@ protocol: bounded retries of shed requests with exponential backoff.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
+import math
 import multiprocessing
 import socket
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -49,10 +69,11 @@ from repro.serve.worker import (
     MessageReader,
     WorkerOptions,
     WorkerReply,
+    answers,
     initialize_worker,
     pack_message,
-    probe_chunk,
     send_some,
+    serve_requests,
     shutdown_worker,
     worker_info,
     worker_main,
@@ -110,10 +131,29 @@ class ServeConfig:
             raise ValueError(f"mode must be one of {SERVE_MODES}, got {self.mode!r}")
         if self.queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
-        if self.deadline_ms <= 0:
-            raise ValueError(f"deadline_ms must be > 0, got {self.deadline_ms}")
+        _check_deadline(self.deadline_ms)
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not (math.isfinite(self.backoff_base_ms) and self.backoff_base_ms >= 0):
+            raise ValueError(
+                f"backoff_base_ms must be finite and >= 0, got {self.backoff_base_ms}"
+            )
+        options = self.worker
+        for name in ("alpha", "theta"):
+            if not math.isfinite(getattr(options, name)):
+                raise ValueError(
+                    f"worker {name} must be finite, got {getattr(options, name)}"
+                )
+        for name in ("service_floor_ms", "miss_ms"):
+            value = getattr(options, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"worker {name} must be finite and >= 0, got {value}")
+
+
+def _check_deadline(deadline_ms: float) -> None:
+    """A deadline is a finite, positive number of milliseconds."""
+    if not (math.isfinite(deadline_ms) and deadline_ms > 0):
+        raise ValueError(f"deadline_ms must be finite and > 0, got {deadline_ms}")
 
 
 @dataclass(frozen=True)
@@ -125,9 +165,13 @@ class ServeResult:
         shard: lane the request was routed to.
         attempts: admission attempts consumed (> 1 after shed retries).
         latency_ms: first admission attempt to final resolution.
-        wait_ms: queue wait of the served attempt (NaN unless served).
-        service_ms: worker wall-clock service time (NaN unless success).
-        probe_ms: real probe-math portion of service (NaN unless success).
+        wait_ms: time from admission to the start of this request's own
+            service — queue wait plus the services ahead of it in its
+            worker call (NaN unless dispatched).
+        service_ms: worker wall-clock service time of this request
+            (NaN unless success).
+        probe_ms: this request's share of its call's probe math (NaN
+            unless success).
         frames: frames in the request chunk.
         hits: frames served from the cache (success only, else 0).
         retry_after_ms: backpressure hint (> 0 only when shed).
@@ -160,22 +204,108 @@ class WorkerLost(RuntimeError):
         self.pid = pid
 
 
-class _Lane:
-    """One shard's worker, service slot and admission bookkeeping.
+#: Where a lane delivers one worker answer: ``sink(ok, value)``.
+Sink = Callable[[bool, Any], None]
 
-    :meth:`call` is the only way anything reaches the worker.
+
+def _settle(future: asyncio.Future[Any], ok: bool, value: Any) -> None:
+    """Resolve ``future`` with one worker answer, unless it is already done."""
+    if future.done():
+        return
+    if ok:
+        future.set_result(value)
+    else:
+        future.set_exception(value)
+
+
+class _Request:
+    """One admitted request: its chunk, when it was dispatched, and the
+    future its caller awaits — resolved by the worker's answer, or with
+    ``None`` by its deadline, whichever comes first."""
+
+    __slots__ = ("vectors", "dispatched", "waiter", "late")
+
+    def __init__(self, vectors: np.ndarray, late: Callable[[], None]) -> None:
+        self.vectors = vectors
+        self.dispatched: float | None = None
+        self.waiter: asyncio.Future[WorkerReply | None] = (
+            asyncio.get_running_loop().create_future()
+        )
+        self.late = late
+
+    def answer(self, ok: bool, value: Any) -> None:
+        """The worker's answer; one its deadline beat is counted late."""
+        if self.waiter.done():
+            if not self.waiter.cancelled():
+                self.late()
+            return
+        _settle(self.waiter, ok, value)
+
+    def expire(self) -> None:
+        """The deadline passed."""
+        if not self.waiter.done():
+            self.waiter.set_result(None)
+
+
+class _Lane:
+    """One shard's worker, admission queue and dispatcher.
+
+    :meth:`send` is the only way anything reaches the worker; requests
+    reach it through :meth:`dispatch`, one call at a time.
     """
 
     def __init__(self, shard: int) -> None:
         self.shard = shard
-        self.slot = asyncio.Semaphore(1)
-        self.queued = 0
+        self.loop = asyncio.get_running_loop()
+        self.waiting: deque[_Request] = deque()
+        self.busy = False
         self.in_flight = 0
         self.served = 0
 
-    def call(self, fn: Callable[..., Any], *args: Any) -> asyncio.Future[Any]:
-        """Run ``fn(*args)`` on the worker; never raises, the future does."""
+    @property
+    def queued(self) -> int:
+        return len(self.waiting)
+
+    def send(self, fn: Callable[..., Any], args: tuple[Any, ...], sinks: list[Sink]) -> None:
+        """Run ``fn(*args)`` on the worker; its answers go to ``sinks``, in
+        order, on the loop (see :func:`~repro.serve.worker.answers`).
+        Never raises."""
         raise NotImplementedError
+
+    def call(self, fn: Callable[..., Any], *args: Any) -> asyncio.Future[Any]:
+        """Run a one-answer ``fn(*args)`` on the worker."""
+        future = self.loop.create_future()
+        self.send(fn, args, [partial(_settle, future)])
+        return future
+
+    def dispatch(self, batch: list[_Request]) -> None:
+        """Hand ``batch`` to the free worker as one call."""
+        self.busy = True
+        now = time.perf_counter()
+        for request in batch:
+            request.dispatched = now
+        self.in_flight += len(batch)
+        last = batch[-1]
+
+        def last_answer(ok: bool, value: Any) -> None:
+            self.served += len(batch)
+            last.answer(ok, value)
+            # After the callers the call's answers woke: what they submit
+            # next joins the next call.
+            self.loop.call_soon(self._call_done)
+
+        sinks: list[Sink] = [request.answer for request in batch[:-1]]
+        sinks.append(last_answer)
+        self.send(serve_requests, ([request.vectors for request in batch],), sinks)
+
+    def _call_done(self) -> None:
+        """The worker answered its call's last request: hand it everything
+        that queued meanwhile."""
+        self.busy = False
+        if self.waiting:
+            batch = list(self.waiting)
+            self.waiting.clear()
+            self.dispatch(batch)
 
     def stop(self) -> None:
         """Join the worker; call after its ``shutdown_worker`` resolved."""
@@ -183,7 +313,10 @@ class _Lane:
 
 
 class _ThreadLane(_Lane):
-    """A worker thread in this process, behind a single-worker executor."""
+    """A worker thread in this process, behind a single-worker executor.
+
+    The thread hands each answer of a call to the loop as it is made.
+    """
 
     def __init__(self, shard: int, config: ServeConfig) -> None:
         super().__init__(shard)
@@ -194,8 +327,26 @@ class _ThreadLane(_Lane):
             initargs=(str(config.snapshot_path), config.worker),
         )
 
-    def call(self, fn: Callable[..., Any], *args: Any) -> asyncio.Future[Any]:
-        return asyncio.get_running_loop().run_in_executor(self.executor, fn, *args)
+    def send(self, fn: Callable[..., Any], args: tuple[Any, ...], sinks: list[Sink]) -> None:
+        def failed(job: concurrent.futures.Future[None]) -> None:
+            # A pool whose worker never started (a bad snapshot) fails
+            # the job without running it.
+            error = None if job.cancelled() else job.exception()
+            if error is not None:
+                for sink in sinks:
+                    self.loop.call_soon_threadsafe(sink, False, error)
+
+        try:
+            job = self.executor.submit(self._run, fn, args, sinks)
+        except RuntimeError as error:  # a broken or shut-down pool
+            for sink in sinks:
+                sink(False, error)
+            return
+        job.add_done_callback(failed)
+
+    def _run(self, fn: Callable[..., Any], args: tuple[Any, ...], sinks: list[Sink]) -> None:
+        for sink, (ok, value) in zip(sinks, answers(fn, args)):
+            self.loop.call_soon_threadsafe(sink, ok, value)
 
     def stop(self) -> None:
         self.executor.shutdown(wait=True)
@@ -204,11 +355,12 @@ class _ThreadLane(_Lane):
 class _ProcessLane(_Lane):
     """A persistent worker process on the far end of a stream socket.
 
-    A call is written to the socket and its future queued; the worker
-    answers in order, so a reader on the loop resolves the oldest
-    pending future with each reply — two process wake-ups per call and
-    no helper thread.  The front-end's end is non-blocking: what the
-    socket buffer does not take at once goes out when it is writable.
+    A call is written to the socket and its answers' sinks queued; the
+    worker writes each answer as one message, in order, so a reader on
+    the loop hands each message to the oldest pending sink — two process
+    wake-ups per request and no helper thread.  The front-end's end is
+    non-blocking: what the socket buffer does not take at once goes out
+    when it is writable.
     """
 
     def __init__(
@@ -233,23 +385,21 @@ class _ProcessLane(_Lane):
         self.sock.setblocking(False)
         self.lost = False
         self._reader = MessageReader()
-        self._pending: deque[asyncio.Future[Any]] = deque()
+        self._pending: deque[Sink] = deque()
         self._outbox: deque[memoryview] = deque()
-        self._loop = asyncio.get_running_loop()
-        self._loop.add_reader(self.sock, self._on_readable)
+        self.loop.add_reader(self.sock, self._on_readable)
 
-    def call(self, fn: Callable[..., Any], *args: Any) -> asyncio.Future[Any]:
-        future = self._loop.create_future()
+    def send(self, fn: Callable[..., Any], args: tuple[Any, ...], sinks: list[Sink]) -> None:
         if self.lost:
-            future.set_exception(WorkerLost(self.shard, self.pid))
-            return future
-        self._pending.append(future)
+            for sink in sinks:
+                sink(False, WorkerLost(self.shard, self.pid))
+            return
+        self._pending.extend(sinks)
         # A non-empty outbox already has its writer registered.
         idle = not self._outbox
         self._outbox.extend(pack_message((fn.__name__, args)))
         if idle and not self._flush():
-            self._loop.add_writer(self.sock, self._on_writable)
-        return future
+            self.loop.add_writer(self.sock, self._on_writable)
 
     def _flush(self) -> bool:
         """Write what the socket takes now; true once the outbox is empty."""
@@ -264,7 +414,7 @@ class _ProcessLane(_Lane):
 
     def _on_writable(self) -> None:
         if self._flush():
-            self._loop.remove_writer(self.sock)
+            self.loop.remove_writer(self.sock)
 
     def _on_readable(self) -> None:
         try:
@@ -274,24 +424,16 @@ class _ProcessLane(_Lane):
         except (EOFError, OSError):
             self._lose()
             return
-        future = self._pending.popleft()
-        if future.done():  # cancelled by its caller
-            return
-        if ok:
-            future.set_result(value)
-        else:
-            future.set_exception(value)
+        self._pending.popleft()(ok, value)
 
     def _lose(self) -> None:
         """The worker is gone: fail what is pending, refuse what comes."""
         self.lost = True
-        self._loop.remove_reader(self.sock)
-        self._loop.remove_writer(self.sock)
+        self.loop.remove_reader(self.sock)
+        self.loop.remove_writer(self.sock)
         self._outbox.clear()
         while self._pending:
-            future = self._pending.popleft()
-            if not future.done():
-                future.set_exception(WorkerLost(self.shard, self.pid))
+            self._pending.popleft()(False, WorkerLost(self.shard, self.pid))
 
     def stop(self) -> None:
         # Closing the socket ends a worker that is still reading it.
@@ -400,6 +542,7 @@ class ServeFrontend:
                 in_flight=sum(x.in_flight for x in self._lanes),
                 outcomes=dict(self.outcomes),
                 total_queued=self._total_queued(),
+                lanes=[(x.queued, x.in_flight, x.busy) for x in self._lanes],
             )
 
     def _total_queued(self) -> int:
@@ -422,11 +565,15 @@ class ServeFrontend:
         """One admission attempt: route, queue, serve — or shed/timeout.
 
         ``vectors`` is the request chunk, shape ``(B, L+1, d)``, dtype
-        anything castable to the snapshot dtype.
+        anything castable to the snapshot dtype.  ``deadline_ms``
+        overrides the configured deadline for this attempt.
         """
         if not self._started:
             raise RuntimeError("frontend not started; use `async with` or start()")
-        deadline = self.config.deadline_ms if deadline_ms is None else deadline_ms
+        if deadline_ms is None:
+            deadline_ms = self.config.deadline_ms
+        else:
+            _check_deadline(deadline_ms)
         lane = self._lanes[self.shard_of(class_hint)]
         started = time.perf_counter()
         frames = int(vectors.shape[0])
@@ -434,8 +581,8 @@ class ServeFrontend:
         # Conservation note: `submitted` counts queued + in-service +
         # resolved; the books stay balanced because every path below
         # records exactly one terminal outcome (see check_admission_
-        # invariants).  The submitted/queued increments must be atomic
-        # with respect to awaits — both happen before the first one.
+        # invariants).  Admission and dispatch happen before the first
+        # await, so no other request sees them half done.
         self.submitted += 1
         if lane.queued >= self.config.queue_depth:
             self._resolve(lane, OUTCOME_SHED)
@@ -446,74 +593,64 @@ class ServeFrontend:
                 frames=frames,
                 retry_after_ms=RETRY_AFTER_MS,
             )
-        lane.queued += 1
+        request = _Request(vectors, self._count_late)
+        if lane.busy:
+            lane.waiting.append(request)
+        else:
+            lane.dispatch([request])
         self._check(lane)
 
+        timer = lane.loop.call_later(deadline_ms / 1e3, request.expire)
         try:
-            await asyncio.wait_for(lane.slot.acquire(), timeout=deadline / 1e3)
-        except TimeoutError:
-            lane.queued -= 1
-            self._resolve(lane, OUTCOME_TIMEOUT)
-            return ServeResult(
-                outcome=OUTCOME_TIMEOUT,
-                shard=lane.shard,
-                latency_ms=1e3 * (time.perf_counter() - started),
-                frames=frames,
-            )
-        wait_ms = 1e3 * (time.perf_counter() - started)
-        lane.queued -= 1
-        lane.in_flight += 1
-        self._check(lane)
-
-        future: asyncio.Future[WorkerReply] = lane.call(probe_chunk, vectors)
-        resolved_late = [False]
-
-        def _on_worker_done(done: asyncio.Future[WorkerReply]) -> None:
-            # Free the service slot only when the worker truly finished:
-            # a deadline that fires mid-service resolves the request,
-            # not the worker.
-            lane.slot.release()
-            lane.served += 1
-            if resolved_late[0]:
-                self.late_responses += 1
-                done.exception()  # retrieve, the reply is discarded
-
-        future.add_done_callback(_on_worker_done)
-        remaining_s = max(deadline / 1e3 - (time.perf_counter() - started), 1e-4)
-        try:
-            reply = await asyncio.wait_for(asyncio.shield(future), remaining_s)
-        except TimeoutError:
-            resolved_late[0] = True
-            lane.in_flight -= 1
-            self._resolve(lane, OUTCOME_TIMEOUT)
-            return ServeResult(
-                outcome=OUTCOME_TIMEOUT,
-                shard=lane.shard,
-                latency_ms=1e3 * (time.perf_counter() - started),
-                wait_ms=wait_ms,
-                frames=frames,
-            )
+            reply = await request.waiter
         except BaseException:
-            # A worker exception is a bug, not a load condition: balance
-            # the ledger (this attempt never happened) and re-raise loud.
-            resolved_late[0] = True
-            lane.in_flight -= 1
+            # A worker exception is a bug, not a load condition (and a
+            # cancelled caller is not an outcome): balance the ledger —
+            # this attempt never happened — and re-raise loud.
+            if request.dispatched is None:
+                lane.waiting.remove(request)
+            else:
+                lane.in_flight -= 1
             self.submitted -= 1
             self._check(lane)
             raise
+        finally:
+            timer.cancel()
+        if reply is None:
+            if request.dispatched is None:
+                lane.waiting.remove(request)  # never sent
+            else:
+                lane.in_flight -= 1  # its answer will count as late
+            self._resolve(lane, OUTCOME_TIMEOUT)
+            return ServeResult(
+                outcome=OUTCOME_TIMEOUT,
+                shard=lane.shard,
+                latency_ms=1e3 * (time.perf_counter() - started),
+                wait_ms=(
+                    float("nan")
+                    if request.dispatched is None
+                    else 1e3 * (request.dispatched - started)
+                ),
+                frames=frames,
+            )
+        assert request.dispatched is not None
         lane.in_flight -= 1
         self._resolve(lane, OUTCOME_SUCCESS)
         return ServeResult(
             outcome=OUTCOME_SUCCESS,
             shard=lane.shard,
             latency_ms=1e3 * (time.perf_counter() - started),
-            wait_ms=wait_ms,
+            wait_ms=1e3 * (request.dispatched - started) + reply.behind_ms,
             service_ms=reply.service_ms,
             probe_ms=reply.probe_ms,
             frames=frames,
             hits=reply.hits,
             worker_pid=reply.worker_pid,
         )
+
+    def _count_late(self) -> None:
+        """The worker answered a request its deadline already resolved."""
+        self.late_responses += 1
 
     async def submit_with_retry(
         self,

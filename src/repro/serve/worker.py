@@ -9,17 +9,31 @@ O(ms), read-only mmap shared with every sibling worker) plus a private
 :func:`~repro.core.probe.walk_cache_batch` kernel.  The front-end runs
 one worker per shard, selectable: a thread behind a single-worker
 ``ThreadPoolExecutor`` that runs :func:`initialize_worker` once and then
-one task per request, or a persistent process running
-:func:`worker_main` — :func:`initialize_worker`, then a loop that reads a
-call from the lane's socket, runs it and writes the answer back.  Either
-way one thread does all of a worker's work, so worker state lives in a
-``threading.local`` and the same functions serve both modes unchanged.
+one task per call, or a persistent process running :func:`worker_main`
+— :func:`initialize_worker`, then a loop that reads a call from the
+lane's socket, runs it and writes its answers back.  Either way one
+thread does all of a worker's work, so worker state lives in a
+``threading.local`` and the same functions serve both modes unchanged;
+:func:`answers` is what both run per call.
 
-What crosses the boundary per request is the query tensor ``(B, L+1, d)``
-and a small :class:`WorkerReply` of per-frame results — kilobytes — each
-as one length-prefixed pickle on the socket (see :func:`pack_message`).
-The centroid table itself is never serialized: every process maps the
-same snapshot bytes from the page cache.
+**One call, many requests.**  The front-end hands a free worker every
+request waiting on its lane as one :func:`serve_requests` call (a lone
+request is a call of one).  The worker walks all their rows with one
+:func:`~repro.core.probe.walk_cache_batch` — a single-frame walk is
+mostly per-block overhead, which the coalesced rows share — and splits
+the walk back into one :class:`WorkerReply` per request, each an
+answer of its own: a thread lane resolves that request's future as the
+reply is made, a process lane writes it to the socket as one message.
+A request whose tensor does not fit the snapshot's geometry is refused
+alone, with the walk's ``ValueError`` naming expected and got shapes;
+the rest of its call is served.
+
+What crosses the boundary per call is the list of query tensors
+``(B, L+1, d)`` and, per request, a small :class:`WorkerReply` of
+per-frame results — kilobytes — each as one length-prefixed pickle on
+the socket (see :func:`pack_message`).  The centroid table itself is
+never serialized: every process maps the same snapshot bytes from the
+page cache.
 
 The walk's stacked kernel reads the cache through a *layer pack*
 (:meth:`~repro.core.cache.SemanticCache.layer_pack`) whose blocks alias
@@ -27,9 +41,7 @@ those mapped bytes — no resident copy, no promotion of a view-backed
 layer.  Nothing builds it at worker start: :func:`initialize_worker` costs
 what it did, and the worker's **first request** builds the pack (about
 half a millisecond for a 34-layer snapshot) and keeps it for every later
-one.  A request whose tensor does not fit the snapshot's geometry is
-refused by the walk with a ``ValueError`` naming expected and got
-shapes; the worker keeps serving.
+one.
 
 **Emulated device compute.**  As everywhere in this reproduction, the
 DNN itself is simulated: the probe math is real, and the edge device's
@@ -37,7 +49,12 @@ per-request service time is emulated by a wall-clock *service floor*
 (``service_floor_ms``, the analogue of
 :attr:`~repro.sim.network.ServerLoadModel.service_time_ms`) plus an
 optional per-missed-frame penalty (``miss_ms``, the full-model run a
-miss would cost).  A floor-dominated service time is deterministic —
+miss would cost), slept out after the real probe math.  A call of k
+requests owes k floors: request i's service is its own floor plus miss
+penalty (or its row share of the walk, where that is longer — what it
+would owe alone), and its reply leaves once the services of requests
+0..i have elapsed — the device serves the call's requests one after
+another, in order.  A floor-dominated service time is deterministic —
 exactly the M/D/1 service process the analytic cross-check assumes —
 and lets saturation-throughput measurements exercise the concurrency
 layer rather than NumPy's single-core matmul throughput.
@@ -52,12 +69,13 @@ import struct
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from repro import contracts
 from repro.core.cache import LookupWorkspace, SemanticCache
-from repro.core.probe import walk_cache_batch
+from repro.core.probe import check_fit, walk_cache_batch
 from repro.store import MappedTableStore
 
 #: Meta-array name of the calibrated per-layer similarity floors a
@@ -72,7 +90,8 @@ class WorkerOptions(NamedTuple):
         alpha: Eq. 1 cross-layer accumulation factor.
         theta: Eq. 2 early-exit threshold.
         service_floor_ms: emulated per-request device service time; the
-            worker sleeps out the remainder after the real probe math.
+            worker sleeps out the remainder after the real probe math
+            (a call of k requests owes k floors).
         miss_ms: emulated full-model time per frame that missed every
             cache layer (0 = serve the cache's best guess immediately).
 
@@ -97,11 +116,14 @@ class WorkerReply(NamedTuple):
             winner, or the deepest layer's best guess on a miss.
         hit_layer: ``(B,)`` cache layer that hit, ``-1`` on miss.
         hit_score: ``(B,)`` Eq. 2 score at the hit layer, NaN on miss.
-        service_ms: wall-clock time the worker spent on this request
-            (probe math + emulated device compute).
-        probe_ms: the real probe-math portion of ``service_ms``.
+        service_ms: wall-clock time the worker spent on this request —
+            from the previous reply of its call (or the call's start) to
+            this one; over a call they sum to the worker's busy time.
+        probe_ms: this request's row share of its call's probe math.
         worker_pid: OS pid of the serving worker (distinguishes
             process-mode workers from thread-mode ones in diagnostics).
+        behind_ms: time from the call's start to this request's service
+            start — the services of the requests ahead of it in the call.
     """
 
     predicted: np.ndarray
@@ -110,6 +132,7 @@ class WorkerReply(NamedTuple):
     service_ms: float
     probe_ms: float
     worker_pid: int
+    behind_ms: float = 0.0
 
     @property
     def hits(self) -> int:
@@ -145,7 +168,7 @@ def _state() -> WorkerState:
     if state is None:
         raise RuntimeError(
             "worker not initialized: run initialize_worker on the worker's "
-            "thread before probe_chunk"
+            "thread before serve_requests"
         )
     assert isinstance(state, WorkerState)
     return state
@@ -171,35 +194,102 @@ def shutdown_worker() -> None:
         _TLS.state = None
 
 
-def probe_chunk(vectors: np.ndarray) -> WorkerReply:
-    """Serve one request: walk the cache over a ``(B, L+1, d)`` chunk.
+def _walk_together(
+    state: WorkerState, chunks: list[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Walk every chunk's rows in one walk; owned ``(predicted, hit_layer,
+    hit_score)`` copies per chunk."""
+    if not chunks:
+        return []
+    cache = state.cache
+    if len(chunks) == 1:
+        vectors = chunks[0]
+    else:
+        # Only the levels and width a walk reads, cast straight to the
+        # cache dtype as the walk of one chunk casts it.
+        pack = cache.layer_pack()
+        width = pack.dim if pack.levels else 0
+        vectors = np.concatenate(
+            [chunk[:, : pack.levels, :width] for chunk in chunks],
+            dtype=cache.dtype,
+            casting="unsafe",
+        )
+    walk = walk_cache_batch(cache, vectors, state.workspace)
+    outcomes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    lo = 0
+    for chunk in chunks:
+        hi = lo + chunk.shape[0]
+        outcomes.append(
+            (
+                walk.predicted[lo:hi].copy(),
+                walk.hit_layer[lo:hi].copy(),
+                walk.hit_score[lo:hi].copy(),
+            )
+        )
+        lo = hi
+    return outcomes
 
-    Runs the pure probe walk, then sleeps out the emulated device
-    compute (service floor + per-miss penalty).  Returns owned copies
-    of the per-frame outcomes.
+
+def serve_requests(chunks: Sequence[np.ndarray]) -> Iterator[tuple[bool, Any]]:
+    """Serve one call: every chunk's rows in one cache walk.
+
+    Each chunk is one request's ``(B, L+1, d)`` tensor.  Yields one
+    ``(True, WorkerReply)``, or ``(False, ValueError)`` for a chunk that
+    does not fit the cache, per chunk in call order.  Reply i leaves once
+    the emulated services of requests 0..i have elapsed since the call
+    started — each request's own service floor plus miss penalty, or its
+    row share of the walk where that is longer, exactly what it would
+    owe alone.  Its arrays are owned copies.
     """
     state = _state()
     started = time.perf_counter()
-    walk = walk_cache_batch(state.cache, vectors, state.workspace)
-    predicted = walk.predicted.copy()
-    hit_layer = walk.hit_layer.copy()
-    hit_score = walk.hit_score.copy()
-    probe_ms = 1e3 * (time.perf_counter() - started)
-    misses = int((hit_layer < 0).sum())
+    refused: dict[int, ValueError] = {}
+    for index, chunk in enumerate(chunks):
+        try:
+            check_fit(state.cache, chunk)
+        except ValueError as error:
+            refused[index] = error
+    fits = [index for index in range(len(chunks)) if index not in refused]
+    walked = dict(zip(fits, _walk_together(state, [chunks[i] for i in fits])))
+    walk_ms = 1e3 * (time.perf_counter() - started)
+    rows = max(sum(chunks[index].shape[0] for index in fits), 1)
+
     opts = state.options
-    target_ms = opts.service_floor_ms + opts.miss_ms * misses
-    remaining_s = (target_ms - probe_ms) / 1e3
-    if remaining_s > 0:
-        time.sleep(remaining_s)
-    state.requests_served += 1
-    return WorkerReply(
-        predicted=predicted,
-        hit_layer=hit_layer,
-        hit_score=hit_score,
-        service_ms=1e3 * (time.perf_counter() - started),
-        probe_ms=probe_ms,
-        worker_pid=os.getpid(),
-    )
+    pid = os.getpid()
+    due_ms = boundary_ms = 0.0
+    replies: list[object] = []
+    for index in range(len(chunks)):
+        if index in refused:
+            answer: tuple[bool, Any] = (False, refused[index])
+        else:
+            predicted, hit_layer, hit_score = walked[index]
+            probe_ms = walk_ms * predicted.size / rows
+            misses = int((hit_layer < 0).sum())
+            due_ms += max(probe_ms, opts.service_floor_ms + opts.miss_ms * misses)
+            remaining_s = started + due_ms / 1e3 - time.perf_counter()
+            if remaining_s > 0:
+                time.sleep(remaining_s)
+            now_ms = 1e3 * (time.perf_counter() - started)
+            answer = (
+                True,
+                WorkerReply(
+                    predicted=predicted,
+                    hit_layer=hit_layer,
+                    hit_score=hit_score,
+                    service_ms=now_ms - boundary_ms,
+                    probe_ms=probe_ms,
+                    worker_pid=pid,
+                    behind_ms=boundary_ms,
+                ),
+            )
+            boundary_ms = now_ms
+            state.requests_served += 1
+        replies.append(answer[1])
+        if contracts.ENABLED and index == len(chunks) - 1:
+            contracts.check_call_replies(
+                [chunk.shape[0] for chunk in chunks], replies, boundary_ms
+            )
+        yield answer
 
 
 def worker_info() -> dict[str, int | float | list[int]]:
@@ -283,10 +373,33 @@ def send_some(conn: socket.socket, parts: deque[memoryview]) -> None:
         parts[0] = parts[0][sent:]
 
 
-#: What a front-end may ask of a worker process, by function name.
+#: What a front-end may ask of a worker, by function name.
 _CALLS: dict[str, Callable[..., Any]] = {
-    fn.__name__: fn for fn in (probe_chunk, worker_info, shutdown_worker)
+    fn.__name__: fn for fn in (serve_requests, worker_info, shutdown_worker)
 }
+
+
+def answers(fn: Callable[..., Any], args: tuple[Any, ...]) -> Iterator[tuple[bool, Any]]:
+    """Run one call on this worker: ``(True, value)`` or ``(False,
+    exception)`` per answer it owes, in order, each as soon as it is due.
+
+    A :func:`serve_requests` call owes one answer per chunk, any other
+    call one.  An exception the call raises answers everything still
+    owed, so a caller always gets exactly that many.
+    """
+    owed = len(args[0]) if fn is serve_requests else 1
+    try:
+        if fn is serve_requests:
+            for answer in serve_requests(*args):
+                owed -= 1
+                yield answer
+        else:
+            value = fn(*args)
+            owed -= 1
+            yield True, value
+    except Exception as error:
+        for _ in range(owed):
+            yield False, error
 
 
 def worker_main(
@@ -298,9 +411,10 @@ def worker_main(
     """Body of a process-mode shard worker: serve calls until shutdown.
 
     Reads ``(function name, args)`` messages from ``conn``, runs the
-    named function, and answers ``(True, value)`` or ``(False,
-    exception)`` — an exception is the caller's to handle, the worker
-    keeps serving.  Returns after answering ``shutdown_worker``, or when
+    named function, and writes each of its :func:`answers` — ``(True,
+    value)`` or ``(False, exception)`` — as one message the moment it is
+    due; an exception is the caller's to handle, the worker keeps
+    serving.  Returns after answering ``shutdown_worker``, or when
     the front-end's end of ``conn`` closes (a front-end that died leaves
     no orphan).  ``inherited`` are front-end ends of lane sockets that a
     forked worker holds a copy of; they are closed first, or the copies
@@ -313,13 +427,10 @@ def worker_main(
     try:
         while True:
             name, args = reader.read(conn)
-            try:
-                reply = (True, _CALLS[name](*args))
-            except Exception as error:
-                reply = (False, error)
-            parts = deque(pack_message(reply))
-            while parts:
-                send_some(conn, parts)
+            for answer in answers(_CALLS[name], args):
+                parts = deque(pack_message(answer))
+                while parts:
+                    send_some(conn, parts)
             if name == shutdown_worker.__name__:
                 return
     except (EOFError, ConnectionError):

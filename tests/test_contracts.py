@@ -11,6 +11,7 @@ from __future__ import annotations
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -371,6 +372,70 @@ def test_admission_double_resolution_fires():
         )
 
 
+def test_admission_lanes_ledger_passes_and_fires():
+    balanced = dict(
+        queue_depth=2, queue_bound=4, submitted=9, in_flight=5,
+        outcomes={"success": 2}, total_queued=2,
+    )
+    # Lane 0 serves a coalesced call of 4 with 2 waiting; lane 1 one.
+    contracts.check_admission_invariants(**balanced, lanes=[(2, 4, True), (0, 1, True)])
+    contracts.check_admission_invariants(
+        **{**balanced, "submitted": 4, "in_flight": 0, "total_queued": 2},
+        lanes=[(2, 0, True), (0, 0, False)],
+    )
+    with pytest.raises(ContractViolation, match="negative"):
+        contracts.check_admission_invariants(**balanced, lanes=[(2, 6, True), (0, -1, True)])
+    with pytest.raises(ContractViolation, match="free worker"):
+        contracts.check_admission_invariants(**balanced, lanes=[(2, 4, False), (0, 1, True)])
+    with pytest.raises(ContractViolation, match="in flight"):
+        contracts.check_admission_invariants(**balanced, lanes=[(2, 3, True), (0, 1, True)])
+    with pytest.raises(ContractViolation, match="queued requests"):
+        contracts.check_admission_invariants(**balanced, lanes=[(1, 4, True), (0, 1, True)])
+    with pytest.raises(ContractViolation, match="lane 1: queue depth"):
+        contracts.check_admission_invariants(**balanced, lanes=[(2, 4, True), (5, 1, True)])
+
+
+class _Reply(NamedTuple):
+    predicted: np.ndarray
+    hit_layer: np.ndarray
+    hit_score: np.ndarray
+    service_ms: float
+
+
+def _reply(rows: int, service_ms: float) -> _Reply:
+    return _Reply(
+        np.zeros(rows, dtype=np.int64),
+        np.full(rows, -1, dtype=np.int64),
+        np.full(rows, np.nan),
+        service_ms,
+    )
+
+
+def test_call_replies_pass_on_one_reply_per_request():
+    replies = [_reply(1, 0.3), ValueError("does not fit"), _reply(64, 1.2), _reply(1, 0.1)]
+    contracts.check_call_replies([1, 1, 64, 1], replies, busy_ms=1.6)
+    contracts.check_call_replies([], [], busy_ms=0.0)
+
+
+def test_tampered_call_replies_fire():
+    replies = [_reply(1, 0.3), _reply(64, 1.2), _reply(1, 0.1)]
+    rows = [1, 64, 1]
+    with pytest.raises(ContractViolation, match="answer"):
+        contracts.check_call_replies(rows, replies[:2], busy_ms=1.6)  # one dropped
+    with pytest.raises(ContractViolation, match="answer"):
+        contracts.check_call_replies(rows, replies + replies[:1], busy_ms=1.6)
+    with pytest.raises(ContractViolation, match="predicted has shape"):
+        # Two requests' replies swapped: rows no longer match one-to-one.
+        contracts.check_call_replies(rows, [replies[1], replies[0], replies[2]], busy_ms=1.6)
+    short = replies[1]._replace(hit_layer=replies[1].hit_layer[:63])
+    with pytest.raises(ContractViolation, match="hit_layer has shape"):
+        contracts.check_call_replies(rows, [replies[0], short, replies[2]], busy_ms=1.6)
+    with pytest.raises(ContractViolation, match="service times"):
+        # A shared service time counted for every member.
+        shared = [r._replace(service_ms=1.6) for r in replies]
+        contracts.check_call_replies(rows, shared, busy_ms=1.6)
+
+
 # ----------------------------------------------------------------------
 # Clock and workspace contracts
 # ----------------------------------------------------------------------
@@ -438,6 +503,38 @@ def test_aca_calls_allocation_contract_only_when_enabled(monkeypatch):
     with contracts.activated():
         aca_allocate(**_allocation_inputs())
     assert len(calls) == 1
+
+
+def test_worker_calls_reply_contract_only_when_enabled(monkeypatch, tmp_path):
+    from repro.core.server import GlobalCacheTable
+    from repro.serve import WorkerOptions, initialize_worker, serve_requests, shutdown_worker
+    from repro.store import write_snapshot
+
+    calls: list[tuple] = []
+    check = contracts.check_call_replies
+    monkeypatch.setattr(
+        contracts, "check_call_replies",
+        lambda *a: (calls.append(a), check(*a)),
+    )
+    table = GlobalCacheTable(6, 3, 4)
+    table.entries = unit_rows(6 * 3, 4).reshape(6, 3, 4)
+    table.filled[:] = True
+    write_snapshot(tmp_path / "snap", table, epoch=1)
+    initialize_worker(str(tmp_path / "snap"), WorkerOptions())
+    try:
+        chunks = [table.entries[[1]], table.entries[:, :, :3], table.entries[:4]]
+        with contracts.activated(False):
+            list(serve_requests(chunks))
+        assert calls == []
+        with contracts.activated():
+            answers = list(serve_requests(chunks))
+    finally:
+        shutdown_worker()
+    assert [ok for ok, _ in answers] == [True, False, True]
+    [(rows, replies, busy_ms)] = calls
+    assert rows == [1, 6, 4]
+    assert [r for _, r in answers] == replies
+    assert busy_ms == pytest.approx(answers[2][1].behind_ms + answers[2][1].service_ms)
 
 
 def test_clock_calls_monotonic_contract_only_when_enabled(monkeypatch):

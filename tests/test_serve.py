@@ -43,8 +43,8 @@ from repro.serve import (
     WorkerOptions,
     analytic_wait_ms,
     initialize_worker,
-    probe_chunk,
     run_loadgen,
+    serve_requests,
     shutdown_worker,
     synthesize_requests,
     worker_info,
@@ -69,6 +69,14 @@ def snapshot(tmp_path) -> str:
     table.class_freq = np.full(NUM_CLASSES, 4.0)
     write_snapshot(tmp_path / "snap", table, epoch=1)
     return str(tmp_path / "snap")
+
+
+def serve_one(vectors: np.ndarray):
+    """One request through the worker's batch entry point, on this thread."""
+    [(ok, value)] = serve_requests([vectors])
+    if not ok:
+        raise value
+    return value
 
 
 def centroid_queries(snapshot: str, classes: list[int]) -> np.ndarray:
@@ -131,13 +139,13 @@ class TestWorker:
     def test_probe_before_initialize_raises(self):
         shutdown_worker()  # ensure this thread's slate is clean
         with pytest.raises(RuntimeError, match="not initialized"):
-            probe_chunk(np.zeros((1, NUM_LAYERS, DIM)))
+            serve_one(np.zeros((1, NUM_LAYERS, DIM)))
 
     def test_serve_cycle_in_thread(self, snapshot):
         initialize_worker(snapshot, WorkerOptions(service_floor_ms=10.0))
         try:
             vectors = centroid_queries(snapshot, [1, 2, 3])
-            reply = probe_chunk(vectors)
+            reply = serve_one(vectors)
             assert np.array_equal(reply.predicted, [1, 2, 3])
             assert reply.hits == 3
             assert reply.worker_pid == os.getpid()
@@ -154,12 +162,12 @@ class TestWorker:
         finally:
             shutdown_worker()
         with pytest.raises(RuntimeError):
-            probe_chunk(vectors)
+            serve_one(vectors)
 
     def test_shutdown_is_idempotent_and_drops_probe_buffers(self, snapshot):
         initialize_worker(snapshot, WorkerOptions())
         state = _state()
-        probe_chunk(centroid_queries(snapshot, [3]))  # fill the pools
+        serve_one(centroid_queries(snapshot, [3]))  # fill the pools
         assert state.workspace._pools
         shutdown_worker()
         shutdown_worker()
@@ -265,8 +273,8 @@ class TestFrontend:
             )
             async with ServeFrontend(config) as frontend:
                 vectors = centroid_queries(snapshot, [0])
-                # Stagger the fillers so one holds the service slot and
-                # the other holds the single queue seat — a third
+                # Stagger the fillers so one holds the worker and the
+                # other holds the single queue seat — a third
                 # arrival must shed until the lane drains.
                 in_service = asyncio.create_task(frontend.submit(0, vectors))
                 await asyncio.sleep(0.015)
@@ -388,12 +396,12 @@ class TestProcessTransport:
         async def scenario():
             config = process_config(snapshot, num_workers=1, worker=options)
             async with ServeFrontend(config) as frontend:
-                return await frontend._lanes[0].call(probe_chunk, vectors)
+                return await frontend._lanes[0].call(serve_requests, [vectors])
 
         reply = drive(scenario())
         initialize_worker(snapshot, options)
         try:
-            expected = probe_chunk(vectors)
+            expected = serve_one(vectors)
         finally:
             shutdown_worker()
         assert 0 < expected.hits < batch or batch == 1
@@ -410,9 +418,9 @@ class TestProcessTransport:
             lane = frontend._lanes[frontend.shard_of(class_id)]
             vectors = centroid_queries(snapshot, [class_id])
             for _ in range(requests):
-                # Straight to the lane: with no service slot in between,
+                # Straight to the lane: with no dispatcher in between,
                 # several calls of one lane are pending at once.
-                reply = await lane.call(probe_chunk, vectors)
+                reply = await lane.call(serve_requests, [vectors])
                 assert reply.predicted.tolist() == [class_id]
 
         async def scenario():
@@ -461,8 +469,8 @@ class TestProcessTransport:
                 lane = frontend._lanes[0]
                 # The worker sleeps in the first call's floor and reads
                 # nothing: the second call cannot be written in one go.
-                first = lane.call(probe_chunk, small)
-                second = lane.call(probe_chunk, large)
+                first = lane.call(serve_requests, [small])
+                second = lane.call(serve_requests, [large])
                 assert lane._outbox
                 ticking = asyncio.create_task(ticker())
                 replies = await asyncio.gather(first, second)
@@ -605,6 +613,372 @@ class TestWorkerLoss:
         for pid in orphans:
             os.kill(pid, signal.SIGKILL)
         assert orphans == []
+
+
+# ----------------------------------------------------------------------
+# Coalesced calls: everything waiting on a lane goes to its worker as one
+# ----------------------------------------------------------------------
+
+
+def record_calls(lane) -> list:
+    """Wrap ``lane.send``: every call's function, chunks and answers."""
+    calls: list = []
+    send = lane.send
+
+    def recording(fn, args, sinks):
+        call = {"fn": fn, "args": args, "sent": time.perf_counter(),
+                "answers": [None] * len(sinks)}
+        calls.append(call)
+
+        def keep(index, sink):
+            def answer(ok, value):
+                call["answers"][index] = (ok, value)
+                sink(ok, value)
+            return answer
+
+        send(fn, args, [keep(index, sink) for index, sink in enumerate(sinks)])
+
+    lane.send = recording
+    return calls
+
+
+def coalesced(calls: list) -> list:
+    """The recorded request calls that carried more than one request."""
+    return [c for c in calls if c["fn"] is serve_requests and len(c["args"][0]) > 1]
+
+
+class TestCoalescing:
+    """A free worker takes every request waiting on its lane as one call:
+    one walk over all their rows, then one reply per request, each in
+    its own time.  A first request holds the worker for one service
+    floor while the others queue behind it."""
+
+    mode = "thread"
+
+    def config(self, snapshot: str, **settings) -> ServeConfig:
+        settings.setdefault("deadline_ms", 10_000.0)
+        settings.setdefault("num_workers", 1)
+        return ServeConfig(snapshot_path=snapshot, mode=self.mode, **settings)
+
+    def test_coalesced_walk_equals_each_request_alone(self, tmp_path):
+        table = GlobalCacheTable(NUM_CLASSES, NUM_LAYERS, DIM)
+        table.entries = unit_rows((NUM_CLASSES, NUM_LAYERS, DIM), seed=0)
+        table.filled[:] = True
+        table.class_freq = np.full(NUM_CLASSES, 4.0)
+        snapshot = str(tmp_path / "snap32")
+        write_snapshot(snapshot, table, epoch=1, dtype="float32")
+        options = WorkerOptions(theta=1.0, service_floor_ms=20.0)
+        clip = mixed_queries(snapshot, 64, seed=1)
+        singles = [mixed_queries(snapshot, 2, seed=seed)[1:] for seed in range(2, 6)]
+        chunks = [
+            singles[0].astype(np.float64),
+            clip.astype(np.float32),
+            singles[1].astype(np.float32),
+            np.concatenate([clip, clip[:, :3]], axis=1).astype(np.float64),  # taller
+            centroid_queries(snapshot, [7]).astype(np.float64),
+            singles[2].astype(np.float32),
+        ]
+
+        async def scenario():
+            async with ServeFrontend(self.config(snapshot, worker=options)) as frontend:
+                calls = record_calls(frontend._lanes[0])
+                holder = asyncio.create_task(frontend.submit(0, singles[3]))
+                await asyncio.sleep(0)  # the holder is dispatched
+                results = await asyncio.gather(
+                    *(frontend.submit(0, chunk) for chunk in chunks)
+                )
+                await holder
+                return calls, results
+
+        calls, results = drive(scenario())
+        [call] = coalesced(calls)
+        assert [c is chunk for c, chunk in zip(call["args"][0], chunks)] == [True] * 6
+        with MappedTableStore(snapshot) as store:
+            cache = store.serving_cache(theta=1.0)
+            with LookupWorkspace() as workspace:
+                for chunk, (ok, reply), result in zip(chunks, call["answers"], results):
+                    alone = walk_cache_batch(cache, chunk, workspace)
+                    assert ok and result.ok
+                    assert np.array_equal(reply.predicted, alone.predicted)
+                    assert np.array_equal(reply.hit_layer, alone.hit_layer)
+                    assert result.hits == int(alone.hit.sum())
+                    assert result.frames == chunk.shape[0]
+        assert 0 < sum(r.hits for r in results) < sum(r.frames for r in results)
+
+    def test_misfit_is_refused_alone(self, snapshot):
+        good = centroid_queries(snapshot, [5])
+        misfit = np.zeros((1, NUM_LAYERS, DIM + 1))
+        options = WorkerOptions(service_floor_ms=20.0)
+
+        async def scenario():
+            async with ServeFrontend(self.config(snapshot, worker=options)) as frontend:
+                calls = record_calls(frontend._lanes[0])
+                with contracts.activated():
+                    holder = asyncio.create_task(frontend.submit(5, good))
+                    await asyncio.sleep(0)  # the holder is dispatched
+                    results = await asyncio.gather(
+                        frontend.submit(5, good),
+                        frontend.submit(5, misfit),
+                        frontend.submit(5, good),
+                        return_exceptions=True,
+                    )
+                    assert (await holder).ok
+                    stats = frontend.stats()
+                return calls, results, stats
+
+        calls, results, stats = drive(scenario())
+        assert len(coalesced(calls)) == 1
+        first, refused, last = results
+        assert isinstance(refused, ValueError)
+        assert "does not fit the cache" in str(refused)
+        assert first.ok and last.ok
+        assert first.hits == last.hits == 1
+        assert stats["in_flight"] == 0 and stats["queued"] == 0
+        assert stats["submitted"] == stats["success"] == 3
+
+    def test_queued_request_that_times_out_is_never_sent(self, snapshot):
+        vectors = centroid_queries(snapshot, [2])
+        options = WorkerOptions(service_floor_ms=60.0)
+
+        async def scenario():
+            async with ServeFrontend(self.config(snapshot, worker=options)) as frontend:
+                calls = record_calls(frontend._lanes[0])
+                with contracts.activated():
+                    holder = asyncio.create_task(frontend.submit(2, vectors))
+                    await asyncio.sleep(0)  # the holder is dispatched
+                    doomed = vectors.copy()
+                    expired = await frontend.submit(2, doomed, deadline_ms=15.0)
+                    assert frontend.stats()["queued"] == 0
+                    assert (await holder).ok
+                stats = frontend.stats()
+            return calls, doomed, expired, stats
+
+        calls, doomed, expired, stats = drive(scenario())
+        assert expired.outcome == "timeout"
+        assert np.isnan(expired.wait_ms)
+        sent = [c for call in calls if call["fn"] is serve_requests for c in call["args"][0]]
+        assert len(sent) == 1 and all(c is not doomed for c in sent)
+        assert stats["late_responses"] == 0
+        assert stats["timeout"] == stats["success"] == 1
+
+    def test_member_timing_out_mid_call_is_counted_late(self, snapshot):
+        vectors = centroid_queries(snapshot, [3])
+        options = WorkerOptions(service_floor_ms=30.0)
+
+        async def scenario():
+            async with ServeFrontend(self.config(snapshot, worker=options)) as frontend:
+                calls = record_calls(frontend._lanes[0])
+                holder = asyncio.create_task(frontend.submit(3, vectors))
+                await asyncio.sleep(0)  # the holder is dispatched
+                # Dispatched at ~30 ms behind the holder; served ~30-60 ms
+                # and ~60-90 ms after that: the second misses 70 ms.
+                results = await asyncio.gather(
+                    frontend.submit(3, vectors),
+                    frontend.submit(3, vectors, deadline_ms=70.0),
+                )
+                await holder
+            return calls, results, frontend.stats()
+
+        calls, (kept, late), stats = drive(scenario())
+        assert len(coalesced(calls)) == 1
+        assert kept.ok
+        assert late.outcome == "timeout"
+        assert late.wait_ms > 0  # it was dispatched: its queue wait is known
+        assert stats["late_responses"] == 1
+        assert stats["timeout"] == 1 and stats["success"] == 2
+
+    def test_worker_exception_fails_every_member(self, snapshot, monkeypatch):
+        import repro.serve.worker as worker_module
+
+        walk = worker_module.walk_cache_batch
+
+        def walk_one_row_only(cache, vectors, workspace):
+            if vectors.shape[0] > 1:
+                raise RuntimeError("walk failed")
+            return walk(cache, vectors, workspace)
+
+        # Patched before the workers start, so a forked worker has it too.
+        monkeypatch.setattr(worker_module, "walk_cache_batch", walk_one_row_only)
+        vectors = centroid_queries(snapshot, [4])
+        options = WorkerOptions(service_floor_ms=20.0)
+
+        async def scenario():
+            async with ServeFrontend(self.config(snapshot, worker=options)) as frontend:
+                with contracts.activated():
+                    holder = asyncio.create_task(frontend.submit(4, vectors))
+                    await asyncio.sleep(0)  # the holder is dispatched
+                    results = await asyncio.gather(
+                        *(frontend.submit(4, vectors) for _ in range(3)),
+                        return_exceptions=True,
+                    )
+                    assert (await holder).ok
+                    stats = frontend.stats()
+                    # The lane serves on.
+                    assert (await frontend.submit(4, vectors)).ok
+            return results, stats
+
+        results, stats = drive(scenario())
+        assert all(isinstance(r, RuntimeError) for r in results), results
+        assert all("walk failed" in str(r) for r in results)
+        assert stats["in_flight"] == 0 and stats["queued"] == 0
+        assert stats["submitted"] == stats["success"] == 1
+
+    def test_replies_leave_one_floor_apart(self, snapshot):
+        floor_ms, k = 20.0, 4
+        vectors = centroid_queries(snapshot, [6])
+        options = WorkerOptions(service_floor_ms=floor_ms)
+
+        async def scenario():
+            async with ServeFrontend(self.config(snapshot, worker=options)) as frontend:
+                calls = record_calls(frontend._lanes[0])
+                holder = asyncio.create_task(frontend.submit(6, vectors))
+                await asyncio.sleep(0)  # the holder is dispatched
+
+                async def timed():
+                    submitted = time.perf_counter()
+                    result = await frontend.submit(6, vectors)
+                    return submitted, result, time.perf_counter()
+
+                done = await asyncio.gather(*(timed() for _ in range(k)))
+                await holder
+            return calls, done
+
+        calls, done = drive(scenario())
+        [call] = coalesced(calls)
+        for i, (submitted, result, arrived) in enumerate(done):
+            assert result.ok
+            # No reply leaves before its own floor and those ahead of it.
+            assert 1e3 * (arrived - call["sent"]) >= (i + 1) * floor_ms * 0.9
+            # Queue wait plus service, past the wait for the call, is that
+            # of a serial server: its own floor and one per request ahead.
+            in_call = result.wait_ms + result.service_ms - 1e3 * (call["sent"] - submitted)
+            assert (i + 1) * floor_ms - 1.0 <= in_call <= (i + 1) * floor_ms + 40.0
+
+
+    def test_many_sessions_each_get_their_own_replies(self, snapshot):
+        # More lanes than cores, many sessions, no floor: calls of every
+        # size, replies split back per request.  Session j's chunk has
+        # j % 3 exact centroids (hits) then zero rows (certain misses),
+        # so a reply handed to the wrong request shows in its hits.
+        sessions, rounds = 24, 25
+        chunks = []
+        for j in range(sessions):
+            chunk = np.zeros((j % 5 + 3, NUM_LAYERS, DIM))
+            chunk[: j % 3] = centroid_queries(snapshot, [j % NUM_CLASSES] * (j % 3))
+            chunks.append(chunk)
+
+        async def session(frontend, j):
+            for _ in range(rounds):
+                result = await frontend.submit(j, chunks[j])
+                assert result.ok and result.hits == j % 3, (j, result)
+
+        async def scenario():
+            config = self.config(snapshot, num_workers=3, queue_depth=sessions)
+            async with ServeFrontend(config) as frontend:
+                calls = [record_calls(lane) for lane in frontend._lanes]
+                # Only around the traffic: worker start-up parses snapshot
+                # headers, and CPython 3.11's parser is not safe under
+                # concurrent threads at this switch interval.
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-5)
+                try:
+                    with contracts.activated():
+                        await asyncio.wait_for(
+                            asyncio.gather(*(session(frontend, j) for j in range(sessions))),
+                            timeout=60.0,
+                        )
+                finally:
+                    sys.setswitchinterval(interval)
+                return calls, frontend.stats()
+
+        calls, stats = drive(scenario())
+        assert stats["submitted"] == stats["success"] == sessions * rounds
+        assert stats["in_flight"] == 0 and stats["queued"] == 0
+        assert sum(lane["served"] for lane in stats["lanes"]) == sessions * rounds
+        assert any(coalesced(lane_calls) for lane_calls in calls)
+
+
+class TestCoalescingProcessMode(TestCoalescing):
+    """Every coalescing case above, with the worker in its own process."""
+
+    mode = "process"
+
+    def test_worker_lost_fails_every_member(self, snapshot):
+        vectors = centroid_queries(snapshot, [1])
+        options = WorkerOptions(service_floor_ms=40.0)
+
+        async def scenario():
+            async with ServeFrontend(self.config(snapshot, worker=options)) as frontend:
+                calls = record_calls(frontend._lanes[0])
+                with contracts.activated():
+                    holder = asyncio.create_task(frontend.submit(1, vectors))
+                    await asyncio.sleep(0)  # the holder is dispatched
+                    members = [
+                        asyncio.create_task(frontend.submit(1, vectors)) for _ in range(3)
+                    ]
+                    assert (await holder).ok
+                    await asyncio.sleep(0.01)  # the three are in service now
+                    assert len(coalesced(calls)) == 1
+                    os.kill(frontend.worker_infos[0]["pid"], signal.SIGKILL)
+                    results = await asyncio.gather(*members, return_exceptions=True)
+                    stats = frontend.stats()
+            return results, stats
+
+        results, stats = drive(scenario())
+        assert all(isinstance(r, WorkerLost) for r in results), results
+        assert stats["in_flight"] == 0 and stats["queued"] == 0
+        assert stats["submitted"] == stats["success"] == 1
+        assert multiprocessing.active_children() == []
+
+
+class TestServeConfigValidation:
+    """Values that would silently change behaviour are refused."""
+
+    @pytest.mark.parametrize("deadline_ms", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_deadline_must_be_finite_and_positive(self, snapshot, deadline_ms):
+        with pytest.raises(ValueError, match="deadline_ms"):
+            ServeConfig(snapshot_path=snapshot, deadline_ms=deadline_ms)
+
+    @pytest.mark.parametrize("floor_ms", [-5.0, float("nan"), float("inf")])
+    def test_service_floor_must_be_finite_and_non_negative(self, snapshot, floor_ms):
+        with pytest.raises(ValueError, match="service_floor_ms"):
+            ServeConfig(
+                snapshot_path=snapshot, worker=WorkerOptions(service_floor_ms=floor_ms)
+            )
+
+    @pytest.mark.parametrize("miss_ms", [float("nan"), -1.0])
+    def test_miss_penalty_must_be_finite_and_non_negative(self, snapshot, miss_ms):
+        with pytest.raises(ValueError, match="miss_ms"):
+            ServeConfig(snapshot_path=snapshot, worker=WorkerOptions(miss_ms=miss_ms))
+
+    @pytest.mark.parametrize("backoff_ms", [-1.0, float("nan")])
+    def test_backoff_must_be_finite_and_non_negative(self, snapshot, backoff_ms):
+        with pytest.raises(ValueError, match="backoff_base_ms"):
+            ServeConfig(snapshot_path=snapshot, backoff_base_ms=backoff_ms)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("alpha", float("nan")), ("alpha", float("inf")), ("theta", float("nan"))],
+    )
+    def test_alpha_and_theta_must_be_finite(self, snapshot, name, value):
+        with pytest.raises(ValueError, match=name):
+            ServeConfig(snapshot_path=snapshot, worker=WorkerOptions(**{name: value}))
+
+    def test_defaults_are_accepted(self, snapshot):
+        config = ServeConfig(snapshot_path=snapshot, backoff_base_ms=0.0)
+        assert config.deadline_ms > 0
+
+    @pytest.mark.parametrize("deadline_ms", [float("nan"), float("inf"), 0.0, -3.0])
+    def test_submit_refuses_a_bad_deadline_override(self, snapshot, deadline_ms):
+        async def scenario():
+            config = ServeConfig(snapshot_path=snapshot, num_workers=1)
+            async with ServeFrontend(config) as frontend:
+                with pytest.raises(ValueError, match="deadline_ms"):
+                    await frontend.submit(0, centroid_queries(snapshot, [0]), deadline_ms)
+                return frontend.stats()
+
+        stats = drive(scenario())
+        assert stats["submitted"] == 0
 
 
 # ----------------------------------------------------------------------

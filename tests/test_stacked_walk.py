@@ -44,7 +44,7 @@ from repro.data.datasets import get_dataset
 from repro.serve import (
     WorkerOptions,
     initialize_worker,
-    probe_chunk,
+    serve_requests,
     shutdown_worker,
 )
 from repro.store import MappedTableStore, write_snapshot
@@ -592,17 +592,24 @@ class TestRequestGeometry:
                 taller = np.concatenate([good, good[:, :2]], axis=1)
                 assert walk(cache, taller, workspace).predicted.shape == (2,)
 
-    def test_probe_chunk_rejects_short_and_narrow_tensors(self, snapshot):
+    def test_serve_requests_refuses_short_and_narrow_tensors(self, snapshot):
         scene, path = snapshot
         initialize_worker(path, WorkerOptions())
         try:
             good = scene.queries(1)
-            assert probe_chunk(good).predicted.shape == (1,)
+            # A misfit is refused alone; the rest of its call is served.
+            answers = list(
+                serve_requests([good, good[:, :10, :], good[:, :, :7], good])
+            )
+            assert [ok for ok, _ in answers] == [True, False, False, True]
+            assert answers[0][1].predicted.shape == (1,)
+            assert answers[3][1].predicted.shape == (1,)
             with pytest.raises(ValueError, match=r"expected \(B, >= 11, 8\)"):
-                probe_chunk(good[:, :10, :])
+                raise answers[1][1]
             with pytest.raises(ValueError, match=r"\(1, 11, 7\)"):
-                probe_chunk(good[:, :, :7])
-            assert probe_chunk(good).predicted.shape == (1,)  # still serving
+                raise answers[2][1]
+            [(ok, reply)] = serve_requests([good])  # still serving
+            assert ok and reply.predicted.shape == (1,)
         finally:
             shutdown_worker()
 

@@ -710,6 +710,16 @@ def test_full_rows_nbytes_formula():
 # ----------------------------------------------------------------------
 
 
+def _serve_one(vectors: np.ndarray):
+    """One request through a shard worker's batch entry point."""
+    from repro.serve.worker import serve_requests
+
+    [(ok, value)] = serve_requests([vectors])
+    if not ok:
+        raise value
+    return value
+
+
 class TestConcurrentReaders:
     """One snapshot, many simultaneous readers: results must be
     bit-identical and no reader may promote a mapped layer to an owned
@@ -775,7 +785,6 @@ class TestConcurrentReaders:
         from repro.serve.worker import (
             WorkerOptions,
             initialize_worker,
-            probe_chunk,
             worker_info,
         )
 
@@ -794,7 +803,7 @@ class TestConcurrentReaders:
             for _ in range(2)
         ]
         try:
-            replies = [pool.submit(probe_chunk, vectors).result() for pool in pools]
+            replies = [pool.submit(_serve_one, vectors).result() for pool in pools]
             infos = [pool.submit(worker_info).result() for pool in pools]
         finally:
             for pool in pools:

@@ -718,7 +718,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=2,
                        help="shard worker count (one shard per worker)")
         p.add_argument("--mode", default="thread", choices=SERVE_MODES,
-                       help="worker execution mode")
+                       help="worker execution mode: thread = on the "
+                            "front-end's event loop, process = one process "
+                            "per shard")
         p.add_argument("--queue-depth", dest="queue_depth", type=int,
                        default=32, help="per-shard admission queue bound")
         p.add_argument("--deadline-ms", dest="deadline_ms", type=float,

@@ -62,9 +62,15 @@ class ClassShardRouter:
         assignment = np.empty(num_classes, dtype=np.int64)
         assignment[permutation] = np.arange(num_classes) % num_shards
         self._assignment = assignment
+        self._shard_list: list[int] = assignment.tolist()
 
     def shard_of(self, class_ids: int | np.ndarray) -> np.ndarray | int:
         """Owning shard per class id (vectorized; scalar in, scalar out)."""
+        if isinstance(class_ids, (int, np.integer)):
+            # A request's class hint: a list lookup, no array round trip.
+            if not 0 <= class_ids < self.num_classes:
+                raise ValueError(f"class id out of range [0, {self.num_classes})")
+            return self._shard_list[class_ids]
         ids = np.asarray(class_ids, dtype=np.int64)
         if np.any(ids < 0) or np.any(ids >= self.num_classes):
             raise ValueError(f"class id out of range [0, {self.num_classes})")

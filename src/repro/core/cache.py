@@ -100,10 +100,10 @@ class LookupWorkspace:
 
     def __init__(self) -> None:
         self._pools: dict[tuple[str, np.dtype], np.ndarray] = {}
-        #: Single-frame :class:`StackLayout` per block depth, all of the
-        #: geometry ``_frame_geometry`` (:meth:`stack_layout`).
-        self._frame_layouts: dict[int, StackLayout] = {}
-        self._frame_geometry: tuple[int, int, np.dtype, np.dtype] | None = None
+        #: :class:`StackLayout` per ``(rows, depth)``, all of the geometry
+        #: ``_layout_geometry`` (:meth:`stack_layout`).
+        self._layouts: dict[tuple[int, int], StackLayout] = {}
+        self._layout_geometry: tuple[int, int, np.dtype, np.dtype] | None = None
         self._arange = np.empty(0, dtype=np.intp)
 
     def close(self) -> None:
@@ -115,7 +115,7 @@ class LookupWorkspace:
         this on worker shutdown.
         """
         self._pools.clear()
-        self._frame_layouts.clear()
+        self._layouts.clear()
         self._arange = np.empty(0, dtype=np.intp)
 
     def __enter__(self) -> "LookupWorkspace":
@@ -128,10 +128,10 @@ class LookupWorkspace:
         key = (name, dtype)
         buf = self._pools.get(key)
         if buf is None or buf.size < size:
-            if buf is not None:
-                # Kept layouts may view the buffer being replaced;
-                # dropping them lets it go.
-                self._frame_layouts.clear()
+            if buf is not None and name.startswith("stack."):
+                # Kept layouts view only "stack." pools, maybe the one
+                # being replaced; dropping them lets it go.
+                self._layouts.clear()
             buf = np.empty(max(size, 16), dtype=dtype)
             self._pools[key] = buf
         return buf
@@ -169,23 +169,23 @@ class LookupWorkspace:
     ) -> "StackLayout":
         """The scratch views of one stacked block step (:class:`StackLayout`).
 
-        Cutting the ~25 views costs a single frame as much as the
-        arithmetic between them, so the layouts of ``rows == 1`` — one
-        per block depth, for the geometry last served — are kept; any
-        other row count changes from block to block as rows resolve, and
-        its layout is cut per step.  Kept layouts go when the geometry
-        changes, when a pool they view regrows, and at :meth:`close`.
+        Cutting the ~25 views costs a small step as much as the
+        arithmetic between them, so every layout cut is kept, keyed by
+        ``(rows, depth)``, for the geometry last served.  Kept layouts go
+        when the geometry changes, when a pool they view regrows, and at
+        :meth:`close`.  They are bounded by the largest row count walked
+        since the last drop times the pack's distinct block depths; a
+        layout is about 8 KB of view headers, and a serving worker keeps
+        about a hundred.
         """
-        if rows != 1:
-            return StackLayout(self, rows, depth, entries, dim, query_dtype, dtype)
         geometry = (entries, dim, query_dtype, dtype)
-        if geometry != self._frame_geometry:
-            self._frame_layouts.clear()
-            self._frame_geometry = geometry
-        layout = self._frame_layouts.get(depth)
+        if geometry != self._layout_geometry:
+            self._layouts.clear()
+            self._layout_geometry = geometry
+        layout = self._layouts.get((rows, depth))
         if layout is None:
-            layout = StackLayout(self, 1, depth, entries, dim, query_dtype, dtype)
-            self._frame_layouts[depth] = layout
+            layout = StackLayout(self, rows, depth, entries, dim, query_dtype, dtype)
+            self._layouts[rows, depth] = layout
         return layout
 
     def top2(

@@ -5,7 +5,7 @@ is the one place wall-clock concurrency is real.  An asyncio front-end
 (:class:`~repro.serve.frontend.ServeFrontend`) admits requests behind
 bounded per-shard queues, routes them with the cluster's
 :class:`~repro.cluster.sharding.ClassShardRouter`, and dispatches to one
-worker per shard — a thread behind a single-worker executor, or a
+worker per shard — run on the front-end's own event-loop thread, or a
 persistent process reached over a stream socket that the event loop
 itself reads and writes, selectable — where each worker serves from a
 shared read-only :class:`~repro.store.MappedTableStore` snapshot.  The load generator
@@ -40,7 +40,7 @@ from repro.serve.loadgen import (
 from repro.serve.worker import (
     WorkerOptions,
     WorkerReply,
-    initialize_worker,
+    WorkerState,
     serve_requests,
     shutdown_worker,
     worker_info,
@@ -60,8 +60,8 @@ __all__ = [
     "WorkerLost",
     "WorkerOptions",
     "WorkerReply",
+    "WorkerState",
     "analytic_wait_ms",
-    "initialize_worker",
     "run_closed_loop",
     "run_loadgen",
     "run_loadgen_async",

@@ -1,10 +1,10 @@
 """Asyncio serving front-end: admission control over per-shard workers.
 
-The front-end owns one *lane* per shard: a worker (a thread behind a
-single-worker executor, or a persistent process on a stream socket the
-loop reads and writes itself, per :attr:`ServeConfig.mode`) hosting the
-snapshot-backed serving path of :mod:`repro.serve.worker`, a bounded
-admission queue, and a dispatcher.  Requests are routed to lanes with
+The front-end owns one *lane* per shard: a worker (run on the
+front-end's own event-loop thread, or a persistent process on a stream
+socket the loop reads and writes itself, per :attr:`ServeConfig.mode`)
+hosting the snapshot-backed serving path of :mod:`repro.serve.worker`, a
+bounded admission queue, and a dispatcher.  Requests are routed to lanes with
 the cluster's :class:`~repro.cluster.sharding.ClassShardRouter` — the
 same class-to-shard hash the virtual-time cluster uses to place
 clients — keyed on each request's *class hint* (the session's hot
@@ -17,7 +17,7 @@ the lane's queue; when the call in service has answered its last
 request, the lane hands *every* waiting request to the worker, in FIFO
 order, as one call (:func:`~repro.serve.worker.serve_requests`: one
 cache walk over all their rows, then one reply per request, each
-resolving its own request as soon as its emulated service is done).
+resolving its own request when its emulated service is due).
 There is no wait timer and no batch cap: a call holds what queued while
 the previous one was served, at most ``queue_depth`` requests.
 
@@ -50,13 +50,11 @@ protocol: bounded retries of shed requests with exponential backoff.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import math
 import multiprocessing
 import socket
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Callable
@@ -69,8 +67,8 @@ from repro.serve.worker import (
     MessageReader,
     WorkerOptions,
     WorkerReply,
+    WorkerState,
     answers,
-    initialize_worker,
     pack_message,
     send_some,
     serve_requests,
@@ -101,9 +99,10 @@ class ServeConfig:
         mode: ``"process"`` for one persistent OS process per shard
             (real parallelism; a request is pickled onto the lane's
             socket and the reply read back by the event loop — two
-            process wake-ups, no helper thread) or ``"thread"`` for one
-            thread per shard (lower dispatch overhead; the mmap is
-            trivially shared).
+            process wake-ups, no helper thread) or ``"thread"`` for
+            every shard's worker on the front-end's own event-loop
+            thread (no hand-off at all: a call runs where it is
+            dispatched, and emulated service floors are loop timers).
         queue_depth: per-lane admission bound — waiting requests beyond
             it are shed with a retry-after hint.
         deadline_ms: per-request deadline covering queueing + service.
@@ -267,13 +266,13 @@ class _Lane:
         return len(self.waiting)
 
     def send(self, fn: Callable[..., Any], args: tuple[Any, ...], sinks: list[Sink]) -> None:
-        """Run ``fn(*args)`` on the worker; its answers go to ``sinks``, in
-        order, on the loop (see :func:`~repro.serve.worker.answers`).
-        Never raises."""
+        """Run ``fn(state, *args)`` on the worker; its answers go to
+        ``sinks``, in order, on the loop, each when it is due (see
+        :func:`~repro.serve.worker.answers`).  Never raises."""
         raise NotImplementedError
 
     def call(self, fn: Callable[..., Any], *args: Any) -> asyncio.Future[Any]:
-        """Run a one-answer ``fn(*args)`` on the worker."""
+        """Run a one-answer ``fn(state, *args)`` on the worker."""
         future = self.loop.create_future()
         self.send(fn, args, [partial(_settle, future)])
         return future
@@ -312,44 +311,48 @@ class _Lane:
         raise NotImplementedError
 
 
-class _ThreadLane(_Lane):
-    """A worker thread in this process, behind a single-worker executor.
+class _LoopLane(_Lane):
+    """A worker on the front-end's own event-loop thread.
 
-    The thread hands each answer of a call to the loop as it is made.
+    The lane holds the worker's :class:`~repro.serve.worker.WorkerState`
+    and runs each call's answers where it is sent.  An answer is handed
+    over when it is due — at once if it already is, else from a
+    ``loop.call_at`` timer — in call order and never before an earlier
+    call's last answer, as a worker serving one call after another would.
     """
 
     def __init__(self, shard: int, config: ServeConfig) -> None:
         super().__init__(shard)
-        self.executor = ThreadPoolExecutor(
-            max_workers=1,
-            thread_name_prefix=f"repro-serve-{shard}",
-            initializer=initialize_worker,
-            initargs=(str(config.snapshot_path), config.worker),
-        )
+        self.state = WorkerState(str(config.snapshot_path), config.worker)
+        #: Answers not yet due: ``(loop time due, sink, ok, value)``.
+        self._due: deque[tuple[float, Sink, bool, Any]] = deque()
+        self._timer: asyncio.TimerHandle | None = None
 
     def send(self, fn: Callable[..., Any], args: tuple[Any, ...], sinks: list[Sink]) -> None:
-        def failed(job: concurrent.futures.Future[None]) -> None:
-            # A pool whose worker never started (a bad snapshot) fails
-            # the job without running it.
-            error = None if job.cancelled() else job.exception()
-            if error is not None:
-                for sink in sinks:
-                    self.loop.call_soon_threadsafe(sink, False, error)
+        started = self.loop.time()
+        for sink, (ok, value, due_s) in zip(sinks, answers(self.state, fn, args)):
+            due = started + due_s
+            if self._due:
+                due = max(due, self._due[-1][0])
+            self._due.append((due, sink, ok, value))
+        self._release(self.loop.time())
 
-        try:
-            job = self.executor.submit(self._run, fn, args, sinks)
-        except RuntimeError as error:  # a broken or shut-down pool
-            for sink in sinks:
-                sink(False, error)
-            return
-        job.add_done_callback(failed)
+    def _release(self, now: float) -> None:
+        """Hand over every answer due by ``now``; time the next one."""
+        while self._due and self._due[0][0] <= now:
+            _, sink, ok, value = self._due.popleft()
+            sink(ok, value)
+        if self._due and self._timer is None:
+            due = self._due[0][0]
+            self._timer = self.loop.call_at(due, self._on_timer, due)
 
-    def _run(self, fn: Callable[..., Any], args: tuple[Any, ...], sinks: list[Sink]) -> None:
-        for sink, (ok, value) in zip(sinks, answers(fn, args)):
-            self.loop.call_soon_threadsafe(sink, ok, value)
+    def _on_timer(self, due: float) -> None:
+        # The loop may run a timer a clock tick before ``due``.
+        self._timer = None
+        self._release(max(self.loop.time(), due))
 
     def stop(self) -> None:
-        self.executor.shutdown(wait=True)
+        """Nothing to join: ``shutdown_worker``'s answer was the last."""
 
 
 class _ProcessLane(_Lane):
@@ -499,7 +502,7 @@ class ServeFrontend:
                     ends.append(lane.sock)
                     self._lanes.append(lane)
                 else:
-                    self._lanes.append(_ThreadLane(shard, self.config))
+                    self._lanes.append(_LoopLane(shard, self.config))
             self.worker_infos = list(
                 await asyncio.gather(*(lane.call(worker_info) for lane in self._lanes))
             )

@@ -6,15 +6,13 @@ One worker hosts the serving half of an
 rebuilt from a :class:`~repro.store.MappedTableStore` snapshot (warm,
 O(ms), read-only mmap shared with every sibling worker) plus a private
 :class:`~repro.core.cache.LookupWorkspace`, walked with the pure
-:func:`~repro.core.probe.walk_cache_batch` kernel.  The front-end runs
-one worker per shard, selectable: a thread behind a single-worker
-``ThreadPoolExecutor`` that runs :func:`initialize_worker` once and then
-one task per call, or a persistent process running :func:`worker_main`
-— :func:`initialize_worker`, then a loop that reads a call from the
-lane's socket, runs it and writes its answers back.  Either way one
-thread does all of a worker's work, so worker state lives in a
-``threading.local`` and the same functions serve both modes unchanged;
-:func:`answers` is what both run per call.
+:func:`~repro.core.probe.walk_cache_batch` kernel — all of it one
+:class:`WorkerState`, which every call takes explicitly.  The front-end
+runs one worker per shard, selectable: on its own event-loop thread,
+where the lane holds the worker's state and runs each call's
+:func:`answers` itself, or as a persistent process running
+:func:`worker_main` — build the state, then a loop that reads a call
+from the lane's socket, runs its :func:`answers` and writes them back.
 
 **One call, many requests.**  The front-end hands a free worker every
 request waiting on its lane as one :func:`serve_requests` call (a lone
@@ -22,11 +20,9 @@ request is a call of one).  The worker walks all their rows with one
 :func:`~repro.core.probe.walk_cache_batch` — a single-frame walk is
 mostly per-block overhead, which the coalesced rows share — and splits
 the walk back into one :class:`WorkerReply` per request, each an
-answer of its own: a thread lane resolves that request's future as the
-reply is made, a process lane writes it to the socket as one message.
-A request whose tensor does not fit the snapshot's geometry is refused
-alone, with the walk's ``ValueError`` naming expected and got shapes;
-the rest of its call is served.
+answer of its own.  A request whose tensor does not fit the snapshot's
+geometry is refused alone, with the walk's ``ValueError`` naming
+expected and got shapes; the rest of its call is served.
 
 What crosses the boundary per call is the list of query tensors
 ``(B, L+1, d)`` and, per request, a small :class:`WorkerReply` of
@@ -38,7 +34,7 @@ page cache.
 The walk's stacked kernel reads the cache through a *layer pack*
 (:meth:`~repro.core.cache.SemanticCache.layer_pack`) whose blocks alias
 those mapped bytes — no resident copy, no promotion of a view-backed
-layer.  Nothing builds it at worker start: :func:`initialize_worker` costs
+layer.  Nothing builds it at worker start: a :class:`WorkerState` costs
 what it did, and the worker's **first request** builds the pack (about
 half a millisecond for a 34-layer snapshot) and keeps it for every later
 one.
@@ -49,15 +45,20 @@ per-request service time is emulated by a wall-clock *service floor*
 (``service_floor_ms``, the analogue of
 :attr:`~repro.sim.network.ServerLoadModel.service_time_ms`) plus an
 optional per-missed-frame penalty (``miss_ms``, the full-model run a
-miss would cost), slept out after the real probe math.  A call of k
+miss would cost), owed after the real probe math.  A call of k
 requests owes k floors: request i's service is its own floor plus miss
 penalty (or its row share of the walk, where that is longer — what it
-would owe alone), and its reply leaves once the services of requests
+would owe alone), and its reply is due once the services of requests
 0..i have elapsed — the device serves the call's requests one after
-another, in order.  A floor-dominated service time is deterministic —
-exactly the M/D/1 service process the analytic cross-check assumes —
-and lets saturation-throughput measurements exercise the concurrency
-layer rather than NumPy's single-core matmul throughput.
+another, in order.  :func:`serve_requests` does not sleep: it yields
+each answer with its due offset from the call's start, and the caller
+releases it then — a process worker sleeps until the offset before
+writing, an in-loop lane hands over an answer already due at once and
+schedules a later one on the loop.  A floor-dominated service time is
+deterministic — exactly the M/D/1 service process the analytic
+cross-check assumes — and lets saturation-throughput measurements
+exercise the concurrency layer rather than NumPy's single-core matmul
+throughput.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ import os
 import pickle
 import socket
 import struct
-import threading
 import time
 from collections import deque
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -89,8 +89,8 @@ class WorkerOptions(NamedTuple):
     Attributes:
         alpha: Eq. 1 cross-layer accumulation factor.
         theta: Eq. 2 early-exit threshold.
-        service_floor_ms: emulated per-request device service time; the
-            worker sleeps out the remainder after the real probe math
+        service_floor_ms: emulated per-request device service time; a
+            reply is due no earlier than this after its service start
             (a call of k requests owes k floors).
         miss_ms: emulated full-model time per frame that missed every
             cache layer (0 = serve the cache's best guess immediately).
@@ -109,7 +109,8 @@ class WorkerReply(NamedTuple):
     """Per-request result shipped back from a shard worker.
 
     Arrays are owned copies (never workspace views), so they survive
-    pickling in process mode and buffer reuse in thread mode.
+    pickling in process mode and the next walk while they wait for
+    their due time.
 
     Attributes:
         predicted: ``(B,)`` class served per frame — the hit layer's
@@ -117,11 +118,12 @@ class WorkerReply(NamedTuple):
         hit_layer: ``(B,)`` cache layer that hit, ``-1`` on miss.
         hit_score: ``(B,)`` Eq. 2 score at the hit layer, NaN on miss.
         service_ms: wall-clock time the worker spent on this request —
-            from the previous reply of its call (or the call's start) to
-            this one; over a call they sum to the worker's busy time.
+            from the previous reply's due time in its call (or the call's
+            start) to this one's; over a call they sum to the worker's
+            busy time.
         probe_ms: this request's row share of its call's probe math.
         worker_pid: OS pid of the serving worker (distinguishes
-            process-mode workers from thread-mode ones in diagnostics).
+            process-mode workers from in-loop ones in diagnostics).
         behind_ms: time from the call's start to this request's service
             start — the services of the requests ahead of it in the call.
     """
@@ -154,44 +156,28 @@ class WorkerState:
         self.workspace = LookupWorkspace()
         self.init_ms = 1e3 * (time.perf_counter() - started)
         self.requests_served = 0
+        self.closed = False
+
+    def check_open(self) -> None:
+        """Refuse a call on a worker that was shut down."""
+        if self.closed:
+            raise RuntimeError("worker is shut down: it serves no more calls")
 
     def close(self) -> None:
         self.workspace.close()
         self.store.close()
+        self.closed = True
 
 
-_TLS = threading.local()
-
-
-def _state() -> WorkerState:
-    state = getattr(_TLS, "state", None)
-    if state is None:
-        raise RuntimeError(
-            "worker not initialized: run initialize_worker on the worker's "
-            "thread before serve_requests"
-        )
-    assert isinstance(state, WorkerState)
-    return state
-
-
-def initialize_worker(snapshot_path: str, options: WorkerOptions) -> None:
-    """Worker start: build this worker's serving state from the
-    snapshot path (the only table 'transfer' that ever happens)."""
-    _TLS.state = WorkerState(snapshot_path, options)
-
-
-def shutdown_worker() -> None:
+def shutdown_worker(state: WorkerState) -> None:
     """Release the worker's mmap handle and probe buffers (idempotent).
 
-    The last call on a shard lane before its worker is joined, so
-    long-lived serving workers do not leak file handles or
-    pooled buffers — the teardown half of the
-    :meth:`~repro.core.cache.LookupWorkspace.close` contract.
+    The last call on a shard lane, so long-lived serving workers do not
+    leak file handles or pooled buffers — the teardown half of the
+    :meth:`~repro.core.cache.LookupWorkspace.close` contract.  Any later
+    call on ``state`` raises ``RuntimeError``.
     """
-    state = getattr(_TLS, "state", None)
-    if state is not None:
-        state.close()
-        _TLS.state = None
+    state.close()
 
 
 def _walk_together(
@@ -230,18 +216,19 @@ def _walk_together(
     return outcomes
 
 
-def serve_requests(chunks: Sequence[np.ndarray]) -> Iterator[tuple[bool, Any]]:
+def serve_requests(
+    state: WorkerState, chunks: Sequence[np.ndarray]
+) -> Iterator[tuple[bool, Any, float]]:
     """Serve one call: every chunk's rows in one cache walk.
 
     Each chunk is one request's ``(B, L+1, d)`` tensor.  Yields one
-    ``(True, WorkerReply)``, or ``(False, ValueError)`` for a chunk that
-    does not fit the cache, per chunk in call order.  Reply i leaves once
-    the emulated services of requests 0..i have elapsed since the call
-    started — each request's own service floor plus miss penalty, or its
-    row share of the walk where that is longer, exactly what it would
-    owe alone.  Its arrays are owned copies.
+    ``(True, WorkerReply, due_s)``, or ``(False, ValueError, due_s)`` for
+    a chunk that does not fit the cache, per chunk in call order;
+    ``due_s`` is the answer's due time in seconds from the call's start
+    (see the module docstring), or the moment it was made if the walk
+    ran past that.  Releasing it then is the caller's.
     """
-    state = _state()
+    state.check_open()
     started = time.perf_counter()
     refused: dict[int, ValueError] = {}
     for index, chunk in enumerate(chunks):
@@ -266,40 +253,37 @@ def serve_requests(chunks: Sequence[np.ndarray]) -> Iterator[tuple[bool, Any]]:
             probe_ms = walk_ms * predicted.size / rows
             misses = int((hit_layer < 0).sum())
             due_ms += max(probe_ms, opts.service_floor_ms + opts.miss_ms * misses)
-            remaining_s = started + due_ms / 1e3 - time.perf_counter()
-            if remaining_s > 0:
-                time.sleep(remaining_s)
-            now_ms = 1e3 * (time.perf_counter() - started)
+            release_ms = max(due_ms, 1e3 * (time.perf_counter() - started))
             answer = (
                 True,
                 WorkerReply(
                     predicted=predicted,
                     hit_layer=hit_layer,
                     hit_score=hit_score,
-                    service_ms=now_ms - boundary_ms,
+                    service_ms=release_ms - boundary_ms,
                     probe_ms=probe_ms,
                     worker_pid=pid,
                     behind_ms=boundary_ms,
                 ),
             )
-            boundary_ms = now_ms
+            boundary_ms = release_ms
             state.requests_served += 1
         replies.append(answer[1])
         if contracts.ENABLED and index == len(chunks) - 1:
             contracts.check_call_replies(
                 [chunk.shape[0] for chunk in chunks], replies, boundary_ms
             )
-        yield answer
+        yield answer[0], answer[1], boundary_ms / 1e3
 
 
-def worker_info() -> dict[str, int | float | list[int]]:
+def worker_info(state: WorkerState) -> dict[str, int | float | list[int]]:
     """Diagnostics snapshot of this worker's serving state.
 
     Used by tests to prove concurrent readers never promote mapped
     layers: ``view_backed_layers`` must still cover every active layer
     after arbitrarily many probes.
     """
-    state = _state()
+    state.check_open()
     return {
         "pid": os.getpid(),
         "init_ms": state.init_ms,
@@ -379,27 +363,31 @@ _CALLS: dict[str, Callable[..., Any]] = {
 }
 
 
-def answers(fn: Callable[..., Any], args: tuple[Any, ...]) -> Iterator[tuple[bool, Any]]:
-    """Run one call on this worker: ``(True, value)`` or ``(False,
-    exception)`` per answer it owes, in order, each as soon as it is due.
+def answers(
+    state: WorkerState, fn: Callable[..., Any], args: tuple[Any, ...]
+) -> Iterator[tuple[bool, Any, float]]:
+    """Run one call ``fn(state, *args)``: ``(True, value, due_s)`` or
+    ``(False, exception, due_s)`` per answer it owes, in order.
 
     A :func:`serve_requests` call owes one answer per chunk, any other
-    call one.  An exception the call raises answers everything still
-    owed, so a caller always gets exactly that many.
+    call one, due at once.  An exception the call raises answers
+    everything still owed, due with the last answer given, so a caller
+    always gets exactly that many.
     """
     owed = len(args[0]) if fn is serve_requests else 1
+    due_s = 0.0
     try:
         if fn is serve_requests:
-            for answer in serve_requests(*args):
+            for ok, value, due_s in serve_requests(state, *args):
                 owed -= 1
-                yield answer
+                yield ok, value, due_s
         else:
-            value = fn(*args)
+            value = fn(state, *args)
             owed -= 1
-            yield True, value
+            yield True, value, 0.0
     except Exception as error:
         for _ in range(owed):
-            yield False, error
+            yield False, error, due_s
 
 
 def worker_main(
@@ -411,24 +399,29 @@ def worker_main(
     """Body of a process-mode shard worker: serve calls until shutdown.
 
     Reads ``(function name, args)`` messages from ``conn``, runs the
-    named function, and writes each of its :func:`answers` — ``(True,
-    value)`` or ``(False, exception)`` — as one message the moment it is
-    due; an exception is the caller's to handle, the worker keeps
-    serving.  Returns after answering ``shutdown_worker``, or when
-    the front-end's end of ``conn`` closes (a front-end that died leaves
-    no orphan).  ``inherited`` are front-end ends of lane sockets that a
-    forked worker holds a copy of; they are closed first, or the copies
-    would keep every lane's connection open after the front-end is gone.
+    named function on this worker's :class:`WorkerState`, and writes
+    each of its :func:`answers` — ``(True, value)`` or ``(False,
+    exception)`` — as one message once it is due, sleeping until then;
+    an exception is the caller's to handle, the worker keeps serving.
+    Returns after answering ``shutdown_worker``, or when the front-end's
+    end of ``conn`` closes (a front-end that died leaves no orphan).
+    ``inherited`` are front-end ends of lane sockets that a forked worker
+    holds a copy of; they are closed first, or the copies would keep
+    every lane's connection open after the front-end is gone.
     """
     for end in inherited:
         end.close()
-    initialize_worker(snapshot_path, options)
+    state = WorkerState(snapshot_path, options)
     reader = MessageReader()
     try:
         while True:
             name, args = reader.read(conn)
-            for answer in answers(_CALLS[name], args):
-                parts = deque(pack_message(answer))
+            started = time.perf_counter()
+            for ok, value, due_s in answers(state, _CALLS[name], args):
+                remaining_s = started + due_s - time.perf_counter()
+                if remaining_s > 0:
+                    time.sleep(remaining_s)
+                parts = deque(pack_message((ok, value)))
                 while parts:
                     send_some(conn, parts)
             if name == shutdown_worker.__name__:
@@ -436,5 +429,5 @@ def worker_main(
     except (EOFError, ConnectionError):
         return  # the front-end is gone
     finally:
-        shutdown_worker()
+        state.close()
         conn.close()

@@ -56,10 +56,16 @@ class TestClassShardRouter:
 
     def test_scalar_roundtrip(self):
         router = ClassShardRouter(20, 3)
+        shards = router.shard_of(np.arange(20))
         for class_id in range(20):
             shard = router.shard_of(class_id)
             assert isinstance(shard, int)
             assert class_id in router.classes_of(shard)
+            # A numpy scalar takes the scalar path too, to the same shard.
+            assert router.shard_of(np.int64(class_id)) == shard == shards[class_id]
+        for bad in (-1, 20, np.int64(-1), np.int64(20)):
+            with pytest.raises(ValueError, match=r"out of range \[0, 20\)"):
+                router.shard_of(bad)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):

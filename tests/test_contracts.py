@@ -507,7 +507,7 @@ def test_aca_calls_allocation_contract_only_when_enabled(monkeypatch):
 
 def test_worker_calls_reply_contract_only_when_enabled(monkeypatch, tmp_path):
     from repro.core.server import GlobalCacheTable
-    from repro.serve import WorkerOptions, initialize_worker, serve_requests, shutdown_worker
+    from repro.serve import WorkerOptions, WorkerState, serve_requests, shutdown_worker
     from repro.store import write_snapshot
 
     calls: list[tuple] = []
@@ -520,21 +520,23 @@ def test_worker_calls_reply_contract_only_when_enabled(monkeypatch, tmp_path):
     table.entries = unit_rows(6 * 3, 4).reshape(6, 3, 4)
     table.filled[:] = True
     write_snapshot(tmp_path / "snap", table, epoch=1)
-    initialize_worker(str(tmp_path / "snap"), WorkerOptions())
+    state = WorkerState(str(tmp_path / "snap"), WorkerOptions())
     try:
         chunks = [table.entries[[1]], table.entries[:, :, :3], table.entries[:4]]
         with contracts.activated(False):
-            list(serve_requests(chunks))
+            list(serve_requests(state, chunks))
         assert calls == []
         with contracts.activated():
-            answers = list(serve_requests(chunks))
+            answers = list(serve_requests(state, chunks))
     finally:
-        shutdown_worker()
-    assert [ok for ok, _ in answers] == [True, False, True]
+        shutdown_worker(state)
+    assert [ok for ok, _, _ in answers] == [True, False, True]
     [(rows, replies, busy_ms)] = calls
     assert rows == [1, 6, 4]
-    assert [r for _, r in answers] == replies
+    assert [r for _, r, _ in answers] == replies
     assert busy_ms == pytest.approx(answers[2][1].behind_ms + answers[2][1].service_ms)
+    # The last answer is due when the call's busy time is over.
+    assert 1e3 * answers[2][2] == pytest.approx(busy_ms)
 
 
 def test_clock_calls_monotonic_contract_only_when_enabled(monkeypatch):

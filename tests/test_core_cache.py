@@ -570,7 +570,7 @@ class TestLookupWorkspaceClose:
         workspace.close()
         workspace.close()
         assert workspace._pools == {}
-        assert workspace._frame_layouts == {}
+        assert workspace._layouts == {}
         # Pools regrow on demand.
         assert workspace.floats("x", (8,), np.float32).shape == (8,)
         workspace.close()

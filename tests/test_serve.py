@@ -41,15 +41,14 @@ from repro.serve import (
     ServeFrontend,
     WorkerLost,
     WorkerOptions,
+    WorkerState,
     analytic_wait_ms,
-    initialize_worker,
     run_loadgen,
     serve_requests,
     shutdown_worker,
     synthesize_requests,
     worker_info,
 )
-from repro.serve.worker import _state
 from repro.store import MappedTableStore, write_snapshot
 
 NUM_CLASSES, NUM_LAYERS, DIM = 24, 10, 8
@@ -71,9 +70,9 @@ def snapshot(tmp_path) -> str:
     return str(tmp_path / "snap")
 
 
-def serve_one(vectors: np.ndarray):
-    """One request through the worker's batch entry point, on this thread."""
-    [(ok, value)] = serve_requests([vectors])
+def serve_one(state: WorkerState, vectors: np.ndarray):
+    """One request through the worker's batch entry point."""
+    [(ok, value, _)] = serve_requests(state, [vectors])
     if not ok:
         raise value
     return value
@@ -136,16 +135,25 @@ class TestWalkCacheBatch:
 
 
 class TestWorker:
-    def test_probe_before_initialize_raises(self):
-        shutdown_worker()  # ensure this thread's slate is clean
-        with pytest.raises(RuntimeError, match="not initialized"):
-            serve_one(np.zeros((1, NUM_LAYERS, DIM)))
+    def test_probe_after_shutdown_raises(self, snapshot):
+        state = WorkerState(snapshot, WorkerOptions())
+        shutdown_worker(state)
+        with pytest.raises(RuntimeError, match="shut down"):
+            serve_one(state, np.zeros((1, NUM_LAYERS, DIM)))
+        with pytest.raises(RuntimeError, match="shut down"):
+            worker_info(state)
 
-    def test_serve_cycle_in_thread(self, snapshot):
-        initialize_worker(snapshot, WorkerOptions(service_floor_ms=10.0))
+    def test_serve_cycle(self, snapshot):
+        floor_ms = 1000.0
+        state = WorkerState(snapshot, WorkerOptions(service_floor_ms=floor_ms))
         try:
             vectors = centroid_queries(snapshot, [1, 2, 3])
-            reply = serve_one(vectors)
+            started = time.perf_counter()
+            [(ok, reply, due_s)] = serve_requests(state, [vectors])
+            assert ok
+            # Nothing sleeps: the reply is made at once, due one floor on.
+            assert time.perf_counter() - started < due_s
+            assert 1e3 * due_s == pytest.approx(reply.service_ms)
             assert np.array_equal(reply.predicted, [1, 2, 3])
             assert reply.hits == 3
             assert reply.worker_pid == os.getpid()
@@ -153,24 +161,23 @@ class TestWorker:
             assert reply.predicted.base is None
             assert reply.hit_layer.base is None
             # The emulated device floor dominates the service time.
-            assert reply.service_ms >= 9.0
+            assert reply.service_ms >= floor_ms
             assert reply.probe_ms <= reply.service_ms
-            info = worker_info()
+            info = worker_info(state)
             assert info["requests_served"] == 1
             assert info["epoch"] == 1
             assert info["view_backed_layers"] == info["active_layers"]
         finally:
-            shutdown_worker()
+            shutdown_worker(state)
         with pytest.raises(RuntimeError):
-            serve_one(vectors)
+            serve_one(state, vectors)
 
     def test_shutdown_is_idempotent_and_drops_probe_buffers(self, snapshot):
-        initialize_worker(snapshot, WorkerOptions())
-        state = _state()
-        serve_one(centroid_queries(snapshot, [3]))  # fill the pools
+        state = WorkerState(snapshot, WorkerOptions())
+        serve_one(state, centroid_queries(snapshot, [3]))  # fill the pools
         assert state.workspace._pools
-        shutdown_worker()
-        shutdown_worker()
+        shutdown_worker(state)
+        shutdown_worker(state)
         assert state.workspace._pools == {}
 
 
@@ -399,11 +406,11 @@ class TestProcessTransport:
                 return await frontend._lanes[0].call(serve_requests, [vectors])
 
         reply = drive(scenario())
-        initialize_worker(snapshot, options)
+        state = WorkerState(snapshot, options)
         try:
-            expected = serve_one(vectors)
+            expected = serve_one(state, vectors)
         finally:
-            shutdown_worker()
+            shutdown_worker(state)
         assert 0 < expected.hits < batch or batch == 1
         for name in ("predicted", "hit_layer", "hit_score"):
             got, want = getattr(reply, name), getattr(expected, name)
@@ -929,6 +936,125 @@ class TestCoalescingProcessMode(TestCoalescing):
         assert stats["in_flight"] == 0 and stats["queued"] == 0
         assert stats["submitted"] == stats["success"] == 1
         assert multiprocessing.active_children() == []
+
+
+class TestInLoopLanes:
+    """Thread-mode lanes run their worker on the front-end's own loop:
+    floors are loop timers, so lanes overlap and nothing waits on them."""
+
+    def test_two_lanes_overlap_their_floors(self, snapshot):
+        floor_ms = 30.0
+
+        async def scenario():
+            config = ServeConfig(
+                snapshot_path=snapshot,
+                num_workers=2,
+                worker=WorkerOptions(service_floor_ms=floor_ms),
+            )
+            async with ServeFrontend(config) as frontend:
+                hints = shard_hints(frontend)
+                started = time.perf_counter()
+                results = await asyncio.gather(
+                    *(
+                        frontend.submit(hint, centroid_queries(snapshot, [hint]))
+                        for hint in hints.values()
+                    )
+                )
+                return results, 1e3 * (time.perf_counter() - started)
+
+        results, elapsed_ms = drive(scenario())
+        assert [r.shard for r in results] == [0, 1]
+        assert all(r.ok and r.service_ms >= floor_ms for r in results)
+        # One floor for both; one after the other would take two.
+        assert floor_ms <= elapsed_ms < 1.75 * floor_ms
+
+    def test_shed_and_timeout_resolve_during_another_lanes_floor(self, snapshot):
+        async def scenario():
+            config = ServeConfig(
+                snapshot_path=snapshot,
+                num_workers=2,
+                queue_depth=1,
+                deadline_ms=10_000.0,
+                worker=WorkerOptions(service_floor_ms=150.0),
+            )
+            async with ServeFrontend(config) as frontend:
+                hints = shard_hints(frontend)
+                vectors = {s: centroid_queries(snapshot, [c]) for s, c in hints.items()}
+                other = asyncio.create_task(frontend.submit(hints[1], vectors[1]))
+                holder = asyncio.create_task(frontend.submit(hints[0], vectors[0]))
+                await asyncio.sleep(0)  # both are in service
+                started = time.perf_counter()
+                expired = await frontend.submit(hints[0], vectors[0], deadline_ms=20.0)
+                timed_out_ms = 1e3 * (time.perf_counter() - started)
+                assert not other.done()
+                seat = asyncio.create_task(frontend.submit(hints[0], vectors[0]))
+                await asyncio.sleep(0)  # it holds the lane's one queue seat
+                shed = await frontend.submit(hints[0], vectors[0])
+                assert not other.done()
+                done = await asyncio.gather(other, holder, seat)
+                return expired, timed_out_ms, shed, done, frontend.stats()
+
+        expired, timed_out_ms, shed, done, stats = drive(scenario())
+        assert expired.outcome == "timeout"
+        assert 20.0 <= timed_out_ms < 100.0
+        assert shed.outcome == "shed"
+        assert all(r.ok for r in done)
+        assert stats["submitted"] == 5 and stats["success"] == 3
+
+    def test_call_replies_contract_holds_with_floors_and_miss_penalties(
+        self, snapshot, monkeypatch
+    ):
+        floor_ms, miss_ms = 4.0, 3.0
+        calls: list = []
+        check = contracts.check_call_replies
+        monkeypatch.setattr(
+            contracts, "check_call_replies", lambda *a: (calls.append(a), check(*a))
+        )
+        # Hits and noise rows (misses at this theta) in every request.
+        chunks = [mixed_queries(snapshot, rows, seed=rows) for rows in (1, 2, 3, 4, 5)]
+
+        async def scenario():
+            config = ServeConfig(
+                snapshot_path=snapshot,
+                num_workers=1,
+                deadline_ms=10_000.0,
+                worker=WorkerOptions(theta=1.0, service_floor_ms=floor_ms, miss_ms=miss_ms),
+            )
+            async with ServeFrontend(config) as frontend:
+                with contracts.activated():
+                    holder = asyncio.create_task(frontend.submit(0, chunks[0]))
+                    await asyncio.sleep(0)  # the holder is dispatched
+                    results = await asyncio.gather(
+                        *(frontend.submit(0, chunk) for chunk in chunks[1:])
+                    )
+                    return [await holder, *results]
+
+        results = drive(scenario())
+        assert [len(rows) for rows, _, _ in calls] == [1, 4]
+        assert sum(r.frames - r.hits for r in results) > 0
+        for result in results:
+            owed = floor_ms + miss_ms * (result.frames - result.hits)
+            assert result.ok and result.service_ms >= owed - 1e-9
+
+    def test_lanes_on_one_loop_never_share_probe_buffers(self, snapshot):
+        async def scenario():
+            config = ServeConfig(snapshot_path=snapshot, num_workers=2)
+            async with ServeFrontend(config) as frontend:
+                hints = shard_hints(frontend)
+                # Interleaved, so each lane walks between the other's walks.
+                for _ in range(3):
+                    for hint in hints.values():
+                        result = await frontend.submit(hint, mixed_queries(snapshot, 8))
+                        assert result.ok and result.frames == 8
+                states = [lane.state for lane in frontend._lanes]
+                pools = [list(state.workspace._pools.values()) for state in states]
+                layouts = [dict(state.workspace._layouts) for state in states]
+            return states, pools, layouts
+
+        (first, second), (mine, theirs), layouts = drive(scenario())
+        assert first is not second and first.workspace is not second.workspace
+        assert mine and theirs and all(layouts)
+        assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
 
 
 class TestServeConfigValidation:

@@ -43,7 +43,7 @@ from repro.core.server import CoCaServer, GlobalCacheTable
 from repro.data.datasets import get_dataset
 from repro.serve import (
     WorkerOptions,
-    initialize_worker,
+    WorkerState,
     serve_requests,
     shutdown_worker,
 )
@@ -545,29 +545,79 @@ def test_single_frame_layouts_are_kept():
     frame = scene.queries(1)
     with LookupWorkspace() as workspace:
         walk_cache_batch(wide, frame, workspace)
-        kept = dict(workspace._frame_layouts)
-        assert sorted(kept) == [3, 8]  # one per block depth
+        kept = dict(workspace._layouts)
+        assert sorted(kept) == [(1, 3), (1, 8)]  # one per block depth
         walk_cache_batch(wide, frame, workspace)
-        assert workspace._frame_layouts == kept  # reused, not cut again
+        assert workspace._layouts == kept  # reused, not cut again
         # Caches of different widths take turns on one workspace: the
         # layouts follow the geometry being served.
         for cache in (narrow, wide, narrow):
             new = CacheWalk(*(a.copy() for a in walk_cache_batch(cache, frame, workspace)))
             _, ref = both_walks(cache, frame)
             assert_same_walk(new, ref, np.float64, bitwise=True)
-            assert sorted(workspace._frame_layouts) == [3, 8]
-        # A batch's layouts change with the rows left and are not kept;
-        # its larger pools replace the ones the kept layouts view, and
-        # the layouts go with them instead of pinning them.
+            assert sorted(workspace._layouts) == [(1, 3), (1, 8)]
+        # A batch's larger pools replace the ones the kept layouts view,
+        # and the layouts go with them instead of pinning them; the
+        # batch's own layouts are kept next to the frame's that follow.
         walk_cache_batch(wide, scene.queries(64), workspace)
-        assert not workspace._frame_layouts
+        assert sorted(workspace._layouts) == [(64, 3), (64, 8)]
         new = CacheWalk(*(a.copy() for a in walk_cache_batch(wide, frame, workspace)))
         _, ref = both_walks(wide, frame)
         assert_same_walk(new, ref, np.float64, bitwise=True)
-        assert sorted(workspace._frame_layouts) == [3, 8]
-    assert not workspace._frame_layouts  # close() drops them with the pools
+        assert sorted(workspace._layouts) == [(1, 3), (1, 8), (64, 3), (64, 8)]
+    assert not workspace._layouts  # close() drops them with the pools
 
 
+def test_layouts_of_every_row_count_are_kept():
+    scene = Scene(seed=86, layers=11)  # blocks of 8 and 3 layers
+    # Floors keep every fifth (classless) query from hitting: some rows
+    # of every batch walk on into the second block.
+    wide = scene.cache(floors=True)
+    narrow = scene.cache(floors=True, ids_of=dict.fromkeys(range(11), np.arange(5)))
+    queries = {rows: scene.queries(rows) for rows in (1, 5, 64, 300)}
+    workspace = LookupWorkspace()
+    walked: set[tuple[int, int]] = set()  # since the last drop
+
+    def walk(cache: SemanticCache, rows: int) -> bool:
+        """Walk ``rows`` queries; true if the walk regrew a layout pool."""
+        before = {k: v for k, v in workspace._pools.items() if k[0].startswith("stack.")}
+        vectors = queries[rows]
+        new = walk_cache_batch(cache, vectors, workspace)
+        with LookupWorkspace() as fresh:
+            alone = walk_cache_batch(cache, vectors, fresh)
+            for name in ("predicted", "hit_layer", "hit_score", "layers_probed"):
+                got, want = getattr(new, name), getattr(alone, name)
+                assert got.tobytes() == want.tobytes(), (rows, name)
+        regrew = any(workspace._pools[key] is not pool for key, pool in before.items())
+        if regrew:
+            # The first block's layout is cut, growing the pools, before
+            # it is kept; the second block's is smaller.
+            walked.clear()
+        # Every row steps through the first block; the rows it did not
+        # resolve step through the second.
+        walked.add((rows, 8))
+        left = int(((new.hit_layer < 0) | (new.hit_layer >= 8)).sum())
+        if left:
+            walked.add((left, 3))
+        assert sorted(workspace._layouts) == sorted(walked)
+        return regrew
+
+    walk(wide, 1)
+    walk(wide, 5)
+    assert walk(wide, 300)  # regrows the pools: the earlier layouts go
+    assert not walk(wide, 5)
+    assert not walk(wide, 64)
+    assert {depth for _, depth in workspace._layouts} == {3, 8}
+    # A repeated walk reuses its layouts.
+    kept = {key: id(layout) for key, layout in workspace._layouts.items()}
+    walk(wide, 5)
+    walk(wide, 64)
+    assert {key: id(layout) for key, layout in workspace._layouts.items()} == kept
+    walked.clear()  # a geometry change drops them
+    walk(narrow, 5)
+    walk(narrow, 64)
+    workspace.close()
+    assert not workspace._layouts
 # ----------------------------------------------------------------------
 # Request geometry
 # ----------------------------------------------------------------------
@@ -594,24 +644,24 @@ class TestRequestGeometry:
 
     def test_serve_requests_refuses_short_and_narrow_tensors(self, snapshot):
         scene, path = snapshot
-        initialize_worker(path, WorkerOptions())
+        state = WorkerState(path, WorkerOptions())
         try:
             good = scene.queries(1)
             # A misfit is refused alone; the rest of its call is served.
             answers = list(
-                serve_requests([good, good[:, :10, :], good[:, :, :7], good])
+                serve_requests(state, [good, good[:, :10, :], good[:, :, :7], good])
             )
-            assert [ok for ok, _ in answers] == [True, False, False, True]
+            assert [ok for ok, _, _ in answers] == [True, False, False, True]
             assert answers[0][1].predicted.shape == (1,)
             assert answers[3][1].predicted.shape == (1,)
             with pytest.raises(ValueError, match=r"expected \(B, >= 11, 8\)"):
                 raise answers[1][1]
             with pytest.raises(ValueError, match=r"\(1, 11, 7\)"):
                 raise answers[2][1]
-            [(ok, reply)] = serve_requests([good])  # still serving
+            [(ok, reply, _)] = serve_requests(state, [good])  # still serving
             assert ok and reply.predicted.shape == (1,)
         finally:
-            shutdown_worker()
+            shutdown_worker(state)
 
 
 # ----------------------------------------------------------------------

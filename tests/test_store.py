@@ -710,14 +710,19 @@ def test_full_rows_nbytes_formula():
 # ----------------------------------------------------------------------
 
 
-def _serve_one(vectors: np.ndarray):
-    """One request through a shard worker's batch entry point."""
-    from repro.serve.worker import serve_requests
+def _serve_one(snapshot: str, options, vectors: np.ndarray):
+    """One request through a shard worker of its own: its reply and the
+    worker's diagnostics after it."""
+    from repro.serve.worker import WorkerState, serve_requests, worker_info
 
-    [(ok, value)] = serve_requests([vectors])
-    if not ok:
-        raise value
-    return value
+    state = WorkerState(snapshot, options)
+    try:
+        [(ok, value, _)] = serve_requests(state, [vectors])
+        if not ok:
+            raise value
+        return value, worker_info(state)
+    finally:
+        state.close()
 
 
 class TestConcurrentReaders:
@@ -782,11 +787,7 @@ class TestConcurrentReaders:
     def test_process_readers_see_bit_identical_results(self, tmp_path):
         from concurrent.futures import ProcessPoolExecutor
 
-        from repro.serve.worker import (
-            WorkerOptions,
-            initialize_worker,
-            worker_info,
-        )
+        from repro.serve.worker import WorkerOptions
 
         snapshot = self._snapshot(tmp_path)
         vectors = self._queries(snapshot)
@@ -794,20 +795,16 @@ class TestConcurrentReaders:
         # Snapshots carry no calibrated floors here, so workers serve the
         # same floor-free cache as the in-process reference.
         options = WorkerOptions()
-        pools = [
-            ProcessPoolExecutor(
-                max_workers=1,
-                initializer=initialize_worker,
-                initargs=(snapshot, options),
-            )
-            for _ in range(2)
-        ]
+        pools = [ProcessPoolExecutor(max_workers=1) for _ in range(2)]
         try:
-            replies = [pool.submit(_serve_one, vectors).result() for pool in pools]
-            infos = [pool.submit(worker_info).result() for pool in pools]
+            served = [
+                pool.submit(_serve_one, snapshot, options, vectors).result()
+                for pool in pools
+            ]
         finally:
             for pool in pools:
                 pool.shutdown(wait=True)
+        replies, infos = zip(*served)
         assert len({info["pid"] for info in infos}) == 2
         for reply, info in zip(replies, infos):
             self._assert_same(

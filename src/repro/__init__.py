@@ -18,13 +18,35 @@ Public API overview:
 * :mod:`repro.sim`, :mod:`repro.lsh`, :mod:`repro.analysis` — substrates.
 """
 
-from repro.cluster import ClusterFramework
-from repro.core import CoCaConfig, CoCaFramework, SemanticCache, aca_allocate
-from repro.data import get_dataset
-from repro.experiments import Scenario
-from repro.models import build_model
+from __future__ import annotations
+
+import importlib
+from typing import Any
 
 __version__ = "1.1.0"
+
+#: Public names, by the subpackage that defines them.  They load on
+#: first use, so that ``python -m repro`` can size the BLAS pools before
+#: anything imports numpy (see :mod:`repro.blas`).
+_EXPORTS = {
+    "ClusterFramework": "repro.cluster",
+    "CoCaConfig": "repro.core",
+    "CoCaFramework": "repro.core",
+    "SemanticCache": "repro.core",
+    "aca_allocate": "repro.core",
+    "get_dataset": "repro.data",
+    "Scenario": "repro.experiments",
+    "build_model": "repro.models",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ClusterFramework",

@@ -13,10 +13,14 @@ stretch through its engine at once.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import TYPE_CHECKING
 
-from repro.experiments.scenario import Scenario
 from repro.models.feature import SampleFeatures
 from repro.sim.metrics import InferenceRecord, MetricsCollector
+
+if TYPE_CHECKING:
+    # Annotations only: repro.experiments imports this package.
+    from repro.experiments.scenario import Scenario
 
 #: Most frames one engine call takes from a round.  A window bounds the
 #: frames a cache change sends back through the engine, and keeps each

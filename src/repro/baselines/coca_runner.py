@@ -8,10 +8,15 @@ discipline, so the feature geometry and streams match the baselines).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.config import CoCaConfig
 from repro.core.framework import CoCaFramework
-from repro.experiments.scenario import Scenario
 from repro.sim.metrics import MetricsCollector
+
+if TYPE_CHECKING:
+    # Annotations only: repro.experiments imports this package.
+    from repro.experiments.scenario import Scenario
 
 
 class CoCaRunner:

@@ -25,16 +25,20 @@ Simulation mapping:
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.baselines.base import BaselineRunner
 from repro.core.rng import derive_rng
-from repro.experiments.scenario import Scenario
 from repro.lsh.alsh import AdaptiveLSH
 from repro.lsh.hknn import KnnVote, homogenized_knn
 from repro.models.feature import SampleFeatures
 from repro.sim.metrics import InferenceRecord
+
+if TYPE_CHECKING:
+    # Annotations only: repro.experiments imports this package.
+    from repro.experiments.scenario import Scenario
 
 
 class LshLruCache:

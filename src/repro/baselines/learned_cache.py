@@ -24,13 +24,18 @@ Simulation mapping:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.baselines.base import BaselineRunner
 from repro.core.rng import derive_rng
-from repro.experiments.scenario import Scenario
 from repro.models.feature import SampleFeatures
 from repro.sim.metrics import InferenceRecord
+
+if TYPE_CHECKING:
+    # Annotations only: repro.experiments imports this package.
+    from repro.experiments.scenario import Scenario
 
 
 class LearnedCache(BaselineRunner):

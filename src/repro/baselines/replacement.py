@@ -18,6 +18,7 @@ come from the server-deployed global table, as in the other methods.
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,9 +26,12 @@ from repro.baselines.base import BATCH_WINDOW, BaselineRunner
 from repro.core.cache import SemanticCache
 from repro.core.engine import BatchedInferenceEngine
 from repro.core.rng import derive_rng
-from repro.experiments.scenario import Scenario
 from repro.models.feature import SampleFeatures
 from repro.sim.metrics import InferenceRecord
+
+if TYPE_CHECKING:
+    # Annotations only: repro.experiments imports this package.
+    from repro.experiments.scenario import Scenario
 
 POLICIES = ("lru", "fifo", "rand")
 

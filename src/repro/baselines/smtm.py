@@ -20,15 +20,20 @@ dataset) and adapt locally with an EMA of confidently-hit samples.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.baselines.base import BATCH_WINDOW, BaselineRunner
 from repro.core.allocation import select_hotspot_classes
 from repro.core.cache import SemanticCache
 from repro.core.engine import BatchedInferenceEngine
-from repro.experiments.scenario import Scenario
 from repro.models.feature import SampleFeatures
 from repro.sim.metrics import InferenceRecord
+
+if TYPE_CHECKING:
+    # Annotations only: repro.experiments imports this package.
+    from repro.experiments.scenario import Scenario
 
 
 class SMTM(BaselineRunner):

@@ -23,7 +23,9 @@ conventions exist to protect, at the moments they can actually break:
   row set (a changed row outside the delta is a silent divergence);
 * the serving front-end's admission ledger, per lane and in total, and
   each coalesced worker call — one reply per request, each of its
-  request's row count, their service times tiling the call's busy time.
+  request's row count, their service times tiling the call's busy time
+  — and each process lane's request arena: live reservations disjoint,
+  inside the mapping, and none left once the lane is idle.
 
 Contracts are **off by default** (every check site is one truthy test of
 :data:`ENABLED`).  Set ``REPRO_CONTRACTS=1`` in the environment before
@@ -56,6 +58,7 @@ __all__ = [
     "check_layer_pack",
     "check_merge_flat_indices",
     "check_merged_rows_normalized",
+    "check_request_arena",
     "check_snapshot_manifest",
     "enabled",
     "require",
@@ -516,6 +519,36 @@ def check_call_replies(
         abs(total_ms - busy_ms) <= 1e-6 * max(1.0, abs(busy_ms)),
         f"replies' service times sum to {total_ms!r} ms, the call was busy "
         f"{busy_ms!r} ms",
+    )
+
+
+def check_request_arena(
+    reservations: Sequence[tuple[int, int]], size: int, idle: bool
+) -> None:
+    """A process lane's request arena lends each live call its own bytes.
+
+    ``reservations`` are the ``(offset, bytes)`` ranges of the calls
+    sent and not yet answered, oldest first; ``size`` the mapping's
+    length; ``idle`` whether the lane owes no answer at all.  Every
+    range lies inside the mapping, no two overlap (a later call's copy
+    would overwrite tensors the worker has yet to walk), and an idle
+    lane holds none (the pointer could never restart).
+    """
+    end = 0
+    for offset, length in sorted(reservations):
+        require(
+            offset >= end,
+            f"arena reservation at {offset} overlaps the one ending at {end}",
+        )
+        require(
+            length >= 0 and offset + length <= size,
+            f"arena reservation [{offset}, {offset + length}) leaves the "
+            f"{size}-byte mapping",
+        )
+        end = offset + length
+    require(
+        not (idle and reservations),
+        f"an idle lane still holds {len(reservations)} arena reservation(s)",
     )
 
 

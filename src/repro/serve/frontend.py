@@ -65,10 +65,13 @@ from repro import contracts
 from repro.cluster.sharding import ClassShardRouter
 from repro.serve.worker import (
     MessageReader,
+    RequestArena,
+    Slot,
     WorkerOptions,
     WorkerReply,
     WorkerState,
     answers,
+    check_tensor,
     pack_message,
     send_some,
     serve_requests,
@@ -97,12 +100,13 @@ class ServeConfig:
         snapshot_path: snapshot directory every worker warm-starts from.
         num_workers: shard (= lane = worker) count.
         mode: ``"process"`` for one persistent OS process per shard
-            (real parallelism; a request is pickled onto the lane's
-            socket and the reply read back by the event loop — two
-            process wake-ups, no helper thread) or ``"thread"`` for
-            every shard's worker on the front-end's own event-loop
-            thread (no hand-off at all: a call runs where it is
-            dispatched, and emulated service floors are loop timers).
+            (real parallelism; a call's tensors are copied into the
+            lane's shared-memory arena, only their offsets cross the
+            lane's socket, and the replies are read back by the event
+            loop — two process wake-ups, no helper thread) or
+            ``"thread"`` for every shard's worker on the front-end's own
+            event-loop thread (no hand-off at all: a call runs where it
+            is dispatched, and emulated service floors are loop timers).
         queue_depth: per-lane admission bound — waiting requests beyond
             it are shed with a retry-after hint.
         deadline_ms: per-request deadline covering queueing + service.
@@ -359,22 +363,34 @@ class _ProcessLane(_Lane):
     """A persistent worker process on the far end of a stream socket.
 
     A call is written to the socket and its answers' sinks queued; the
-    worker writes each answer as one message, in order, so a reader on
-    the loop hands each message to the oldest pending sink — two process
-    wake-ups per request and no helper thread.  The front-end's end is
-    non-blocking: what the socket buffer does not take at once goes out
-    when it is writable.
+    worker writes each answer as one message, in order (all those due
+    together in one write), so a reader on the loop hands each message
+    to the oldest pending sink, reading until the socket runs dry — two
+    process wake-ups per request and no helper thread.  A call's tensors
+    do not go through the socket: they are copied into the lane's
+    :class:`~repro.serve.worker.RequestArena`, which the worker maps,
+    and held there until the call's last answer.  The front-end's end
+    is non-blocking: what the socket buffer does not take at once goes
+    out when it is writable.
     """
 
     def __init__(
-        self, shard: int, config: ServeConfig, inherited: list[socket.socket]
+        self,
+        shard: int,
+        config: ServeConfig,
+        inherited: list[socket.socket | RequestArena],
     ) -> None:
         super().__init__(shard)
         self.sock, worker_end = socket.socketpair()
-        self.process = multiprocessing.Process(
+        self.arena = RequestArena()
+        # Forked, whatever the default start method: the worker inherits
+        # the arena's descriptor by number, and the other lanes' ends it
+        # must close (see worker_main).
+        self.process = multiprocessing.get_context("fork").Process(
             target=worker_main,
             args=(
                 worker_end,
+                self.arena.fd,
                 str(config.snapshot_path),
                 config.worker,
                 [*inherited, self.sock],
@@ -397,6 +413,15 @@ class _ProcessLane(_Lane):
             for sink in sinks:
                 sink(False, WorkerLost(self.shard, self.pid))
             return
+        if fn is serve_requests:
+            try:
+                args = (self._put(args[0]),)
+            except (ValueError, contracts.ContractViolation) as error:
+                for sink in sinks:
+                    sink(False, error)
+                return
+            if sinks:
+                sinks = [*sinks[:-1], partial(self._last_answer, sinks[-1])]
         self._pending.extend(sinks)
         # A non-empty outbox already has its writer registered.
         idle = not self._outbox
@@ -419,15 +444,35 @@ class _ProcessLane(_Lane):
         if self._flush():
             self.loop.remove_writer(self.sock)
 
+    def _put(self, chunks: list[np.ndarray]) -> list[Slot]:
+        """Copy a call's tensors into the arena, under its contract: an
+        idle lane holds no reservation, and the new one fits beside the
+        live ones."""
+        arena = self.arena
+        if contracts.ENABLED:
+            contracts.check_request_arena(arena.live, arena.size, idle=not self._pending)
+        slots = arena.put(chunks)
+        if contracts.ENABLED:
+            contracts.check_request_arena(arena.live, arena.size, idle=False)
+        return slots
+
+    def _last_answer(self, sink: Sink, ok: bool, value: Any) -> None:
+        """A serve call's last answer: its arena bytes are free."""
+        self.arena.release()
+        sink(ok, value)
+
     def _on_readable(self) -> None:
-        try:
-            ok, value = self._reader.read(self.sock)
-        except BlockingIOError:
-            return
-        except (EOFError, OSError):
-            self._lose()
-            return
-        self._pending.popleft()(ok, value)
+        """Hand every complete message to its sink, until the socket runs
+        dry."""
+        while not self.lost:
+            try:
+                ok, value = self._reader.read(self.sock)
+            except BlockingIOError:
+                return
+            except (EOFError, OSError):
+                self._lose()
+                return
+            self._pending.popleft()(ok, value)
 
     def _lose(self) -> None:
         """The worker is gone: fail what is pending, refuse what comes."""
@@ -442,6 +487,7 @@ class _ProcessLane(_Lane):
         # Closing the socket ends a worker that is still reading it.
         self._lose()
         self.sock.close()
+        self.arena.close()
         self.process.join()
         self.process.close()
 
@@ -494,12 +540,12 @@ class ServeFrontend:
         if self._started:
             return
         # A forked worker inherits the front-end ends opened before it.
-        ends: list[socket.socket] = []
+        ends: list[socket.socket | RequestArena] = []
         try:
             for shard in range(self.config.num_workers):
                 if self.config.mode == "process":
                     lane = _ProcessLane(shard, self.config, ends)
-                    ends.append(lane.sock)
+                    ends += (lane.sock, lane.arena)
                     self._lanes.append(lane)
                 else:
                     self._lanes.append(_LoopLane(shard, self.config))
@@ -567,12 +613,14 @@ class ServeFrontend:
     ) -> ServeResult:
         """One admission attempt: route, queue, serve — or shed/timeout.
 
-        ``vectors`` is the request chunk, shape ``(B, L+1, d)``, dtype
-        anything castable to the snapshot dtype.  ``deadline_ms``
-        overrides the configured deadline for this attempt.
+        ``vectors`` is the request chunk, shape ``(B, L+1, d)``, any
+        numeric dtype (cast to the snapshot dtype; anything else raises
+        ``ValueError`` here).  ``deadline_ms`` overrides the configured
+        deadline for this attempt.
         """
         if not self._started:
             raise RuntimeError("frontend not started; use `async with` or start()")
+        check_tensor(vectors)
         if deadline_ms is None:
             deadline_ms = self.config.deadline_ms
         else:

@@ -24,12 +24,16 @@ answer of its own.  A request whose tensor does not fit the snapshot's
 geometry is refused alone, with the walk's ``ValueError`` naming
 expected and got shapes; the rest of its call is served.
 
-What crosses the boundary per call is the list of query tensors
-``(B, L+1, d)`` and, per request, a small :class:`WorkerReply` of
-per-frame results — kilobytes — each as one length-prefixed pickle on
-the socket (see :func:`pack_message`).  The centroid table itself is
-never serialized: every process maps the same snapshot bytes from the
-page cache.
+No request tensor is serialized.  A process lane copies each query
+tensor ``(B, L+1, d)`` of a call into its :class:`RequestArena` — a
+shared-memory file its worker maps too (:class:`ArenaMap`) — and the
+call's socket message carries only each tensor's :data:`Slot` (offset,
+shape, dtype).  What comes back per request is a small
+:class:`WorkerReply` of per-frame results — kilobytes — as one
+length-prefixed pickle (see :func:`pack_message`); every answer already
+due when the worker writes goes out in the same ``sendmsg``.  The
+centroid table is never serialized either: every process maps the same
+snapshot bytes from the page cache.
 
 The walk's stacked kernel reads the cache through a *layer pack*
 (:meth:`~repro.core.cache.SemanticCache.layer_pack`) whose blocks alias
@@ -52,28 +56,32 @@ would owe alone), and its reply is due once the services of requests
 0..i have elapsed — the device serves the call's requests one after
 another, in order.  :func:`serve_requests` does not sleep: it yields
 each answer with its due offset from the call's start, and the caller
-releases it then — a process worker sleeps until the offset before
-writing, an in-loop lane hands over an answer already due at once and
-schedules a later one on the loop.  A floor-dominated service time is
-deterministic — exactly the M/D/1 service process the analytic
-cross-check assumes — and lets saturation-throughput measurements
-exercise the concurrency layer rather than NumPy's single-core matmul
-throughput.
+releases it then — a process worker writes every answer already due
+and sleeps until the next one's offset, an in-loop lane hands over an
+answer already due at once and schedules a later one on the loop.  A
+floor-dominated service time is deterministic — exactly the M/D/1
+service process the analytic cross-check assumes — and lets
+saturation-throughput measurements exercise the concurrency layer
+rather than NumPy's single-core matmul throughput.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 import os
 import pickle
 import socket
 import struct
 import time
 from collections import deque
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro import contracts
+from repro.blas import THREAD_POOL_VARS
 from repro.core.cache import LookupWorkspace, SemanticCache
 from repro.core.probe import check_fit, walk_cache_batch
 from repro.store import MappedTableStore
@@ -281,7 +289,8 @@ def worker_info(state: WorkerState) -> dict[str, int | float | list[int]]:
 
     Used by tests to prove concurrent readers never promote mapped
     layers: ``view_backed_layers`` must still cover every active layer
-    after arbitrarily many probes.
+    after arbitrarily many probes.  ``thread_pools`` is the BLAS/OpenMP
+    pool sizing the worker runs with (see :mod:`repro.blas`).
     """
     state.check_open()
     return {
@@ -292,6 +301,7 @@ def worker_info(state: WorkerState) -> dict[str, int | float | list[int]]:
         "view_backed_layers": state.cache.view_backed_layers(),
         "num_classes": state.cache.num_classes,
         "epoch": state.store.epoch,
+        "thread_pools": {name: os.environ.get(name) for name in THREAD_POOL_VARS},
     }
 
 
@@ -344,17 +354,136 @@ class MessageReader:
             self._in_payload = True
 
 
+#: Buffers one ``sendmsg`` takes at most (Linux refuses more than 1024).
+_MAX_PARTS = 512
+
+
 def send_some(conn: socket.socket, parts: deque[memoryview]) -> None:
     """One ``sendmsg`` of the queued buffers; drop what went out.
 
     On a non-blocking socket that takes nothing this raises
     ``BlockingIOError`` and leaves ``parts`` as it was.
     """
-    sent = conn.sendmsg(parts)
+    sent = conn.sendmsg(islice(parts, _MAX_PARTS))
     while parts and sent >= parts[0].nbytes:
         sent -= parts.popleft().nbytes
     if sent:
         parts[0] = parts[0][sent:]
+
+
+def send_all(conn: socket.socket, parts: deque[memoryview]) -> None:
+    """Write every queued buffer on a blocking socket."""
+    while parts:
+        send_some(conn, parts)
+
+
+def check_tensor(vectors: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``vectors`` is a numeric array — the
+    only kind a request tensor can be (an arena holds raw numbers, never
+    object references)."""
+    if not isinstance(vectors, np.ndarray) or vectors.dtype.kind not in "biufc":
+        raise ValueError(
+            "a request tensor must be a numeric numpy array, got "
+            f"{getattr(vectors, 'dtype', type(vectors).__name__)}"
+        )
+
+
+#: Where one request tensor lies in its lane's arena:
+#: ``(byte offset, shape, dtype string)``.
+Slot = tuple[int, tuple[int, ...], str]
+
+#: Byte boundary every tensor of an arena starts on.
+_ALIGN = 64
+
+
+class RequestArena:
+    """The front-end's end of a lane's shared request memory.
+
+    A growable ``memfd`` file: :meth:`put` copies a call's tensors into
+    it, each in its own dtype, and returns their :data:`Slot` s, which
+    are all the call's message carries; the lane's worker reads the
+    tensors in place through an :class:`ArenaMap` of the same file.
+
+    Allocation is a bump pointer.  A call's tensors lie back to back
+    after those of the calls still live (sent and not yet answered), and
+    the pointer restarts at 0 when none is; a lane's dispatcher has one
+    call live at a time, so it restarts every call.  A call that does
+    not fit grows the file: offsets never move, so live calls keep their
+    bytes.  The front-end holds no view of the mapping between calls,
+    which is what lets ``mmap.resize`` move it.
+    """
+
+    def __init__(self, size: int = 1 << 20) -> None:
+        self.fd = os.memfd_create("repro-request-arena")
+        os.ftruncate(self.fd, size)
+        self.map = mmap.mmap(self.fd, size)
+        self.top = 0
+        #: ``(offset, bytes)`` reserved by each live call, oldest first.
+        self.live: deque[tuple[int, int]] = deque()
+
+    @property
+    def size(self) -> int:
+        return len(self.map)
+
+    def put(self, chunks: Sequence[np.ndarray]) -> list[Slot]:
+        """Reserve room for one call's tensors and copy them in.
+
+        Raises ``ValueError`` for a tensor that is not numeric, before
+        anything is reserved.  A call of no tensors reserves nothing.
+        """
+        for chunk in chunks:
+            check_tensor(chunk)
+        if not chunks:
+            return []
+        start = self.top if self.live else 0
+        slots: list[Slot] = []
+        top = start
+        for chunk in chunks:
+            slots.append((top, chunk.shape, chunk.dtype.str))
+            top += -(-chunk.nbytes // _ALIGN) * _ALIGN
+        if top > self.size:
+            self.map.resize(max(top, 2 * self.size))
+        for (offset, shape, dtype), chunk in zip(slots, chunks):
+            if chunk.size:
+                np.ndarray(shape, dtype, self.map, offset)[...] = chunk
+        self.live.append((start, top - start))
+        self.top = top
+        return slots
+
+    def release(self) -> None:
+        """The oldest live call was answered: its bytes are free."""
+        self.live.popleft()
+
+    def close(self) -> None:
+        """Unmap and close the file (idempotent)."""
+        if not self.map.closed:
+            self.map.close()
+            os.close(self.fd)
+
+
+class ArenaMap:
+    """A worker's read-only mapping of its lane's :class:`RequestArena`."""
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+        self.map: mmap.mmap | None = None
+
+    def views(self, slots: Sequence[Slot]) -> list[np.ndarray]:
+        """The tensors at ``slots``, as arrays over the shared bytes.
+
+        Maps the file anew when a slot lies past the current mapping —
+        the front-end grew it; an older mapping goes once its views do.
+        """
+        end = max(
+            (offset + np.dtype(dtype).itemsize * math.prod(shape)
+             for offset, shape, dtype in slots),
+            default=0,
+        )
+        if self.map is None or end > len(self.map):
+            self.map = mmap.mmap(self.fd, 0, access=mmap.ACCESS_READ)
+        return [
+            np.ndarray(shape, dtype, self.map, offset) for offset, shape, dtype in slots
+        ]
 
 
 #: What a front-end may ask of a worker, by function name.
@@ -392,38 +521,48 @@ def answers(
 
 def worker_main(
     conn: socket.socket,
+    arena_fd: int,
     snapshot_path: str,
     options: WorkerOptions,
-    inherited: Iterable[socket.socket] = (),
+    inherited: Iterable[socket.socket | RequestArena] = (),
 ) -> None:
     """Body of a process-mode shard worker: serve calls until shutdown.
 
     Reads ``(function name, args)`` messages from ``conn``, runs the
     named function on this worker's :class:`WorkerState`, and writes
     each of its :func:`answers` — ``(True, value)`` or ``(False,
-    exception)`` — as one message once it is due, sleeping until then;
-    an exception is the caller's to handle, the worker keeps serving.
-    Returns after answering ``shutdown_worker``, or when the front-end's
-    end of ``conn`` closes (a front-end that died leaves no orphan).
-    ``inherited`` are front-end ends of lane sockets that a forked worker
-    holds a copy of; they are closed first, or the copies would keep
-    every lane's connection open after the front-end is gone.
+    exception)`` — as one message once it is due; every answer due by
+    then goes out in one ``sendmsg``, written before the worker sleeps
+    until the next is due.  An exception is the caller's to handle, the
+    worker keeps serving.  A :func:`serve_requests` call names its
+    tensors by :data:`Slot` in the lane's arena, the file ``arena_fd``;
+    the worker walks them in place.  Returns after answering
+    ``shutdown_worker``, or when the front-end's end of ``conn`` closes
+    (a front-end that died leaves no orphan).  ``inherited`` are
+    front-end ends of lane sockets, and other lanes' arenas, that a
+    forked worker holds a copy of; they are closed first, or the copies
+    would keep every lane's connection (and arena file) open after the
+    front-end is gone.
     """
     for end in inherited:
         end.close()
     state = WorkerState(snapshot_path, options)
+    arena = ArenaMap(arena_fd)
     reader = MessageReader()
     try:
         while True:
             name, args = reader.read(conn)
+            if name == serve_requests.__name__:
+                args = (arena.views(args[0]),)
             started = time.perf_counter()
+            due: deque[memoryview] = deque()
             for ok, value, due_s in answers(state, _CALLS[name], args):
                 remaining_s = started + due_s - time.perf_counter()
                 if remaining_s > 0:
+                    send_all(conn, due)
                     time.sleep(remaining_s)
-                parts = deque(pack_message((ok, value)))
-                while parts:
-                    send_some(conn, parts)
+                due.extend(pack_message((ok, value)))
+            send_all(conn, due)
             if name == shutdown_worker.__name__:
                 return
     except (EOFError, ConnectionError):

@@ -436,6 +436,21 @@ def test_tampered_call_replies_fire():
         contracts.check_call_replies(rows, shared, busy_ms=1.6)
 
 
+def test_request_arena_passes_on_disjoint_live_reservations():
+    contracts.check_request_arena([(0, 128), (128, 64), (256, 0)], 4096, idle=False)
+    contracts.check_request_arena([(0, 4096)], 4096, idle=False)
+    contracts.check_request_arena([], 4096, idle=True)
+
+
+def test_tampered_request_arena_fires():
+    with pytest.raises(ContractViolation, match="overlaps"):
+        contracts.check_request_arena([(0, 128), (64, 64)], 4096, idle=False)
+    with pytest.raises(ContractViolation, match="leaves the 4096-byte mapping"):
+        contracts.check_request_arena([(4032, 128)], 4096, idle=False)
+    with pytest.raises(ContractViolation, match="idle lane still holds 1"):
+        contracts.check_request_arena([(0, 128)], 4096, idle=True)
+
+
 # ----------------------------------------------------------------------
 # Clock and workspace contracts
 # ----------------------------------------------------------------------

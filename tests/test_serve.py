@@ -4,10 +4,12 @@ Covers the pure cache-walk kernel the workers run, worker lifecycle
 (initialize / probe / shutdown over a snapshot path), the asyncio
 admission path (success, shed, timeout, retry, conservation ledger,
 armed contracts), the load generator and its analytic cross-check, and
-the process-mode transport (replies over the socket equal the in-process
-probe, FIFO reply matching, relayed worker exceptions, a loop that never
-blocks on a large write, a killed worker), and the ``repro serve`` /
-``repro loadgen`` CLI round-trip in both modes.
+the process-mode transport (replies equal the in-process probe, FIFO
+reply matching, relayed worker exceptions, a loop that never blocks on a
+large write, a killed worker), its shared-memory request arena (every
+dtype, growth and remapping, pointer restart, no leaked descriptor) and
+its batched reply writes, and the ``repro serve`` / ``repro loadgen``
+CLI round-trip in both modes, with single-threaded BLAS in the workers.
 
 Everything here runs wall-clock (this is the one package where that is
 the point); floors and durations are kept to tens of milliseconds so
@@ -22,6 +24,7 @@ import json
 import multiprocessing
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -30,6 +33,7 @@ import numpy as np
 import pytest
 
 from repro import contracts
+from repro.blas import THREAD_POOL_VARS
 from repro.cli import main as cli_main
 from repro.contracts import ContractViolation
 from repro.core.cache import LookupWorkspace
@@ -315,6 +319,23 @@ class TestFrontend:
 
         drive(scenario())
 
+    def test_non_numeric_tensor_is_refused_at_submit(self, snapshot):
+        refused = np.empty((1, NUM_LAYERS, DIM), dtype=object)
+        refused[...] = 0.5
+
+        async def scenario():
+            config = ServeConfig(snapshot_path=snapshot, num_workers=1, mode=self.mode)
+            async with ServeFrontend(config) as frontend:
+                with contracts.activated():
+                    with pytest.raises(ValueError, match="numeric"):
+                        await frontend.submit(0, refused)
+                    result = await frontend.submit(0, centroid_queries(snapshot, [0]))
+                return result, frontend.stats()
+
+        result, stats = drive(scenario())
+        assert result.ok
+        assert stats["submitted"] == stats["success"] == 1
+
     def test_process_mode_uses_distinct_processes(self, snapshot):
         async def scenario():
             config = ServeConfig(
@@ -457,7 +478,7 @@ class TestProcessTransport:
         stats = drive(scenario())
         assert stats["submitted"] == 1 and stats["success"] == 1
 
-    def test_loop_keeps_running_while_a_large_chunk_is_written(self, snapshot):
+    def test_loop_keeps_running_while_a_large_call_is_pending(self, snapshot):
         small = centroid_queries(snapshot, [2])
         large = mixed_queries(snapshot, 4096)
         ticks = 0
@@ -474,11 +495,10 @@ class TestProcessTransport:
             )
             async with ServeFrontend(config) as frontend:
                 lane = frontend._lanes[0]
-                # The worker sleeps in the first call's floor and reads
-                # nothing: the second call cannot be written in one go.
+                # The worker sleeps in the first call's floor; the second,
+                # a 4096-frame chunk, waits in the arena meanwhile.
                 first = lane.call(serve_requests, [small])
                 second = lane.call(serve_requests, [large])
-                assert lane._outbox
                 ticking = asyncio.create_task(ticker())
                 replies = await asyncio.gather(first, second)
                 ticking.cancel()
@@ -490,6 +510,312 @@ class TestProcessTransport:
         assert first.predicted.tolist() == [2]
         assert second.predicted.shape == (4096,)
         assert second.predicted[0::2].tolist() == [i % NUM_CLASSES for i in range(0, 4096, 2)]
+
+    def test_a_call_larger_than_the_socket_buffer_is_written_in_parts(self, snapshot):
+        # 1024 one-frame requests: their slots alone make a call message
+        # of tens of kilobytes, past the shrunken send buffer below.
+        frames = [centroid_queries(snapshot, [c % NUM_CLASSES]) for c in range(1024)]
+        ticks = 0
+
+        async def ticker():
+            nonlocal ticks
+            while True:
+                await asyncio.sleep(0.001)
+                ticks += 1
+
+        async def scenario():
+            async with ServeFrontend(process_config(snapshot, num_workers=1)) as frontend:
+                lane = frontend._lanes[0]
+                lane.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                loop = asyncio.get_running_loop()
+                answers = [loop.create_future() for _ in frames]
+                pid = frontend.worker_infos[0]["pid"]
+                # A stopped worker reads nothing: the call cannot be
+                # written in one go, and the loop runs on meanwhile.
+                os.kill(pid, signal.SIGSTOP)
+                try:
+                    lane.send(
+                        serve_requests,
+                        (frames,),
+                        [lambda ok, value, f=f: f.set_result((ok, value)) for f in answers],
+                    )
+                    assert lane._outbox
+                    ticking = asyncio.create_task(ticker())
+                    await asyncio.sleep(0.05)
+                    assert lane._outbox
+                finally:
+                    os.kill(pid, signal.SIGCONT)
+                replies = await asyncio.gather(*answers)
+                ticking.cancel()
+                assert not lane._outbox
+                return replies
+
+        answers = drive(scenario())
+        assert ticks >= 5
+        assert [ok for ok, _ in answers] == [True] * len(frames)
+        assert [reply.predicted.tolist() for _, reply in answers] == [
+            [c % NUM_CLASSES] for c in range(len(frames))
+        ]
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestRequestArena:
+    """A process lane's call carries slots in a shared-memory arena, not
+    tensors: the worker walks the front-end's bytes in place."""
+
+    @staticmethod
+    def record_slots(lane) -> list:
+        """Wrap ``lane.arena.put``: every call's slots."""
+        slots: list = []
+        put = lane.arena.put
+
+        def recording(chunks):
+            slots.append(put(chunks))
+            return slots[-1]
+
+        lane.arena.put = recording
+        return slots
+
+    def test_replies_equal_the_in_process_walk_for_every_dtype(self, snapshot):
+        clip = mixed_queries(snapshot, 64, seed=1)
+        chunks = [
+            mixed_queries(snapshot, 2, seed=2)[1:],  # a frame
+            clip,  # a clip
+            clip.astype(np.float32),
+            centroid_queries(snapshot, [7]).astype(np.float16),
+            np.asfortranarray(clip[::2]),  # strided, in another order
+            np.concatenate([clip, clip[:, :3]], axis=1),  # taller
+        ]
+        options = WorkerOptions(theta=1.0)
+
+        async def scenario():
+            config = process_config(snapshot, num_workers=1, worker=options)
+            async with ServeFrontend(config) as frontend:
+                lane = frontend._lanes[0]
+                alone = [await lane.call(serve_requests, [chunk]) for chunk in chunks]
+                loop = asyncio.get_running_loop()
+                together = [loop.create_future() for _ in chunks]
+                lane.send(
+                    serve_requests,
+                    (chunks,),
+                    [lambda ok, value, f=f: f.set_result((ok, value)) for f in together],
+                )
+                return alone, await asyncio.gather(*together)
+
+        alone, together = drive(scenario())
+        assert len({chunk.dtype for chunk in chunks}) == 3
+        with MappedTableStore(snapshot) as store:
+            cache = store.serving_cache(theta=1.0)
+            with LookupWorkspace() as workspace:
+                for chunk, reply, (ok, mixed) in zip(chunks, alone, together):
+                    want = walk_cache_batch(cache, chunk, workspace)
+                    assert ok
+                    for got in (reply, mixed):
+                        for name in ("predicted", "hit_layer", "hit_score"):
+                            have, expected = getattr(got, name), getattr(want, name)
+                            assert have.dtype == expected.dtype, name
+                            assert have.tobytes() == expected.tobytes(), name
+
+    def test_misfit_is_refused_alone(self, snapshot):
+        good = centroid_queries(snapshot, [5])
+        chunks = [good, np.zeros((3, NUM_LAYERS, DIM + 1), dtype=np.float32), good]
+
+        async def scenario():
+            async with ServeFrontend(process_config(snapshot, num_workers=1)) as frontend:
+                lane = frontend._lanes[0]
+                loop = asyncio.get_running_loop()
+                answers = [loop.create_future() for _ in chunks]
+                with contracts.activated():
+                    lane.send(
+                        serve_requests,
+                        (chunks,),
+                        [lambda ok, value, f=f: f.set_result((ok, value)) for f in answers],
+                    )
+                    return await asyncio.gather(*answers)
+
+        (ok0, first), (ok1, refused), (ok2, last) = drive(scenario())
+        assert (ok0, ok1, ok2) == (True, False, True)
+        assert isinstance(refused, ValueError)
+        assert "does not fit the cache" in str(refused)
+        assert first.predicted.tolist() == last.predicted.tolist() == [5]
+
+    def test_pointer_restarts_when_the_lane_is_idle(self, snapshot):
+        frame = centroid_queries(snapshot, [3])
+        clip = mixed_queries(snapshot, 64)
+
+        async def scenario():
+            async with ServeFrontend(process_config(snapshot, num_workers=1)) as frontend:
+                lane = frontend._lanes[0]
+                slots = self.record_slots(lane)
+                with contracts.activated():
+                    await lane.call(serve_requests, [clip])
+                    assert not lane.arena.live
+                    await lane.call(serve_requests, [frame])
+                    # Two calls live at once: the second lies after the first.
+                    await asyncio.gather(
+                        lane.call(serve_requests, [clip]),
+                        lane.call(serve_requests, [frame]),
+                    )
+                    assert not lane.arena.live
+                    await frontend.submit(3, frame)
+                return slots
+
+        slots = drive(scenario())
+        offsets = [[offset for offset, _, _ in call] for call in slots]
+        assert offsets[:2] == [[0], [0]]
+        assert offsets[2] == [0] and offsets[3][0] >= clip.nbytes
+        assert offsets[4] == [0]
+
+    def test_arena_grows_and_the_worker_remaps(self, snapshot):
+        frame = centroid_queries(snapshot, [4])
+        big = mixed_queries(snapshot, 8192).astype(np.float64)
+
+        async def scenario():
+            async with ServeFrontend(process_config(snapshot, num_workers=1)) as frontend:
+                lane = frontend._lanes[0]
+                size = lane.arena.size
+                with contracts.activated():
+                    # The worker maps the arena at its first call, then
+                    # must map it again for a call past that mapping.
+                    first = await lane.call(serve_requests, [frame])
+                    assert big.nbytes > size
+                    grown = await lane.call(serve_requests, [big])
+                    assert lane.arena.size >= big.nbytes > size
+                    after = await lane.call(serve_requests, [big[:5], frame])
+                return size, lane.arena.size, first, grown
+
+        size, grown_size, first, grown = drive(scenario())
+        assert first.predicted.tolist() == [4]
+        assert grown.predicted[0::2].tolist() == [i % NUM_CLASSES for i in range(0, 8192, 2)]
+        assert grown_size > size
+
+    def test_arena_contract_armed_and_fires(self, snapshot):
+        frame = centroid_queries(snapshot, [6])
+
+        async def scenario():
+            async with ServeFrontend(process_config(snapshot, num_workers=1)) as frontend:
+                lane = frontend._lanes[0]
+                with contracts.activated():
+                    assert (await lane.call(serve_requests, [frame])).predicted.tolist() == [6]
+                    # A call that never frees its bytes: the lane goes idle
+                    # holding a reservation, and the next call is refused.
+                    lane.arena.release = lambda: None
+                    await lane.call(serve_requests, [frame])
+                    with pytest.raises(ContractViolation, match="idle lane"):
+                        await lane.call(serve_requests, [frame])
+
+        drive(scenario())
+
+    def test_no_descriptor_is_left_open(self, snapshot):
+        async def scenario(kill: bool):
+            frontend = ServeFrontend(process_config(snapshot, num_workers=2))
+            await frontend.start()
+            assert (await frontend.submit(0, mixed_queries(snapshot, 64))).ok
+            if kill:
+                os.kill(frontend.worker_infos[0]["pid"], signal.SIGKILL)
+                await asyncio.sleep(0.05)
+            await frontend.close()
+
+        drive(scenario(kill=False))  # imports and first-use state
+        for kill in (False, True):
+            before = open_fds()
+            drive(scenario(kill))
+            gc.collect()
+            assert open_fds() == before, kill
+        assert multiprocessing.active_children() == []
+
+
+class TestBatchedReplies:
+    """A process worker writes every answer already due in one
+    ``sendmsg``, and the front-end's reader takes all of them in one
+    wake-up — yet no answer leaves before it is due."""
+
+    @staticmethod
+    def send_call(lane, chunks) -> list:
+        """Send one call of ``chunks``; its answers' futures and arrival
+        times, and the number of the reader wake-up that took each."""
+        loop = asyncio.get_running_loop()
+        wakeups = [0]
+        read = lane._on_readable
+
+        def counting():
+            wakeups[0] += 1
+            read()
+
+        loop.remove_reader(lane.sock)
+        loop.add_reader(lane.sock, counting)
+        futures = [loop.create_future() for _ in chunks]
+
+        def sink(future):
+            return lambda ok, value: future.set_result(
+                (ok, value, time.perf_counter(), wakeups[0])
+            )
+
+        lane.send(serve_requests, (chunks,), [sink(f) for f in futures])
+        return futures
+
+    def test_each_reply_leaves_no_earlier_than_its_floors(self, snapshot):
+        floor_ms, k = 15.0, 4
+        chunks = [centroid_queries(snapshot, [c]) for c in range(k)]
+
+        async def scenario():
+            config = process_config(
+                snapshot, num_workers=1, worker=WorkerOptions(service_floor_ms=floor_ms)
+            )
+            async with ServeFrontend(config) as frontend:
+                started = time.perf_counter()
+                futures = self.send_call(frontend._lanes[0], chunks)
+                return started, await asyncio.gather(*futures)
+
+        started, answers = drive(scenario())
+        for i, (ok, reply, arrived, _) in enumerate(answers):
+            assert ok and reply.predicted.tolist() == [i]
+            assert 1e3 * (arrived - started) >= (i + 1) * floor_ms
+
+    def test_replies_due_at_once_arrive_in_order_in_one_read(self, snapshot):
+        k = 12
+        chunks = [centroid_queries(snapshot, [c]) for c in range(k)]
+
+        async def scenario():
+            async with ServeFrontend(process_config(snapshot, num_workers=1)) as frontend:
+                lane = frontend._lanes[0]
+                futures = self.send_call(lane, chunks)
+                order: list[int] = []
+                for i, future in enumerate(futures):
+                    future.add_done_callback(lambda _, i=i: order.append(i))
+                return order, await asyncio.gather(*futures)
+
+        order, answers = drive(scenario())
+        assert order == list(range(k))
+        assert [reply.predicted.tolist() for _, reply, _, _ in answers] == [
+            [c] for c in range(k)
+        ]
+        assert len({wakeup for _, _, _, wakeup in answers}) == 1
+
+    def test_call_replies_contract_stays_armed(self, snapshot, monkeypatch):
+        check = contracts.check_call_replies
+
+        def checked(rows, replies, busy_ms):
+            check(rows, replies, busy_ms)
+            raise ContractViolation(f"checked a call of {len(rows)}")
+
+        # Patched before the worker forks, so the worker runs it.
+        monkeypatch.setattr(contracts, "check_call_replies", checked)
+        chunks = [centroid_queries(snapshot, [c]) for c in range(3)]
+
+        async def scenario():
+            with contracts.activated():
+                async with ServeFrontend(process_config(snapshot, num_workers=1)) as frontend:
+                    futures = self.send_call(frontend._lanes[0], chunks)
+                    return await asyncio.gather(*futures)
+
+        answers = drive(scenario())
+        assert [ok for ok, *_ in answers] == [True, True, False]
+        assert isinstance(answers[2][1], ContractViolation)
+        assert str(answers[2][1]) == "checked a call of 3"
 
 
 class TestWorkerLoss:
@@ -1221,6 +1547,39 @@ class TestServeCli:
         pids = {lane["worker"]["pid"] for lane in payload["lanes"]}
         assert len(pids) == 2 and os.getpid() not in pids
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("user_set", [None, "3"])
+    def test_process_workers_run_single_threaded_blas(self, snapshot, user_set):
+        env = {k: v for k, v in os.environ.items() if k not in THREAD_POOL_VARS}
+        if user_set is not None:
+            env["OPENBLAS_NUM_THREADS"] = user_set
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "serve", snapshot,
+                "--workers", "1", "--mode", "process", "--requests", "2", "--json",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        [lane] = json.loads(done.stdout)["lanes"]
+        pools = lane["worker"]["thread_pools"]
+        assert lane["worker"]["pid"] != os.getpid()
+        assert pools.pop("OPENBLAS_NUM_THREADS") == (user_set or "1")
+        assert pools == {name: "1" for name in pools} and len(pools) == 4
+
+    def test_importing_the_package_loads_no_numpy(self):
+        # What lets `python -m repro` size the pools before BLAS loads:
+        # the package is imported before its __main__ runs.
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, repro; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout.strip()) == (0, "False"), done.stderr
 
     def test_loadgen_closed_loop_process_mode(self, snapshot, capsys):
         rc = cli_main(

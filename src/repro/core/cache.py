@@ -20,11 +20,16 @@ runner-up: when ``A[b] <= 0`` the relative gap is undefined and no
 confident hit is possible, so :meth:`LookupWorkspace.scores_into`
 clamps ``D`` to 0 instead of dividing by a tiny epsilon.
 
-Lookups run a batch of samples at a time:
-:func:`repro.core.probe.walk_cache_batch` scores whole blocks of layers
-of the cache's :class:`LayerPack`, and :class:`BatchedLookupSession`
-advances one layer per call — one ``(n_alive, d) @ (d, n_entries)``
-product, vectorized Eq. 1/2 — for caches whose pack is empty.
+A cache holds **one class-id set and one width on every activated
+layer** — the paper's client cache holds the selected hot-spot classes
+at each layer the server activates — and
+:meth:`SemanticCache.set_layer_entries` / :meth:`~SemanticCache.set_layer_view`
+refuse a layer that would break that.  So every cache stacks into one
+:class:`LayerPack`, and lookups run a batch of samples at a time through
+one kernel: :meth:`StackLayout.step` scores a block of layers for a set
+of rows, :func:`repro.core.probe.walk_cache_batch` chains it block by
+block with early exit, and :class:`BatchedLookupSession` runs it one
+layer per call.
 
 Serving-path performance rests on two policies layered on top:
 
@@ -44,11 +49,7 @@ Serving-path performance rests on two policies layered on top:
   workspace and thread it through every session they open, so buffers
   persist across probes, batches and protocol rounds.
 
-Every probe is exact: each layer scores all of its entries.  A cache
-additionally offers its activated layers as a :class:`LayerPack`, which
-is either *complete* — every activated layer stacked into blocks
-:func:`repro.core.probe.walk_cache_batch` scores a block at a time — or
-*empty*, in which case the walk is the per-layer session loop.
+Every probe is exact: each layer scores all of its entries.
 """
 
 from __future__ import annotations
@@ -291,6 +292,8 @@ class StackLayout:
         self.upd = ws.floats("stack.upd", (depth, rows, entries), dtype)
         #: Eq. 1 per layer: (A_g to write, C_g to add).
         self.folds = [(self.upd[g], self.sim[g]) for g in range(depth)]
+        #: ``A`` after the block's last layer, ``(rows, entries)``.
+        self.final = self.upd[depth - 1]
         self.sim_flat = self.sim.reshape(-1)
         self.upd_flat = self.upd.reshape(-1)
         self.upd_rows = self.upd.reshape(pairs, entries)
@@ -300,6 +303,7 @@ class StackLayout:
         self.pair_off = ws.ints("stack.pair_off", (pairs,))
         self.best_idx = ws.ints("stack.best_idx", (pairs,))
         self.best_flat = ws.ints("stack.best_flat", (pairs,))
+        self.second_idx = ws.ints("stack.second_idx", (pairs,))
         self.second_flat = ws.ints("stack.second_flat", (pairs,))
         self.a_best = ws.floats("stack.a_best", (pairs,), dtype)
         self.a_second = ws.floats("stack.a_second", (pairs,), dtype)
@@ -322,6 +326,57 @@ class StackLayout:
                 a_best=self.a_best, a_second=self.a_second,
                 sim_best=self.sim_best, hit=self.hit, aux=self.aux,
             )
+
+    def step(
+        self,
+        ws: LookupWorkspace,
+        previous: np.ndarray,
+        block: "LayerBlock",
+        alpha: float,
+        theta: float,
+    ) -> None:
+        """Probe ``block``'s layers for the rows whose levels ``queries``
+        holds, from their accumulated ``previous`` ``(rows, entries)``;
+        the results stay in the layout's views, one per (layer, row) pair.
+
+        One batched product (per layer the ``(rows, d) @ (d, n)`` BLAS
+        call against the layer's own matrix), Eq. 1 folded down the layer
+        axis into ``upd`` (``A_g = alpha * A_{g-1} + C_g``), then top-2
+        (argmax, mask the winner, argmax, restore: first index on ties),
+        Eq. 2 and the ``A > 0`` and floor checks for every (layer, row)
+        pair.  With one entry there is no runner-up: ``a_second`` is
+        ``-inf`` and the score 0 never hits.
+        """
+        if contracts.ENABLED:
+            contracts.check_distinct_views(previous=previous, sim=self.sim, upd=self.upd)
+        np.matmul(self.queries_t, block.matrices.transpose(0, 2, 1), out=self.sim)
+        for current, similarity in self.folds:
+            np.multiply(previous, alpha, out=current)
+            np.add(current, similarity, out=current)
+            previous = current
+
+        entries = self.upd.shape[2]
+        best_idx, best_flat, second_flat = self.best_idx, self.best_flat, self.second_flat
+        a_best, upd_flat = self.a_best, self.upd_flat
+        np.multiply(self.pair_index, entries, out=self.pair_off)
+        self.upd_rows.argmax(axis=1, out=best_idx)
+        np.add(self.pair_off, best_idx, out=best_flat)
+        upd_flat.take(best_flat, out=a_best, mode="clip")
+        upd_flat[best_flat] = -np.inf
+        self.upd_rows.argmax(axis=1, out=self.second_idx)
+        np.add(self.pair_off, self.second_idx, out=second_flat)
+        upd_flat.take(second_flat, out=self.a_second, mode="clip")
+        upd_flat[best_flat] = a_best
+
+        # Eq. 2 above theta, A_best > 0, winner's similarity >= floor.
+        score, hit, aux = self.score, self.hit, self.aux
+        ws.scores_into(a_best, self.a_second, score)
+        np.greater(score, theta, out=hit)
+        np.greater(a_best, 0, out=aux)
+        np.logical_and(hit, aux, out=hit)
+        self.sim_flat.take(best_flat, out=self.sim_best, mode="clip")
+        np.greater_equal(self.sim_best_rows, block.floors, out=self.floor_ok)
+        np.logical_and(hit, aux, out=hit)  # aux holds floor_ok now
 
 
 class LayerBlock(NamedTuple):
@@ -347,29 +402,31 @@ class LayerBlock(NamedTuple):
 
 
 class LayerPack(NamedTuple):
-    """Read-only walk plan of a cache: complete or empty.
-
-    A *complete* pack stacks every activated layer: all of them hold at
-    least two entries and share one id set and one shape, and ``blocks``
-    cover them in walk order.  Any other cache — no activated layer, a
-    single-entry layer, id sets that differ between layers — gets the
-    *empty* pack (``ids is None``, ``blocks == ()``), which only the
-    per-layer session loop can walk.
+    """Read-only walk plan of a cache: every activated layer, stacked.
 
     Attributes:
-        ids: the id set every layer shares (``None`` for an empty pack).
-        blocks: every activated layer, stacked, in walk order (``()``
-            for an empty pack).
+        ids: the class-id set every activated layer holds (empty for a
+            cache with no activated layer).
+        blocks: every activated layer, stacked, in walk order.
         levels: fewest levels (axis 1) a query tensor must carry —
             one past the deepest activated layer.
-        dim: centroid dimension of the first activated layer (0 for a
-            cache with no activated layer).
+        dim: centroid dimension of the activated layers (0 for a cache
+            with no activated layer).
     """
 
-    ids: np.ndarray | None
+    ids: np.ndarray
     blocks: tuple[LayerBlock, ...]
     levels: int
     dim: int
+
+    def block_of(self, layer: int) -> LayerBlock:
+        """One activated layer as a one-layer block (views of its own)."""
+        for block in self.blocks:
+            for g in np.flatnonzero(block.layers == layer):
+                at = slice(g, g + 1)
+                parts = block.layers[at], block.matrices[at], block.floors[at]
+                return LayerBlock(*parts, block.sources)
+        raise KeyError(f"cache layer {layer} is not activated")
 
 
 class SemanticCache:
@@ -379,7 +436,8 @@ class SemanticCache:
         num_classes: size of the class universe (row space of the global
             cache table this cache was extracted from).
         alpha: Eq. 1 decay for previous-layer accumulated similarity.
-        theta: Eq. 2 discriminative-score hit threshold.
+        theta: Eq. 2 discriminative-score hit threshold, ``>= 0``
+            (``inf`` never hits).
         dtype: storage/compute dtype of the probe path (``float32``
             default; ``float64`` is the exact-equivalence mode).
     """
@@ -395,7 +453,7 @@ class SemanticCache:
             raise ValueError(f"num_classes must be >= 1, got {num_classes}")
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        if theta < 0:
+        if not theta >= 0:  # NaN too: it would never hit
             raise ValueError(f"theta must be >= 0, got {theta}")
         self.dtype = np.dtype(dtype)
         if self.dtype not in SUPPORTED_DTYPES:
@@ -439,6 +497,9 @@ class SemanticCache:
             centroids: float array of shape ``(n, d)``; rows are normalized
                 to unit L2 norm (in double precision) on insertion, then
                 stored C-contiguous in the cache dtype.
+
+        An empty ``class_ids`` deactivates the layer; ids or a width that
+        differ from another activated layer's raise ``ValueError``.
         """
         self._pack = None
         ids = np.asarray(class_ids, dtype=int)
@@ -451,10 +512,7 @@ class SemanticCache:
             self._layers.pop(layer, None)
             self._view_layers.discard(layer)
             return
-        if np.unique(ids).size != ids.size:
-            raise ValueError("duplicate class ids in one cache layer")
-        if np.any(ids < 0) or np.any(ids >= self.num_classes):
-            raise ValueError("class id out of range")
+        self._check_entries(layer, ids, mat)
         norms = np.linalg.norm(mat, axis=1, keepdims=True)
         if np.any(norms < _EPS):
             raise ValueError("cannot cache a zero centroid")
@@ -490,6 +548,8 @@ class SemanticCache:
             centroids: C-contiguous array of shape ``(n, d)`` whose dtype
                 equals the cache dtype (no silent conversion — a cast
                 would copy and defeat the mapping).
+
+        Refuses what :meth:`set_layer_entries` refuses.
         """
         self._pack = None
         ids = np.asarray(class_ids, dtype=int)
@@ -510,10 +570,7 @@ class SemanticCache:
             )
         if not mat.flags.c_contiguous:
             raise ValueError("a layer view must be C-contiguous")
-        if np.unique(ids).size != ids.size:
-            raise ValueError("duplicate class ids in one cache layer")
-        if np.any(ids < 0) or np.any(ids >= self.num_classes):
-            raise ValueError("class id out of range")
+        self._check_entries(layer, ids, mat)
         view = mat.view()
         view.flags.writeable = False
         self._layers[layer] = (ids.copy(), view)
@@ -521,6 +578,25 @@ class SemanticCache:
         if contracts.ENABLED:
             contracts.check_layer_entries(
                 layer, ids, view, self.dtype, self.num_classes
+            )
+
+    def _check_entries(self, layer: int, ids: np.ndarray, mat: np.ndarray) -> None:
+        """Refuse duplicate or out-of-range ids, and ids or a width that
+        differ from the other activated layers': a cache holds one
+        class-id set, in one order, and one width on every layer."""
+        if np.unique(ids).size != ids.size:
+            raise ValueError("duplicate class ids in one cache layer")
+        if np.any(ids < 0) or np.any(ids >= self.num_classes):
+            raise ValueError("class id out of range")
+        other = next((j for j in self._layers if j != layer), None)
+        if other is None:
+            return
+        other_ids, other_mat = self._layers[other]
+        if not np.array_equal(ids, other_ids) or mat.shape[1] != other_mat.shape[1]:
+            raise ValueError(
+                f"cache layer {layer} ({ids.size} ids, width {mat.shape[1]}) differs "
+                f"from layer {other} ({other_ids.size} ids, width {other_mat.shape[1]}): "
+                f"every layer holds the same class ids, in one order, at one width"
             )
 
     def view_backed_layers(self) -> list[int]:
@@ -623,11 +699,11 @@ class SemanticCache:
     def layer_pack(self) -> LayerPack:
         """The cache's stacked walk plan, built on first use.
 
-        Building a complete pack copies nothing for view-backed layers
-        (blocks alias the borrowed storage) and moves each run of owned
-        layers into one contiguous ``(G, n, d)`` tensor that becomes
-        their storage, so a pack never holds a second copy; building an
-        empty one touches no layer.  The plan is dropped by every mutator
+        Building a pack copies nothing for view-backed layers (blocks
+        alias the borrowed storage) and moves each run of owned layers
+        into one contiguous ``(G, n, d)`` tensor that becomes their
+        storage, so a pack never holds a second copy.  The plan is
+        dropped by every mutator
         (:meth:`set_layer_entries`, :meth:`set_layer_view`,
         :meth:`set_similarity_floor`, :meth:`clear`) and rebuilt by the
         next call.
@@ -641,17 +717,9 @@ class SemanticCache:
     def _build_layer_pack(self) -> LayerPack:
         active = self.active_layers
         if not active:
-            return LayerPack(None, (), 0, 0)
+            return LayerPack(np.empty(0, dtype=int), (), 0, 0)
         shared_ids, first = self._layers[active[0]]
         levels, dim = active[-1] + 1, int(first.shape[1])
-        for layer in active:
-            ids, mat = self._layers[layer]
-            if (
-                ids.size < 2
-                or mat.shape != first.shape
-                or not np.array_equal(ids, shared_ids)
-            ):
-                return LayerPack(None, (), levels, dim)
         runs: list[list[int]] = []
         for layer in active:
             if runs and self._extends_run(runs[-1], layer):
@@ -754,21 +822,15 @@ class BatchLayerProbe:
 
 
 class BatchedLookupSession:
-    """Eq. 1/2 accumulation for a whole batch of concurrent inferences.
+    """Eq. 1/2 accumulation for a batch of concurrent inferences, one
+    cache layer per :meth:`probe`.
 
-    The per-layer loop's state: the accumulated similarity ``A`` of every
-    (row, class) pair, one ``(batch, num_classes)`` matrix in the cache
-    dtype that each probe addresses through flat-index gather/scatter —
-    so layers may score any id sets, in any order.  Each :meth:`probe`
-    call advances one cache layer for the still-alive subset of rows
-    with a single ``(n_alive, d) @ (d, n_entries)`` matmul followed by
-    vectorized top-2 selection and scoring.  The loop is
-    :func:`repro.core.probe.walk_cache_batch`'s walk of caches without a
-    complete :class:`LayerPack` and the reference its stacked kernel is
-    tested against; no benchmark row reaches it, so it is kept general
-    rather than fast.  All intermediates live in the session's
-    :class:`LookupWorkspace`; only the per-row result arrays of each
-    :class:`BatchLayerProbe` are freshly allocated.
+    Holds ``A`` of every (row, cached class) pair as one ``(batch, n)``
+    matrix in the cache dtype, over the cache's :class:`LayerPack` as it
+    was when the session started.  A probe is one depth-1
+    :meth:`StackLayout.step` over the probed rows, their ``A`` rows
+    gathered before it and written back after; only the per-row result
+    arrays of each :class:`BatchLayerProbe` are freshly allocated.
     """
 
     def __init__(
@@ -780,15 +842,18 @@ class BatchedLookupSession:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self._cache = cache
+        self._pack = cache.layer_pack()
         self.batch_size = batch_size
         self._workspace = workspace if workspace is not None else LookupWorkspace()
         self._accumulated = np.zeros(
-            (batch_size, cache.num_classes), dtype=cache.dtype
+            (batch_size, self._pack.ids.size), dtype=cache.dtype
         )
 
     def accumulated_score(self, row: int, class_id: int) -> float:
-        """Current ``A`` value of a class for one batch row."""
-        return float(self._accumulated[row, class_id])
+        """Current ``A`` value of a class for one batch row (0 for a
+        class the cache does not hold)."""
+        column = np.flatnonzero(self._pack.ids == class_id)
+        return float(self._accumulated[row, column[0]]) if column.size else 0.0
 
     def probe(
         self, layer: int, vectors: np.ndarray, rows: np.ndarray | None = None
@@ -800,125 +865,29 @@ class BatchedLookupSession:
             vectors: ``(n, d)`` semantic vectors of the probed samples.
             rows: batch-row index of each vector (default: all rows, in
                 which case ``n`` must equal the batch size).
-
-        An empty ``rows`` subset returns an empty probe (no work, no
-        degenerate-layer special casing).
         """
-        cache = self._cache
-        ids, mat = cache._layers.get(layer, (None, None))
-        if ids is None:
-            raise KeyError(f"cache layer {layer} is not activated")
-        vecs = np.asarray(vectors, dtype=cache.dtype)
-        if rows is None:
-            rows = np.arange(self.batch_size)
-        else:
-            rows = np.asarray(rows, dtype=int)
-        if vecs.ndim != 2 or vecs.shape != (rows.size, mat.shape[1]):
+        cache, pack, ws = self._cache, self._pack, self._workspace
+        block = pack.block_of(layer)
+        vecs = np.asarray(vectors)
+        rows = np.arange(self.batch_size) if rows is None else np.asarray(rows, dtype=int)
+        if vecs.shape != (rows.size, pack.dim):
             raise ValueError(
-                f"vectors shape {vecs.shape} does not match "
-                f"({rows.size}, {mat.shape[1]})"
+                f"vectors shape {vecs.shape} does not match ({rows.size}, {pack.dim})"
             )
-
-        n = rows.size
-        if n == 0:
-            return BatchLayerProbe(
-                layer=layer,
-                rows=rows,
-                top_class=np.empty(0, dtype=int),
-                second_class=np.empty(0, dtype=int),
-                score=np.empty(0, dtype=cache.dtype),
-                hit=np.empty(0, dtype=bool),
-            )
-        if ids.size < 2:
-            similarity = vecs @ mat.T
-            self._fold(similarity, ids, rows)
-            top = int(ids[0]) if ids.size == 1 else -1
-            return BatchLayerProbe(
-                layer=layer,
-                rows=rows,
-                top_class=np.full(n, top, dtype=int),
-                second_class=np.full(n, -1, dtype=int),
-                score=np.zeros(n, dtype=cache.dtype),
-                hit=np.zeros(n, dtype=bool),
-            )
-        return self._probe_dense(layer, ids, mat, vecs, rows)
-
-    # ------------------------------------------------------------------
-    # Eq. 1 fold
-    # ------------------------------------------------------------------
-
-    def _fold(
-        self, similarity: np.ndarray, ids: np.ndarray, rows: np.ndarray
-    ) -> np.ndarray:
-        """Accumulate Eq. 1 over the scored entries —
-        ``A = alpha * A + C`` in the cache dtype: returns the updated
-        ``A`` values (a workspace view) and writes them back."""
-        # repro-lint: kernel
-        cache = self._cache
-        ws = self._workspace
-        n, e = similarity.shape
-        upd = ws.floats("probe.upd", (n, e), cache.dtype)
-        flat = ws.ints("probe.flat", (n, e))
-        row_off = ws.ints("probe.row_off", (n,))
-        np.multiply(rows, cache.num_classes, out=row_off)
-        np.add(row_off[:, None], ids[None, :], out=flat)
-        acc_flat = self._accumulated.reshape(-1)
-        np.take(acc_flat, flat, out=upd)
-        np.multiply(upd, cache.alpha, out=upd)
-        np.add(upd, similarity, out=upd)
-        acc_flat[flat] = upd
-        return upd
-
-    # ------------------------------------------------------------------
-    # Dense (exact) kernel
-    # ------------------------------------------------------------------
-
-    def _probe_dense(
-        self,
-        layer: int,
-        ids: np.ndarray,
-        mat: np.ndarray,
-        vecs: np.ndarray,
-        rows: np.ndarray,
-    ) -> BatchLayerProbe:
-        """Exact probe: matmul, Eq. 1 fold, top-2 selection, Eq. 2
-        scoring and the floor check, all scratch from the workspace —
-        zero large allocations."""
-        # repro-lint: kernel
-        cache = self._cache
-        ws = self._workspace
-        n, e = vecs.shape[0], ids.size
-        dtype = cache.dtype
-
-        sim = ws.floats("probe.sim", (n, e), dtype)
-        if contracts.ENABLED:
-            contracts.check_distinct_views(sim=sim, vecs=vecs, mat=mat)
-        np.matmul(vecs, mat.T, out=sim)
-        upd = self._fold(sim, ids, rows)
-        if contracts.ENABLED:
-            contracts.check_distinct_views(sim=sim, upd=upd)
-
-        best_idx, second_idx, a_best, a_second = ws.top2(upd)
-        score = ws.floats("dense.score", (n,), dtype)
-        ws.scores_into(a_best, a_second, score)
-
-        hit = ws.bools("dense.hit", (n,))
-        aux = ws.bools("probe.aux", (n,))
-        np.greater(score, cache.theta, out=hit)
-        np.greater(a_best, 0, out=aux)
-        np.logical_and(hit, aux, out=hit)
-        sim_best = ws.floats("probe.sim_best", (n,), dtype)
-        best_flat = ws.ints("probe.best_flat", (n,))
-        np.multiply(ws.arange(n), e, out=best_flat)
-        np.add(best_flat, best_idx, out=best_flat)
-        np.take(sim.reshape(-1), best_flat, out=sim_best)
-        np.greater_equal(sim_best, cache.similarity_floor(layer), out=aux)
-        np.logical_and(hit, aux, out=hit)
+        m, n = rows.size, pack.ids.size
+        s = ws.stack_layout(m, 1, n, pack.dim, cache.dtype, cache.dtype)
+        np.copyto(s.queries.reshape(m, pack.dim), vecs, casting="unsafe")
+        previous = ws.floats("session.previous", (m, n), cache.dtype)
+        np.take(self._accumulated, rows, axis=0, out=previous)
+        s.step(ws, previous, block, cache.alpha, cache.theta)
+        self._accumulated[rows] = s.final
+        second_class = pack.ids[s.second_idx]
+        second_class[np.isneginf(s.a_second)] = -1
         return BatchLayerProbe(
             layer=layer,
             rows=rows,
-            top_class=ids[best_idx],
-            second_class=ids[second_idx],
-            score=score.copy(),
-            hit=hit.copy(),
+            top_class=pack.ids[s.best_idx],
+            second_class=second_class,
+            score=s.score.copy(),
+            hit=s.hit.copy(),
         )

@@ -68,7 +68,7 @@ class CoCaConfig:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.theta < 0:
+        if not self.theta >= 0:  # NaN too: it would never hit
             raise ValueError(f"theta must be >= 0, got {self.theta}")
         if self.frames_per_round < 1:
             raise ValueError(

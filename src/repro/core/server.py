@@ -361,9 +361,9 @@ class CoCaServer:
         score = np.empty(num_samples)
         with LookupWorkspace() as workspace:
             for layer in range(num_layers):
-                # Top-2 and Eq. 2 scoring through one workspace (the
-                # BatchedLookupSession kernel's buffers): mask the winner,
-                # find the runner-up, restore — no per-layer temporaries.
+                # Top-2 and Eq. 2 scoring through one workspace: mask the
+                # winner, find the runner-up, restore — no per-layer
+                # temporaries.
                 best_idx, _, best, second = workspace.top2(similarity[layer])
                 workspace.scores_into(best, second, score)
                 fire = (score > theta) & (best > 0)

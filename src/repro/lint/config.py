@@ -47,8 +47,7 @@ class LintConfig:
     kernel_functions: tuple[str, ...] = (
         "repro/core/cache.py::LookupWorkspace.top2",
         "repro/core/cache.py::LookupWorkspace.scores_into",
-        "repro/core/cache.py::BatchedLookupSession._probe_dense",
-        "repro/core/cache.py::BatchedLookupSession._fold",
+        "repro/core/cache.py::StackLayout.step",
     )
     wallclock_dirs: tuple[str, ...] = (
         "repro/sim",

@@ -104,14 +104,9 @@ def synthesize_requests(
     with MappedTableStore(snapshot_path) as store:
         num_layers, dim = store.num_layers, store.dim
         dtype = store.dtype
-        filled = store.load_filled()  # (C, L) bool
-        # Classes with at least one stored centroid anywhere — the
-        # content universe clients can plausibly revisit.
-        candidates = np.flatnonzero(filled.any(axis=1))
-        if candidates.size == 0:
-            raise ValueError(f"snapshot {snapshot_path} has no filled rows")
         centroids = [store.layer_view(layer) for layer in range(num_layers)]
-        hot = rng.choice(candidates, size=num_requests, replace=True)
+        # Any class: a snapshot that serves holds every one on every layer.
+        hot = rng.choice(store.num_classes, size=num_requests, replace=True)
         for k in range(num_requests):
             class_hint = int(hot[k])
             vectors = np.empty((batch, num_layers, dim), dtype=dtype)

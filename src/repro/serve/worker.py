@@ -202,9 +202,8 @@ def _walk_together(
         # Only the levels and width a walk reads, cast straight to the
         # cache dtype as the walk of one chunk casts it.
         pack = cache.layer_pack()
-        width = pack.dim if pack.levels else 0
         vectors = np.concatenate(
-            [chunk[:, : pack.levels, :width] for chunk in chunks],
+            [chunk[:, : pack.levels, : pack.dim] for chunk in chunks],
             dtype=cache.dtype,
             casting="unsafe",
         )
@@ -538,7 +537,11 @@ def worker_main(
     tensors by :data:`Slot` in the lane's arena, the file ``arena_fd``;
     the worker walks them in place.  Returns after answering
     ``shutdown_worker``, or when the front-end's end of ``conn`` closes
-    (a front-end that died leaves no orphan).  ``inherited`` are
+    (a front-end that died leaves no orphan).  A worker whose
+    :class:`WorkerState` cannot be built (a truncated shard, a partially
+    filled snapshot) answers its first call with that exception and
+    returns, so the front-end sees the same typed error in either
+    mode.  ``inherited`` are
     front-end ends of lane sockets, and other lanes' arenas, that a
     forked worker holds a copy of; they are closed first, or the copies
     would keep every lane's connection (and arena file) open after the
@@ -546,9 +549,19 @@ def worker_main(
     """
     for end in inherited:
         end.close()
-    state = WorkerState(snapshot_path, options)
-    arena = ArenaMap(arena_fd)
     reader = MessageReader()
+    try:
+        state = WorkerState(snapshot_path, options)
+    except Exception as error:
+        try:
+            name, args = reader.read(conn)
+            owed = len(args[0]) if name == serve_requests.__name__ else 1
+            send_all(conn, deque(pack_message((False, error)) * owed))
+        except (EOFError, ConnectionError):
+            pass  # the front-end is gone
+        conn.close()
+        return
+    arena = ArenaMap(arena_fd)
     try:
         while True:
             name, args = reader.read(conn)

@@ -180,20 +180,6 @@ class MappedTableStore:
             view.flags.writeable = False
         return view
 
-    def cache_entries(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """(class ids, centroids) of one layer's *filled* rows.
-
-        When every class is filled the centroid matrix is the zero-copy
-        mapped view itself; with gaps, the filled rows are gathered into
-        a private copy (a strided view cannot represent them).
-        """
-        mask = np.asarray(self._meta["filled"], dtype=bool)[:, layer]
-        view = self.layer_view(layer)
-        if mask.all():
-            return np.arange(self.num_classes, dtype=np.int64), view
-        ids = np.flatnonzero(mask)
-        return ids, view[ids]
-
     def serving_cache(
         self,
         layers: list[int] | None = None,
@@ -203,23 +189,34 @@ class MappedTableStore:
     ) -> "SemanticCache":
         """A :class:`SemanticCache` whose layers point at the mapped views.
 
-        Built in O(ms) regardless of table size: every layer with at
-        least one filled row is installed through
-        :meth:`SemanticCache.set_layer_view`, so centroid bytes are
-        faulted in on first probe.  The cache dtype is the snapshot
-        dtype; write a ``dtype="float32"`` snapshot for float32 serving.
+        Built in O(ms) regardless of table size: every chosen layer is
+        installed through :meth:`SemanticCache.set_layer_view`, so
+        centroid bytes are faulted in on first probe.  The cache dtype is
+        the snapshot dtype; write a ``dtype="float32"`` snapshot for
+        float32 serving.
+
+        Raises:
+            SnapshotFormatError: a chosen layer has an unfilled row — a
+                cache holds every class on every layer it serves.
         """
         from repro.core.cache import SemanticCache
 
+        chosen = range(self.num_layers) if layers is None else layers
+        filled = np.asarray(self._meta["filled"], dtype=bool)
+        for layer in chosen:
+            unfilled = int((~filled[:, layer]).sum())
+            if unfilled:
+                raise SnapshotFormatError(
+                    f"snapshot layer {layer} has {unfilled} of "
+                    f"{self.num_classes} classes unfilled; a serving cache "
+                    f"needs every row of every layer it serves"
+                )
         cache = SemanticCache(
             self.num_classes, alpha=alpha, theta=theta, dtype=self.dtype
         )
-        chosen = range(self.num_layers) if layers is None else layers
+        ids = np.arange(self.num_classes)
         for layer in chosen:
-            ids, mat = self.cache_entries(layer)
-            if ids.size == 0:
-                continue
-            cache.set_layer_view(layer, ids, mat)
+            cache.set_layer_view(layer, ids, self.layer_view(layer))
             if floors is not None and float(floors[layer]) > -1.0:
                 cache.set_similarity_floor(layer, float(floors[layer]))
         return cache

@@ -20,8 +20,9 @@ the two:
   the Gamma / Delta collection rules and the Eq. 3 fold;
 * :func:`merge_update` / :func:`apply_client_update` — Eq. 4 per entry,
   then Eq. 5;
-* :func:`walk_layers` — :func:`repro.core.probe.walk_cache_batch` forced
-  through its per-layer loop whatever the cache's pack;
+* :func:`walk_layers` — :func:`repro.core.probe.walk_cache_batch`
+  written as a loop over the activated layers, each probed for the rows
+  no earlier layer resolved;
 * :func:`aca_allocate` — Algorithm 1's greedy stage re-evaluating the
   expected cost of every candidate layer set from scratch, one layer at a
   time.
@@ -35,15 +36,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.core import probe as walk_module
 from repro.core.allocation import (
     AllocationResult,
     class_scores,
     select_hotspot_classes,
 )
-from repro.core.cache import LookupWorkspace, SemanticCache
+from repro.core.cache import SemanticCache
 from repro.core.client import CoCaClient, RoundReport
-from repro.core.probe import CacheWalk
+from repro.core.probe import CacheWalk, check_fit
 from repro.core.server import CoCaServer, GlobalCacheTable
 from repro.models.base import SimulatedModel
 from repro.models.feature import SampleBatch, SampleFeatures
@@ -333,16 +333,48 @@ def apply_client_update(
 # ----------------------------------------------------------------------
 
 
-def walk_layers(
-    cache: SemanticCache, vectors: np.ndarray, workspace: LookupWorkspace
-) -> CacheWalk:
-    """:func:`~repro.core.probe.walk_cache_batch` through the per-layer
-    loop alone (one batched session probe per activated layer), whatever
-    the cache's pack; same arguments, same checks, same result."""
-    walk, pack = walk_module._begin_walk(cache, vectors, workspace)
-    if vectors.shape[0] and pack.levels:
-        walk_module._walk_layers(cache, vectors, workspace, walk)
-    return walk
+def walk_layers(cache: SemanticCache, vectors: np.ndarray) -> CacheWalk:
+    """:func:`~repro.core.probe.walk_cache_batch` one layer at a time.
+
+    Same checks and result.  Per activated layer, for the rows still
+    alive: one ``(rows, d) @ (d, n)`` product against the layer's
+    entries, Eq. 1 into a ``(B, num_classes)`` accumulator, top-2 by
+    argmax (first index on ties), Eq. 2 clamped at a non-positive
+    runner-up, and the ``A > 0`` and floor tests, all in the cache dtype;
+    rows that hit leave.
+    """
+    check_fit(cache, vectors)
+    batch = vectors.shape[0]
+    predicted = np.full(batch, -1, dtype=np.intp)
+    hit_layer = np.full(batch, -1, dtype=np.intp)
+    hit_score = np.full(batch, np.nan)
+    layers_probed = np.zeros(batch, dtype=np.intp)
+    queries = vectors.astype(cache.dtype)
+    accumulated = np.zeros((batch, cache.num_classes), dtype=cache.dtype)
+    alive = np.arange(batch)
+    for layer in cache.active_layers:
+        if alive.size == 0:
+            break
+        ids, mat = cache.entries_at(layer)
+        similarity = queries[alive, layer, :] @ mat.T
+        updated = cache.alpha * accumulated[alive[:, None], ids] + similarity
+        accumulated[alive[:, None], ids] = updated
+        rows = np.arange(alive.size)
+        best = updated.argmax(axis=1)
+        a_best = updated[rows, best]
+        masked = updated.copy()
+        masked[rows, best] = -np.inf
+        a_second = masked.max(axis=1)
+        positive = a_second > _EPS
+        score = np.where(positive, (a_best - a_second) / np.where(positive, a_second, 1), 0)
+        floor = cache.dtype.type(cache.similarity_floor(layer))
+        hit = (score > cache.theta) & (a_best > 0) & (similarity[rows, best] >= floor)
+        layers_probed[alive] += 1
+        predicted[alive] = ids[best]
+        hit_layer[alive[hit]] = layer
+        hit_score[alive[hit]] = score[hit]
+        alive = alive[~hit]
+    return CacheWalk(predicted, hit_layer, hit_score, layers_probed)
 
 
 # ----------------------------------------------------------------------

@@ -49,13 +49,15 @@ def _build_cache(model, variant):
             cache.set_layer_entries(layer, all_ids, model.ideal_centroids(layer))
             cache.set_similarity_floor(layer, 0.85)
     elif variant == "partial":
+        # Some of the classes on some of the layers.
         cache = SemanticCache(num_classes, theta=0.02, alpha=0.7, dtype=np.float64)
-        cache.set_layer_entries(1, all_ids[:5], model.ideal_centroids(1)[:5])
-        cache.set_layer_entries(3, all_ids, model.ideal_centroids(3))
+        for layer in (1, 3):
+            cache.set_layer_entries(layer, all_ids[:5], model.ideal_centroids(layer)[:5])
     elif variant == "single_entry":
+        # One class on every layer: no runner-up, so nothing ever hits.
         cache = SemanticCache(num_classes, theta=0.0, dtype=np.float64)
-        cache.set_layer_entries(0, all_ids[2:3], model.ideal_centroids(0)[2:3])
-        cache.set_layer_entries(4, all_ids, model.ideal_centroids(4))
+        for layer in (0, 4):
+            cache.set_layer_entries(layer, all_ids[2:3], model.ideal_centroids(layer)[2:3])
     elif variant == "impossible":
         cache = SemanticCache(num_classes, theta=np.inf, dtype=np.float64)
         for layer in range(model.num_cache_layers):

@@ -94,9 +94,36 @@ class TestCacheContent:
         cache = SemanticCache(6)
         ids, mat = _orthogonal_entries(3)
         cache.set_layer_entries(0, ids, mat)
-        cache.set_layer_entries(4, ids[:2], mat[:2])
-        assert cache.total_entries == 5
-        assert cache.size_bytes(lambda layer: 10) == 50
+        cache.set_layer_entries(4, ids, mat[::-1])
+        assert cache.total_entries == 6
+        assert cache.size_bytes(lambda layer: 10 + layer) == 3 * 10 + 3 * 14
+
+    def test_layers_hold_one_id_set_at_one_width(self):
+        """Every layer of a cache holds the same class ids, in the same
+        order, at one width: a layer that would not is refused, through
+        either install path, and the cache keeps what it held."""
+        cache = SemanticCache(6, dtype=np.float64)
+        ids, mat = _orthogonal_entries(3)
+        cache.set_layer_entries(0, ids, mat)
+        refused = [
+            (ids[:2], mat[:2]),  # fewer classes
+            (ids[::-1], mat),  # same set, another order
+            (np.array([0, 1, 5]), mat),  # another set of the same size
+            (ids, np.eye(9)[:3]),  # another width
+        ]
+        for other_ids, other_mat in refused:
+            for install in (cache.set_layer_entries, cache.set_layer_view):
+                with pytest.raises(ValueError, match="the same class ids"):
+                    install(3, other_ids, np.ascontiguousarray(other_mat))
+        assert cache.active_layers == [0]
+        # The only layer may be replaced by any set; a cleared cache
+        # takes a new one.
+        cache.set_layer_entries(0, ids[:1], mat[:1])
+        cache.set_layer_view(2, ids[:1], np.ascontiguousarray(mat[:1]))
+        assert [cache.classes_at(j) for j in cache.active_layers] == [{0}, {0}]
+        cache.clear()
+        cache.set_layer_entries(1, np.array([4, 5]), mat[:2])
+        assert cache.layer_pack().ids.tolist() == [4, 5]
 
     def test_classes_at(self):
         cache = SemanticCache(6)
@@ -119,6 +146,11 @@ class TestCacheContent:
             SemanticCache(5, alpha=1.5)
         with pytest.raises(ValueError):
             SemanticCache(5, theta=-0.1)
+
+    def test_theta_nan_rejected_inf_allowed(self):
+        with pytest.raises(ValueError, match="theta"):
+            SemanticCache(5, theta=float("nan"))
+        assert SemanticCache(5, theta=np.inf).theta == np.inf
 
 
 class TestLookup:
@@ -338,43 +370,14 @@ class TestEmptyRowSubset:
 
 
 class TestColumnModeAccumulator:
-    """The batch accumulator matches one scalar session per row whether
-    the probed layers share one id set or diverge."""
-
-    def _caches(self, dtype):
-        rng = np.random.default_rng(0)
-        same = SemanticCache(10, theta=0.0, dtype=dtype)
-        mixed = SemanticCache(10, theta=0.0, dtype=dtype)
-        ids = np.arange(8)
-        for layer in range(3):
-            same.set_layer_entries(layer, ids, rng.standard_normal((8, 6)))
-        mixed.set_layer_entries(0, ids, rng.standard_normal((8, 6)))
-        mixed.set_layer_entries(1, np.arange(2, 10), rng.standard_normal((8, 6)))
-        return same, mixed
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_divergent_ids_spill_and_stay_correct(self, dtype):
-        _, mixed = self._caches(dtype)
-        rng = np.random.default_rng(4)
-        vectors = rng.standard_normal((3, 2, 6))
-        batch = mixed.start_batch_session(3)
-        scalars = [oracle.accumulator(mixed) for _ in range(3)]
-        for layer in range(2):
-            vecs = np.ascontiguousarray(vectors[:, layer, :], dtype=dtype)
-            result = batch.probe(layer, vecs)
-            for i, acc in enumerate(scalars):
-                probe = oracle.probe(mixed, acc, layer, vecs[i])
-                assert result.top_class[i] == probe.top_class
-                assert result.score[i] == pytest.approx(probe.score, rel=1e-5)
-        for i, acc in enumerate(scalars):
-            for class_id in range(10):
-                assert batch.accumulated_score(i, class_id) == pytest.approx(
-                    float(acc[class_id]), rel=1e-5, abs=1e-6
-                )
+    """The batch accumulator matches one scalar session per row."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_shared_ids_stay_in_column_mode(self, dtype):
-        same, _ = self._caches(dtype)
+        rng = np.random.default_rng(0)
+        same = SemanticCache(10, theta=0.0, dtype=dtype)
+        for layer in range(3):
+            same.set_layer_entries(layer, np.arange(8), rng.standard_normal((8, 6)))
         rng = np.random.default_rng(4)
         vectors = rng.standard_normal((3, 3, 6))
         batch = same.start_batch_session(3)

@@ -99,6 +99,9 @@ class TestGlobalCacheTable:
 
 class TestServer:
     def test_initialization_fills_table(self, server, tiny_model):
+        # Every (class, layer) cell filled is what lets ACA hand every
+        # activated layer the same hot-spot set, the one class set a
+        # cache may hold (build_cache would refuse diverging ones).
         assert server.table.filled.all()
         # Entries equal ideal centroids.
         assert np.allclose(

@@ -32,6 +32,13 @@ class TestCoCaConfig:
         with pytest.raises(ValueError):
             CoCaConfig(**kwargs)
 
+    def test_theta_nan_rejected_inf_allowed(self):
+        """A NaN theta would silently never hit; ``inf`` is the explicit
+        "never hit" setting."""
+        with pytest.raises(ValueError, match="theta"):
+            CoCaConfig(theta=float("nan"))
+        assert CoCaConfig(theta=float("inf")).theta == float("inf")
+
     def test_with_theta_copies(self):
         base = CoCaConfig()
         tuned = base.with_theta(0.123)

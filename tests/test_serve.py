@@ -53,7 +53,12 @@ from repro.serve import (
     synthesize_requests,
     worker_info,
 )
-from repro.store import MappedTableStore, write_snapshot
+from repro.store import (
+    MappedTableStore,
+    SnapshotFormatError,
+    SnapshotIntegrityError,
+    write_snapshot,
+)
 
 NUM_CLASSES, NUM_LAYERS, DIM = 24, 10, 8
 
@@ -951,6 +956,42 @@ class TestWorkerLoss:
 # ----------------------------------------------------------------------
 # Coalesced calls: everything waiting on a lane goes to its worker as one
 # ----------------------------------------------------------------------
+
+
+class TestStartErrors:
+    """A snapshot a worker cannot serve fails ``start()`` with the
+    store's own typed error in either mode — a process worker answers
+    its first call with it instead of dying — and leaves no process."""
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("fault", ["truncated_shard", "partially_filled"])
+    def test_start_raises_the_typed_error(self, tmp_path, mode, fault):
+        table = GlobalCacheTable(NUM_CLASSES, NUM_LAYERS, DIM)
+        table.entries = unit_rows((NUM_CLASSES, NUM_LAYERS, DIM), seed=0)
+        table.filled[:] = True
+        table.class_freq = np.full(NUM_CLASSES, 4.0)
+        if fault == "partially_filled":
+            table.filled[3, 7] = False
+            error, match = SnapshotFormatError, "layer 7 has 1 of 24 classes unfilled"
+        else:
+            error, match = SnapshotIntegrityError, "truncated or corrupt"
+        manifest = write_snapshot(tmp_path / "snap", table, epoch=1, layers_per_shard=4)
+        if fault == "truncated_shard":
+            shard = tmp_path / "snap" / manifest.shards[1].file
+            shard.write_bytes(shard.read_bytes()[: shard.stat().st_size // 2])
+
+        async def scenario():
+            frontend = ServeFrontend(
+                ServeConfig(snapshot_path=str(tmp_path / "snap"), mode=mode)
+            )
+            try:
+                await frontend.start()
+            finally:
+                assert frontend._lanes == []
+
+        with pytest.raises(error, match=match):
+            drive(scenario())
+        assert multiprocessing.active_children() == []
 
 
 def record_calls(lane) -> list:

@@ -1,29 +1,29 @@
 """Equivalence of the stacked walk kernel and the per-layer loop.
 
-``walk_cache_batch`` runs one of two kernels — the stacked one for a
-cache whose pack is complete, the per-layer loop for any other;
-``oracle.walk_layers`` (``tests/oracle.py``) is the loop whatever the cache.  Every
-case here walks the same
-cache with the same queries through both and requires the same
-decisions — ``predicted`` / ``hit_layer`` / ``layers_probed`` exactly
-equal — and the same ``hit_score`` as far as the BLAS allows.
+``walk_cache_batch`` walks every cache with the stacked kernel, a block
+of layers at a time; ``oracle.walk_layers`` (``tests/oracle.py``) is the
+same walk written as a plain loop over the layers.  Every case here
+walks the same cache with the same queries through both and requires
+the same decisions — ``predicted`` / ``hit_layer`` / ``layers_probed``
+exactly equal — and the same ``hit_score`` as far as the BLAS allows.
 
-That is bit for bit wherever the two kernels issue the same BLAS calls:
-always at ``B = 1``, and at ``B > 1`` whenever no row leaves the batch
-before a block's last layer (the loop then multiplies the same
-``(m, d)`` row set the block does).  When rows do leave mid-block, the
-loop's later products run on fewer rows, and OpenBLAS's small-matrix
-kernels do not compute a row identically at different row counts; those
-cases compare scores to the dtype's rounding only, so ISSUE 17's
-bit-equality criterion is *not* met there, and equal decisions on such a
-batch are what these cases observe, not something the arithmetic
-guarantees for a score within rounding of theta (see "Stacked walk" in
+That is bit for bit wherever the two issue the same BLAS calls: always
+at ``B = 1``, and at ``B > 1`` whenever no row leaves the batch before
+a block's last layer (the loop then multiplies the same ``(m, d)`` row
+set the block does).  When rows do leave mid-block, the loop's later
+products run on fewer rows, and OpenBLAS's small-matrix kernels do not
+compute a row identically at different row counts; those cases compare
+scores to the dtype's rounding only, so scores are *not* bit-equal on
+every batch, and equal decisions on such a batch are
+what these cases observe, not something the arithmetic guarantees for a
+score within rounding of theta (see "Stacked walk" in
 ``src/repro/core/README.md``).
 """
 
 from __future__ import annotations
 
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -47,7 +47,7 @@ from repro.serve import (
     serve_requests,
     shutdown_worker,
 )
-from repro.store import MappedTableStore, write_snapshot
+from repro.store import MappedTableStore, SnapshotFormatError, write_snapshot
 
 DTYPES = (np.float32, np.float64)
 BATCHES = (1, 2, 7, 64, 300)
@@ -105,14 +105,10 @@ class Scene:
 def both_walks(
     cache: SemanticCache, vectors: np.ndarray
 ) -> tuple[CacheWalk, CacheWalk]:
-    """(dispatching walk, per-layer reference), as owned copies."""
+    """(stacked walk, as owned copies; per-layer reference)."""
     with LookupWorkspace() as workspace:
         new = CacheWalk(*(a.copy() for a in walk_cache_batch(cache, vectors, workspace)))
-    with LookupWorkspace() as workspace:
-        ref = CacheWalk(
-            *(a.copy() for a in oracle.walk_layers(cache, vectors, workspace))
-        )
-    return new, ref
+    return new, oracle.walk_layers(cache, vectors)
 
 
 def assert_same_walk(new: CacheWalk, ref: CacheWalk, dtype: type, bitwise: bool) -> None:
@@ -206,11 +202,10 @@ def test_non_contiguous_queries():
 
 
 def test_dispatch_is_structural(monkeypatch):
-    """The pack alone picks the kernel, whatever the batch size: a
-    complete pack never opens a per-layer session (nor starts a thread),
-    an empty one opens exactly one per walk — and never runs the stacked
-    kernel."""
-    sessions, threads = [], []
+    """Every walk is the stacked kernel, whatever the batch size or the
+    cache's class set: no per-layer session is opened and no thread
+    started."""
+    sessions, threads, stacked = [], [], []
     start_session = SemanticCache.start_batch_session
     monkeypatch.setattr(
         SemanticCache,
@@ -218,25 +213,19 @@ def test_dispatch_is_structural(monkeypatch):
         lambda *a, **kw: sessions.append(1) or start_session(*a, **kw),
     )
     monkeypatch.setattr(threading.Thread, "start", lambda self: threads.append(self))
+    walk_stacked = probe._walk_stacked
+    monkeypatch.setattr(
+        probe, "_walk_stacked", lambda *a: stacked.append(1) or walk_stacked(*a)
+    )
     scene = Scene(seed=7)
-    cache = scene.cache()
-    assert cache.layer_pack().ids is not None
-    with LookupWorkspace() as workspace:
-        for batch in (1, 31, 32, 64, 300):
-            walk_cache_batch(cache, scene.queries(batch), workspace)
-    assert sessions == [] and threads == []
-
     fewer = np.arange(0, scene.classes, 2)
-    cache = scene.cache(floors=True, ids_of={4: fewer, 5: fewer})
-    assert cache.layer_pack().blocks == ()
-    stacked = []
-    monkeypatch.setattr(probe, "_walk_stacked", lambda *a: stacked.append(1))
+    caches = (scene.cache(), scene.cache(floors=True, ids_of=dict.fromkeys(range(6), fewer)))
     with LookupWorkspace() as workspace:
-        for walks, batch in enumerate((1, 31, 32, 64, 300), start=1):
-            walk = walk_cache_batch(cache, scene.queries(batch), workspace)
-            assert (walk.layers_probed > 0).all()
-            assert len(sessions) == walks
-    assert stacked == [] and threads == []
+        for cache in caches:
+            for batch in (1, 31, 32, 64, 300):
+                walk = walk_cache_batch(cache, scene.queries(batch), workspace)
+                assert (walk.layers_probed > 0).all()
+    assert len(stacked) == 10 and sessions == [] and threads == []
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -268,38 +257,32 @@ def test_decisions_on_the_threshold(dtype):
 
 
 # ----------------------------------------------------------------------
-# Structure the stacked kernel cannot take
+# Class sets: any size >= 1, one per cache
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("batch", (1, 7, 64))
-def test_diverging_id_set_falls_back_mid_walk(dtype, batch):
-    scene = Scene(seed=21, layers=7)
-    fewer = np.arange(0, scene.classes, 2)
-    cache = scene.cache(dtype=dtype, floors=True, ids_of={4: fewer, 5: fewer})
-    pack = cache.layer_pack()
-    assert pack.ids is None and pack.blocks == ()
-    # An empty pack moved no owned layer into a block tensor.
-    assert all(cache._layers[layer][1].flags.owndata for layer in cache.active_layers)
-    vectors = scene.queries(batch, dtype)
-    new, ref = both_walks(cache, vectors)
-    assert_same_walk(new, ref, dtype, bitwise=batch == 1)
-    if batch == 64:
-        assert (ref.hit_layer >= 4).any()  # some rows resolved past the divergence
-        assert (ref.hit_layer == -1).any()
-
-
-@pytest.mark.parametrize("position", (0, 3, 5))
-def test_single_entry_layer(position):
-    scene = Scene(seed=31)
-    cache = scene.cache(ids_of={position: np.array([2])}, theta=0.5)
-    pack = cache.layer_pack()
-    assert pack.ids is None and pack.blocks == ()
-    assert pack.levels == scene.layers
-    for batch in (1, 7):
-        new, ref = both_walks(cache, scene.queries(batch))
-        assert_same_walk(new, ref, np.float64, bitwise=batch == 1)
+@pytest.mark.parametrize("class_id", (0, 3, 5))
+def test_single_entry_layer(class_id):
+    """A cache that holds one class on every layer — what ACA, SMTM and
+    replacement build when one class carries the hot-spot mass — is
+    walked by the stacked kernel: no runner-up, so no row ever hits, and
+    every row's guess is that class.  A single-entry layer next to wider
+    ones is refused."""
+    for dtype in DTYPES:
+        for layers in (1, 6, 17):
+            scene = Scene(seed=31 + class_id, layers=layers)
+            one = dict.fromkeys(range(layers), np.array([class_id]))
+            cache = scene.cache(dtype=dtype, floors=True, ids_of=one)
+            pack = cache.layer_pack()
+            assert pack.ids.tolist() == [class_id]
+            assert [int(l) for b in pack.blocks for l in b.layers] == list(range(layers))
+            for batch in (1, 7, 64):
+                new, ref = both_walks(cache, scene.queries(batch, dtype))
+                assert_same_walk(new, ref, dtype, bitwise=True)
+                assert (new.hit_layer == -1).all() and (new.predicted == class_id).all()
+                assert (new.layers_probed == layers).all()
+    with pytest.raises(ValueError, match="the same class ids"):
+        scene.cache(ids_of={0: np.array([class_id])})
 
 
 def test_one_active_layer():
@@ -379,11 +362,11 @@ def test_view_backed_blocks_alias_the_snapshot(snapshot):
                 assert np.shares_memory(block.matrices[g], store.layer_view(layer))
                 assert np.array_equal(block.matrices[g], store.layer_view(layer))
         frames = scene.queries(1000)
-        with LookupWorkspace() as workspace, LookupWorkspace() as other:
+        with LookupWorkspace() as workspace:
             for row in range(frames.shape[0]):
                 frame = frames[row : row + 1]
                 new = walk_cache_batch(cache, frame, workspace)
-                ref = oracle.walk_layers(cache, frame, other)
+                ref = oracle.walk_layers(cache, frame)
                 assert_same_walk(new, ref, np.float64, bitwise=True)
         assert cache.layer_pack() is pack
         assert cache.view_backed_layers() == cache.active_layers
@@ -392,17 +375,23 @@ def test_view_backed_blocks_alias_the_snapshot(snapshot):
 
 
 def test_partially_filled_snapshot_layers(tmp_path):
+    """A serving cache holds every class on every layer it serves: a
+    snapshot with unfilled rows is refused, naming the first such layer
+    of the ones asked for."""
     scene = Scene(seed=73, classes=10, layers=6, dim=8)
     table = GlobalCacheTable(scene.classes, scene.layers, scene.dim)
     table.entries = scene.centroids.copy()
     table.filled[:] = True
-    table.filled[::3, 2:] = False  # layers 2.. hold a subset: private gathers
+    table.filled[::3, 2:] = False
     table.class_freq = np.full(scene.classes, 4.0)
     write_snapshot(tmp_path / "snap", table, epoch=1)
     with MappedTableStore(tmp_path / "snap") as store:
-        cache = store.serving_cache(theta=0.3)
-        pack = cache.layer_pack()
-        assert pack.ids is None and pack.blocks == ()
+        with pytest.raises(SnapshotFormatError, match="layer 2 has 4 of 10 classes unfilled"):
+            store.serving_cache(theta=0.3)
+        with pytest.raises(SnapshotFormatError, match="layer 5 "):
+            store.serving_cache(layers=[0, 5])
+        cache = store.serving_cache(layers=[0, 1], theta=0.3)
+        assert cache.active_layers == [0, 1]
         for batch in (1, 7):
             new, ref = both_walks(cache, scene.queries(batch))
             assert_same_walk(new, ref, np.float64, bitwise=batch == 1)
@@ -434,16 +423,16 @@ def test_borrowed_views_without_a_common_stride_get_their_own_blocks():
 
 def assert_complete_pack(cache: SemanticCache) -> None:
     pack = cache.layer_pack()
-    assert cache.active_layers and pack.ids is not None
+    assert cache.active_layers and pack.ids.size
     assert [int(l) for b in pack.blocks for l in b.layers] == cache.active_layers
 
 
 def test_protocol_caches_have_complete_packs(monkeypatch, tmp_path):
-    """The per-layer loop walks no row of any workload because the
-    protocol never builds a cache the stacked kernel cannot hold: the
-    shared dataset fills every (class, layer) cell, so ACA hands every
-    activated layer the same hot-spot set.  Pinned here so that a change
-    to initialization, ACA or the store that breaks it is seen."""
+    """The protocol builds only caches of one class set: the shared
+    dataset fills every (class, layer) cell, so ACA hands every
+    activated layer the same hot-spot set.  A cache refuses any other at
+    install; this pins that the protocol never trips that refusal, so a
+    change to initialization, ACA or the store that would is seen."""
     built: list[SemanticCache] = []
     build_cache = CoCaServer.build_cache
 
@@ -629,18 +618,18 @@ class TestRequestGeometry:
         cache = scene.cache()
         good = scene.queries(2)
         with LookupWorkspace() as workspace:
-            for walk in (walk_cache_batch, oracle.walk_layers):
+            for walk in (partial(walk_cache_batch, workspace=workspace), oracle.walk_layers):
                 with pytest.raises(ValueError, match=r"expected \(B, >= 6, 16\)"):
-                    walk(cache, good[:, :5, :], workspace)
+                    walk(cache, good[:, :5, :])
                 with pytest.raises(ValueError, match=r"\(2, 6, 15\)"):
-                    walk(cache, good[:, :, :15], workspace)
+                    walk(cache, good[:, :, :15])
                 with pytest.raises(ValueError, match=r"\(0, 6, 15\)"):
-                    walk(cache, good[:0, :, :15], workspace)
+                    walk(cache, good[:0, :, :15])
                 with pytest.raises(ValueError, match="vector tensor"):
-                    walk(cache, good[0], workspace)
+                    walk(cache, good[0])
                 # Extra levels past the deepest activated layer are fine.
                 taller = np.concatenate([good, good[:, :2]], axis=1)
-                assert walk(cache, taller, workspace).predicted.shape == (2,)
+                assert walk(cache, taller).predicted.shape == (2,)
 
     def test_serve_requests_refuses_short_and_narrow_tensors(self, snapshot):
         scene, path = snapshot
@@ -679,28 +668,26 @@ class TestRequestGeometry:
     dtype=st.sampled_from(DTYPES),
     floors=st.booleans(),
     theta=st.sampled_from((0.02, 0.3, 1e6)),
-    narrow_from=st.one_of(st.none(), st.integers(0, 18)),
+    kept=st.one_of(st.none(), st.integers(1, 9)),
     view_backed=st.booleans(),
 )
 def test_random_geometry(
-    seed, classes, layers, dim, batch, dtype, floors, theta, narrow_from, view_backed
+    seed, classes, layers, dim, batch, dtype, floors, theta, kept, view_backed
 ):
     scene = Scene(seed, classes=classes, layers=layers, dim=dim)
     ids_of = None
-    if narrow_from is not None and narrow_from < layers:
-        # From some layer on the cache holds a strict subset of the ids.
-        subset = np.arange(classes)[: max(1, classes - 1)]
-        ids_of = {layer: subset for layer in range(narrow_from, layers)}
+    if kept is not None:
+        # Every layer holds the first few classes only.
+        ids_of = dict.fromkeys(range(layers), np.arange(min(kept, classes)))
     cache = scene.cache(dtype=dtype, floors=floors, theta=theta, ids_of=ids_of)
     if view_backed:
         table = np.ascontiguousarray(
             scene.centroids.transpose(1, 0, 2), dtype=dtype
         )  # layer-major, like a snapshot shard
-        for layer in cache.active_layers:
+        for layer in cache.active_layers[::2]:  # owned and borrowed layers mix
             ids, _ = cache.entries_at(layer)
-            if ids.size == classes:
-                cache.set_layer_view(layer, ids, table[layer])
+            cache.set_layer_view(layer, ids, table[layer][: ids.size])
     covered = [int(l) for b in cache.layer_pack().blocks for l in b.layers]
-    assert covered in ([], cache.active_layers)  # complete or empty
+    assert covered == cache.active_layers
     new, ref = both_walks(cache, scene.queries(batch, dtype))
     assert_same_walk(new, ref, dtype, bitwise=batch == 1)

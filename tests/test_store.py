@@ -170,24 +170,6 @@ class TestMappedTableStore:
             False, False, True, False, False
         ]
 
-    def test_cache_entries_zero_copy_when_fully_filled(self, tmp_path):
-        table = filled_table()
-        write_snapshot(tmp_path / "snap", table)
-        store = MappedTableStore(tmp_path / "snap")
-        ids, mat = store.cache_entries(1)
-        assert np.array_equal(ids, np.arange(table.num_classes))
-        assert np.shares_memory(mat, store.layer_view(1))
-
-    def test_cache_entries_gathers_partial_fill(self, tmp_path):
-        table = filled_table()
-        table.filled[10:, 1] = False
-        write_snapshot(tmp_path / "snap", table)
-        store = MappedTableStore(tmp_path / "snap")
-        ids, mat = store.cache_entries(1)
-        assert np.array_equal(ids, np.arange(10))
-        assert not np.shares_memory(mat, store.layer_view(1))
-        assert np.array_equal(mat, table.entries[:10, 1, :])
-
     def test_missing_manifest_raises(self, tmp_path):
         (tmp_path / "snap").mkdir()
         with pytest.raises(SnapshotFormatError, match="manifest"):
@@ -258,7 +240,7 @@ class TestMappedServing:
         write_snapshot(tmp_path / "snap", table)
         store = MappedTableStore(tmp_path / "snap")
         cache = store.serving_cache()
-        ids, _ = store.cache_entries(2)
+        ids = np.arange(store.num_classes)
         cache.set_layer_entries(2, ids, unit_rows((ids.size, store.dim)))
         assert not cache.is_view_backed(2)
         _, mat = cache._layers[2]

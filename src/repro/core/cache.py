@@ -28,8 +28,8 @@ refuse a layer that would break that.  So every cache stacks into one
 :class:`LayerPack`, and lookups run a batch of samples at a time through
 one kernel: :meth:`StackLayout.step` scores a block of layers for a set
 of rows, :func:`repro.core.probe.walk_cache_batch` chains it block by
-block with early exit, and :class:`BatchedLookupSession` runs it one
-layer per call.
+block with early exit, the server's calibration scores each layer alone
+with it, and :class:`BatchedLookupSession` runs it one layer per call.
 
 Serving-path performance rests on two policies layered on top:
 
@@ -37,17 +37,17 @@ Serving-path performance rests on two policies layered on top:
   configurable dtype, ``float32`` by default: unit-norm cosine geometry
   loses nothing observable at single precision (scores carry ~1e-6
   relative rounding against margins of ~1e-2) while matmul bandwidth and
-  FLOP throughput double.  Session accumulators match the cache dtype,
-  so all probe math runs in single precision end to end.  Constructing
-  with ``dtype=np.float64`` restores the bit-exact double-precision
-  path the exact-equivalence suites run on.
+  FLOP throughput double.  The Eq. 1 accumulators match the cache
+  dtype, so all probe math runs in single precision end to end.
+  Constructing with ``dtype=np.float64`` restores the bit-exact
+  double-precision path the exact-equivalence suites run on.
 * **Zero-allocation workspace.**  A :class:`LookupWorkspace` owns
   reusable flat buffer pools; the batched probe writes its matmul,
   accumulator gather/scatter, top-2 selection and scoring into
   workspace views (``out=`` everywhere), so steady-state probes
   allocate only their small per-row output arrays.  Engines own a
-  workspace and thread it through every session they open, so buffers
-  persist across probes, batches and protocol rounds.
+  workspace and pass it to every walk, so buffers persist across
+  probes, batches and protocol rounds.
 
 Every probe is exact: each layer scores all of its entries.
 """
@@ -82,6 +82,13 @@ def _address(array: np.ndarray) -> int:
     """Memory address of an array's first element."""
     address: int = array.__array_interface__["data"][0]
     return address
+
+
+def _check_layer(layer: int) -> None:
+    """Refuse a negative cache-layer index: a walk gathers level ``layer``
+    of each query, and a negative one would read another level."""
+    if layer < 0:
+        raise ValueError(f"cache layer must be >= 0, got {layer}")
 
 
 class LookupWorkspace:
@@ -188,54 +195,6 @@ class LookupWorkspace:
             layout = StackLayout(self, rows, depth, entries, dim, query_dtype, dtype)
             self._layouts[rows, depth] = layout
         return layout
-
-    def top2(
-        self, matrix: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Row-wise top-2 of a 2-D score matrix via two argmax passes.
-
-        The winner is masked to ``-inf``, the runner-up located, and the
-        winner restored — the cheapest exact top-2 for small row counts.
-        ``matrix`` is temporarily modified in place (restored on return);
-        C-contiguous input takes the flat-index gather path, anything
-        else the (allocating) fancy-index path.  All four returned
-        arrays are workspace views valid until the next ``top2`` call.
-        """
-        n, e = matrix.shape
-        best_idx = self.ints("top2.best_idx", (n,))
-        second_idx = self.ints("top2.second_idx", (n,))
-        best = self.floats("top2.best", (n,), matrix.dtype)
-        second = self.floats("top2.second", (n,), matrix.dtype)
-        if contracts.ENABLED:
-            contracts.check_distinct_views(
-                matrix=matrix,
-                best_idx=best_idx,
-                second_idx=second_idx,
-                best=best,
-                second=second,
-            )
-        np.argmax(matrix, axis=1, out=best_idx)
-        if matrix.flags.c_contiguous:
-            flat = self.ints("top2.flat", (n,))
-            matrix_flat = matrix.reshape(-1)
-            np.multiply(self.arange(n), e, out=flat)
-            np.add(flat, best_idx, out=flat)
-            np.take(matrix_flat, flat, out=best)
-            matrix_flat[flat] = -np.inf
-            np.argmax(matrix, axis=1, out=second_idx)
-            second_flat = self.ints("top2.second_flat", (n,))
-            np.multiply(self.arange(n), e, out=second_flat)
-            np.add(second_flat, second_idx, out=second_flat)
-            np.take(matrix_flat, second_flat, out=second)
-            matrix_flat[flat] = best  # restore the winners
-        else:
-            take = self.arange(n)
-            best[:] = matrix[take, best_idx]
-            matrix[take, best_idx] = -np.inf
-            np.argmax(matrix, axis=1, out=second_idx)
-            second[:] = matrix[take, second_idx]
-            matrix[take, best_idx] = best  # restore the winners
-        return best_idx, second_idx, best, second
 
     def scores_into(
         self, best: np.ndarray, second: np.ndarray, out: np.ndarray
@@ -499,8 +458,10 @@ class SemanticCache:
                 stored C-contiguous in the cache dtype.
 
         An empty ``class_ids`` deactivates the layer; ids or a width that
-        differ from another activated layer's raise ``ValueError``.
+        differ from another activated layer's, a negative layer and a
+        zero or non-finite centroid raise ``ValueError``.
         """
+        _check_layer(layer)
         self._pack = None
         ids = np.asarray(class_ids, dtype=int)
         mat = np.asarray(centroids, dtype=np.float64)
@@ -514,6 +475,8 @@ class SemanticCache:
             return
         self._check_entries(layer, ids, mat)
         norms = np.linalg.norm(mat, axis=1, keepdims=True)
+        if not np.isfinite(norms).all():  # a NaN or inf entry spreads here
+            raise ValueError("cannot cache a non-finite centroid")
         if np.any(norms < _EPS):
             raise ValueError("cannot cache a zero centroid")
         stored = np.ascontiguousarray(mat / norms, dtype=self.dtype)
@@ -549,8 +512,10 @@ class SemanticCache:
                 equals the cache dtype (no silent conversion — a cast
                 would copy and defeat the mapping).
 
-        Refuses what :meth:`set_layer_entries` refuses.
+        Refuses the ids, widths and layers :meth:`set_layer_entries`
+        refuses.
         """
+        _check_layer(layer)
         self._pack = None
         ids = np.asarray(class_ids, dtype=int)
         mat = np.asarray(centroids)
@@ -609,6 +574,7 @@ class SemanticCache:
 
     def set_similarity_floor(self, layer: int, floor: float) -> None:
         """Require a minimum top-entry cosine at ``layer`` for a hit."""
+        _check_layer(layer)
         if not -1.0 <= floor <= 1.0:
             raise ValueError(f"floor must be a cosine in [-1, 1], got {floor}")
         self._similarity_floor[layer] = float(floor)

@@ -21,7 +21,8 @@ Calibration (:meth:`CoCaServer.measure_layer_statistics`,
 :meth:`CoCaServer.measure_similarity_floors`) draws its shared-dataset
 streams as blocks and its samples as one
 :class:`~repro.models.feature.SampleBatch` — no per-sample Python
-objects anywhere on the server.
+objects anywhere on the server — and scores layer statistics with the
+cache walk's own block step (:meth:`~repro.core.cache.StackLayout.step`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,12 @@ import numpy as np
 
 from repro import contracts
 from repro.core.allocation import AllocationResult, aca_allocate
-from repro.core.cache import LookupWorkspace, SemanticCache
+from repro.core.cache import (
+    PACK_BLOCK_LAYERS,
+    LayerBlock,
+    LookupWorkspace,
+    SemanticCache,
+)
 from repro.core.config import CoCaConfig
 from repro.data.stream import StreamGenerator
 from repro.models.base import SimulatedModel
@@ -350,28 +356,34 @@ class CoCaServer:
         is_cached = np.isin(class_ids, cached)
         num_cached_samples = int(is_cached.sum())
 
-        # All layer similarities as one stacked matmul: (L, N, n_cached).
-        similarity = np.einsum(
-            "nld,lmd->lnm", vectors[:, :num_layers, :], np.stack(centroids)
-        )
+        # Each layer scored alone by the walk's block step: Eq. 1 with
+        # alpha = 0 from a zero A, and floors that refuse nothing, so a
+        # layer fires on Eq. 2 above theta with A_best > 0.
+        stacked = np.stack(centroids)  # (L, n_cached, d)
+        rows, dim = class_ids.size, vectors.shape[2]
+        zero = np.zeros((rows, num_cached), dtype=stacked.dtype)
+        no_floors = np.full((PACK_BLOCK_LAYERS, 1), -np.inf, dtype=stacked.dtype)
         fires = np.zeros(num_layers)
         cached_hits = np.zeros(num_layers)
         correct = np.zeros(num_layers)
         model_correct_on_hitters = np.zeros(num_layers)
-        score = np.empty(num_samples)
         with LookupWorkspace() as workspace:
-            for layer in range(num_layers):
-                # Top-2 and Eq. 2 scoring through one workspace: mask the
-                # winner, find the runner-up, restore — no per-layer
-                # temporaries.
-                best_idx, _, best, second = workspace.top2(similarity[layer])
-                workspace.scores_into(best, second, score)
-                fire = (score > theta) & (best > 0)
-                fires[layer] = fire.sum()
-                cached_hits[layer] = (fire & is_cached).sum()
-                predicted = cached[best_idx]
-                correct[layer] = (fire & (predicted == class_ids)).sum()
-                model_correct_on_hitters[layer] = (fire & model_ok).sum()
+            for start in range(0, num_layers, PACK_BLOCK_LAYERS):
+                span = slice(start, min(start + PACK_BLOCK_LAYERS, num_layers))
+                depth = span.stop - start
+                layers = np.arange(start, span.stop)
+                block = LayerBlock(layers, stacked[span], no_floors[:depth], ())
+                s = workspace.stack_layout(
+                    rows, depth, num_cached, dim, stacked.dtype, stacked.dtype
+                )
+                np.copyto(s.queries, vectors[:, span, :])
+                s.step(workspace, zero, block, 0.0, theta)
+                fire = s.hits  # (depth, rows)
+                predicted = cached[s.best_idx.reshape(depth, rows)]
+                fires[span] = fire.sum(axis=1)
+                cached_hits[span] = (fire & is_cached).sum(axis=1)
+                correct[span] = (fire & (predicted == class_ids)).sum(axis=1)
+                model_correct_on_hitters[span] = (fire & model_ok).sum(axis=1)
         ratio = cached_hits / max(1, num_cached_samples)
         accuracy = np.divide(correct, fires, out=np.zeros(num_layers), where=fires > 0)
         model_acc = np.divide(

@@ -45,7 +45,6 @@ class LintConfig:
         "repro/lsh/alsh.py",
     )
     kernel_functions: tuple[str, ...] = (
-        "repro/core/cache.py::LookupWorkspace.top2",
         "repro/core/cache.py::LookupWorkspace.scores_into",
         "repro/core/cache.py::StackLayout.step",
     )

@@ -23,6 +23,10 @@ the two:
 * :func:`walk_layers` — :func:`repro.core.probe.walk_cache_batch`
   written as a loop over the activated layers, each probed for the rows
   no earlier layer resolved;
+* :func:`layer_statistics` — the server's calibration
+  (:meth:`~repro.core.server.CoCaServer.measure_layer_statistics`) with
+  each layer scored by its own product, a sort for the top 2 and
+  :func:`discriminative_score`;
 * :func:`aca_allocate` — Algorithm 1's greedy stage re-evaluating the
   expected cost of every candidate layer set from scratch, one layer at a
   time.
@@ -44,7 +48,13 @@ from repro.core.allocation import (
 from repro.core.cache import SemanticCache
 from repro.core.client import CoCaClient, RoundReport
 from repro.core.probe import CacheWalk, check_fit
-from repro.core.server import CoCaServer, GlobalCacheTable
+from repro.core.server import (
+    CACHED_FRACTION,
+    DRIFT_MARGIN,
+    CoCaServer,
+    GlobalCacheTable,
+)
+from repro.data.stream import StreamGenerator
 from repro.models.base import SimulatedModel
 from repro.models.feature import SampleBatch, SampleFeatures
 from repro.models.profiles import LookupCostModel
@@ -375,6 +385,61 @@ def walk_layers(cache: SemanticCache, vectors: np.ndarray) -> CacheWalk:
         hit_score[alive[hit]] = score[hit]
         alive = alive[~hit]
     return CacheWalk(predicted, hit_layer, hit_score, layers_probed)
+
+
+def layer_statistics(
+    server: CoCaServer, rng: np.random.Generator, num_samples: int = 600
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`~repro.core.server.CoCaServer.measure_layer_statistics`
+    one layer at a time.
+
+    Same draws from ``rng``, in the same order, so the same cached
+    classes, drifted centroids and samples.  Per layer: one
+    ``(N, d) @ (d, n)`` product, the top 2 by sort, Eq. 2 clamped at a
+    non-positive runner-up, and a fire on a score above theta with a
+    positive best similarity.
+    """
+    model = server.model
+    num_layers, num_classes = model.num_cache_layers, model.num_classes
+    num_cached = max(2, int(round(CACHED_FRACTION * num_classes)))
+    cached = rng.choice(num_classes, size=num_cached, replace=False)
+    perturb_rng = np.random.default_rng(rng.integers(2**32))
+    centroids = []
+    for layer in range(num_layers):
+        base = model.ideal_centroids(layer)[cached]
+        noise = perturb_rng.standard_normal(base.shape)
+        noise /= np.linalg.norm(noise, axis=1, keepdims=True)
+        base = base + DRIFT_MARGIN * noise
+        base /= np.linalg.norm(base, axis=1, keepdims=True)
+        centroids.append(base)
+    stream = StreamGenerator(
+        class_distribution=np.full(num_classes, 1.0 / num_classes),
+        mean_run_length=model.dataset.mean_run_length,
+        rng=rng,
+        base_difficulty=model.dataset.difficulty,
+        working_set_size=None,
+    )
+    block = stream.take_block(num_samples)
+    batch = model.draw_samples(block, 0, rng)
+    class_ids = block.class_ids
+    predictions, _ = model.classify_vectors(batch.final_vectors())
+    model_ok = predictions == class_ids
+    is_cached = np.isin(class_ids, cached)
+    ratio, accuracy, exit_loss = (np.zeros(num_layers) for _ in range(3))
+    for layer in range(num_layers):
+        similarity = batch.vectors[:, layer, :] @ centroids[layer].T
+        order = np.argsort(similarity, axis=1)
+        best = np.take_along_axis(similarity, order[:, -1:], axis=1)[:, 0]
+        second = np.take_along_axis(similarity, order[:, -2:-1], axis=1)[:, 0]
+        score = discriminative_score(best, second)
+        fire = (score > server.config.theta) & (best > 0)
+        fires = fire.sum()
+        ratio[layer] = (fire & is_cached).sum() / max(1, is_cached.sum())
+        if fires:
+            correct = fire & (cached[order[:, -1]] == class_ids)
+            accuracy[layer] = correct.sum() / fires
+            exit_loss[layer] = max(0.0, (fire & model_ok).sum() / fires - accuracy[layer])
+    return ratio, accuracy, exit_loss
 
 
 # ----------------------------------------------------------------------

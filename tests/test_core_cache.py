@@ -90,6 +90,30 @@ class TestCacheContent:
         with pytest.raises(ValueError):
             cache.set_layer_entries(0, np.array([0]), np.zeros((1, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_centroid_rejected(self, bad):
+        cache = SemanticCache(3)
+        ids, mat = _orthogonal_entries(3)
+        mat = mat.copy()
+        mat[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite centroid"):
+            cache.set_layer_entries(0, ids, mat)
+        assert cache.active_layers == []
+
+    def test_negative_layer_rejected(self):
+        """Every setter refuses a negative layer: the walk would score it
+        against another level of each query."""
+        cache = SemanticCache(3, dtype=np.float64)
+        ids, mat = _orthogonal_entries(3)
+        cache.set_layer_entries(2, ids, mat)
+        for install in (cache.set_layer_entries, cache.set_layer_view):
+            with pytest.raises(ValueError, match="layer must be >= 0"):
+                install(-1, ids, mat)
+        with pytest.raises(ValueError, match="layer must be >= 0"):
+            cache.set_similarity_floor(-1, 0.5)
+        assert cache.active_layers == [2]
+        assert cache.similarity_floor(-1) == -1.0
+
     def test_total_entries_and_size(self):
         cache = SemanticCache(6)
         ids, mat = _orthogonal_entries(3)
@@ -532,21 +556,6 @@ class TestLookupWorkspace:
         assert f32.dtype == np.float32
         assert not np.shares_memory(f64, f32)
         assert np.all(ws.floats("sim", (4, 4), np.float64) == 7.0)
-
-    def test_top2_matches_sort(self):
-        from repro.core.cache import LookupWorkspace
-
-        rng = np.random.default_rng(3)
-        workspace = LookupWorkspace()
-        matrix = np.ascontiguousarray(rng.standard_normal((10, 7)))
-        snapshot = matrix.copy()
-        best_idx, second_idx, best, second = workspace.top2(matrix)
-        assert np.array_equal(matrix, snapshot)  # restored in place
-        order = np.argsort(snapshot, axis=1)
-        assert np.array_equal(best_idx, order[:, -1])
-        assert np.allclose(best, np.take_along_axis(snapshot, order[:, -1:], 1)[:, 0])
-        assert np.allclose(second, np.take_along_axis(snapshot, order[:, -2:-1], 1)[:, 0])
-        del second_idx
 
     def test_scores_into_matches_reference(self):
         from repro.core.cache import LookupWorkspace

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+import oracle
 from repro.core.client import CoCaClient
 from repro.core.config import CoCaConfig
 from repro.core.server import CoCaServer, GlobalCacheTable
+from repro.data.datasets import get_dataset
 from repro.data.stream import StreamGenerator
+from repro.models.zoo import build_model
 
 
 @pytest.fixture
@@ -153,6 +156,35 @@ class TestServer:
             for j in range(tiny_model.num_cache_layers)
         )
         assert server.cache_size_limit_bytes(0.5) == int(0.5 * full)
+
+
+class TestCalibrationMatchesOracle:
+    """Calibration scores each layer alone through the walk's block step;
+    the per-layer loop of ``oracle.layer_statistics`` gives the same bits
+    from the same draws."""
+
+    @staticmethod
+    def _check(server, seed, num_samples):
+        rng = np.random.default_rng(seed)
+        expected_rng = np.random.default_rng(seed)
+        got = server.measure_layer_statistics(rng, num_samples=num_samples)
+        expected = oracle.layer_statistics(server, expected_rng, num_samples)
+        for a, b in zip(got, expected, strict=True):
+            assert np.array_equal(a, b)
+        # Both consumed the same draws.
+        assert rng.integers(2**62) == expected_rng.integers(2**62)
+        # The case is not vacuous: some layer fires.
+        assert got[0].any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tiny_model(self, tiny_model, config, seed):
+        self._check(CoCaServer(tiny_model, config), seed, num_samples=150)
+
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002])
+    def test_resnet101_ucf101_50(self, seed):
+        model = build_model("resnet101", get_dataset("ucf101", 50), seed=0)
+        assert model.num_cache_layers > 8  # several blocks of the step
+        self._check(CoCaServer(model, CoCaConfig()), seed, num_samples=600)
 
 
 class TestClient:

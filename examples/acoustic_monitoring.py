@@ -12,7 +12,7 @@ Run:  python examples/acoustic_monitoring.py
 from repro.baselines import CoCaRunner, EdgeOnly
 from repro.core import CoCaConfig
 from repro.data import get_dataset
-from repro.experiments import Scenario, fresh_scenario
+from repro.experiments import Scenario
 
 
 def main() -> None:
@@ -24,10 +24,10 @@ def main() -> None:
         seed=3030,
     )
 
-    edge = EdgeOnly(fresh_scenario(scenario)).run(4, warmup_rounds=0).summary()
+    edge = EdgeOnly(scenario).run(4, warmup_rounds=0).summary()
 
     runner = CoCaRunner(
-        fresh_scenario(scenario), config=CoCaConfig(theta=0.045)
+        scenario, config=CoCaConfig(theta=0.045)
     )
     result = runner.framework.run(num_rounds=4, warmup_rounds=0)
 

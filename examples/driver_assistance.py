@@ -14,7 +14,7 @@ Run:  python examples/driver_assistance.py
 from repro.baselines import CoCaRunner, EdgeOnly
 from repro.core import CoCaConfig
 from repro.data import get_dataset
-from repro.experiments import Scenario, fresh_scenario
+from repro.experiments import Scenario
 
 LATENCY_SLO_MS = 55.0  # the fleet's per-frame budget for this model
 ACCURACY_LOSS_BUDGET = 0.05  # the paper's looser SLO band
@@ -30,7 +30,7 @@ def main() -> None:
         seed=2024,
     )
 
-    edge = EdgeOnly(fresh_scenario(scenario)).run(3, warmup_rounds=1).summary()
+    edge = EdgeOnly(scenario).run(3, warmup_rounds=1).summary()
     floor = edge.accuracy - ACCURACY_LOSS_BUDGET
     print(
         f"Edge-Only: {edge.avg_latency_ms:.1f} ms at {100 * edge.accuracy:.1f}% — "
@@ -40,7 +40,7 @@ def main() -> None:
     print(f"{'theta':>7s}{'latency':>10s}{'accuracy':>10s}{'verdict':>28s}")
     chosen = None
     for theta in THETA_GRID:
-        runner = CoCaRunner(fresh_scenario(scenario), config=CoCaConfig(theta=theta))
+        runner = CoCaRunner(scenario, config=CoCaConfig(theta=theta))
         s = runner.run(3, warmup_rounds=1).summary()
         ok_latency = s.avg_latency_ms <= LATENCY_SLO_MS
         ok_accuracy = s.accuracy >= floor

@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 from repro.baselines import CoCaRunner, EdgeOnly
 from repro.core import CoCaConfig
 from repro.data import get_dataset
-from repro.experiments import Scenario, fresh_scenario
+from repro.experiments import Scenario
 
 
 def main() -> None:
@@ -26,11 +26,11 @@ def main() -> None:
     )
 
     print("Running Edge-Only (no caching) ...")
-    edge = EdgeOnly(fresh_scenario(scenario)).run(3, warmup_rounds=1).summary()
+    edge = EdgeOnly(scenario).run(3, warmup_rounds=1).summary()
 
     print("Running CoCa (collaborative caching) ...")
     coca_runner = CoCaRunner(
-        fresh_scenario(scenario),
+        scenario,
         config=CoCaConfig(theta=0.05),  # ~3% accuracy-loss operating point
     )
     coca = coca_runner.run(3, warmup_rounds=1).summary()

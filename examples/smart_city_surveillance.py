@@ -13,25 +13,20 @@ toggling global cache updates.
 Run:  python examples/smart_city_surveillance.py
 """
 
-from repro.baselines import CoCaRunner, EdgeOnly, FoggyCache, LearnedCache, SMTM
+from repro.baselines import CoCaRunner, build_runner
 from repro.core import CoCaConfig
 from repro.data import get_dataset
-from repro.experiments import Scenario, fresh_scenario
+from repro.experiments import Scenario
 
 ROUNDS, WARMUP = 3, 1
 
 
+#: Decision thresholds (FoggyCache and Edge-Only run at their defaults).
+THRESHOLDS = {"LearnedCache": 0.12, "SMTM": 0.08, "CoCa": 0.05}
+
+
 def run_method(name: str, scenario: Scenario):
-    if name == "Edge-Only":
-        runner = EdgeOnly(scenario)
-    elif name == "LearnedCache":
-        runner = LearnedCache(scenario, exit_margin=0.12)
-    elif name == "FoggyCache":
-        runner = FoggyCache(scenario)
-    elif name == "SMTM":
-        runner = SMTM(scenario, theta=0.08)
-    else:
-        runner = CoCaRunner(scenario, config=CoCaConfig(theta=0.05))
+    runner = build_runner(name, scenario, THRESHOLDS.get(name))
     return runner.run(ROUNDS, warmup_rounds=WARMUP).summary()
 
 
@@ -48,7 +43,7 @@ def main() -> None:
     print("City deployment: 8 cameras, 100 event classes, long-tail (rho=90)\n")
     print(f"{'method':14s}{'latency':>10s}{'accuracy':>10s}{'hit ratio':>10s}")
     for name in ("Edge-Only", "LearnedCache", "FoggyCache", "SMTM", "CoCa"):
-        summary = run_method(name, fresh_scenario(scenario))
+        summary = run_method(name, scenario)
         hit = f"{100 * summary.hit_ratio:8.1f}%" if summary.hit_ratio else "       —"
         print(
             f"{name:14s}{summary.avg_latency_ms:9.2f}ms"
@@ -60,7 +55,7 @@ def main() -> None:
     print("\nCollaboration ablation (CoCa with/without global cache updates):")
     for label, gcu in (("with global updates", True), ("without", False)):
         runner = CoCaRunner(
-            fresh_scenario(scenario), config=CoCaConfig(theta=0.05), enable_gcu=gcu
+            scenario, config=CoCaConfig(theta=0.05), enable_gcu=gcu
         )
         summary = runner.run(ROUNDS, warmup_rounds=WARMUP).summary()
         print(

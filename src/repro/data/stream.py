@@ -24,20 +24,19 @@ models intra-class variation.  The model substrate turns difficulty into
 feature confusion, which is what produces the paper's "easy samples hit
 at shallow cache layers" behaviour (Fig. 1b).
 
-Two generation granularities share the run machinery:
-:meth:`StreamGenerator.next_frame` / :meth:`StreamGenerator.take` produce
-:class:`Frame` objects one at a time (the reference scalar path), while
-:meth:`StreamGenerator.take_block` produces a :class:`FrameBlock` —
-a structure-of-arrays view of the same two-level process, generated one
-*run* at a time with the per-frame difficulty arithmetic vectorized.
-Blocks feed :meth:`repro.models.feature.SemanticFeatureSpace.draw_samples`
-without ever materializing per-frame Python objects.
+One generator produces every frame: :meth:`StreamGenerator.take_block`
+returns a :class:`FrameBlock` — a structure-of-arrays view of the
+two-level process, generated one *run* at a time with the per-frame
+difficulty arithmetic vectorized.  Blocks feed
+:meth:`repro.models.feature.SemanticFeatureSpace.draw_samples` without
+ever materializing per-frame Python objects; :meth:`StreamGenerator.take`
+is the same block as a list of :class:`Frame` objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -233,44 +232,21 @@ class StreamGenerator:
         self._remaining_in_run = int(self._rng.geometric(p_stop))
         self._run_position = 0
 
-    def _frame_difficulty(self, run_position: int) -> float:
-        transition = self._transition_penalty * (0.5 ** run_position)
-        jitter = self._rng.uniform(0.0, self._jitter)
-        return float(min(0.999, self._base_difficulty + transition + jitter))
-
-    def next_frame(self) -> Frame:
-        """Produce the next frame of the stream."""
-        if self._remaining_in_run <= 0:
-            self._start_new_run()
-        assert self._current_class is not None
-        frame = Frame(
-            class_id=self._current_class,
-            difficulty=self._frame_difficulty(self._run_position),
-            run_position=self._run_position,
-            stream_index=self._index,
-        )
-        self._remaining_in_run -= 1
-        self._run_position += 1
-        self._index += 1
-        return frame
-
     def take(self, count: int) -> list[Frame]:
-        """Produce the next ``count`` frames as a list."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        return [self.next_frame() for _ in range(count)]
+        """Produce the next ``count`` frames as a list (``take_block``'s
+        frames)."""
+        return self.take_block(count).frames()
 
     def take_block(self, count: int) -> FrameBlock:
         """Produce the next ``count`` frames as a :class:`FrameBlock`.
 
         The two-level process (working-set churn, run class/length draws)
-        advances run by run exactly as :meth:`next_frame` does, but the
-        per-frame work — difficulty transition decay plus uniform jitter —
-        is computed as one array operation per run, so the Python cost is
-        proportional to the number of *runs*, not frames.  The stream
-        state afterwards is as if ``count`` frames had been consumed, so
-        block and scalar granularities can be mixed freely (the random
-        streams differ, but the process distribution is identical).
+        advances run by run; the per-frame work — difficulty transition
+        decay plus uniform jitter — is one array operation per run, so the
+        Python cost is proportional to the number of *runs*, not frames.
+        A run may span calls: with no other draws on the generator in
+        between, consecutive blocks of any sizes concatenate to exactly
+        the frames one block of their total size holds.
         """
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
@@ -310,10 +286,6 @@ class StreamGenerator:
             run_positions=np.concatenate(pos_parts),
             stream_indices=indices,
         )
-
-    def __iter__(self) -> Iterator[Frame]:
-        while True:
-            yield self.next_frame()
 
 
 def empirical_class_frequencies(

@@ -35,7 +35,7 @@ from repro.experiments.motivation import (
     run_per_layer_stats,
 )
 from repro.experiments.scenario import Scenario
-from repro.experiments.slo import SloRow, format_slo_table, fresh_scenario, run_slo_experiment
+from repro.experiments.slo import SloRow, format_slo_table, run_slo_experiment
 from repro.experiments.system_load import (
     ClientLoadPoint,
     UpdateCyclePoint,
@@ -72,7 +72,6 @@ __all__ = [
     "format_allocation_table",
     "format_method_points",
     "format_slo_table",
-    "fresh_scenario",
     "run_ablation",
     "run_allocation_comparison",
     "run_alpha_ablation",

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from repro.baselines import CoCaRunner
 from repro.core.config import CoCaConfig, recommended_theta
 from repro.experiments.scenario import Scenario
-from repro.experiments.slo import fresh_scenario
 
 VARIANTS: tuple[tuple[str, bool, bool], ...] = (
     ("Normal", False, False),
@@ -51,10 +50,10 @@ def run_ablation(
     points = []
     for model_name in model_names:
         model_theta = theta if theta is not None else recommended_theta(model_name)
-        model_scenario = replace(fresh_scenario(scenario), model_name=model_name)
+        model_scenario = replace(scenario, model_name=model_name)
         for variant, dca, gcu in VARIANTS:
             runner = CoCaRunner(
-                fresh_scenario(model_scenario),
+                model_scenario,
                 config=CoCaConfig(theta=model_theta),
                 enable_dca=dca,
                 enable_gcu=gcu,

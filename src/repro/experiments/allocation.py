@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from repro.baselines import CoCaRunner, ReplacementPolicyCache
 from repro.core.config import CoCaConfig
 from repro.experiments.scenario import Scenario
-from repro.experiments.slo import fresh_scenario
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ def run_allocation_comparison(
         memory_bytes = None
         for policy in ("lru", "fifo", "rand"):
             runner = ReplacementPolicyCache(
-                fresh_scenario(scenario),
+                scenario,
                 policy=policy,
                 cache_size=size,
                 theta=theta,
@@ -60,7 +59,7 @@ def run_allocation_comparison(
             )
         assert memory_bytes is not None
         aca = CoCaRunner(
-            fresh_scenario(scenario),
+            scenario,
             config=CoCaConfig(theta=theta),
             budget_bytes=memory_bytes,
         )

@@ -23,7 +23,6 @@ from repro.baselines import CoCaRunner
 from repro.core.config import CoCaConfig
 from repro.core.server import GlobalCacheTable
 from repro.experiments.scenario import Scenario
-from repro.experiments.slo import fresh_scenario
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,7 @@ class DesignPoint:
 
 def _measure(scenario: Scenario, config: CoCaConfig, rounds: int, warmup: int,
              knob: str, value: str, **runner_kwargs) -> DesignPoint:
-    runner = CoCaRunner(fresh_scenario(scenario), config=config, **runner_kwargs)
+    runner = CoCaRunner(scenario, config=config, **runner_kwargs)
     summary = runner.run(rounds, warmup_rounds=warmup).summary()
     return DesignPoint(
         knob=knob,
@@ -107,7 +106,7 @@ def run_local_blend_ablation(
     """
     points = []
     for label, use_local in (("global+local", True), ("global-only", False)):
-        runner = CoCaRunner(fresh_scenario(scenario), config=CoCaConfig(theta=theta))
+        runner = CoCaRunner(scenario, config=CoCaConfig(theta=theta))
         if not use_local:
             for client in runner.framework.clients:
                 # Suppress the local distribution in every future status.
@@ -181,7 +180,7 @@ def run_update_weighting_ablation(
     """
     points = []
     for label, fixed in (("frequency-weighted (Eq. 4)", False), ("fixed-rate EMA", True)):
-        runner = CoCaRunner(fresh_scenario(scenario), config=CoCaConfig(theta=theta))
+        runner = CoCaRunner(scenario, config=CoCaConfig(theta=theta))
         if fixed:
             server = runner.framework.server
             server.table = _FixedRateTable(server.table, fixed_rate)

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.baselines import CoCaRunner, EdgeOnly, FoggyCache, LearnedCache, SMTM
-from repro.core.config import CoCaConfig
+from repro.baselines import build_runner
 from repro.experiments.scenario import Scenario
-from repro.experiments.slo import fresh_scenario
 
 #: Default per-method operating points for the distribution studies (the
 #: thresholds selected by the 3%-SLO protocol on the reference scenario).
@@ -39,20 +37,30 @@ class MethodPoint:
     hit_ratio_pct: float
 
 
-def _build_runner(method: str, scenario: Scenario, operating_points: dict[str, float]):
-    if method == "Edge-Only":
-        return EdgeOnly(scenario)
-    if method == "LearnedCache":
-        return LearnedCache(scenario, exit_margin=operating_points[method])
-    if method == "FoggyCache":
-        return FoggyCache(scenario, min_similarity=operating_points[method])
-    if method == "SMTM":
-        return SMTM(scenario, theta=operating_points[method])
-    if method == "CoCa":
-        return CoCaRunner(
-            scenario, config=CoCaConfig(theta=operating_points[method])
+def _measure(
+    scenario: Scenario,
+    setting: str,
+    methods: tuple[str, ...],
+    rounds: int,
+    warmup: int,
+    operating_points: dict[str, float] | None,
+) -> list[MethodPoint]:
+    """Every method on ``scenario`` at its operating point (Edge-Only has none)."""
+    ops = dict(DEFAULT_OPERATING_POINTS, **(operating_points or {}))
+    points = []
+    for method in methods:
+        runner = build_runner(method, scenario, ops.get(method))
+        summary = runner.run(rounds, warmup_rounds=warmup).summary()
+        points.append(
+            MethodPoint(
+                method=method,
+                setting=setting,
+                latency_ms=summary.avg_latency_ms,
+                accuracy_pct=100 * summary.accuracy,
+                hit_ratio_pct=100 * summary.hit_ratio,
+            )
         )
-    raise KeyError(f"unknown method {method!r}")
+    return points
 
 
 def run_noniid_sweep(
@@ -70,23 +78,12 @@ def run_noniid_sweep(
     operating_points: dict[str, float] | None = None,
 ) -> list[MethodPoint]:
     """Fig. 7: every method at every non-IID level."""
-    ops = dict(DEFAULT_OPERATING_POINTS, **(operating_points or {}))
-    points = []
-    for level in levels:
-        level_scenario = replace(fresh_scenario(scenario), non_iid_level=level)
-        for method in methods:
-            runner = _build_runner(method, fresh_scenario(level_scenario), ops)
-            summary = runner.run(rounds, warmup_rounds=warmup).summary()
-            points.append(
-                MethodPoint(
-                    method=method,
-                    setting=f"p={level:g}",
-                    latency_ms=summary.avg_latency_ms,
-                    accuracy_pct=100 * summary.accuracy,
-                    hit_ratio_pct=100 * summary.hit_ratio,
-                )
-            )
-    return points
+    return [
+        point
+        for level in levels
+        for point in _measure(replace(scenario, non_iid_level=level), f"p={level:g}",
+                              methods, rounds, warmup, operating_points)
+    ]
 
 
 def run_longtail_comparison(
@@ -104,23 +101,12 @@ def run_longtail_comparison(
     operating_points: dict[str, float] | None = None,
 ) -> list[MethodPoint]:
     """Table III: uniform vs long-tail groups for every method."""
-    ops = dict(DEFAULT_OPERATING_POINTS, **(operating_points or {}))
-    points = []
-    for setting, rho in (("uniform", 1.0), ("long-tail", imbalance_ratio)):
-        group_scenario = replace(fresh_scenario(scenario), longtail_rho=rho)
-        for method in methods:
-            runner = _build_runner(method, fresh_scenario(group_scenario), ops)
-            summary = runner.run(rounds, warmup_rounds=warmup).summary()
-            points.append(
-                MethodPoint(
-                    method=method,
-                    setting=setting,
-                    latency_ms=summary.avg_latency_ms,
-                    accuracy_pct=100 * summary.accuracy,
-                    hit_ratio_pct=100 * summary.hit_ratio,
-                )
-            )
-    return points
+    return [
+        point
+        for setting, rho in (("uniform", 1.0), ("long-tail", imbalance_ratio))
+        for point in _measure(replace(scenario, longtail_rho=rho), setting,
+                              methods, rounds, warmup, operating_points)
+    ]
 
 
 def format_method_points(points: list[MethodPoint], title: str) -> str:

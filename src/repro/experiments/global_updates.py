@@ -19,7 +19,6 @@ from repro.core.config import CoCaConfig
 from repro.core.rng import derive_rng
 from repro.data.stream import Frame
 from repro.experiments.scenario import Scenario
-from repro.experiments.slo import fresh_scenario
 
 
 @dataclass
@@ -69,7 +68,7 @@ def run_global_update_study(
     runs: dict[bool, tuple[np.ndarray, float]] = {}
     for gcu in (True, False):
         runner = CoCaRunner(
-            fresh_scenario(scenario),
+            scenario,
             config=CoCaConfig(theta=theta),
             enable_gcu=gcu,
         )

@@ -8,11 +8,19 @@ derivation :class:`~repro.core.framework.CoCaFramework` runs.  CoCa and
 every baseline built from the *same* seed therefore see byte-identical
 feature geometry and (given the same draw order) statistically identical
 streams — the comparisons in the benchmark tables are apples-to-apples.
+
+A scenario is frozen and derives its deployment once, on first use, from
+its own fields, so ``dataclasses.replace(scenario, ...)`` always yields a
+scenario whose model and distributions match its new fields.  One
+scenario serves any number of runners: every runner builds its own
+streams on fresh generators (:meth:`Scenario.client_rng`) and only reads
+the shared model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +30,7 @@ from repro.data.stream import StreamGenerator
 from repro.models.base import SimulatedModel
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """One fully specified evaluation setting.
 
@@ -48,38 +56,32 @@ class Scenario:
     client_drift_scale: float | None = None
     working_set_size: int | None = 10
 
-    _deployment: Deployment | None = field(default=None, repr=False)
-
-    def _materialize(self) -> Deployment:
-        if self._deployment is None:
-            self._deployment = derive_deployment(
-                self.dataset,
-                self.model_name,
-                self.num_clients,
-                self.seed,
-                self.non_iid_level,
-                self.longtail_rho,
-                self.client_drift_scale,
-            )
-        return self._deployment
+    @cached_property
+    def deployment(self) -> Deployment:
+        """Model, partitions and seeds of this setting (derived once)."""
+        return derive_deployment(
+            self.dataset,
+            self.model_name,
+            self.num_clients,
+            self.seed,
+            self.non_iid_level,
+            self.longtail_rho,
+            self.client_drift_scale,
+        )
 
     @property
     def model(self) -> SimulatedModel:
-        """The shared simulated model (built lazily, cached)."""
-        return self._materialize().model
+        """The shared simulated model."""
+        return self.deployment.model
 
     @property
     def distributions(self) -> np.ndarray:
         """Per-client class distributions, shape (num_clients, I)."""
-        return self._materialize().distributions.copy()
-
-    def server_rng(self) -> np.random.Generator:
-        """Generator for server-side calibration (shared dataset)."""
-        return self._materialize().server_rng()
+        return self.deployment.distributions.copy()
 
     def client_rng(self, client_id: int) -> np.random.Generator:
         """Fresh generator for one client (same sequence every call)."""
-        return self._materialize().client_rng(client_id)
+        return self.deployment.client_rng(client_id)
 
     def make_stream(
         self, client_id: int, rng: np.random.Generator
@@ -91,6 +93,6 @@ class Scenario:
         generator returned by :meth:`client_rng` and reuse it for feature
         draws.
         """
-        return self._materialize().make_stream(
+        return self.deployment.make_stream(
             client_id, rng, self.working_set_size
         )

@@ -4,20 +4,23 @@ The paper tunes each method's decision threshold to its best latency
 *subject to* an accuracy-loss constraint (3% / 5% below Edge-Only), then
 reports the achieved latency and accuracy.  This driver reproduces that
 protocol: for each method it searches a small threshold grid, keeps the
-configurations meeting the constraint, and reports the fastest.
+configurations meeting the constraint, and reports the fastest.  Every
+run is built by :func:`repro.baselines.build_runner` on the one given
+scenario, so all methods and grid points start from the same deployment
+and per-client seeds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.baselines import CoCaRunner, EdgeOnly, FoggyCache, LearnedCache, SMTM
-from repro.core.config import CoCaConfig
+from repro.baselines import build_runner
 from repro.experiments.scenario import Scenario
 from repro.sim.metrics import MetricsSummary
 
-#: Per-method threshold grids searched by the SLO protocol.  Each entry is
-#: (parameter name, values); the remaining parameters stay at defaults.
+#: Per-method grids of the decision threshold that ``build_runner`` sets
+#: (see :data:`repro.baselines.METHODS`); other parameters stay at their
+#: defaults.
 DEFAULT_GRIDS: dict[str, list[float]] = {
     "LearnedCache": [0.06, 0.09, 0.12, 0.15],
     "FoggyCache": [0.62, 0.68, 0.74, 0.80],  # min_similarity
@@ -38,29 +41,6 @@ class SloRow:
     met_constraint: bool
 
 
-def _run_method(
-    method: str, scenario: Scenario, threshold: float, rounds: int, warmup: int
-) -> MetricsSummary:
-    if method == "Edge-Only":
-        runner = EdgeOnly(scenario)
-    elif method == "LearnedCache":
-        runner = LearnedCache(scenario, exit_margin=threshold)
-    elif method == "FoggyCache":
-        runner = FoggyCache(scenario, min_similarity=threshold)
-    elif method == "SMTM":
-        runner = SMTM(scenario, theta=threshold)
-    elif method == "CoCa":
-        runner = CoCaRunner(scenario, config=CoCaConfig(theta=threshold))
-    else:
-        raise KeyError(f"unknown method {method!r}")
-    return runner.run(rounds, warmup_rounds=warmup).summary()
-
-
-def fresh_scenario(scenario: Scenario) -> Scenario:
-    """A pristine copy (runners consume stream state, so never share)."""
-    return replace(scenario, _deployment=None)
-
-
 def run_slo_experiment(
     scenario: Scenario,
     accuracy_loss_budgets: tuple[float, ...] = (0.03, 0.05),
@@ -77,15 +57,14 @@ def run_slo_experiment(
         or the most accurate one if none does, flagged accordingly).
     """
     grids = dict(DEFAULT_GRIDS, **(grids or {}))
-    edge = _run_method("Edge-Only", fresh_scenario(scenario), 0.0, rounds, warmup)
 
+    def measure(method: str, threshold: float | None) -> MetricsSummary:
+        runner = build_runner(method, scenario, threshold)
+        return runner.run(rounds, warmup_rounds=warmup).summary()
+
+    edge = measure("Edge-Only", None)
     # Evaluate every grid point once, reuse across budgets.
-    evaluations: dict[str, list[tuple[float, MetricsSummary]]] = {}
-    for method in methods:
-        evaluations[method] = [
-            (t, _run_method(method, fresh_scenario(scenario), t, rounds, warmup))
-            for t in grids[method]
-        ]
+    evaluations = {method: [(t, measure(method, t)) for t in grids[method]] for method in methods}
 
     results: dict[float, list[SloRow]] = {}
     for budget in accuracy_loss_budgets:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from repro.baselines import CoCaRunner
 from repro.core.config import CoCaConfig
 from repro.experiments.scenario import Scenario
-from repro.experiments.slo import fresh_scenario
 from repro.sim.network import ServerLoadModel
 
 
@@ -47,7 +46,7 @@ def run_update_cycle_sweep(
     points = []
     for cycle in cycles:
         config = CoCaConfig(theta=theta, frames_per_round=cycle)
-        runner = CoCaRunner(fresh_scenario(scenario), config=config)
+        runner = CoCaRunner(scenario, config=config)
         rounds = max(1, total_frames // cycle)
         warmup = max(0, warmup_frames // cycle)
         summary = runner.run(rounds, warmup_rounds=warmup).summary()

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from repro.baselines import CoCaRunner
 from repro.core.config import CoCaConfig
 from repro.experiments.scenario import Scenario
-from repro.experiments.slo import fresh_scenario
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,7 @@ def run_theta_sweep(
     points = []
     for theta in thetas:
         runner = CoCaRunner(
-            fresh_scenario(scenario),
+            scenario,
             config=CoCaConfig(theta=theta, accuracy_loss_budget=0.5),
         )
         summary = runner.run(rounds, warmup_rounds=warmup).summary()
@@ -76,7 +75,7 @@ def _collection_stats(
     scenario: Scenario, config: CoCaConfig, rounds: int, warmup: int
 ) -> tuple[float, float, float, float]:
     """(hit absorption, miss absorption, collected accuracy, collected)."""
-    runner = CoCaRunner(fresh_scenario(scenario), config=config)
+    runner = CoCaRunner(scenario, config=config)
     result = runner.framework.run(rounds, warmup_rounds=warmup)
     reports = result.reports
     eligible_hits = sum(r.eligible_hits for r in reports)

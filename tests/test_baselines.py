@@ -6,12 +6,14 @@ import pytest
 import oracle
 
 from repro.baselines import (
+    METHODS,
     CoCaRunner,
     EdgeOnly,
     FoggyCache,
     LearnedCache,
     ReplacementPolicyCache,
     SMTM,
+    build_runner,
 )
 from repro.baselines.base import BATCH_WINDOW
 from repro.baselines.foggy_cache import LshLruCache
@@ -31,15 +33,9 @@ def small_scenario():
     )
 
 
-def _fresh(scenario, **overrides):
-    from dataclasses import replace
-
-    return replace(scenario, _deployment=None, **overrides)
-
-
 class TestEdgeOnly:
     def test_latency_is_constant_full_compute(self, small_scenario):
-        runner = EdgeOnly(_fresh(small_scenario), frames_per_round=40)
+        runner = EdgeOnly(small_scenario, frames_per_round=40)
         metrics = runner.run(1)
         summary = metrics.summary()
         assert summary.avg_latency_ms == pytest.approx(
@@ -49,21 +45,21 @@ class TestEdgeOnly:
         assert summary.num_samples == 2 * 40
 
     def test_warmup_rounds_excluded(self, small_scenario):
-        runner = EdgeOnly(_fresh(small_scenario), frames_per_round=30)
+        runner = EdgeOnly(small_scenario, frames_per_round=30)
         metrics = runner.run(1, warmup_rounds=1)
         assert metrics.summary().num_samples == 2 * 30
 
     def test_invalid_args(self, small_scenario):
         with pytest.raises(ValueError):
-            EdgeOnly(_fresh(small_scenario), frames_per_round=0)
-        runner = EdgeOnly(_fresh(small_scenario))
+            EdgeOnly(small_scenario, frames_per_round=0)
+        runner = EdgeOnly(small_scenario)
         with pytest.raises(ValueError):
             runner.run(0)
 
 
 class TestLearnedCache:
     def test_exits_reduce_latency(self, small_scenario):
-        runner = LearnedCache(_fresh(small_scenario), frames_per_round=60)
+        runner = LearnedCache(small_scenario, frames_per_round=60)
         summary = runner.run(1).summary()
         assert summary.hit_ratio > 0.1
         # Early exits skip compute but pay head + retraining overheads.
@@ -71,7 +67,7 @@ class TestLearnedCache:
 
     def test_strict_margin_blocks_exits(self, small_scenario):
         runner = LearnedCache(
-            _fresh(small_scenario), exit_margin=10.0, frames_per_round=40
+            small_scenario, exit_margin=10.0, frames_per_round=40
         )
         summary = runner.run(1).summary()
         assert summary.hit_ratio == 0.0
@@ -80,29 +76,29 @@ class TestLearnedCache:
         assert summary.avg_latency_ms > floor
 
     def test_exit_layers_skip_shallow_quarter(self, small_scenario):
-        runner = LearnedCache(_fresh(small_scenario))
+        runner = LearnedCache(small_scenario)
         L = runner.model.num_cache_layers
         assert min(runner.exit_layers) >= L // 4
 
     def test_validation(self, small_scenario):
         with pytest.raises(ValueError):
-            LearnedCache(_fresh(small_scenario), num_exits=0)
+            LearnedCache(small_scenario, num_exits=0)
 
 
 class TestFoggyCache:
     def test_reuse_hits_after_warm_cache(self, small_scenario):
-        runner = FoggyCache(_fresh(small_scenario), frames_per_round=80)
+        runner = FoggyCache(small_scenario, frames_per_round=80)
         summary = runner.run(1, warmup_rounds=1).summary()
         assert summary.hit_ratio > 0.2
         assert summary.avg_latency_ms < runner.model.total_compute_ms
 
     def test_hits_are_mostly_correct(self, small_scenario):
-        runner = FoggyCache(_fresh(small_scenario), frames_per_round=80)
+        runner = FoggyCache(small_scenario, frames_per_round=80)
         summary = runner.run(1, warmup_rounds=1).summary()
         assert summary.hit_accuracy > 0.8
 
     def test_server_cache_fills_after_round(self, small_scenario):
-        runner = FoggyCache(_fresh(small_scenario), frames_per_round=50)
+        runner = FoggyCache(small_scenario, frames_per_round=50)
         runner.run(1)
         assert len(runner._server) > 0
 
@@ -131,13 +127,13 @@ class TestLshLruCache:
 
 class TestSMTM:
     def test_caching_reduces_latency(self, small_scenario):
-        runner = SMTM(_fresh(small_scenario), frames_per_round=60)
+        runner = SMTM(small_scenario, frames_per_round=60)
         summary = runner.run(1, warmup_rounds=1).summary()
         assert summary.hit_ratio > 0.3
         assert summary.avg_latency_ms < runner.model.total_compute_ms
 
     def test_layers_are_static(self, small_scenario):
-        runner = SMTM(_fresh(small_scenario), frames_per_round=40)
+        runner = SMTM(small_scenario, frames_per_round=40)
         layers_before = list(runner.active_layers)
         runner.run(1)
         assert runner.active_layers == layers_before
@@ -145,14 +141,14 @@ class TestSMTM:
             assert engine.cache.active_layers == layers_before
 
     def test_local_adaptation_changes_centroids(self, small_scenario):
-        runner = SMTM(_fresh(small_scenario), frames_per_round=80)
+        runner = SMTM(small_scenario, frames_per_round=80)
         layer = runner.active_layers[0]
         before = runner._centroids[layer].copy()
         runner.run(1)
         assert not np.allclose(runner._centroids[layer], before)
 
     def test_clients_do_not_share_state(self, small_scenario):
-        runner = SMTM(_fresh(small_scenario), frames_per_round=80)
+        runner = SMTM(small_scenario, frames_per_round=80)
         runner.run(1)
         layer = runner.active_layers[0]
         assert not np.allclose(
@@ -164,7 +160,7 @@ class TestReplacementPolicies:
     @pytest.mark.parametrize("policy", ["lru", "fifo", "rand"])
     def test_policies_run_and_cache(self, small_scenario, policy):
         runner = ReplacementPolicyCache(
-            _fresh(small_scenario), policy=policy, cache_size=10, frames_per_round=50
+            small_scenario, policy=policy, cache_size=10, frames_per_round=50
         )
         summary = runner.run(1).summary()
         assert summary.num_samples == 2 * 50
@@ -172,7 +168,7 @@ class TestReplacementPolicies:
 
     def test_resident_set_bounded(self, small_scenario):
         runner = ReplacementPolicyCache(
-            _fresh(small_scenario), policy="lru", cache_size=6, frames_per_round=60
+            small_scenario, policy="lru", cache_size=6, frames_per_round=60
         )
         runner.run(1)
         for resident in runner._resident:
@@ -180,11 +176,11 @@ class TestReplacementPolicies:
 
     def test_unknown_policy_rejected(self, small_scenario):
         with pytest.raises(ValueError):
-            ReplacementPolicyCache(_fresh(small_scenario), policy="mru")
+            ReplacementPolicyCache(small_scenario, policy="mru")
 
     def test_memory_accounting(self, small_scenario):
         runner = ReplacementPolicyCache(
-            _fresh(small_scenario), policy="fifo", cache_size=10
+            small_scenario, policy="fifo", cache_size=10
         )
         expected = 10 * sum(
             runner.model.profile.entry_size_bytes(j) for j in runner.active_layers
@@ -208,7 +204,7 @@ class TestBaselinesMatchOracle:
 
     @pytest.mark.parametrize("method", ["smtm", "lru", "fifo", "rand"])
     def test_every_frame_matches_the_oracle(self, small_scenario, method):
-        runner = _runner(_fresh(small_scenario), method)
+        runner = _runner(small_scenario, method)
         hit_layers = []
 
         def checked(engine):
@@ -237,8 +233,8 @@ class TestBaselinesMatchOracle:
 
     @pytest.mark.parametrize("method", ["smtm", "lru", "fifo", "rand"])
     def test_windowed_rounds_equal_frame_by_frame(self, small_scenario, method):
-        batched = _runner(_fresh(small_scenario), method, frames_per_round=150)
-        single = _runner(_fresh(small_scenario), method, frames_per_round=150)
+        batched = _runner(small_scenario, method, frames_per_round=150)
+        single = _runner(small_scenario, method, frames_per_round=150)
         process_round = type(single).process_round
         single.process_round = lambda client_id, samples: [
             process_round(single, client_id, [sample])[0] for sample in samples
@@ -267,7 +263,7 @@ class TestBaselinesMatchOracle:
 class TestCoCaRunner:
     def test_runs_under_common_interface(self, small_scenario):
         runner = CoCaRunner(
-            _fresh(small_scenario), config=CoCaConfig(theta=0.05, frames_per_round=60)
+            small_scenario, config=CoCaConfig(theta=0.05, frames_per_round=60)
         )
         summary = runner.run(1, warmup_rounds=1).summary()
         assert summary.num_samples == 2 * 60
@@ -275,7 +271,7 @@ class TestCoCaRunner:
 
     def test_budget_override(self, small_scenario):
         runner = CoCaRunner(
-            _fresh(small_scenario),
+            small_scenario,
             config=CoCaConfig(theta=0.05, frames_per_round=40),
             budget_bytes=12345,
         )
@@ -287,8 +283,39 @@ class TestCoCaRunner:
 class TestFairComparison:
     def test_all_methods_see_identical_model(self, small_scenario):
         """Same scenario seed => same feature geometry for every method."""
-        edge = EdgeOnly(_fresh(small_scenario))
-        smtm = SMTM(_fresh(small_scenario))
+        edge = EdgeOnly(small_scenario)
+        smtm = SMTM(small_scenario)
         a = edge.model.ideal_centroids(3)
         b = smtm.model.ideal_centroids(3)
         assert np.allclose(a, b)
+
+
+class TestBuildRunner:
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_threshold_reaches_its_keyword(self, small_scenario, method):
+        _, cls, keyword = METHODS[method]
+        runner = build_runner(method, small_scenario)
+        assert type(runner) is cls and runner.name == method
+        if keyword is None:
+            return
+        runner = build_runner(method, small_scenario, 0.123)
+        owner = runner.config if method == "CoCa" else runner
+        assert getattr(owner, keyword) == 0.123
+
+    def test_none_keeps_the_constructor_default(self, small_scenario):
+        assert build_runner("SMTM", small_scenario).theta == SMTM(small_scenario).theta
+        assert build_runner("CoCa", small_scenario).config == CoCaConfig()
+
+    def test_rejects_unknown_method_and_stray_threshold(self, small_scenario):
+        with pytest.raises(KeyError):
+            build_runner("edge", small_scenario)
+        with pytest.raises(ValueError):
+            build_runner("Edge-Only", small_scenario, 0.05)
+
+    def test_runners_sharing_a_scenario_match_runners_on_copies(self, small_scenario):
+        from dataclasses import replace
+
+        for method in ("Edge-Only", "LearnedCache", "SMTM"):
+            shared = build_runner(method, small_scenario).run(1).summary()
+            copied = build_runner(method, replace(small_scenario)).run(1).summary()
+            assert shared == copied, method

@@ -191,3 +191,37 @@ class TestCommands:
         }
         assert payload["total_ms"] > 0
         assert payload["inferences_per_s"] > 0
+
+
+SMALL = ["--classes", "10", "--model", "resnet50", "--clients", "2", "--rounds", "1",
+         "--warmup", "0"]
+
+
+class TestMethodRows:
+    def test_compare_passes_theta_to_smtm_and_coca_only(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        seen = {}
+        build_runner = cli.build_runner
+
+        def spy(method, scenario, threshold=None):
+            seen[method] = threshold
+            return build_runner(method, scenario, threshold)
+
+        monkeypatch.setattr(cli, "build_runner", spy)
+        methods = "edge,learnedcache,foggycache,smtm,coca"
+        assert main(["compare", "--methods", methods, "--theta", "0.07", "--json", *SMALL]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload["methods"]) == methods.split(",")
+        assert seen == {"Edge-Only": None, "LearnedCache": None, "FoggyCache": None,
+                        "SMTM": 0.07, "CoCa": 0.07}
+
+    def test_sweep_theta_prints_compares_coca_row(self, capsys):
+        assert main(["compare", "--methods", "edge,coca", "--theta", "0.05", *SMALL]) == 0
+        compare = capsys.readouterr().out.splitlines()
+        assert main(["sweep-theta", "--thetas", "0.05", *SMALL]) == 0
+        sweep = capsys.readouterr().out.splitlines()
+        coca = next(line for line in compare if line.startswith("CoCa"))
+        assert sweep[1] == "  0.050" + coca[len("CoCa".ljust(14)):]
+        edge = next(line for line in compare if line.startswith("Edge-Only"))
+        assert edge.endswith("—")

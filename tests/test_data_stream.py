@@ -94,12 +94,6 @@ class TestStreamGenerator:
             stream.take(-1)
         assert stream.take(0) == []
 
-    def test_iteration_protocol(self):
-        stream = _uniform_stream()
-        it = iter(stream)
-        frame = next(it)
-        assert isinstance(frame, Frame)
-
     def test_input_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -177,14 +171,15 @@ class TestTakeBlock:
         stream.take(7)
         block = stream.take_block(5)
         assert np.array_equal(block.stream_indices, np.arange(7, 12))
-        frame = stream.next_frame()
+        (frame,) = stream.take(1)
+        assert isinstance(frame, Frame)
         assert frame.stream_index == 12
 
     def test_empty_block(self):
         stream = _uniform_stream()
         block = stream.take_block(0)
         assert len(block) == 0
-        assert stream.next_frame().stream_index == 0
+        assert stream.take(1)[0].stream_index == 0
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
@@ -196,6 +191,27 @@ class TestTakeBlock:
         scalar_freq = empirical_class_frequencies(scalar.take(4000), 6)
         block_freq = empirical_class_frequencies(block_gen.take_block(4000), 6)
         assert np.abs(scalar_freq - block_freq).max() < 0.08
+
+    @pytest.mark.parametrize("working_set_size", [10, None])
+    def test_consecutive_blocks_concatenate_to_one_block(self, working_set_size):
+        def stream():
+            return StreamGenerator(
+                np.random.default_rng(3).dirichlet(np.ones(50)),
+                6.0,
+                np.random.default_rng(5),
+                working_set_size=working_set_size,
+            )
+
+        whole = stream().take_block(300)
+        split = stream()
+        parts = [split.take_block(n) for n in (17, 1, 282)]
+        for name in ("class_ids", "difficulties", "run_positions", "stream_indices"):
+            joined = np.concatenate([getattr(part, name) for part in parts])
+            assert np.array_equal(joined, getattr(whole, name)), name
+
+    def test_take_is_the_block_as_frames(self):
+        block = _uniform_stream(seed=8).take_block(64)
+        assert _uniform_stream(seed=8).take(64) == block.frames()
 
     def test_frameblock_roundtrip(self):
         from repro.data.stream import FrameBlock

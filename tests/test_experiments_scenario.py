@@ -1,11 +1,12 @@
 """Unit tests for the shared Scenario builder."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
 from repro.data.datasets import get_dataset
 from repro.experiments.scenario import Scenario
-from repro.experiments.slo import fresh_scenario
 
 
 def _scenario(**overrides):
@@ -55,16 +56,34 @@ class TestScenario:
         with pytest.raises(IndexError):
             scenario.client_rng(3)
 
-    def test_fresh_scenario_resets_state(self):
+    def test_replace_copy_rebuilds_identically(self):
         scenario = _scenario()
-        _ = scenario.model  # materialize
-        fresh = fresh_scenario(scenario)
-        assert fresh._deployment is None
-        assert fresh.seed == scenario.seed
-        # And rebuilds identically.
-        assert np.allclose(
-            fresh.model.ideal_centroids(1), scenario.model.ideal_centroids(1)
+        _ = scenario.model  # derive the deployment
+        copy = replace(scenario)
+        assert copy.model is not scenario.model
+        assert copy.seed == scenario.seed
+        assert np.array_equal(
+            copy.model.ideal_centroids(1), scenario.model.ideal_centroids(1)
         )
+        assert np.array_equal(copy.distributions, scenario.distributions)
+
+    def test_replace_after_use_derives_the_new_setting(self):
+        scenario = _scenario()
+        _ = scenario.model  # derive the deployment
+        changed = replace(scenario, non_iid_level=10.0, model_name="vgg16_bn")
+        expected = _scenario(non_iid_level=10.0, model_name="vgg16_bn")
+        assert changed.model.name == "vgg16_bn"
+        assert changed.model.num_cache_layers == expected.model.num_cache_layers
+        assert np.array_equal(
+            changed.model.ideal_centroids(1), expected.model.ideal_centroids(1)
+        )
+        assert np.array_equal(changed.distributions, expected.distributions)
+        assert not np.array_equal(changed.distributions, scenario.distributions)
+
+    def test_fields_are_frozen(self):
+        scenario = _scenario()
+        with pytest.raises(FrozenInstanceError):
+            scenario.non_iid_level = 10.0
 
     def test_multi_client_model_has_drift(self):
         scenario = _scenario()

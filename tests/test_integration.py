@@ -13,7 +13,6 @@ from repro.baselines import CoCaRunner, EdgeOnly, SMTM
 from repro.core.config import CoCaConfig
 from repro.data.datasets import get_dataset
 from repro.experiments.scenario import Scenario
-from repro.experiments.slo import fresh_scenario
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +28,7 @@ def scenario():
 
 @pytest.fixture(scope="module")
 def coca_summary(scenario):
-    runner = CoCaRunner(fresh_scenario(scenario), config=CoCaConfig(theta=0.05))
+    runner = CoCaRunner(scenario, config=CoCaConfig(theta=0.05))
     return runner.run(3, warmup_rounds=1).summary()
 
 
@@ -37,7 +36,7 @@ def coca_summary(scenario):
 def edge_summary(scenario):
     # Same rounds/warmup as the CoCa run: the streams are seed-identical,
     # so this pairs the two methods frame-for-frame.
-    return EdgeOnly(fresh_scenario(scenario)).run(3, warmup_rounds=1).summary()
+    return EdgeOnly(scenario).run(3, warmup_rounds=1).summary()
 
 
 class TestHeadlineClaims:
@@ -61,7 +60,7 @@ class TestAdaptivity:
     def test_cache_tracks_class_churn(self, scenario):
         """After the stream's working set rotates, the allocation follows:
         hot-spot sets differ between early and late rounds."""
-        runner = CoCaRunner(fresh_scenario(scenario), config=CoCaConfig(theta=0.05))
+        runner = CoCaRunner(scenario, config=CoCaConfig(theta=0.05))
         fw = runner.framework
         fw.run_round(0)
         client = fw.clients[0]
@@ -90,8 +89,8 @@ class TestAdaptivity:
         (Fig. 7's mechanism)."""
         import dataclasses
 
-        iid = dataclasses.replace(fresh_scenario(scenario), non_iid_level=0.0)
-        skewed = dataclasses.replace(fresh_scenario(scenario), non_iid_level=10.0)
+        iid = dataclasses.replace(scenario, non_iid_level=0.0)
+        skewed = dataclasses.replace(scenario, non_iid_level=10.0)
         hr_iid = (
             CoCaRunner(iid, config=CoCaConfig(theta=0.05))
             .run(2, warmup_rounds=1)
@@ -109,7 +108,7 @@ class TestAdaptivity:
 
 class TestProtocolConsistency:
     def test_budget_respected_every_round(self, scenario):
-        runner = CoCaRunner(fresh_scenario(scenario), config=CoCaConfig(theta=0.05))
+        runner = CoCaRunner(scenario, config=CoCaConfig(theta=0.05))
         fw = runner.framework
         for r in range(3):
             fw.run_round(r)
@@ -121,7 +120,7 @@ class TestProtocolConsistency:
                 assert size <= client.cache_budget_bytes
 
     def test_cached_classes_exist_in_global_table(self, scenario):
-        runner = CoCaRunner(fresh_scenario(scenario), config=CoCaConfig(theta=0.05))
+        runner = CoCaRunner(scenario, config=CoCaConfig(theta=0.05))
         fw = runner.framework
         fw.run_round(0)
         for client in fw.clients:
@@ -131,7 +130,7 @@ class TestProtocolConsistency:
                 assert fw.server.table.filled[ids, layer].all()
 
     def test_global_entries_stay_unit_norm(self, scenario):
-        runner = CoCaRunner(fresh_scenario(scenario), config=CoCaConfig(theta=0.05))
+        runner = CoCaRunner(scenario, config=CoCaConfig(theta=0.05))
         fw = runner.framework
         for r in range(2):
             fw.run_round(r)
@@ -142,9 +141,9 @@ class TestProtocolConsistency:
         """The collaborative global cache should outperform purely local
         adaptation in accuracy at a matched threshold (Table II shape)."""
         coca = (
-            CoCaRunner(fresh_scenario(scenario), config=CoCaConfig(theta=0.05))
+            CoCaRunner(scenario, config=CoCaConfig(theta=0.05))
             .run(3, warmup_rounds=1)
             .summary()
         )
-        smtm = SMTM(fresh_scenario(scenario), theta=0.05).run(3, warmup_rounds=1).summary()
+        smtm = SMTM(scenario, theta=0.05).run(3, warmup_rounds=1).summary()
         assert coca.accuracy > smtm.accuracy - 0.02

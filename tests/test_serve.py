@@ -1572,6 +1572,26 @@ class TestServeCli:
         assert "analytic" in payload
         assert payload["analytic"]["utilization"] is not None
 
+    def test_serve_and_loadgen_text_report(self, snapshot, capsys):
+        assert cli_main(["serve", snapshot, "--workers", "2", "--requests", "8"]) == 0
+        out = capsys.readouterr().out
+        assert "outcomes: 8/8 ok" in out
+        assert out.count("warm start") == 2
+        rc = cli_main(
+            [
+                "loadgen", snapshot,
+                "--workers", "1",
+                "--rate", "300",
+                "--requests", "20",
+                "--service-floor-ms", "2",
+                "--deadline-ms", "2000",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "open-loop over 1 thread worker(s)" in out
+        assert "queue wait:" in out and "M/D/1" in out
+
     def test_serve_smoke_json_process_mode(self, snapshot, capsys):
         rc = cli_main(
             [

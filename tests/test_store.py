@@ -650,6 +650,7 @@ class TestStoreCli:
         assert payload["epoch"] == 4
         assert payload["geometry"] == {"classes": 24, "layers": 10, "dim": 8}
         assert payload["verified"] is True
+        assert payload["meta_arrays"] == ["class_freq", "filled"]
 
     def test_inspect_rejects_non_snapshot(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
@@ -680,6 +681,12 @@ class TestStoreCli:
                          str(tmp_path / "b")])
         assert code == 2
         assert "geometry" in capsys.readouterr().err
+
+    def test_diff_rejects_unreadable_snapshot(self, tmp_path, capsys):
+        write_snapshot(tmp_path / "a", filled_table())
+        (tmp_path / "b").mkdir()
+        assert cli_main(["store", "diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+        assert "cannot diff" in capsys.readouterr().err
 
 
 def test_full_rows_nbytes_formula():

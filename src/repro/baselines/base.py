@@ -1,13 +1,18 @@
 """Common multi-client round loop shared by all baseline pipelines.
 
-Every baseline (Edge-Only, LearnedCache, FoggyCache, SMTM) processes the
-same scenario streams in rounds of ``F`` frames per client, producing
-:class:`~repro.sim.metrics.InferenceRecord` rows that aggregate exactly
-like CoCa's.  Subclasses implement :meth:`process` (one inference) and may
-override the round hooks for cache maintenance / uploads.  A runner whose
-cache holds still for stretches of a round overrides
-:meth:`process_round` to run up to :data:`BATCH_WINDOW` frames of a
-stretch through its engine at once.
+Every baseline (Edge-Only, LearnedCache, FoggyCache, SMTM, LRU/FIFO/RAND)
+processes the scenario's client streams in rounds of ``F`` frames per
+client, producing :class:`~repro.sim.metrics.InferenceRecord` rows that
+aggregate exactly like CoCa's.  A round is drawn exactly as
+:meth:`repro.core.client.CoCaClient.run_round` draws it — one
+``take_block(F)`` on the client's stream, then one ``draw_samples`` on
+the same client generator — so every method sees bit-identical frames.
+
+Subclasses implement :meth:`BaselineRunner.process_round` over the
+round's :class:`~repro.models.feature.SampleBatch` and may override the
+round hooks for cache maintenance / uploads.  A runner whose cache holds
+still for stretches of a round runs up to :data:`BATCH_WINDOW` rows of a
+stretch through its engine at once, as a row slice of the batch.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
-from repro.models.feature import SampleFeatures
+from repro.models.feature import SampleBatch
 from repro.sim.metrics import InferenceRecord, MetricsCollector
 
 if TYPE_CHECKING:
@@ -55,15 +60,11 @@ class BaselineRunner(ABC):
     # ------------------------------------------------------------------
 
     @abstractmethod
-    def process(self, client_id: int, sample: SampleFeatures) -> InferenceRecord:
-        """Run one inference and return its record."""
-
     def process_round(
-        self, client_id: int, samples: list[SampleFeatures]
+        self, client_id: int, batch: SampleBatch
     ) -> list[InferenceRecord]:
         """Run one client's round of frames in stream order, one record
-        per frame: by default :meth:`process` on each in turn."""
-        return [self.process(client_id, sample) for sample in samples]
+        per frame."""
 
     def on_client_round_end(self, client_id: int, round_index: int) -> None:
         """Per-client end-of-round maintenance (cache refresh, uploads)."""
@@ -85,12 +86,9 @@ class BaselineRunner(ABC):
         for r in range(warmup_rounds + num_rounds):
             measured = r >= warmup_rounds
             for client_id in range(self.scenario.num_clients):
-                rng = self._rngs[client_id]
-                samples = [
-                    self.model.draw_sample(frame, client_id, rng)
-                    for frame in self._streams[client_id].take(self.frames_per_round)
-                ]
-                records = self.process_round(client_id, samples)
+                block = self._streams[client_id].take_block(self.frames_per_round)
+                batch = self.model.draw_samples(block, client_id, self._rngs[client_id])
+                records = self.process_round(client_id, batch)
                 if measured:
                     metrics.extend(records)
                 self.on_client_round_end(client_id, r)
@@ -103,12 +101,12 @@ class EdgeOnly(BaselineRunner):
 
     name = "Edge-Only"
 
-    def process(self, client_id: int, sample: SampleFeatures) -> InferenceRecord:
-        predicted, _ = self.model.classify(sample)
-        return InferenceRecord(
-            true_class=sample.true_class,
-            predicted_class=predicted,
-            latency_ms=self.model.total_compute_ms,
-            hit_layer=None,
-            client_id=client_id,
-        )
+    def process_round(
+        self, client_id: int, batch: SampleBatch
+    ) -> list[InferenceRecord]:
+        predictions, _ = self.model.classify_vectors(batch.final_vectors())
+        latency = self.model.total_compute_ms
+        return [
+            InferenceRecord(true, predicted, latency, None, client_id)
+            for true, predicted in zip(batch.class_ids.tolist(), predictions.tolist())
+        ]

@@ -33,7 +33,7 @@ from repro.baselines.base import BaselineRunner
 from repro.core.rng import derive_rng
 from repro.lsh.alsh import AdaptiveLSH
 from repro.lsh.hknn import KnnVote, homogenized_knn
-from repro.models.feature import SampleFeatures
+from repro.models.feature import SampleBatch
 from repro.sim.metrics import InferenceRecord
 
 if TYPE_CHECKING:
@@ -172,10 +172,32 @@ class FoggyCache(BaselineRunner):
         profile = self.model.profile
         return profile.lookup_base_ms + profile.lookup_per_entry_ms * num_candidates
 
-    def process(self, client_id: int, sample: SampleFeatures) -> InferenceRecord:
+    def process_round(
+        self, client_id: int, batch: SampleBatch
+    ) -> list[InferenceRecord]:
+        predictions, gaps = self.model.classify_vectors(batch.final_vectors())
+        return [
+            self._infer(client_id, query, true_class, predicted, gap)
+            for query, true_class, predicted, gap in zip(
+                batch.vectors[:, self.reuse_layer, :],
+                batch.class_ids.tolist(),
+                predictions.tolist(),
+                gaps.tolist(),
+            )
+        ]
+
+    def _infer(
+        self,
+        client_id: int,
+        query: np.ndarray,
+        true_class: int,
+        full_prediction: int,
+        full_gap: float,
+    ) -> InferenceRecord:
+        """One frame: local cache, then server cache, then the full model
+        (whose prediction and top-2 probability gap are given)."""
         profile = self.model.profile
         layer = self.reuse_layer
-        query = sample.vector(layer)
         # Reaching the reuse layer costs its prefix compute.
         latency = profile.compute_up_to_layer_ms(layer)
 
@@ -184,13 +206,7 @@ class FoggyCache(BaselineRunner):
         )
         latency += self._lookup_cost_ms(scanned)
         if vote.hit:
-            return InferenceRecord(
-                true_class=sample.true_class,
-                predicted_class=vote.label,
-                latency_ms=latency,
-                hit_layer=layer,
-                client_id=client_id,
-            )
+            return InferenceRecord(true_class, vote.label, latency, layer, client_id)
 
         # Local miss: consult the server's aggregated cache.
         server_vote, server_scanned = self._server.vote(
@@ -200,27 +216,15 @@ class FoggyCache(BaselineRunner):
         if server_vote.hit:
             self._local[client_id].insert(query, server_vote.label)
             return InferenceRecord(
-                true_class=sample.true_class,
-                predicted_class=server_vote.label,
-                latency_ms=latency,
-                hit_layer=layer,
-                client_id=client_id,
+                true_class, server_vote.label, latency, layer, client_id
             )
 
         # Full miss: run the rest of the model; cache confident results.
-        predicted, probs = self.model.classify(sample)
         latency += profile.total_compute_ms - profile.compute_up_to_layer_ms(layer)
-        top2 = np.partition(probs, -2)[-2:]
-        if float(abs(top2[1] - top2[0])) > self.insert_confidence:
-            self._local[client_id].insert(query, predicted)
-            self._pending_uploads[client_id].append((query.copy(), predicted))
-        return InferenceRecord(
-            true_class=sample.true_class,
-            predicted_class=predicted,
-            latency_ms=latency,
-            hit_layer=None,
-            client_id=client_id,
-        )
+        if full_gap > self.insert_confidence:
+            self._local[client_id].insert(query, full_prediction)
+            self._pending_uploads[client_id].append((query.copy(), full_prediction))
+        return InferenceRecord(true_class, full_prediction, latency, None, client_id)
 
     def on_client_round_end(self, client_id: int, round_index: int) -> None:
         """Push this round's new entries to the server cache."""

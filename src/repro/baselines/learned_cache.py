@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.baselines.base import BaselineRunner
 from repro.core.rng import derive_rng
-from repro.models.feature import SampleFeatures
+from repro.models.feature import SampleBatch
 from repro.sim.metrics import InferenceRecord
 
 if TYPE_CHECKING:
@@ -89,10 +89,11 @@ class LearnedCache(BaselineRunner):
         self._noise_rng = derive_rng(scenario.seed, "learnedcache.noise")
 
     def _head_prediction(
-        self, client_id: int, layer: int, sample: SampleFeatures
+        self, client_id: int, layer: int, vector: np.ndarray
     ) -> tuple[int, float]:
-        """Exit-head output: (predicted class, top-2 margin)."""
-        sims = self._centroids[layer] @ sample.vector(layer)
+        """Exit-head output on one layer's vector: (predicted class, top-2
+        margin)."""
+        sims = self._centroids[layer] @ vector
         freq = self._recent_freq[client_id]
         noise_scale = self.head_noise / np.sqrt(
             np.maximum(freq * self.model.num_classes, 0.05)
@@ -102,30 +103,33 @@ class LearnedCache(BaselineRunner):
         margin = float(noisy[order[-1]] - noisy[order[-2]])
         return int(order[-1]), margin
 
-    def process(self, client_id: int, sample: SampleFeatures) -> InferenceRecord:
+    def process_round(
+        self, client_id: int, batch: SampleBatch
+    ) -> list[InferenceRecord]:
         profile = self.model.profile
-        latency = self.retrain_ms_per_frame
-        for layer in self.exit_layers:
-            latency += self.head_cost_ms
-            predicted, margin = self._head_prediction(client_id, layer, sample)
-            if margin > self.exit_margin:
-                self._round_counts[client_id, predicted] += 1
-                return InferenceRecord(
-                    true_class=sample.true_class,
-                    predicted_class=predicted,
-                    latency_ms=latency + profile.compute_up_to_layer_ms(layer),
-                    hit_layer=layer,
-                    client_id=client_id,
+        full_predictions, _ = self.model.classify_vectors(batch.final_vectors())
+        records: list[InferenceRecord] = []
+        for vectors, true_class, predicted in zip(
+            batch.vectors, batch.class_ids.tolist(), full_predictions.tolist()
+        ):
+            latency = self.retrain_ms_per_frame
+            hit_layer: int | None = None
+            for layer in self.exit_layers:
+                latency += self.head_cost_ms
+                head_class, margin = self._head_prediction(
+                    client_id, layer, vectors[layer]
                 )
-        predicted, _ = self.model.classify(sample)
-        self._round_counts[client_id, predicted] += 1
-        return InferenceRecord(
-            true_class=sample.true_class,
-            predicted_class=predicted,
-            latency_ms=latency + profile.total_compute_ms,
-            hit_layer=None,
-            client_id=client_id,
-        )
+                if margin > self.exit_margin:
+                    predicted, hit_layer = head_class, layer
+                    latency += profile.compute_up_to_layer_ms(layer)
+                    break
+            else:
+                latency += profile.total_compute_ms
+            self._round_counts[client_id, predicted] += 1
+            records.append(
+                InferenceRecord(true_class, predicted, latency, hit_layer, client_id)
+            )
+        return records
 
     def on_client_round_end(self, client_id: int, round_index: int) -> None:
         """Retraining refreshes the head's notion of class frequencies."""

@@ -26,7 +26,7 @@ from repro.baselines.base import BATCH_WINDOW, BaselineRunner
 from repro.core.cache import SemanticCache
 from repro.core.engine import BatchedInferenceEngine
 from repro.core.rng import derive_rng
-from repro.models.feature import SampleFeatures
+from repro.models.feature import SampleBatch
 from repro.sim.metrics import InferenceRecord
 
 if TYPE_CHECKING:
@@ -117,21 +117,18 @@ class ReplacementPolicyCache(BaselineRunner):
             # so popping the front implements both.
             resident.popitem(last=False)
 
-    def process(self, client_id: int, sample: SampleFeatures) -> InferenceRecord:
-        return self.process_round(client_id, [sample])[0]
-
     def process_round(
-        self, client_id: int, samples: list[SampleFeatures]
+        self, client_id: int, batch: SampleBatch
     ) -> list[InferenceRecord]:
         # Only a miss that installs a class rebuilds the cache.  So the
         # frames ahead run through the engine a window at a time, and the
         # ones after an install run again on the rebuilt cache.
         engine = self._engines[client_id]
         records: list[InferenceRecord] = []
-        while len(records) < len(samples):
-            pending = samples[len(records) : len(records) + BATCH_WINDOW]
+        while len(records) < len(batch):
+            pending = batch[len(records) : len(records) + BATCH_WINDOW]
             out = engine.infer_batch_soa(pending)
-            for record in out.records([s.true_class for s in pending], client_id):
+            for record in out.records(pending.class_ids.tolist(), client_id):
                 records.append(record)
                 if self._admit(client_id, record.predicted_class, record.hit_layer):
                     break

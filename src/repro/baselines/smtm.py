@@ -28,7 +28,7 @@ from repro.baselines.base import BATCH_WINDOW, BaselineRunner
 from repro.core.allocation import select_hotspot_classes
 from repro.core.cache import SemanticCache
 from repro.core.engine import BatchedInferenceEngine
-from repro.models.feature import SampleFeatures
+from repro.models.feature import SampleBatch
 from repro.sim.metrics import InferenceRecord
 
 if TYPE_CHECKING:
@@ -121,11 +121,8 @@ class SMTM(BaselineRunner):
             )
         self._engines[client_id].set_cache(cache)
 
-    def process(self, client_id: int, sample: SampleFeatures) -> InferenceRecord:
-        return self.process_round(client_id, [sample])[0]
-
     def process_round(
-        self, client_id: int, samples: list[SampleFeatures]
+        self, client_id: int, batch: SampleBatch
     ) -> list[InferenceRecord]:
         # Adaptation writes the runner's centroids, which reach the cache
         # only at the next refresh: the installed cache holds still for
@@ -133,12 +130,12 @@ class SMTM(BaselineRunner):
         # at a time.
         engine = self._engines[client_id]
         records: list[InferenceRecord] = []
-        for start in range(0, len(samples), BATCH_WINDOW):
-            window = samples[start : start + BATCH_WINDOW]
+        for start in range(0, len(batch), BATCH_WINDOW):
+            window = batch[start : start + BATCH_WINDOW]
             out = engine.infer_batch_soa(window)
-            records.extend(out.records([s.true_class for s in window], client_id))
-            for sample, predicted, hit_layer, hit_score in zip(
-                window,
+            records.extend(out.records(window.class_ids.tolist(), client_id))
+            for vectors, predicted, hit_layer, hit_score in zip(
+                window.vectors,
                 out.predicted_class.tolist(),
                 out.hit_layer.tolist(),
                 out.hit_score.tolist(),
@@ -153,7 +150,7 @@ class SMTM(BaselineRunner):
                 if hit_layer >= 0 and hit_score > self.reinforce_margin:
                     for layer in [j for j in self.active_layers if j <= hit_layer]:
                         current = self._centroids[layer][client_id, predicted]
-                        updated = (1 - self.ema) * current + self.ema * sample.vector(layer)
+                        updated = (1 - self.ema) * current + self.ema * vectors[layer]
                         norm = np.linalg.norm(updated)
                         if norm > 0:
                             self._centroids[layer][client_id, predicted] = updated / norm

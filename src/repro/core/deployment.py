@@ -3,9 +3,11 @@
 :class:`~repro.core.framework.CoCaFramework` and every baseline (through
 :class:`~repro.experiments.scenario.Scenario`) derive their substrate
 here, so runs built from equal parameters see byte-identical feature
-geometry, class distributions and per-client random streams by
-construction — which is what makes the benchmark tables' comparisons
-apples-to-apples.
+geometry, class distributions and per-client generators by construction.
+A client's round is one ``take_block`` on its stream, then one
+``draw_samples`` on the same generator, for CoCa and every baseline
+alike, so all methods see bit-identical frames — which is what makes the
+benchmark tables' comparisons paired.
 """
 
 from __future__ import annotations
@@ -51,10 +53,7 @@ class Deployment:
         return np.random.default_rng(self.client_seeds[client_id])
 
     def make_stream(
-        self,
-        client_id: int,
-        rng: np.random.Generator,
-        working_set_size: int | None = 10,
+        self, client_id: int, rng: np.random.Generator
     ) -> StreamGenerator:
         """Client ``client_id``'s frame stream on the given generator.
 
@@ -67,7 +66,6 @@ class Deployment:
             mean_run_length=dataset.mean_run_length,
             rng=rng,
             base_difficulty=dataset.difficulty,
-            working_set_size=working_set_size,
         )
 
 

@@ -12,14 +12,13 @@ ACA optimizes against during allocation.
 
 :class:`BatchedInferenceEngine` is the one engine: a protocol round
 hands it a whole round of frames, a baseline with per-frame state a
-window of frames its cache holds still for.  Per activated layer it
-scores every still-unresolved sample at once with early-exit masking,
-through the shared cache walk
-(:func:`~repro.core.probe.walk_cache_batch`), and accepts a
-:class:`~repro.models.feature.SampleBatch` directly (no per-sample
-re-packing): :meth:`BatchedInferenceEngine.infer_batch_soa` returns a
-:class:`BatchOutcomes` structure of arrays and never materializes
-per-sample objects.  Its one-sample-at-a-time oracle lives in
+window of frames its cache holds still for (a row slice of the round's
+batch).  Per activated layer it scores every still-unresolved sample at
+once with early-exit masking, through the shared cache walk
+(:func:`~repro.core.probe.walk_cache_batch`).  Its input is a
+:class:`~repro.models.feature.SampleBatch` and its output a
+:class:`BatchOutcomes` structure of arrays: no per-sample object exists
+on either side.  Its one-sample-at-a-time oracle lives in
 ``tests/oracle.py``.
 """
 
@@ -33,18 +32,8 @@ import numpy as np
 from repro.core.cache import LayerPack, LookupWorkspace, SemanticCache
 from repro.core.probe import walk_cache_batch
 from repro.models.base import SimulatedModel
-from repro.models.feature import SampleBatch, SampleFeatures
+from repro.models.feature import SampleBatch
 from repro.sim.metrics import InferenceRecord
-
-
-def _batch_vectors(samples: SampleBatch | Sequence[SampleFeatures]) -> np.ndarray:
-    """The ``(B, L+1, d)`` vector tensor of a batch, stacking only when
-    given several loose per-sample objects."""
-    if isinstance(samples, SampleBatch):
-        return samples.vectors
-    if len(samples) == 1:
-        return samples[0].vector_matrix()[None]
-    return np.stack([s.vector_matrix() for s in samples])
 
 
 class BatchOutcomes(NamedTuple):
@@ -185,7 +174,7 @@ class BatchedInferenceEngine:
 
     def infer_batch_soa(
         self,
-        samples: SampleBatch | Sequence[SampleFeatures],
+        samples: SampleBatch,
         timings: dict[str, float] | None = None,
     ) -> BatchOutcomes:
         """Run a batch, returning :class:`BatchOutcomes` arrays.
@@ -227,7 +216,7 @@ class BatchedInferenceEngine:
                 return BatchOutcomes(
                     predicted, hit_layer, latency, hit_score, top2_gap
                 )
-            vectors = _batch_vectors(samples)  # (B, L+1, d)
+            vectors = samples.vectors  # (B, L+1, d)
             start = time.perf_counter() if timings is not None else 0.0
             predictions, gaps = self.model.classify_vectors(vectors[:, final, :])
             if timings is not None:
@@ -240,7 +229,7 @@ class BatchedInferenceEngine:
             return BatchOutcomes(predicted, hit_layer, latency, hit_score, top2_gap)
 
         cum_lookup, prefix_ms = self._eq7_tables(cache)
-        vectors = _batch_vectors(samples)  # (B, L+1, d)
+        vectors = samples.vectors  # (B, L+1, d)
 
         # Pure probe math: the shared cache walk (the same kernels and
         # early-exit semantics as the serving path).

@@ -9,7 +9,6 @@ from repro.data.partition import (
     longtail_weights,
 )
 from repro.data.stream import (
-    Frame,
     FrameBlock,
     StreamGenerator,
     empirical_class_frequencies,
@@ -20,7 +19,6 @@ __all__ = [
     "IMAGENET100",
     "UCF101",
     "DatasetSpec",
-    "Frame",
     "FrameBlock",
     "StreamGenerator",
     "apply_longtail",

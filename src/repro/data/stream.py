@@ -28,44 +28,24 @@ One generator produces every frame: :meth:`StreamGenerator.take_block`
 returns a :class:`FrameBlock` — a structure-of-arrays view of the
 two-level process, generated one *run* at a time with the per-frame
 difficulty arithmetic vectorized.  Blocks feed
-:meth:`repro.models.feature.SemanticFeatureSpace.draw_samples` without
-ever materializing per-frame Python objects; :meth:`StreamGenerator.take`
-is the same block as a list of :class:`Frame` objects.
+:meth:`repro.models.feature.SemanticFeatureSpace.draw_samples`; no
+per-frame Python object exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Frame:
-    """One element of a client's inference stream.
-
-    Attributes:
-        class_id: ground-truth class of the frame.
-        difficulty: in [0, 1); scales feature noise in the model substrate.
-        run_position: 0-based index of the frame within its same-class run.
-        stream_index: 0-based global index of the frame within the stream.
-    """
-
-    class_id: int
-    difficulty: float
-    run_position: int
-    stream_index: int
 
 
 @dataclass(frozen=True)
 class FrameBlock:
     """A contiguous block of stream frames as a structure of arrays.
 
-    The batched counterpart of a ``list[Frame]``: four aligned arrays of
-    equal length, indexable without constructing per-frame objects.
-    Produced by :meth:`StreamGenerator.take_block` and consumed directly
-    by :meth:`repro.models.feature.SemanticFeatureSpace.draw_samples`.
+    Four aligned arrays of equal length.  Produced by
+    :meth:`StreamGenerator.take_block` and consumed directly by
+    :meth:`repro.models.feature.SemanticFeatureSpace.draw_samples`.
 
     Attributes:
         class_ids: ground-truth class per frame, shape ``(n,)``.
@@ -88,35 +68,13 @@ class FrameBlock:
     def __len__(self) -> int:
         return int(self.class_ids.size)
 
-    def frame(self, index: int) -> Frame:
-        """Materialize one frame as a scalar :class:`Frame` object."""
-        return Frame(
-            class_id=int(self.class_ids[index]),
-            difficulty=float(self.difficulties[index]),
-            run_position=int(self.run_positions[index]),
-            stream_index=int(self.stream_indices[index]),
-        )
-
-    def frames(self) -> list[Frame]:
-        """Materialize the whole block as scalar :class:`Frame` objects."""
-        return [self.frame(i) for i in range(len(self))]
-
-    @classmethod
-    def from_frames(cls, frames: Sequence[Frame]) -> "FrameBlock":
-        """Pack scalar frames into a block (for mixed-granularity callers)."""
-        return cls(
-            class_ids=np.fromiter(
-                (f.class_id for f in frames), dtype=np.int64, count=len(frames)
-            ),
-            difficulties=np.fromiter(
-                (f.difficulty for f in frames), dtype=float, count=len(frames)
-            ),
-            run_positions=np.fromiter(
-                (f.run_position for f in frames), dtype=np.int64, count=len(frames)
-            ),
-            stream_indices=np.fromiter(
-                (f.stream_index for f in frames), dtype=np.int64, count=len(frames)
-            ),
+    def __getitem__(self, rows: slice) -> "FrameBlock":
+        """The frames of a row slice, as views of this block's arrays."""
+        return FrameBlock(
+            self.class_ids[rows],
+            self.difficulties[rows],
+            self.run_positions[rows],
+            self.stream_indices[rows],
         )
 
 
@@ -232,11 +190,6 @@ class StreamGenerator:
         self._remaining_in_run = int(self._rng.geometric(p_stop))
         self._run_position = 0
 
-    def take(self, count: int) -> list[Frame]:
-        """Produce the next ``count`` frames as a list (``take_block``'s
-        frames)."""
-        return self.take_block(count).frames()
-
     def take_block(self, count: int) -> FrameBlock:
         """Produce the next ``count`` frames as a :class:`FrameBlock`.
 
@@ -288,20 +241,9 @@ class StreamGenerator:
         )
 
 
-def empirical_class_frequencies(
-    frames: Sequence[Frame] | FrameBlock, num_classes: int
-) -> np.ndarray:
-    """Observed class frequency vector of a frame batch (sums to 1).
-
-    Accepts a ``list[Frame]`` or a :class:`FrameBlock`; counting is one
-    ``np.bincount`` either way.
-    """
-    if isinstance(frames, FrameBlock):
-        ids = frames.class_ids.astype(np.int64, copy=False)
-    else:
-        ids = np.fromiter(
-            (f.class_id for f in frames), dtype=np.int64, count=len(frames)
-        )
+def empirical_class_frequencies(block: FrameBlock, num_classes: int) -> np.ndarray:
+    """Observed class frequency vector of a frame block (sums to 1)."""
+    ids = block.class_ids.astype(np.int64, copy=False)
     if ids.size:
         low, high = int(ids.min()), int(ids.max())
         if low < 0 or high >= num_classes:

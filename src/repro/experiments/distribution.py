@@ -112,7 +112,7 @@ def run_longtail_comparison(
 def format_method_points(points: list[MethodPoint], title: str) -> str:
     """Render method x setting measurements as a text table."""
     lines = [title]
-    settings = sorted({p.setting for p in points})
+    settings = list(dict.fromkeys(p.setting for p in points))
     methods = list(dict.fromkeys(p.method for p in points))
     header = f"{'Method':14s}" + "".join(
         f" | {s:>9s} Lat  Acc%" for s in settings

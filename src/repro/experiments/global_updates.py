@@ -17,7 +17,7 @@ from repro.analysis import centroid_alignment, cosine_silhouette, tsne_embed
 from repro.baselines import CoCaRunner
 from repro.core.config import CoCaConfig
 from repro.core.rng import derive_rng
-from repro.data.stream import Frame
+from repro.data.stream import FrameBlock
 from repro.experiments.scenario import Scenario
 
 
@@ -82,23 +82,17 @@ def run_global_update_study(
     model = runner.model  # same geometry for both runs (same scenario seed)
     classes = list(range(min(num_classes_shown, model.num_classes)))
 
-    # Draw equal per-class samples from the probe client's distribution.
+    # Draw equal per-class samples for the probe client, as one block.
     rng = derive_rng(scenario.seed, "experiments.global-updates-probe")
-    sample_vectors = []
-    sample_labels = []
-    for row, class_id in enumerate(classes):
-        for i in range(samples_per_class):
-            frame = Frame(
-                class_id=class_id,
-                difficulty=scenario.dataset.difficulty + 0.1 * rng.random(),
-                run_position=5,
-                stream_index=i,
-            )
-            sample = model.draw_sample(frame, probe_client, rng)
-            sample_vectors.append(sample.vector(layer))
-            sample_labels.append(row)
-    samples = np.stack(sample_vectors)
-    labels = np.array(sample_labels)
+    count = len(classes) * samples_per_class
+    labels = np.repeat(np.arange(len(classes)), samples_per_class)
+    block = FrameBlock(
+        class_ids=np.array(classes, dtype=np.int64)[labels],
+        difficulties=scenario.dataset.difficulty + 0.1 * rng.random(count),
+        run_positions=np.full(count, 5, dtype=np.int64),
+        stream_indices=np.tile(np.arange(samples_per_class), len(classes)),
+    )
+    samples = model.draw_samples(block, probe_client, rng).vectors[:, layer, :]
 
     metrics = {}
     embeddings = {}

@@ -22,6 +22,7 @@ from repro.core.engine import BatchedInferenceEngine
 from repro.data.datasets import DatasetSpec
 from repro.data.stream import StreamGenerator
 from repro.models.base import SimulatedModel
+from repro.models.feature import SampleBatch
 from repro.models.zoo import build_model
 from repro.sim.metrics import MetricsCollector, MetricsSummary
 
@@ -70,12 +71,25 @@ def _run_static_cache(
         rng=rng,
         base_difficulty=dataset.difficulty,
     )
-    # Frames are drawn one at a time (the draws share one generator with
-    # the stream); the static cache then runs them as one batch.
-    samples = [model.draw_sample(frame, 0, rng) for frame in stream.take(num_samples)]
-    out = BatchedInferenceEngine(model, cache).infer_batch_soa(samples)
+    # The block's frames are drawn one row at a time, after the whole
+    # block (both on one generator): the draw order these tables were
+    # tracked with.  The static cache then runs them as one batch.
+    block = stream.take_block(num_samples)
+    space = model.feature_space
+    vectors, targets, weights = zip(
+        *(
+            space.draw_row(class_id, difficulty, 0, rng)
+            for class_id, difficulty in zip(
+                block.class_ids.tolist(), block.difficulties.tolist()
+            )
+        )
+    )
+    batch = SampleBatch(
+        block, 0, np.stack(vectors), space, np.array(targets), np.array(weights)
+    )
+    out = BatchedInferenceEngine(model, cache).infer_batch_soa(batch)
     metrics = MetricsCollector()
-    metrics.extend(out.records([sample.true_class for sample in samples]))
+    metrics.extend(out.records(block.class_ids.tolist()))
     return metrics.summary()
 
 

@@ -6,8 +6,10 @@ substrate, the per-client class distributions and the per-client streams
 come from :func:`repro.core.deployment.derive_deployment`, the same
 derivation :class:`~repro.core.framework.CoCaFramework` runs.  CoCa and
 every baseline built from the *same* seed therefore see byte-identical
-feature geometry and (given the same draw order) statistically identical
-streams — the comparisons in the benchmark tables are apples-to-apples.
+feature geometry, and — since every runner draws a round as one
+``take_block`` then one ``draw_samples`` on the client's generator —
+bit-identical frames and samples: the comparisons in the benchmark
+tables are paired, frame for frame.
 
 A scenario is frozen and derives its deployment once, on first use, from
 its own fields, so ``dataclasses.replace(scenario, ...)`` always yields a
@@ -43,8 +45,6 @@ class Scenario:
         seed: master seed; all randomness derives from it.
         client_drift_scale: per-client feature drift (``None`` = zoo
             default for the client count).
-        working_set_size: stream working-set size (classes simultaneously
-            "in view"); ``None`` disables the working set.
     """
 
     dataset: DatasetSpec
@@ -54,7 +54,6 @@ class Scenario:
     longtail_rho: float = 1.0
     seed: int = 0
     client_drift_scale: float | None = None
-    working_set_size: int | None = 10
 
     @cached_property
     def deployment(self) -> Deployment:
@@ -93,6 +92,4 @@ class Scenario:
         generator returned by :meth:`client_rng` and reuse it for feature
         draws.
         """
-        return self.deployment.make_stream(
-            client_id, rng, self.working_set_size
-        )
+        return self.deployment.make_stream(client_id, rng)

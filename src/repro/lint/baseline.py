@@ -36,7 +36,12 @@ class Baseline:
 
 
 def load_baseline(path: Path) -> Baseline:
-    """Read a baseline file (an absent file is an empty baseline)."""
+    """Read a baseline file (an absent file is an empty baseline).
+
+    Raises:
+        ValueError: an unknown version, or no ``findings`` list (the
+            format :func:`write_baseline` writes).
+    """
     if not path.is_file():
         return Baseline(fingerprints=frozenset(), path=path)
     data = json.loads(path.read_text(encoding="utf-8"))
@@ -44,9 +49,10 @@ def load_baseline(path: Path) -> Baseline:
         raise ValueError(
             f"unsupported baseline version {data.get('version')!r} in {path}"
         )
-    prints = frozenset(
-        str(entry["fingerprint"]) for entry in data.get("findings", [])
-    )
+    findings = data.get("findings")
+    if not isinstance(findings, list):
+        raise ValueError(f"baseline {path} has no 'findings' list")
+    prints = frozenset(str(entry["fingerprint"]) for entry in findings)
     return Baseline(fingerprints=prints, path=path)
 
 

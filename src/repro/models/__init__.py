@@ -1,12 +1,7 @@
 """Model substrate: synthetic semantic features + calibrated latency profiles."""
 
 from repro.models.base import SimulatedModel
-from repro.models.feature import (
-    FeatureSpaceConfig,
-    SampleBatch,
-    SampleFeatures,
-    SemanticFeatureSpace,
-)
+from repro.models.feature import FeatureSpaceConfig, SampleBatch, SemanticFeatureSpace
 from repro.models.profiles import (
     LatencyProfile,
     LookupCostModel,
@@ -22,7 +17,6 @@ __all__ = [
     "LookupCostModel",
     "ResNetStagePlan",
     "SampleBatch",
-    "SampleFeatures",
     "SemanticFeatureSpace",
     "SimulatedModel",
     "available_models",

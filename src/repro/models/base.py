@@ -17,13 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.datasets import DatasetSpec
-from repro.data.stream import Frame, FrameBlock
-from repro.models.feature import (
-    FeatureSpaceConfig,
-    SampleBatch,
-    SampleFeatures,
-    SemanticFeatureSpace,
-)
+from repro.data.stream import FrameBlock
+from repro.models.feature import FeatureSpaceConfig, SampleBatch, SemanticFeatureSpace
 from repro.models.profiles import LatencyProfile
 
 
@@ -83,21 +78,12 @@ class SimulatedModel:
     # Execution primitives
     # ------------------------------------------------------------------
 
-    def draw_sample(
-        self, frame: Frame, client_id: int, rng: np.random.Generator
-    ) -> SampleFeatures:
-        """Materialize the semantic features of one frame for one client."""
-        return self.feature_space.draw_sample(frame, client_id, rng)
-
     def draw_samples(
-        self,
-        frames: FrameBlock | list[Frame],
-        client_id: int,
-        rng: np.random.Generator,
+        self, block: FrameBlock, client_id: int, rng: np.random.Generator
     ) -> SampleBatch:
-        """Materialize a whole batch of frames as one :class:`SampleBatch`
-        (vectorized counterpart of :meth:`draw_sample`)."""
-        return self.feature_space.draw_samples(frames, client_id, rng)
+        """Materialize the semantic features of a block of frames for one
+        client as one :class:`SampleBatch`."""
+        return self.feature_space.draw_samples(block, client_id, rng)
 
     def block_time_ms(self, block: int) -> float:
         """Compute time of block ``block`` (0..L)."""
@@ -106,10 +92,6 @@ class SimulatedModel:
     def lookup_cost_ms(self, num_entries: int) -> float:
         """Cost of probing one cache layer holding ``num_entries`` entries."""
         return self.profile.lookup_cost_ms(num_entries)
-
-    def classify(self, sample: SampleFeatures) -> tuple[int, np.ndarray]:
-        """Full-model output: (predicted class, softmax probabilities)."""
-        return sample.model_prediction(), sample.probabilities()
 
     def classify_vectors(self, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized full-model output for a batch of final-layer vectors:

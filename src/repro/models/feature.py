@@ -35,24 +35,21 @@ directly, reproducing the geometry the paper's mechanism relies on:
   cluster around a client-specific offset of the global centroid; global
   cache updates (Sec. IV-D) exist precisely to track this.
 
-Sampling comes in two granularities sharing the same generative process:
-:meth:`SemanticFeatureSpace.draw_sample` materializes one
-:class:`SampleFeatures` per frame (the reference scalar path), while
-:meth:`SemanticFeatureSpace.draw_samples` draws a whole
-:class:`SampleBatch` at once — sibling choice, the two-mode
+:meth:`SemanticFeatureSpace.draw_samples` draws a whole block of frames
+as one :class:`SampleBatch` — sibling choice, the two-mode
 confusion-weight draw, centroid mixing, and noise/normalization all
-vectorized over the batch — feeding the batched inference engine and the
-round pipeline without per-frame Python objects.
+vectorized over the block — and every consumer reads its arrays.
+:meth:`SemanticFeatureSpace.draw_row` is the same process for one frame
+in an older draw order, kept only for the motivation studies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from repro.data.stream import Frame, FrameBlock
+from repro.data.stream import FrameBlock
 
 
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -349,9 +346,7 @@ class SemanticFeatureSpace:
         Returns:
             ``(predictions, top2_prob_gaps)`` — per row, the argmax class
             of the cosine logits and the gap between the two largest
-            softmax probabilities (the Delta collection rule's signal),
-            matching :meth:`SampleFeatures.model_prediction` /
-            :meth:`SampleFeatures.probabilities` sample by sample.
+            softmax probabilities (the Delta collection rule's signal).
         """
         vecs = np.asarray(vectors, dtype=float)
         if vecs.ndim != 2 or vecs.shape[1] != self.config.dim:
@@ -434,21 +429,29 @@ class SemanticFeatureSpace:
             w = cfg.conf_base + cfg.conf_jitter * float(rng.random())
         return float(np.clip(w, 0.0, cfg.w_cap))
 
-    def draw_sample(
+    def draw_row(
         self,
-        frame: Frame,
+        class_id: int,
+        difficulty: float,
         client_id: int,
         rng: np.random.Generator,
-    ) -> "SampleFeatures":
-        """Materialize the per-layer semantic vectors of one frame.
+    ) -> tuple[np.ndarray, int, float]:
+        """Draw one frame's per-layer semantic vectors, scalar by scalar.
 
-        The sample interpolates between its class centroid and a randomly
-        chosen confusion sibling with persistent weight ``w``, plus a small
-        fresh isotropic perturbation per layer.
+        The generative process of :meth:`draw_samples`, consuming ``rng``
+        in a per-frame order of its own (a sibling pair by
+        ``rng.choice``, :meth:`confusion_weight`, then the noise), so its
+        samples are distributionally, not bitwise, those of
+        :meth:`draw_samples`.  Only the motivation studies (Fig. 1a/1b,
+        Table I) draw this way, to keep their tracked tables.
+
+        Returns:
+            ``(vectors, confusion_target, confusion_weight)`` with
+            ``vectors`` of shape ``(L + 1, d)``.
         """
-        if not 0 <= frame.class_id < self.num_classes:
+        if not 0 <= class_id < self.num_classes:
             raise ValueError(
-                f"frame class {frame.class_id} out of range [0, {self.num_classes})"
+                f"frame class {class_id} out of range [0, {self.num_classes})"
             )
         if not 0 <= client_id < self.num_clients:
             raise ValueError(
@@ -458,17 +461,17 @@ class SemanticFeatureSpace:
         d = cfg.dim
         num_levels = self.num_layers + 1
 
-        siblings = self._siblings[frame.class_id]
+        siblings = self._siblings[class_id]
         if siblings.size >= 2:
             chosen = rng.choice(siblings, size=2, replace=False)
             primary, secondary = int(chosen[0]), int(chosen[1])
         else:
             primary = secondary = int(siblings[0])
-        w = self.confusion_weight(frame.difficulty, rng)
+        w = self.confusion_weight(difficulty, rng)
         share = cfg.conf_primary_share
 
         drift = cfg.client_drift_scale * self._drift_dirs[client_id]
-        own_centers = self._centroids[:, frame.class_id, :] + drift[frame.class_id]
+        own_centers = self._centroids[:, class_id, :] + drift[class_id]
         primary_centers = self._centroids[:, primary, :] + drift[primary]
         secondary_centers = self._centroids[:, secondary, :] + drift[secondary]
         mixed = (
@@ -479,36 +482,21 @@ class SemanticFeatureSpace:
 
         noise = rng.standard_normal((num_levels, d)) / np.sqrt(d)
         vectors = _normalize_rows(mixed + self._iso_noise[:, None] * noise)
-        return SampleFeatures(
-            frame=frame,
-            client_id=client_id,
-            vectors=vectors,
-            space=self,
-            confusion_target=primary,
-            confusion_weight=w,
-        )
+        return vectors, primary, w
 
     def draw_samples(
         self,
-        frames: FrameBlock | Sequence[Frame],
+        block: FrameBlock,
         client_id: int,
         rng: np.random.Generator,
     ) -> "SampleBatch":
-        """Materialize the semantic vectors of many frames at once.
+        """Materialize the semantic vectors of a block of frames at once.
 
-        The batched counterpart of :meth:`draw_sample`: the same
-        generative process — two distinct confusion siblings, the
-        two-mode difficulty -> weight draw, centroid/drift mixing and
-        per-layer isotropic noise — executed as whole-batch array
-        operations.  Random-stream consumption differs from a per-frame
-        ``draw_sample`` loop (arrays are drawn instead of scalars), so
-        the two paths are distributionally, not bitwise, equivalent.
+        Per frame: two distinct confusion siblings, the two-mode
+        difficulty -> weight draw, centroid/drift mixing and per-layer
+        isotropic noise, each executed as one whole-block array
+        operation.
         """
-        block = (
-            frames
-            if isinstance(frames, FrameBlock)
-            else FrameBlock.from_frames(list(frames))
-        )
         if not 0 <= client_id < self.num_clients:
             raise ValueError(
                 f"client_id {client_id} out of range [0, {self.num_clients})"
@@ -599,81 +587,13 @@ class SemanticFeatureSpace:
         )
 
 
-class SampleFeatures:
-    """Per-layer semantic vectors of one frame, plus final classification.
-
-    Instances are produced by :meth:`SemanticFeatureSpace.draw_sample`; the
-    inference engine reads vectors only at *active* cache layers, and the
-    final logits only on a cache miss — mirroring what a real blockwise
-    forward pass would compute.
-    """
-
-    def __init__(
-        self,
-        frame: Frame,
-        client_id: int,
-        vectors: np.ndarray,
-        space: SemanticFeatureSpace,
-        confusion_target: int,
-        confusion_weight: float,
-    ) -> None:
-        self.frame = frame
-        self.client_id = client_id
-        self.confusion_target = confusion_target
-        self.confusion_weight = confusion_weight
-        self._vectors = vectors
-        self._space = space
-        self._logits: np.ndarray | None = None
-
-    @property
-    def true_class(self) -> int:
-        return self.frame.class_id
-
-    def vector(self, layer: int) -> np.ndarray:
-        """Unit-norm semantic vector at cache layer ``layer``."""
-        if not 0 <= layer <= self._space.num_layers:
-            raise ValueError(
-                f"layer {layer} out of range [0, {self._space.num_layers}]"
-            )
-        return self._vectors[layer]
-
-    def vector_matrix(self) -> np.ndarray:
-        """All per-layer semantic vectors as one ``(L + 1, dim)`` matrix
-        (cache layers 0..L-1 plus the final representation at row L).
-
-        Returned without copying so batch consumers can stack many
-        samples cheaply — treat it as read-only.
-        """
-        return self._vectors
-
-    def final_logits(self) -> np.ndarray:
-        """Cosine logits of the full-model classifier (against global centroids)."""
-        if self._logits is None:
-            final = self._space.final_layer
-            centroids = self._space._centroids[final]
-            self._logits = centroids @ self._vectors[final]
-        return self._logits
-
-    def probabilities(self) -> np.ndarray:
-        """Softmax class probabilities of the full model (for the Delta rule)."""
-        logits = self.final_logits() / self._space.config.temperature
-        shifted = logits - logits.max()
-        exp = np.exp(shifted)
-        return exp / exp.sum()
-
-    def model_prediction(self) -> int:
-        """Class the full model outputs when no cache layer hits."""
-        return int(np.argmax(self.final_logits()))
-
-
 class SampleBatch:
     """Structure-of-arrays batch of drawn samples.
 
-    Produced by :meth:`SemanticFeatureSpace.draw_samples`.  Batch
-    consumers (the batched inference engine, the round pipeline, server
-    calibration) read the arrays directly; :meth:`sample` materializes a
-    scalar :class:`SampleFeatures` view sharing the underlying vector
-    row, so scalar reference paths can replay the identical batch.
+    Produced by :meth:`SemanticFeatureSpace.draw_samples`.  Every
+    consumer (the inference engine, the round pipeline, server
+    calibration, the baselines) reads the arrays; a row slice
+    (``batch[a:b]``) is a batch of views into them.
 
     Attributes:
         block: the :class:`~repro.data.stream.FrameBlock` the samples
@@ -705,10 +625,6 @@ class SampleBatch:
         return len(self.block)
 
     @property
-    def space(self) -> SemanticFeatureSpace:
-        return self._space
-
-    @property
     def class_ids(self) -> np.ndarray:
         """Ground-truth class per sample (aligned with ``vectors``)."""
         return self.block.class_ids
@@ -717,17 +633,13 @@ class SampleBatch:
         """Final-layer representations, shape ``(B, d)`` (no copy)."""
         return self.vectors[:, self._space.final_layer, :]
 
-    def sample(self, index: int) -> SampleFeatures:
-        """Scalar view of one batch element (shares the vector row)."""
-        return SampleFeatures(
-            frame=self.block.frame(index),
+    def __getitem__(self, rows: slice) -> "SampleBatch":
+        """The samples of a row slice, as views of this batch's arrays."""
+        return SampleBatch(
+            block=self.block[rows],
             client_id=self.client_id,
-            vectors=self.vectors[index],
+            vectors=self.vectors[rows],
             space=self._space,
-            confusion_target=int(self.confusion_targets[index]),
-            confusion_weight=float(self.confusion_weights[index]),
+            confusion_targets=self.confusion_targets[rows],
+            confusion_weights=self.confusion_weights[rows],
         )
-
-    def samples(self) -> list[SampleFeatures]:
-        """Materialize every element as a scalar :class:`SampleFeatures`."""
-        return [self.sample(i) for i in range(len(self))]

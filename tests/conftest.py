@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.datasets import DatasetSpec
+from repro.data.stream import FrameBlock
 from repro.models.base import SimulatedModel
 from repro.models.feature import FeatureSpaceConfig
 from repro.models.profiles import build_profile
@@ -13,6 +14,24 @@ from repro.models.profiles import build_profile
 
 TINY_CLASSES = 8
 TINY_LAYERS = 6
+
+
+def _frame_block(class_ids, difficulty: float = 0.05) -> FrameBlock:
+    ids = np.asarray(class_ids, dtype=np.int64).reshape(-1)
+    return FrameBlock(
+        class_ids=ids,
+        difficulties=np.full(ids.size, float(difficulty)),
+        run_positions=np.full(ids.size, 5, dtype=np.int64),
+        stream_indices=np.arange(ids.size, dtype=np.int64),
+    )
+
+
+@pytest.fixture
+def make_block():
+    """``make_block(class_ids, difficulty=0.05)``: a hand-made block of the
+    given classes, every frame of one difficulty (run positions and
+    stream indices carry no meaning)."""
+    return _frame_block
 
 
 @pytest.fixture

@@ -12,6 +12,8 @@ the two:
 * :func:`probe` — Eq. 1 accumulation and the Eq. 2 score (clamped at a
   non-positive runner-up) plus the similarity-floor test, for one sample
   at one cache layer;
+* :func:`classify` — the full model on one sample: the argmax of the
+  final-layer cosine logits and their softmax;
 * :func:`infer` — the cache-instrumented inference of one sample: probe
   the activated layers in order, exit at the first hit, otherwise run the
   full model; latency is the executed compute prefix plus the lookup
@@ -56,7 +58,7 @@ from repro.core.server import (
 )
 from repro.data.stream import StreamGenerator
 from repro.models.base import SimulatedModel
-from repro.models.feature import SampleBatch, SampleFeatures
+from repro.models.feature import SampleBatch
 from repro.models.profiles import LookupCostModel
 from repro.sim.metrics import InferenceRecord
 
@@ -158,13 +160,25 @@ class InferenceOutcome(NamedTuple):
         return self.hit_layer is not None
 
 
+def classify(model: SimulatedModel, vectors: np.ndarray) -> tuple[int, np.ndarray]:
+    """The full model on one sample's ``(L + 1, d)`` vectors: (predicted
+    class, softmax class probabilities)."""
+    space = model.feature_space
+    logits = model.ideal_centroids(space.final_layer) @ vectors[space.final_layer]
+    scaled = logits / space.config.temperature
+    exp = np.exp(scaled - scaled.max())
+    return int(np.argmax(logits)), exp / exp.sum()
+
+
 def infer(
-    model: SimulatedModel, cache: SemanticCache | None, sample: SampleFeatures
+    model: SimulatedModel, cache: SemanticCache | None, vectors: np.ndarray
 ) -> InferenceOutcome:
-    """Run one sample through the model with early exit on a cache hit."""
+    """Run one sample (its ``(L + 1, d)`` vectors, a row of a
+    :class:`SampleBatch`) through the model with early exit on a cache
+    hit."""
     profile = model.profile
     if cache is None or not cache.active_layers:
-        predicted, probs = model.classify(sample)
+        predicted, probs = classify(model, vectors)
         return InferenceOutcome(
             predicted, None, profile.total_compute_ms,
             top2_prob_gap=top2_prob_gap(probs),
@@ -174,7 +188,7 @@ def infer(
     lookup_ms = 0.0
     for layer in cache.active_layers:
         lookup_ms += profile.lookup_cost_ms(cache.num_entries(layer))
-        result = probe(cache, accumulated, layer, sample.vector(layer))
+        result = probe(cache, accumulated, layer, vectors[layer])
         probes.append(result)
         if result.hit:
             return InferenceOutcome(
@@ -184,7 +198,7 @@ def infer(
                 tuple(probes),
                 hit_score=result.score,
             )
-    predicted, probs = model.classify(sample)
+    predicted, probs = classify(model, vectors)
     return InferenceOutcome(
         predicted,
         None,
@@ -201,14 +215,14 @@ def infer(
 
 def absorb(
     update_entries: dict[tuple[int, int], np.ndarray],
-    sample: SampleFeatures,
+    vectors: np.ndarray,
     class_id: int,
     layers: list[int],
     beta: float,
 ) -> None:
     """Eq. 3: ``U = V + beta * U`` per collected layer, L2-normalized."""
     for layer in layers:
-        vector = sample.vector(layer)
+        vector = vectors[layer]
         key = (class_id, layer)
         if key in update_entries:
             merged = vector + beta * update_entries[key]
@@ -221,7 +235,8 @@ def absorb(
 
 def collect(
     client: CoCaClient,
-    sample: SampleFeatures,
+    vectors: np.ndarray,
+    true_class: int,
     outcome: InferenceOutcome,
     update_entries: dict[tuple[int, int], np.ndarray],
     report: RoundReport,
@@ -244,9 +259,9 @@ def collect(
             return
         layers = list(range(client.model.num_cache_layers))
         report.absorbed_misses += 1
-    absorb(update_entries, sample, predicted, layers, config.beta)
+    absorb(update_entries, vectors, predicted, layers, config.beta)
     report.collected_total += 1
-    report.collected_correct += int(predicted == sample.true_class)
+    report.collected_correct += int(predicted == true_class)
 
 
 def run_round(client: CoCaClient, batch: SampleBatch) -> RoundReport:
@@ -269,17 +284,17 @@ def run_round(client: CoCaClient, batch: SampleBatch) -> RoundReport:
         update_entries=update_entries,
         frequencies=phi,
     )
-    for sample in batch.samples():
-        outcome = infer(model, cache, sample)
+    for vectors, true_class in zip(batch.vectors, batch.class_ids.tolist()):
+        outcome = infer(model, cache, vectors)
         client.timestamps += 1.0
         client.timestamps[outcome.predicted_class] = 0.0
         phi[outcome.predicted_class] += 1.0
         if outcome.hit_layer is not None:
             layer_hits[outcome.hit_layer] += 1.0
-        collect(client, sample, outcome, update_entries, report)
+        collect(client, vectors, true_class, outcome, update_entries, report)
         report.records.append(
             InferenceRecord(
-                true_class=sample.true_class,
+                true_class=true_class,
                 predicted_class=outcome.predicted_class,
                 latency_ms=outcome.latency_ms,
                 hit_layer=outcome.hit_layer,

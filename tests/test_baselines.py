@@ -210,12 +210,12 @@ class TestBaselinesMatchOracle:
         def checked(engine):
             infer = engine.infer_batch_soa
 
-            def run(samples):
+            def run(window):
                 cache = engine.cache
                 assert cache.dtype == np.float32
-                out = infer(samples)
-                for i, sample in enumerate(samples):
-                    expected = oracle.infer(runner.model, cache, sample)
+                out = infer(window)
+                for i, vectors in enumerate(window.vectors):
+                    expected = oracle.infer(runner.model, cache, vectors)
                     hit_layer = int(out.hit_layer[i])
                     assert int(out.predicted_class[i]) == expected.predicted_class
                     assert (hit_layer if hit_layer >= 0 else None) == expected.hit_layer
@@ -236,8 +236,9 @@ class TestBaselinesMatchOracle:
         batched = _runner(small_scenario, method, frames_per_round=150)
         single = _runner(small_scenario, method, frames_per_round=150)
         process_round = type(single).process_round
-        single.process_round = lambda client_id, samples: [
-            process_round(single, client_id, [sample])[0] for sample in samples
+        single.process_round = lambda client_id, batch: [
+            process_round(single, client_id, batch[i : i + 1])[0]
+            for i in range(len(batch))
         ]
         calls = []
         for engine in batched._engines:
@@ -288,6 +289,43 @@ class TestFairComparison:
         a = edge.model.ideal_centroids(3)
         b = smtm.model.ideal_centroids(3)
         assert np.allclose(a, b)
+
+    def test_every_method_draws_the_same_frames(self, small_scenario, monkeypatch):
+        """Every method runs each (client, round) on bit-identical class
+        ids and vectors: a round is one block and one draw on the
+        client's generator, for CoCa as for the baselines."""
+        rounds, frames = 3, 40
+        config = CoCaConfig(frames_per_round=frames)
+        draws = {}
+        for method in METHODS:
+            if method == "CoCa":
+                runner = CoCaRunner(small_scenario, config=config)
+            else:
+                runner = build_runner(method, small_scenario)
+                runner.frames_per_round = frames
+            # Wrapped after construction: CoCa's calibration draws at
+            # construction are not round draws.
+            seen = draws[method] = []
+            draw = runner.model.draw_samples
+
+            def record(block, client_id, rng, draw=draw, seen=seen):
+                batch = draw(block, client_id, rng)
+                seen.append((client_id, batch.class_ids.copy(), batch.vectors.copy()))
+                return batch
+
+            with monkeypatch.context() as patch:
+                patch.setattr(runner.model, "draw_samples", record)
+                runner.run(rounds)
+        reference = draws.pop("CoCa")
+        assert len(reference) == rounds * small_scenario.num_clients
+        for method, seen in draws.items():
+            assert len(seen) == len(reference), method
+            for (client, ids, vectors), (ref_client, ref_ids, ref_vectors) in zip(
+                seen, reference
+            ):
+                assert client == ref_client, method
+                assert np.array_equal(ids, ref_ids), method
+                assert np.array_equal(vectors, ref_vectors), method
 
 
 class TestBuildRunner:

@@ -33,7 +33,7 @@ def _draw_samples(model, seed, count, client_id=0):
         rng=rng,
         base_difficulty=model.dataset.difficulty,
     )
-    return [model.draw_sample(frame, client_id, rng) for frame in stream.take(count)]
+    return model.draw_samples(stream.take_block(count), client_id, rng)
 
 
 def _build_cache(model, variant):
@@ -97,14 +97,14 @@ class TestBatchEquivalence:
         cache = _build_cache(tiny_model, variant)
         samples = _draw_samples(tiny_model, seed, 50)
         batch_engine = BatchedInferenceEngine(tiny_model, cache)
-        scalar = [oracle.infer(tiny_model, cache, s) for s in samples]
+        scalar = [oracle.infer(tiny_model, cache, v) for v in samples.vectors]
         _assert_outcomes_match(scalar, batch_engine.infer_batch_soa(samples))
 
     def test_no_cache_matches_scalar(self, tiny_model):
         samples = _draw_samples(tiny_model, 5, 20)
         batch_engine = BatchedInferenceEngine(tiny_model, cache=None)
         _assert_outcomes_match(
-            [oracle.infer(tiny_model, None, s) for s in samples],
+            [oracle.infer(tiny_model, None, v) for v in samples.vectors],
             batch_engine.infer_batch_soa(samples),
         )
 
@@ -113,13 +113,14 @@ class TestBatchEquivalence:
         samples = _draw_samples(tiny_model, 5, 10)
         batch_engine = BatchedInferenceEngine(tiny_model, cache)
         _assert_outcomes_match(
-            [oracle.infer(tiny_model, cache, s) for s in samples],
+            [oracle.infer(tiny_model, cache, v) for v in samples.vectors],
             batch_engine.infer_batch_soa(samples),
         )
 
     def test_empty_batch(self, tiny_model):
+        empty = _draw_samples(tiny_model, 0, 0)
         for cache in (_build_cache(tiny_model, "all_layers"), None):
-            outcomes = BatchedInferenceEngine(tiny_model, cache).infer_batch_soa([])
+            outcomes = BatchedInferenceEngine(tiny_model, cache).infer_batch_soa(empty)
             assert all(column.shape == (0,) for column in outcomes)
 
     def test_set_cache_swaps(self, tiny_model):
@@ -131,38 +132,37 @@ class TestBatchEquivalence:
         # Every frame now probes: it exits early or pays lookups on top.
         assert np.all(engine.infer_batch_soa(samples).latency_ms != total)
 
-    def test_sample_batch_input_matches_loose_samples(self, tiny_model):
-        """A SampleBatch feeds the engine directly (no re-stacking) with
-        outcomes identical to the equivalent list of scalar samples."""
-        rng = np.random.default_rng(31)
-        stream = StreamGenerator(
-            class_distribution=np.full(
-                tiny_model.num_classes, 1.0 / tiny_model.num_classes
-            ),
-            mean_run_length=tiny_model.dataset.mean_run_length,
-            rng=rng,
-            base_difficulty=tiny_model.dataset.difficulty,
-        )
-        batch = tiny_model.draw_samples(stream.take_block(40), 0, rng)
+    def test_row_slices_match_the_whole_batch(self, tiny_model):
+        """Row slices of a batch (views, as the baselines' windows are)
+        run to the outcomes of the whole batch's rows (scores to the
+        last ulps a product of another row count may differ in)."""
+        batch = _draw_samples(tiny_model, 31, 40)
         engine = BatchedInferenceEngine(tiny_model, _build_cache(tiny_model, "all_layers"))
         # Outcome arrays are workspace views: copy before the next call.
-        loose = [column.copy() for column in engine.infer_batch_soa(batch.samples())]
-        for a, b in zip(loose, engine.infer_batch_soa(batch)):
-            assert np.array_equal(a, b, equal_nan=True)
-        assert (loose[1] >= 0).any() and (loose[1] < 0).any()  # hits and misses
+        parts = [
+            [column.copy() for column in engine.infer_batch_soa(batch[a:b])]
+            for a, b in ((0, 17), (17, 18), (18, 40))
+        ]
+        whole = engine.infer_batch_soa(batch)
+        for i, column in enumerate(whole):
+            joined = np.concatenate([part[i] for part in parts])
+            assert np.allclose(joined, column, rtol=1e-12, atol=0, equal_nan=True)
+            if column.dtype.kind == "i":
+                assert np.array_equal(joined, column)
+        assert (whole.hit_layer >= 0).any() and (whole.hit_layer < 0).any()
 
 
 class TestBatchedLookupSession:
     def test_matches_scalar_session_accumulation(self, tiny_model):
         cache = _build_cache(tiny_model, "all_layers")
-        samples = _draw_samples(tiny_model, 9, 8)
+        samples = _draw_samples(tiny_model, 9, 8).vectors
         batch = cache.start_batch_session(len(samples))
         scalars = [oracle.accumulator(cache) for _ in samples]
         for layer in cache.active_layers:
-            vectors = np.stack([s.vector(layer) for s in samples])
+            vectors = samples[:, layer, :]
             result = batch.probe(layer, vectors)
-            for i, (sample, acc) in enumerate(zip(samples, scalars)):
-                probe = oracle.probe(cache, acc, layer, sample.vector(layer))
+            for i, acc in enumerate(scalars):
+                probe = oracle.probe(cache, acc, layer, vectors[i])
                 assert result.top_class[i] == probe.top_class
                 assert result.second_class[i] == probe.second_class
                 assert bool(result.hit[i]) == probe.hit
@@ -232,10 +232,9 @@ class TestClientRoundUsesBatchPath:
         replay = build_client(42)
         block = replay.stream.take_block(config.frames_per_round)
         batch = replay.model.draw_samples(block, 0, replay._rng)
-        samples = batch.samples()
         timestamps = np.zeros(tiny_model.num_classes)
         phi = np.zeros(tiny_model.num_classes)
-        outcomes = [oracle.infer(tiny_model, cache, s) for s in samples]
+        outcomes = [oracle.infer(tiny_model, cache, v) for v in batch.vectors]
         for outcome in outcomes:
             timestamps += 1.0
             timestamps[outcome.predicted_class] = 0.0
@@ -244,8 +243,10 @@ class TestClientRoundUsesBatchPath:
         assert np.array_equal(client.timestamps, timestamps)
         assert np.array_equal(report.frequencies, phi)
         assert len(report.records) == config.frames_per_round
-        for record, sample, outcome in zip(report.records, samples, outcomes):
-            assert record.true_class == sample.true_class
+        for record, true_class, outcome in zip(
+            report.records, batch.class_ids.tolist(), outcomes
+        ):
+            assert record.true_class == true_class
             assert record.predicted_class == outcome.predicted_class
             assert record.hit_layer == outcome.hit_layer
             assert record.latency_ms == pytest.approx(outcome.latency_ms, rel=1e-12)

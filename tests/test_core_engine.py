@@ -5,11 +5,7 @@ import pytest
 
 from repro.core.cache import SemanticCache
 from repro.core.engine import BatchedInferenceEngine
-from repro.data.stream import Frame
-
-
-def _frame(class_id=0, difficulty=0.05):
-    return Frame(class_id=class_id, difficulty=difficulty, run_position=5, stream_index=0)
+from repro.data.stream import FrameBlock
 
 
 def _all_layer_cache(model, theta):
@@ -22,7 +18,13 @@ def _all_layer_cache(model, theta):
 
 
 def _easy_samples(model, rng, count):
-    return [model.draw_sample(_frame(class_id=i % 8), 0, rng) for i in range(count)]
+    block = FrameBlock(
+        class_ids=np.arange(count) % 8,
+        difficulties=np.full(count, 0.05),
+        run_positions=np.full(count, 5),
+        stream_indices=np.arange(count),
+    )
+    return model.draw_samples(block, 0, rng)
 
 
 class TestEngineNoCache:

@@ -59,7 +59,7 @@ class TestFloorCalibration:
             np.full(30, 1 / 30), dataset.mean_run_length, rng,
             base_difficulty=dataset.difficulty,
         )
-        samples = [model.draw_sample(frame, 0, rng) for frame in stream.take(300)]
+        samples = model.draw_samples(stream.take_block(300), 0, rng)
         hits = int(engine.infer_batch_soa(samples).hit.sum())
         assert hits > 100  # floors must not suffocate legitimate hits
 
@@ -76,8 +76,8 @@ class TestFloorCalibration:
             base_difficulty=dataset.difficulty,
         )
         total = 300
-        samples = [model.draw_sample(frame, 0, rng) for frame in stream.take(total)]
-        confident = np.array([s.confusion_weight < 0.5 for s in samples])
+        samples = model.draw_samples(stream.take_block(total), 0, rng)
+        confident = samples.confusion_weights < 0.5
         erroneous = int((engine.infer_batch_soa(samples).hit & confident).sum())
         assert erroneous / total < 0.08
 
@@ -105,7 +105,7 @@ class TestFloorCalibration:
                 absent_only, dataset.mean_run_length, rng,
                 base_difficulty=dataset.difficulty,
             )
-            samples = [model.draw_sample(frame, 0, rng) for frame in stream.take(250)]
+            samples = model.draw_samples(stream.take_block(250), 0, rng)
             return int(engine.infer_batch_soa(samples).hit.sum())
 
         assert erroneous_count(True) <= erroneous_count(False)

@@ -10,6 +10,7 @@ import pytest
 from repro.core.config import CoCaConfig
 from repro.data.datasets import get_dataset
 from repro.experiments import (
+    MethodPoint,
     Scenario,
     format_ablation_table,
     format_allocation_table,
@@ -119,6 +120,16 @@ class TestDistributionDrivers:
         assert len(points) == 4
         table = format_method_points(points, "Fig 7 (smoke)")
         assert "p=0" in table and "p=10" in table
+
+    def test_method_points_keep_first_seen_setting_order(self):
+        points = [
+            MethodPoint(method, setting, 1.0, 90.0, 50.0)
+            for method in ("Edge-Only", "CoCa")
+            for setting in ("p=0", "p=2", "p=10", "uniform", "long-tail")
+        ]
+        header = format_method_points(points, "order").splitlines()[1]
+        columns = [cell.split()[0] for cell in header.split(" | ")[1:]]
+        assert columns == ["p=0", "p=2", "p=10", "uniform", "long-tail"]
 
     def test_edge_only_insensitive_to_noniid(self, scenario):
         points = run_noniid_sweep(

@@ -41,15 +41,15 @@ class TestScenario:
         a, b = _scenario(), _scenario()
         assert np.allclose(a.distributions, b.distributions)
         assert np.allclose(a.model.ideal_centroids(2), b.model.ideal_centroids(2))
-        fa = a.make_stream(0, a.client_rng(0)).take(50)
-        fb = b.make_stream(0, b.client_rng(0)).take(50)
-        assert [f.class_id for f in fa] == [f.class_id for f in fb]
+        fa = a.make_stream(0, a.client_rng(0)).take_block(50)
+        fb = b.make_stream(0, b.client_rng(0)).take_block(50)
+        assert np.array_equal(fa.class_ids, fb.class_ids)
 
     def test_clients_have_distinct_streams(self):
         scenario = _scenario()
-        f0 = scenario.make_stream(0, scenario.client_rng(0)).take(80)
-        f1 = scenario.make_stream(1, scenario.client_rng(1)).take(80)
-        assert [f.class_id for f in f0] != [f.class_id for f in f1]
+        f0 = scenario.make_stream(0, scenario.client_rng(0)).take_block(80)
+        f1 = scenario.make_stream(1, scenario.client_rng(1)).take_block(80)
+        assert not np.array_equal(f0.class_ids, f1.class_ids)
 
     def test_client_rng_bounds(self):
         scenario = _scenario()

@@ -194,6 +194,13 @@ def test_absent_baseline_is_empty(tmp_path):
     assert loaded.fingerprints == Baseline.empty().fingerprints
 
 
+def test_baseline_without_findings_list_is_refused(tmp_path):
+    path = tmp_path / "lint_baseline.json"
+    path.write_text('{"version": 1, "fingerprints": ["abc"]}', encoding="utf-8")
+    with pytest.raises(ValueError, match="findings"):
+        load_baseline(path)
+
+
 def test_syntax_error_becomes_finding(tmp_path):
     bad = tmp_path / "broken.py"
     bad.write_text("def oops(:\n", encoding="utf-8")

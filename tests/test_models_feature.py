@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.stream import Frame
+from repro.data.stream import FrameBlock
 from repro.models.feature import FeatureSpaceConfig, SemanticFeatureSpace
 
 
@@ -18,10 +18,6 @@ def _space(num_classes=8, num_layers=6, num_clients=3, seed=7, **overrides):
         config=config,
         rng=np.random.default_rng(seed),
     )
-
-
-def _frame(class_id=0, difficulty=0.3):
-    return Frame(class_id=class_id, difficulty=difficulty, run_position=5, stream_index=0)
 
 
 class TestConfigValidation:
@@ -125,34 +121,22 @@ class TestGeometry:
 
 
 class TestSampling:
-    def test_vectors_unit_norm_at_all_layers(self, rng):
+    def test_vectors_unit_norm_at_all_layers(self, rng, make_block):
         space = _space()
-        sample = space.draw_sample(_frame(), 0, rng)
-        for layer in range(space.num_layers + 1):
-            assert np.linalg.norm(sample.vector(layer)) == pytest.approx(1.0)
+        batch = space.draw_samples(make_block([0], 0.3), 0, rng)
+        assert np.allclose(np.linalg.norm(batch.vectors[0], axis=-1), 1.0)
 
-    def test_layer_bounds_checked(self, rng):
-        space = _space()
-        sample = space.draw_sample(_frame(), 0, rng)
-        with pytest.raises(ValueError):
-            sample.vector(space.num_layers + 1)
-        with pytest.raises(ValueError):
-            sample.vector(-1)
-
-    def test_easy_sample_close_to_own_centroid(self, rng):
+    def test_easy_sample_close_to_own_centroid(self, rng, make_block):
         space = _space()
         deep = space.num_layers - 1
-        sims = []
-        for _ in range(50):
-            sample = space.draw_sample(_frame(difficulty=0.05), 0, rng)
-            sims.append(float(sample.vector(deep) @ space.centroid(0, deep)))
+        batch = space.draw_samples(make_block(np.zeros(50), 0.05), 0, rng)
+        sims = batch.vectors[:, deep, :] @ space.centroid(0, deep)
         assert np.mean(sims) > 0.9
 
-    def test_confusion_target_is_sibling(self, rng):
+    def test_confusion_target_is_sibling(self, rng, make_block):
         space = _space()
-        for _ in range(20):
-            sample = space.draw_sample(_frame(class_id=2), 0, rng)
-            assert sample.confusion_target in set(space.siblings_of(2))
+        batch = space.draw_samples(make_block(np.full(20, 2), 0.3), 0, rng)
+        assert set(batch.confusion_targets.tolist()) <= set(space.siblings_of(2))
 
     def test_hard_samples_get_higher_confusion(self):
         space = _space()
@@ -161,41 +145,40 @@ class TestSampling:
         hard = [space.confusion_weight(0.95, rng) for _ in range(300)]
         assert np.mean(hard) > np.mean(easy) + 0.3
 
-    def test_probabilities_are_normalized(self, rng):
+    def test_probabilities_are_normalized(self, rng, make_block):
+        """The top-2 gap is one of normalized softmax probabilities."""
         space = _space()
-        sample = space.draw_sample(_frame(), 1, rng)
-        probs = sample.probabilities()
-        assert probs.shape == (space.num_classes,)
-        assert probs.sum() == pytest.approx(1.0)
-        assert sample.model_prediction() == int(np.argmax(probs))
+        batch = space.draw_samples(make_block([0], 0.3), 1, rng)
+        predictions, gaps = space.classify_vectors(batch.final_vectors())
+        logits = space.centroid_matrix(space.final_layer) @ batch.final_vectors()[0]
+        exp = np.exp((logits - logits.max()) / space.config.temperature)
+        probs = np.sort(exp / exp.sum())
+        assert 0.0 <= gaps[0] <= 1.0
+        assert gaps[0] == pytest.approx(probs[-1] - probs[-2], rel=1e-9)
+        assert predictions[0] == int(np.argmax(logits))
 
-    def test_easy_samples_classified_correctly(self, rng):
+    def test_easy_samples_classified_correctly(self, rng, make_block):
         space = _space()
-        correct = 0
-        for i in range(100):
-            sample = space.draw_sample(_frame(class_id=i % 8, difficulty=0.05), 0, rng)
-            correct += int(sample.model_prediction() == i % 8)
-        assert correct >= 95
+        classes = np.arange(100) % 8
+        batch = space.draw_samples(make_block(classes, 0.05), 0, rng)
+        predictions, _ = space.classify_vectors(batch.final_vectors())
+        assert (predictions == classes).sum() >= 95
 
-    def test_model_errors_land_on_siblings(self, rng):
+    def test_model_errors_land_on_siblings(self, rng, make_block):
         space = _space()
-        wrong_targets = []
-        for i in range(400):
-            sample = space.draw_sample(_frame(class_id=0, difficulty=0.95), 0, rng)
-            pred = sample.model_prediction()
-            if pred != 0:
-                wrong_targets.append(pred)
-        assert wrong_targets, "expected some errors at difficulty 0.95"
-        sibling_set = set(space.siblings_of(0))
-        sibling_share = np.mean([t in sibling_set for t in wrong_targets])
+        batch = space.draw_samples(make_block(np.zeros(400), 0.95), 0, rng)
+        predictions, _ = space.classify_vectors(batch.final_vectors())
+        wrong_targets = predictions[predictions != 0]
+        assert wrong_targets.size, "expected some errors at difficulty 0.95"
+        sibling_share = np.isin(wrong_targets, space.siblings_of(0)).mean()
         assert sibling_share > 0.9
 
     def test_sample_validation(self, rng):
         space = _space()
         with pytest.raises(ValueError):
-            space.draw_sample(_frame(class_id=99), 0, rng)
+            space.draw_row(99, 0.3, 0, rng)
         with pytest.raises(ValueError):
-            space.draw_sample(_frame(), 99, rng)
+            space.draw_row(0, 0.3, 99, rng)
 
 
 class TestFeatureProperties:
@@ -218,21 +201,16 @@ class TestFeatureProperties:
     @settings(max_examples=30, deadline=None)
     def test_samples_always_unit_norm(self, class_id, client_id, difficulty, seed):
         space = _space()
-        sample = space.draw_sample(
-            _frame(class_id=class_id, difficulty=difficulty),
-            client_id,
-            np.random.default_rng(seed),
+        vectors, _, _ = space.draw_row(
+            class_id, difficulty, client_id, np.random.default_rng(seed)
         )
-        for layer in (0, space.num_layers // 2, space.num_layers):
-            assert np.linalg.norm(sample.vector(layer)) == pytest.approx(1.0)
+        assert np.allclose(np.linalg.norm(vectors, axis=-1), 1.0)
 
 
 class TestDrawSamples:
-    """Batched draw: invariants plus distributional match to draw_sample."""
+    """Batched draw: invariants plus distributional match to draw_row."""
 
     def _block(self, space, count, seed=0, difficulty=0.3):
-        from repro.data.stream import FrameBlock
-
         rng = np.random.default_rng(seed)
         return FrameBlock(
             class_ids=rng.integers(0, space.num_classes, count),
@@ -262,20 +240,9 @@ class TestDrawSamples:
             assert target in space.siblings_of(int(class_id))
             assert target != class_id
 
-    def test_accepts_frame_list(self):
-        space = _space()
-        frames = [_frame(class_id=c % space.num_classes) for c in range(10)]
-        rng_a = np.random.default_rng(3)
-        rng_b = np.random.default_rng(3)
-        from repro.data.stream import FrameBlock
-
-        batch_list = space.draw_samples(frames, 0, rng_a)
-        batch_block = space.draw_samples(FrameBlock.from_frames(frames), 0, rng_b)
-        assert np.array_equal(batch_list.vectors, batch_block.vectors)
-
     def test_empty_batch(self):
         space = _space()
-        batch = space.draw_samples([], 0, np.random.default_rng(0))
+        batch = space.draw_samples(self._block(space, 0), 0, np.random.default_rng(0))
         assert len(batch) == 0
         assert batch.vectors.shape == (0, space.num_layers + 1, space.config.dim)
 
@@ -290,29 +257,33 @@ class TestDrawSamples:
             space.draw_samples(bad, 0, np.random.default_rng(0))
 
     def test_sample_view_shares_vectors(self):
+        """A row slice is a batch of views into the batch's arrays."""
         space = _space()
         block = self._block(space, 8)
         batch = space.draw_samples(block, 1, np.random.default_rng(5))
-        sample = batch.sample(3)
-        assert sample.client_id == 1
-        assert sample.frame.class_id == int(block.class_ids[3])
-        assert np.shares_memory(sample.vector_matrix(), batch.vectors)
-        for layer in range(space.num_layers + 1):
-            assert np.array_equal(sample.vector(layer), batch.vectors[3, layer])
+        rows = batch[3:6]
+        assert len(rows) == 3 and rows.client_id == 1
+        assert np.array_equal(rows.class_ids, block.class_ids[3:6])
+        for name in ("vectors", "confusion_targets", "confusion_weights"):
+            assert np.shares_memory(getattr(rows, name), getattr(batch, name)), name
+        assert np.array_equal(rows.vectors, batch.vectors[3:6])
 
     def test_classification_consistent_with_scalar_view(self):
+        """Batched classification equals one sample's logits and softmax."""
         space = _space()
         block = self._block(space, 30)
         batch = space.draw_samples(block, 0, np.random.default_rng(6))
         predictions, gaps = space.classify_vectors(batch.final_vectors())
+        centroids = space.centroid_matrix(space.final_layer)
         for i in range(30):
-            sample = batch.sample(i)
-            assert sample.model_prediction() == predictions[i]
-            probs = np.sort(sample.probabilities())
+            logits = centroids @ batch.final_vectors()[i]
+            exp = np.exp((logits - logits.max()) / space.config.temperature)
+            probs = np.sort(exp / exp.sum())
+            assert predictions[i] == int(np.argmax(logits))
             assert gaps[i] == pytest.approx(probs[-1] - probs[-2], rel=1e-9)
 
     def test_distribution_matches_scalar_draw(self):
-        """Batched and scalar draws follow the same generative process:
+        """Batched and per-row draws follow the same generative process:
         compare own-centroid cosine distributions at the deepest layer."""
         space = _space()
         count = 1500
@@ -320,20 +291,21 @@ class TestDrawSamples:
         batch = space.draw_samples(block, 0, np.random.default_rng(11))
         rng = np.random.default_rng(12)
         scalar = [
-            space.draw_sample(block.frame(i), 0, rng) for i in range(count)
+            space.draw_row(int(c), float(d), 0, rng)
+            for c, d in zip(block.class_ids, block.difficulties)
         ]
         layer = space.num_layers  # final representation
         own = space.centroid_matrix(layer)[block.class_ids]
         batch_cos = np.einsum("bd,bd->b", batch.vectors[:, layer, :], own)
         scalar_cos = np.array(
-            [s.vector(layer) @ own[i] for i, s in enumerate(scalar)]
+            [vectors[layer] @ own[i] for i, (vectors, _, _) in enumerate(scalar)]
         )
         assert abs(batch_cos.mean() - scalar_cos.mean()) < 0.02
         assert abs(np.quantile(batch_cos, 0.25) - np.quantile(scalar_cos, 0.25)) < 0.03
         assert abs(np.quantile(batch_cos, 0.75) - np.quantile(scalar_cos, 0.75)) < 0.03
         # The two-mode weight draw: hard fraction matches.
         batch_hard = np.mean(batch.confusion_weights > 0.4)
-        scalar_hard = np.mean([s.confusion_weight > 0.4 for s in scalar])
+        scalar_hard = np.mean([w > 0.4 for _, _, w in scalar])
         assert abs(batch_hard - scalar_hard) < 0.05
 
     def test_drift_moves_batch_toward_client_centroid(self):

@@ -16,7 +16,6 @@ from repro.core.config import CoCaConfig
 from repro.core.engine import BatchedInferenceEngine
 from repro.core.framework import CoCaFramework
 from repro.data.datasets import DatasetSpec, get_dataset
-from repro.data.stream import Frame
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +106,7 @@ class TestFailureInjection:
         summary = fw.run(2, warmup_rounds=1).summary()
         assert summary.hit_ratio > 0.5
 
-    def test_engine_with_floor_rejects_distant_queries(self, tiny_model, rng):
+    def test_engine_with_floor_rejects_distant_queries(self, tiny_model, rng, make_block):
         cache = SemanticCache(tiny_model.num_classes, theta=0.0)
         layer = 3
         cache.set_layer_entries(
@@ -115,8 +114,9 @@ class TestFailureInjection:
         )
         cache.set_similarity_floor(layer, 0.99)  # virtually unreachable
         engine = BatchedInferenceEngine(tiny_model, cache)
-        frame = Frame(class_id=6, difficulty=0.1, run_position=3, stream_index=0)
-        outcome = engine.infer_batch_soa([tiny_model.draw_sample(frame, 0, rng)])
+        outcome = engine.infer_batch_soa(
+            tiny_model.draw_samples(make_block([6], difficulty=0.1), 0, rng)
+        )
         assert not outcome.hit[0]
 
     def test_floor_validation(self):

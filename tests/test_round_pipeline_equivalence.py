@@ -327,7 +327,7 @@ class TestEndToEndEquivalence:
         batch = tiny_model.draw_samples(client.stream.take_block(60), 0, client._rng)
         soa = client.batch_engine.infer_batch_soa(batch)
         for i in range(len(batch)):
-            outcome = oracle.infer(tiny_model, cache, batch.sample(i))
+            outcome = oracle.infer(tiny_model, cache, batch.vectors[i])
             assert soa.predicted_class[i] == outcome.predicted_class
             expected_layer = -1 if outcome.hit_layer is None else outcome.hit_layer
             assert soa.hit_layer[i] == expected_layer

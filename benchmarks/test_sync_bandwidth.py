@@ -30,6 +30,7 @@ import numpy as np
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.node import EdgeServerNode
 from repro.cluster.sharding import ClassShardRouter, ShardedGlobalCache
+from repro.core.client import UpdateTable
 from repro.core.server import GlobalCacheTable
 from repro.store.delta import HEADER_NBYTES, full_rows_nbytes
 
@@ -84,10 +85,12 @@ def _run(dirty_fraction: float):
     for _ in range(ROUNDS):
         for _ in range(UPDATES_PER_ROUND):
             ids = rng.choice(NUM_CLASSES, size=dirty_rows, replace=False)
-            update = {
-                (int(cid), int(rng.integers(NUM_LAYERS))): rng.normal(size=DIM)
-                for cid in ids
-            }
+            rows = [(int(rng.integers(NUM_LAYERS)), rng.normal(size=DIM)) for _ in ids]
+            update = UpdateTable(
+                class_ids=ids,
+                layers=np.array([layer for layer, _ in rows]),
+                vectors=np.stack([vector for _, vector in rows]),
+            )
             freq = np.zeros(NUM_CLASSES)
             freq[ids] = rng.integers(1, 5, size=dirty_rows).astype(float)
             sharded.apply_client_update(update, freq, gamma=0.99)

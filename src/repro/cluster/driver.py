@@ -15,8 +15,9 @@ protocol in virtual time:
 2. the client runs its round through the batched pipeline
    (:meth:`~repro.core.client.CoCaClient.run_round`) and its clock
    advances by the response latency plus the round's inference time;
-3. after all clients finish, uploads fold into the authoritative table
-   through the one-pass Eq. 4 merge
+3. after all clients finish, each upload's
+   :class:`~repro.core.client.UpdateTable` arrays fold into the
+   authoritative table through the one-pass Eq. 4 merge
    (:meth:`ShardedGlobalCache.apply_client_update`) and merge work is
    charged to the CPUs of the nodes owning the uploaded rows;
 4. the coordinator refreshes replicas — local shard every round,

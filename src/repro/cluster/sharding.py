@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import contracts
-from repro.core.server import GlobalCacheTable, unpack_update_entries
+from repro.core.client import UpdateTable
+from repro.core.server import GlobalCacheTable
 
 if TYPE_CHECKING:
     from repro.store.delta import SnapshotDelta
@@ -147,14 +148,15 @@ class ShardedGlobalCache:
 
     def apply_client_update(
         self,
-        update_entries: dict[tuple[int, int], np.ndarray],
+        update: UpdateTable,
         local_freq: np.ndarray,
         gamma: float,
     ) -> dict[int, int]:
         """Fold one client upload into the table (Eq. 4 + Eq. 5).
 
-        One :meth:`GlobalCacheTable.merge_updates` scatter pass and one
-        frequency accumulation — the single-server write path, so the
+        The upload's :class:`~repro.core.client.UpdateTable` arrays go
+        into one :meth:`GlobalCacheTable.merge_updates` scatter pass, then
+        one frequency accumulation — the single-server write path, so the
         result is the single server's table by construction.
 
         Returns:
@@ -170,9 +172,11 @@ class ShardedGlobalCache:
             )
         self._epoch += 1
         touched: dict[int, int] = {}
-        if update_entries:
-            ids, layers, vectors = unpack_update_entries(update_entries)
-            self.table.merge_updates(ids, layers, vectors, local_freq[ids], gamma)
+        if len(update):
+            ids = update.class_ids
+            self.table.merge_updates(
+                ids, update.layers, update.vectors, local_freq[ids], gamma
+            )
             counts = np.bincount(
                 self.router.shard_of(ids), minlength=self.num_shards
             )

@@ -24,10 +24,12 @@ Rounds are array-at-a-time end to end: frames come as one
 :class:`~repro.models.feature.SampleBatch`, inference as one
 :class:`~repro.core.engine.BatchOutcomes` pass, the status vectors
 (tau, phi) update with batch arithmetic, and Eq. 3 collection folds the
-selected samples with grouped array updates — one vectorized multi-layer
-fold per collected sample instead of a per-(sample, layer) dict walk.
-Given the same pre-drawn batch, the per-frame scalar oracle of
-``tests/oracle.py`` produces an identical report (see
+selected samples into one ``(L, d)`` row block per collected class — a
+miss folds every preset layer in place, a hit its probed prefix.  The
+table U is uploaded as the aligned arrays of an :class:`UpdateTable`,
+gathered once from the fold state, which the server's Eq. 4 merge
+consumes as they are.  Given the same pre-drawn batch, the per-frame
+scalar oracle of ``tests/oracle.py`` produces an identical report (see
 ``tests/test_round_pipeline_equivalence.py``).
 """
 
@@ -68,6 +70,34 @@ class ClientStatus:
     cache_budget_bytes: int
 
 
+@dataclass(frozen=True, eq=False)
+class UpdateTable:
+    """The cache update table U a client uploads, as aligned arrays.
+
+    Row ``k`` is the unit vector folded for class ``class_ids[k]`` at
+    cache layer ``layers[k]`` (Eq. 3); no ``(class, layer)`` key repeats.
+
+    Attributes:
+        class_ids: ``(K,)`` integer class per row.
+        layers: ``(K,)`` integer cache layer per row.
+        vectors: ``(K, d)`` float64 unit vectors.
+    """
+
+    class_ids: np.ndarray
+    layers: np.ndarray
+    vectors: np.ndarray
+
+    @classmethod
+    def empty(cls, dim: int) -> "UpdateTable":
+        """A table with no rows, of vector width ``dim``."""
+        return cls(
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, dim))
+        )
+
+    def __len__(self) -> int:
+        return int(self.class_ids.size)
+
+
 @dataclass
 class RoundReport:
     """Everything a client uploads at the end of a round.
@@ -75,8 +105,7 @@ class RoundReport:
     Attributes:
         client_id: reporting client.
         records: per-inference outcomes of the round (for metrics).
-        update_entries: the cache update table U as a mapping
-            ``(class_id, layer) -> unit vector``.
+        update_entries: the cache update table U.
         frequencies: the phi vector counted over this round (by inferred
             class).
         absorbed_hits / absorbed_misses: number of samples collected under
@@ -87,7 +116,7 @@ class RoundReport:
 
     client_id: int
     records: list[InferenceRecord]
-    update_entries: dict[tuple[int, int], np.ndarray]
+    update_entries: UpdateTable
     frequencies: np.ndarray
     absorbed_hits: int = 0
     absorbed_misses: int = 0
@@ -255,7 +284,7 @@ class CoCaClient:
         report = RoundReport(
             client_id=self.client_id,
             records=[],
-            update_entries={},
+            update_entries=UpdateTable.empty(batch.vectors.shape[-1]),
             frequencies=phi,
         )
         start = time.perf_counter() if timings is not None else 0.0
@@ -300,7 +329,7 @@ class CoCaClient:
         batch: SampleBatch,
         out: BatchOutcomes,
         report: RoundReport,
-    ) -> dict[tuple[int, int], np.ndarray]:
+    ) -> UpdateTable:
         """Vectorized Sec. IV-C collection over a whole round (Eq. 3).
 
         Selection (the Gamma / Delta rules and all diagnostics counters)
@@ -308,9 +337,12 @@ class CoCaClient:
         *per (class, layer) key* — each absorb renormalizes, so the
         recurrence cannot be collapsed — but the selected samples are a
         minority of the round and each one folds all of its collected
-        layers in a single grouped array update.  Key for key, the folds
-        see the same vectors in the same stream order as a per-frame,
-        per-layer fold, so the resulting table is identical.
+        layers in a single array update: a miss folds every preset layer
+        in place into its class's ``(L, d)`` fold row block, a hit (or a
+        miss whose fold has a zero norm) the masked rows it collects.
+        Key for key, the folds see the same vectors in the same stream
+        order as a per-frame, per-layer fold, so the resulting table is
+        identical.  The table is gathered from the fold state once.
         """
         batch_size = len(batch)
         predictions = out.predicted_class
@@ -333,41 +365,50 @@ class CoCaClient:
             (predictions[collected] == batch.class_ids[collected]).sum()
         )
 
-        update_entries: dict[tuple[int, int], np.ndarray] = {}
-        if not report.collected_total:
-            return update_entries
-
         num_layers = self.model.num_cache_layers
         dim = batch.vectors.shape[-1]
+        if not report.collected_total:
+            return UpdateTable.empty(dim)
+
         cache = self.engine.cache
         active = np.asarray(cache.active_layers if cache is not None else [], dtype=int)
         # A hit collects the probed prefix (active layers up to and
         # including the hit layer); a miss collects every preset layer.
         prefix_of = {int(layer): k + 1 for k, layer in enumerate(active)}
-        all_layers = np.arange(num_layers)
         beta = self.config.beta
         vectors = batch.vectors
 
-        # Per-class fold state: U rows start at zero, so "new key" and
-        # "existing key" share one expression (V + beta * 0 == V).
-        state: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        hit_layer_list = out.hit_layer.tolist()
-        pred_list = predictions.tolist()
-        for i in np.flatnonzero(collected).tolist():
-            class_id = pred_list[i]
-            layer = hit_layer_list[i]
-            layers = all_layers if layer < 0 else active[: prefix_of[layer]]
-            if class_id not in state:
-                state[class_id] = (np.zeros((num_layers, dim)), np.zeros(num_layers, bool))
-            table, exists = state[class_id]
-            merged = vectors[i, layers, :] + beta * table[layers]
-            norms = np.sqrt(np.einsum("kd,kd->k", merged, merged))
+        # Fold state, one (L, d) row block per collected class.  U rows
+        # start at zero, so "new key" and "existing key" share one
+        # expression (V + beta * 0 == V).
+        rows = np.flatnonzero(collected)
+        classes, slots = np.unique(predictions[rows], return_inverse=True)
+        tables = np.zeros((classes.size, num_layers, dim))
+        exists = np.zeros((classes.size, num_layers), dtype=bool)
+        hit_layer_list = out.hit_layer[rows].tolist()
+        for i, slot, layer in zip(rows.tolist(), slots.tolist(), hit_layer_list):
+            table = tables[slot]
+            if layer < 0:
+                merged = beta * table
+                merged += vectors[i, :num_layers]
+                norms = np.sqrt(np.einsum("kd,kd->k", merged, merged))
+                if norms.all():
+                    np.divide(merged, norms[:, None], out=table)
+                    exists[slot] = True
+                    continue
+                layers = np.arange(num_layers)
+            else:
+                layers = active[: prefix_of[layer]]
+                merged = vectors[i, layers, :] + beta * table[layers]
+                norms = np.sqrt(np.einsum("kd,kd->k", merged, merged))
             ok = norms > 0
-            rows = layers[ok]
-            table[rows] = merged[ok] / norms[ok, None]
-            exists[rows] = True
+            kept = layers[ok]
+            table[kept] = merged[ok] / norms[ok, None]
+            exists[slot, kept] = True
 
-        for class_id, (table, exists) in state.items():
-            for layer in np.flatnonzero(exists).tolist():
-                update_entries[(class_id, layer)] = table[layer].copy()
-        return update_entries
+        slots, layers_out = np.nonzero(exists)
+        return UpdateTable(
+            class_ids=classes[slots],
+            layers=layers_out,
+            vectors=tables[slots, layers_out],
+        )

@@ -187,6 +187,14 @@ class BatchedInferenceEngine:
         layers the profile's latency accounting and the full-model miss
         classification on top of the walk's hit layers.
 
+        A row's ``hit_score`` can depend on how many rows share the call,
+        in the last bits: the BLAS rounds a row of a small product by its
+        call's row count (see :func:`~repro.core.probe.walk_cache_batch`).
+        The same rows run as one batch or as row slices of it can differ
+        there, so a row scoring within rounding of theta can hit in one
+        and miss in the other.  Compare such runs at a relative
+        tolerance, not bit for bit.
+
         Args:
             samples: the batch to run.
             timings: optional accumulator for wall-clock stage seconds

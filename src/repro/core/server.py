@@ -15,8 +15,9 @@ The initial table and the reference per-layer hit-ratio vector come from
 the server's *global shared dataset*, exactly as in the paper.
 
 Merging is vectorized: :meth:`CoCaServer.apply_client_update` folds the
-whole uploaded table with one Eq. 4 scatter pass over the flat
-``(class, layer)`` index (:meth:`GlobalCacheTable.merge_updates`).
+uploaded table — the arrays of a :class:`~repro.core.client.UpdateTable`
+— with one Eq. 4 scatter pass over the flat ``(class, layer)`` index
+(:meth:`GlobalCacheTable.merge_updates`).
 Calibration (:meth:`CoCaServer.measure_layer_statistics`,
 :meth:`CoCaServer.measure_similarity_floors`) draws its shared-dataset
 streams as blocks and its samples as one
@@ -40,6 +41,7 @@ from repro.core.cache import (
     LookupWorkspace,
     SemanticCache,
 )
+from repro.core.client import UpdateTable
 from repro.core.config import CoCaConfig
 from repro.data.stream import StreamGenerator
 from repro.models.base import SimulatedModel
@@ -65,22 +67,6 @@ CACHED_FRACTION = 0.9
 #: cosines, minus the margin.
 FLOOR_QUANTILE = 0.03
 FLOOR_MARGIN = 0.01
-
-
-def unpack_update_entries(
-    update_entries: dict[tuple[int, int], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split an uploaded update table into (class ids, layers, vectors).
-
-    The one place that knows the wire representation of a client's cache
-    update table; both the single-server merge
-    (:meth:`CoCaServer.apply_client_update`) and the sharded write path
-    (:meth:`repro.cluster.sharding.ShardedGlobalCache.apply_client_update`)
-    unpack through it, so the two can never diverge.
-    """
-    keys = np.array(list(update_entries.keys()), dtype=int)
-    vectors = np.stack(list(update_entries.values()))
-    return keys[:, 0], keys[:, 1], vectors
 
 
 class GlobalCacheTable:
@@ -507,21 +493,23 @@ class CoCaServer:
 
     def apply_client_update(
         self,
-        update_entries: dict[tuple[int, int], np.ndarray],
+        update: UpdateTable,
         local_freq: np.ndarray,
     ) -> None:
         """Global updates: one vectorized Eq. 4 pass, then Eq. 5.
 
-        The whole uploaded table is merged with a single
-        :meth:`GlobalCacheTable.merge_updates` scatter pass over the flat
-        ``(class, layer)`` index: the entries of one upload are
-        independent, since Phi only accumulates afterwards.
+        The uploaded :class:`~repro.core.client.UpdateTable` arrays go
+        straight into a single :meth:`GlobalCacheTable.merge_updates`
+        scatter pass over the flat ``(class, layer)`` index: the entries
+        of one upload are independent, since Phi only accumulates
+        afterwards.
         """
-        gamma = self.config.gamma
         local_freq = np.asarray(local_freq, dtype=float)
-        if update_entries:
-            ids, layers, vectors = unpack_update_entries(update_entries)
-            self.table.merge_updates(ids, layers, vectors, local_freq[ids], gamma)
+        if len(update):
+            ids = update.class_ids
+            self.table.merge_updates(
+                ids, update.layers, update.vectors, local_freq[ids], self.config.gamma
+            )
         self.table.add_frequencies(local_freq)
 
     def cache_size_limit_bytes(self, fraction: float | None = None) -> int:

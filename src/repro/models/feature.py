@@ -546,27 +546,22 @@ class SemanticFeatureSpace:
         )
         w = np.clip(w, 0.0, cfg.w_cap)
 
-        # Class-major gathers yield fresh (B, L+1, d) blocks, so the mix
-        # accumulates in place — no (L+1, B, d) transposed temporaries.
+        # The client's drift is added once per class, on the (I, L+1, d)
+        # class-major centroids, before any gather: each gathered element
+        # is the same sum as adding the drift after the gather.  The
+        # gathers yield fresh (B, L+1, d) blocks, so the mix accumulates
+        # in place — no (L+1, B, d) transposed temporaries.
         centers = self._centroids_by_class
+        if cfg.client_drift_scale != 0.0:
+            drift = cfg.client_drift_scale * self._drift_dirs[client_id]
+            centers = centers + drift[:, None, :]
         share = cfg.conf_primary_share
-        drift = (
-            cfg.client_drift_scale * self._drift_dirs[client_id]
-            if cfg.client_drift_scale != 0.0
-            else None
-        )
         mixed = centers[class_ids]
-        if drift is not None:
-            mixed += drift[class_ids][:, None, :]
         mixed *= (1.0 - w)[:, None, None]
         part = centers[primary]
-        if drift is not None:
-            part += drift[primary][:, None, :]
         part *= (w * share)[:, None, None]
         mixed += part
         part = centers[secondary]
-        if drift is not None:
-            part += drift[secondary][:, None, :]
         part *= (w * (1.0 - share))[:, None, None]
         mixed += part  # (B, L+1, d)
         noise = rng.standard_normal((batch, num_levels, d))

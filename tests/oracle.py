@@ -18,8 +18,13 @@ the two:
   the activated layers in order, exit at the first hit, otherwise run the
   full model; latency is the executed compute prefix plus the lookup
   costs of the probed layers;
+* :func:`draw_samples` — the feature space's block draw with the client
+  drift added to each gathered row block, the pin of the production
+  draw's bits;
 * :func:`run_round` — a client round frame by frame: status vectors,
   the Gamma / Delta collection rules and the Eq. 3 fold;
+* :func:`update_table` — a ``(class, layer) -> vector`` mapping as the
+  :class:`~repro.core.client.UpdateTable` a client uploads;
 * :func:`merge_update` / :func:`apply_client_update` — Eq. 4 per entry,
   then Eq. 5;
 * :func:`walk_layers` — :func:`repro.core.probe.walk_cache_batch`
@@ -48,7 +53,7 @@ from repro.core.allocation import (
     select_hotspot_classes,
 )
 from repro.core.cache import SemanticCache
-from repro.core.client import CoCaClient, RoundReport
+from repro.core.client import CoCaClient, RoundReport, UpdateTable
 from repro.core.probe import CacheWalk, check_fit
 from repro.core.server import (
     CACHED_FRACTION,
@@ -56,9 +61,9 @@ from repro.core.server import (
     CoCaServer,
     GlobalCacheTable,
 )
-from repro.data.stream import StreamGenerator
+from repro.data.stream import FrameBlock, StreamGenerator
 from repro.models.base import SimulatedModel
-from repro.models.feature import SampleBatch
+from repro.models.feature import SampleBatch, SemanticFeatureSpace
 from repro.models.profiles import LookupCostModel
 from repro.sim.metrics import InferenceRecord
 
@@ -209,6 +214,113 @@ def infer(
 
 
 # ----------------------------------------------------------------------
+# Sample draw
+# ----------------------------------------------------------------------
+
+
+def draw_samples(
+    space: SemanticFeatureSpace,
+    block: FrameBlock,
+    client_id: int,
+    rng: np.random.Generator,
+) -> SampleBatch:
+    """The block draw with the client drift added to each gathered
+    ``(B, L+1, d)`` row block, where
+    :meth:`SemanticFeatureSpace.draw_samples` adds it once per class
+    before gathering.  The element sums are the same, so the two must
+    match bit for bit, generator state included."""
+    if not 0 <= client_id < space.num_clients:
+        raise ValueError(
+            f"client_id {client_id} out of range [0, {space.num_clients})"
+        )
+    cfg = space.config
+    d = cfg.dim
+    num_levels = space.num_layers + 1
+    class_ids = block.class_ids
+    batch = len(block)
+    if batch == 0:
+        return SampleBatch(
+            block=block,
+            client_id=client_id,
+            vectors=np.zeros((0, num_levels, d)),
+            space=space,
+            confusion_targets=np.zeros(0, dtype=np.int64),
+            confusion_weights=np.zeros(0),
+        )
+    if class_ids.min() < 0 or class_ids.max() >= space.num_classes:
+        bad = int(class_ids.min() if class_ids.min() < 0 else class_ids.max())
+        raise ValueError(
+            f"frame class {bad} out of range [0, {space.num_classes})"
+        )
+
+    # Two distinct siblings per sample: a uniform index, then a
+    # uniform index into the remaining pool shifted past the first —
+    # the vectorized equivalent of ``rng.choice(sibs, 2, False)``.
+    counts = space._sibling_count[class_ids]
+    first = np.minimum((rng.random(batch) * counts).astype(np.int64), counts - 1)
+    pool = np.maximum(counts - 1, 1)
+    second = np.minimum((rng.random(batch) * pool).astype(np.int64), pool - 1)
+    second = np.where(counts < 2, first, second + (second >= first))
+    primary = space._sibling_pad[class_ids, first]
+    secondary = space._sibling_pad[class_ids, second]
+
+    # Two-mode confusion weights (vectorized confusion_weight).
+    hard_prob = 1.0 / (
+        1.0 + np.exp(-(block.difficulties - cfg.conf_mid) / cfg.conf_sharp)
+    )
+    is_hard = rng.random(batch) < hard_prob
+    u = rng.random(batch)
+    boundary = 1.0 / (1.0 + cfg.conf_primary_share)
+    w = np.where(
+        is_hard,
+        (boundary - 0.05) + cfg.conf_span * u,
+        cfg.conf_base + cfg.conf_jitter * u,
+    )
+    w = np.clip(w, 0.0, cfg.w_cap)
+
+    # Class-major gathers yield fresh (B, L+1, d) blocks, so the mix
+    # accumulates in place — no (L+1, B, d) transposed temporaries.
+    centers = space._centroids_by_class
+    share = cfg.conf_primary_share
+    drift = (
+        cfg.client_drift_scale * space._drift_dirs[client_id]
+        if cfg.client_drift_scale != 0.0
+        else None
+    )
+    mixed = centers[class_ids]
+    if drift is not None:
+        mixed += drift[class_ids][:, None, :]
+    mixed *= (1.0 - w)[:, None, None]
+    part = centers[primary]
+    if drift is not None:
+        part += drift[primary][:, None, :]
+    part *= (w * share)[:, None, None]
+    mixed += part
+    part = centers[secondary]
+    if drift is not None:
+        part += drift[secondary][:, None, :]
+    part *= (w * (1.0 - share))[:, None, None]
+    mixed += part  # (B, L+1, d)
+    noise = rng.standard_normal((batch, num_levels, d))
+    noise *= (space._iso_noise / np.sqrt(d))[None, :, None]
+    mixed += noise
+    norms = np.sqrt(np.einsum("bld,bld->bl", mixed, mixed))
+    if np.any(norms == 0):
+        raise ValueError("cannot normalize a zero vector")
+    mixed /= norms[:, :, None]
+    vectors = mixed
+    return SampleBatch(
+        block=block,
+        client_id=client_id,
+        vectors=vectors,
+        space=space,
+        confusion_targets=primary,
+        confusion_weights=w,
+    )
+
+
+
+# ----------------------------------------------------------------------
 # Client round (Sec. IV-C) and server update (Eq. 4 / 5)
 # ----------------------------------------------------------------------
 
@@ -278,10 +390,11 @@ def run_round(client: CoCaClient, batch: SampleBatch) -> RoundReport:
     phi = np.zeros(model.num_classes)
     layer_hits = np.zeros(model.num_cache_layers)
     update_entries: dict[tuple[int, int], np.ndarray] = {}
+    dim = batch.vectors.shape[-1]
     report = RoundReport(
         client_id=client.client_id,
         records=[],
-        update_entries=update_entries,
+        update_entries=UpdateTable.empty(dim),
         frequencies=phi,
     )
     for vectors, true_class in zip(batch.vectors, batch.class_ids.tolist()):
@@ -308,7 +421,23 @@ def run_round(client: CoCaClient, batch: SampleBatch) -> RoundReport:
             cumulative += layer_hits[layer] / frames
             client.hit_ratio[layer] = 0.5 * client.hit_ratio[layer] + 0.5 * cumulative
     client.last_frequencies = phi.copy()
+    report.update_entries = update_table(update_entries, dim)
     return report
+
+
+def update_table(
+    update_entries: dict[tuple[int, int], np.ndarray], dim: int
+) -> UpdateTable:
+    """The upload of a ``(class, layer) -> vector`` mapping, one row per
+    key in ascending key order."""
+    keys = sorted(update_entries)
+    if not keys:
+        return UpdateTable.empty(dim)
+    return UpdateTable(
+        class_ids=np.array([class_id for class_id, _ in keys], dtype=np.int64),
+        layers=np.array([layer for _, layer in keys], dtype=np.int64),
+        vectors=np.stack([update_entries[key] for key in keys]),
+    )
 
 
 def merge_update(
@@ -341,11 +470,13 @@ def merge_update(
 
 def apply_client_update(
     server: CoCaServer,
-    update_entries: dict[tuple[int, int], np.ndarray],
+    update: UpdateTable,
     local_freq: np.ndarray,
 ) -> None:
-    """One client's global update: Eq. 4 entry by entry, then Eq. 5."""
-    for (class_id, layer), vector in update_entries.items():
+    """One client's global update: Eq. 4 row by row, then Eq. 5."""
+    for class_id, layer, vector in zip(
+        update.class_ids.tolist(), update.layers.tolist(), update.vectors
+    ):
         merge_update(
             server.table, class_id, layer, vector,
             float(local_freq[class_id]), server.config.gamma,

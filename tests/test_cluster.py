@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import oracle
+
 from repro.cluster import (
     ASSIGNMENT_POLICIES,
     ClassShardRouter,
@@ -13,6 +15,7 @@ from repro.cluster import (
     assign_clients,
 )
 from repro.cluster.sharding import DELTA_FALLBACK_FRACTION
+from repro.core.client import RoundReport, UpdateTable
 from repro.core.config import CoCaConfig
 from repro.core.framework import CoCaFramework
 from repro.core.server import CoCaServer, GlobalCacheTable
@@ -93,7 +96,7 @@ def _random_update(rng, num_classes, num_layers, dim, entries=12):
     freq = rng.integers(0, 5, size=num_classes).astype(float)
     for class_id, _ in update:
         freq[class_id] = max(freq[class_id], 1.0)  # owners must be active
-    return update, freq
+    return oracle.update_table(update, dim), freq
 
 
 class TestShardedGlobalCache:
@@ -107,10 +110,9 @@ class TestShardedGlobalCache:
         sharded = ShardedGlobalCache(router, single.copy())
         for _ in range(5):
             update, freq = _random_update(rng, num_classes, num_layers, dim)
-            keys = np.array(list(update.keys()), dtype=int)
-            vectors = np.stack(list(update.values()))
+            ids = update.class_ids
             single.merge_updates(
-                keys[:, 0], keys[:, 1], vectors, freq[keys[:, 0]], gamma=0.99
+                ids, update.layers, update.vectors, freq[ids], gamma=0.99
             )
             single.add_frequencies(freq)
             sharded.apply_client_update(update, freq, gamma=0.99)
@@ -131,7 +133,9 @@ class TestShardedGlobalCache:
         }
         freq = np.zeros(12)
         freq[[class_a, class_b]] = 1.0
-        touched = sharded.apply_client_update(update, freq, gamma=0.99)
+        touched = sharded.apply_client_update(
+            oracle.update_table(update, 4), freq, gamma=0.99
+        )
         assert touched == {0: 2, 2: 1}
 
     def test_sync_into_refreshes_only_requested_shards(self):
@@ -143,7 +147,7 @@ class TestShardedGlobalCache:
         update = {(class_a, 0): np.ones(4), (class_b, 0): np.ones(4)}
         freq = np.zeros(12)
         freq[[class_a, class_b]] = 1.0
-        sharded.apply_client_update(update, freq, gamma=0.99)
+        sharded.apply_client_update(oracle.update_table(update, 4), freq, gamma=0.99)
         sharded.sync_into(replica, shards=[0])
         assert replica.filled[class_a, 0]
         assert not replica.filled[class_b, 0]  # shard 1 not pulled yet
@@ -156,7 +160,7 @@ class TestShardedGlobalCache:
         with pytest.raises(ValueError):
             sharded.sync_into(GlobalCacheTable(12, 3, 4))
         with pytest.raises(ValueError):
-            sharded.apply_client_update({}, np.zeros(5), gamma=0.99)
+            sharded.apply_client_update(UpdateTable.empty(4), np.zeros(5), gamma=0.99)
         with pytest.raises(ValueError):
             ShardedGlobalCache(router, GlobalCacheTable(13, 2, 4))
 
@@ -324,7 +328,7 @@ class TestCoordinator:
         update = {(class_a, 0): np.ones(dim), (class_b, 0): np.ones(dim)}
         freq = np.zeros(router.num_classes)
         freq[[class_a, class_b]] = 1.0
-        sharded.apply_client_update(update, freq, gamma=0.99)
+        sharded.apply_client_update(oracle.update_table(update, dim), freq, gamma=0.99)
         assert not coord.end_round()  # local refresh only
         # Node 0 sees its own shard's write, not the remote one.
         assert np.array_equal(
@@ -551,15 +555,13 @@ class TestReplication:
 
 class TestRoundReportLatency:
     def test_total_latency_sums_records(self):
-        from repro.core.client import RoundReport
-
         report = RoundReport(
             client_id=0,
             records=[
                 InferenceRecord(0, 0, 10.0),
                 InferenceRecord(1, 1, 2.5),
             ],
-            update_entries={},
+            update_entries=UpdateTable.empty(4),
             frequencies=np.zeros(2),
         )
         assert report.total_latency_ms == pytest.approx(12.5)
@@ -640,7 +642,9 @@ class TestDeltaSync:
                 }
                 freq = np.zeros(self.I)
                 freq[ids] = rng.integers(1, 5, size=ids.size).astype(float)
-                sharded.apply_client_update(update, freq, gamma=0.99)
+                sharded.apply_client_update(
+                    oracle.update_table(update, self.D), freq, gamma=0.99
+                )
             coord.end_round()
             full_bytes += self._full_copy_nbytes(sharded)
             for node, full in zip(coord.nodes, full_copies):
@@ -686,7 +690,9 @@ class TestDeltaSync:
             }
             freq = np.zeros(self.I)
             freq[rows] = 1.0
-            sharded.apply_client_update(update, freq, gamma=0.99)
+            sharded.apply_client_update(
+                oracle.update_table(update, self.D), freq, gamma=0.99
+            )
 
         # At the threshold a delta still ships; one more dirty row of the
         # shard tips it into the full-snapshot fallback.
@@ -705,7 +711,9 @@ class TestDeltaSync:
     def test_epoch_counts_uploads(self):
         sharded, _, _ = self._build()
         assert sharded.epoch == 0
-        sharded.apply_client_update({}, np.zeros(self.I), gamma=0.99)
+        sharded.apply_client_update(
+            UpdateTable.empty(self.D), np.zeros(self.I), gamma=0.99
+        )
         assert sharded.epoch == 1
 
     def test_sync_delta_into_matches_sync_into(self):
@@ -722,7 +730,9 @@ class TestDeltaSync:
             }
             freq = np.zeros(self.I)
             freq[ids] = 1.0
-            sharded.apply_client_update(update, freq, gamma=0.99)
+            sharded.apply_client_update(
+                oracle.update_table(update, self.D), freq, gamma=0.99
+            )
             delta = sharded.sync_delta_into(replica_a, 0, since_epoch=synced_at)
             synced_at = delta.target_epoch
             sharded.sync_into(replica_b, shards=[0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
-from repro.core.client import CoCaClient
+from repro.core.client import CoCaClient, UpdateTable
 from repro.core.config import CoCaConfig
 from repro.core.server import CoCaServer, GlobalCacheTable
 from repro.data.datasets import get_dataset
@@ -144,7 +144,8 @@ class TestServer:
         before = server.table.entries[0, layer].copy()
         new_vec = -before  # maximally different
         server.apply_client_update(
-            {(0, layer): new_vec}, local_freq=np.array([30.0] + [0.0] * 7)
+            UpdateTable(np.array([0]), np.array([layer]), new_vec[None, :]),
+            local_freq=np.array([30.0] + [0.0] * 7),
         )
         after = server.table.entries[0, layer]
         assert not np.allclose(after, before)
@@ -233,7 +234,8 @@ class TestClient:
         )
         client.install_cache(cache)
         report = client.run_round(80)
-        for vec in report.update_entries.values():
+        assert len(report.update_entries) > 0
+        for vec in report.update_entries.vectors:
             assert np.linalg.norm(vec) == pytest.approx(1.0)
 
     def test_collection_respects_thresholds(self, tiny_model, server):
@@ -247,9 +249,14 @@ class TestClient:
         )
         client.install_cache(cache)
         report = client.run_round(60)
-        assert report.update_entries == {}
+        assert len(report.update_entries) == 0
+        assert report.update_entries.vectors.shape == (0, tiny_model.feature_space.config.dim)
         assert report.absorbed_hits == 0
         assert report.absorbed_misses == 0
+        # An empty upload leaves the global table as it was.
+        before = server.table.entries.copy()
+        server.apply_client_update(report.update_entries, report.frequencies)
+        assert np.array_equal(server.table.entries, before)
 
     def test_hit_ratio_seeding_validates_shape(self, tiny_model, config):
         client = _client(tiny_model, config)
@@ -264,3 +271,42 @@ class TestClient:
     def test_invalid_budget(self, tiny_model, config):
         with pytest.raises(ValueError):
             _client(tiny_model, config, budget=0)
+
+
+class TestUpdateTable:
+    """The update table a round uploads: one row per collected
+    ``(class, layer)`` key."""
+
+    def _collect_everything(self, tiny_model, server, frames=80):
+        # Gamma = Delta = 0: every frame is collected.
+        config = CoCaConfig(
+            theta=0.04, frames_per_round=frames, collect_gamma=0.0, collect_delta=0.0
+        )
+        client = _client(tiny_model, config)
+        cache, _ = server.allocate(
+            np.zeros(8), server.reference_hit_ratio, client.cache_budget_bytes
+        )
+        client.install_cache(cache)
+        report = client.run_round(frames)
+        assert report.collected_total == frames
+        return report
+
+    def test_len_is_the_row_count(self, tiny_model, server):
+        table = self._collect_everything(tiny_model, server).update_entries
+        dim = tiny_model.feature_space.config.dim
+        assert len(table) == table.class_ids.size == table.layers.size > 0
+        assert table.vectors.shape == (len(table), dim)
+        keys = set(zip(table.class_ids.tolist(), table.layers.tolist()))
+        assert len(keys) == len(table)
+
+    def test_key_order(self, tiny_model, server):
+        report = self._collect_everything(tiny_model, server)
+        table = report.update_entries
+        keys = list(zip(table.class_ids.tolist(), table.layers.tolist()))
+        assert keys == sorted(keys)
+        assert {k[0] for k in keys} == {r.predicted_class for r in report.records}
+        # A miss collects every preset layer: its class has a full row set.
+        missed = {r.predicted_class for r in report.records if r.hit_layer is None}
+        for class_id in missed:
+            layers = table.layers[table.class_ids == class_id]
+            assert np.array_equal(layers, np.arange(tiny_model.num_cache_layers))

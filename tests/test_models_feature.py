@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
+
+from repro.data.datasets import get_dataset
 from repro.data.stream import FrameBlock
 from repro.models.feature import FeatureSpaceConfig, SemanticFeatureSpace
+from repro.models.zoo import build_model
 
 
 def _space(num_classes=8, num_layers=6, num_clients=3, seed=7, **overrides):
@@ -17,6 +21,16 @@ def _space(num_classes=8, num_layers=6, num_clients=3, seed=7, **overrides):
         num_clients=num_clients,
         config=config,
         rng=np.random.default_rng(seed),
+    )
+
+
+def _block(space, count, seed=0, difficulty=0.3):
+    rng = np.random.default_rng(seed)
+    return FrameBlock(
+        class_ids=rng.integers(0, space.num_classes, count),
+        difficulties=np.full(count, difficulty),
+        run_positions=np.zeros(count, dtype=np.int64),
+        stream_indices=np.arange(count),
     )
 
 
@@ -210,18 +224,9 @@ class TestFeatureProperties:
 class TestDrawSamples:
     """Batched draw: invariants plus distributional match to draw_row."""
 
-    def _block(self, space, count, seed=0, difficulty=0.3):
-        rng = np.random.default_rng(seed)
-        return FrameBlock(
-            class_ids=rng.integers(0, space.num_classes, count),
-            difficulties=np.full(count, difficulty),
-            run_positions=np.zeros(count, dtype=np.int64),
-            stream_indices=np.arange(count),
-        )
-
     def test_shapes_and_unit_norms(self):
         space = _space()
-        block = self._block(space, 40)
+        block = _block(space, 40)
         batch = space.draw_samples(block, 0, np.random.default_rng(1))
         assert len(batch) == 40
         assert batch.vectors.shape == (40, space.num_layers + 1, space.config.dim)
@@ -234,7 +239,7 @@ class TestDrawSamples:
 
     def test_confusion_targets_are_distinct_siblings(self):
         space = _space()
-        block = self._block(space, 200)
+        block = _block(space, 200)
         batch = space.draw_samples(block, 0, np.random.default_rng(2))
         for class_id, target in zip(block.class_ids, batch.confusion_targets):
             assert target in space.siblings_of(int(class_id))
@@ -242,16 +247,16 @@ class TestDrawSamples:
 
     def test_empty_batch(self):
         space = _space()
-        batch = space.draw_samples(self._block(space, 0), 0, np.random.default_rng(0))
+        batch = space.draw_samples(_block(space, 0), 0, np.random.default_rng(0))
         assert len(batch) == 0
         assert batch.vectors.shape == (0, space.num_layers + 1, space.config.dim)
 
     def test_validation(self):
         space = _space()
-        block = self._block(space, 5)
+        block = _block(space, 5)
         with pytest.raises(ValueError):
             space.draw_samples(block, space.num_clients, np.random.default_rng(0))
-        bad = self._block(space, 5)
+        bad = _block(space, 5)
         object.__setattr__(bad, "class_ids", np.array([0, 1, 2, 3, 99]))
         with pytest.raises(ValueError):
             space.draw_samples(bad, 0, np.random.default_rng(0))
@@ -259,7 +264,7 @@ class TestDrawSamples:
     def test_sample_view_shares_vectors(self):
         """A row slice is a batch of views into the batch's arrays."""
         space = _space()
-        block = self._block(space, 8)
+        block = _block(space, 8)
         batch = space.draw_samples(block, 1, np.random.default_rng(5))
         rows = batch[3:6]
         assert len(rows) == 3 and rows.client_id == 1
@@ -271,7 +276,7 @@ class TestDrawSamples:
     def test_classification_consistent_with_scalar_view(self):
         """Batched classification equals one sample's logits and softmax."""
         space = _space()
-        block = self._block(space, 30)
+        block = _block(space, 30)
         batch = space.draw_samples(block, 0, np.random.default_rng(6))
         predictions, gaps = space.classify_vectors(batch.final_vectors())
         centroids = space.centroid_matrix(space.final_layer)
@@ -287,7 +292,7 @@ class TestDrawSamples:
         compare own-centroid cosine distributions at the deepest layer."""
         space = _space()
         count = 1500
-        block = self._block(space, count, seed=8, difficulty=0.3)
+        block = _block(space, count, seed=8, difficulty=0.3)
         batch = space.draw_samples(block, 0, np.random.default_rng(11))
         rng = np.random.default_rng(12)
         scalar = [
@@ -311,7 +316,7 @@ class TestDrawSamples:
     def test_drift_moves_batch_toward_client_centroid(self):
         space = _space(client_drift_scale=0.35)
         count = 400
-        block = self._block(space, count, seed=4)
+        block = _block(space, count, seed=4)
         batch = space.draw_samples(block, 1, np.random.default_rng(3))
         layer = space.num_layers - 1
         client_cos = np.mean(
@@ -327,3 +332,44 @@ class TestDrawSamples:
             ]
         )
         assert client_cos > global_cos
+
+
+class TestDrawPinnedToOracle:
+    """The block draw's bits: ``oracle.draw_samples`` keeps the draw as
+    it was written with the drift added to each gathered row block; the
+    production draw adds it once per class.  Vectors, confusion arrays
+    and the generator state afterwards must be bit-equal."""
+
+    def _check(self, space, client_id, count, seed):
+        block = _block(space, count, seed=seed)
+        rng = np.random.default_rng(seed + 100)
+        expected_rng = np.random.default_rng(seed + 100)
+        got = space.draw_samples(block, client_id, rng)
+        expected = oracle.draw_samples(space, block, client_id, expected_rng)
+        assert np.array_equal(got.vectors, expected.vectors)
+        assert np.array_equal(got.confusion_targets, expected.confusion_targets)
+        assert np.array_equal(got.confusion_weights, expected.confusion_weights)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    @pytest.mark.parametrize("count", [1, 7, 300])
+    @pytest.mark.parametrize("drift", [0.0, 0.12])
+    def test_tiny_space(self, drift, count):
+        space = _space(client_drift_scale=drift)
+        self._check(space, 2, count, seed=count)
+
+    @pytest.mark.parametrize("count", [1, 7, 300])
+    def test_after_evolve_drift(self, count):
+        space = _space(client_drift_scale=0.12)
+        space.evolve_drift(0.1, np.random.default_rng(9))
+        space.evolve_drift(0.1, np.random.default_rng(10))
+        self._check(space, 1, count, seed=count + 1)
+
+    @pytest.mark.parametrize("count", [1, 7, 300])
+    @pytest.mark.parametrize("num_clients", [1, 4])
+    def test_resnet101_ucf101_50(self, num_clients, count):
+        # One client draws without drift, four with the default drift.
+        space = build_model(
+            "resnet101", get_dataset("ucf101", 50), num_clients=num_clients, seed=0
+        ).feature_space
+        assert (space.config.client_drift_scale != 0.0) == (num_clients > 1)
+        self._check(space, num_clients - 1, count, seed=count + 2)

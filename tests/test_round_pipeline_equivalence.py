@@ -26,10 +26,13 @@ from repro.core.client import CoCaClient
 from repro.core.config import CoCaConfig
 from repro.core.server import CoCaServer, GlobalCacheTable
 from repro.data.stream import StreamGenerator
+from repro.models.feature import SampleBatch
 
 
-def _build_client(tiny_model, seed, frames=120, theta=0.05):
-    config = CoCaConfig(frames_per_round=frames, theta=theta, lookup_dtype="float64")
+def _build_client(tiny_model, seed, frames=120, theta=0.05, **overrides):
+    config = CoCaConfig(
+        frames_per_round=frames, theta=theta, lookup_dtype="float64", **overrides
+    )
     stream = StreamGenerator(
         class_distribution=np.full(
             tiny_model.num_classes, 1.0 / tiny_model.num_classes
@@ -69,11 +72,11 @@ def _assert_reports_equal(fast, ref):
         assert a.latency_ms == pytest.approx(b.latency_ms, rel=1e-12, abs=1e-12)
         assert a.client_id == b.client_id
     assert np.array_equal(fast.frequencies, ref.frequencies)
-    assert set(fast.update_entries) == set(ref.update_entries)
-    for key in fast.update_entries:
-        assert np.allclose(
-            fast.update_entries[key], ref.update_entries[key], atol=1e-9
-        ), key
+    # Same keys, vectors to rounding.
+    fast_table, ref_table = fast.update_entries, ref.update_entries
+    assert np.array_equal(fast_table.class_ids, ref_table.class_ids)
+    assert np.array_equal(fast_table.layers, ref_table.layers)
+    assert np.allclose(fast_table.vectors, ref_table.vectors, atol=1e-9)
     assert fast.eligible_hits == ref.eligible_hits
     assert fast.eligible_misses == ref.eligible_misses
     assert fast.absorbed_hits == ref.absorbed_hits
@@ -145,6 +148,52 @@ class TestClientRoundEquivalence:
         assert report_fast.collected_total == 100
         _assert_reports_equal(report_fast, report_ref)
 
+    def test_zero_norm_miss_fold_keeps_the_previous_row(self, tiny_model, make_block):
+        """A collected miss whose level ``j`` is exactly ``-beta`` times
+        the running U row folds to a zero vector there: U[j] keeps its
+        previous row, a level that folds to zero on a class's first
+        sample stays unset, and every other layer folds."""
+        space = tiny_model.feature_space
+        num_layers, dim = tiny_model.num_cache_layers, space.config.dim
+        class_id, j, unset = 2, 3, 1
+        rng = np.random.default_rng(4)
+        vectors = rng.standard_normal((2, num_layers + 1, dim))
+        vectors /= np.linalg.norm(vectors, axis=-1, keepdims=True)
+        # The final level is the class's own centroid: a confident miss.
+        vectors[:, num_layers] = space.centroid(class_id, space.final_layer)
+        basis = np.eye(dim)[5]  # unit norm: the first fold stores it exactly
+        vectors[0, j] = basis
+        beta = CoCaConfig().beta
+        vectors[1, j] = -(beta * basis)  # V + beta * U == 0
+        vectors[:, unset] = 0.0
+        batch = SampleBatch(
+            block=make_block([class_id, class_id]),
+            client_id=0,
+            vectors=vectors,
+            space=space,
+            confusion_targets=np.zeros(2, dtype=np.int64),
+            confusion_weights=np.zeros(2),
+        )
+        fast, ref = (
+            _build_client(tiny_model, 0, frames=2, collect_delta=0.0) for _ in range(2)
+        )
+        report = fast.run_round(batch=batch)
+        assert report.absorbed_misses == 2
+        _assert_reports_equal(report, oracle.run_round(ref, batch))
+
+        table = report.update_entries
+        assert np.all(table.class_ids == class_id)
+        expected_layers = [layer for layer in range(num_layers) if layer != unset]
+        assert table.layers.tolist() == expected_layers
+        assert np.array_equal(table.vectors[expected_layers.index(j)], basis)
+        other = 0
+        first = vectors[0, other] / np.linalg.norm(vectors[0, other])
+        folded = vectors[1, other] + beta * first
+        assert np.allclose(
+            table.vectors[expected_layers.index(other)],
+            folded / np.linalg.norm(folded),
+        )
+
     def test_run_round_draws_from_stream_when_no_batch(self, tiny_model):
         client = _build_client(tiny_model, 13, frames=40)
         client.install_cache(_all_layer_cache(tiny_model))
@@ -173,7 +222,7 @@ class TestServerMergeEquivalence:
             )
             vec = rng.standard_normal(dim)
             table[key] = vec / np.linalg.norm(vec)
-        return table
+        return oracle.update_table(table, dim)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_vectorized_merge_matches_reference(self, tiny_model, seed):
@@ -209,10 +258,9 @@ class TestServerMergeEquivalence:
         updates = self._update_table(tiny_model, 4, entries=20)
         freq = rng.integers(1, 6, tiny_model.num_classes).astype(float)
         fast, ref = tables
-        keys = np.array(list(updates.keys()), dtype=int)
-        vectors = np.stack(list(updates.values()))
-        fast.merge_updates(keys[:, 0], keys[:, 1], vectors, freq[keys[:, 0]], 0.99)
-        for (class_id, layer), vec in updates.items():
+        ids, layers = updates.class_ids, updates.layers
+        fast.merge_updates(ids, layers, updates.vectors, freq[ids], 0.99)
+        for class_id, layer, vec in zip(ids.tolist(), layers.tolist(), updates.vectors):
             oracle.merge_update(ref, class_id, layer, vec, float(freq[class_id]), 0.99)
         assert np.allclose(fast.entries, ref.entries, atol=1e-12)
         assert np.array_equal(fast.filled, ref.filled)

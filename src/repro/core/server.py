@@ -45,6 +45,7 @@ from repro.core.client import UpdateTable
 from repro.core.config import CoCaConfig
 from repro.data.stream import StreamGenerator
 from repro.models.base import SimulatedModel
+from repro.models.feature import DRAW_BLOCK_ROWS
 
 if TYPE_CHECKING:
     from repro.store.format import SnapshotManifest
@@ -393,6 +394,13 @@ class CoCaServer:
         uncached class — whose best cosine is to some *other* class's
         centroid — falls below it, because an entry of the wrong class
         can never be as close as the sample's own centroid.
+
+        The cosines are scored :data:`~repro.models.feature.DRAW_BLOCK_ROWS`
+        kept rows at a time, straight from the drawn batch into one
+        ``(K, L)`` array: no copy of the kept rows and no ``(L, K, d)``
+        centroid gather.  Each cosine is the same product as in one
+        whole-batch ``einsum``, so the floors are bit for bit those of
+        ``similarity_floors`` in ``tests/oracle.py``.
         """
         model = self.model
         num_layers = model.num_cache_layers
@@ -412,15 +420,19 @@ class CoCaServer:
         batch = model.draw_samples(block, 0, rng)
         # Floors gate *confident* hits, so calibrate on the easy
         # majority (hard samples would not hit their own class anyway).
-        keep = batch.confusion_weights <= 0.4
-        if not keep.any():
+        keep = np.flatnonzero(batch.confusion_weights <= 0.4)
+        if keep.size == 0:
             return np.full(num_layers, -1.0)
-        class_ids = block.class_ids[keep]
-        vectors = batch.vectors[keep]  # (K, L+1, d)
         # own_sims[k, l] = centroid(class of k, layer l) . vector(k, layer l)
-        own_sims = np.einsum(
-            "lkd,kld->kl", centroids[:, class_ids, :], vectors[:, :num_layers, :]
-        )
+        own_sims = np.empty((keep.size, num_layers))
+        for start in range(0, keep.size, DRAW_BLOCK_ROWS):
+            rows = keep[start : start + DRAW_BLOCK_ROWS]
+            np.einsum(
+                "lkd,kld->kl",
+                centroids[:, block.class_ids[rows], :],
+                batch.vectors[rows, :num_layers, :],
+                out=own_sims[start : start + rows.size],
+            )
         return np.quantile(own_sims, FLOOR_QUANTILE, axis=0) - FLOOR_MARGIN
 
     def eligible_layers(self, accuracy_loss_budget: float | None = None) -> np.ndarray:

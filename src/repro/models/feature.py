@@ -36,9 +36,11 @@ directly, reproducing the geometry the paper's mechanism relies on:
   cache updates (Sec. IV-D) exist precisely to track this.
 
 :meth:`SemanticFeatureSpace.draw_samples` draws a whole block of frames
-as one :class:`SampleBatch` — sibling choice, the two-mode
-confusion-weight draw, centroid mixing, and noise/normalization all
-vectorized over the block — and every consumer reads its arrays.
+as one :class:`SampleBatch` — sibling choice and the two-mode
+confusion-weight draw vectorized over the block, centroid mixing and
+noise/normalization filled into the output :data:`DRAW_BLOCK_ROWS` rows
+at a time, so the draw holds two blocks of scratch beside its output —
+and every consumer reads its arrays.
 :meth:`SemanticFeatureSpace.draw_row` is the same process for one frame
 in an older draw order, kept only for the motivation studies.
 """
@@ -50,6 +52,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.stream import FrameBlock
+
+#: Rows per block of :meth:`SemanticFeatureSpace.draw_samples`'s mix.
+#: Wall time is flat from 16 to 64 rows and worse at 4 (the table is in
+#: ``src/repro/core/README.md``); the scratch is two blocks of this many
+#: ``(L+1, d)`` rows.
+DRAW_BLOCK_ROWS = 32
 
 
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -492,10 +500,16 @@ class SemanticFeatureSpace:
     ) -> "SampleBatch":
         """Materialize the semantic vectors of a block of frames at once.
 
-        Per frame: two distinct confusion siblings, the two-mode
-        difficulty -> weight draw, centroid/drift mixing and per-layer
-        isotropic noise, each executed as one whole-block array
-        operation.
+        Per frame: two distinct confusion siblings and the two-mode
+        difficulty -> weight draw, each one array operation over the
+        block; then centroid/drift mixing, per-layer isotropic noise and
+        normalization, filled into the preallocated ``(B, L+1, d)``
+        output :data:`DRAW_BLOCK_ROWS` rows at a time.  Beside the output
+        the mix holds two ``(DRAW_BLOCK_ROWS, L+1, d)`` scratch blocks
+        (a gathered centroid block and the noise), plus one drifted copy
+        of the ``(I, L+1, d)`` centroids for a drifting client.  The bits
+        and the generator state are those of one whole-batch mix; a zero
+        norm raises ``ValueError`` after every block has drawn its noise.
         """
         if not 0 <= client_id < self.num_clients:
             raise ValueError(
@@ -548,30 +562,50 @@ class SemanticFeatureSpace:
 
         # The client's drift is added once per class, on the (I, L+1, d)
         # class-major centroids, before any gather: each gathered element
-        # is the same sum as adding the drift after the gather.  The
-        # gathers yield fresh (B, L+1, d) blocks, so the mix accumulates
-        # in place — no (L+1, B, d) transposed temporaries.
+        # is the same sum as adding the drift after the gather.
         centers = self._centroids_by_class
         if cfg.client_drift_scale != 0.0:
             drift = cfg.client_drift_scale * self._drift_dirs[client_id]
             centers = centers + drift[:, None, :]
         share = cfg.conf_primary_share
-        mixed = centers[class_ids]
-        mixed *= (1.0 - w)[:, None, None]
-        part = centers[primary]
-        part *= (w * share)[:, None, None]
-        mixed += part
-        part = centers[secondary]
-        part *= (w * (1.0 - share))[:, None, None]
-        mixed += part  # (B, L+1, d)
-        noise = rng.standard_normal((batch, num_levels, d))
-        noise *= (self._iso_noise / np.sqrt(d))[None, :, None]
-        mixed += noise
-        norms = np.sqrt(np.einsum("bld,bld->bl", mixed, mixed))
-        if np.any(norms == 0):
+        own_w = (1.0 - w)[:, None, None]
+        primary_w = (w * share)[:, None, None]
+        secondary_w = (w * (1.0 - share))[:, None, None]
+        noise_scale = (self._iso_noise / np.sqrt(d))[None, :, None]
+        # The mix fills the output in row blocks, each element by the
+        # same operations in the same order as a whole-batch mix; the
+        # noise of consecutive blocks is one standard_normal call's
+        # values, so the generator ends where a whole-batch draw leaves
+        # it.  The gathers use mode="clip" because mode="raise" buffers
+        # the output; every index is already in range.
+        vectors = np.empty((batch, num_levels, d))
+        rows = min(batch, DRAW_BLOCK_ROWS)
+        part = np.empty((rows, num_levels, d))
+        noise = np.empty((rows, num_levels, d))
+        zero_norm = False
+        for start in range(0, batch, DRAW_BLOCK_ROWS):
+            span = slice(start, min(start + DRAW_BLOCK_ROWS, batch))
+            mixed = vectors[span]
+            gathered, drawn = part[: len(mixed)], noise[: len(mixed)]
+            np.take(centers, class_ids[span], axis=0, out=mixed, mode="clip")
+            mixed *= own_w[span]
+            np.take(centers, primary[span], axis=0, out=gathered, mode="clip")
+            gathered *= primary_w[span]
+            mixed += gathered
+            np.take(centers, secondary[span], axis=0, out=gathered, mode="clip")
+            gathered *= secondary_w[span]
+            mixed += gathered
+            rng.standard_normal(out=drawn)
+            drawn *= noise_scale
+            mixed += drawn
+            norms = np.sqrt(np.einsum("bld,bld->bl", mixed, mixed))
+            # A zero norm raises once every block has drawn its noise.
+            if np.any(norms == 0):
+                zero_norm = True
+                continue
+            mixed /= norms[:, :, None]
+        if zero_norm:
             raise ValueError("cannot normalize a zero vector")
-        mixed /= norms[:, :, None]
-        vectors = mixed
         return SampleBatch(
             block=block,
             client_id=client_id,

@@ -18,9 +18,9 @@ the two:
   the activated layers in order, exit at the first hit, otherwise run the
   full model; latency is the executed compute prefix plus the lookup
   costs of the probed layers;
-* :func:`draw_samples` — the feature space's block draw with the client
-  drift added to each gathered row block, the pin of the production
-  draw's bits;
+* :func:`draw_samples` — the feature space's block draw as one
+  whole-batch mix with the client drift added to each gathered row
+  block, the pin of the production draw's bits;
 * :func:`run_round` — a client round frame by frame: status vectors,
   the Gamma / Delta collection rules and the Eq. 3 fold;
 * :func:`update_table` — a ``(class, layer) -> vector`` mapping as the
@@ -34,6 +34,10 @@ the two:
   (:meth:`~repro.core.server.CoCaServer.measure_layer_statistics`) with
   each layer scored by its own product, a sort for the top 2 and
   :func:`discriminative_score`;
+* :func:`similarity_floors` — the server's floor calibration
+  (:meth:`~repro.core.server.CoCaServer.measure_similarity_floors`)
+  with every kept row and its centroids gathered at once and scored by
+  one ``einsum``;
 * :func:`aca_allocate` — Algorithm 1's greedy stage re-evaluating the
   expected cost of every candidate layer set from scratch, one layer at a
   time.
@@ -58,6 +62,8 @@ from repro.core.probe import CacheWalk, check_fit
 from repro.core.server import (
     CACHED_FRACTION,
     DRIFT_MARGIN,
+    FLOOR_MARGIN,
+    FLOOR_QUANTILE,
     CoCaServer,
     GlobalCacheTable,
 )
@@ -224,11 +230,12 @@ def draw_samples(
     client_id: int,
     rng: np.random.Generator,
 ) -> SampleBatch:
-    """The block draw with the client drift added to each gathered
-    ``(B, L+1, d)`` row block, where
+    """The block draw as one whole-batch mix with the client drift added
+    to each gathered ``(B, L+1, d)`` row block, where
     :meth:`SemanticFeatureSpace.draw_samples` adds it once per class
-    before gathering.  The element sums are the same, so the two must
-    match bit for bit, generator state included."""
+    before gathering and mixes in row blocks.  The element operations
+    are the same, so the two must match bit for bit, generator state
+    included."""
     if not 0 <= client_id < space.num_clients:
         raise ValueError(
             f"client_id {client_id} out of range [0, {space.num_clients})"
@@ -586,6 +593,47 @@ def layer_statistics(
             accuracy[layer] = correct.sum() / fires
             exit_loss[layer] = max(0.0, (fire & model_ok).sum() / fires - accuracy[layer])
     return ratio, accuracy, exit_loss
+
+
+def similarity_floors(
+    server: CoCaServer, rng: np.random.Generator, num_samples: int = 600
+) -> np.ndarray:
+    """:meth:`~repro.core.server.CoCaServer.measure_similarity_floors`
+    with the kept rows copied out of the batch and every row's centroids
+    gathered into one ``(L, K, d)`` block, scored by one ``einsum``.
+
+    Same draws from ``rng``, in the same order; the production method
+    scores the same products in row blocks, so the floors match bit for
+    bit.
+    """
+    model = server.model
+    num_layers = model.num_cache_layers
+    centroids = np.stack(
+        [model.ideal_centroids(layer) for layer in range(num_layers)]
+    )  # (L, I, d)
+    stream = StreamGenerator(
+        class_distribution=np.full(
+            model.num_classes, 1.0 / model.num_classes
+        ),
+        mean_run_length=model.dataset.mean_run_length,
+        rng=rng,
+        base_difficulty=model.dataset.difficulty,
+        working_set_size=None,
+    )
+    block = stream.take_block(num_samples)
+    batch = model.draw_samples(block, 0, rng)
+    # Floors gate *confident* hits, so calibrate on the easy
+    # majority (hard samples would not hit their own class anyway).
+    keep = batch.confusion_weights <= 0.4
+    if not keep.any():
+        return np.full(num_layers, -1.0)
+    class_ids = block.class_ids[keep]
+    vectors = batch.vectors[keep]  # (K, L+1, d)
+    # own_sims[k, l] = centroid(class of k, layer l) . vector(k, layer l)
+    own_sims = np.einsum(
+        "lkd,kld->kl", centroids[:, class_ids, :], vectors[:, :num_layers, :]
+    )
+    return np.quantile(own_sims, FLOOR_QUANTILE, axis=0) - FLOOR_MARGIN
 
 
 # ----------------------------------------------------------------------

@@ -188,6 +188,37 @@ class TestCalibrationMatchesOracle:
         self._check(CoCaServer(model, CoCaConfig()), seed, num_samples=600)
 
 
+class TestFloorsPinnedToOracle:
+    """``measure_similarity_floors`` scores the own-class cosines in row
+    blocks; ``oracle.similarity_floors`` scores every kept row at once.
+    The floors and the generator state afterwards must be bit-equal."""
+
+    @staticmethod
+    def _check(server, seed, num_samples):
+        rng = np.random.default_rng(seed)
+        expected_rng = np.random.default_rng(seed)
+        got = server.measure_similarity_floors(rng, num_samples=num_samples)
+        expected = oracle.similarity_floors(server, expected_rng, num_samples)
+        assert np.array_equal(got, expected)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+        # The case is not vacuous: the floors come from kept rows.
+        assert np.all(got > -1.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tiny_model(self, tiny_model, config, seed):
+        self._check(CoCaServer(tiny_model, config), seed, num_samples=150)
+
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002])
+    def test_resnet101_ucf101_50(self, seed):
+        model = build_model("resnet101", get_dataset("ucf101", 50), seed=0)
+        self._check(CoCaServer(model, CoCaConfig()), seed, num_samples=600)
+
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002])
+    def test_resnet152_ucf101(self, seed):
+        model = build_model("resnet152", get_dataset("ucf101"), num_clients=4, seed=0)
+        self._check(CoCaServer(model, CoCaConfig()), seed, num_samples=600)
+
+
 class TestClient:
     def test_status_reports_budget_and_vectors(self, tiny_model, config):
         client = _client(tiny_model, config, budget=500)

@@ -9,7 +9,11 @@ import oracle
 
 from repro.data.datasets import get_dataset
 from repro.data.stream import FrameBlock
-from repro.models.feature import FeatureSpaceConfig, SemanticFeatureSpace
+from repro.models.feature import (
+    DRAW_BLOCK_ROWS,
+    FeatureSpaceConfig,
+    SemanticFeatureSpace,
+)
 from repro.models.zoo import build_model
 
 
@@ -334,11 +338,26 @@ class TestDrawSamples:
         assert client_cos > global_cos
 
 
+#: Draw sizes of the pins: 1, 7 and 300 rows, one row either side of a
+#: mix block, two blocks and a tail row, and a calibration draw.
+PIN_COUNTS = [
+    1,
+    7,
+    300,
+    DRAW_BLOCK_ROWS - 1,
+    DRAW_BLOCK_ROWS,
+    DRAW_BLOCK_ROWS + 1,
+    2 * DRAW_BLOCK_ROWS + 1,
+    600,
+]
+
+
 class TestDrawPinnedToOracle:
     """The block draw's bits: ``oracle.draw_samples`` keeps the draw as
-    it was written with the drift added to each gathered row block; the
-    production draw adds it once per class.  Vectors, confusion arrays
-    and the generator state afterwards must be bit-equal."""
+    one whole-batch mix with the drift added to each gathered row block;
+    the production draw adds it once per class and mixes in row blocks.
+    Vectors, confusion arrays and the generator state afterwards must be
+    bit-equal."""
 
     def _check(self, space, client_id, count, seed):
         block = _block(space, count, seed=seed)
@@ -351,20 +370,20 @@ class TestDrawPinnedToOracle:
         assert np.array_equal(got.confusion_weights, expected.confusion_weights)
         assert rng.bit_generator.state == expected_rng.bit_generator.state
 
-    @pytest.mark.parametrize("count", [1, 7, 300])
+    @pytest.mark.parametrize("count", PIN_COUNTS)
     @pytest.mark.parametrize("drift", [0.0, 0.12])
     def test_tiny_space(self, drift, count):
         space = _space(client_drift_scale=drift)
         self._check(space, 2, count, seed=count)
 
-    @pytest.mark.parametrize("count", [1, 7, 300])
+    @pytest.mark.parametrize("count", PIN_COUNTS)
     def test_after_evolve_drift(self, count):
         space = _space(client_drift_scale=0.12)
         space.evolve_drift(0.1, np.random.default_rng(9))
         space.evolve_drift(0.1, np.random.default_rng(10))
         self._check(space, 1, count, seed=count + 1)
 
-    @pytest.mark.parametrize("count", [1, 7, 300])
+    @pytest.mark.parametrize("count", PIN_COUNTS)
     @pytest.mark.parametrize("num_clients", [1, 4])
     def test_resnet101_ucf101_50(self, num_clients, count):
         # One client draws without drift, four with the default drift.
@@ -373,3 +392,16 @@ class TestDrawPinnedToOracle:
         ).feature_space
         assert (space.config.client_drift_scale != 0.0) == (num_clients > 1)
         self._check(space, num_clients - 1, count, seed=count + 2)
+
+    def test_zero_norm_raises_after_every_block(self):
+        space = _space(client_drift_scale=0.0)
+        space._centroids_by_class = np.zeros_like(space._centroids_by_class)
+        space._iso_noise = np.zeros_like(space._iso_noise)
+        block = _block(space, 2 * DRAW_BLOCK_ROWS + 1, seed=4)
+        rng = np.random.default_rng(104)
+        expected_rng = np.random.default_rng(104)
+        with pytest.raises(ValueError, match="zero vector"):
+            space.draw_samples(block, 0, rng)
+        with pytest.raises(ValueError, match="zero vector"):
+            oracle.draw_samples(space, block, 0, expected_rng)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state

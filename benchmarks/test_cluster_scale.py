@@ -97,10 +97,11 @@ def _single_shard_equivalence() -> int:
     ref_records = reference.metrics.records
     cluster_records = cluster.metrics.records
     assert len(ref_records) == len(cluster_records)
-    for a, b in zip(cluster_records, ref_records):
-        assert a.predicted_class == b.predicted_class
-        assert a.hit_layer == b.hit_layer
-        assert abs(a.latency_ms - b.latency_ms) < 1e-12
+    for column in ("true_class", "predicted_class", "hit_layer", "client_id"):
+        assert np.array_equal(
+            getattr(cluster_records, column), getattr(ref_records, column)
+        )
+    assert np.all(np.abs(cluster_records.latency_ms - ref_records.latency_ms) < 1e-12)
     return len(cluster_records)
 
 

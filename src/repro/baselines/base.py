@@ -2,8 +2,9 @@
 
 Every baseline (Edge-Only, LearnedCache, FoggyCache, SMTM, LRU/FIFO/RAND)
 processes the scenario's client streams in rounds of ``F`` frames per
-client, producing :class:`~repro.sim.metrics.InferenceRecord` rows that
-aggregate exactly like CoCa's.  A round is drawn exactly as
+client, reporting each client round as a
+:class:`~repro.sim.metrics.RecordBatch` that aggregates exactly like
+CoCa's.  A round is drawn exactly as
 :meth:`repro.core.client.CoCaClient.run_round` draws it — one
 ``take_block(F)`` on the client's stream, then one ``draw_samples`` on
 the same client generator — so every method sees bit-identical frames.
@@ -20,8 +21,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.models.feature import SampleBatch
-from repro.sim.metrics import InferenceRecord, MetricsCollector
+from repro.sim.metrics import MetricsCollector, RecordBatch
 
 if TYPE_CHECKING:
     # Annotations only: repro.experiments imports this package.
@@ -31,6 +34,16 @@ if TYPE_CHECKING:
 #: frames a cache change sends back through the engine, and keeps each
 #: probe product small enough for the BLAS to run it on one thread.
 BATCH_WINDOW = 64
+
+
+def evenly_spaced_layers(num_layers: int, count: int, start: int = 0) -> list[int]:
+    """A static layer set: ``count`` (at most ``num_layers - start``)
+    points spread evenly from layer ``start`` to the last, rounded, unique
+    and ascending; none for a count below 1."""
+    count = min(count, num_layers - start)
+    if count <= 0:
+        return []
+    return sorted({int(round(x)) for x in np.linspace(start, num_layers - 1, count)})
 
 
 class BaselineRunner(ABC):
@@ -60,11 +73,10 @@ class BaselineRunner(ABC):
     # ------------------------------------------------------------------
 
     @abstractmethod
-    def process_round(
-        self, client_id: int, batch: SampleBatch
-    ) -> list[InferenceRecord]:
-        """Run one client's round of frames in stream order, one record
-        per frame."""
+    def process_round(self, client_id: int, batch: SampleBatch) -> RecordBatch:
+        """Run one client's round of frames in stream order: the round's
+        outcomes, one row per frame of ``batch`` in its order
+        (``hit_layer = -1`` where the full model answered)."""
 
     def on_client_round_end(self, client_id: int, round_index: int) -> None:
         """Per-client end-of-round maintenance (cache refresh, uploads)."""
@@ -101,12 +113,9 @@ class EdgeOnly(BaselineRunner):
 
     name = "Edge-Only"
 
-    def process_round(
-        self, client_id: int, batch: SampleBatch
-    ) -> list[InferenceRecord]:
+    def process_round(self, client_id: int, batch: SampleBatch) -> RecordBatch:
         predictions, _ = self.model.classify_vectors(batch.final_vectors())
-        latency = self.model.total_compute_ms
-        return [
-            InferenceRecord(true, predicted, latency, None, client_id)
-            for true, predicted in zip(batch.class_ids.tolist(), predictions.tolist())
-        ]
+        rows = len(batch)
+        latency = np.full(rows, self.model.total_compute_ms)
+        misses, clients = np.full(rows, -1), np.full(rows, client_id)
+        return RecordBatch(batch.class_ids.copy(), predictions, latency, misses, clients)

@@ -25,6 +25,7 @@ Simulation mapping:
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,7 +35,7 @@ from repro.core.rng import derive_rng
 from repro.lsh.alsh import AdaptiveLSH
 from repro.lsh.hknn import KnnVote, homogenized_knn
 from repro.models.feature import SampleBatch
-from repro.sim.metrics import InferenceRecord
+from repro.sim.metrics import RecordBatch
 
 if TYPE_CHECKING:
     # Annotations only: repro.experiments imports this package.
@@ -172,30 +173,25 @@ class FoggyCache(BaselineRunner):
         profile = self.model.profile
         return profile.lookup_base_ms + profile.lookup_per_entry_ms * num_candidates
 
-    def process_round(
-        self, client_id: int, batch: SampleBatch
-    ) -> list[InferenceRecord]:
+    def process_round(self, client_id: int, batch: SampleBatch) -> RecordBatch:
         predictions, gaps = self.model.classify_vectors(batch.final_vectors())
-        return [
-            self._infer(client_id, query, true_class, predicted, gap)
-            for query, true_class, predicted, gap in zip(
-                batch.vectors[:, self.reuse_layer, :],
-                batch.class_ids.tolist(),
-                predictions.tolist(),
-                gaps.tolist(),
-            )
-        ]
+        queries = batch.vectors[:, self.reuse_layer, :]
+        predicted, latency, hit_layer = zip(
+            *map(partial(self._infer, client_id), queries, predictions.tolist(), gaps.tolist())
+        )
+        clients = np.full(len(batch), client_id)
+        return RecordBatch(batch.class_ids.copy(), predicted, latency, hit_layer, clients)
 
     def _infer(
         self,
         client_id: int,
         query: np.ndarray,
-        true_class: int,
         full_prediction: int,
         full_gap: float,
-    ) -> InferenceRecord:
+    ) -> tuple[int, float, int]:
         """One frame: local cache, then server cache, then the full model
-        (whose prediction and top-2 probability gap are given)."""
+        (whose prediction and top-2 probability gap are given): its
+        ``(predicted class, latency, hit layer or -1)``."""
         profile = self.model.profile
         layer = self.reuse_layer
         # Reaching the reuse layer costs its prefix compute.
@@ -206,7 +202,7 @@ class FoggyCache(BaselineRunner):
         )
         latency += self._lookup_cost_ms(scanned)
         if vote.hit:
-            return InferenceRecord(true_class, vote.label, latency, layer, client_id)
+            return vote.label, latency, layer
 
         # Local miss: consult the server's aggregated cache.
         server_vote, server_scanned = self._server.vote(
@@ -215,16 +211,14 @@ class FoggyCache(BaselineRunner):
         latency += self.server_rtt_ms + self._lookup_cost_ms(server_scanned)
         if server_vote.hit:
             self._local[client_id].insert(query, server_vote.label)
-            return InferenceRecord(
-                true_class, server_vote.label, latency, layer, client_id
-            )
+            return server_vote.label, latency, layer
 
         # Full miss: run the rest of the model; cache confident results.
         latency += profile.total_compute_ms - profile.compute_up_to_layer_ms(layer)
         if full_gap > self.insert_confidence:
             self._local[client_id].insert(query, full_prediction)
             self._pending_uploads[client_id].append((query.copy(), full_prediction))
-        return InferenceRecord(true_class, full_prediction, latency, None, client_id)
+        return full_prediction, latency, -1
 
     def on_client_round_end(self, client_id: int, round_index: int) -> None:
         """Push this round's new entries to the server cache."""

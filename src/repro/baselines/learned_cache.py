@@ -28,10 +28,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.baselines.base import BaselineRunner
+from repro.baselines.base import BaselineRunner, evenly_spaced_layers
 from repro.core.rng import derive_rng
 from repro.models.feature import SampleBatch
-from repro.sim.metrics import InferenceRecord
+from repro.sim.metrics import RecordBatch
 
 if TYPE_CHECKING:
     # Annotations only: repro.experiments imports this package.
@@ -70,10 +70,8 @@ class LearnedCache(BaselineRunner):
         num_layers = model.num_cache_layers
         # Exits skip the first quarter of the network (too undiscriminative
         # for a small head) and spread evenly over the remainder.
-        start = max(1, num_layers // 4)
-        count = min(num_exits, num_layers - start)
-        self.exit_layers = sorted(
-            {int(round(x)) for x in np.linspace(start, num_layers - 1, count)}
+        self.exit_layers = evenly_spaced_layers(
+            num_layers, num_exits, max(1, num_layers // 4)
         )
         self.exit_margin = float(exit_margin)
         self.head_noise = float(head_noise)
@@ -103,33 +101,28 @@ class LearnedCache(BaselineRunner):
         margin = float(noisy[order[-1]] - noisy[order[-2]])
         return int(order[-1]), margin
 
-    def process_round(
-        self, client_id: int, batch: SampleBatch
-    ) -> list[InferenceRecord]:
+    def process_round(self, client_id: int, batch: SampleBatch) -> RecordBatch:
         profile = self.model.profile
-        full_predictions, _ = self.model.classify_vectors(batch.final_vectors())
-        records: list[InferenceRecord] = []
-        for vectors, true_class, predicted in zip(
-            batch.vectors, batch.class_ids.tolist(), full_predictions.tolist()
-        ):
+        predictions, _ = self.model.classify_vectors(batch.final_vectors())
+        latencies = np.empty(len(batch))
+        hit_layers = np.full(len(batch), -1)
+        for row, vectors in enumerate(batch.vectors):
             latency = self.retrain_ms_per_frame
-            hit_layer: int | None = None
             for layer in self.exit_layers:
                 latency += self.head_cost_ms
                 head_class, margin = self._head_prediction(
                     client_id, layer, vectors[layer]
                 )
                 if margin > self.exit_margin:
-                    predicted, hit_layer = head_class, layer
+                    predictions[row], hit_layers[row] = head_class, layer
                     latency += profile.compute_up_to_layer_ms(layer)
                     break
             else:
                 latency += profile.total_compute_ms
-            self._round_counts[client_id, predicted] += 1
-            records.append(
-                InferenceRecord(true_class, predicted, latency, hit_layer, client_id)
-            )
-        return records
+            latencies[row] = latency
+            self._round_counts[client_id, predictions[row]] += 1
+        clients = np.full(len(batch), client_id)
+        return RecordBatch(batch.class_ids.copy(), predictions, latencies, hit_layers, clients)
 
     def on_client_round_end(self, client_id: int, round_index: int) -> None:
         """Retraining refreshes the head's notion of class frequencies."""

@@ -22,12 +22,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.baselines.base import BATCH_WINDOW, BaselineRunner
+from repro.baselines.base import BATCH_WINDOW, BaselineRunner, evenly_spaced_layers
 from repro.core.cache import SemanticCache
 from repro.core.engine import BatchedInferenceEngine
 from repro.core.rng import derive_rng
 from repro.models.feature import SampleBatch
-from repro.sim.metrics import InferenceRecord
+from repro.sim.metrics import RecordBatch
 
 if TYPE_CHECKING:
     # Annotations only: repro.experiments imports this package.
@@ -72,10 +72,7 @@ class ReplacementPolicyCache(BaselineRunner):
         model = self.model
         L = model.num_cache_layers
         start = int(np.clip(round(min_relative_depth * (L - 1)), 0, L - 1))
-        count = min(num_layers_active, L - start)
-        self.active_layers = sorted(
-            {int(round(x)) for x in np.linspace(start, L - 1, count)}
-        )
+        self.active_layers = evenly_spaced_layers(L, num_layers_active, start)
         self.theta = float(theta)
         self.alpha = float(alpha)
         self._centroids = {j: model.ideal_centroids(j) for j in self.active_layers}
@@ -117,28 +114,32 @@ class ReplacementPolicyCache(BaselineRunner):
             # so popping the front implements both.
             resident.popitem(last=False)
 
-    def process_round(
-        self, client_id: int, batch: SampleBatch
-    ) -> list[InferenceRecord]:
+    def process_round(self, client_id: int, batch: SampleBatch) -> RecordBatch:
         # Only a miss that installs a class rebuilds the cache.  So the
         # frames ahead run through the engine a window at a time, and the
         # ones after an install run again on the rebuilt cache.
         engine = self._engines[client_id]
-        records: list[InferenceRecord] = []
-        while len(records) < len(batch):
-            pending = batch[len(records) : len(records) + BATCH_WINDOW]
+        windows: list[RecordBatch] = []
+        done = 0
+        while done < len(batch):
+            pending = batch[done : done + BATCH_WINDOW]
             out = engine.infer_batch_soa(pending)
-            for record in out.records(pending.class_ids.tolist(), client_id):
-                records.append(record)
-                if self._admit(client_id, record.predicted_class, record.hit_layer):
+            kept = len(pending)
+            for row, (predicted, hit_layer) in enumerate(
+                zip(out.predicted_class.tolist(), out.hit_layer.tolist())
+            ):
+                if self._admit(client_id, predicted, hit_layer):
+                    kept = row + 1
                     break
-        return records
+            windows.append(out.records(pending.class_ids, client_id)[:kept])
+            done += kept
+        return RecordBatch.concat(windows)
 
-    def _admit(self, client_id: int, predicted: int, hit_layer: int | None) -> bool:
-        """Update the client's residency after one frame; whether the
-        frame installed its class (and so rebuilt the cache)."""
+    def _admit(self, client_id: int, predicted: int, hit_layer: int) -> bool:
+        """Update the client's residency after one frame (``hit_layer``
+        -1: a miss); whether it installed its class (rebuilding the cache)."""
         resident = self._resident[client_id]
-        if hit_layer is not None:
+        if hit_layer >= 0:
             if self.policy == "lru" and predicted in resident:
                 resident.move_to_end(predicted)
         elif predicted not in resident:

@@ -24,12 +24,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.baselines.base import BATCH_WINDOW, BaselineRunner
+from repro.baselines.base import BATCH_WINDOW, BaselineRunner, evenly_spaced_layers
 from repro.core.allocation import select_hotspot_classes
 from repro.core.cache import SemanticCache
 from repro.core.engine import BatchedInferenceEngine
 from repro.models.feature import SampleBatch
-from repro.sim.metrics import InferenceRecord
+from repro.sim.metrics import RecordBatch
 
 if TYPE_CHECKING:
     # Annotations only: repro.experiments imports this package.
@@ -73,10 +73,7 @@ class SMTM(BaselineRunner):
         model = self.model
         L = model.num_cache_layers
         start = int(np.clip(round(min_relative_depth * (L - 1)), 0, L - 1))
-        count = min(num_layers_active, L - start)
-        self.active_layers = sorted(
-            {int(round(x)) for x in np.linspace(start, L - 1, count)}
-        )
+        self.active_layers = evenly_spaced_layers(L, num_layers_active, start)
         self.theta = float(theta)
         self.alpha = float(alpha)
         self.hotspot_mass = float(hotspot_mass)
@@ -121,19 +118,17 @@ class SMTM(BaselineRunner):
             )
         self._engines[client_id].set_cache(cache)
 
-    def process_round(
-        self, client_id: int, batch: SampleBatch
-    ) -> list[InferenceRecord]:
+    def process_round(self, client_id: int, batch: SampleBatch) -> RecordBatch:
         # Adaptation writes the runner's centroids, which reach the cache
         # only at the next refresh: the installed cache holds still for
         # the whole round, so its frames run through the engine a window
         # at a time.
         engine = self._engines[client_id]
-        records: list[InferenceRecord] = []
+        windows: list[RecordBatch] = []
         for start in range(0, len(batch), BATCH_WINDOW):
             window = batch[start : start + BATCH_WINDOW]
             out = engine.infer_batch_soa(window)
-            records.extend(out.records(window.class_ids.tolist(), client_id))
+            windows.append(out.records(window.class_ids, client_id))
             for vectors, predicted, hit_layer, hit_score in zip(
                 window.vectors,
                 out.predicted_class.tolist(),
@@ -154,7 +149,7 @@ class SMTM(BaselineRunner):
                         norm = np.linalg.norm(updated)
                         if norm > 0:
                             self._centroids[layer][client_id, predicted] = updated / norm
-        return records
+        return RecordBatch.concat(windows)
 
     def on_client_round_end(self, client_id: int, round_index: int) -> None:
         self._refresh_cache(client_id)

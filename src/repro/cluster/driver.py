@@ -275,7 +275,6 @@ class ClusterFramework:
         metrics = MetricsCollector()
         rounds: list[ClusterRoundSummary] = []
         all_reports: list[RoundReport] = []
-        measured_samples = 0
         measured_client_rounds = 0
         measure_start_ms = None
         for r in range(warmup_rounds + num_rounds):
@@ -289,7 +288,6 @@ class ClusterFramework:
             for report in reports:
                 round_metrics.extend(report.records)
                 metrics.extend(report.records)
-                measured_samples += len(report.records)
             measured_client_rounds += len(reports)
             all_reports.extend(reports)
             summary = round_metrics.summary()
@@ -312,7 +310,7 @@ class ClusterFramework:
             assignment=self.assignment.copy(),
             clients=self.clients,
             measured_span_ms=self.virtual_now_ms() - measure_start_ms,
-            measured_samples=measured_samples,
+            measured_samples=len(metrics),
             measured_client_rounds=measured_client_rounds,
             reports=all_reports,
         )

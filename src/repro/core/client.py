@@ -46,7 +46,7 @@ from repro.core.engine import BatchedInferenceEngine, BatchOutcomes
 from repro.data.stream import StreamGenerator
 from repro.models.base import SimulatedModel
 from repro.models.feature import SampleBatch
-from repro.sim.metrics import InferenceRecord
+from repro.sim.metrics import RecordBatch
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class RoundReport:
 
     Attributes:
         client_id: reporting client.
-        records: per-inference outcomes of the round (for metrics).
+        records: the round's outcomes, one row per frame (for metrics).
         update_entries: the cache update table U.
         frequencies: the phi vector counted over this round (by inferred
             class).
@@ -115,7 +115,7 @@ class RoundReport:
     """
 
     client_id: int
-    records: list[InferenceRecord]
+    records: RecordBatch
     update_entries: UpdateTable
     frequencies: np.ndarray
     absorbed_hits: int = 0
@@ -131,9 +131,10 @@ class RoundReport:
 
         The time the client's device was busy computing this round —
         what an event-driven driver charges to the client's clock between
-        receiving a cache and uploading the round's update table.
+        receiving a cache and uploading the round's update table.  Summed
+        with the builtin ``sum`` over the rows in stream order.
         """
-        return float(sum(r.latency_ms for r in self.records))
+        return float(sum(self.records.latency_ms.tolist()))
 
 
 class CoCaClient:
@@ -283,7 +284,7 @@ class CoCaClient:
 
         report = RoundReport(
             client_id=self.client_id,
-            records=[],
+            records=out.records(batch.class_ids, self.client_id),
             update_entries=UpdateTable.empty(batch.vectors.shape[-1]),
             frequencies=phi,
         )
@@ -293,8 +294,6 @@ class CoCaClient:
             timings["collect"] = (
                 timings.get("collect", 0.0) + time.perf_counter() - start
             )
-
-        report.records = out.records(batch.class_ids.tolist(), self.client_id)
 
         self._refresh_hit_ratio(layer_hits, frames)
         self.last_frequencies = phi.copy()

@@ -16,16 +16,17 @@ window of frames its cache holds still for (a row slice of the round's
 batch).  Per activated layer it scores every still-unresolved sample at
 once with early-exit masking, through the shared cache walk
 (:func:`~repro.core.probe.walk_cache_batch`).  Its input is a
-:class:`~repro.models.feature.SampleBatch` and its output a
-:class:`BatchOutcomes` structure of arrays: no per-sample object exists
-on either side.  Its one-sample-at-a-time oracle lives in
-``tests/oracle.py``.
+:class:`~repro.models.feature.SampleBatch`, its output a
+:class:`BatchOutcomes` structure of arrays, and
+:meth:`BatchOutcomes.records` copies that into the metrics'
+:class:`~repro.sim.metrics.RecordBatch`: no per-sample object exists at
+any step.  Its one-sample-at-a-time oracle is in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from repro.core.cache import LayerPack, LookupWorkspace, SemanticCache
 from repro.core.probe import walk_cache_batch
 from repro.models.base import SimulatedModel
 from repro.models.feature import SampleBatch
-from repro.sim.metrics import InferenceRecord
+from repro.sim.metrics import RecordBatch
 
 
 class BatchOutcomes(NamedTuple):
@@ -73,25 +74,12 @@ class BatchOutcomes(NamedTuple):
         """Boolean hit mask, ``(B,)``."""
         return self.hit_layer >= 0
 
-    def records(
-        self, true_classes: Sequence[int], client_id: int = 0
-    ) -> list[InferenceRecord]:
-        """One :class:`~repro.sim.metrics.InferenceRecord` per sample."""
-        return [
-            InferenceRecord(
-                true_class=true,
-                predicted_class=predicted,
-                latency_ms=latency,
-                hit_layer=hit if hit >= 0 else None,
-                client_id=client_id,
-            )
-            for true, predicted, latency, hit in zip(
-                true_classes,
-                self.predicted_class.tolist(),
-                self.latency_ms.tolist(),
-                self.hit_layer.tolist(),
-            )
-        ]
+    def records(self, true_classes: np.ndarray, client_id: int = 0) -> RecordBatch:
+        """The outcomes as a :class:`~repro.sim.metrics.RecordBatch` of
+        copies (it outlives the workspace views)."""
+        columns = (true_classes, self.predicted_class, self.latency_ms, self.hit_layer)
+        clients = np.full(self.hit_layer.size, client_id)
+        return RecordBatch(*(np.array(column) for column in columns), clients)
 
 
 class BatchedInferenceEngine:

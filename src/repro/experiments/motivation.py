@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.baselines.base import evenly_spaced_layers
 from repro.core.cache import SemanticCache
 from repro.core.engine import BatchedInferenceEngine
 from repro.data.datasets import DatasetSpec
@@ -37,17 +38,6 @@ class CacheSizePoint:
     latency_ms: float
     accuracy_pct: float
     hit_ratio_pct: float
-
-
-def _evenly_spaced_layers(
-    num_layers_total: int, count: int, min_relative_depth: float = 0.0
-) -> list[int]:
-    if count <= 0:
-        return []
-    start = int(round(min_relative_depth * (num_layers_total - 1)))
-    return sorted(
-        {int(round(x)) for x in np.linspace(start, num_layers_total - 1, count)}
-    )
 
 
 def _run_static_cache(
@@ -89,7 +79,7 @@ def _run_static_cache(
     )
     out = BatchedInferenceEngine(model, cache).infer_batch_soa(batch)
     metrics = MetricsCollector()
-    metrics.extend(out.records(block.class_ids.tolist()))
+    metrics.extend(out.records(block.class_ids))
     return metrics.summary()
 
 
@@ -114,7 +104,7 @@ def run_cache_size_sweep(
     )
     points: list[CacheSizePoint] = []
     for count in layer_counts:
-        layers = _evenly_spaced_layers(total_layers, count)
+        layers = evenly_spaced_layers(total_layers, count)
         cache_bytes = model.num_classes * sum(
             model.profile.entry_size_bytes(j) for j in layers
         )
@@ -198,8 +188,10 @@ def run_hotspot_count_sweep(
     lookup-time differences — we keep the clamp explicit instead).
     """
     model = build_model(model_name, dataset, seed=seed)
-    layers = _evenly_spaced_layers(
-        model.num_cache_layers, num_layers_active, min_relative_depth
+    layers = evenly_spaced_layers(
+        model.num_cache_layers,
+        num_layers_active,
+        round(min_relative_depth * (model.num_cache_layers - 1)),
     )
     # The most frequent classes of a uniform stream are arbitrary; use the
     # first k ids (the stream is symmetric under class relabeling).

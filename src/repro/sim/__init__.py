@@ -8,10 +8,10 @@ rationale.
 
 from repro.sim.clock import Stopwatch, VirtualClock
 from repro.sim.metrics import (
-    InferenceRecord,
     LatencySummary,
     MetricsCollector,
     MetricsSummary,
+    RecordBatch,
     merge_summaries,
     per_class_hit_rates,
     summarize_latencies,
@@ -19,10 +19,10 @@ from repro.sim.metrics import (
 from repro.sim.network import ServerLoadModel
 
 __all__ = [
-    "InferenceRecord",
     "LatencySummary",
     "MetricsCollector",
     "MetricsSummary",
+    "RecordBatch",
     "ServerLoadModel",
     "Stopwatch",
     "VirtualClock",

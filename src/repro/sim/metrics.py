@@ -3,10 +3,10 @@
 The evaluation section reports *average latency* (total inference time
 divided by total samples across all clients, Sec. VI-B) and *overall
 accuracy* (fraction of correctly classified samples across all clients).
-:class:`MetricsCollector` accumulates :class:`InferenceRecord` rows and
-derives those metrics plus the cache-specific diagnostics used by the
-motivation and threshold studies (hit ratio, hit accuracy, per-layer hit
-histograms).
+Every method reports its outcomes as a :class:`RecordBatch` of columns
+(``hit_layer = -1`` on a miss); :class:`MetricsCollector` counts them
+into those metrics plus the cache diagnostics of the motivation and
+threshold studies (hit ratio, hit accuracy, per-layer hit histograms).
 """
 
 from __future__ import annotations
@@ -16,35 +16,66 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 
-@dataclass(frozen=True)
-class InferenceRecord:
-    """Outcome of a single inference on one frame.
+class RecordBatch:
+    """Outcomes of a set of inferences as ``(B,)`` columns, one row per
+    frame: the one result representation every method reports.
 
-    Attributes:
-        true_class: ground-truth class of the frame.
-        predicted_class: class returned to the application.
-        latency_ms: end-to-end virtual latency charged for the frame.
-        hit_layer: index of the cache layer that served the result, or
-            ``None`` when the frame ran through the full model (cache miss
-            or cache-free execution).
-        client_id: identifier of the client that processed the frame.
+    ``true_class``, ``predicted_class`` and ``client_id`` are int64,
+    ``latency_ms`` (virtual, charged per frame) float64, and
+    ``hit_layer`` the int64 cache layer (or exit) that served the row,
+    ``-1`` when the full model ran — the convention of
+    :class:`~repro.core.probe.CacheWalk` and
+    :class:`~repro.core.engine.BatchOutcomes`.  A batch owns its arrays:
+    producers hand it copies, never views of reused buffers.  The
+    constructor raises ``ValueError`` unless the columns are 1-D and of
+    one length.
     """
 
-    true_class: int
-    predicted_class: int
-    latency_ms: float
-    hit_layer: int | None = None
-    client_id: int = 0
+    __slots__ = ("true_class", "predicted_class", "latency_ms", "hit_layer", "client_id")
+
+    def __init__(
+        self,
+        true_class: ArrayLike,
+        predicted_class: ArrayLike,
+        latency_ms: ArrayLike,
+        hit_layer: ArrayLike,
+        client_id: ArrayLike,
+    ) -> None:
+        self.true_class = np.asarray(true_class, dtype=np.int64)
+        self.predicted_class = np.asarray(predicted_class, dtype=np.int64)
+        self.latency_ms = np.asarray(latency_ms, dtype=np.float64)
+        self.hit_layer = np.asarray(hit_layer, dtype=np.int64)
+        self.client_id = np.asarray(client_id, dtype=np.int64)
+        shapes = [column.shape for column in self._columns()]
+        if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+            raise ValueError(f"RecordBatch needs 1-D columns of one length, got {shapes}")
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    @classmethod
+    def concat(cls, batches: Sequence[RecordBatch]) -> RecordBatch:
+        """The rows of ``batches``, in order, as one batch."""
+        if not batches:
+            return cls(*(np.zeros(0) for _ in cls.__slots__))
+        return cls(*(np.concatenate(c) for c in zip(*(b._columns() for b in batches))))
+
+    def __len__(self) -> int:
+        return int(self.true_class.size)
+
+    def __getitem__(self, rows: slice | np.ndarray) -> RecordBatch:
+        return RecordBatch(*(column[rows] for column in self._columns()))
 
     @property
-    def correct(self) -> bool:
+    def hit(self) -> np.ndarray:
+        return self.hit_layer >= 0
+
+    @property
+    def correct(self) -> np.ndarray:
         return self.true_class == self.predicted_class
-
-    @property
-    def hit(self) -> bool:
-        return self.hit_layer is not None
 
 
 @dataclass
@@ -138,70 +169,65 @@ def summarize_latencies(
 
 
 class MetricsCollector:
-    """Accumulates inference records and produces a :class:`MetricsSummary`."""
+    """Accumulates :class:`RecordBatch` rows and produces a :class:`MetricsSummary`."""
 
     def __init__(self) -> None:
-        self._records: list[InferenceRecord] = []
+        self._batches: list[RecordBatch] = []
 
-    def record(self, record: InferenceRecord) -> None:
-        self._records.append(record)
-
-    def extend(self, records: list[InferenceRecord]) -> None:
-        self._records.extend(records)
+    def extend(self, records: RecordBatch) -> None:
+        self._batches.append(records)
 
     @property
-    def records(self) -> list[InferenceRecord]:
-        return list(self._records)
+    def records(self) -> RecordBatch:
+        """Every row collected, in extend order, as one batch."""
+        return RecordBatch.concat(self._batches)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return sum(len(batch) for batch in self._batches)
 
     def summary(self) -> MetricsSummary:
         """Aggregate all recorded inferences.
+
+        Latencies are summed with the builtin ``sum`` over the rows in
+        extend order (the float of a row-at-a-time loop); the rest counts.
 
         Raises:
             ValueError: if no records have been collected, because every
                 reported metric would otherwise be undefined.
         """
-        if not self._records:
+        rows = self.records
+        n = len(rows)
+        if n == 0:
             raise ValueError("cannot summarize an empty MetricsCollector")
 
-        n = len(self._records)
-        total_latency = sum(r.latency_ms for r in self._records)
-        correct = sum(1 for r in self._records if r.correct)
-        hits = [r for r in self._records if r.hit]
-        misses = [r for r in self._records if not r.hit]
+        total_latency = sum(rows.latency_ms.tolist())
+        hit, correct = rows.hit, rows.correct
+        hits = int(np.count_nonzero(hit))
+        hit_correct = int(np.count_nonzero(hit & correct))
+        miss_correct = int(np.count_nonzero(~hit & correct))
 
-        hit_correct = sum(1 for r in hits if r.correct)
-        miss_correct = sum(1 for r in misses if r.correct)
-
-        layer_hits = Counter(r.hit_layer for r in hits)
-        layer_correct = Counter(r.hit_layer for r in hits if r.correct)
-        per_layer_hits = {int(j): int(c) for j, c in sorted(layer_hits.items())}
+        layer_hits = np.bincount(rows.hit_layer[hit])
+        layer_correct = np.bincount(rows.hit_layer[hit & correct], minlength=layer_hits.size)
+        hit_layers = np.flatnonzero(layer_hits).tolist()
+        per_layer_hits = {j: int(layer_hits[j]) for j in hit_layers}
         per_layer_hit_accuracy = {
-            int(j): layer_correct[j] / layer_hits[j] for j in sorted(layer_hits)
+            j: int(layer_correct[j]) / per_layer_hits[j] for j in hit_layers
         }
 
         return MetricsSummary(
             num_samples=n,
             avg_latency_ms=total_latency / n,
-            accuracy=correct / n,
-            hit_ratio=len(hits) / n,
-            hit_accuracy=hit_correct / len(hits) if hits else 0.0,
-            miss_accuracy=miss_correct / len(misses) if misses else 0.0,
+            accuracy=(hit_correct + miss_correct) / n,
+            hit_ratio=hits / n,
+            hit_accuracy=hit_correct / hits if hits else 0.0,
+            miss_accuracy=miss_correct / (n - hits) if hits < n else 0.0,
             per_layer_hits=per_layer_hits,
             per_layer_hit_accuracy=per_layer_hit_accuracy,
         )
 
-    def summary_for_client(self, client_id: int) -> MetricsSummary:
-        """Aggregate only the records produced by one client."""
-        sub = MetricsCollector()
-        sub.extend([r for r in self._records if r.client_id == client_id])
-        return sub.summary()
-
 
 def per_class_hit_rates(
-    records: list[InferenceRecord], min_samples: int = 1
+    records: RecordBatch, min_samples: int = 1
 ) -> dict[int, float]:
     """Cache-hit rate per ground-truth class over a set of records.
 
@@ -213,16 +239,11 @@ def per_class_hit_rates(
     """
     if min_samples < 1:
         raise ValueError(f"min_samples must be >= 1, got {min_samples}")
-    seen: Counter = Counter()
-    hits: Counter = Counter()
-    for record in records:
-        seen[record.true_class] += 1
-        if record.hit:
-            hits[record.true_class] += 1
+    seen = np.bincount(records.true_class)
+    hits = np.bincount(records.true_class[records.hit], minlength=seen.size)
     return {
-        int(class_id): hits[class_id] / count
-        for class_id, count in sorted(seen.items())
-        if count >= min_samples
+        class_id: int(hits[class_id]) / int(seen[class_id])
+        for class_id in np.flatnonzero(seen >= min_samples).tolist()
     }
 
 

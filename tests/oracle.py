@@ -25,6 +25,10 @@ the two:
   the Gamma / Delta collection rules and the Eq. 3 fold;
 * :func:`update_table` — a ``(class, layer) -> vector`` mapping as the
   :class:`~repro.core.client.UpdateTable` a client uploads;
+* :func:`summary` / :func:`total_latency_ms` — the paper's metrics
+  counted one :class:`Row` (one frame's outcome) at a time, the pins of
+  :meth:`~repro.sim.metrics.MetricsCollector.summary` and
+  :attr:`~repro.core.client.RoundReport.total_latency_ms`;
 * :func:`merge_update` / :func:`apply_client_update` — Eq. 4 per entry,
   then Eq. 5;
 * :func:`walk_layers` — :func:`repro.core.probe.walk_cache_batch`
@@ -47,6 +51,7 @@ Nothing under ``src/`` imports this module.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -71,7 +76,7 @@ from repro.data.stream import FrameBlock, StreamGenerator
 from repro.models.base import SimulatedModel
 from repro.models.feature import SampleBatch, SemanticFeatureSpace
 from repro.models.profiles import LookupCostModel
-from repro.sim.metrics import InferenceRecord
+from repro.sim.metrics import MetricsSummary, RecordBatch
 
 _EPS = 1e-9
 
@@ -400,10 +405,11 @@ def run_round(client: CoCaClient, batch: SampleBatch) -> RoundReport:
     dim = batch.vectors.shape[-1]
     report = RoundReport(
         client_id=client.client_id,
-        records=[],
+        records=record_batch([]),
         update_entries=UpdateTable.empty(dim),
         frequencies=phi,
     )
+    round_rows: list[Row] = []
     for vectors, true_class in zip(batch.vectors, batch.class_ids.tolist()):
         outcome = infer(model, cache, vectors)
         client.timestamps += 1.0
@@ -412,8 +418,8 @@ def run_round(client: CoCaClient, batch: SampleBatch) -> RoundReport:
         if outcome.hit_layer is not None:
             layer_hits[outcome.hit_layer] += 1.0
         collect(client, vectors, true_class, outcome, update_entries, report)
-        report.records.append(
-            InferenceRecord(
+        round_rows.append(
+            Row(
                 true_class=true_class,
                 predicted_class=outcome.predicted_class,
                 latency_ms=outcome.latency_ms,
@@ -428,8 +434,98 @@ def run_round(client: CoCaClient, batch: SampleBatch) -> RoundReport:
             cumulative += layer_hits[layer] / frames
             client.hit_ratio[layer] = 0.5 * client.hit_ratio[layer] + 0.5 * cumulative
     client.last_frequencies = phi.copy()
+    report.records = record_batch(round_rows)
     report.update_entries = update_table(update_entries, dim)
     return report
+
+
+# ----------------------------------------------------------------------
+# Metrics (Sec. VI-B), one frame's outcome at a time
+# ----------------------------------------------------------------------
+
+
+class Row(NamedTuple):
+    """One frame's outcome; ``hit_layer`` is ``None`` on a miss."""
+
+    true_class: int
+    predicted_class: int
+    latency_ms: float
+    hit_layer: int | None = None
+    client_id: int = 0
+
+    @property
+    def correct(self) -> bool:
+        return self.true_class == self.predicted_class
+
+    @property
+    def hit(self) -> bool:
+        return self.hit_layer is not None
+
+
+def rows(records: RecordBatch) -> list[Row]:
+    """A batch's outcomes one :class:`Row` per frame, in order."""
+    return [
+        Row(true, predicted, latency, hit if hit >= 0 else None, client)
+        for true, predicted, latency, hit, client in zip(
+            records.true_class.tolist(),
+            records.predicted_class.tolist(),
+            records.latency_ms.tolist(),
+            records.hit_layer.tolist(),
+            records.client_id.tolist(),
+        )
+    ]
+
+
+def record_batch(round_rows: list[Row]) -> RecordBatch:
+    """Per-frame outcomes as the columns of one batch."""
+    return RecordBatch(
+        np.array([r.true_class for r in round_rows], dtype=np.int64),
+        np.array([r.predicted_class for r in round_rows], dtype=np.int64),
+        np.array([r.latency_ms for r in round_rows], dtype=np.float64),
+        np.array(
+            [-1 if r.hit_layer is None else r.hit_layer for r in round_rows],
+            dtype=np.int64,
+        ),
+        np.array([r.client_id for r in round_rows], dtype=np.int64),
+    )
+
+
+def total_latency_ms(round_rows: list[Row]) -> float:
+    """A round's summed virtual latency, one row at a time."""
+    return float(sum(r.latency_ms for r in round_rows))
+
+
+def summary(round_rows: list[Row]) -> MetricsSummary:
+    """The paper's metrics over per-frame rows, counted one row at a time."""
+    if not round_rows:
+        raise ValueError("cannot summarize an empty MetricsCollector")
+
+    n = len(round_rows)
+    total_latency = sum(r.latency_ms for r in round_rows)
+    correct = sum(1 for r in round_rows if r.correct)
+    hits = [r for r in round_rows if r.hit]
+    misses = [r for r in round_rows if not r.hit]
+
+    hit_correct = sum(1 for r in hits if r.correct)
+    miss_correct = sum(1 for r in misses if r.correct)
+
+    layer_hits = Counter(r.hit_layer for r in hits)
+    layer_correct = Counter(r.hit_layer for r in hits if r.correct)
+    per_layer_hits = {int(j): int(c) for j, c in sorted(layer_hits.items())}
+    per_layer_hit_accuracy = {
+        int(j): layer_correct[j] / layer_hits[j] for j in sorted(layer_hits)
+    }
+
+    return MetricsSummary(
+        num_samples=n,
+        avg_latency_ms=total_latency / n,
+        accuracy=correct / n,
+        hit_ratio=len(hits) / n,
+        hit_accuracy=hit_correct / len(hits) if hits else 0.0,
+        miss_accuracy=miss_correct / len(misses) if misses else 0.0,
+        per_layer_hits=per_layer_hits,
+        per_layer_hit_accuracy=per_layer_hit_accuracy,
+    )
 
 
 def update_table(

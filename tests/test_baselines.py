@@ -15,11 +15,13 @@ from repro.baselines import (
     SMTM,
     build_runner,
 )
-from repro.baselines.base import BATCH_WINDOW
+from repro.baselines.base import BATCH_WINDOW, evenly_spaced_layers
 from repro.baselines.foggy_cache import LshLruCache
 from repro.core.config import CoCaConfig
 from repro.data.datasets import get_dataset
 from repro.experiments.scenario import Scenario
+from repro.models.zoo import available_models, build_model
+from repro.sim.metrics import RecordBatch
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +33,48 @@ def small_scenario():
         non_iid_level=1.0,
         seed=21,
     )
+
+
+class TestEvenlySpacedLayers:
+    """The one static layer set gives the sets of the two forms it
+    replaced: the count capped at the layers in range (SMTM, LRU/FIFO/
+    RAND, LearnedCache's exits) and uncapped (the motivation studies)."""
+
+    @staticmethod
+    def _capped(num_layers, count, start):
+        count = min(count, num_layers - start)
+        return sorted(
+            {int(round(x)) for x in np.linspace(start, num_layers - 1, count)}
+        )
+
+    @staticmethod
+    def _uncapped(num_layers, count, start):
+        if count <= 0:
+            return []
+        return sorted(
+            {int(round(x)) for x in np.linspace(start, num_layers - 1, count)}
+        )
+
+    @pytest.mark.parametrize("name", available_models())
+    def test_every_zoo_model(self, name):
+        num_layers = build_model(name, get_dataset("ucf101", 5)).num_cache_layers
+        for start in range(num_layers):
+            for count in range(90):
+                layers = evenly_spaced_layers(num_layers, count, start)
+                assert layers == self._capped(num_layers, count, start)
+                assert layers == self._uncapped(num_layers, count, start)
+        assert evenly_spaced_layers(num_layers, -1) == []
+        assert evenly_spaced_layers(num_layers, num_layers) == list(range(num_layers))
+
+    def test_runner_defaults(self, small_scenario):
+        num_layers = small_scenario.model.num_cache_layers  # resnet50: 17
+        assert SMTM(small_scenario).active_layers == [4, 6, 9, 11, 14, 16]
+        assert ReplacementPolicyCache(small_scenario).active_layers == [
+            4, 6, 9, 11, 14, 16
+        ]
+        assert LearnedCache(small_scenario).exit_layers == self._capped(
+            num_layers, 6, max(1, num_layers // 4)
+        )
 
 
 class TestEdgeOnly:
@@ -236,23 +280,25 @@ class TestBaselinesMatchOracle:
         batched = _runner(small_scenario, method, frames_per_round=150)
         single = _runner(small_scenario, method, frames_per_round=150)
         process_round = type(single).process_round
-        single.process_round = lambda client_id, batch: [
-            process_round(single, client_id, batch[i : i + 1])[0]
-            for i in range(len(batch))
-        ]
+        single.process_round = lambda client_id, batch: RecordBatch.concat(
+            [
+                process_round(single, client_id, batch[i : i + 1])
+                for i in range(len(batch))
+            ]
+        )
         calls = []
         for engine in batched._engines:
             infer = engine.infer_batch_soa
             engine.infer_batch_soa = lambda s, infer=infer: calls.append(len(s)) or infer(s)
 
-        rows = [
-            [
-                (r.predicted_class, r.hit_layer, r.latency_ms)
-                for r in runner.run(2, warmup_rounds=1).records
-            ]
-            for runner in (batched, single)
-        ]
-        assert rows[0] == rows[1]
+        got, want = (
+            runner.run(2, warmup_rounds=1).records for runner in (batched, single)
+        )
+        assert len(got) == len(want) == 2 * 2 * 150
+        for column in (
+            "true_class", "predicted_class", "latency_ms", "hit_layer", "client_id"
+        ):
+            assert np.array_equal(getattr(got, column), getattr(want, column))
         assert max(calls) == BATCH_WINDOW
         if method == "smtm":
             for layer, centroids in batched._centroids.items():

@@ -21,7 +21,7 @@ from repro.core.framework import CoCaFramework
 from repro.core.server import CoCaServer, GlobalCacheTable
 from repro.data.datasets import get_dataset
 from repro.models.zoo import build_model
-from repro.sim.metrics import InferenceRecord, per_class_hit_rates
+from repro.sim.metrics import RecordBatch, per_class_hit_rates
 from repro.sim.network import ServerLoadModel
 from repro.store.delta import HEADER_NBYTES, full_rows_nbytes
 
@@ -382,10 +382,12 @@ class TestClusterFramework:
         assert np.array_equal(merged.entries, table.entries)
         assert np.array_equal(merged.filled, table.filled)
         assert np.array_equal(merged.class_freq, table.class_freq)
-        for a, b in zip(cluster.metrics.records, reference.metrics.records):
-            assert a.predicted_class == b.predicted_class
-            assert a.hit_layer == b.hit_layer
-            assert a.latency_ms == pytest.approx(b.latency_ms, abs=1e-12)
+        got, want = cluster.metrics.records, reference.metrics.records
+        assert len(got) == len(want) == 2 * 3 * 40
+        for column in (
+            "true_class", "predicted_class", "latency_ms", "hit_layer", "client_id"
+        ):
+            assert np.array_equal(getattr(got, column), getattr(want, column))
 
     def test_sync_interval_one_is_exact_for_many_shards(self):
         kwargs = _cluster_kwargs()
@@ -557,10 +559,7 @@ class TestRoundReportLatency:
     def test_total_latency_sums_records(self):
         report = RoundReport(
             client_id=0,
-            records=[
-                InferenceRecord(0, 0, 10.0),
-                InferenceRecord(1, 1, 2.5),
-            ],
+            records=RecordBatch([0, 1], [0, 1], [10.0, 2.5], [-1, -1], [0, 0]),
             update_entries=UpdateTable.empty(4),
             frequencies=np.zeros(2),
         )
@@ -574,11 +573,7 @@ class TestRoundReportLatency:
 
 class TestPerClassHitRates:
     def test_counts_and_floor(self):
-        records = [
-            InferenceRecord(0, 0, 1.0, hit_layer=1),
-            InferenceRecord(0, 0, 1.0, hit_layer=None),
-            InferenceRecord(1, 1, 1.0, hit_layer=0),
-        ]
+        records = RecordBatch([0, 0, 1], [0, 0, 1], [1.0] * 3, [1, -1, 0], [0] * 3)
         assert per_class_hit_rates(records) == {0: 0.5, 1: 1.0}
         assert per_class_hit_rates(records, min_samples=2) == {0: 0.5}
         with pytest.raises(ValueError):

@@ -242,11 +242,14 @@ class TestClientRoundUsesBatchPath:
 
         assert np.array_equal(client.timestamps, timestamps)
         assert np.array_equal(report.frequencies, phi)
-        assert len(report.records) == config.frames_per_round
-        for record, true_class, outcome in zip(
-            report.records, batch.class_ids.tolist(), outcomes
-        ):
-            assert record.true_class == true_class
-            assert record.predicted_class == outcome.predicted_class
-            assert record.hit_layer == outcome.hit_layer
-            assert record.latency_ms == pytest.approx(outcome.latency_ms, rel=1e-12)
+        records = report.records
+        assert len(records) == config.frames_per_round
+        assert np.array_equal(records.true_class, batch.class_ids)
+        assert records.predicted_class.tolist() == [o.predicted_class for o in outcomes]
+        assert records.hit_layer.tolist() == [
+            -1 if o.hit_layer is None else o.hit_layer for o in outcomes
+        ]
+        assert np.allclose(
+            records.latency_ms, [o.latency_ms for o in outcomes], rtol=1e-12, atol=0
+        )
+        assert np.array_equal(records.client_id, np.zeros(len(records)))

@@ -240,14 +240,14 @@ class TestClient:
         client = _client(tiny_model, config)
         report = client.run_round(30)
         assert len(report.records) == 30
-        assert all(r.hit_layer is None for r in report.records)
-        lat = np.mean([r.latency_ms for r in report.records])
+        assert not report.records.hit.any()
+        lat = np.mean(report.records.latency_ms)
         assert lat == pytest.approx(tiny_model.total_compute_ms)
 
     def test_timestamps_track_recency(self, tiny_model, config):
         client = _client(tiny_model, config)
         report = client.run_round(20)
-        last = report.records[-1].predicted_class
+        last = report.records.predicted_class[-1]
         assert client.timestamps[last] == 0.0
         # Total counts: every inference increments all, then zeroes one.
         assert client.timestamps.max() <= 20
@@ -335,9 +335,10 @@ class TestUpdateTable:
         table = report.update_entries
         keys = list(zip(table.class_ids.tolist(), table.layers.tolist()))
         assert keys == sorted(keys)
-        assert {k[0] for k in keys} == {r.predicted_class for r in report.records}
+        records = report.records
+        assert {k[0] for k in keys} == set(records.predicted_class.tolist())
         # A miss collects every preset layer: its class has a full row set.
-        missed = {r.predicted_class for r in report.records if r.hit_layer is None}
+        missed = set(records.predicted_class[~records.hit].tolist())
         for class_id in missed:
             layers = table.layers[table.class_ids == class_id]
             assert np.array_equal(layers, np.arange(tiny_model.num_cache_layers))

@@ -16,7 +16,7 @@ from repro.core.cache import SemanticCache
 from repro.core.config import CoCaConfig
 from repro.core.framework import CoCaFramework
 from repro.data.datasets import get_dataset
-from repro.sim.metrics import per_class_hit_rates
+from repro.sim.metrics import RecordBatch, per_class_hit_rates
 
 
 def _framework(lookup_dtype: str) -> CoCaFramework:
@@ -34,22 +34,19 @@ class TestFrameworkPrecisionParity:
     def test_full_run_decisions_identical(self):
         fast = _framework("float32")
         exact = _framework("float64")
-        records32: list = []
-        records64: list = []
+        records32: list[RecordBatch] = []
+        records64: list[RecordBatch] = []
         for r in range(3):
-            for report in fast.run_round(r):
-                records32.extend(report.records)
-            for report in exact.run_round(r):
-                records64.extend(report.records)
-        assert len(records32) == len(records64) == 4 * 150 * 3
-        for a, b in zip(records32, records64):
-            assert a.predicted_class == b.predicted_class
-            assert a.hit_layer == b.hit_layer
-            assert a.true_class == b.true_class
-        # Identical decisions -> identical per-class hit rates...
-        rates32 = per_class_hit_rates(records32, fast.model.num_classes)
-        rates64 = per_class_hit_rates(records64, exact.model.num_classes)
-        assert np.array_equal(rates32, rates64)
+            records32.extend(report.records for report in fast.run_round(r))
+            records64.extend(report.records for report in exact.run_round(r))
+        rows32 = RecordBatch.concat(records32)
+        rows64 = RecordBatch.concat(records64)
+        assert len(rows32) == len(rows64) == 4 * 150 * 3
+        for column in ("true_class", "predicted_class", "hit_layer", "client_id"):
+            assert np.array_equal(getattr(rows32, column), getattr(rows64, column))
+        # Identical decisions -> identical per-class hit rates, every class
+        # seen at least once...
+        assert per_class_hit_rates(rows32) == per_class_hit_rates(rows64)
         # ...and identical collection, hence bit-identical merged tables
         # (update vectors are drawn and folded in float64 either way).
         assert np.array_equal(

@@ -65,12 +65,11 @@ def _all_layer_cache(tiny_model, theta=0.05):
 
 def _assert_reports_equal(fast, ref):
     assert len(fast.records) == len(ref.records)
-    for a, b in zip(fast.records, ref.records):
-        assert a.true_class == b.true_class
-        assert a.predicted_class == b.predicted_class
-        assert a.hit_layer == b.hit_layer
-        assert a.latency_ms == pytest.approx(b.latency_ms, rel=1e-12, abs=1e-12)
-        assert a.client_id == b.client_id
+    for column in ("true_class", "predicted_class", "hit_layer", "client_id"):
+        assert np.array_equal(getattr(fast.records, column), getattr(ref.records, column))
+    assert np.allclose(
+        fast.records.latency_ms, ref.records.latency_ms, rtol=1e-12, atol=1e-12
+    )
     assert np.array_equal(fast.frequencies, ref.frequencies)
     # Same keys, vectors to rounding.
     fast_table, ref_table = fast.update_entries, ref.update_entries

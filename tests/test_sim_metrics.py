@@ -5,31 +5,53 @@ import pytest
 import numpy as np
 
 from repro.sim.metrics import (
-    InferenceRecord,
     MetricsCollector,
+    RecordBatch,
     merge_summaries,
     summarize_latencies,
 )
 
 
-def _rec(true=0, pred=0, lat=10.0, hit_layer=None, client=0):
-    return InferenceRecord(
-        true_class=true,
-        predicted_class=pred,
-        latency_ms=lat,
-        hit_layer=hit_layer,
-        client_id=client,
-    )
+def _rec(true=0, pred=0, lat=10.0, hit_layer=-1, client=0):
+    """A one-row batch (``hit_layer`` -1: a miss)."""
+    return RecordBatch([true], [pred], [lat], [hit_layer], [client])
 
 
-class TestInferenceRecord:
-    def test_correct_flag(self):
-        assert _rec(true=3, pred=3).correct
-        assert not _rec(true=3, pred=4).correct
+class TestRecordBatch:
+    def test_correct_mask(self):
+        batch = RecordBatch.concat([_rec(true=3, pred=3), _rec(true=3, pred=4)])
+        assert batch.correct.tolist() == [True, False]
 
-    def test_hit_flag(self):
-        assert _rec(hit_layer=2).hit
-        assert not _rec(hit_layer=None).hit
+    def test_hit_mask(self):
+        batch = RecordBatch.concat([_rec(hit_layer=2), _rec(hit_layer=0), _rec()])
+        assert batch.hit.tolist() == [True, True, False]
+
+    def test_unequal_columns_raise(self):
+        with pytest.raises(ValueError):
+            RecordBatch([0, 1], [0, 1], [1.0, 2.0], [-1], [0, 0])
+        with pytest.raises(ValueError):
+            RecordBatch(*(np.zeros((2, 1)) for _ in range(5)))
+
+    def test_concat_keeps_order_and_dtypes(self):
+        batch = RecordBatch.concat(
+            [_rec(true=1, lat=1.5, client=0), _rec(true=2, lat=2.5, hit_layer=3, client=4)]
+        )
+        assert len(batch) == 2
+        assert batch.true_class.tolist() == [1, 2]
+        assert batch.latency_ms.tolist() == [1.5, 2.5]
+        assert batch.hit_layer.tolist() == [-1, 3]
+        assert batch.client_id.tolist() == [0, 4]
+        assert batch.latency_ms.dtype == np.float64
+        assert batch.hit_layer.dtype == np.int64
+
+    def test_concat_of_nothing_is_empty(self):
+        empty = RecordBatch.concat([])
+        assert len(empty) == 0
+        assert empty.hit_layer.dtype == np.int64
+
+    def test_row_slice(self):
+        batch = RecordBatch.concat([_rec(true=k) for k in range(5)])
+        assert batch[1:3].true_class.tolist() == [1, 2]
 
 
 class TestMetricsCollector:
@@ -39,8 +61,8 @@ class TestMetricsCollector:
 
     def test_basic_aggregation(self):
         m = MetricsCollector()
-        m.record(_rec(true=0, pred=0, lat=10.0, hit_layer=1))
-        m.record(_rec(true=0, pred=1, lat=20.0))
+        m.extend(_rec(true=0, pred=0, lat=10.0, hit_layer=1))
+        m.extend(_rec(true=0, pred=1, lat=20.0))
         s = m.summary()
         assert s.num_samples == 2
         assert s.avg_latency_ms == pytest.approx(15.0)
@@ -51,9 +73,9 @@ class TestMetricsCollector:
 
     def test_per_layer_histograms(self):
         m = MetricsCollector()
-        m.record(_rec(true=0, pred=0, hit_layer=2))
-        m.record(_rec(true=0, pred=1, hit_layer=2))
-        m.record(_rec(true=0, pred=0, hit_layer=5))
+        m.extend(_rec(true=0, pred=0, hit_layer=2))
+        m.extend(_rec(true=0, pred=1, hit_layer=2))
+        m.extend(_rec(true=0, pred=0, hit_layer=5))
         s = m.summary()
         assert s.per_layer_hits == {2: 2, 5: 1}
         assert s.per_layer_hit_accuracy[2] == pytest.approx(0.5)
@@ -61,27 +83,21 @@ class TestMetricsCollector:
 
     def test_no_hits_gives_zero_hit_accuracy(self):
         m = MetricsCollector()
-        m.record(_rec())
+        m.extend(_rec())
         s = m.summary()
         assert s.hit_ratio == 0.0
         assert s.hit_accuracy == 0.0
 
     def test_extend_and_len(self):
         m = MetricsCollector()
-        m.extend([_rec(), _rec()])
-        assert len(m) == 2
-
-    def test_summary_for_client(self):
-        m = MetricsCollector()
-        m.record(_rec(client=0, lat=10.0))
-        m.record(_rec(client=1, lat=30.0))
-        s = m.summary_for_client(1)
-        assert s.num_samples == 1
-        assert s.avg_latency_ms == pytest.approx(30.0)
+        m.extend(RecordBatch.concat([_rec(), _rec()]))
+        m.extend(_rec())
+        assert len(m) == 3
+        assert len(m.records) == 3
 
     def test_as_row_is_rounded(self):
         m = MetricsCollector()
-        m.record(_rec(lat=10.123456))
+        m.extend(_rec(lat=10.123456))
         row = m.summary().as_row()
         assert row["latency_ms"] == pytest.approx(10.12)
         assert row["samples"] == 1
@@ -90,9 +106,9 @@ class TestMetricsCollector:
 class TestMergeSummaries:
     def test_merge_weighted_by_samples(self):
         a = MetricsCollector()
-        a.extend([_rec(lat=10.0)] * 3)
+        a.extend(RecordBatch.concat([_rec(lat=10.0)] * 3))
         b = MetricsCollector()
-        b.extend([_rec(lat=40.0)])
+        b.extend(_rec(lat=40.0))
         merged = merge_summaries([a.summary(), b.summary()])
         assert merged.num_samples == 4
         assert merged.avg_latency_ms == pytest.approx((3 * 10 + 40) / 4)
@@ -103,10 +119,10 @@ class TestMergeSummaries:
 
     def test_merge_hit_accuracy_weighted_by_hits(self):
         a = MetricsCollector()
-        a.record(_rec(true=0, pred=0, hit_layer=1))  # 1 hit, correct
-        a.record(_rec(true=0, pred=0))
+        a.extend(_rec(true=0, pred=0, hit_layer=1))  # 1 hit, correct
+        a.extend(_rec(true=0, pred=0))
         b = MetricsCollector()
-        b.record(_rec(true=0, pred=1, hit_layer=1))  # 1 hit, wrong
+        b.extend(_rec(true=0, pred=1, hit_layer=1))  # 1 hit, wrong
         merged = merge_summaries([a.summary(), b.summary()])
         assert merged.hit_accuracy == pytest.approx(0.5)
 

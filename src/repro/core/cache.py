@@ -68,14 +68,17 @@ _EPS = 1e-9
 #: Dtypes the cache may store centroids in (the probe-kernel contract).
 SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
-#: Most layers one block of a :class:`LayerPack` stacks.  The stacked
-#: walk scores every layer of a block for every row that entered it and
-#: lets resolved rows leave only between blocks: deeper blocks amortise
-#: the per-block overhead over more layers, shallower ones waste fewer
-#: products on rows that already hit.  Measured within 35% between 8 and
-#: 17 (table in ``src/repro/core/README.md``); 8 is the store's default
-#: shard depth, so an owned block has the shape of a mapped one.
-PACK_BLOCK_LAYERS = 8
+#: Most layers one block of a :class:`LayerPack` stacks, and the default
+#: ``layers_per_shard`` of a snapshot (``repro.store.write_snapshot``,
+#: ``CoCaServer.save_snapshot``), so an owned block and a mapped shard
+#: have one shape.  The stacked walk scores every layer of a block for
+#: every row that entered it and lets resolved rows leave only between
+#: blocks: deeper blocks amortise the per-block overhead over more
+#: layers, shallower ones waste fewer products on rows that already hit.
+#: A ``bench`` ``serve-frame`` request hits at layer 11 of 34 in the
+#: median and 18 at p90, so at 17 most frames resolve in one block step
+#: (measurements in ``src/repro/core/README.md``).
+PACK_BLOCK_LAYERS = 17
 
 
 def _address(array: np.ndarray) -> int:
@@ -177,14 +180,15 @@ class LookupWorkspace:
     ) -> "StackLayout":
         """The scratch views of one stacked block step (:class:`StackLayout`).
 
-        Cutting the ~25 views costs a small step as much as the
+        Cutting the ~27 views costs a small step as much as the
         arithmetic between them, so every layout cut is kept, keyed by
         ``(rows, depth)``, for the geometry last served.  Kept layouts go
         when the geometry changes, when a pool they view regrows, and at
         :meth:`close`.  They are bounded by the largest row count walked
         since the last drop times the pack's distinct block depths; a
-        layout is about 8 KB of view headers, and a serving worker keeps
-        about a hundred.
+        layout is about 8 KB of view headers.  The ``bench``
+        ``serve-mixed-proc`` worker keeps 107 (193 at the former block
+        depth of 8), the ``serve-frame`` one 9.
         """
         geometry = (entries, dim, query_dtype, dtype)
         if geometry != self._layout_geometry:
@@ -196,11 +200,17 @@ class LookupWorkspace:
             self._layouts[rows, depth] = layout
         return layout
 
+    @staticmethod
     def scores_into(
-        self, best: np.ndarray, second: np.ndarray, out: np.ndarray
+        best: np.ndarray,
+        second: np.ndarray,
+        out: np.ndarray,
+        nonpos: np.ndarray,
+        denom: np.ndarray,
     ) -> np.ndarray:
         """Eq. 2 scores ``(best - second) / second`` of equal-shaped 1-D
-        arrays, written into ``out`` without allocating.
+        arrays, written into ``out`` without allocating; ``nonpos``
+        (bool) and ``denom`` (``out``'s dtype) are scratch of that shape.
 
         A non-positive runner-up leaves the relative gap undefined — an
         epsilon denominator would explode it to ~1e9 and manufacture
@@ -209,9 +219,6 @@ class LookupWorkspace:
         unbounded semantics, and deployments gate such fires with the
         calibrated per-layer similarity floors.
         """
-        n = best.shape[0]
-        nonpos = self.bools("scores.nonpos", (n,))
-        denom = self.floats("scores.denom", (n,), out.dtype)
         np.less_equal(second, _EPS, out=nonpos)
         np.copyto(denom, second)
         denom[nonpos] = 1.0
@@ -224,8 +231,11 @@ class LookupWorkspace:
 class StackLayout:
     """Scratch of one stacked block step over ``rows`` rows and ``depth``
     layers of ``entries`` entries: views of the workspace pools, nothing
-    of its own.  Every view is scratch — written before it is read within
-    a step — so layouts of different shapes may share the pools.
+    of its own.  Every view but ``pair_off`` is scratch — written before
+    it is read within a step — so layouts of different shapes may share
+    the pools.  ``pair_off`` is filled once, when the layout is cut: its
+    values depend only on a pair's index and ``entries``, which every
+    layout kept at one time shares (:meth:`LookupWorkspace.stack_layout`).
     """
 
     def __init__(  # repro-lint: kernel
@@ -256,10 +266,9 @@ class StackLayout:
         self.sim_flat = self.sim.reshape(-1)
         self.upd_flat = self.upd.reshape(-1)
         self.upd_rows = self.upd.reshape(pairs, entries)
-        #: Index of every (layer, row) pair, and the flat offset of its
-        #: score row (``pair_index * entries``, refilled every step).
-        self.pair_index = ws.arange(pairs)
+        #: Flat offset of every (layer, row) pair's score row.
         self.pair_off = ws.ints("stack.pair_off", (pairs,))
+        np.multiply(ws.arange(pairs), entries, out=self.pair_off)
         self.best_idx = ws.ints("stack.best_idx", (pairs,))
         self.best_flat = ws.ints("stack.best_flat", (pairs,))
         self.second_idx = ws.ints("stack.second_idx", (pairs,))
@@ -269,6 +278,8 @@ class StackLayout:
         self.sim_best = ws.floats("stack.sim_best", (pairs,), dtype)
         self.sim_best_rows = self.sim_best.reshape(depth, rows)
         self.score = ws.floats("stack.score", (pairs,), dtype)
+        self.nonpos = ws.bools("stack.nonpos", (pairs,))
+        self.denom = ws.floats("stack.denom", (pairs,), dtype)
         self.hit = ws.bools("stack.hit", (pairs,))
         self.hits = self.hit.reshape(depth, rows)
         self.aux = ws.bools("stack.aux", (pairs,))
@@ -284,11 +295,11 @@ class StackLayout:
                 raw=self.raw, sim=self.sim, upd=self.upd, score=self.score,
                 a_best=self.a_best, a_second=self.a_second,
                 sim_best=self.sim_best, hit=self.hit, aux=self.aux,
+                nonpos=self.nonpos, denom=self.denom,
             )
 
     def step(
         self,
-        ws: LookupWorkspace,
         previous: np.ndarray,
         block: "LayerBlock",
         alpha: float,
@@ -314,10 +325,8 @@ class StackLayout:
             np.add(current, similarity, out=current)
             previous = current
 
-        entries = self.upd.shape[2]
         best_idx, best_flat, second_flat = self.best_idx, self.best_flat, self.second_flat
         a_best, upd_flat = self.a_best, self.upd_flat
-        np.multiply(self.pair_index, entries, out=self.pair_off)
         self.upd_rows.argmax(axis=1, out=best_idx)
         np.add(self.pair_off, best_idx, out=best_flat)
         upd_flat.take(best_flat, out=a_best, mode="clip")
@@ -329,7 +338,7 @@ class StackLayout:
 
         # Eq. 2 above theta, A_best > 0, winner's similarity >= floor.
         score, hit, aux = self.score, self.hit, self.aux
-        ws.scores_into(a_best, self.a_second, score)
+        LookupWorkspace.scores_into(a_best, self.a_second, score, self.nonpos, self.denom)
         np.greater(score, theta, out=hit)
         np.greater(a_best, 0, out=aux)
         np.logical_and(hit, aux, out=hit)
@@ -845,7 +854,7 @@ class BatchedLookupSession:
         np.copyto(s.queries.reshape(m, pack.dim), vecs, casting="unsafe")
         previous = ws.floats("session.previous", (m, n), cache.dtype)
         np.take(self._accumulated, rows, axis=0, out=previous)
-        s.step(ws, previous, block, cache.alpha, cache.theta)
+        s.step(previous, block, cache.alpha, cache.theta)
         self._accumulated[rows] = s.final
         second_class = pack.ids[s.second_idx]
         second_class[np.isneginf(s.a_second)] = -1

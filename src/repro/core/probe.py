@@ -176,7 +176,7 @@ def _walk_stacked(  # repro-lint: kernel
         level_rows.take(s.gather, axis=0, out=s.raw, mode="clip")
         if s.queries is not s.raw:
             np.copyto(s.queries, s.raw, casting="unsafe")
-        s.step(ws, acc[:m], block, cache.alpha, cache.theta)
+        s.step(acc[:m], block, cache.alpha, cache.theta)
 
         # Resolve each row to its first hitting layer of the block, or
         # to the block's last layer (the running miss guess).

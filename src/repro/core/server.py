@@ -68,6 +68,14 @@ CACHED_FRACTION = 0.9
 #: cosines, minus the margin.
 FLOOR_QUANTILE = 0.03
 FLOOR_MARGIN = 0.01
+#: Layers one calibration step scores (:meth:`CoCaServer.measure_layer_statistics`).
+#: Not the walk's :data:`~repro.core.cache.PACK_BLOCK_LAYERS`: the
+#: calibration scores every layer for every row, so a deeper step saves
+#: only per-step overhead while its ``(G, rows, n)`` scratch grows with
+#: ``G``.  The bits are the same at any depth (each layer is its own BLAS
+#: call at ``alpha = 0``); time and traced peak per depth are in
+#: ``src/repro/core/README.md``.
+_CALIBRATION_BLOCK_LAYERS = 4
 
 
 class GlobalCacheTable:
@@ -349,14 +357,14 @@ class CoCaServer:
         stacked = np.stack(centroids)  # (L, n_cached, d)
         rows, dim = class_ids.size, vectors.shape[2]
         zero = np.zeros((rows, num_cached), dtype=stacked.dtype)
-        no_floors = np.full((PACK_BLOCK_LAYERS, 1), -np.inf, dtype=stacked.dtype)
+        no_floors = np.full((_CALIBRATION_BLOCK_LAYERS, 1), -np.inf, dtype=stacked.dtype)
         fires = np.zeros(num_layers)
         cached_hits = np.zeros(num_layers)
         correct = np.zeros(num_layers)
         model_correct_on_hitters = np.zeros(num_layers)
         with LookupWorkspace() as workspace:
-            for start in range(0, num_layers, PACK_BLOCK_LAYERS):
-                span = slice(start, min(start + PACK_BLOCK_LAYERS, num_layers))
+            for start in range(0, num_layers, _CALIBRATION_BLOCK_LAYERS):
+                span = slice(start, min(start + _CALIBRATION_BLOCK_LAYERS, num_layers))
                 depth = span.stop - start
                 layers = np.arange(start, span.stop)
                 block = LayerBlock(layers, stacked[span], no_floors[:depth], ())
@@ -364,7 +372,7 @@ class CoCaServer:
                     rows, depth, num_cached, dim, stacked.dtype, stacked.dtype
                 )
                 np.copyto(s.queries, vectors[:, span, :])
-                s.step(workspace, zero, block, 0.0, theta)
+                s.step(zero, block, 0.0, theta)
                 fire = s.hits  # (depth, rows)
                 predicted = cached[s.best_idx.reshape(depth, rows)]
                 fires[span] = fire.sum(axis=1)
@@ -561,7 +569,7 @@ class CoCaServer:
         self,
         path: str | Path,
         epoch: int | None = None,
-        layers_per_shard: int = 8,
+        layers_per_shard: int = PACK_BLOCK_LAYERS,
     ) -> "SnapshotManifest":
         """Persist the table as a mmap-ready snapshot directory.
 

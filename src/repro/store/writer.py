@@ -18,6 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from repro import contracts
+from repro.core.cache import PACK_BLOCK_LAYERS
 from repro.core.server import GlobalCacheTable
 from repro.store.format import (
     META_NAME,
@@ -54,7 +55,7 @@ def write_snapshot(
     table: GlobalCacheTable,
     references: Mapping[str, np.ndarray] | None = None,
     epoch: int | None = None,
-    layers_per_shard: int = 8,
+    layers_per_shard: int = PACK_BLOCK_LAYERS,
     dtype: str | None = None,
 ) -> SnapshotManifest:
     """Serialize a global cache table as a mmap-ready snapshot directory.
@@ -68,10 +69,12 @@ def write_snapshot(
             calibrated reference vectors); stored in ``meta.npz`` next to
             the fill mask and Phi and restored verbatim on load.
         epoch: monotonic snapshot epoch (``None`` = previous + 1).
-        layers_per_shard: cache layers per ``.npy`` shard file.  Small
-            enough that a serving cache's first-probe fault-in stays
-            per-layer-block, large enough that opening shards stays
-            O(files) cheap.
+        layers_per_shard: cache layers per ``.npy`` shard file.  The
+            default is the walk's block depth
+            (:data:`~repro.core.cache.PACK_BLOCK_LAYERS`): a serving
+            cache never stacks layers of two shards into one block, so
+            at this depth a mapped cache walks in the blocks an owned
+            one does.
         dtype: entry storage dtype (``None`` = keep the table's float64).
             ``"float32"`` halves the bytes for serving snapshots whose
             views feed a float32 cache directly.

@@ -561,12 +561,13 @@ class TestLookupWorkspace:
         from repro.core.cache import LookupWorkspace
 
         rng = np.random.default_rng(5)
-        workspace = LookupWorkspace()
         best = rng.standard_normal(32)
         second = rng.standard_normal(32)
         second[:8] = -np.abs(second[:8])  # non-positive runner-ups clamp
         out = np.empty(32)
-        workspace.scores_into(best, second, out)
+        LookupWorkspace.scores_into(
+            best, second, out, np.empty(32, dtype=bool), np.empty(32)
+        )
         assert np.array_equal(out, oracle.discriminative_score(best, second))
 
 

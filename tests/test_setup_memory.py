@@ -58,3 +58,19 @@ def test_similarity_floors_peak_near_their_draw():
     assert floors.shape == (model.num_cache_layers,)
     draw_bytes = 600 * (model.num_cache_layers + 1) * model.feature_space.config.dim * 8
     assert peak <= 1.75 * draw_bytes
+
+
+def test_layer_statistics_peak_near_their_draw():
+    """The calibration scores every layer for every row, so its scratch
+    is ``(G, rows, n)`` per step: it steps a few layers at a time, not
+    the walk's block depth.  Traced on resnet152 / ucf101, peak over draw
+    read 1.74 at 4 layers a step, 2.13 at 8 and 3.01 at 17."""
+    model = _resnet152_ucf101()
+    server = CoCaServer(model, CoCaConfig())
+    server.measure_layer_statistics(np.random.default_rng(0))  # warm
+    peak, (ratio, _, _) = _traced_peak(
+        lambda: server.measure_layer_statistics(np.random.default_rng(1))
+    )
+    assert ratio.shape == (model.num_cache_layers,)
+    draw_bytes = 600 * (model.num_cache_layers + 1) * model.feature_space.config.dim * 8
+    assert peak <= 2.0 * draw_bytes

@@ -41,6 +41,7 @@ from repro.core.framework import CoCaFramework
 from repro.core.probe import CacheWalk, walk_cache_batch
 from repro.core.server import CoCaServer, GlobalCacheTable
 from repro.data.datasets import get_dataset
+from repro.models.zoo import build_model
 from repro.serve import (
     WorkerOptions,
     WorkerState,
@@ -98,7 +99,8 @@ class Scene:
                 ids = ids_of[layer]
             cache.set_layer_entries(layer, ids, self.centroids[ids, layer])
             if floors:
-                cache.set_similarity_floor(layer, 0.5 + 0.02 * layer)
+                # Capped: a floor is a cosine, and scenes go 37 layers deep.
+                cache.set_similarity_floor(layer, min(0.5 + 0.02 * layer, 0.9))
         return cache
 
 
@@ -296,14 +298,16 @@ def test_one_active_layer():
 
 
 def test_blocks_hold_at_most_pack_block_layers():
-    scene = Scene(seed=42, layers=19)
-    cache = scene.cache(floors=True)
+    depth = PACK_BLOCK_LAYERS
+    scene = Scene(seed=42, layers=2 * depth + 3)
+    # A theta high enough that some rows hit past the first block.
+    cache = scene.cache(floors=True, theta=1.0)
     depths = [b.layers.size for b in cache.layer_pack().blocks]
-    assert depths == [8, 8, 3] and max(depths) == PACK_BLOCK_LAYERS
-    for batch in (1, 64):
+    assert depths == [depth, depth, 3] and max(depths) == PACK_BLOCK_LAYERS
+    for batch in (1, 64, 300):
         new, ref = both_walks(cache, scene.queries(batch))
         assert_same_walk(new, ref, np.float64, bitwise=batch == 1)
-    assert ref.hit_layer.max() >= 8  # rows carried across a block boundary
+    assert ref.hit_layer.max() >= depth  # rows carried across a block boundary
 
 
 def test_sparse_layer_indices():
@@ -414,6 +418,65 @@ def test_borrowed_views_without_a_common_stride_get_their_own_blocks():
             assert np.shares_memory(block.matrices[g], keep[layer])
     new, ref = both_walks(cache, scene.queries(1))
     assert_same_walk(new, ref, np.float64, bitwise=True)
+
+
+def block_layers(cache: SemanticCache) -> list[list[int]]:
+    return [block.layers.tolist() for block in cache.layer_pack().blocks]
+
+
+def owned_copy(table: GlobalCacheTable) -> SemanticCache:
+    cache = SemanticCache(table.num_classes, theta=0.3, dtype=np.float64)
+    ids = np.arange(table.num_classes)
+    for layer in range(table.num_layers):
+        cache.set_layer_entries(layer, ids, table.entries[:, layer, :])
+    return cache
+
+
+def test_default_shards_walk_in_owned_blocks(tmp_path):
+    """One block shape: a snapshot at the default shard depth serves a
+    cache whose blocks are an owned cache's over the same layers."""
+    scene = Scene(seed=77, classes=10, layers=2 * PACK_BLOCK_LAYERS + 3, dim=8)
+    table = GlobalCacheTable(scene.classes, scene.layers, scene.dim)
+    table.entries = scene.centroids.copy()
+    table.filled[:] = True
+    table.class_freq = np.full(scene.classes, 4.0)
+    owned = block_layers(owned_copy(table))
+    assert [len(layers) for layers in owned] == [PACK_BLOCK_LAYERS, PACK_BLOCK_LAYERS, 3]
+    manifest = write_snapshot(tmp_path / "table", table, epoch=1)
+    assert len(manifest.shards) == len(owned)
+    with MappedTableStore(tmp_path / "table") as store:
+        assert block_layers(store.serving_cache(theta=0.3)) == owned
+
+    model = build_model("resnet101", get_dataset("ucf101", 12), seed=0)
+    assert model.num_cache_layers > PACK_BLOCK_LAYERS
+    server = CoCaServer(model, CoCaConfig())
+    server.initialize_from_shared_dataset(np.random.default_rng(0), calibration_samples=40)
+    server.save_snapshot(tmp_path / "server")
+    with MappedTableStore(tmp_path / "server") as store:
+        served = block_layers(store.serving_cache(theta=0.3))
+    assert served == block_layers(owned_copy(server.table))
+    assert len(served) == -(-model.num_cache_layers // PACK_BLOCK_LAYERS)
+
+
+def test_snapshots_of_8_layer_shards_still_serve(tmp_path):
+    """A snapshot written when the default shard depth was 8 opens and
+    walks in 8-layer blocks, the walk of the per-layer loop."""
+    scene = Scene(seed=79, classes=10, layers=19, dim=8)
+    table = GlobalCacheTable(scene.classes, scene.layers, scene.dim)
+    table.entries = scene.centroids.copy()
+    table.filled[:] = True
+    table.class_freq = np.full(scene.classes, 4.0)
+    write_snapshot(tmp_path / "snap", table, epoch=1, layers_per_shard=8)
+    floors = np.linspace(0.5, 0.8, scene.layers)
+    with MappedTableStore(tmp_path / "snap") as store:
+        cache = store.serving_cache(theta=0.3, floors=floors)
+        assert block_layers(cache) == [
+            list(range(0, 8)), list(range(8, 16)), list(range(16, 19))
+        ]
+        for batch in (1, 64):
+            new, ref = both_walks(cache, scene.queries(batch))
+            assert_same_walk(new, ref, np.float64, bitwise=batch == 1)
+        assert cache.view_backed_layers() == cache.active_layers
 
 
 # ----------------------------------------------------------------------
@@ -527,15 +590,18 @@ def test_pack_contract_is_armed_at_build():
 
 
 def test_single_frame_layouts_are_kept():
-    scene = Scene(seed=85, layers=11)  # blocks of 8 and 3 layers
+    depth = PACK_BLOCK_LAYERS
+    scene = Scene(seed=85, layers=depth + 3)  # blocks of depth and 3 layers
     # Nothing can hit, so every frame walks both blocks.
     wide = scene.cache(theta=1e6)
-    narrow = scene.cache(theta=1e6, ids_of=dict.fromkeys(range(11), np.arange(5)))
+    narrow = scene.cache(
+        theta=1e6, ids_of=dict.fromkeys(range(scene.layers), np.arange(5))
+    )
     frame = scene.queries(1)
     with LookupWorkspace() as workspace:
         walk_cache_batch(wide, frame, workspace)
         kept = dict(workspace._layouts)
-        assert sorted(kept) == [(1, 3), (1, 8)]  # one per block depth
+        assert sorted(kept) == [(1, 3), (1, depth)]  # one per block depth
         walk_cache_batch(wide, frame, workspace)
         assert workspace._layouts == kept  # reused, not cut again
         # Caches of different widths take turns on one workspace: the
@@ -544,25 +610,28 @@ def test_single_frame_layouts_are_kept():
             new = CacheWalk(*(a.copy() for a in walk_cache_batch(cache, frame, workspace)))
             _, ref = both_walks(cache, frame)
             assert_same_walk(new, ref, np.float64, bitwise=True)
-            assert sorted(workspace._layouts) == [(1, 3), (1, 8)]
+            assert sorted(workspace._layouts) == [(1, 3), (1, depth)]
         # A batch's larger pools replace the ones the kept layouts view,
         # and the layouts go with them instead of pinning them; the
         # batch's own layouts are kept next to the frame's that follow.
         walk_cache_batch(wide, scene.queries(64), workspace)
-        assert sorted(workspace._layouts) == [(64, 3), (64, 8)]
+        assert sorted(workspace._layouts) == [(64, 3), (64, depth)]
         new = CacheWalk(*(a.copy() for a in walk_cache_batch(wide, frame, workspace)))
         _, ref = both_walks(wide, frame)
         assert_same_walk(new, ref, np.float64, bitwise=True)
-        assert sorted(workspace._layouts) == [(1, 3), (1, 8), (64, 3), (64, 8)]
+        assert sorted(workspace._layouts) == [(1, 3), (1, depth), (64, 3), (64, depth)]
     assert not workspace._layouts  # close() drops them with the pools
 
 
 def test_layouts_of_every_row_count_are_kept():
-    scene = Scene(seed=86, layers=11)  # blocks of 8 and 3 layers
+    depth = PACK_BLOCK_LAYERS
+    scene = Scene(seed=86, layers=depth + 3)  # blocks of depth and 3 layers
     # Floors keep every fifth (classless) query from hitting: some rows
     # of every batch walk on into the second block.
     wide = scene.cache(floors=True)
-    narrow = scene.cache(floors=True, ids_of=dict.fromkeys(range(11), np.arange(5)))
+    narrow = scene.cache(
+        floors=True, ids_of=dict.fromkeys(range(scene.layers), np.arange(5))
+    )
     queries = {rows: scene.queries(rows) for rows in (1, 5, 64, 300)}
     workspace = LookupWorkspace()
     walked: set[tuple[int, int]] = set()  # since the last drop
@@ -584,8 +653,8 @@ def test_layouts_of_every_row_count_are_kept():
             walked.clear()
         # Every row steps through the first block; the rows it did not
         # resolve step through the second.
-        walked.add((rows, 8))
-        left = int(((new.hit_layer < 0) | (new.hit_layer >= 8)).sum())
+        walked.add((rows, depth))
+        left = int(((new.hit_layer < 0) | (new.hit_layer >= depth)).sum())
         if left:
             walked.add((left, 3))
         assert sorted(workspace._layouts) == sorted(walked)
@@ -596,7 +665,7 @@ def test_layouts_of_every_row_count_are_kept():
     assert walk(wide, 300)  # regrows the pools: the earlier layouts go
     assert not walk(wide, 5)
     assert not walk(wide, 64)
-    assert {depth for _, depth in workspace._layouts} == {3, 8}
+    assert {g for _, g in workspace._layouts} == {3, depth}
     # A repeated walk reuses its layouts.
     kept = {key: id(layout) for key, layout in workspace._layouts.items()}
     walk(wide, 5)

@@ -564,17 +564,21 @@ def check_clock_monotonic(previous_ms: float, now_ms: float) -> None:
     )
 
 
-def check_distinct_views(**views: np.ndarray) -> None:
-    """Named workspace views must be pairwise non-overlapping.
+def check_distinct_views(
+    apart_from: Mapping[str, np.ndarray] | None = None, **views: np.ndarray
+) -> None:
+    """Named workspace views must be pairwise non-overlapping, and each
+    must overlap none of ``apart_from`` (views that may overlap one
+    another, such as a buffer and its last row).
 
     Two pool views sharing memory means one ``out=`` write corrupts
     another buffer mid-kernel — the exact failure mode the named-pool
     convention exists to prevent.
     """
     items = list(views.items())
-    for i in range(len(items)):
-        name_a, a = items[i]
-        for name_b, b in items[i + 1:]:
+    others = list((apart_from or {}).items())
+    for i, (name_a, a) in enumerate(items):
+        for name_b, b in items[i + 1:] + others:
             if a.size == 0 or b.size == 0:
                 continue
             require(

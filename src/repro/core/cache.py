@@ -80,6 +80,10 @@ SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 #: (measurements in ``src/repro/core/README.md``).
 PACK_BLOCK_LAYERS = 17
 
+#: Name prefixes of the workspace pools kept layouts view
+#: (:class:`StackLayout`, :class:`WalkLayout`).
+_KEPT_POOLS = ("stack.", "walk.")
+
 
 def _address(array: np.ndarray) -> int:
     """Memory address of an array's first element."""
@@ -98,7 +102,8 @@ class LookupWorkspace:
     """Reusable scratch buffers for the batched probe kernels.
 
     Buffers are flat pools keyed by ``(name, dtype)`` and grown
-    geometrically; :meth:`floats` / :meth:`ints` / :meth:`bools` return
+    geometrically (to the next power of two of the request);
+    :meth:`floats` / :meth:`ints` / :meth:`bools` return
     C-contiguous views of the requested shape, so ``out=`` matmuls and
     ufuncs write straight into pooled memory.  One workspace is owned
     per engine (or per cluster node) and reused across probes, batches
@@ -115,6 +120,9 @@ class LookupWorkspace:
         #: ``_layout_geometry`` (:meth:`stack_layout`).
         self._layouts: dict[tuple[int, int], StackLayout] = {}
         self._layout_geometry: tuple[int, int, np.dtype, np.dtype] | None = None
+        #: :class:`WalkLayout` per ``(rows, entries, dtype)``
+        #: (:meth:`walk_layout`), dropped with the stack layouts.
+        self._walks: dict[tuple[int, int, np.dtype], WalkLayout] = {}
         self._arange = np.empty(0, dtype=np.intp)
 
     def close(self) -> None:
@@ -127,6 +135,7 @@ class LookupWorkspace:
         """
         self._pools.clear()
         self._layouts.clear()
+        self._walks.clear()
         self._arange = np.empty(0, dtype=np.intp)
 
     def __enter__(self) -> "LookupWorkspace":
@@ -139,11 +148,14 @@ class LookupWorkspace:
         key = (name, dtype)
         buf = self._pools.get(key)
         if buf is None or buf.size < size:
-            if buf is not None and name.startswith("stack."):
-                # Kept layouts view only "stack." pools, maybe the one
-                # being replaced; dropping them lets it go.
+            if buf is not None and name.startswith(_KEPT_POOLS):
+                # Kept layouts view only these pools, maybe the one being
+                # replaced; dropping them lets it go.
                 self._layouts.clear()
-            buf = np.empty(max(size, 16), dtype=dtype)
+                self._walks.clear()
+            # The next power of two: a run of rising sizes regrows a
+            # pool about log2 times, not once per size.
+            buf = np.empty(1 << max(size - 1, 15).bit_length(), dtype=dtype)
             self._pools[key] = buf
         return buf
 
@@ -180,24 +192,39 @@ class LookupWorkspace:
     ) -> "StackLayout":
         """The scratch views of one stacked block step (:class:`StackLayout`).
 
-        Cutting the ~27 views costs a small step as much as the
+        Cutting the ~25 views costs a small step as much as the
         arithmetic between them, so every layout cut is kept, keyed by
         ``(rows, depth)``, for the geometry last served.  Kept layouts go
-        when the geometry changes, when a pool they view regrows, and at
-        :meth:`close`.  They are bounded by the largest row count walked
-        since the last drop times the pack's distinct block depths; a
-        layout is about 8 KB of view headers.  The ``bench``
-        ``serve-mixed-proc`` worker keeps 107 (193 at the former block
-        depth of 8), the ``serve-frame`` one 9.
+        when the geometry changes (the walk layouts with them), when a
+        pool they view regrows, and at :meth:`close`.  They are bounded
+        by the largest row count walked since the last drop times the
+        pack's distinct block depths; a layout is about 8 KB of view
+        headers.  In a 30-second ``bench`` run the ``serve-mixed-proc``
+        worker cuts 219 layouts and keeps 84, the ``serve-frame`` one
+        cuts 9 and keeps 8.  The mixed worker's drops come while its
+        largest coalesced call still grows (64, 71, 134 rows, ...): pools
+        grown to the exact request cut as many there.
         """
         geometry = (entries, dim, query_dtype, dtype)
         if geometry != self._layout_geometry:
             self._layouts.clear()
+            self._walks.clear()
             self._layout_geometry = geometry
         layout = self._layouts.get((rows, depth))
         if layout is None:
             layout = StackLayout(self, rows, depth, entries, dim, query_dtype, dtype)
             self._layouts[rows, depth] = layout
+        return layout
+
+    def walk_layout(self, rows: int, entries: int, dtype: np.dtype) -> "WalkLayout":
+        """The result and carry views of one walk over ``rows`` rows of a
+        cache of ``entries`` entries in ``dtype`` (:class:`WalkLayout`),
+        kept like :meth:`stack_layout`'s and dropped with them."""
+        key = (rows, entries, dtype)
+        layout = self._walks.get(key)
+        if layout is None:
+            layout = WalkLayout(self, rows, entries, dtype)
+            self._walks[key] = layout
         return layout
 
     @staticmethod
@@ -271,8 +298,6 @@ class StackLayout:
         np.multiply(ws.arange(pairs), entries, out=self.pair_off)
         self.best_idx = ws.ints("stack.best_idx", (pairs,))
         self.best_flat = ws.ints("stack.best_flat", (pairs,))
-        self.second_idx = ws.ints("stack.second_idx", (pairs,))
-        self.second_flat = ws.ints("stack.second_flat", (pairs,))
         self.a_best = ws.floats("stack.a_best", (pairs,), dtype)
         self.a_second = ws.floats("stack.a_second", (pairs,), dtype)
         self.sim_best = ws.floats("stack.sim_best", (pairs,), dtype)
@@ -302,38 +327,39 @@ class StackLayout:
         self,
         previous: np.ndarray,
         block: "LayerBlock",
-        alpha: float,
+        alpha: float | np.ndarray,
         theta: float,
     ) -> None:
         """Probe ``block``'s layers for the rows whose levels ``queries``
         holds, from their accumulated ``previous`` ``(rows, entries)``;
         the results stay in the layout's views, one per (layer, row) pair.
+        ``alpha`` is a float or a 0-d array of the cache dtype, the same
+        factor (a ufunc takes the array for less per call).
 
         One batched product (per layer the ``(rows, d) @ (d, n)`` BLAS
         call against the layer's own matrix), Eq. 1 folded down the layer
         axis into ``upd`` (``A_g = alpha * A_{g-1} + C_g``), then top-2
-        (argmax, mask the winner, argmax, restore: first index on ties),
+        (argmax, first index on ties; mask the winner, max, restore),
         Eq. 2 and the ``A > 0`` and floor checks for every (layer, row)
         pair.  With one entry there is no runner-up: ``a_second`` is
-        ``-inf`` and the score 0 never hits.
+        ``-inf`` and the score 0 never hits.  Only the winner's index is
+        kept (``best_idx``); a caller that wants the runner-up's finds it
+        in ``final``.
         """
         if contracts.ENABLED:
             contracts.check_distinct_views(previous=previous, sim=self.sim, upd=self.upd)
         np.matmul(self.queries_t, block.matrices.transpose(0, 2, 1), out=self.sim)
         for current, similarity in self.folds:
-            np.multiply(previous, alpha, out=current)
-            np.add(current, similarity, out=current)
+            np.multiply(previous, alpha, current)
+            np.add(current, similarity, current)
             previous = current
 
-        best_idx, best_flat, second_flat = self.best_idx, self.best_flat, self.second_flat
-        a_best, upd_flat = self.a_best, self.upd_flat
-        self.upd_rows.argmax(axis=1, out=best_idx)
-        np.add(self.pair_off, best_idx, out=best_flat)
+        best_flat, a_best, upd_flat = self.best_flat, self.a_best, self.upd_flat
+        self.upd_rows.argmax(axis=1, out=self.best_idx)
+        np.add(self.pair_off, self.best_idx, out=best_flat)
         upd_flat.take(best_flat, out=a_best, mode="clip")
         upd_flat[best_flat] = -np.inf
-        self.upd_rows.argmax(axis=1, out=self.second_idx)
-        np.add(self.pair_off, self.second_idx, out=second_flat)
-        upd_flat.take(second_flat, out=self.a_second, mode="clip")
+        np.maximum.reduce(self.upd_rows, 1, None, self.a_second)  # axis, dtype, out
         upd_flat[best_flat] = a_best
 
         # Eq. 2 above theta, A_best > 0, winner's similarity >= floor.
@@ -345,6 +371,40 @@ class StackLayout:
         self.sim_flat.take(best_flat, out=self.sim_best, mode="clip")
         np.greater_equal(self.sim_best_rows, block.floors, out=self.floor_ok)
         np.logical_and(hit, aux, out=hit)  # aux holds floor_ok now
+
+
+class WalkLayout:
+    """Result and carry views of one walk over ``rows`` rows of a cache
+    of ``entries`` entries: views of the workspace pools, nothing of its
+    own, kept per ``(rows, entries, dtype)``
+    (:meth:`LookupWorkspace.walk_layout`).  Every view is filled by each
+    walk before it is read, so layouts of different row counts may share
+    the pools.  No value may be kept in them across walks: ``row_off``,
+    for one, depends on how many levels the walked tensor carries, which
+    differs between calls of one row count.
+    """
+
+    def __init__(  # repro-lint: kernel
+        self, ws: LookupWorkspace, rows: int, entries: int, dtype: np.dtype
+    ) -> None:
+        self.predicted = ws.ints("walk.predicted", (rows,))
+        self.hit_layer = ws.ints("walk.hit_layer", (rows,))
+        self.hit_score = ws.floats("walk.hit_score", (rows,), np.float64)
+        self.layers_probed = ws.ints("walk.layers_probed", (rows,))
+        #: Flat offset of each row's first level in the walked tensor.
+        self.row_off = ws.ints("stack.row_off", (rows,))
+        #: Eq. 1 ``A`` of the rows still walking, carried between blocks.
+        self.acc = ws.floats("stack.acc", (rows, entries), dtype)
+        #: The cache's ``alpha`` as a 0-d array of its dtype, which a ufunc
+        #: takes with less per-call work than a Python float; the same
+        #: factor, as a float32 fold casts a float ``alpha`` to float32.
+        self.alpha = ws.floats("walk.alpha", (), dtype)
+        if contracts.ENABLED:
+            contracts.check_distinct_views(**self.views())
+
+    def views(self) -> dict[str, np.ndarray]:
+        """Every view, by name (for the contracts' aliasing checks)."""
+        return dict(vars(self))
 
 
 class LayerBlock(NamedTuple):
@@ -856,7 +916,11 @@ class BatchedLookupSession:
         np.take(self._accumulated, rows, axis=0, out=previous)
         s.step(previous, block, cache.alpha, cache.theta)
         self._accumulated[rows] = s.final
-        second_class = pack.ids[s.second_idx]
+        # The runner-up as the step finds it: the winner masked, the
+        # first index of the largest rest.
+        masked = s.final.copy()
+        masked[np.arange(m), s.best_idx] = -np.inf
+        second_class = pack.ids[masked.argmax(axis=1)]
         second_class[np.isneginf(s.a_second)] = -1
         return BatchLayerProbe(
             layer=layer,

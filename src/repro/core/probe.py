@@ -40,7 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.cache import LayerPack, LookupWorkspace, SemanticCache
+from repro import contracts
+from repro.core.cache import LayerPack, LookupWorkspace, SemanticCache, WalkLayout
 
 
 class CacheWalk(NamedTuple):
@@ -103,19 +104,14 @@ def walk_cache_batch(
     """
     pack = check_fit(cache, vectors)
     batch = vectors.shape[0]
-    walk = CacheWalk(
-        predicted=workspace.ints("walk.predicted", (batch,)),
-        hit_layer=workspace.ints("walk.hit_layer", (batch,)),
-        hit_score=workspace.floats("walk.hit_score", (batch,), np.float64),
-        layers_probed=workspace.ints("walk.layers_probed", (batch,)),
-    )
-    walk.predicted.fill(-1)
-    walk.hit_layer.fill(-1)
-    walk.hit_score.fill(np.nan)
-    walk.layers_probed.fill(0)
+    w = workspace.walk_layout(batch, pack.ids.size, cache.dtype)
+    w.predicted.fill(-1)
+    w.hit_layer.fill(-1)
+    w.hit_score.fill(np.nan)
+    w.layers_probed.fill(0)
     if batch and pack.levels:
-        _walk_stacked(cache, pack, vectors, workspace, walk)
-    return walk
+        _walk_stacked(cache, pack, vectors, workspace, w)
+    return CacheWalk(w.predicted, w.hit_layer, w.hit_score, w.layers_probed)
 
 
 def check_fit(cache: SemanticCache, vectors: np.ndarray) -> LayerPack:
@@ -146,7 +142,7 @@ def _walk_stacked(  # repro-lint: kernel
     pack: LayerPack,
     vectors: np.ndarray,
     workspace: LookupWorkspace,
-    walk: CacheWalk,
+    w: WalkLayout,
 ) -> None:
     """Walk the pack, one block of layers per iteration.
 
@@ -158,25 +154,29 @@ def _walk_stacked(  # repro-lint: kernel
     resolved rows drop out.
     """
     ws = workspace
-    predicted, hit_layer, hit_score, layers_probed = walk
+    predicted, hit_layer, hit_score = w.predicted, w.hit_layer, w.hit_score
+    layers_probed, row_off, acc = w.layers_probed, w.row_off, w.acc
     batch, levels, dim = vectors.shape
     ids = pack.ids
     n = ids.size
     level_rows = vectors.reshape(batch * levels, dim)
     alive = ws.arange(batch)
-    row_off = ws.ints("stack.row_off", (batch,))
-    np.multiply(alive, levels, out=row_off)
-    acc = ws.floats("stack.acc", (batch, n), cache.dtype)
+    # Filled per walk: the levels of a walked tensor vary for one row count.
+    np.multiply(alive, levels, row_off)
     acc.fill(0)
+    w.alpha.fill(cache.alpha)
     for block in pack.blocks:
         m = alive.size
         depth = block.layers.size
         s = ws.stack_layout(m, depth, n, dim, vectors.dtype, cache.dtype)
+        if contracts.ENABLED:
+            step_views = {"sim": s.sim, "upd": s.upd, "final": s.final}
+            contracts.check_distinct_views(**w.views(), apart_from=step_views)
         np.add(row_off[:, None], block.layers, out=s.gather)
         level_rows.take(s.gather, axis=0, out=s.raw, mode="clip")
         if s.queries is not s.raw:
             np.copyto(s.queries, s.raw, casting="unsafe")
-        s.step(acc[:m], block, cache.alpha, cache.theta)
+        s.step(acc[:m], block, w.alpha, cache.theta)
 
         # Resolve each row to its first hitting layer of the block, or
         # to the block's last layer (the running miss guess).

@@ -22,7 +22,14 @@ mostly per-block overhead, which the coalesced rows share — and splits
 the walk back into one :class:`WorkerReply` per request, each an
 answer of its own.  A request whose tensor does not fit the snapshot's
 geometry is refused alone, with the walk's ``ValueError`` naming
-expected and got shapes; the rest of its call is served.
+expected and got shapes; the rest of its call is served.  So a call
+does four things: check each tensor's fit, walk the fitting ones
+together, cut the walk into per-request copies, and yield, in call
+order, each request's refusal or reply with its due time.  Its fixed
+cost is what a single-frame call pays on top of its walk, so it keeps
+to that: it counts a request's missed frames only when ``miss_ms``
+charges for them, and collects the call's replies only for the
+``REPRO_CONTRACTS=1`` check of the whole call.
 
 No request tensor is serialized.  A process lane copies each query
 tensor ``(B, L+1, d)`` of a call into its :class:`RequestArena` — a
@@ -237,29 +244,35 @@ def serve_requests(
     """
     state.check_open()
     started = time.perf_counter()
-    refused: dict[int, ValueError] = {}
-    for index, chunk in enumerate(chunks):
+    refusals: list[ValueError | None] = []
+    fitting: list[np.ndarray] = []
+    for chunk in chunks:
         try:
             check_fit(state.cache, chunk)
         except ValueError as error:
-            refused[index] = error
-    fits = [index for index in range(len(chunks)) if index not in refused]
-    walked = dict(zip(fits, _walk_together(state, [chunks[i] for i in fits])))
+            refusals.append(error)
+        else:
+            refusals.append(None)
+            fitting.append(chunk)
+    walked = iter(_walk_together(state, fitting))
     walk_ms = 1e3 * (time.perf_counter() - started)
-    rows = max(sum(chunks[index].shape[0] for index in fits), 1)
+    rows = max(sum(chunk.shape[0] for chunk in fitting), 1)
 
     opts = state.options
     pid = os.getpid()
     due_ms = boundary_ms = 0.0
     replies: list[object] = []
-    for index in range(len(chunks)):
-        if index in refused:
-            answer: tuple[bool, Any] = (False, refused[index])
+    for refusal in refusals:
+        answer: tuple[bool, Any]
+        if refusal is not None:
+            answer = (False, refusal)
         else:
-            predicted, hit_layer, hit_score = walked[index]
+            predicted, hit_layer, hit_score = next(walked)
             probe_ms = walk_ms * predicted.size / rows
-            misses = int((hit_layer < 0).sum())
-            due_ms += max(probe_ms, opts.service_floor_ms + opts.miss_ms * misses)
+            owed_ms = opts.service_floor_ms
+            if opts.miss_ms:
+                owed_ms += opts.miss_ms * int((hit_layer < 0).sum())
+            due_ms += max(probe_ms, owed_ms)
             release_ms = max(due_ms, 1e3 * (time.perf_counter() - started))
             answer = (
                 True,
@@ -275,11 +288,12 @@ def serve_requests(
             )
             boundary_ms = release_ms
             state.requests_served += 1
-        replies.append(answer[1])
-        if contracts.ENABLED and index == len(chunks) - 1:
-            contracts.check_call_replies(
-                [chunk.shape[0] for chunk in chunks], replies, boundary_ms
-            )
+        if contracts.ENABLED:
+            replies.append(answer[1])
+            if len(replies) == len(chunks):
+                contracts.check_call_replies(
+                    [chunk.shape[0] for chunk in chunks], replies, boundary_ms
+                )
         yield answer[0], answer[1], boundary_ms / 1e3
 
 

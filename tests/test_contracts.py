@@ -468,6 +468,11 @@ def test_distinct_views_pass_and_fail():
     contracts.check_distinct_views(a=pool[:0], b=pool)  # empty skipped
     with pytest.raises(ContractViolation, match="alias"):
         contracts.check_distinct_views(a=pool[:6], b=pool[4:])
+    # ``apart_from`` views may overlap one another, not the named views.
+    other = np.zeros(10)
+    contracts.check_distinct_views(a=pool[:5], apart_from={"b": other, "c": other[8:]})
+    with pytest.raises(ContractViolation, match="'a' and 'c' alias"):
+        contracts.check_distinct_views(a=pool[:5], apart_from={"b": other, "c": pool[4:]})
 
 
 # ----------------------------------------------------------------------
@@ -552,6 +557,36 @@ def test_worker_calls_reply_contract_only_when_enabled(monkeypatch, tmp_path):
     assert busy_ms == pytest.approx(answers[2][1].behind_ms + answers[2][1].service_ms)
     # The last answer is due when the call's busy time is over.
     assert 1e3 * answers[2][2] == pytest.approx(busy_ms)
+
+
+def test_walk_checks_its_kept_views_against_each_step(monkeypatch):
+    """Armed, a walk checks its kept result and carry views against the
+    ``sim``, ``upd`` and ``final`` of every block step it takes."""
+    from repro.core.cache import PACK_BLOCK_LAYERS, LookupWorkspace
+    from repro.core.probe import walk_cache_batch
+
+    calls: list[tuple[set, set]] = []
+    check = contracts.check_distinct_views
+    monkeypatch.setattr(
+        contracts, "check_distinct_views",
+        lambda apart_from=None, **views: (
+            calls.append((set(views), set(apart_from or {}))),
+            check(apart_from, **views),
+        ),
+    )
+    cache = SemanticCache(num_classes=6, theta=1e6, dtype=np.float32)
+    layers = PACK_BLOCK_LAYERS + 2  # two blocks
+    for layer in range(layers):
+        cache.set_layer_entries(layer, np.arange(4), unit_rows(4, 5, seed=layer))
+    vectors = unit_rows(3 * layers, 5).reshape(3, layers, 5)
+    with LookupWorkspace() as workspace:
+        with contracts.activated(False):
+            walk_cache_batch(cache, vectors, workspace)
+        assert calls == []
+        with contracts.activated():
+            walk_cache_batch(cache, vectors, workspace)
+    kept = {"predicted", "hit_layer", "hit_score", "layers_probed", "row_off", "acc", "alpha"}
+    assert calls.count((kept, {"sim", "upd", "final"})) == 2  # one per block
 
 
 def test_clock_calls_monotonic_contract_only_when_enabled(monkeypatch):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import threading
 from functools import partial
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from repro.serve import (
     serve_requests,
     shutdown_worker,
 )
+from repro.serve.worker import _walk_together
 from repro.store import MappedTableStore, SnapshotFormatError, write_snapshot
 
 DTYPES = (np.float32, np.float64)
@@ -285,6 +287,65 @@ def test_single_entry_layer(class_id):
                 assert (new.layers_probed == layers).all()
     with pytest.raises(ValueError, match="the same class ids"):
         scene.cache(ids_of={0: np.array([class_id])})
+
+
+#: Entry directions of the tie cases: (class ids, basis index per entry).
+#: Queries are dyadic on the basis, so every product and fold is exact
+#: and tied entries stay tied to the bit.
+TIES = {
+    "two tied for the best": ([0, 1, 2, 3], [0, 0, 1, 2]),
+    "two tied for the runner-up": ([0, 1, 2, 3], [0, 1, 1, 2]),
+    "every entry tied": ([4, 1, 3, 0], [0, 0, 0, 0]),
+    "a single entry": ([2], [0]),
+}
+
+
+def runner_up(updated: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``walk_layers``' rule: the winner (first index on ties) masked,
+    the first index of the largest rest; -1 where no entry is left."""
+    masked = updated.copy()
+    masked[np.arange(len(masked)), updated.argmax(axis=1)] = -np.inf
+    second = ids[masked.argmax(axis=1)]
+    second[np.isneginf(masked.max(axis=1))] = -1
+    return second
+
+
+@pytest.mark.parametrize("case", sorted(TIES))
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_runner_up_at_ties(case, dtype):
+    """The step's runner-up is a masked ``max``, the oracle's own rule:
+    at exact ties the walk equals ``walk_layers`` byte for byte and a
+    session's ``second_class`` is the one that rule picks."""
+    ids, basis = (np.array(v) for v in TIES[case])
+    layers, dim = PACK_BLOCK_LAYERS + 2, 4
+    cache = SemanticCache(5, alpha=0.5, theta=0.3, dtype=dtype)
+    for layer in range(layers):
+        cache.set_layer_entries(layer, ids, np.eye(dim)[basis])
+    rng = np.random.default_rng(13)
+    vectors = rng.integers(0, 2, size=(7, layers, dim)) / 8
+    vectors[:, :, 0] = 0.75  # basis 0 leads: a tie for the best stays one
+    vectors[:, :, 1] = np.where(rng.random((7, layers)) < 0.5, 0.25, 0.5)
+    vectors = vectors.astype(dtype)
+    for batch in (1, 7):
+        new, ref = both_walks(cache, vectors[:batch])
+        assert_same_walk(new, ref, dtype, bitwise=True)
+    if case == "two tied for the runner-up":
+        assert (new.hit_layer >= 0).any()  # a unique winner can hit
+    else:
+        assert (new.hit_layer == -1).all()
+
+    session = cache.start_batch_session(7)
+    centroids = np.eye(dim, dtype=dtype)[basis]
+    accumulated = np.zeros((7, ids.size), dtype=dtype)
+    for layer in range(layers):
+        result = session.probe(layer, vectors[:, layer])
+        accumulated = cache.alpha * accumulated + vectors[:, layer] @ centroids.T
+        assert np.array_equal(result.top_class, ids[accumulated.argmax(axis=1)])
+        assert np.array_equal(result.second_class, runner_up(accumulated, ids))
+        if case != "two tied for the runner-up":
+            assert (result.score == 0).all() and not result.hit.any()
+    if ids.size == 1:
+        assert (result.second_class == -1).all()
 
 
 def test_one_active_layer():
@@ -676,6 +737,83 @@ def test_layouts_of_every_row_count_are_kept():
     walk(narrow, 64)
     workspace.close()
     assert not workspace._layouts
+
+
+def test_kept_walk_views_hold_no_walk_over(tmp_path):
+    """The result and carry views a workspace keeps per row count are
+    scratch: walks of every row count, of tensors of ``L+1`` and of
+    ``pack.levels + 3`` levels, and a worker's single-chunk and coalesced
+    calls, interleaved on one workspace, each equal the same walk on a
+    fresh workspace byte for byte.  (A coalesced call walks
+    ``pack.levels`` levels, a single chunk all of its own: row offsets
+    kept per row count would gather the wrong levels.)"""
+    depth = PACK_BLOCK_LAYERS
+    scene = Scene(seed=88, classes=10, layers=depth + 3, dim=8)  # blocks depth, 3
+    table = GlobalCacheTable(scene.classes, scene.layers, scene.dim)
+    table.entries = scene.centroids.copy()
+    table.filled[:] = True
+    table.class_freq = np.full(scene.classes, 4.0)
+    write_snapshot(tmp_path / "snap", table, epoch=1)
+    state = WorkerState(str(tmp_path / "snap"), WorkerOptions(theta=0.3))
+    cache = state.cache
+    levels = cache.layer_pack().levels
+    assert block_layers(cache) == [list(range(depth)), list(range(depth, depth + 3))]
+
+    def tall(rows: int, extra: int) -> np.ndarray:
+        vectors = scene.queries(rows)
+        return np.ascontiguousarray(np.concatenate([vectors, vectors[:, :extra]], axis=1))
+
+    def alone(vectors: np.ndarray) -> list[np.ndarray]:
+        with LookupWorkspace() as fresh:
+            return [a.copy() for a in walk_cache_batch(cache, vectors, fresh)]
+
+    def same(got: Sequence[np.ndarray], want: Sequence[np.ndarray]) -> bool:
+        return [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    try:
+        for rows in (1, 2, 5, 64, 300, 5, 1, 64, 2, 300, 1):
+            for extra in (1, 3):  # L+1 and pack.levels + 3 levels
+                vectors = tall(rows, extra)
+                assert same(walk_cache_batch(cache, vectors, state.workspace), alone(vectors))
+            single = tall(rows, 1)
+            [(ok, reply, _)] = serve_requests(state, [single])
+            assert ok and same(reply[:3], alone(single)[:3]), rows
+            chunks = [tall(rows, 3), tall(2, 1), tall(1, 3)]
+            together = np.concatenate(
+                [chunk[:, :levels] for chunk in chunks], dtype=cache.dtype
+            )
+            want = alone(together)[:3]
+            lo = 0
+            for chunk, outcome in zip(chunks, _walk_together(state, chunks)):
+                hi = lo + chunk.shape[0]
+                assert same(outcome, [a[lo:hi] for a in want]), rows
+                lo = hi
+            [(ok, reply, _)] = serve_requests(state, [single])  # after a coalesced call
+            assert ok and same(reply[:3], alone(single)[:3]), rows
+    finally:
+        shutdown_worker(state)
+
+
+def test_pools_grow_geometrically():
+    """Walks of rising row counts regrow each layout pool about log2
+    times, not once per row count, so kept layouts are rarely dropped."""
+    depth = PACK_BLOCK_LAYERS
+    scene = Scene(seed=89, layers=depth + 3)
+    cache = scene.cache(floors=True)
+    queries = scene.queries(300)
+    regrown: dict[tuple[str, np.dtype], int] = {}
+    with LookupWorkspace() as workspace:
+        for rows in range(1, 301):
+            before = dict(workspace._pools)
+            walk_cache_batch(cache, queries[:rows], workspace)
+            for key, pool in before.items():
+                if workspace._pools[key] is not pool:
+                    regrown[key] = regrown.get(key, 0) + 1
+        names = {name for name, _ in workspace._pools}
+    assert {"stack.sim", "stack.acc", "walk.predicted"} <= names
+    assert regrown and max(regrown.values()) <= int(np.log2(300)) + 1, regrown
+
+
 # ----------------------------------------------------------------------
 # Request geometry
 # ----------------------------------------------------------------------

@@ -1,15 +1,13 @@
 """Analysis utilities: t-SNE embedding and clustering metrics (Fig. 2)."""
 
 from repro.analysis.clustering import centroid_alignment, cosine_silhouette
-from repro.analysis.plotting import ascii_line, ascii_scatter, to_csv
+from repro.analysis.plotting import ascii_scatter
 from repro.analysis.tsne import kl_divergence, tsne_embed
 
 __all__ = [
-    "ascii_line",
     "ascii_scatter",
     "centroid_alignment",
     "cosine_silhouette",
     "kl_divergence",
-    "to_csv",
     "tsne_embed",
 ]

@@ -1,13 +1,11 @@
 """Terminal-friendly rendering of experiment artefacts.
 
 The evaluation is designed to run in offline, headless environments, so
-figures are rendered as ASCII scatter/line plots and exported as CSV
-(ready for any external plotting tool) instead of depending on matplotlib.
+figures are rendered as ASCII scatter plots instead of depending on
+matplotlib.
 """
 
 from __future__ import annotations
-
-import io
 
 import numpy as np
 
@@ -70,69 +68,3 @@ def ascii_scatter(
         lines.append("legend: " + legend)
     return "\n".join(lines)
 
-
-def ascii_line(
-    xs: list[float],
-    series: dict[str, list[float]],
-    width: int = 64,
-    height: int = 16,
-    title: str = "",
-) -> str:
-    """Render one or more y-series over shared x values as ASCII lines."""
-    if not xs:
-        raise ValueError("xs must be non-empty")
-    for name, ys in series.items():
-        if len(ys) != len(xs):
-            raise ValueError(f"series {name!r} length mismatch")
-    all_y = [y for ys in series.values() for y in ys]
-    y_min, y_max = min(all_y), max(all_y)
-    y_span = (y_max - y_min) or 1.0
-    x_min, x_max = min(xs), max(xs)
-    x_span = (x_max - x_min) or 1.0
-    grid = [[" "] * width for _ in range(height)]
-    for idx, (name, ys) in enumerate(sorted(series.items())):
-        marker = _MARKERS[idx % len(_MARKERS)]
-        for x, y in zip(xs, ys):
-            col = int((x - x_min) / x_span * (width - 1))
-            row = int((y - y_min) / y_span * (height - 1))
-            grid[height - 1 - row][col] = marker
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(f"y: [{y_min:g}, {y_max:g}]   x: [{x_min:g}, {x_max:g}]")
-    lines.append("+" + "-" * width + "+")
-    for row in grid:
-        lines.append("|" + "".join(row) + "|")
-    lines.append("+" + "-" * width + "+")
-    lines.append(
-        "legend: "
-        + "  ".join(
-            f"{_MARKERS[i % len(_MARKERS)]}={name}"
-            for i, name in enumerate(sorted(series))
-        )
-    )
-    return "\n".join(lines)
-
-
-def to_csv(rows: list[dict], columns: list[str] | None = None) -> str:
-    """Serialize experiment rows (dataclass ``__dict__``s or dicts) to CSV.
-
-    Args:
-        rows: list of mappings with identical keys.
-        columns: optional explicit column order (default: first row's keys).
-    """
-    if not rows:
-        raise ValueError("rows must be non-empty")
-    cols = columns if columns is not None else list(rows[0].keys())
-    buffer = io.StringIO()
-    buffer.write(",".join(cols) + "\n")
-    for row in rows:
-        cells = []
-        for col in cols:
-            value = row.get(col, "")
-            text = f"{value}"
-            if "," in text or '"' in text:
-                text = '"' + text.replace('"', '""') + '"'
-            cells.append(text)
-        buffer.write(",".join(cells) + "\n")
-    return buffer.getvalue()

@@ -384,8 +384,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """Run the repo-aware static invariant checker (see repro.lint)."""
     from pathlib import Path
 
-    from repro.lint import lint_paths, load_all_rules, load_baseline, write_baseline
-    from repro.lint.baseline import Baseline
+    from repro.lint import lint_paths, load_all_rules
     from repro.lint.runner import find_repo_root
 
     if args.list_rules:
@@ -398,36 +397,23 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if missing:
         print(f"no such path: {missing[0]}", file=sys.stderr)
         return 2
-    root = find_repo_root(paths[0])
-    baseline_path = Path(args.baseline) if args.baseline else root / "lint_baseline.json"
-    baseline = Baseline.empty() if args.no_baseline else load_baseline(baseline_path)
     rule_ids = [r.strip() for r in args.rules.split(",") if r.strip()] if args.rules else None
-    report = lint_paths(paths, baseline=baseline, rule_ids=rule_ids, root=root)
-
-    if args.update_baseline:
-        write_baseline(baseline_path, report.all_unsuppressed)
-        print(
-            f"baseline updated: {len(report.all_unsuppressed)} finding(s) "
-            f"written to {baseline_path}"
-        )
-        return 0
+    report = lint_paths(paths, rule_ids=rule_ids, root=find_repo_root(paths[0]))
 
     if args.json:
         _print_json({
             "files_scanned": report.files_scanned,
-            "new": [f.as_dict() for f in report.new],
-            "baselined": [f.as_dict() for f in report.baselined],
+            "findings": [f.as_dict() for f in report.findings],
             "suppressed": len(report.suppressed),
             "ok": report.ok,
         })
         return 0 if report.ok else 1
 
-    for finding in report.new:
+    for finding in report.findings:
         print(finding.format())
     summary = (
         f"{report.files_scanned} file(s) scanned: "
-        f"{len(report.new)} new, {len(report.baselined)} baselined, "
-        f"{len(report.suppressed)} suppressed"
+        f"{len(report.findings)} finding(s), {len(report.suppressed)} suppressed"
     )
     if report.ok:
         print(f"repro lint: clean ({summary})")
@@ -651,12 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="run the repo-aware static invariant checker")
     lint.add_argument("paths", nargs="*", default=None,
                       help="files or directories to scan (default: src)")
-    lint.add_argument("--baseline", default=None,
-                      help="baseline file (default: <root>/lint_baseline.json)")
-    lint.add_argument("--no-baseline", dest="no_baseline", action="store_true",
-                      help="ignore the baseline: report all findings as new")
-    lint.add_argument("--update-baseline", dest="update_baseline", action="store_true",
-                      help="rewrite the baseline from current findings")
     lint.add_argument("--rules", default=None,
                       help="comma-separated rule ids to run (default: all)")
     lint.add_argument("--list-rules", dest="list_rules", action="store_true",

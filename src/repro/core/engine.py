@@ -114,6 +114,7 @@ class BatchedInferenceEngine:
         self.model = model
         self.workspace = workspace if workspace is not None else LookupWorkspace()
         self._total_ms = model.profile.total_compute_ms
+        self._no_cache = SemanticCache(model.num_classes)
         self.set_cache(cache)
 
     @property
@@ -190,7 +191,9 @@ class BatchedInferenceEngine:
                 and ``"model"`` — final-layer classification); used by
                 the ``repro profile-round`` CLI breakdown.
         """
-        cache = self._cache
+        # No cache walks as an empty one: it probes nothing, every row's
+        # lookup cost is ``cum_lookup[0] == 0.0`` and every row misses.
+        cache = self._cache if self._cache is not None else self._no_cache
         batch = len(samples)
         # Outcome arrays live in the engine workspace pools (explicit
         # dtypes, no per-call float64 allocations); see the BatchOutcomes
@@ -200,29 +203,6 @@ class BatchedInferenceEngine:
         top2_gap = ws.floats("engine.top2_gap", (batch,), np.float64)
         top2_gap.fill(np.nan)
         final = self.model.feature_space.final_layer
-
-        if batch == 0 or cache is None or not cache.active_layers:
-            predicted = ws.ints("engine.predicted", (batch,))
-            hit_layer = ws.ints("engine.hit_layer", (batch,))
-            hit_score = ws.floats("engine.hit_score", (batch,), np.float64)
-            predicted.fill(0)
-            hit_layer.fill(-1)
-            hit_score.fill(np.nan)
-            if batch == 0:
-                return BatchOutcomes(
-                    predicted, hit_layer, latency, hit_score, top2_gap
-                )
-            vectors = samples.vectors  # (B, L+1, d)
-            start = time.perf_counter() if timings is not None else 0.0
-            predictions, gaps = self.model.classify_vectors(vectors[:, final, :])
-            if timings is not None:
-                timings["model"] = (
-                    timings.get("model", 0.0) + time.perf_counter() - start
-                )
-            predicted[:] = predictions
-            latency[:] = self._total_ms
-            top2_gap[:] = gaps
-            return BatchOutcomes(predicted, hit_layer, latency, hit_score, top2_gap)
 
         cum_lookup, prefix_ms = self._eq7_tables(cache)
         vectors = samples.vectors  # (B, L+1, d)

@@ -102,7 +102,17 @@ def walk_cache_batch(
             deepest activated layer needs, or another feature dimension
             than the cached centroids.
     """
-    pack = check_fit(cache, vectors)
+    return _walk_fitted(cache, check_fit(cache, vectors), vectors, workspace)
+
+
+def _walk_fitted(
+    cache: SemanticCache,
+    pack: LayerPack,
+    vectors: np.ndarray,
+    workspace: LookupWorkspace,
+) -> CacheWalk:
+    """:func:`walk_cache_batch` of ``vectors`` that :func:`check_fit`
+    passed, ``pack`` being the layer pack it returned."""
     batch = vectors.shape[0]
     w = workspace.walk_layout(batch, pack.ids.size, cache.dtype)
     w.predicted.fill(-1)

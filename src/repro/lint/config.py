@@ -2,10 +2,9 @@
 
 The defaults below encode this repository's conventions — which modules
 are probe hot paths, which functions are registered workspace kernels,
-which directories must never touch the wall clock.  A project can
-override any field from ``pyproject.toml`` under ``[tool.repro-lint]``
-(dashes or underscores both accepted), which is how the fixture tests
-retarget the rules at synthetic files.
+which directories must never touch the wall clock.  They are the one
+place these lists live; the fixture tests retarget the rules at
+synthetic files by passing their own :class:`LintConfig`.
 
 All path entries are posix-style and matched as *suffixes* of the
 scanned file's normalized path, so the linter behaves identically from
@@ -14,9 +13,7 @@ the repo root, from ``src/``, or from an absolute invocation.
 
 from __future__ import annotations
 
-import tomllib
-from dataclasses import dataclass, fields, replace
-from pathlib import Path
+from dataclasses import dataclass
 
 
 def _norm(path: str) -> str:
@@ -75,38 +72,3 @@ class LintConfig:
                 out.add(qual)
         return out
 
-
-def _coerce(value: object) -> object:
-    if isinstance(value, list):
-        return tuple(str(v) for v in value)
-    return value
-
-
-def load_config(start: Path | None = None) -> LintConfig:
-    """The default config, overridden by ``[tool.repro-lint]`` if a
-    ``pyproject.toml`` is found walking up from ``start`` (cwd default)."""
-    config = LintConfig()
-    here = (start or Path.cwd()).resolve()
-    if here.is_file():
-        here = here.parent
-    for directory in (here, *here.parents):
-        pyproject = directory / "pyproject.toml"
-        if pyproject.is_file():
-            try:
-                data = tomllib.loads(pyproject.read_text(encoding="utf-8"))
-            except (OSError, tomllib.TOMLDecodeError):
-                return config
-            section = data.get("tool", {}).get("repro-lint", {})
-            return apply_overrides(config, section)
-    return config
-
-
-def apply_overrides(config: LintConfig, overrides: dict[str, object]) -> LintConfig:
-    """A copy of ``config`` with recognized override keys applied."""
-    known = {f.name for f in fields(LintConfig)}
-    updates: dict[str, object] = {}
-    for key, value in overrides.items():
-        name = key.replace("-", "_")
-        if name in known:
-            updates[name] = _coerce(value)
-    return replace(config, **updates) if updates else config

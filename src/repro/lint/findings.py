@@ -1,17 +1,12 @@
 """Finding records produced by lint rules.
 
 A :class:`Finding` pins one rule violation to a ``file:line`` location
-with the rule id, a human message, and a fix hint.  Findings carry a
-*fingerprint* — a hash of the rule id, the file path, and the offending
-source line's text (plus a disambiguating index when the same line text
-violates the same rule more than once in a file) — so the baseline file
-keeps matching a finding when unrelated edits shift line numbers.
+with the rule id, a human message, and a fix hint.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -25,10 +20,6 @@ class Finding:
         col: 0-based column offset.
         message: what is wrong, specifically.
         hint: how to fix it (shown alongside the message).
-        snippet: stripped text of the offending source line (fingerprint
-            input; empty when the source is unavailable).
-        occurrence: index among findings sharing (rule, path, snippet),
-            so repeated identical lines fingerprint distinctly.
     """
 
     rule: str
@@ -37,16 +28,6 @@ class Finding:
     col: int
     message: str
     hint: str = ""
-    snippet: str = field(default="", compare=False)
-    occurrence: int = field(default=0, compare=False)
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity of this finding across line-number drift."""
-        payload = "\x1f".join(
-            (self.rule, self.path, self.snippet, str(self.occurrence))
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def format(self) -> str:
         """``path:line:col: [rule] message (hint: ...)`` for terminals."""
@@ -63,29 +44,4 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "hint": self.hint,
-            "fingerprint": self.fingerprint,
         }
-
-
-def assign_occurrences(findings: list[Finding]) -> list[Finding]:
-    """Number findings that share (rule, path, snippet) so fingerprints
-    stay unique within a file."""
-    seen: dict[tuple[str, str, str], int] = {}
-    out: list[Finding] = []
-    for f in sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule)):
-        key = (f.rule, f.path, f.snippet)
-        index = seen.get(key, 0)
-        seen[key] = index + 1
-        out.append(
-            Finding(
-                rule=f.rule,
-                path=f.path,
-                line=f.line,
-                col=f.col,
-                message=f.message,
-                hint=f.hint,
-                snippet=f.snippet,
-                occurrence=index,
-            )
-        )
-    return out

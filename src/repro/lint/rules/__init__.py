@@ -58,15 +58,6 @@ class ImportTracker:
         return ".".join(reversed(parts))
 
 
-@dataclass(frozen=True)
-class Suppression:
-    """One inline ``# repro-lint: disable=...`` comment."""
-
-    line: int
-    rules: frozenset[str]  # rule ids, or {"all"}
-    justification: str
-
-
 @dataclass
 class FileContext:
     """Everything a file-scoped rule needs about one source file."""
@@ -105,7 +96,6 @@ class FileContext:
             col=col,
             message=message,
             hint=hint if hint is not None else rule.hint,
-            snippet=self.line_text(line),
         )
 
 

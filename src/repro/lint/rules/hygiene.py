@@ -128,5 +128,4 @@ class SuppressionJustification(Rule):
                         "after `--`)"
                     ),
                     hint=self.hint,
-                    snippet=text.strip(),
                 )

@@ -6,14 +6,13 @@ CLI and the test suite both call it):
 1. collect ``.py`` files under the given paths (skipping caches and
    hidden directories), parse each once;
 2. run every rule over each file;
-3. drop findings covered by an inline
+3. set aside findings covered by an inline
    ``# repro-lint: disable=<rule> -- <justification>`` on the offending
-   or preceding line;
-4. partition the rest against the baseline into *new* and *baselined*.
+   or preceding line as *suppressed*; every other finding fails the run.
 
 Paths inside findings are repo-relative (relative to the nearest
 ancestor of the scan root containing ``pyproject.toml`` or ``.git``,
-else to the scan root itself), so fingerprints are stable regardless of
+else to the scan root itself), so a report reads the same regardless of
 the invocation directory.
 """
 
@@ -24,9 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from repro.lint.baseline import Baseline
-from repro.lint.config import LintConfig, load_config
-from repro.lint.findings import Finding, assign_occurrences
+from repro.lint.config import LintConfig
+from repro.lint.findings import Finding
 from repro.lint.rules import FileContext, Rule, load_all_rules
 from repro.lint.rules.hygiene import SUPPRESS_PATTERN
 
@@ -37,18 +35,13 @@ _SKIP_DIRS = {"__pycache__", ".git", ".venv", "venv", "node_modules"}
 class LintReport:
     """Outcome of one lint run."""
 
-    new: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
     files_scanned: int = 0
 
     @property
-    def all_unsuppressed(self) -> list[Finding]:
-        return self.new + self.baselined
-
-    @property
     def ok(self) -> bool:
-        return not self.new
+        return not self.findings
 
 
 def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
@@ -132,7 +125,6 @@ def _is_suppressed(
 def lint_paths(
     paths: Sequence[Path | str],
     config: LintConfig | None = None,
-    baseline: Baseline | None = None,
     rule_ids: Sequence[str] | None = None,
     root: Path | None = None,
 ) -> LintReport:
@@ -140,9 +132,7 @@ def lint_paths(
 
     Args:
         paths: files or directories to scan.
-        config: lint configuration (default: defaults + pyproject
-            overrides discovered from the first path).
-        baseline: acknowledged debt (default: empty).
+        config: lint configuration (default: :class:`LintConfig`).
         rule_ids: restrict to a subset of rule ids (default: all).
         root: repo root for path relativization (default: discovered).
     """
@@ -152,9 +142,7 @@ def lint_paths(
     if root is None:
         root = find_repo_root(resolved[0])
     if config is None:
-        config = load_config(root)
-    if baseline is None:
-        baseline = Baseline.empty()
+        config = LintConfig()
 
     registry = load_all_rules()
     if rule_ids is None:
@@ -191,14 +179,11 @@ def lint_paths(
     suppression_maps = {
         ctx.rel_path: _suppressions(ctx) for ctx in contexts
     }
-    kept: list[Finding] = []
-    for finding in assign_occurrences(raw):
+    for finding in sorted(raw, key=lambda f: (f.path, f.line, f.col, f.rule)):
         if _is_suppressed(
             finding, suppression_maps.get(finding.path, {})
         ):
             report.suppressed.append(finding)
-        elif finding in baseline:
-            report.baselined.append(finding)
         else:
-            report.new.append(finding)
+            report.findings.append(finding)
     return report

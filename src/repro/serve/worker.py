@@ -24,7 +24,8 @@ answer of its own.  A request whose tensor does not fit the snapshot's
 geometry is refused alone, with the walk's ``ValueError`` naming
 expected and got shapes; the rest of its call is served.  So a call
 does four things: check each tensor's fit, walk the fitting ones
-together, cut the walk into per-request copies, and yield, in call
+together with the layer pack that check returned (so no tensor is
+checked twice), cut the walk into per-request copies, and yield, in call
 order, each request's refusal or reply with its due time.  Its fixed
 cost is what a single-frame call pays on top of its walk, so it keeps
 to that: it counts a request's missed frames only when ``miss_ms``
@@ -89,8 +90,8 @@ import numpy as np
 
 from repro import contracts
 from repro.blas import THREAD_POOL_VARS
-from repro.core.cache import LookupWorkspace, SemanticCache
-from repro.core.probe import check_fit, walk_cache_batch
+from repro.core.cache import LayerPack, LookupWorkspace, SemanticCache
+from repro.core.probe import _walk_fitted, check_fit
 from repro.store import MappedTableStore
 
 #: Meta-array name of the calibrated per-layer similarity floors a
@@ -196,11 +197,16 @@ def shutdown_worker(state: WorkerState) -> None:
 
 
 def _walk_together(
-    state: WorkerState, chunks: list[np.ndarray]
+    state: WorkerState, pack: LayerPack | None, chunks: list[np.ndarray]
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Walk every chunk's rows in one walk; owned ``(predicted, hit_layer,
-    hit_score)`` copies per chunk."""
-    if not chunks:
+    hit_score)`` copies per chunk.
+
+    Every chunk has passed :func:`~repro.core.probe.check_fit`, and
+    ``pack`` is the layer pack it returned (``None``: no chunk), so the
+    walk does not check them again.
+    """
+    if pack is None:
         return []
     cache = state.cache
     if len(chunks) == 1:
@@ -208,13 +214,12 @@ def _walk_together(
     else:
         # Only the levels and width a walk reads, cast straight to the
         # cache dtype as the walk of one chunk casts it.
-        pack = cache.layer_pack()
         vectors = np.concatenate(
             [chunk[:, : pack.levels, : pack.dim] for chunk in chunks],
             dtype=cache.dtype,
             casting="unsafe",
         )
-    walk = walk_cache_batch(cache, vectors, state.workspace)
+    walk = _walk_fitted(cache, pack, vectors, state.workspace)
     outcomes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     lo = 0
     for chunk in chunks:
@@ -246,15 +251,16 @@ def serve_requests(
     started = time.perf_counter()
     refusals: list[ValueError | None] = []
     fitting: list[np.ndarray] = []
+    pack: LayerPack | None = None
     for chunk in chunks:
         try:
-            check_fit(state.cache, chunk)
+            pack = check_fit(state.cache, chunk)
         except ValueError as error:
             refusals.append(error)
         else:
             refusals.append(None)
             fitting.append(chunk)
-    walked = iter(_walk_together(state, fitting))
+    walked = iter(_walk_together(state, pack, fitting))
     walk_ms = 1e3 * (time.perf_counter() - started)
     rows = max(sum(chunk.shape[0] for chunk in fitting), 1)
 

@@ -1,9 +1,9 @@
-"""Tests for ASCII plotting and CSV export."""
+"""Tests for ASCII plotting."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.plotting import ascii_line, ascii_scatter, to_csv
+from repro.analysis.plotting import ascii_scatter
 
 
 class TestAsciiScatter:
@@ -35,44 +35,3 @@ class TestAsciiScatter:
         with pytest.raises(ValueError):
             ascii_scatter(np.zeros((3, 2)), width=2)
 
-
-class TestAsciiLine:
-    def test_renders_series(self):
-        plot = ascii_line([1, 2, 3], {"a": [1.0, 2.0, 3.0], "b": [3.0, 2.0, 1.0]})
-        assert "a" in plot and "b" in plot
-        assert "y: [1, 3]" in plot
-
-    def test_constant_series(self):
-        plot = ascii_line([1, 2], {"flat": [5.0, 5.0]})
-        assert "flat" in plot
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ascii_line([], {"a": []})
-        with pytest.raises(ValueError):
-            ascii_line([1, 2], {"a": [1.0]})
-
-
-class TestToCsv:
-    def test_serializes_rows(self):
-        csv = to_csv([{"x": 1, "y": "a"}, {"x": 2, "y": "b"}])
-        assert csv.splitlines() == ["x,y", "1,a", "2,b"]
-
-    def test_explicit_column_order(self):
-        csv = to_csv([{"x": 1, "y": 2}], columns=["y", "x"])
-        assert csv.splitlines()[0] == "y,x"
-
-    def test_quotes_commas(self):
-        csv = to_csv([{"v": "a,b"}])
-        assert '"a,b"' in csv
-
-    def test_dataclass_rows(self):
-        from repro.experiments import CacheSizePoint
-
-        point = CacheSizePoint(0.1, 3, 100, 20.0, 80.0, 50.0)
-        csv = to_csv([point.__dict__])
-        assert "size_fraction" in csv
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            to_csv([])

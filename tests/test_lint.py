@@ -2,9 +2,8 @@
 
 Each rule is exercised against a positive (violating) and negative
 (clean) fixture under ``tests/lint_fixtures/``; on top of that the suite
-pins the baseline/suppression machinery, the CLI exit codes, and — the
-point of the whole exercise — that ``src/`` itself lints clean modulo
-the checked-in baseline.
+pins the inline suppressions, the CLI exit codes and output, and — the
+point of the whole exercise — that ``src/`` itself lints clean.
 """
 
 from __future__ import annotations
@@ -17,20 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    LintConfig,
-    apply_overrides,
-    lint_paths,
-    load_all_rules,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.baseline import Baseline
+from repro.lint import LintConfig, lint_paths, load_all_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "tests" / "lint_fixtures"
 
-#: Overrides retargeting path-scoped rules at the fixture files.
+#: Configs retargeting path-scoped rules at the fixture files.
 HOT_FIXTURES = LintConfig(
     hot_path_modules=(
         "tests/lint_fixtures/dtype_bad.py",
@@ -54,8 +45,8 @@ def run_fixture(
     )
 
 
-def new_rules(report) -> list[str]:
-    return sorted(f.rule for f in report.new)
+def finding_rules(report) -> list[str]:
+    return sorted(f.rule for f in report.findings)
 
 
 # ----------------------------------------------------------------------
@@ -64,40 +55,40 @@ def new_rules(report) -> list[str]:
 
 def test_no_global_rng_fires_on_every_spelling():
     report = run_fixture("rng_bad.py")
-    assert new_rules(report) == ["no-global-rng"] * 4
-    messages = " ".join(f.message for f in report.new)
+    assert finding_rules(report) == ["no-global-rng"] * 4
+    messages = " ".join(f.message for f in report.findings)
     assert "np.random.seed" in messages
 
 
 def test_no_global_rng_quiet_on_seeded_generators():
-    assert run_fixture("rng_good.py").new == []
+    assert run_fixture("rng_good.py").findings == []
 
 
 def test_dtype_discipline_fires_on_hot_path():
     # Two implicit-float64 constructors plus three copying casts — one
     # float cast and two quantized-buffer casts (int8 codes, staging).
     report = run_fixture("dtype_bad.py", config=HOT_FIXTURES)
-    assert new_rules(report) == ["dtype-discipline"] * 5
+    assert finding_rules(report) == ["dtype-discipline"] * 5
 
 
 def test_dtype_discipline_scoped_to_hot_path_modules():
     # Same violating file, but not configured as a hot path: quiet.
-    assert run_fixture("dtype_bad.py").new == []
+    assert run_fixture("dtype_bad.py").findings == []
 
 
 def test_dtype_discipline_quiet_on_explicit_dtypes():
-    assert run_fixture("dtype_good.py", config=HOT_FIXTURES).new == []
+    assert run_fixture("dtype_good.py", config=HOT_FIXTURES).findings == []
 
 
 def test_zero_alloc_kernel_fires_inside_marked_kernel_only():
     report = run_fixture("kernel_bad.py")
-    assert new_rules(report) == ["zero-alloc-kernel"] * 2
+    assert finding_rules(report) == ["zero-alloc-kernel"] * 2
     # The unregistered helper's np.zeros is not flagged.
-    assert all("plain_helper" not in f.message for f in report.new)
+    assert all("plain_helper" not in f.message for f in report.findings)
 
 
 def test_zero_alloc_kernel_quiet_on_out_parameter_kernel():
-    assert run_fixture("kernel_good.py").new == []
+    assert run_fixture("kernel_good.py").findings == []
 
 
 def test_zero_alloc_kernel_reports_an_entry_naming_no_function():
@@ -112,26 +103,26 @@ def test_zero_alloc_kernel_reports_an_entry_naming_no_function():
         )
     )
     report = run_fixture("kernel_stale.py", config=config)
-    assert new_rules(report) == ["zero-alloc-kernel"]
-    assert "Session._fold_block" in report.new[0].message
+    assert finding_rules(report) == ["zero-alloc-kernel"]
+    assert "Session._fold_block" in report.findings[0].message
 
 
 def test_wallclock_fires_in_configured_dirs():
     report = run_fixture("wallclock_bad.py", config=WALLCLOCK_FIXTURES)
-    assert new_rules(report) == ["no-wallclock-in-sim"] * 4
+    assert finding_rules(report) == ["no-wallclock-in-sim"] * 4
 
 
 def test_wallclock_quiet_outside_configured_dirs():
-    assert run_fixture("wallclock_bad.py").new == []
+    assert run_fixture("wallclock_bad.py").findings == []
 
 
 def test_wallclock_quiet_on_virtual_time_code():
-    assert run_fixture("wallclock_good.py", config=WALLCLOCK_FIXTURES).new == []
+    assert run_fixture("wallclock_good.py", config=WALLCLOCK_FIXTURES).findings == []
 
 
 def test_hygiene_rules_fire():
     report = run_fixture("hygiene_bad.py")
-    assert new_rules(report) == [
+    assert finding_rules(report) == [
         "mutable-default",
         "mutable-default",
         "shape-comment-drift",
@@ -140,7 +131,7 @@ def test_hygiene_rules_fire():
 
 
 def test_hygiene_quiet_on_clean_file():
-    assert run_fixture("hygiene_good.py").new == []
+    assert run_fixture("hygiene_good.py").findings == []
 
 
 # ----------------------------------------------------------------------
@@ -149,63 +140,28 @@ def test_hygiene_quiet_on_clean_file():
 
 def test_justified_suppression_moves_finding_to_suppressed():
     report = run_fixture("suppress_ok.py")
-    assert report.new == []
+    assert report.findings == []
     assert [f.rule for f in report.suppressed] == ["no-global-rng"]
 
 
 def test_bare_suppression_is_not_honoured():
     # hygiene_bad.py tries to hide a dtype violation behind a
     # justification-less disable comment; with the file configured as a
-    # hot path the violation must still surface as new.
+    # hot path the violation must still surface as a finding.
     report = run_fixture("hygiene_bad.py", config=HOT_FIXTURES)
-    assert "dtype-discipline" in new_rules(report)
+    assert "dtype-discipline" in finding_rules(report)
     assert report.suppressed == []
 
 
 # ----------------------------------------------------------------------
-# Baseline
+# Driver
 # ----------------------------------------------------------------------
-
-def test_baseline_roundtrip_and_line_drift_stability(tmp_path):
-    target = tmp_path / "debt.py"
-    source = (FIXTURES / "rng_bad.py").read_text(encoding="utf-8")
-    target.write_text(source, encoding="utf-8")
-
-    first = lint_paths([target], config=LintConfig(), root=tmp_path)
-    assert len(first.new) == 4
-    baseline_path = tmp_path / "lint_baseline.json"
-    write_baseline(baseline_path, first.new)
-
-    # Shift every finding down three lines: fingerprints must survive.
-    target.write_text("# pad\n# pad\n# pad\n" + source, encoding="utf-8")
-    second = lint_paths(
-        [target],
-        config=LintConfig(),
-        root=tmp_path,
-        baseline=load_baseline(baseline_path),
-    )
-    assert second.new == []
-    assert len(second.baselined) == 4
-    assert second.ok
-
-
-def test_absent_baseline_is_empty(tmp_path):
-    loaded = load_baseline(tmp_path / "missing.json")
-    assert loaded.fingerprints == Baseline.empty().fingerprints
-
-
-def test_baseline_without_findings_list_is_refused(tmp_path):
-    path = tmp_path / "lint_baseline.json"
-    path.write_text('{"version": 1, "fingerprints": ["abc"]}', encoding="utf-8")
-    with pytest.raises(ValueError, match="findings"):
-        load_baseline(path)
-
 
 def test_syntax_error_becomes_finding(tmp_path):
     bad = tmp_path / "broken.py"
     bad.write_text("def oops(:\n", encoding="utf-8")
     report = lint_paths([bad], config=LintConfig(), root=tmp_path)
-    assert new_rules(report) == ["syntax-error"]
+    assert finding_rules(report) == ["syntax-error"]
 
 
 def test_unknown_rule_id_rejected():
@@ -215,11 +171,11 @@ def test_unknown_rule_id_rejected():
 
 def test_rule_filter_restricts_scan():
     report = run_fixture("hygiene_bad.py", rule_ids=["mutable-default"])
-    assert new_rules(report) == ["mutable-default"] * 2
+    assert finding_rules(report) == ["mutable-default"] * 2
 
 
 # ----------------------------------------------------------------------
-# Registry / config
+# Registry
 # ----------------------------------------------------------------------
 
 def test_registry_contains_the_documented_rules():
@@ -234,26 +190,13 @@ def test_registry_contains_the_documented_rules():
     }
 
 
-def test_overrides_accept_dashes_and_underscores():
-    base = LintConfig()
-    a = apply_overrides(base, {"hot-path-modules": ["x.py"]})
-    b = apply_overrides(base, {"hot_path_modules": ["x.py"]})
-    assert a.hot_path_modules == b.hot_path_modules == ("x.py",)
-    # Unknown keys are ignored, not fatal.
-    assert apply_overrides(base, {"bogus": 1}) == base
-
-
 # ----------------------------------------------------------------------
 # The repo itself
 # ----------------------------------------------------------------------
 
 def test_src_is_clean_modulo_checked_in_baseline():
-    report = lint_paths(
-        [REPO_ROOT / "src"],
-        root=REPO_ROOT,
-        baseline=load_baseline(REPO_ROOT / "lint_baseline.json"),
-    )
-    assert report.ok, "\n".join(f.format() for f in report.new)
+    report = lint_paths([REPO_ROOT / "src"], root=REPO_ROOT)
+    assert report.ok, "\n".join(f.format() for f in report.findings)
 
 
 # ----------------------------------------------------------------------
@@ -273,14 +216,14 @@ def run_cli(*argv: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_exit_codes_and_json():
-    clean = run_cli(str(FIXTURES / "rng_good.py"), "--no-baseline")
+    clean = run_cli(str(FIXTURES / "rng_good.py"))
     assert clean.returncode == 0, clean.stderr
 
-    dirty = run_cli(str(FIXTURES / "rng_bad.py"), "--no-baseline", "--json")
+    dirty = run_cli(str(FIXTURES / "rng_bad.py"), "--json")
     assert dirty.returncode == 1
     payload = json.loads(dirty.stdout)
     assert payload["ok"] is False
-    assert len(payload["new"]) == 4
+    assert len(payload["findings"]) == 4
 
     missing = run_cli(str(FIXTURES / "no_such_file.py"))
     assert missing.returncode == 2
@@ -291,3 +234,25 @@ def test_cli_list_rules():
     assert result.returncode == 0
     assert "no-global-rng" in result.stdout
     assert "zero-alloc-kernel" in result.stdout
+
+
+def test_cli_output_lists_each_finding_and_two_counts():
+    payload = json.loads(run_cli(str(FIXTURES / "rng_bad.py"), "--json").stdout)
+    assert sorted(payload) == ["files_scanned", "findings", "ok", "suppressed"]
+    assert payload["ok"] is False
+    for finding in payload["findings"]:
+        assert sorted(finding) == ["col", "hint", "line", "message", "path", "rule"]
+        assert finding["rule"] == "no-global-rng"
+        assert finding["path"] == "tests/lint_fixtures/rng_bad.py"
+
+    text = run_cli(str(FIXTURES / "rng_bad.py"))
+    assert text.returncode == 1
+    summary = text.stderr.strip().splitlines()[-1]
+    assert summary == (
+        "repro lint: FAILED (1 file(s) scanned: 4 finding(s), 0 suppressed)"
+    )
+    clean = run_cli(str(FIXTURES / "suppress_ok.py"))
+    assert clean.returncode == 0, clean.stderr
+    assert clean.stdout.strip().splitlines()[-1] == (
+        "repro lint: clean (1 file(s) scanned: 0 finding(s), 1 suppressed)"
+    )

@@ -1164,15 +1164,15 @@ class TestCoalescing:
     def test_worker_exception_fails_every_member(self, snapshot, monkeypatch):
         import repro.serve.worker as worker_module
 
-        walk = worker_module.walk_cache_batch
+        walk = worker_module._walk_fitted
 
-        def walk_one_row_only(cache, vectors, workspace):
+        def walk_one_row_only(cache, pack, vectors, workspace):
             if vectors.shape[0] > 1:
                 raise RuntimeError("walk failed")
-            return walk(cache, vectors, workspace)
+            return walk(cache, pack, vectors, workspace)
 
         # Patched before the workers start, so a forked worker has it too.
-        monkeypatch.setattr(worker_module, "walk_cache_batch", walk_one_row_only)
+        monkeypatch.setattr(worker_module, "_walk_fitted", walk_one_row_only)
         vectors = centroid_queries(snapshot, [4])
         options = WorkerOptions(service_floor_ms=20.0)
 

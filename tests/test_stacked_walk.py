@@ -784,7 +784,7 @@ def test_kept_walk_views_hold_no_walk_over(tmp_path):
             )
             want = alone(together)[:3]
             lo = 0
-            for chunk, outcome in zip(chunks, _walk_together(state, chunks)):
+            for chunk, outcome in zip(chunks, _walk_together(state, cache.layer_pack(), chunks)):
                 hi = lo + chunk.shape[0]
                 assert same(outcome, [a[lo:hi] for a in want]), rows
                 lo = hi
@@ -856,6 +856,27 @@ class TestRequestGeometry:
                 raise answers[2][1]
             [(ok, reply, _)] = serve_requests(state, [good])  # still serving
             assert ok and reply.predicted.shape == (1,)
+        finally:
+            shutdown_worker(state)
+
+    def test_serve_requests_reads_the_layer_pack_once_per_frame(self, snapshot, monkeypatch):
+        """A one-frame call checks its tensor's fit once: the walk reuses
+        the pack that check returned."""
+        scene, path = snapshot
+        state = WorkerState(path, WorkerOptions())
+        try:
+            cache = state.cache
+            build = cache.layer_pack
+            reads = []
+
+            def counted_layer_pack():
+                reads.append(1)
+                return build()
+
+            monkeypatch.setattr(cache, "layer_pack", counted_layer_pack)
+            [(ok, reply, _)] = serve_requests(state, [scene.queries(1)])
+            assert ok and reply.predicted.shape == (1,)
+            assert len(reads) == 1
         finally:
             shutdown_worker(state)
 

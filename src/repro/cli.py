@@ -398,6 +398,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(f"no such path: {missing[0]}", file=sys.stderr)
         return 2
     rule_ids = [r.strip() for r in args.rules.split(",") if r.strip()] if args.rules else None
+    unknown = sorted(set(rule_ids or ()) - set(load_all_rules()))
+    if unknown:
+        print(f"unknown rule id(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
     report = lint_paths(paths, rule_ids=rule_ids, root=find_repo_root(paths[0]))
 
     if args.json:

@@ -28,8 +28,8 @@ refuse a layer that would break that.  So every cache stacks into one
 :class:`LayerPack`, and lookups run a batch of samples at a time through
 one kernel: :meth:`StackLayout.step` scores a block of layers for a set
 of rows, :func:`repro.core.probe.walk_cache_batch` chains it block by
-block with early exit, the server's calibration scores each layer alone
-with it, and :class:`BatchedLookupSession` runs it one layer per call.
+block with early exit, and :class:`BatchedLookupSession` runs it one
+layer per call.
 
 Serving-path performance rests on two policies layered on top:
 

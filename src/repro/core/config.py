@@ -39,8 +39,10 @@ class CoCaConfig:
         cache_budget_fraction: client cache-size threshold Pi expressed as
             a fraction of the full global-table size for the task; the
             paper's motivation study (Fig. 1a) finds ~10% optimal.
-        accuracy_loss_budget: SLO accuracy-loss constraint Omega (used by
-            threshold selection helpers, not enforced per-inference).
+        accuracy_loss_budget: SLO accuracy-loss constraint Omega: a
+            cache layer is allocated only where its calibrated exit loss
+            is at most this (:meth:`~repro.core.server.CoCaServer.eligible_layers`,
+            at every allocation), not checked per inference.
         lookup_dtype: storage/compute precision of client caches built by
             the server — ``"float32"`` (default serving mode: scores
             carry ~1e-6 relative rounding against decision margins of
@@ -97,10 +99,6 @@ class CoCaConfig:
     def with_theta(self, theta: float) -> "CoCaConfig":
         """A copy with a different hit threshold (SLO tuning)."""
         return replace(self, theta=theta)
-
-    def with_budget_fraction(self, fraction: float) -> "CoCaConfig":
-        """A copy with a different client cache-size budget."""
-        return replace(self, cache_budget_fraction=fraction)
 
 
 #: Thresholds recommended by this reproduction's own Sec. VI-D-style

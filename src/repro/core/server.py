@@ -11,8 +11,8 @@ round it:
   frequency-weighted averaging (Eq. 4) and accumulates class frequencies
   (Eq. 5) — the mechanism that mitigates non-IID drift (Sec. IV-D).
 
-The initial table and the reference per-layer hit-ratio vector come from
-the server's *global shared dataset*, exactly as in the paper.
+The initial table and the reference per-layer hit ratios and exit losses
+come from the server's *global shared dataset*, exactly as in the paper.
 
 Merging is vectorized: :meth:`CoCaServer.apply_client_update` folds the
 uploaded table — the arrays of a :class:`~repro.core.client.UpdateTable`
@@ -22,12 +22,14 @@ Calibration (:meth:`CoCaServer.measure_layer_statistics`,
 :meth:`CoCaServer.measure_similarity_floors`) draws its shared-dataset
 streams as blocks and its samples as one
 :class:`~repro.models.feature.SampleBatch` — no per-sample Python
-objects anywhere on the server — and scores layer statistics with the
-cache walk's own block step (:meth:`~repro.core.cache.StackLayout.step`).
+objects anywhere on the server.  Layer statistics are kept as a
+θ-free :class:`LayerScores` table, one Eq. 2 score per (layer, sample);
+:meth:`LayerScores.statistics` is the one place θ meets it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -35,12 +37,7 @@ import numpy as np
 
 from repro import contracts
 from repro.core.allocation import AllocationResult, aca_allocate
-from repro.core.cache import (
-    PACK_BLOCK_LAYERS,
-    LayerBlock,
-    LookupWorkspace,
-    SemanticCache,
-)
+from repro.core.cache import PACK_BLOCK_LAYERS, LookupWorkspace, SemanticCache
 from repro.core.client import UpdateTable
 from repro.core.config import CoCaConfig
 from repro.data.stream import StreamGenerator
@@ -68,14 +65,46 @@ CACHED_FRACTION = 0.9
 #: cosines, minus the margin.
 FLOOR_QUANTILE = 0.03
 FLOOR_MARGIN = 0.01
-#: Layers one calibration step scores (:meth:`CoCaServer.measure_layer_statistics`).
-#: Not the walk's :data:`~repro.core.cache.PACK_BLOCK_LAYERS`: the
-#: calibration scores every layer for every row, so a deeper step saves
-#: only per-step overhead while its ``(G, rows, n)`` scratch grows with
-#: ``G``.  The bits are the same at any depth (each layer is its own BLAS
-#: call at ``alpha = 0``); time and traced peak per depth are in
-#: ``src/repro/core/README.md``.
-_CALIBRATION_BLOCK_LAYERS = 4
+
+
+@dataclass(frozen=True)
+class LayerScores:
+    """One θ-free calibration pass (:meth:`CoCaServer.measure_layer_statistics`):
+    every layer probed alone for each of ``N`` shared-dataset samples."""
+
+    #: ``(L, N)`` Eq. 2 scores, ``-inf`` where the best similarity is <= 0.
+    scores: np.ndarray
+    #: ``(L, N)`` bool: the layer's best class is the sample's class.
+    top1_correct: np.ndarray
+    #: ``(N,)`` bool: the sample's class is cached.
+    cached: np.ndarray
+    #: ``(N,)`` bool: the full model classifies the sample correctly.
+    model_correct: np.ndarray
+
+    def statistics(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-layer ``(hit_ratio, exit_loss)`` of fires, scores above ``theta``.
+
+        * **standalone hit ratio** — probability a *cached-class* sample
+          would hit at layer ``j`` probed in isolation.  This is the
+          semantics ACA's layer-benefit adjustment assumes: a sample
+          hitting at layer ``b`` would also hit at any deeper layer, so
+          standalone ratios grow with depth and ``R[j] -= R[b]`` leaves
+          each deeper layer with the *extra* hits it catches.
+        * **exit loss** — accuracy the full model achieves *on the firing
+          samples* (cached or not) minus the fraction of them whose
+          predicted class is correct: the accuracy sacrificed by
+          early-exiting at that layer.  This is the empirical estimate of
+          the paper's per-client accuracy-loss function G(X, Theta) used
+          to enforce the SLO constraint G <= Omega during allocation.
+        """
+        fire = self.scores > theta
+        fires = fire.sum(axis=1)
+        ratio = (fire & self.cached).sum(axis=1) / max(1, int(self.cached.sum()))
+        accuracy, model_acc = (
+            np.divide((fire & ok).sum(axis=1), fires, out=np.zeros(fires.size), where=fires > 0)
+            for ok in (self.top1_correct, self.model_correct)
+        )
+        return ratio, np.maximum(0.0, model_acc - accuracy)
 
 
 class GlobalCacheTable:
@@ -245,7 +274,6 @@ class CoCaServer:
             [model.profile.saved_if_hit_at(j) for j in range(num_layers)]
         )
         self.reference_hit_ratio = np.zeros(num_layers)
-        self.reference_hit_accuracy = np.zeros(num_layers)
         self.reference_exit_loss = np.zeros(num_layers)
         #: Per-layer absolute similarity floors for cache hits, calibrated
         #: as a low quantile of correct fires' top cosines on the shared
@@ -262,7 +290,7 @@ class CoCaServer:
     def initialize_from_shared_dataset(
         self, rng: np.random.Generator, calibration_samples: int = 600
     ) -> None:
-        """Fill the global table and measure the reference hit ratios.
+        """Fill the global table and measure the reference vectors.
 
         The paper's server generates the initial cache from a global
         shared dataset and characterizes the per-layer hit behaviour
@@ -278,13 +306,13 @@ class CoCaServer:
                 self.table.install(class_id, layer, centroids[class_id])
         # Average two calibration passes (different random cached subsets)
         # so layer eligibility does not hinge on one subset draw.
-        first = self.measure_layer_statistics(rng, num_samples=calibration_samples)
-        second = self.measure_layer_statistics(rng, num_samples=calibration_samples)
-        (
-            self.reference_hit_ratio,
-            self.reference_hit_accuracy,
-            self.reference_exit_loss,
-        ) = tuple((a + b) / 2.0 for a, b in zip(first, second))
+        first, second = (
+            self.measure_layer_statistics(rng, calibration_samples).statistics(self.config.theta)
+            for _ in range(2)
+        )
+        self.reference_hit_ratio, self.reference_exit_loss = (
+            (a + b) / 2.0 for a, b in zip(first, second)
+        )
         self.reference_similarity_floor = self.measure_similarity_floors(
             rng, num_samples=calibration_samples
         )
@@ -293,8 +321,8 @@ class CoCaServer:
         self,
         rng: np.random.Generator,
         num_samples: int = 600,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-layer cache statistics on the shared dataset.
+    ) -> LayerScores:
+        """Score every cache layer alone on the shared dataset.
 
         The measurement mirrors deployment conditions: only a random
         :data:`CACHED_FRACTION` of the classes is cached, and entries
@@ -303,21 +331,10 @@ class CoCaServer:
         threshold is an erroneous hit and counts against the layer's
         accuracy — the mechanism that makes shallow layers SLO-unsafe.
 
-        Returns three vectors of length L:
-
-        * **standalone hit ratio** — probability a *cached-class* sample
-          would hit at layer ``j`` probed in isolation.  This is the
-          semantics ACA's layer-benefit adjustment assumes: a sample
-          hitting at layer ``b`` would also hit at any deeper layer, so
-          standalone ratios grow with depth and ``R[j] -= R[b]`` leaves
-          each deeper layer with the *extra* hits it catches.
-        * **standalone hit accuracy** — fraction of all fires (cached or
-          not) whose class is correct.
-        * **exit loss** — accuracy the full model achieves *on the firing
-          samples* minus the hit accuracy: the accuracy sacrificed by
-          early-exiting at that layer.  This is the empirical estimate of
-          the paper's per-client accuracy-loss function G(X, Theta) used
-          to enforce the SLO constraint G <= Omega during allocation.
+        Per layer: one ``(N, d) @ (d, n)`` product, the walk's top-2
+        rule (argmax, first index on ties; mask the winner, then max) and
+        its Eq. 2 (:meth:`~repro.core.cache.LookupWorkspace.scores_into`);
+        :meth:`LayerScores.statistics` applies θ.
         """
         model = self.model
         num_layers = model.num_cache_layers
@@ -341,51 +358,32 @@ class CoCaServer:
             base_difficulty=model.dataset.difficulty,
             working_set_size=None,  # stable coverage of cached/uncached mix
         )
-        theta = self.config.theta
         block = stream.take_block(num_samples)
         batch = model.draw_samples(block, 0, rng)
         class_ids = block.class_ids
-        vectors = batch.vectors  # (N, L+1, d)
         predictions, _ = model.classify_vectors(batch.final_vectors())
-        model_ok = predictions == class_ids
-        is_cached = np.isin(class_ids, cached)
-        num_cached_samples = int(is_cached.sum())
 
-        # Each layer scored alone by the walk's block step: Eq. 1 with
-        # alpha = 0 from a zero A, and floors that refuse nothing, so a
-        # layer fires on Eq. 2 above theta with A_best > 0.
-        stacked = np.stack(centroids)  # (L, n_cached, d)
-        rows, dim = class_ids.size, vectors.shape[2]
-        zero = np.zeros((rows, num_cached), dtype=stacked.dtype)
-        no_floors = np.full((_CALIBRATION_BLOCK_LAYERS, 1), -np.inf, dtype=stacked.dtype)
-        fires = np.zeros(num_layers)
-        cached_hits = np.zeros(num_layers)
-        correct = np.zeros(num_layers)
-        model_correct_on_hitters = np.zeros(num_layers)
-        with LookupWorkspace() as workspace:
-            for start in range(0, num_layers, _CALIBRATION_BLOCK_LAYERS):
-                span = slice(start, min(start + _CALIBRATION_BLOCK_LAYERS, num_layers))
-                depth = span.stop - start
-                layers = np.arange(start, span.stop)
-                block = LayerBlock(layers, stacked[span], no_floors[:depth], ())
-                s = workspace.stack_layout(
-                    rows, depth, num_cached, dim, stacked.dtype, stacked.dtype
-                )
-                np.copyto(s.queries, vectors[:, span, :])
-                s.step(zero, block, 0.0, theta)
-                fire = s.hits  # (depth, rows)
-                predicted = cached[s.best_idx.reshape(depth, rows)]
-                fires[span] = fire.sum(axis=1)
-                cached_hits[span] = (fire & is_cached).sum(axis=1)
-                correct[span] = (fire & (predicted == class_ids)).sum(axis=1)
-                model_correct_on_hitters[span] = (fire & model_ok).sum(axis=1)
-        ratio = cached_hits / max(1, num_cached_samples)
-        accuracy = np.divide(correct, fires, out=np.zeros(num_layers), where=fires > 0)
-        model_acc = np.divide(
-            model_correct_on_hitters, fires, out=np.zeros(num_layers), where=fires > 0
+        rows = np.arange(class_ids.size)
+        scores = np.empty((num_layers, rows.size))
+        top1_correct = np.empty((num_layers, rows.size), dtype=bool)
+        nonpos = np.empty(rows.size, dtype=bool)
+        denom = np.empty(rows.size)
+        similarity = np.empty((rows.size, num_cached))
+        for layer, matrix in enumerate(centroids):
+            np.matmul(batch.vectors[:, layer, :], matrix.T, out=similarity)
+            best = similarity.argmax(axis=1)
+            a_best = similarity[rows, best]
+            similarity[rows, best] = -np.inf
+            a_second = similarity.max(axis=1)
+            LookupWorkspace.scores_into(a_best, a_second, scores[layer], nonpos, denom)
+            scores[layer, a_best <= 0] = -np.inf
+            np.equal(cached[best], class_ids, out=top1_correct[layer])
+        return LayerScores(
+            scores=scores,
+            top1_correct=top1_correct,
+            cached=np.isin(class_ids, cached),
+            model_correct=predictions == class_ids,
         )
-        exit_loss = np.maximum(0.0, model_acc - accuracy)
-        return ratio, accuracy, exit_loss
 
     def measure_similarity_floors(
         self,
@@ -556,7 +554,6 @@ class CoCaServer:
         replica = CoCaServer(self.model, self.config, freq_prior=0.0)
         replica.table = self.table.copy()
         replica.reference_hit_ratio = self.reference_hit_ratio.copy()
-        replica.reference_hit_accuracy = self.reference_hit_accuracy.copy()
         replica.reference_exit_loss = self.reference_exit_loss.copy()
         replica.reference_similarity_floor = self.reference_similarity_floor.copy()
         return replica
@@ -588,7 +585,6 @@ class CoCaServer:
             self.table,
             references={
                 "reference_hit_ratio": self.reference_hit_ratio,
-                "reference_hit_accuracy": self.reference_hit_accuracy,
                 "reference_exit_loss": self.reference_exit_loss,
                 "reference_similarity_floor": self.reference_similarity_floor,
             },
@@ -606,7 +602,9 @@ class CoCaServer:
         state is mutated, so a mismatched, incomplete or truncated
         snapshot can never corrupt the server halfway through a load —
         nor silently leave it with all-zero hit ratios, i.e. no eligible
-        layer and an Edge-Only cache.
+        layer and an Edge-Only cache.  A reference array the server does
+        not read (older snapshots carry ``reference_hit_accuracy``) is
+        shape-checked like the others and then ignored.
 
         Raises:
             ValueError: naming ``path`` when it is not a snapshot
@@ -625,7 +623,6 @@ class CoCaServer:
             references = self._validated_references(store)
             self.table = store.as_table()
         self.reference_hit_ratio = references["reference_hit_ratio"]
-        self.reference_hit_accuracy = references["reference_hit_accuracy"]
         self.reference_exit_loss = references["reference_exit_loss"]
         self.reference_similarity_floor = references.get(
             "reference_similarity_floor",
@@ -651,11 +648,7 @@ class CoCaServer:
                 f"{expected_geometry}"
             )
         references = store.references()
-        for name in (
-            "reference_hit_ratio",
-            "reference_hit_accuracy",
-            "reference_exit_loss",
-        ):
+        for name in ("reference_hit_ratio", "reference_exit_loss"):
             if name not in references:
                 raise ValueError(
                     f"snapshot {store.path} is missing reference array {name!r}"

@@ -34,9 +34,10 @@ the two:
 * :func:`walk_layers` — :func:`repro.core.probe.walk_cache_batch`
   written as a loop over the activated layers, each probed for the rows
   no earlier layer resolved;
-* :func:`layer_statistics` — the server's calibration
-  (:meth:`~repro.core.server.CoCaServer.measure_layer_statistics`) with
-  each layer scored by its own product, a sort for the top 2 and
+* :func:`layer_statistics` — the server's calibration at one theta
+  (:meth:`~repro.core.server.CoCaServer.measure_layer_statistics`, then
+  :meth:`~repro.core.server.LayerScores.statistics`) with each layer's
+  fires counted straight from its own product, a sort for the top 2 and
   :func:`discriminative_score`;
 * :func:`similarity_floors` — the server's floor calibration
   (:meth:`~repro.core.server.CoCaServer.measure_similarity_floors`)
@@ -637,15 +638,16 @@ def walk_layers(cache: SemanticCache, vectors: np.ndarray) -> CacheWalk:
 
 
 def layer_statistics(
-    server: CoCaServer, rng: np.random.Generator, num_samples: int = 600
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:meth:`~repro.core.server.CoCaServer.measure_layer_statistics`
-    one layer at a time.
+    server: CoCaServer, rng: np.random.Generator, num_samples: int, theta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``measure_layer_statistics(rng, num_samples).statistics(theta)``
+    of :class:`~repro.core.server.CoCaServer`, one layer at a time:
+    the per-layer ``(hit_ratio, exit_loss)``.
 
     Same draws from ``rng``, in the same order, so the same cached
     classes, drifted centroids and samples.  Per layer: one
     ``(N, d) @ (d, n)`` product, the top 2 by sort, Eq. 2 clamped at a
-    non-positive runner-up, and a fire on a score above theta with a
+    non-positive runner-up, and a fire on a score above ``theta`` with a
     positive best similarity.
     """
     model = server.model
@@ -674,21 +676,20 @@ def layer_statistics(
     predictions, _ = model.classify_vectors(batch.final_vectors())
     model_ok = predictions == class_ids
     is_cached = np.isin(class_ids, cached)
-    ratio, accuracy, exit_loss = (np.zeros(num_layers) for _ in range(3))
+    ratio, exit_loss = np.zeros(num_layers), np.zeros(num_layers)
     for layer in range(num_layers):
         similarity = batch.vectors[:, layer, :] @ centroids[layer].T
         order = np.argsort(similarity, axis=1)
         best = np.take_along_axis(similarity, order[:, -1:], axis=1)[:, 0]
         second = np.take_along_axis(similarity, order[:, -2:-1], axis=1)[:, 0]
         score = discriminative_score(best, second)
-        fire = (score > server.config.theta) & (best > 0)
+        fire = (score > theta) & (best > 0)
         fires = fire.sum()
         ratio[layer] = (fire & is_cached).sum() / max(1, is_cached.sum())
         if fires:
-            correct = fire & (cached[order[:, -1]] == class_ids)
-            accuracy[layer] = correct.sum() / fires
-            exit_loss[layer] = max(0.0, (fire & model_ok).sum() / fires - accuracy[layer])
-    return ratio, accuracy, exit_loss
+            accuracy = (fire & (cached[order[:, -1]] == class_ids)).sum() / fires
+            exit_loss[layer] = max(0.0, (fire & model_ok).sum() / fires - accuracy)
+    return ratio, exit_loss
 
 
 def similarity_floors(

@@ -9,6 +9,7 @@ from repro.core.config import CoCaConfig
 from repro.core.server import CoCaServer, GlobalCacheTable
 from repro.data.datasets import get_dataset
 from repro.data.stream import StreamGenerator
+from repro.experiments.slo import DEFAULT_GRIDS
 from repro.models.zoo import build_model
 
 
@@ -114,7 +115,6 @@ class TestServer:
     def test_reference_statistics_shapes(self, server, tiny_model):
         L = tiny_model.num_cache_layers
         assert server.reference_hit_ratio.shape == (L,)
-        assert server.reference_hit_accuracy.shape == (L,)
         assert server.reference_exit_loss.shape == (L,)
         assert np.all(server.reference_hit_ratio >= 0)
         assert np.all(server.reference_hit_ratio <= 1)
@@ -159,23 +159,39 @@ class TestServer:
         assert server.cache_size_limit_bytes(0.5) == int(0.5 * full)
 
 
+#: Every theta the repository runs CoCa at: the SLO sweep's grid
+#: (``DEFAULT_GRIDS["CoCa"]``), Fig. 5's values for vgg16_bn and
+#: resnet101 (``benchmarks/test_fig5_theta.py``), the config default and 0.
+CALIBRATION_THETAS = sorted(
+    {
+        *DEFAULT_GRIDS["CoCa"],
+        *(0.03, 0.045, 0.06, 0.075, 0.09),
+        *(0.02, 0.035, 0.05, 0.065, 0.08),
+        CoCaConfig().theta,
+        0.0,
+    }
+)
+
+
 class TestCalibrationMatchesOracle:
-    """Calibration scores each layer alone through the walk's block step;
-    the per-layer loop of ``oracle.layer_statistics`` gives the same bits
-    from the same draws."""
+    """Calibration keeps a theta-free score table; at every theta its
+    statistics are the bits of ``oracle.layer_statistics``, a per-layer
+    loop that counts fires at that theta, from the same draws."""
 
     @staticmethod
     def _check(server, seed, num_samples):
         rng = np.random.default_rng(seed)
-        expected_rng = np.random.default_rng(seed)
-        got = server.measure_layer_statistics(rng, num_samples=num_samples)
-        expected = oracle.layer_statistics(server, expected_rng, num_samples)
-        for a, b in zip(got, expected, strict=True):
-            assert np.array_equal(a, b)
-        # Both consumed the same draws.
-        assert rng.integers(2**62) == expected_rng.integers(2**62)
-        # The case is not vacuous: some layer fires.
-        assert got[0].any()
+        table = server.measure_layer_statistics(rng, num_samples=num_samples)
+        for theta in CALIBRATION_THETAS:
+            expected_rng = np.random.default_rng(seed)
+            expected = oracle.layer_statistics(server, expected_rng, num_samples, theta)
+            got = table.statistics(theta)
+            for a, b in zip(got, expected, strict=True):
+                assert np.array_equal(a, b), theta
+            # Both consumed the same draws.
+            assert rng.bit_generator.state == expected_rng.bit_generator.state
+        # The case is not vacuous: some layer fires at the config's theta.
+        assert table.statistics(server.config.theta)[0].any()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tiny_model(self, tiny_model, config, seed):
@@ -184,8 +200,63 @@ class TestCalibrationMatchesOracle:
     @pytest.mark.parametrize("seed", [1000, 1001, 1002])
     def test_resnet101_ucf101_50(self, seed):
         model = build_model("resnet101", get_dataset("ucf101", 50), seed=0)
-        assert model.num_cache_layers > 8  # several blocks of the step
         self._check(CoCaServer(model, CoCaConfig()), seed, num_samples=600)
+
+    @pytest.mark.parametrize("seed", [0, 1000])
+    def test_resnet152_ucf101(self, seed):
+        model = build_model("resnet152", get_dataset("ucf101"), num_clients=4, seed=0)
+        self._check(CoCaServer(model, CoCaConfig()), seed, num_samples=600)
+
+
+class TestLayerScores:
+    def test_fires_and_hit_ratio_fall_as_theta_rises(self, tiny_model, config):
+        table = CoCaServer(tiny_model, config).measure_layer_statistics(
+            np.random.default_rng(0), num_samples=150
+        )
+        thetas = np.linspace(0.0, 0.3, 31)
+        fires = np.array([(table.scores > theta).sum(axis=1) for theta in thetas])
+        ratios = np.array([table.statistics(theta)[0] for theta in thetas])
+        assert np.all(np.diff(fires, axis=0) <= 0)
+        assert np.all(np.diff(ratios, axis=0) <= 0)
+        # Not vacuous: the grid spans firing and silent thresholds.
+        assert ratios[0].any() and ratios[0].sum() > ratios[-1].sum()
+
+    def test_a_non_positive_best_never_fires(self, tiny_model, config, monkeypatch):
+        """Cached centroids negated on odd layers, where the best
+        similarities turn negative.  Those scores are -inf, so not even
+        theta = -inf fires them, as in the oracle's rule (fire only on a
+        positive best)."""
+        ideal = tiny_model.ideal_centroids
+        monkeypatch.setattr(
+            tiny_model, "ideal_centroids", lambda layer: ideal(layer) * (-1) ** layer
+        )
+        server = CoCaServer(tiny_model, config)
+        table = server.measure_layer_statistics(np.random.default_rng(0), num_samples=150)
+        assert np.isneginf(table.scores).any() and np.isfinite(table.scores).any()
+        expected = oracle.layer_statistics(server, np.random.default_rng(0), 150, -np.inf)
+        for a, b in zip(table.statistics(-np.inf), expected, strict=True):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("model_name", ["tiny", "resnet101"])
+    def test_initialization_is_two_passes_then_floors(
+        self, tiny_model, config, model_name
+    ):
+        model, num_samples = tiny_model, 150
+        if model_name == "resnet101":
+            model = build_model("resnet101", get_dataset("ucf101", 50), seed=0)
+            config, num_samples = CoCaConfig(), 600
+        server = CoCaServer(model, config)
+        server.initialize_from_shared_dataset(
+            np.random.default_rng(3), calibration_samples=num_samples
+        )
+        rng = np.random.default_rng(3)
+        first = oracle.layer_statistics(server, rng, num_samples, config.theta)
+        second = oracle.layer_statistics(server, rng, num_samples, config.theta)
+        floors = oracle.similarity_floors(server, rng, num_samples)
+        assert np.array_equal(server.reference_hit_ratio, (first[0] + second[0]) / 2.0)
+        assert np.array_equal(server.reference_exit_loss, (first[1] + second[1]) / 2.0)
+        assert np.array_equal(server.reference_similarity_floor, floors)
+        assert server.reference_hit_ratio.any()
 
 
 class TestFloorsPinnedToOracle:

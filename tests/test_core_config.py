@@ -46,10 +46,6 @@ class TestCoCaConfig:
         assert base.theta != 0.123
         assert tuned.alpha == base.alpha
 
-    def test_with_budget_fraction(self):
-        tuned = CoCaConfig().with_budget_fraction(0.25)
-        assert tuned.cache_budget_fraction == 0.25
-
 
 class TestRecommendedTheta:
     def test_families_resolve(self):

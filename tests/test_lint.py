@@ -229,6 +229,13 @@ def test_cli_exit_codes_and_json():
     assert missing.returncode == 2
 
 
+def test_cli_unknown_rule_is_a_usage_error():
+    result = run_cli(str(FIXTURES / "rng_good.py"), "--rules", "no-global-rng,bogus,nope")
+    assert result.returncode == 2
+    assert result.stderr.strip() == "unknown rule id(s): bogus, nope"
+    assert result.stdout == ""
+
+
 def test_cli_list_rules():
     result = run_cli("--list-rules")
     assert result.returncode == 0

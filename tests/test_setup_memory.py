@@ -61,16 +61,17 @@ def test_similarity_floors_peak_near_their_draw():
 
 
 def test_layer_statistics_peak_near_their_draw():
-    """The calibration scores every layer for every row, so its scratch
-    is ``(G, rows, n)`` per step: it steps a few layers at a time, not
-    the walk's block depth.  Traced on resnet152 / ucf101, peak over draw
-    read 1.74 at 4 layers a step, 2.13 at 8 and 3.01 at 17."""
+    """The calibration scores one layer at a time, so besides its draw
+    it holds one ``(rows, n)`` similarity block and the ``(L, rows)``
+    score table.  Traced on resnet152 / ucf101, peak over draw read 1.44
+    (1.74 when it stepped four layers at a time through the walk's
+    block step)."""
     model = _resnet152_ucf101()
     server = CoCaServer(model, CoCaConfig())
     server.measure_layer_statistics(np.random.default_rng(0))  # warm
-    peak, (ratio, _, _) = _traced_peak(
+    peak, table = _traced_peak(
         lambda: server.measure_layer_statistics(np.random.default_rng(1))
     )
-    assert ratio.shape == (model.num_cache_layers,)
+    assert table.scores.shape == (model.num_cache_layers, 600)
     draw_bytes = 600 * (model.num_cache_layers + 1) * model.feature_space.config.dim * 8
     assert peak <= 2.0 * draw_bytes

@@ -402,7 +402,6 @@ class TestSnapshotDelta:
 
 REFERENCE_NAMES = (
     "reference_hit_ratio",
-    "reference_hit_accuracy",
     "reference_exit_loss",
     "reference_similarity_floor",
 )
@@ -427,7 +426,7 @@ class TestServerPersistence:
         other.load_table(tmp_path / "snap")
         assert type(other.table) is GlobalCacheTable
         # Bit for bit: every layer's centroids, the fill mask, Phi and the
-        # four calibrated reference vectors.
+        # three calibrated reference vectors.
         for layer in range(server.table.num_layers):
             assert np.array_equal(
                 other.table.entries[:, layer, :],
@@ -482,7 +481,7 @@ class TestServerPersistence:
     def test_missing_reference_vector_rejected(self, tmp_path):
         model = build_model("resnet50", get_dataset("ucf101", 12), seed=0)
         server = CoCaServer(model, CoCaConfig())
-        required = REFERENCE_NAMES[:3]  # the floor alone may be absent
+        required = REFERENCE_NAMES[:2]  # the floor alone may be absent
         state = ("table", *REFERENCE_NAMES)
         before = [getattr(server, name) for name in state]
         for missing in required:
@@ -500,7 +499,6 @@ class TestServerPersistence:
             server.table,
             references={
                 "reference_hit_ratio": np.zeros(num_layers),
-                "reference_hit_accuracy": np.zeros(num_layers),
                 "reference_exit_loss": np.zeros(num_layers),
             },
         )
@@ -510,6 +508,24 @@ class TestServerPersistence:
         assert np.array_equal(
             other.reference_similarity_floor, np.full(num_layers, -1.0)
         )
+
+    def test_snapshot_with_hit_accuracy_still_loads(self, tmp_path, server):
+        """Snapshots written before the hit-accuracy vector went carry
+        four reference arrays; they load, and the fourth is ignored."""
+        num_layers = server.table.num_layers
+        old = {
+            "reference_hit_ratio": np.linspace(0.0, 0.5, num_layers),
+            "reference_hit_accuracy": np.full(num_layers, 0.9),
+            "reference_exit_loss": np.linspace(0.1, 0.0, num_layers),
+            "reference_similarity_floor": np.full(num_layers, 0.2),
+        }
+        write_snapshot(tmp_path / "snap", server.table, references=old)
+        model = build_model("resnet50", get_dataset("ucf101", 12), seed=0)
+        other = CoCaServer(model, CoCaConfig())
+        other.load_table(tmp_path / "snap")
+        for name in REFERENCE_NAMES:
+            assert np.array_equal(getattr(other, name), old[name])
+        assert not hasattr(other, "reference_hit_accuracy")
 
     def test_geometry_mismatch_rejected(self, tmp_path, server):
         write_snapshot(tmp_path / "snap", filled_table(4, 3, 5))

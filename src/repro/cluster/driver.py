@@ -87,13 +87,6 @@ class ClusterResult:
             return 0.0
         return 1e3 * self.measured_samples / self.measured_span_ms
 
-    @property
-    def throughput_rounds_per_s(self) -> float:
-        """Aggregate client-rounds completed per virtual second."""
-        if self.measured_span_ms <= 0:
-            return 0.0
-        return 1e3 * self.measured_client_rounds / self.measured_span_ms
-
 
 class ClusterFramework:
     """A sharded multi-node CoCa deployment driven in virtual time.
@@ -229,9 +222,7 @@ class ClusterFramework:
             if self.enable_dca:
                 cache = node.allocate(status)
             else:
-                static = self.framework.static_allocation
-                assert static is not None
-                cache = node.build_cache(static.layer_classes)
+                cache = node.server.preset_cache()
             client.install_cache(cache)
             report = client.run_round()
             clock.advance_to(timings[client.client_id].response_ms)

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.cache import SemanticCache
 from repro.core.client import ClientStatus
 from repro.core.server import CoCaServer
@@ -199,10 +197,6 @@ class EdgeServerNode:
             local_freq=status.frequencies,
         )
         return cache
-
-    def build_cache(self, layer_classes: dict[int, np.ndarray]) -> SemanticCache:
-        """Materialize a static allocation from the replica table."""
-        return self.server.build_cache(layer_classes)
 
     @property
     def mean_wait_ms(self) -> float:

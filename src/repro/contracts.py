@@ -7,10 +7,10 @@ conventions exist to protect, at the moments they can actually break:
 * cache layer storage after :meth:`SemanticCache.set_layer_entries` —
   C-contiguous, cache-dtype, unit-norm rows, unique in-range class ids;
 * the stacked walk plan built by :meth:`SemanticCache.layer_pack` —
-  every block row equals its source layer matrix, the stacked layers
-  share one id set, floors line up with layers, nothing is writeable;
-* an ACA allocation — its byte count, eligible layers and per-layer
-  hot-spot fill;
+  every block row equals its source layer matrix, floors line up with
+  layers, nothing is writeable;
+* an ACA allocation — allowed layers, each picked once, and its byte
+  count;
 * the Eq. 4 merge's flat ``(class, layer)`` indices — in bounds and
   unique — and post-merge row normalization;
 * :class:`VirtualClock` monotonicity (virtual time never runs backwards,
@@ -163,21 +163,19 @@ def check_layer_entries(
 
 
 def check_layer_pack(
-    ids: np.ndarray,
     blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    stored: Mapping[int, tuple[np.ndarray, np.ndarray]],
+    stored: Mapping[int, np.ndarray],
     floor_of: Callable[[int], float],
 ) -> None:
     """Invariants of a cache's complete stacked walk plan.
 
     The stacked kernel reads ``blocks`` — ``(layers, matrices, floors)``
     triples — instead of the per-layer storage ``stored`` (layer ->
-    ``(ids, matrix)``), and it is the only kernel a walk over a complete
-    pack runs, so the two must say the same thing: block row ``g`` is
-    layer ``layers[g]``'s matrix bit for bit, every stacked layer scores
-    the shared ``ids``, ``floors[g]`` is that layer's floor in the matrix
-    dtype, layers ascend across blocks, and a block is never writeable
-    (it may alias mapped snapshot bytes).
+    matrix), and it is the only kernel a walk over a complete pack runs,
+    so the two must say the same thing: block row ``g`` is layer
+    ``layers[g]``'s matrix bit for bit, ``floors[g]`` is that layer's
+    floor in the matrix dtype, layers ascend across blocks, and a block
+    is never writeable (it may alias mapped snapshot bytes).
     """
     previous = -1
     for layers, matrices, floors in blocks:
@@ -201,13 +199,8 @@ def check_layer_pack(
                 f"layer pack: layer {layer} follows layer {previous}",
             )
             previous = layer
-            layer_ids, matrix = stored[layer]
             require(
-                np.array_equal(layer_ids, ids),
-                f"layer pack: layer {layer} does not score the shared id set",
-            )
-            require(
-                np.array_equal(matrices[g], matrix),
+                np.array_equal(matrices[g], stored[layer]),
                 f"layer pack: block row {g} differs from layer {layer}'s "
                 "stored matrix",
             )
@@ -223,35 +216,30 @@ def check_layer_pack(
 # ----------------------------------------------------------------------
 
 def check_allocation(
-    layer_classes: Mapping[int, np.ndarray],
+    layers: Sequence[int],
     size_bytes: int,
     budget_bytes: int,
     entry_sizes: np.ndarray,
     hotspot: np.ndarray,
-    available: np.ndarray | None,
     eligible: np.ndarray,
 ) -> None:
     """Invariants of one ACA result.
 
-    ``size_bytes`` is the byte count of exactly the allocated entries and
-    fits the budget, every layer is eligible (``eligible`` is the boolean
-    per-layer mask of ``allowed_layers``), and a layer's ids are the
-    hot-spot classes with an entry there (``available[class, layer]``,
-    every class when ``available`` is ``None``), in hot-spot order.
+    Every layer is eligible (``eligible`` is the boolean per-layer mask
+    of ``allowed_layers``) and picked once, and ``size_bytes`` is the
+    byte count of the hot-spot classes on exactly those layers and fits
+    the budget.
     """
-    total = 0
-    for layer, ids in layer_classes.items():
+    for layer in layers:
         require(
             0 <= layer < eligible.size and bool(eligible[layer]),
             f"allocation: layer {layer} is not an allowed layer",
         )
-        expected = hotspot if available is None else hotspot[available[hotspot, layer]]
-        require(
-            np.array_equal(ids, expected),
-            f"allocation: layer {layer} ids are not the hot-spot classes "
-            "with entries there, in hot-spot order",
-        )
-        total += int(entry_sizes[layer]) * len(ids)
+    require(
+        len(set(layers)) == len(layers),
+        f"allocation: layers {list(layers)} pick a layer twice",
+    )
+    total = hotspot.size * sum(int(entry_sizes[layer]) for layer in layers)
     require(
         size_bytes == total,
         f"allocation: size_bytes {size_bytes} != {total} bytes of entries",

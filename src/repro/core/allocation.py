@@ -27,10 +27,11 @@ ACA allocates cache entries for one client in two stages:
    rule; unlike the literal rule it does not double-discount deep
    backstop layers when a shallower layer is picked after a deeper one.
 
-   How the greedy is evaluated: a layer's fill size (how many hot-spot
-   classes have an entry there), its lookup cost and its byte count never
-   change between steps, so each is computed once per call — at most one
-   ``lookup_cost_ms`` call per eligible layer.  Each step then scores
+   How the greedy is evaluated: every activated layer holds the whole
+   hot-spot set (the paper's client cache: one class set on a set of
+   layers), so a layer's byte count is its entry size times the hot-spot
+   count and every layer's lookup costs the same — one
+   ``lookup_cost_ms`` call per allocation.  Each step then scores
    every affordable candidate ``j`` in one array pass over a
    ``(picks + 1, candidates)`` matrix whose columns are the layer sets
    ``picked + [j]`` in ascending layer order, accumulating lookups, hit
@@ -58,29 +59,22 @@ from repro.models.profiles import LookupCostModel
 
 @dataclass(frozen=True)
 class AllocationResult:
-    """Output of ACA for one client.
+    """Output of ACA for one client: the hot-spot classes on the picked
+    layers (the indicator matrix X is ``hotspot_classes x layers``).
 
     Attributes:
-        layer_classes: mapping of selected cache layer -> class ids to
-            fill it with (the indicator matrix X in sparse form).
+        layers: the activated cache layers, in the greedy's pick order;
+            each holds exactly ``hotspot_classes``.
         hotspot_classes: the stage-1 hot-spot class set, in score order.
         size_bytes: total size of the allocated entries.
         scores: the Eq. 10 class scores (diagnostics; ``None`` when the
             result was built without them).
     """
 
-    layer_classes: dict[int, np.ndarray]
+    layers: list[int]
     hotspot_classes: np.ndarray
     size_bytes: int
     scores: np.ndarray | None = field(repr=False, default=None)
-
-    @property
-    def selected_layers(self) -> list[int]:
-        return sorted(self.layer_classes)
-
-    @property
-    def total_entries(self) -> int:
-        return sum(ids.size for ids in self.layer_classes.values())
 
 
 def class_scores(
@@ -158,7 +152,6 @@ def aca_allocate(
     frames_per_round: int,
     hotspot_mass: float = 0.95,
     recency_base: float = 0.20,
-    available_classes: np.ndarray | None = None,
     allowed_layers: np.ndarray | None = None,
     local_freq: np.ndarray | None = None,
     local_weight: float = 0.5,
@@ -176,9 +169,6 @@ def aca_allocate(
         frames_per_round: F, used by the recency discount.
         hotspot_mass: stage-1 cumulative score fraction (paper: 0.95).
         recency_base: Eq. 10 discount base (paper: 0.20).
-        available_classes: optional boolean matrix (num_classes, num_layers)
-            marking which global-cache entries exist; missing entries are
-            skipped when filling a layer.
         allowed_layers: optional subset of layer indices allocation may
             use; layers outside it are excluded up front.  This is how the
             server enforces the accuracy-loss constraint G <= Omega
@@ -194,8 +184,8 @@ def aca_allocate(
             calibration.
 
     Returns:
-        An :class:`AllocationResult`; ``layer_classes`` may be empty when
-        even one layer of hot-spot entries exceeds the budget.
+        An :class:`AllocationResult`; ``layers`` may be empty when even
+        one layer of hot-spot entries exceeds the budget.
     """
     R = np.asarray(hit_ratio, dtype=float)
     upsilon = np.asarray(saved_time_ms, dtype=float)
@@ -220,18 +210,6 @@ def aca_allocate(
     )
     hotspot = select_hotspot_classes(scores, hotspot_mass)
 
-    available: np.ndarray | None = None
-    if available_classes is None:
-        fill_size = np.full(num_layers, hotspot.size)
-    else:
-        available = np.asarray(available_classes, dtype=bool)
-        if available.shape != (scores.size, num_layers):
-            raise ValueError(
-                f"available_classes has shape {available.shape}, expected "
-                f"{(scores.size, num_layers)} (classes x layers)"
-            )
-        fill_size = available[hotspot].sum(axis=0)
-
     if allowed_layers is None:
         eligible = np.ones(num_layers, dtype=bool)
     else:
@@ -240,8 +218,8 @@ def aca_allocate(
             raise ValueError("allowed_layers contains out-of-range indices")
         eligible = np.zeros(num_layers, dtype=bool)
         eligible[allowed] = True
-    # A layer with no entry to fill can never be picked.
-    open_layers = eligible & (fill_size > 0)
+    # Without a hot-spot class there is nothing to fill a layer with.
+    open_layers = eligible & (hotspot.size > 0)
 
     # Hits propagate deeper, so the standalone curve must be monotone;
     # measurement noise is smoothed out by a running maximum.
@@ -255,18 +233,14 @@ def aca_allocate(
     # shared offset, and exiting at j costs total_compute - upsilon[j].
     exit_cost = total_compute - upsilon
 
-    # Lookup cost and byte count of every layer's fill, once for the
-    # whole greedy: a fill never changes between steps.  The cost model
-    # is called once per distinct fill size (at most once per layer).
-    lookup_cost = LookupCostModel() if lookup_cost_ms is None else lookup_cost_ms
-    fills = fill_size[open_layers]
-    cost_of = {n: lookup_cost(n) for n in set(fills.tolist())}
+    # Every layer holds the hot-spot set: one lookup cost for all of them.
     lookup = np.zeros(num_layers)
-    lookup[open_layers] = [cost_of[n] for n in fills.tolist()]
-    added = np.zeros(num_layers, dtype=np.int64)
-    added[open_layers] = sizes[open_layers].astype(np.int64) * fills
+    if open_layers.any():
+        lookup_cost = LookupCostModel() if lookup_cost_ms is None else lookup_cost_ms
+        lookup[open_layers] = lookup_cost(hotspot.size)
+    added = sizes.astype(np.int64) * hotspot.size
 
-    layer_classes: dict[int, np.ndarray] = {}
+    layers: list[int] = []
     picked = np.zeros(num_layers, dtype=bool)
     used_bytes = 0
     current_cost = total_compute  # nothing cached: full execution
@@ -290,10 +264,7 @@ def aca_allocate(
         if best < 0:
             break
         layer = int(candidates[best])
-        if available is None:
-            layer_classes[layer] = hotspot.copy()
-        else:
-            layer_classes[layer] = hotspot[available[hotspot, layer]]
+        layers.append(layer)
         used_bytes += int(added[layer])
         current_cost = best_cost
         open_layers[layer] = False
@@ -301,16 +272,10 @@ def aca_allocate(
 
     if contracts.ENABLED:
         contracts.check_allocation(
-            layer_classes,
-            used_bytes,
-            budget_bytes,
-            sizes,
-            hotspot,
-            available,
-            eligible,
+            layers, used_bytes, budget_bytes, sizes, hotspot, eligible
         )
     return AllocationResult(
-        layer_classes=layer_classes,
+        layers=layers,
         hotspot_classes=hotspot,
         size_bytes=used_bytes,
         scores=scores,

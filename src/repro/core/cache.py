@@ -80,10 +80,6 @@ SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 #: (measurements in ``src/repro/core/README.md``).
 PACK_BLOCK_LAYERS = 17
 
-#: Name prefixes of the workspace pools kept layouts view
-#: (:class:`StackLayout`, :class:`WalkLayout`).
-_KEPT_POOLS = ("stack.", "walk.")
-
 
 def _address(array: np.ndarray) -> int:
     """Memory address of an array's first element."""
@@ -121,7 +117,7 @@ class LookupWorkspace:
         self._layouts: dict[tuple[int, int], StackLayout] = {}
         self._layout_geometry: tuple[int, int, np.dtype, np.dtype] | None = None
         #: :class:`WalkLayout` per ``(rows, entries, dtype)``
-        #: (:meth:`walk_layout`), dropped with the stack layouts.
+        #: (:meth:`walk_layout`).
         self._walks: dict[tuple[int, int, np.dtype], WalkLayout] = {}
         self._arange = np.empty(0, dtype=np.intp)
 
@@ -148,10 +144,12 @@ class LookupWorkspace:
         key = (name, dtype)
         buf = self._pools.get(key)
         if buf is None or buf.size < size:
-            if buf is not None and name.startswith(_KEPT_POOLS):
-                # Kept layouts view only these pools, maybe the one being
-                # replaced; dropping them lets it go.
+            # A stack layout views only ``stack.`` pools and a walk layout
+            # only ``walk.`` ones: dropping the kept layouts of the
+            # regrown pool's kind lets the old pool go.
+            if buf is not None and name.startswith("stack."):
                 self._layouts.clear()
+            elif buf is not None and name.startswith("walk."):
                 self._walks.clear()
             # The next power of two: a run of rising sizes regrows a
             # pool about log2 times, not once per size.
@@ -196,14 +194,10 @@ class LookupWorkspace:
         arithmetic between them, so every layout cut is kept, keyed by
         ``(rows, depth)``, for the geometry last served.  Kept layouts go
         when the geometry changes (the walk layouts with them), when a
-        pool they view regrows, and at :meth:`close`.  They are bounded
+        ``stack.`` pool regrows, and at :meth:`close`.  They are bounded
         by the largest row count walked since the last drop times the
         pack's distinct block depths; a layout is about 8 KB of view
-        headers.  In a 30-second ``bench`` run the ``serve-mixed-proc``
-        worker cuts 219 layouts and keeps 84, the ``serve-frame`` one
-        cuts 9 and keeps 8.  The mixed worker's drops come while its
-        largest coalesced call still grows (64, 71, 134 rows, ...): pools
-        grown to the exact request cut as many there.
+        headers.
         """
         geometry = (entries, dim, query_dtype, dtype)
         if geometry != self._layout_geometry:
@@ -219,7 +213,9 @@ class LookupWorkspace:
     def walk_layout(self, rows: int, entries: int, dtype: np.dtype) -> "WalkLayout":
         """The result and carry views of one walk over ``rows`` rows of a
         cache of ``entries`` entries in ``dtype`` (:class:`WalkLayout`),
-        kept like :meth:`stack_layout`'s and dropped with them."""
+        kept like :meth:`stack_layout`'s; they go when a ``walk.`` pool
+        regrows, with the stack layouts on a geometry change, and at
+        :meth:`close`."""
         key = (rows, entries, dtype)
         layout = self._walks.get(key)
         if layout is None:
@@ -392,9 +388,9 @@ class WalkLayout:
         self.hit_score = ws.floats("walk.hit_score", (rows,), np.float64)
         self.layers_probed = ws.ints("walk.layers_probed", (rows,))
         #: Flat offset of each row's first level in the walked tensor.
-        self.row_off = ws.ints("stack.row_off", (rows,))
+        self.row_off = ws.ints("walk.row_off", (rows,))
         #: Eq. 1 ``A`` of the rows still walking, carried between blocks.
-        self.acc = ws.floats("stack.acc", (rows, entries), dtype)
+        self.acc = ws.floats("walk.acc", (rows, entries), dtype)
         #: The cache's ``alpha`` as a 0-d array of its dtype, which a ufunc
         #: takes with less per-call work than a Python float; the same
         #: factor, as a float32 fold casts a float ``alpha`` to float32.
@@ -492,7 +488,11 @@ class SemanticCache:
         self.num_classes = num_classes
         self.alpha = alpha
         self.theta = theta
-        self._layers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: The one class-id set every activated layer holds, in the
+        #: order of its matrix rows (empty with no activated layer).
+        self._ids = np.empty(0, dtype=int)
+        #: Activated layer -> its ``(n, d)`` centroid matrix.
+        self._layers: dict[int, np.ndarray] = {}
         # Optional per-layer absolute similarity floors: a hit additionally
         # requires the top entry's *current-layer* cosine to reach the
         # floor.  The relative score D alone cannot reject a sample of an
@@ -539,8 +539,7 @@ class SemanticCache:
                 f"shape mismatch: ids {ids.shape}, centroids {mat.shape}"
             )
         if ids.size == 0:
-            self._layers.pop(layer, None)
-            self._view_layers.discard(layer)
+            self._drop(layer)
             return
         self._check_entries(layer, ids, mat)
         norms = np.linalg.norm(mat, axis=1, keepdims=True)
@@ -549,7 +548,8 @@ class SemanticCache:
         if np.any(norms < _EPS):
             raise ValueError("cannot cache a zero centroid")
         stored = np.ascontiguousarray(mat / norms, dtype=self.dtype)
-        self._layers[layer] = (ids.copy(), stored)
+        self._ids = ids.copy()
+        self._layers[layer] = stored
         # A write replaces any borrowed view: the layer now owns a
         # private RAM copy (the promotion contract of mapped serving).
         self._view_layers.discard(layer)
@@ -593,8 +593,7 @@ class SemanticCache:
                 f"shape mismatch: ids {ids.shape}, centroids {mat.shape}"
             )
         if ids.size == 0:
-            self._layers.pop(layer, None)
-            self._view_layers.discard(layer)
+            self._drop(layer)
             return
         if mat.dtype != self.dtype:
             raise ValueError(
@@ -607,7 +606,8 @@ class SemanticCache:
         self._check_entries(layer, ids, mat)
         view = mat.view()
         view.flags.writeable = False
-        self._layers[layer] = (ids.copy(), view)
+        self._ids = ids.copy()
+        self._layers[layer] = view
         self._view_layers.add(layer)
         if contracts.ENABLED:
             contracts.check_layer_entries(
@@ -625,13 +625,20 @@ class SemanticCache:
         other = next((j for j in self._layers if j != layer), None)
         if other is None:
             return
-        other_ids, other_mat = self._layers[other]
-        if not np.array_equal(ids, other_ids) or mat.shape[1] != other_mat.shape[1]:
+        width = self._layers[other].shape[1]
+        if not np.array_equal(ids, self._ids) or mat.shape[1] != width:
             raise ValueError(
                 f"cache layer {layer} ({ids.size} ids, width {mat.shape[1]}) differs "
-                f"from layer {other} ({other_ids.size} ids, width {other_mat.shape[1]}): "
+                f"from layer {other} ({self._ids.size} ids, width {width}): "
                 f"every layer holds the same class ids, in one order, at one width"
             )
+
+    def _drop(self, layer: int) -> None:
+        """Deactivate one layer; the last one takes the id set with it."""
+        self._layers.pop(layer, None)
+        self._view_layers.discard(layer)
+        if not self._layers:
+            self._ids = np.empty(0, dtype=int)
 
     def view_backed_layers(self) -> list[int]:
         """Layers served from borrowed read-only views (mapped storage)."""
@@ -654,6 +661,7 @@ class SemanticCache:
         return self._similarity_floor.get(layer, -1.0)
 
     def clear(self) -> None:
+        self._ids = np.empty(0, dtype=int)
         self._layers.clear()
         self._similarity_floor.clear()
         self._view_layers.clear()
@@ -665,31 +673,22 @@ class SemanticCache:
         return sorted(self._layers)
 
     def num_entries(self, layer: int) -> int:
-        if layer not in self._layers:
-            return 0
-        return int(self._layers[layer][0].size)
+        return int(self._ids.size) if layer in self._layers else 0
 
     @property
     def total_entries(self) -> int:
-        return sum(ids.size for ids, _ in self._layers.values())
+        return int(self._ids.size) * len(self._layers)
 
     def entries_at(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """(class ids, centroid matrix) of one layer (copies)."""
         if layer not in self._layers:
             raise KeyError(f"cache layer {layer} is not activated")
-        ids, mat = self._layers[layer]
-        return ids.copy(), mat.copy()
-
-    def classes_at(self, layer: int) -> set[int]:
-        if layer not in self._layers:
-            return set()
-        return set(int(i) for i in self._layers[layer][0])
+        return self._ids.copy(), self._layers[layer].copy()
 
     def size_bytes(self, entry_size_of_layer: Callable[[int], int]) -> int:
         """Total memory under a per-layer entry-size function (Eq. 6)."""
-        return sum(
-            ids.size * int(entry_size_of_layer(layer))
-            for layer, (ids, _) in self._layers.items()
+        return int(self._ids.size) * sum(
+            int(entry_size_of_layer(layer)) for layer in self._layers
         )
 
     def content_equal(self, other: "SemanticCache", atol: float = 0.0) -> bool:
@@ -708,13 +707,11 @@ class SemanticCache:
             or self.theta != other.theta
             or self.dtype != other.dtype
             or self.active_layers != other.active_layers
+            or not np.array_equal(self._ids, other._ids)
         ):
             return False
         for layer in self.active_layers:
-            ids_a, mat_a = self._layers[layer]
-            ids_b, mat_b = other._layers[layer]
-            if not np.array_equal(ids_a, ids_b):
-                return False
+            mat_a, mat_b = self._layers[layer], other._layers[layer]
             if atol == 0.0:
                 if not np.array_equal(mat_a, mat_b):
                     return False
@@ -752,9 +749,8 @@ class SemanticCache:
     def _build_layer_pack(self) -> LayerPack:
         active = self.active_layers
         if not active:
-            return LayerPack(np.empty(0, dtype=int), (), 0, 0)
-        shared_ids, first = self._layers[active[0]]
-        levels, dim = active[-1] + 1, int(first.shape[1])
+            return LayerPack(self._ids, (), 0, 0)
+        levels, dim = active[-1] + 1, int(self._layers[active[0]].shape[1])
         runs: list[list[int]] = []
         for layer in active:
             if runs and self._extends_run(runs[-1], layer):
@@ -762,10 +758,9 @@ class SemanticCache:
             else:
                 runs.append([layer])
         blocks = tuple(self._stack_block(run) for run in runs)
-        pack = LayerPack(shared_ids, blocks, levels, dim)
+        pack = LayerPack(self._ids, blocks, levels, dim)
         if contracts.ENABLED:
             contracts.check_layer_pack(
-                shared_ids,
                 [(b.layers, b.matrices, b.floors) for b in blocks],
                 self._layers,
                 self.similarity_floor,
@@ -788,7 +783,7 @@ class SemanticCache:
             return False
         if not borrowed:
             return True
-        head, last, mat = (self._layers[j][1] for j in (run[0], run[-1], layer))
+        head, last, mat = (self._layers[j] for j in (run[0], run[-1], layer))
         gap = _address(mat) - _address(last)
         if len(run) == 1:
             return gap >= head.nbytes and gap % head.itemsize == 0
@@ -796,7 +791,7 @@ class SemanticCache:
 
     def _stack_block(self, run: list[int]) -> LayerBlock:
         """One :class:`LayerBlock` over a run :meth:`_extends_run` grew."""
-        sources = tuple(self._layers[layer][1] for layer in run)
+        sources = tuple(self._layers[layer] for layer in run)
         head = sources[0]
         if run[0] not in self._view_layers:
             # Owned layers move into the block: each layer's storage
@@ -804,7 +799,7 @@ class SemanticCache:
             matrices = np.stack(sources)
             matrices.flags.writeable = False
             for row, layer in zip(matrices, run):
-                self._layers[layer] = (self._layers[layer][0], row)
+                self._layers[layer] = row
             sources = ()
         elif len(run) == 1:
             matrices = head[None]  # read-only, as every layer view is

@@ -17,9 +17,9 @@ The per-frame scalar oracle of steps 3 and 4 lives in ``tests/oracle.py``;
 nothing here reaches it.
 
 The two core mechanisms can be disabled independently for the Fig. 9
-ablation: with ``enable_dca=False`` allocation is *static* (computed once
-from the shared-dataset reference statistics, with all classes as
-hot-spots); with ``enable_gcu=False`` step 4 is skipped so the global
+ablation: with ``enable_dca=False`` every client gets the server's preset
+cache each round (every class at every cache layer, no budget-driven
+selection); with ``enable_gcu=False`` step 4 is skipped so the global
 table keeps its initial shared-dataset centroids.
 """
 
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.allocation import AllocationResult
 from repro.core.cache import LookupWorkspace
 from repro.core.client import CoCaClient, RoundReport
 from repro.core.config import CoCaConfig
@@ -149,41 +148,9 @@ class CoCaFramework:
             client.seed_hit_ratio(self.server.reference_hit_ratio)
             self.clients.append(client)
 
-        self._static_allocation: AllocationResult | None = None
-        if not enable_dca:
-            self._static_allocation = self._build_static_allocation(budget)
         self._protocol_rng = np.random.default_rng(
             np.random.SeedSequence(seed).spawn(1)[0].generate_state(1)[0] + 17
         )
-
-    def _build_static_allocation(self, budget_bytes: int) -> AllocationResult:
-        """Fixed allocation for the no-DCA ablation (the paper's "Normal"):
-        the model's preset cache as-is — every class cached at every
-        preset layer, no budget-driven selection.  This is the Fig. 1a
-        "100% cache size" configuration that dynamic allocation improves
-        on by pruning lookup-heavy layers and cold classes."""
-        del budget_bytes  # the fixed configuration ignores the budget
-        num_classes = self.model.num_classes
-        all_classes = np.arange(num_classes)
-        layer_classes = {
-            layer: all_classes.copy()
-            for layer in range(self.model.num_cache_layers)
-        }
-        size = num_classes * sum(
-            self.model.profile.entry_size_bytes(j)
-            for j in range(self.model.num_cache_layers)
-        )
-        return AllocationResult(
-            layer_classes=layer_classes,
-            hotspot_classes=all_classes,
-            size_bytes=size,
-            scores=np.ones(num_classes),
-        )
-
-    @property
-    def static_allocation(self) -> AllocationResult | None:
-        """The fixed allocation used when DCA is disabled (else ``None``)."""
-        return self._static_allocation
 
     # ------------------------------------------------------------------
     # Driving
@@ -240,8 +207,7 @@ class CoCaFramework:
                     local_freq=status.frequencies,
                 )
             else:
-                assert self._static_allocation is not None
-                cache = self.server.build_cache(self._static_allocation.layer_classes)
+                cache = self.server.preset_cache()
             if timings is not None:
                 timings["allocate"] = (
                     timings.get("allocate", 0.0) + time.perf_counter() - start

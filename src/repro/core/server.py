@@ -6,7 +6,7 @@ round it:
 
 * answers cache-allocation requests by running ACA over the global class
   frequencies Phi and the client's status (tau, R, Pi) and extracting the
-  selected sub-table (Sec. IV-B), and
+  hot-spot classes' entries on the selected layers (Sec. IV-B), and
 * folds each client's uploaded update table into the global table by
   frequency-weighted averaging (Eq. 4) and accumulates class frequencies
   (Eq. 5) — the mechanism that mitigates non-IID drift (Sec. IV-D).
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -231,18 +231,6 @@ class GlobalCacheTable:
         table.filled = self.filled.copy()
         table.class_freq = self.class_freq.copy()
         return table
-
-    def subtable(self, layer_classes: dict[int, np.ndarray]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Extract (ids, centroids) per layer for an allocation result."""
-        out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for layer, ids in layer_classes.items():
-            mask = self.filled[ids, layer]
-            usable = np.asarray(ids)[mask]
-            if usable.size == 0:
-                continue
-            # Fancy-indexing the layer block yields a fresh array.
-            out[layer] = (usable, self.entries[:, layer, :][usable])
-        return out
 
 
 class CoCaServer:
@@ -472,7 +460,13 @@ class CoCaServer:
         budget_bytes: int,
         local_freq: np.ndarray | None = None,
     ) -> tuple[SemanticCache, AllocationResult]:
-        """Serve one cache-allocation request (Sec. IV-B)."""
+        """Serve one cache-allocation request (Sec. IV-B).
+
+        ACA may activate only eligible layers whose table column is
+        complete, so every activated layer can hold the whole hot-spot
+        set.
+        """
+        eligible = self.eligible_layers()
         result = aca_allocate(
             global_freq=self.table.class_freq,
             timestamps=timestamps,
@@ -483,18 +477,28 @@ class CoCaServer:
             frames_per_round=self.config.frames_per_round,
             hotspot_mass=self.config.hotspot_mass,
             recency_base=self.config.recency_base,
-            available_classes=self.table.filled,
-            allowed_layers=self.eligible_layers(),
+            allowed_layers=eligible[self.table.filled[:, eligible].all(axis=0)],
             local_freq=local_freq,
             lookup_cost_ms=self.model.profile.lookup_cost_ms,
         )
-        cache = self.build_cache(result.layer_classes)
+        cache = self.build_cache(result.layers, result.hotspot_classes)
         return cache, result
 
-    def build_cache(self, layer_classes: dict[int, np.ndarray]) -> SemanticCache:
-        """Materialize a client cache from a layer -> classes mapping.
+    def preset_cache(self) -> SemanticCache:
+        """The model's preset cache as-is, for the no-DCA ablation (the
+        paper's "Normal"): every class at every preset layer, no
+        budget-driven selection.  This is the Fig. 1a "100% cache size"
+        configuration that dynamic allocation improves on by pruning
+        lookup-heavy layers and cold classes."""
+        return self.build_cache(
+            range(self.model.num_cache_layers), np.arange(self.model.num_classes)
+        )
 
-        Centroids are stored in ``config.lookup_dtype``.
+    def build_cache(self, layers: Iterable[int], classes: np.ndarray) -> SemanticCache:
+        """Materialize a client cache holding ``classes`` on each of
+        ``layers``, with the layers' similarity floors.
+
+        Centroids are stored in ``config.cache_dtype``.
         """
         cache = SemanticCache(
             self.model.num_classes,
@@ -502,8 +506,8 @@ class CoCaServer:
             theta=self.config.theta,
             dtype=self.config.cache_dtype,
         )
-        for layer, (ids, centroids) in self.table.subtable(layer_classes).items():
-            cache.set_layer_entries(layer, ids, centroids)
+        for layer in layers:
+            cache.set_layer_entries(layer, classes, self.table.entries[classes, layer])
             floor = float(self.reference_similarity_floor[layer])
             if floor > -1.0:
                 cache.set_similarity_floor(layer, floor)

@@ -151,16 +151,6 @@ class LatencyProfile:
     def entry_size_bytes(self, layer: int) -> int:
         return self.entry_sizes_bytes[layer]
 
-    def cache_size_bytes(self, entries_per_layer: dict[int, int]) -> int:
-        """Total memory of a cache with ``entries_per_layer[j]`` entries at
-        layer ``j`` (the paper's Eq. 6)."""
-        total = 0
-        for layer, count in entries_per_layer.items():
-            if count < 0:
-                raise ValueError(f"negative entry count at layer {layer}")
-            total += count * self.entry_size_bytes(layer)
-        return total
-
 
 def build_profile(
     total_compute_ms: float,

@@ -748,7 +748,6 @@ def aca_allocate(
     frames_per_round: int,
     hotspot_mass: float = 0.95,
     recency_base: float = 0.20,
-    available_classes: np.ndarray | None = None,
     allowed_layers: np.ndarray | None = None,
     local_freq: np.ndarray | None = None,
     local_weight: float = 0.5,
@@ -756,10 +755,11 @@ def aca_allocate(
 ) -> AllocationResult:
     """:func:`repro.core.allocation.aca_allocate`, greedy stage written
     the plain way: every step rebuilds the expected cost of ``picked +
-    [j]`` for each remaining layer ``j`` in ascending order, gathering the
-    layer's fill and calling ``lookup_cost_ms`` per picked layer, and a
-    candidate displaces the running best only when cheaper by more than
-    1e-12.  Same arguments and result; well-formed inputs only."""
+    [j]`` for each remaining layer ``j`` in ascending order, every layer
+    holding the hot-spot set and ``lookup_cost_ms`` called per picked
+    layer, and a candidate displaces the running best only when cheaper
+    by more than 1e-12.  Same arguments and result; well-formed inputs
+    only."""
     R = np.asarray(hit_ratio, dtype=float)
     upsilon = np.asarray(saved_time_ms, dtype=float)
     sizes = np.asarray(entry_sizes_bytes, dtype=float)
@@ -774,7 +774,7 @@ def aca_allocate(
     )
     hotspot = select_hotspot_classes(scores, hotspot_mass)
 
-    layer_classes: dict[int, np.ndarray] = {}
+    layers: list[int] = []
     if allowed_layers is None:
         remaining = set(range(num_layers))
     else:
@@ -783,11 +783,6 @@ def aca_allocate(
     R_monotone = np.maximum.accumulate(np.clip(R, 0.0, 1.0))
     total_compute = float(upsilon.max()) if upsilon.size else 0.0
     prefix_cost = -upsilon
-
-    def fill_for(layer: int) -> np.ndarray:
-        if available_classes is not None:
-            return hotspot[available_classes[hotspot, layer]]
-        return hotspot
 
     lookup_cost = LookupCostModel() if lookup_cost_ms is None else lookup_cost_ms
 
@@ -798,7 +793,7 @@ def aca_allocate(
         lookups_so_far = 0.0
         prev_mass = 0.0
         for layer in sorted(picked):
-            lookups_so_far += lookup_cost(fill_for(layer).size)
+            lookups_so_far += lookup_cost(hotspot.size)
             mass = R_monotone[layer] - prev_mass
             prev_mass = R_monotone[layer]
             cost += mass * (total_compute + prefix_cost[layer] + lookups_so_far)
@@ -811,26 +806,25 @@ def aca_allocate(
         best_cost = current_cost
         best_added = 0
         for j in sorted(remaining):
-            fill = fill_for(j)
-            if fill.size == 0:
+            if hotspot.size == 0:
                 continue
-            added = int(sizes[j]) * int(fill.size)
+            added = int(sizes[j]) * hotspot.size
             if used_bytes + added > budget_bytes:
                 continue
-            candidate_cost = expected_cost(list(layer_classes) + [j])
+            candidate_cost = expected_cost(layers + [j])
             if candidate_cost < best_cost - 1e-12:
                 best_cost = candidate_cost
                 best_layer = j
                 best_added = added
         if best_layer is None:
             break
-        layer_classes[best_layer] = fill_for(best_layer).copy()
+        layers.append(best_layer)
         used_bytes += best_added
         current_cost = best_cost
         remaining.discard(best_layer)
 
     return AllocationResult(
-        layer_classes=layer_classes,
+        layers=layers,
         hotspot_classes=hotspot,
         size_bytes=used_bytes,
         scores=scores,

@@ -5,9 +5,9 @@ layer of a greedy step in one array pass; ``oracle.aca_allocate``
 (``tests/oracle.py``) rebuilds each candidate's expected cost one layer
 at a time.  The greedy compares costs with a ``1e-12`` margin, so the
 two agree only if every cost is equal to the last bit: these cases
-require the same picks in the same order, the same id arrays, the same
-``size_bytes`` and the same hot-spot set, on tie-heavy random inputs and
-on every allocation a few protocol rounds make.
+require the same picks in the same order, the same ``size_bytes`` and
+the same hot-spot set, on tie-heavy random inputs and on every
+allocation a few protocol rounds make.
 """
 
 from __future__ import annotations
@@ -28,10 +28,7 @@ from repro.data.datasets import get_dataset
 
 
 def assert_same_allocation(got: AllocationResult, want: AllocationResult) -> None:
-    assert list(got.layer_classes) == list(want.layer_classes)  # pick order
-    for layer, ids in want.layer_classes.items():
-        assert got.layer_classes[layer].dtype == ids.dtype
-        assert np.array_equal(got.layer_classes[layer], ids)
+    assert got.layers == want.layers  # pick order
     assert got.size_bytes == want.size_bytes
     assert got.hotspot_classes.dtype == want.hotspot_classes.dtype
     assert np.array_equal(got.hotspot_classes, want.hotspot_classes)
@@ -99,18 +96,6 @@ def aca_inputs(draw):
         frames_per_round=300,
         lookup_cost_ms=_LOOKUP_COSTS[draw(st.sampled_from(sorted(_LOOKUP_COSTS)))],
     )
-    if draw(st.booleans()):
-        cells = draw(
-            st.lists(
-                st.booleans(),
-                min_size=num_classes * num_layers,
-                max_size=num_classes * num_layers,
-            )
-        )
-        available = np.array(cells, dtype=bool).reshape(num_classes, num_layers)
-        empty = draw(st.lists(st.integers(min_value=0, max_value=num_layers - 1)))
-        available[:, empty] = False  # layers with no entry at all
-        inputs["available_classes"] = available
     allowed = draw(
         st.one_of(
             st.none(),
@@ -146,7 +131,7 @@ def test_near_tie_goes_to_the_shallower_layer():
         lookup_cost_ms=lambda n: 0.0,
     )
     result = aca_allocate(**inputs)
-    assert list(result.layer_classes) == [0]
+    assert result.layers == [0]
     assert_same_allocation(result, oracle.aca_allocate(**inputs))
 
 
@@ -192,6 +177,6 @@ def test_protocol_allocations_match_oracle(monkeypatch, deployment):
     else:
         ClusterFramework(num_shards=2, **_framework_kwargs()).run(3)
     assert len(calls) >= 9  # 3 clients x 3 rounds
-    assert any(len(result.layer_classes) > 1 for _, result in calls)
+    assert any(len(result.layers) > 1 for _, result in calls)
     for inputs, result in calls:
         assert_same_allocation(result, oracle.aca_allocate(**inputs))

@@ -133,16 +133,14 @@ def test_layer_entries_row_count_mismatch_fires():
 def good_pack(layers=(0, 2, 3), n=4, d=8):
     """``check_layer_pack`` arguments for one read-only block over
     ``layers`` (floor of layer ``l`` is ``0.1 * l``)."""
-    ids = np.arange(n)
     stored = {
-        layer: (ids.copy(), np.ascontiguousarray(unit_rows(n, d, seed=layer)))
-        for layer in layers
+        layer: np.ascontiguousarray(unit_rows(n, d, seed=layer)) for layer in layers
     }
-    matrices = np.stack([stored[layer][1] for layer in layers])
+    matrices = np.stack([stored[layer] for layer in layers])
     matrices.flags.writeable = False
     floors = np.array([[0.1 * layer] for layer in layers])
     block = (np.array(layers), matrices, floors)
-    return ids, [block], stored, lambda layer: 0.1 * layer
+    return [block], stored, lambda layer: 0.1 * layer
 
 
 def test_layer_pack_passes_on_good_state():
@@ -150,43 +148,34 @@ def test_layer_pack_passes_on_good_state():
 
 
 def test_layer_pack_stale_block_row_fires():
-    ids, blocks, stored, floor_of = good_pack()
-    stored[2] = (ids, np.ascontiguousarray(unit_rows(4, 8, seed=99)))
+    blocks, stored, floor_of = good_pack()
+    stored[2] = np.ascontiguousarray(unit_rows(4, 8, seed=99))
     with pytest.raises(ContractViolation, match="block row 1 differs"):
-        contracts.check_layer_pack(ids, blocks, stored, floor_of)
-
-
-def test_layer_pack_diverging_ids_fire():
-    ids, blocks, stored, floor_of = good_pack()
-    stored[3] = (ids[::-1].copy(), stored[3][1])
-    with pytest.raises(ContractViolation, match="shared id set"):
-        contracts.check_layer_pack(ids, blocks, stored, floor_of)
+        contracts.check_layer_pack(blocks, stored, floor_of)
 
 
 def test_layer_pack_misaligned_floor_fires():
-    ids, blocks, stored, _ = good_pack()
+    blocks, stored, _ = good_pack()
     with pytest.raises(ContractViolation, match="floor"):
-        contracts.check_layer_pack(ids, blocks, stored, lambda layer: 0.5)
+        contracts.check_layer_pack(blocks, stored, lambda layer: 0.5)
     layers, matrices, floors = blocks[0]
     with pytest.raises(ContractViolation, match="line up"):
         contracts.check_layer_pack(
-            ids, [(layers, matrices, floors[:-1])], stored, lambda layer: 0.1 * layer
+            [(layers, matrices, floors[:-1])], stored, lambda layer: 0.1 * layer
         )
 
 
 def test_layer_pack_writeable_block_fires():
-    ids, blocks, stored, floor_of = good_pack()
+    blocks, stored, floor_of = good_pack()
     layers, matrices, floors = blocks[0]
     with pytest.raises(ContractViolation, match="writeable"):
-        contracts.check_layer_pack(
-            ids, [(layers, matrices.copy(), floors)], stored, floor_of
-        )
+        contracts.check_layer_pack([(layers, matrices.copy(), floors)], stored, floor_of)
 
 
 def test_layer_pack_unordered_layers_fire():
-    ids, blocks, stored, floor_of = good_pack()
+    blocks, stored, floor_of = good_pack()
     with pytest.raises(ContractViolation, match="follows"):
-        contracts.check_layer_pack(ids, blocks + blocks, stored, floor_of)
+        contracts.check_layer_pack(blocks + blocks, stored, floor_of)
 
 
 # ----------------------------------------------------------------------
@@ -194,8 +183,6 @@ def test_layer_pack_unordered_layers_fire():
 # ----------------------------------------------------------------------
 
 def _allocation_inputs() -> dict:
-    available = np.ones((5, 4), dtype=bool)
-    available[1, 2] = False  # layer 2 lacks class 1
     return dict(
         global_freq=np.array([5.0, 4.0, 3.0, 2.0, 1.0]),
         timestamps=np.zeros(5),
@@ -204,7 +191,6 @@ def _allocation_inputs() -> dict:
         entry_sizes_bytes=np.array([4, 8, 16, 32]),
         budget_bytes=400,
         frames_per_round=300,
-        available_classes=available,
         allowed_layers=np.array([0, 2, 3]),
     )
 
@@ -213,12 +199,11 @@ def _check(result: AllocationResult, inputs: dict) -> None:
     eligible = np.zeros(4, dtype=bool)
     eligible[inputs["allowed_layers"]] = True
     contracts.check_allocation(
-        result.layer_classes,
+        result.layers,
         result.size_bytes,
         inputs["budget_bytes"],
         inputs["entry_sizes_bytes"],
         result.hotspot_classes,
-        inputs["available_classes"],
         eligible,
     )
 
@@ -227,24 +212,26 @@ def test_allocation_passes_on_aca_result():
     inputs = _allocation_inputs()
     with contracts.activated():
         result = aca_allocate(**inputs)
-    assert 2 in result.layer_classes
+    assert 2 in result.layers
     _check(result, inputs)
 
 
 @pytest.mark.parametrize(
     ("tamper", "message"),
     [
-        (lambda lc, size: (lc, size + 1), "size_bytes"),
-        (lambda lc, size: ({**lc, 1: np.array([0])}, size + 8), "allowed"),
-        (lambda lc, size: ({**lc, 2: lc[2][::-1]}, size), "hot-spot order"),
-        (lambda lc, size: ({**lc, 2: np.append(lc[2], 1)}, size + 16), "entries"),
+        (lambda layers, size, n: (layers, size + 1), "size_bytes"),
+        (lambda layers, size, n: (layers + [1], size + 8 * n), "allowed"),
+        (lambda layers, size, n: (layers + [2], size + 16 * n), "twice"),
     ],
 )
 def test_allocation_tampered_result_fires(tamper, message):
     inputs = _allocation_inputs()
     result = aca_allocate(**inputs)
-    layer_classes, size = tamper(dict(result.layer_classes), result.size_bytes)
-    tampered = AllocationResult(layer_classes, result.hotspot_classes, size)
+    assert 2 in result.layers
+    layers, size = tamper(
+        list(result.layers), result.size_bytes, result.hotspot_classes.size
+    )
+    tampered = AllocationResult(layers, result.hotspot_classes, size)
     with pytest.raises(ContractViolation, match=message):
         _check(tampered, inputs)
 

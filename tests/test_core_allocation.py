@@ -105,7 +105,7 @@ class TestAcaAllocate:
     def test_allocates_within_budget(self):
         result = aca_allocate(**{**_basic_inputs(), "budget_bytes": 125})
         assert result.size_bytes <= 125
-        assert result.layer_classes  # something allocated
+        assert result.layers  # something allocated
 
     def test_zero_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -113,13 +113,8 @@ class TestAcaAllocate:
 
     def test_tiny_budget_allocates_nothing(self):
         result = aca_allocate(**{**_basic_inputs(), "budget_bytes": 5})
-        assert result.layer_classes == {}
+        assert result.layers == []
         assert result.size_bytes == 0
-
-    def test_all_layers_filled_with_hotspots(self):
-        result = aca_allocate(**_basic_inputs())
-        for ids in result.layer_classes.values():
-            assert set(ids) == set(result.hotspot_classes)
 
     def test_first_pick_maximizes_benefit(self):
         inputs = _basic_inputs()
@@ -127,7 +122,7 @@ class TestAcaAllocate:
         benefit = inputs["saved_time_ms"] * inputs["hit_ratio"]
         best = int(np.argmax(benefit))
         result = aca_allocate(**{**inputs, "budget_bytes": 70})
-        assert best in result.layer_classes
+        assert best in result.layers
 
     def test_discount_spreads_layers(self):
         """After picking layer b, deeper layers lose R[b]; the next pick
@@ -136,7 +131,7 @@ class TestAcaAllocate:
         inputs["hit_ratio"] = np.array([0.3, 0.31, 0.32, 0.6, 0.61, 0.62])
         inputs["saved_time_ms"] = np.array([10.0, 9.0, 8.0, 5.0, 4.0, 3.0])
         result = aca_allocate(**inputs)
-        layers = result.selected_layers
+        layers = sorted(result.layers)
         assert len(layers) >= 2
         # The discount zeroes out the two layers right after the first deep
         # pick, so selections cannot be three consecutive deep layers.
@@ -144,25 +139,17 @@ class TestAcaAllocate:
 
     def test_allowed_layers_respected(self):
         result = aca_allocate(**_basic_inputs(), allowed_layers=np.array([2, 3]))
-        assert set(result.selected_layers).issubset({2, 3})
+        assert set(result.layers).issubset({2, 3})
 
     def test_allowed_layers_bounds_checked(self):
         with pytest.raises(ValueError):
             aca_allocate(**_basic_inputs(), allowed_layers=np.array([99]))
 
-    def test_available_classes_mask_filters_entries(self):
-        inputs = _basic_inputs(num_classes=4, num_layers=3)
-        available = np.ones((4, 3), dtype=bool)
-        available[2, :] = False  # class 2 has no entries anywhere
-        result = aca_allocate(**inputs, available_classes=available)
-        for ids in result.layer_classes.values():
-            assert 2 not in ids
-
     def test_zero_benefit_stops_allocation(self):
         inputs = _basic_inputs()
         inputs["hit_ratio"] = np.zeros(5)
         result = aca_allocate(**inputs)
-        assert result.layer_classes == {}
+        assert result.layers == []
 
     def test_recency_narrows_hotspots(self):
         inputs = _basic_inputs(num_classes=6)
@@ -182,8 +169,8 @@ class TestAcaAllocate:
         inputs = _basic_inputs()
         free = aca_allocate(**inputs, lookup_cost_ms=lambda n: 0.0)
         ruinous = aca_allocate(**inputs, lookup_cost_ms=lambda n: 1e9)
-        assert ruinous.layer_classes == {}
-        assert free.layer_classes  # free lookups leave layers worth adding
+        assert ruinous.layers == []
+        assert free.layers  # free lookups leave layers worth adding
 
     def test_default_cost_matches_default_profile(self):
         """Without an explicit cost fn, ACA's default equals the default
@@ -198,16 +185,10 @@ class TestAcaAllocate:
         explicit = aca_allocate(
             **_basic_inputs(), lookup_cost_ms=LookupCostModel()
         )
-        assert default.layer_classes.keys() == explicit.layer_classes.keys()
+        assert default.layers == explicit.layers
 
 
 class TestAcaInputValidation:
-    @pytest.mark.parametrize("shape", [(4, 5), (6, 3), (4, 2), (3, 3)])
-    def test_mask_shape_must_be_classes_by_layers(self, shape):
-        inputs = _basic_inputs(num_classes=4, num_layers=3)
-        with pytest.raises(ValueError, match="available_classes"):
-            aca_allocate(**inputs, available_classes=np.ones(shape, dtype=bool))
-
     @pytest.mark.parametrize("key", ["hit_ratio", "saved_time_ms"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_curves_rejected(self, key, bad):
@@ -219,32 +200,33 @@ class TestAcaInputValidation:
 
 class TestAcaComplexity:
     def test_lookup_cost_called_at_most_once_per_layer(self):
-        """The greedy must not rebuild every candidate's cost from
-        scratch (O(L^2 k) lookup-cost calls per client); one call per
-        layer is all the arithmetic needs.  Counted, not timed."""
+        """Every activated layer holds the hot-spot set, so every layer's
+        lookup costs the same: the greedy calls the cost model once per
+        allocation (none when no layer is open), where rebuilding every
+        candidate's cost from scratch calls it O(L^2) times per client.
+        Counted, not timed."""
         num_layers = 12
         inputs = _basic_inputs(num_classes=10, num_layers=num_layers)
         inputs["hit_ratio"] = np.linspace(0.05, 0.9, num_layers)
         inputs["saved_time_ms"] = np.linspace(40.0, 1.0, num_layers)
-        # Layer j holds classes 0..j: fill sizes differ between layers.
-        classes, layers = np.indices((10, num_layers))
-        inputs["available_classes"] = classes <= layers
 
-        def counting(fn):
+        def counting(fn, **extra):
             calls = []
 
             def cost(n: int) -> float:
                 calls.append(n)
                 return 0.01 + 0.001 * n
 
-            return fn(**inputs, lookup_cost_ms=cost), len(calls)
+            return fn(**inputs, **extra, lookup_cost_ms=cost), calls
 
         result, calls = counting(aca_allocate)
         want, oracle_calls = counting(oracle.aca_allocate)
-        assert len(result.layer_classes) > 2
-        assert result.layer_classes.keys() == want.layer_classes.keys()
-        assert calls <= num_layers
-        assert oracle_calls > 10 * num_layers  # the loop this test forbids
+        assert len(result.layers) > 2
+        assert result.layers == want.layers
+        assert calls == [result.hotspot_classes.size]
+        assert len(oracle_calls) > 10 * num_layers  # the loop this test forbids
+        closed, calls = counting(aca_allocate, allowed_layers=np.array([], dtype=int))
+        assert closed.layers == [] and calls == []
 
 
 class TestAcaProperties:
@@ -268,10 +250,11 @@ class TestAcaProperties:
         )
         assert result.size_bytes <= budget
         # Each layer appears at most once and ids are valid.
-        for layer, ids in result.layer_classes.items():
-            assert 0 <= layer < num_layers
-            assert np.unique(ids).size == ids.size
-            assert np.all((ids >= 0) & (ids < num_classes))
+        assert len(set(result.layers)) == len(result.layers)
+        assert all(0 <= layer < num_layers for layer in result.layers)
+        ids = result.hotspot_classes
+        assert np.unique(ids).size == ids.size
+        assert np.all((ids >= 0) & (ids < num_classes))
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)

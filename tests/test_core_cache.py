@@ -144,17 +144,11 @@ class TestCacheContent:
         # takes a new one.
         cache.set_layer_entries(0, ids[:1], mat[:1])
         cache.set_layer_view(2, ids[:1], np.ascontiguousarray(mat[:1]))
-        assert [cache.classes_at(j) for j in cache.active_layers] == [{0}, {0}]
+        assert cache.active_layers == [0, 2]
+        assert cache.layer_pack().ids.tolist() == [0]
         cache.clear()
         cache.set_layer_entries(1, np.array([4, 5]), mat[:2])
         assert cache.layer_pack().ids.tolist() == [4, 5]
-
-    def test_classes_at(self):
-        cache = SemanticCache(6)
-        ids, mat = _orthogonal_entries(3)
-        cache.set_layer_entries(1, ids, mat)
-        assert cache.classes_at(1) == {0, 1, 2}
-        assert cache.classes_at(9) == set()
 
     def test_clear(self):
         cache = SemanticCache(4)

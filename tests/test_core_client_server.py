@@ -92,14 +92,6 @@ class TestGlobalCacheTable:
         with pytest.raises(ValueError):
             table.add_frequencies(np.ones(2))
 
-    def test_subtable_skips_unfilled(self):
-        table = GlobalCacheTable(4, 2, 4)
-        table.install(0, 0, np.eye(4)[0])
-        table.install(1, 0, np.eye(4)[1])
-        sub = table.subtable({0: np.array([0, 1, 3]), 1: np.array([0])})
-        assert list(sub[0][0]) == [0, 1]
-        assert 1 not in sub  # nothing filled at layer 1
-
 
 class TestServer:
     def test_initialization_fills_table(self, server, tiny_model):
@@ -138,6 +130,29 @@ class TestServer:
         )
         assert result.size_bytes <= budget
         assert cache.size_bytes(tiny_model.profile.entry_size_bytes) <= budget
+
+    def test_allocate_skips_a_layer_with_an_unfilled_cell(self):
+        """A table column with one unfilled hot-spot cell (as a snapshot
+        handed to ``load_table`` may hold) cannot give its layer the
+        whole hot-spot set: allocation leaves that layer out instead of
+        building a cache of two class sets, which the cache refuses."""
+        model = build_model("resnet50", get_dataset("ucf101", 12), seed=1)
+        server = CoCaServer(model, CoCaConfig())
+        server.initialize_from_shared_dataset(np.random.default_rng(0))
+        request = dict(
+            timestamps=np.zeros(model.num_classes),
+            hit_ratio=server.reference_hit_ratio,
+            budget_bytes=server.cache_size_limit_bytes(),
+        )
+        _, full = server.allocate(**request)
+        assert len(full.layers) > 1
+        layer, hot = full.layers[0], int(full.hotspot_classes[0])
+        server.table.filled[hot, layer] = False
+        server.table.entries[hot, layer] = 0.0
+        cache, result = server.allocate(**request)
+        assert result.layers and layer not in result.layers
+        assert cache.active_layers == sorted(result.layers)
+        assert cache.layer_pack().ids.tolist() == result.hotspot_classes.tolist()
 
     def test_apply_client_update_moves_entry(self, server, tiny_model):
         layer = tiny_model.num_cache_layers - 1

@@ -102,13 +102,12 @@ class TestFrameworkRuns:
     def test_dca_disabled_uses_static_allocation(self, small_setup):
         dataset, config = small_setup
         fw = _framework(dataset, config, enable_dca=False)
-        assert fw._static_allocation is not None
         fw.run_round(0)
-        # All clients share the static allocation's layer set.
-        layer_sets = {
-            tuple(client.engine.cache.active_layers) for client in fw.clients
-        }
-        assert len(layer_sets) == 1
+        # Every client runs the preset cache: every class on every layer.
+        for client in fw.clients:
+            cache = client.engine.cache
+            assert cache.active_layers == list(range(fw.model.num_cache_layers))
+            assert cache.layer_pack().ids.tolist() == list(range(fw.model.num_classes))
 
     def test_longtail_workload_runs(self, small_setup):
         dataset, config = small_setup

@@ -42,7 +42,7 @@ class TestFloorCalibration:
 
     def test_built_caches_carry_floors(self, calibrated):
         _, model, server = calibrated
-        cache = server.build_cache({5: np.arange(10)})
+        cache = server.build_cache([5], np.arange(10))
         assert cache.similarity_floor(5) == pytest.approx(
             float(server.reference_similarity_floor[5])
         )
@@ -50,9 +50,7 @@ class TestFloorCalibration:
     def test_true_class_samples_clear_the_floor(self, calibrated):
         """Easy cached-class samples still hit with floors active."""
         dataset, model, server = calibrated
-        cache = server.build_cache(
-            {j: np.arange(model.num_classes) for j in (5, 10, 15, 20)}
-        )
+        cache = server.build_cache((5, 10, 15, 20), np.arange(model.num_classes))
         engine = BatchedInferenceEngine(model, cache)
         rng = np.random.default_rng(4)
         stream = StreamGenerator(
@@ -67,7 +65,7 @@ class TestFloorCalibration:
         """Samples of uncached classes fall through to the model."""
         dataset, model, server = calibrated
         cached = np.arange(20)  # classes 20-29 absent
-        cache = server.build_cache({j: cached for j in (5, 10, 15, 20)})
+        cache = server.build_cache((5, 10, 15, 20), cached)
         engine = BatchedInferenceEngine(model, cache)
         rng = np.random.default_rng(6)
         absent_only = np.r_[np.zeros(20), np.full(10, 1 / 10)]

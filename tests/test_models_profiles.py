@@ -86,15 +86,6 @@ class TestLookupCostModel:
         assert profile.entry_size_bytes(0) == 32
         assert profile.entry_size_bytes(3) == 256
 
-    def test_cache_size_accounting(self):
-        profile = _profile(channels=[8, 16, 32, 64])
-        size = profile.cache_size_bytes({0: 2, 3: 1})
-        assert size == 2 * 32 + 1 * 256
-
-    def test_cache_size_rejects_negative_counts(self):
-        with pytest.raises(ValueError):
-            _profile().cache_size_bytes({0: -1})
-
     def test_layer_bounds(self):
         profile = _profile(layers=3)
         with pytest.raises(ValueError):

@@ -560,8 +560,8 @@ def test_protocol_caches_have_complete_packs(monkeypatch, tmp_path):
     built: list[SemanticCache] = []
     build_cache = CoCaServer.build_cache
 
-    def recording(self, layer_classes):
-        built.append(build_cache(self, layer_classes))
+    def recording(self, layers, classes):
+        built.append(build_cache(self, layers, classes))
         return built[-1]
 
     monkeypatch.setattr(CoCaServer, "build_cache", recording)
@@ -577,7 +577,7 @@ def test_protocol_caches_have_complete_packs(monkeypatch, tmp_path):
     CoCaFramework(**kwargs).run(3)
     assert len(built) == 9  # every allocation of 3 clients x 3 rounds
     CoCaFramework(enable_dca=False, **kwargs).run(1)
-    assert len(built) == 12  # plus the static-allocation cache, per client
+    assert len(built) == 12  # plus the preset cache, per client
     cluster = ClusterFramework(num_shards=4, **kwargs)
     cluster.run(3)
     assert len(built) == 21
@@ -603,7 +603,7 @@ def test_pack_is_lazy_and_dropped_by_every_mutator():
     # Owned layers were moved into the block: it is their storage, not a
     # second copy of it.
     for g, layer in enumerate(pack.blocks[0].layers.tolist()):
-        assert np.shares_memory(pack.blocks[0].matrices[g], cache._layers[layer][1])
+        assert np.shares_memory(pack.blocks[0].matrices[g], cache._layers[layer])
         assert np.array_equal(cache.entries_at(layer)[1], stored[layer])
 
     ids = np.arange(scene.classes)
@@ -810,8 +810,26 @@ def test_pools_grow_geometrically():
                 if workspace._pools[key] is not pool:
                     regrown[key] = regrown.get(key, 0) + 1
         names = {name for name, _ in workspace._pools}
-    assert {"stack.sim", "stack.acc", "walk.predicted"} <= names
+    assert {"stack.sim", "walk.acc", "walk.predicted"} <= names
     assert regrown and max(regrown.values()) <= int(np.log2(300)) + 1, regrown
+
+
+def test_regrown_pool_drops_only_its_own_kind_of_layout():
+    """Stack layouts view only ``stack.`` pools and walk layouts only
+    ``walk.`` ones, so a regrown pool drops the kept layouts of its own
+    kind and leaves the other kind's."""
+    f32 = np.dtype(np.float32)
+    with LookupWorkspace() as workspace:
+
+        def kept():
+            return workspace.stack_layout(4, 2, 5, 8, f32, f32), workspace.walk_layout(4, 5, f32)
+
+        stack, walk = kept()
+        workspace.ints("walk.predicted", (1 << 17,))  # regrows a walk pool
+        assert kept()[0] is stack and kept()[1] is not walk
+        stack, walk = kept()
+        workspace.floats("stack.sim", (1 << 17,), f32)  # regrows a stack pool
+        assert kept()[1] is walk and kept()[0] is not stack
 
 
 # ----------------------------------------------------------------------

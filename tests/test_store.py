@@ -231,7 +231,7 @@ class TestMappedServing:
         cache = store.serving_cache(alpha=0.5, theta=0.05)
         assert cache.dtype == np.dtype(np.float64)
         assert cache.view_backed_layers() == list(range(table.num_layers))
-        _, mat = cache._layers[4]
+        mat = cache._layers[4]
         assert not mat.flags.writeable
         assert np.shares_memory(mat, store.layer_view(4))
 
@@ -243,7 +243,7 @@ class TestMappedServing:
         ids = np.arange(store.num_classes)
         cache.set_layer_entries(2, ids, unit_rows((ids.size, store.dim)))
         assert not cache.is_view_backed(2)
-        _, mat = cache._layers[2]
+        mat = cache._layers[2]
         assert mat.flags.writeable
         assert not np.shares_memory(mat, store.layer_view(2))
         assert cache.view_backed_layers() == [

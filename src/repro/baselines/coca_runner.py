@@ -26,10 +26,8 @@ class CoCaRunner:
         scenario: shared evaluation setting.
         config: CoCa hyper-parameters (``None`` = defaults).
         enable_dca / enable_gcu: ablation switches.
-        budget_fraction: per-client cache budget as a fraction of the full
-            global table (``None`` = config default).
-        budget_bytes: absolute per-client budget override (takes
-            precedence over ``budget_fraction``; used by the Fig. 8
+        budget_bytes: absolute per-client budget in place of the
+            config's ``cache_budget_fraction`` (the Fig. 8
             memory-matched comparison).
     """
 
@@ -41,7 +39,6 @@ class CoCaRunner:
         config: CoCaConfig | None = None,
         enable_dca: bool = True,
         enable_gcu: bool = True,
-        budget_fraction: float | None = None,
         budget_bytes: int | None = None,
     ) -> None:
         self.scenario = scenario
@@ -56,7 +53,6 @@ class CoCaRunner:
             longtail_rho=scenario.longtail_rho,
             enable_dca=enable_dca,
             enable_gcu=enable_gcu,
-            budget_fraction=budget_fraction,
             client_drift_scale=scenario.client_drift_scale,
         )
         if budget_bytes is not None:

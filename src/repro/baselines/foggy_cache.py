@@ -15,10 +15,10 @@ Simulation mapping:
 * a lookup hashes into the A-LSH index and scans only the returned
   candidates; its cost uses the model's lookup-cost coefficients over the
   candidate count;
-* a server lookup adds a WiFi round trip (``server_rtt_ms``) and is only
+* a server lookup adds a WiFi round trip (:data:`SERVER_RTT_MS`) and is only
   worthwhile because a server hit skips the remaining compute;
 * labels are *inferred* (full-model outputs), as with every method here;
-* local caches hold ``local_capacity`` entries with LRU eviction; the
+* local caches hold :data:`LOCAL_CAPACITY` entries with LRU eviction; the
   server cache aggregates what clients upload at round end.
 """
 
@@ -40,6 +40,23 @@ from repro.sim.metrics import RecordBatch
 if TYPE_CHECKING:
     # Annotations only: repro.experiments imports this package.
     from repro.experiments.scenario import Scenario
+
+#: Relative depth (0-1) of the feature layer used for matching.
+REUSE_DEPTH = 0.45
+#: kNN neighbourhood size.
+KNN_K = 8
+#: H-kNN confidence needed for reuse.
+HOMOGENEITY_THRESHOLD = 0.85
+#: Per-client cache entries.
+LOCAL_CAPACITY = 400
+#: Server cache entries.
+SERVER_CAPACITY = 4000
+#: Round-trip latency of a server lookup.
+SERVER_RTT_MS = 9.0
+#: Minimum full-model top-2 probability gap before a computed result is
+#: cached (a quality gate on reuse entries: misses skew toward hard
+#: frames, whose predicted labels would otherwise poison the cache).
+INSERT_CONFIDENCE = 0.20
 
 
 class LshLruCache:
@@ -110,20 +127,15 @@ class FoggyCache(BaselineRunner):
 
     Args:
         scenario: shared evaluation setting.
-        reuse_depth: relative depth (0-1) of the feature layer used for
-            matching.
-        k: kNN neighbourhood size.
-        homogeneity_threshold: H-kNN confidence needed for reuse.
-        local_capacity: per-client cache entries.
-        server_capacity: server cache entries.
-        server_rtt_ms: round-trip latency of a server lookup.
         min_similarity: distance criterion of the homogenized vote
             (centered cosine below this does not count as a neighbour).
-        insert_confidence: minimum full-model top-2 probability gap before
-            a computed result is cached (a quality gate on reuse entries:
-            misses skew toward hard frames, whose predicted labels would
-            otherwise poison the cache).
         frames_per_round: frames per client per round.
+
+    The matching layer, the vote and the cache sizes are this module's
+    constants (:data:`REUSE_DEPTH`, :data:`KNN_K`,
+    :data:`HOMOGENEITY_THRESHOLD`, :data:`LOCAL_CAPACITY`,
+    :data:`SERVER_CAPACITY`, :data:`SERVER_RTT_MS`,
+    :data:`INSERT_CONFIDENCE`).
     """
 
     name = "FoggyCache"
@@ -131,13 +143,6 @@ class FoggyCache(BaselineRunner):
     def __init__(
         self,
         scenario: Scenario,
-        reuse_depth: float = 0.45,
-        k: int = 8,
-        homogeneity_threshold: float = 0.85,
-        local_capacity: int = 400,
-        server_capacity: int = 4000,
-        server_rtt_ms: float = 9.0,
-        insert_confidence: float = 0.20,
         min_similarity: float = 0.72,
         frames_per_round: int = 300,
     ) -> None:
@@ -145,23 +150,19 @@ class FoggyCache(BaselineRunner):
         model = self.model
         self.reuse_layer = int(
             np.clip(
-                round(reuse_depth * (model.num_cache_layers - 1)),
+                round(REUSE_DEPTH * (model.num_cache_layers - 1)),
                 0,
                 model.num_cache_layers - 1,
             )
         )
-        self.k = int(k)
-        self.homogeneity_threshold = float(homogeneity_threshold)
-        self.server_rtt_ms = float(server_rtt_ms)
-        self.insert_confidence = float(insert_confidence)
         self.min_similarity = float(min_similarity)
         dim = model.feature_space.config.dim
         lsh_rng = derive_rng(scenario.seed, "foggycache.lsh")
         self._local = [
-            LshLruCache(local_capacity, dim, lsh_rng)
+            LshLruCache(LOCAL_CAPACITY, dim, lsh_rng)
             for _ in range(scenario.num_clients)
         ]
-        self._server = LshLruCache(server_capacity, dim, lsh_rng)
+        self._server = LshLruCache(SERVER_CAPACITY, dim, lsh_rng)
         self._pending_uploads: list[list[tuple[np.ndarray, int]]] = [
             [] for _ in range(scenario.num_clients)
         ]
@@ -198,7 +199,7 @@ class FoggyCache(BaselineRunner):
         latency = profile.compute_up_to_layer_ms(layer)
 
         vote, scanned = self._local[client_id].vote(
-            query, self.k, self.homogeneity_threshold, self.min_similarity
+            query, KNN_K, HOMOGENEITY_THRESHOLD, self.min_similarity
         )
         latency += self._lookup_cost_ms(scanned)
         if vote.hit:
@@ -206,16 +207,16 @@ class FoggyCache(BaselineRunner):
 
         # Local miss: consult the server's aggregated cache.
         server_vote, server_scanned = self._server.vote(
-            query, self.k, self.homogeneity_threshold, self.min_similarity
+            query, KNN_K, HOMOGENEITY_THRESHOLD, self.min_similarity
         )
-        latency += self.server_rtt_ms + self._lookup_cost_ms(server_scanned)
+        latency += SERVER_RTT_MS + self._lookup_cost_ms(server_scanned)
         if server_vote.hit:
             self._local[client_id].insert(query, server_vote.label)
             return server_vote.label, latency, layer
 
         # Full miss: run the rest of the model; cache confident results.
         latency += profile.total_compute_ms - profile.compute_up_to_layer_ms(layer)
-        if full_gap > self.insert_confidence:
+        if full_gap > INSERT_CONFIDENCE:
             self._local[client_id].insert(query, full_prediction)
             self._pending_uploads[client_id].append((query.copy(), full_prediction))
         return full_prediction, latency, -1

@@ -17,9 +17,10 @@ Simulation mapping:
   noisier still for classes with little retraining data;
 * an exit fires when the head's top-2 cosine-margin exceeds
   ``exit_margin``;
-* every frame is charged ``head_cost_ms`` per evaluated exit (the head is
-  a small FC layer — comparable to a cache lookup) plus an amortized
-  ``retrain_ms_per_frame`` for the periodic on-device retraining.
+* every frame is charged :data:`HEAD_COST_MS` per evaluated exit (the
+  head is a small FC layer — comparable to a cache lookup) plus an
+  amortized :data:`RETRAIN_MS_PER_FRAME` for the periodic on-device
+  retraining.
 """
 
 from __future__ import annotations
@@ -37,18 +38,27 @@ if TYPE_CHECKING:
     # Annotations only: repro.experiments imports this package.
     from repro.experiments.scenario import Scenario
 
+#: Number of early-exit heads.
+NUM_EXITS = 6
+#: Base logit-noise scale of an exit head.
+HEAD_NOISE = 0.035
+#: Per-exit evaluation cost.
+HEAD_COST_MS = 0.55
+#: Amortized on-device retraining cost.
+RETRAIN_MS_PER_FRAME = 0.85
+
 
 class LearnedCache(BaselineRunner):
     """Multi-exit inference with learned per-exit predictors.
 
     Args:
         scenario: shared evaluation setting.
-        num_exits: number of early-exit heads.
         exit_margin: top-2 cosine-margin needed to exit early.
-        head_noise: base logit-noise scale of an exit head.
-        head_cost_ms: per-exit evaluation cost.
-        retrain_ms_per_frame: amortized on-device retraining cost.
         frames_per_round: frames per client per round.
+
+    The heads and their costs are this module's constants
+    (:data:`NUM_EXITS`, :data:`HEAD_NOISE`, :data:`HEAD_COST_MS`,
+    :data:`RETRAIN_MS_PER_FRAME`).
     """
 
     name = "LearnedCache"
@@ -56,27 +66,18 @@ class LearnedCache(BaselineRunner):
     def __init__(
         self,
         scenario: Scenario,
-        num_exits: int = 6,
         exit_margin: float = 0.055,
-        head_noise: float = 0.035,
-        head_cost_ms: float = 0.55,
-        retrain_ms_per_frame: float = 0.85,
         frames_per_round: int = 300,
     ) -> None:
         super().__init__(scenario, frames_per_round)
-        if num_exits < 1:
-            raise ValueError(f"num_exits must be >= 1, got {num_exits}")
         model = self.model
         num_layers = model.num_cache_layers
         # Exits skip the first quarter of the network (too undiscriminative
         # for a small head) and spread evenly over the remainder.
         self.exit_layers = evenly_spaced_layers(
-            num_layers, num_exits, max(1, num_layers // 4)
+            num_layers, NUM_EXITS, max(1, num_layers // 4)
         )
         self.exit_margin = float(exit_margin)
-        self.head_noise = float(head_noise)
-        self.head_cost_ms = float(head_cost_ms)
-        self.retrain_ms_per_frame = float(retrain_ms_per_frame)
         self._centroids = {j: model.ideal_centroids(j) for j in self.exit_layers}
         # Recent class frequencies per client drive the long-tail noise
         # penalty (few recent samples => poorly retrained head).
@@ -93,7 +94,7 @@ class LearnedCache(BaselineRunner):
         margin)."""
         sims = self._centroids[layer] @ vector
         freq = self._recent_freq[client_id]
-        noise_scale = self.head_noise / np.sqrt(
+        noise_scale = HEAD_NOISE / np.sqrt(
             np.maximum(freq * self.model.num_classes, 0.05)
         )
         noisy = sims + noise_scale * self._noise_rng.standard_normal(sims.size)
@@ -107,9 +108,9 @@ class LearnedCache(BaselineRunner):
         latencies = np.empty(len(batch))
         hit_layers = np.full(len(batch), -1)
         for row, vectors in enumerate(batch.vectors):
-            latency = self.retrain_ms_per_frame
+            latency = RETRAIN_MS_PER_FRAME
             for layer in self.exit_layers:
-                latency += self.head_cost_ms
+                latency += HEAD_COST_MS
                 head_class, margin = self._head_prediction(
                     client_id, layer, vectors[layer]
                 )

@@ -34,6 +34,12 @@ if TYPE_CHECKING:
     from repro.experiments.scenario import Scenario
 
 POLICIES = ("lru", "fifo", "rand")
+#: Eq. 1 decay.
+ALPHA = 0.5
+#: Static active-layer count.
+NUM_LAYERS_ACTIVE = 6
+#: Shallowest activated depth (0-1).
+MIN_RELATIVE_DEPTH = 0.25
 
 
 class ReplacementPolicyCache(BaselineRunner):
@@ -44,10 +50,11 @@ class ReplacementPolicyCache(BaselineRunner):
         policy: one of ``"lru"``, ``"fifo"``, ``"rand"``.
         cache_size: maximum resident classes (entries per layer).
         theta: Eq. 2 hit threshold.
-        alpha: Eq. 1 decay.
-        num_layers_active: static active-layer count.
-        min_relative_depth: shallowest activated depth (0-1).
         frames_per_round: frames per client per round.
+
+    The layer set and the decay are this module's constants
+    (:data:`ALPHA`, :data:`NUM_LAYERS_ACTIVE`,
+    :data:`MIN_RELATIVE_DEPTH`).
     """
 
     def __init__(
@@ -56,9 +63,6 @@ class ReplacementPolicyCache(BaselineRunner):
         policy: str = "lru",
         cache_size: int = 30,
         theta: float = 0.04,
-        alpha: float = 0.5,
-        num_layers_active: int = 6,
-        min_relative_depth: float = 0.25,
         frames_per_round: int = 300,
     ) -> None:
         super().__init__(scenario, frames_per_round)
@@ -71,10 +75,9 @@ class ReplacementPolicyCache(BaselineRunner):
         self.cache_size = int(cache_size)
         model = self.model
         L = model.num_cache_layers
-        start = int(np.clip(round(min_relative_depth * (L - 1)), 0, L - 1))
-        self.active_layers = evenly_spaced_layers(L, num_layers_active, start)
+        start = int(np.clip(round(MIN_RELATIVE_DEPTH * (L - 1)), 0, L - 1))
+        self.active_layers = evenly_spaced_layers(L, NUM_LAYERS_ACTIVE, start)
         self.theta = float(theta)
-        self.alpha = float(alpha)
         self._centroids = {j: model.ideal_centroids(j) for j in self.active_layers}
         self._rand_rng = derive_rng(scenario.seed, "replacement.evict")
 
@@ -96,9 +99,7 @@ class ReplacementPolicyCache(BaselineRunner):
 
     def _rebuild(self, client_id: int) -> None:
         resident = list(self._resident[client_id])
-        cache = SemanticCache(
-            self.model.num_classes, alpha=self.alpha, theta=self.theta
-        )
+        cache = SemanticCache(self.model.num_classes, alpha=ALPHA, theta=self.theta)
         ids = np.array(resident, dtype=int)
         for layer in self.active_layers:
             cache.set_layer_entries(layer, ids, self._centroids[layer][ids])

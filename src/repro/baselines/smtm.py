@@ -35,6 +35,22 @@ if TYPE_CHECKING:
     # Annotations only: repro.experiments imports this package.
     from repro.experiments.scenario import Scenario
 
+#: Eq. 1 cross-layer decay.
+ALPHA = 0.5
+#: Number of (evenly spaced) active cache layers.
+NUM_LAYERS_ACTIVE = 6
+#: Shallowest activated depth (0-1): SMTM's offline profiling avoids the
+#: undiscriminative early layers.
+MIN_RELATIVE_DEPTH = 0.25
+#: Score-mass rule for hot-spot classes.
+HOTSPOT_MASS = 0.95
+#: Recency discount base per stale round.
+RECENCY_BASE = 0.20
+#: Adaptation rate of cache entries toward confident hits.
+EMA = 0.05
+#: Hit score needed before a sample adapts entries.
+REINFORCE_MARGIN = 0.10
+
 
 class SMTM(BaselineRunner):
     """Per-client semantic cache with fixed layers and local adaptation.
@@ -42,16 +58,13 @@ class SMTM(BaselineRunner):
     Args:
         scenario: shared evaluation setting.
         theta: Eq. 2 hit threshold.
-        alpha: Eq. 1 cross-layer decay.
-        num_layers_active: number of (evenly spaced) active cache layers.
-        min_relative_depth: shallowest activated depth (0-1); SMTM's
-            offline profiling avoids the undiscriminative early layers.
-        hotspot_mass: score-mass rule for hot-spot classes (0.95).
-        recency_base: recency discount base per stale round.
-        ema: adaptation rate of cache entries toward confident hits.
-        reinforce_margin: hit score needed before a sample adapts entries.
         frames_per_round: frames per client per round (cache refresh
             cadence).
+
+    The layer set, the class scoring and the adaptation are this
+    module's constants (:data:`ALPHA`, :data:`NUM_LAYERS_ACTIVE`,
+    :data:`MIN_RELATIVE_DEPTH`, :data:`HOTSPOT_MASS`,
+    :data:`RECENCY_BASE`, :data:`EMA`, :data:`REINFORCE_MARGIN`).
     """
 
     name = "SMTM"
@@ -60,26 +73,14 @@ class SMTM(BaselineRunner):
         self,
         scenario: Scenario,
         theta: float = 0.04,
-        alpha: float = 0.5,
-        num_layers_active: int = 6,
-        min_relative_depth: float = 0.25,
-        hotspot_mass: float = 0.95,
-        recency_base: float = 0.20,
-        ema: float = 0.05,
-        reinforce_margin: float = 0.10,
         frames_per_round: int = 300,
     ) -> None:
         super().__init__(scenario, frames_per_round)
         model = self.model
         L = model.num_cache_layers
-        start = int(np.clip(round(min_relative_depth * (L - 1)), 0, L - 1))
-        self.active_layers = evenly_spaced_layers(L, num_layers_active, start)
+        start = int(np.clip(round(MIN_RELATIVE_DEPTH * (L - 1)), 0, L - 1))
+        self.active_layers = evenly_spaced_layers(L, NUM_LAYERS_ACTIVE, start)
         self.theta = float(theta)
-        self.alpha = float(alpha)
-        self.hotspot_mass = float(hotspot_mass)
-        self.recency_base = float(recency_base)
-        self.ema = float(ema)
-        self.reinforce_margin = float(reinforce_margin)
 
         num_classes = model.num_classes
         # Per-client adapted centroids (start = server-deployed ideals).
@@ -102,16 +103,14 @@ class SMTM(BaselineRunner):
     def _local_scores(self, client_id: int) -> np.ndarray:
         staleness = np.floor(self._tau[client_id] / self.frames_per_round)
         freq = self._freq[client_id] + 1.0  # +1 prior: cold start caches all
-        return freq * np.power(self.recency_base, staleness)
+        return freq * np.power(RECENCY_BASE, staleness)
 
     def _refresh_cache(self, client_id: int) -> None:
         """Rebuild the client's cache from its local hot-spot classes."""
         hotspot = select_hotspot_classes(
-            self._local_scores(client_id), self.hotspot_mass
+            self._local_scores(client_id), HOTSPOT_MASS
         )
-        cache = SemanticCache(
-            self.model.num_classes, alpha=self.alpha, theta=self.theta
-        )
+        cache = SemanticCache(self.model.num_classes, alpha=ALPHA, theta=self.theta)
         for layer in self.active_layers:
             cache.set_layer_entries(
                 layer, hotspot, self._centroids[layer][client_id, hotspot]
@@ -142,10 +141,10 @@ class SMTM(BaselineRunner):
                 # Local adaptation: confident hits pull their entries toward
                 # the sample (SMTM's online centroid update) at every layer
                 # probed.
-                if hit_layer >= 0 and hit_score > self.reinforce_margin:
+                if hit_layer >= 0 and hit_score > REINFORCE_MARGIN:
                     for layer in [j for j in self.active_layers if j <= hit_layer]:
                         current = self._centroids[layer][client_id, predicted]
-                        updated = (1 - self.ema) * current + self.ema * vectors[layer]
+                        updated = (1 - EMA) * current + EMA * vectors[layer]
                         norm = np.linalg.norm(updated)
                         if norm > 0:
                             self._centroids[layer][client_id, predicted] = updated / norm

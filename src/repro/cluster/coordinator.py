@@ -19,7 +19,7 @@ The coordinator owns the two cluster-wide policies:
     hosted shard owns the largest share of the client's class
     distribution, so the classes a client streams most are served and
     written with zero cross-shard staleness.  Capacity-capped: a node
-    never takes more than ``ceil(C / N)`` + slack clients.
+    never takes more than ``ceil(C / N)`` + :data:`REGION_SLACK` clients.
   - ``least-loaded`` — greedy balance: each client (in id order) joins
     the node with the fewest assigned clients.
 """
@@ -33,6 +33,10 @@ from repro.cluster.sharding import ShardedGlobalCache
 
 ASSIGNMENT_POLICIES = ("hash", "region", "least-loaded")
 
+#: Extra clients past the even share a node may accept under ``region``
+#: before spilling to the next-best shard.
+REGION_SLACK = 1
+
 
 def assign_clients(
     policy: str,
@@ -40,7 +44,6 @@ def assign_clients(
     num_nodes: int,
     sharded: ShardedGlobalCache | None = None,
     client_distributions: np.ndarray | None = None,
-    region_slack: int = 1,
 ) -> np.ndarray:
     """Client -> node assignment under one of the cluster policies.
 
@@ -51,8 +54,6 @@ def assign_clients(
             class -> shard map).
         client_distributions: ``(num_clients, num_classes)`` per-client
             class distributions (required by ``region``).
-        region_slack: extra clients past the even share a node may accept
-            under ``region`` before spilling to the next-best shard.
 
     Returns:
         int array of shape ``(num_clients,)`` with values in
@@ -89,7 +90,7 @@ def assign_clients(
                 f"distributions shape {dists.shape} != "
                 f"({num_clients}, {sharded.num_classes})"
             )
-        capacity = -(-num_clients // num_nodes) + max(0, region_slack)
+        capacity = -(-num_clients // num_nodes) + REGION_SLACK
         loads = np.zeros(num_nodes, dtype=np.int64)
         assignment = np.empty(num_clients, dtype=np.int64)
         # One vectorized pass: masses[c, s] = client c's mass on shard s.
@@ -217,8 +218,3 @@ class ClusterCoordinator:
             return True
         self.refresh_local_shards()
         return False
-
-    @property
-    def staleness_bound_rounds(self) -> int:
-        """Worst-case cross-shard replica staleness, in rounds."""
-        return self.sync_interval - 1

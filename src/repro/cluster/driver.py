@@ -93,7 +93,7 @@ class ClusterFramework:
 
     Args:
         dataset / model_name / num_clients / config / seed /
-        non_iid_level / longtail_rho / enable_dca / budget_fraction:
+        non_iid_level / longtail_rho / enable_dca:
             forwarded to the internal :class:`CoCaFramework`, so a
             cluster and a single-server run with equal parameters see
             byte-identical geometry, streams and initial tables.
@@ -104,8 +104,10 @@ class ClusterFramework:
         load: per-node latency model (service time, base network latency,
             contention); default :class:`ServerLoadModel`.
         merge_service_ms: node CPU time per merged upload piece.
-        sync_service_ms: node CPU time per remote shard pulled at each
-            cross-shard sync (free for a 1-shard cluster).
+
+    Each cross-shard sync charges every node
+    :data:`~repro.cluster.node.SYNC_SERVICE_MS` per remote shard pulled
+    (free for a 1-shard cluster).
     """
 
     def __init__(
@@ -119,12 +121,10 @@ class ClusterFramework:
         non_iid_level: float = 0.0,
         longtail_rho: float = 1.0,
         enable_dca: bool = True,
-        budget_fraction: float | None = None,
         sync_interval: int = 1,
         assignment_policy: str = "hash",
         load: ServerLoadModel | None = None,
         merge_service_ms: float = 0.5,
-        sync_service_ms: float = 2.0,
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
@@ -137,7 +137,6 @@ class ClusterFramework:
             non_iid_level=non_iid_level,
             longtail_rho=longtail_rho,
             enable_dca=enable_dca,
-            budget_fraction=budget_fraction,
         )
         self.model = self.framework.model
         self.config = self.framework.config
@@ -154,7 +153,6 @@ class ClusterFramework:
                 server=canonical.replicate(),
                 load=self.load,
                 merge_service_ms=merge_service_ms,
-                sync_service_ms=sync_service_ms,
             )
             for shard_id in range(num_shards)
         ]

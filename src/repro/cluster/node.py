@@ -24,6 +24,11 @@ from repro.core.server import CoCaServer
 from repro.sim.clock import VirtualClock
 from repro.sim.network import ServerLoadModel
 
+#: Node CPU time charged per *remote* shard pulled during a cross-shard
+#: replica refresh (deserialize + scatter of the owned rows); the local
+#: shard is co-located and free.
+SYNC_SERVICE_MS = 2.0
+
 
 @dataclass(frozen=True)
 class RequestTiming:
@@ -64,9 +69,6 @@ class EdgeServerNode:
             network base latency, and the per-client contention term.
         merge_service_ms: CPU time charged per client upload merged into
             the hosted shard (Eq. 4 scatter + Eq. 5 accumulation).
-        sync_service_ms: CPU time charged per *remote* shard pulled
-            during a cross-shard replica refresh (deserialize + scatter
-            of the owned rows); the local shard is co-located and free.
     """
 
     def __init__(
@@ -75,17 +77,13 @@ class EdgeServerNode:
         server: CoCaServer,
         load: ServerLoadModel | None = None,
         merge_service_ms: float = 0.5,
-        sync_service_ms: float = 2.0,
     ) -> None:
         if merge_service_ms < 0:
             raise ValueError(f"merge_service_ms must be >= 0, got {merge_service_ms}")
-        if sync_service_ms < 0:
-            raise ValueError(f"sync_service_ms must be >= 0, got {sync_service_ms}")
         self.node_id = node_id
         self.server = server
         self.load = load if load is not None else ServerLoadModel()
         self.merge_service_ms = float(merge_service_ms)
-        self.sync_service_ms = float(sync_service_ms)
         self.clock = VirtualClock()  # tracks the CPU's busy horizon
         self.assigned_clients: list[int] = []
         self.requests_served = 0
@@ -155,7 +153,7 @@ class EdgeServerNode:
     ) -> float:
         """Charge one cross-shard replica refresh; returns the finish time.
 
-        The refresh costs ``sync_service_ms`` per remote shard pulled and
+        The refresh costs :data:`SYNC_SERVICE_MS` per remote shard pulled and
         cannot start before ``arrival_ms`` — the coordinator passes the
         virtual time at which every remote shard's pending writes have
         finished, so a replica never receives rows earlier than the merge
@@ -178,9 +176,7 @@ class EdgeServerNode:
             return self.clock.now_ms
         self.sync_payload_bytes += int(payload_bytes)
         arrival = self.clock.now_ms if arrival_ms is None else arrival_ms
-        _, finish = self._occupy(
-            arrival, self.sync_service_ms * num_remote_shards
-        )
+        _, finish = self._occupy(arrival, SYNC_SERVICE_MS * num_remote_shards)
         self.syncs_served += 1
         return finish
 

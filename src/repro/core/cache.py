@@ -193,16 +193,16 @@ class LookupWorkspace:
         Cutting the ~25 views costs a small step as much as the
         arithmetic between them, so every layout cut is kept, keyed by
         ``(rows, depth)``, for the geometry last served.  Kept layouts go
-        when the geometry changes (the walk layouts with them), when a
-        ``stack.`` pool regrows, and at :meth:`close`.  They are bounded
-        by the largest row count walked since the last drop times the
-        pack's distinct block depths; a layout is about 8 KB of view
-        headers.
+        when the geometry changes, when a ``stack.`` pool regrows, and at
+        :meth:`close`.  They are bounded by the largest row count walked
+        since the last drop times the pack's distinct block depths; a
+        layout is about 8 KB of view headers.  The walk layouts stay on a
+        geometry change: they view only ``walk.`` pools and carry their
+        own ``(rows, entries, dtype)`` key.
         """
         geometry = (entries, dim, query_dtype, dtype)
         if geometry != self._layout_geometry:
             self._layouts.clear()
-            self._walks.clear()
             self._layout_geometry = geometry
         layout = self._layouts.get((rows, depth))
         if layout is None:
@@ -213,9 +213,9 @@ class LookupWorkspace:
     def walk_layout(self, rows: int, entries: int, dtype: np.dtype) -> "WalkLayout":
         """The result and carry views of one walk over ``rows`` rows of a
         cache of ``entries`` entries in ``dtype`` (:class:`WalkLayout`),
-        kept like :meth:`stack_layout`'s; they go when a ``walk.`` pool
-        regrows, with the stack layouts on a geometry change, and at
-        :meth:`close`."""
+        kept like :meth:`stack_layout`'s, across cache geometries; they
+        go when a ``walk.`` pool regrows and at :meth:`close`, so they are
+        bounded by the distinct ``(rows, entries)`` walked since then."""
         key = (rows, entries, dtype)
         layout = self._walks.get(key)
         if layout is None:

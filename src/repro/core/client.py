@@ -147,8 +147,8 @@ class CoCaClient:
         stream: the client's frame stream.
         config: CoCa hyper-parameters.
         rng: per-client generator for feature sampling.
-        cache_budget_bytes: cache-size threshold Pi; defaults to
-            ``config.cache_budget_fraction`` of the full global table.
+        cache_budget_bytes: cache-size threshold Pi (the framework
+            passes :meth:`~repro.core.server.CoCaServer.cache_size_limit_bytes`).
         workspace: shared probe-buffer pool for the batched engine
             (``None`` = the engine owns a private one).  The framework
             passes one workspace to every client it builds — rounds run
@@ -163,7 +163,7 @@ class CoCaClient:
         stream: StreamGenerator,
         config: CoCaConfig,
         rng: np.random.Generator,
-        cache_budget_bytes: int | None = None,
+        cache_budget_bytes: int,
         workspace: LookupWorkspace | None = None,
     ) -> None:
         self.client_id = client_id
@@ -173,11 +173,6 @@ class CoCaClient:
         self._rng = rng
         num_classes = model.num_classes
         num_layers = model.num_cache_layers
-        if cache_budget_bytes is None:
-            full_table = num_classes * sum(
-                model.profile.entry_size_bytes(j) for j in range(num_layers)
-            )
-            cache_budget_bytes = int(config.cache_budget_fraction * full_table)
         if cache_budget_bytes <= 0:
             raise ValueError("cache budget must be positive")
         self.cache_budget_bytes = int(cache_budget_bytes)
@@ -222,11 +217,11 @@ class CoCaClient:
 
     def run_round(
         self,
-        num_frames: int | None = None,
         batch: SampleBatch | None = None,
         timings: dict[str, float] | None = None,
     ) -> RoundReport:
-        """Run F inferences, maintaining status and the update table.
+        """Run F (``config.frames_per_round``) inferences, maintaining
+        status and the update table.
 
         The round is vectorized end to end: the stream yields one
         :class:`~repro.data.stream.FrameBlock`, the feature space draws
@@ -236,8 +231,6 @@ class CoCaClient:
         identical to a frame-by-frame replay of the same batch.
 
         Args:
-            num_frames: round length (default ``config.frames_per_round``);
-                ignored when ``batch`` is given.
             batch: pre-drawn samples to run instead of consuming the
                 stream (used by the equivalence suite and benchmarks).
             timings: optional accumulator for wall-clock stage seconds
@@ -245,11 +238,7 @@ class CoCaClient:
                 ``"collect"``) — the ``repro profile-round`` breakdown.
         """
         if batch is None:
-            frames = (
-                num_frames if num_frames is not None else self.config.frames_per_round
-            )
-            if frames < 1:
-                raise ValueError(f"num_frames must be >= 1, got {frames}")
+            frames = self.config.frames_per_round
             start = time.perf_counter() if timings is not None else 0.0
             block = self.stream.take_block(frames)
             batch = self.model.draw_samples(block, self.client_id, self._rng)

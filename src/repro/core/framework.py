@@ -1,15 +1,19 @@
 """Round-based orchestration of the CoCa client-server protocol.
 
-One framework round follows Fig. 3 of the paper, per client:
+Every client takes part in every round.  One framework round follows
+Fig. 3 of the paper, for each client in id order:
 
-1. the client uploads status (tau, R, Pi) and requests a cache;
+1. the client uploads status (tau, R, Pi) and requests a cache; Pi is
+   ``config.cache_budget_fraction`` of the full table, the same for
+   every client;
 2. the server runs ACA over the global state — optimizing expected
    latency against the model profile's own lookup-cost model — and
    returns the sub-table;
-3. the client runs ``F`` inferences with the cache through the batched
-   round pipeline (block frame generation, one vectorized sample draw and
-   inference pass, grouped Eq. 3 collection — outcome-identical to the
-   per-frame scalar loop), collecting status and its update table;
+3. the client runs ``F`` (``config.frames_per_round``) inferences with
+   the cache through the batched round pipeline (block frame generation,
+   one vectorized sample draw and inference pass, grouped Eq. 3
+   collection — outcome-identical to the per-frame scalar loop),
+   collecting status and its update table;
 4. the server merges the update table into the global cache with one
    vectorized Eq. 4 scatter pass (Eq. 5 for frequencies).
 
@@ -78,8 +82,13 @@ class CoCaFramework:
         longtail_rho: imbalance ratio (1 = uniform).
         enable_dca: dynamic cache allocation (ablation switch).
         enable_gcu: global cache updates (ablation switch).
-        budget_fraction: per-client Pi as a fraction of the full table
-            (``None`` = config default).
+        client_drift_scale: per-client feature drift (``None`` = zoo
+            default for the client count).
+        temporal_drift_per_round: feature drift applied before every
+            round (0 = a static environment).
+
+    Every client's cache budget Pi is
+    :meth:`CoCaServer.cache_size_limit_bytes`.
     """
 
     def __init__(
@@ -93,23 +102,16 @@ class CoCaFramework:
         longtail_rho: float = 1.0,
         enable_dca: bool = True,
         enable_gcu: bool = True,
-        budget_fraction: float | None = None,
         client_drift_scale: float | None = None,
-        participation_rate: float = 1.0,
         temporal_drift_per_round: float = 0.0,
     ) -> None:
         if num_clients < 1:
             raise ValueError(f"num_clients must be >= 1, got {num_clients}")
-        if not 0.0 < participation_rate <= 1.0:
-            raise ValueError(
-                f"participation_rate must be in (0, 1], got {participation_rate}"
-            )
         if temporal_drift_per_round < 0:
             raise ValueError("temporal_drift_per_round must be >= 0")
         self.config = config if config is not None else CoCaConfig()
         self.enable_dca = enable_dca
         self.enable_gcu = enable_gcu
-        self.participation_rate = participation_rate
         self.temporal_drift_per_round = temporal_drift_per_round
         deployment = derive_deployment(
             dataset,
@@ -128,7 +130,7 @@ class CoCaFramework:
         self.server = CoCaServer(model, self.config)
         self.server.initialize_from_shared_dataset(deployment.server_rng())
 
-        budget = self.server.cache_size_limit_bytes(budget_fraction)
+        budget = self.server.cache_size_limit_bytes()
         #: One probe-buffer pool for the whole deployment: rounds run
         #: clients sequentially, so every engine can share it — probe
         #: scratch memory stays constant in the client count.
@@ -162,14 +164,11 @@ class CoCaFramework:
         *,
         timings: dict[str, float] | None = None,
     ) -> list[RoundReport]:
-        """Execute one full protocol round.
+        """Execute one full protocol round: every client, in id order.
 
-        With ``participation_rate < 1``, each client independently joins
-        the round with that probability (at least one always joins);
-        offline clients keep their previous cache and upload nothing —
-        the dropout robustness the client-server design affords.  With
-        ``temporal_drift_per_round > 0`` the feature environment evolves
-        before the round (Sec. IV-A's "contextual feature changes").
+        With ``temporal_drift_per_round > 0`` the feature environment
+        evolves before the round (Sec. IV-A's "contextual feature
+        changes").
 
         ``timings`` accumulates wall-clock stage
         seconds — ``allocate`` / ``sample-gen`` / ``probe`` / ``model``
@@ -180,23 +179,8 @@ class CoCaFramework:
             self.model.feature_space.evolve_drift(
                 self.temporal_drift_per_round, self._protocol_rng
             )
-        if self.participation_rate < 1.0:
-            joining = [
-                client
-                for client in self.clients
-                if self._protocol_rng.random() < self.participation_rate
-            ]
-            if not joining:
-                joining = [
-                    self.clients[
-                        int(self._protocol_rng.integers(len(self.clients)))
-                    ]
-                ]
-        else:
-            joining = self.clients
-
         reports: list[RoundReport] = []
-        for client in joining:
+        for client in self.clients:
             status = client.status()
             start = time.perf_counter() if timings is not None else 0.0
             if self.enable_dca:

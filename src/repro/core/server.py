@@ -40,9 +40,9 @@ from repro.core.allocation import AllocationResult, aca_allocate
 from repro.core.cache import PACK_BLOCK_LAYERS, LookupWorkspace, SemanticCache
 from repro.core.client import UpdateTable
 from repro.core.config import CoCaConfig
-from repro.data.stream import StreamGenerator
+from repro.data.stream import FrameBlock, StreamGenerator
 from repro.models.base import SimulatedModel
-from repro.models.feature import DRAW_BLOCK_ROWS
+from repro.models.feature import DRAW_BLOCK_ROWS, SampleBatch
 
 if TYPE_CHECKING:
     from repro.store.format import SnapshotManifest
@@ -305,6 +305,23 @@ class CoCaServer:
             rng, num_samples=calibration_samples
         )
 
+    def _draw_shared_dataset(
+        self, rng: np.random.Generator, num_samples: int
+    ) -> tuple[FrameBlock, SampleBatch]:
+        """``num_samples`` shared-dataset frames and their samples, drawn
+        on ``rng``: a uniform class stream with no working set (stable
+        coverage of every class), then one sample draw as client 0."""
+        model = self.model
+        stream = StreamGenerator(
+            class_distribution=np.full(model.num_classes, 1.0 / model.num_classes),
+            mean_run_length=model.dataset.mean_run_length,
+            rng=rng,
+            base_difficulty=model.dataset.difficulty,
+            working_set_size=None,
+        )
+        block = stream.take_block(num_samples)
+        return block, model.draw_samples(block, 0, rng)
+
     def measure_layer_statistics(
         self,
         rng: np.random.Generator,
@@ -339,15 +356,7 @@ class CoCaServer:
             base = base + DRIFT_MARGIN * noise
             base /= np.linalg.norm(base, axis=1, keepdims=True)
             centroids.append(base)
-        stream = StreamGenerator(
-            class_distribution=np.full(num_classes, 1.0 / num_classes),
-            mean_run_length=model.dataset.mean_run_length,
-            rng=rng,
-            base_difficulty=model.dataset.difficulty,
-            working_set_size=None,  # stable coverage of cached/uncached mix
-        )
-        block = stream.take_block(num_samples)
-        batch = model.draw_samples(block, 0, rng)
+        block, batch = self._draw_shared_dataset(rng, num_samples)
         class_ids = block.class_ids
         predictions, _ = model.classify_vectors(batch.final_vectors())
 
@@ -401,17 +410,7 @@ class CoCaServer:
         centroids = np.stack(
             [model.ideal_centroids(layer) for layer in range(num_layers)]
         )  # (L, I, d)
-        stream = StreamGenerator(
-            class_distribution=np.full(
-                model.num_classes, 1.0 / model.num_classes
-            ),
-            mean_run_length=model.dataset.mean_run_length,
-            rng=rng,
-            base_difficulty=model.dataset.difficulty,
-            working_set_size=None,
-        )
-        block = stream.take_block(num_samples)
-        batch = model.draw_samples(block, 0, rng)
+        block, batch = self._draw_shared_dataset(rng, num_samples)
         # Floors gate *confident* hits, so calibrate on the easy
         # majority (hard samples would not hit their own class anyway).
         keep = np.flatnonzero(batch.confusion_weights <= 0.4)
@@ -534,11 +533,10 @@ class CoCaServer:
             )
         self.table.add_frequencies(local_freq)
 
-    def cache_size_limit_bytes(self, fraction: float | None = None) -> int:
-        """Pi as a fraction of the full-table size (default from config)."""
-        frac = self.config.cache_budget_fraction if fraction is None else fraction
+    def cache_size_limit_bytes(self) -> int:
+        """Pi: ``config.cache_budget_fraction`` of the full-table size."""
         full = self.model.num_classes * int(self._entry_sizes.sum())
-        return max(1, int(frac * full))
+        return max(1, int(self.config.cache_budget_fraction * full))
 
     # ------------------------------------------------------------------
     # Replication

@@ -100,29 +100,24 @@ def apply_longtail(
     base_distribution: np.ndarray,
     imbalance_ratio: float,
     rng: np.random.Generator,
-    shuffle_classes: bool = True,
 ) -> np.ndarray:
     """Impose a long tail on top of an existing class distribution.
 
-    The long-tail weights are (optionally) assigned to classes in a random
-    order so that "head" classes differ across experiments, then multiplied
-    into the base distribution and renormalized.
+    The long-tail weights are assigned to classes in a random order so
+    that "head" classes differ across experiments, then multiplied into
+    the base distribution and renormalized.
 
     Args:
         base_distribution: probability vector to reshape.
         imbalance_ratio: tail steepness ``rho``.
         rng: numpy generator used for the head-class shuffle.
-        shuffle_classes: if ``False``, class 0 is always the head class
-            (useful for deterministic unit tests).
     """
     base = np.asarray(base_distribution, dtype=float)
     if base.ndim != 1:
         raise ValueError(f"base_distribution must be 1-D, got shape {base.shape}")
     if not np.isclose(base.sum(), 1.0, atol=1e-6):
         raise ValueError("base_distribution must sum to 1")
-    tail = longtail_weights(base.size, imbalance_ratio)
-    if shuffle_classes:
-        tail = tail[rng.permutation(base.size)]
+    tail = longtail_weights(base.size, imbalance_ratio)[rng.permutation(base.size)]
     mixed = base * tail
     total = mixed.sum()
     if total <= 0:

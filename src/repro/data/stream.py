@@ -38,6 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Width of the per-frame uniform difficulty component.
+DIFFICULTY_JITTER = 0.25
+#: Extra difficulty applied to the first frames of a run, decaying
+#: geometrically (halving) with run position.
+TRANSITION_PENALTY = 0.08
+
 
 @dataclass(frozen=True)
 class FrameBlock:
@@ -89,11 +95,9 @@ class StreamGenerator:
             mean stronger temporal locality.
         rng: numpy generator; streams with equal seeds are identical.
         base_difficulty: dataset-level difficulty offset (see
-            :class:`repro.data.datasets.DatasetSpec`).
-        difficulty_jitter: width of the per-frame uniform difficulty
-            component.
-        transition_penalty: extra difficulty applied to the first frames of
-            a run, decaying geometrically with run position.
+            :class:`repro.data.datasets.DatasetSpec`); every frame adds
+            :data:`TRANSITION_PENALTY` and :data:`DIFFICULTY_JITTER`
+            terms to it.
         working_set_size: number of classes simultaneously "in view";
             ``None`` or a value >= the class count disables the working
             set (every run samples the full distribution).
@@ -107,8 +111,6 @@ class StreamGenerator:
         mean_run_length: float,
         rng: np.random.Generator,
         base_difficulty: float = 0.3,
-        difficulty_jitter: float = 0.25,
-        transition_penalty: float = 0.08,
         working_set_size: int | None = 10,
         churn_probability: float = 0.08,
     ) -> None:
@@ -131,8 +133,6 @@ class StreamGenerator:
         self._mean_run_length = float(mean_run_length)
         self._rng = rng
         self._base_difficulty = float(base_difficulty)
-        self._jitter = float(difficulty_jitter)
-        self._transition_penalty = float(transition_penalty)
         self._churn = float(churn_probability)
         self._index = 0
         self._current_class: int | None = None
@@ -213,8 +213,8 @@ class StreamGenerator:
             assert self._current_class is not None
             n = min(self._remaining_in_run, count - produced)
             positions = self._run_position + np.arange(n)
-            transition = self._transition_penalty * np.power(0.5, positions)
-            jitter = self._rng.uniform(0.0, self._jitter, size=n)
+            transition = TRANSITION_PENALTY * np.power(0.5, positions)
+            jitter = self._rng.uniform(0.0, DIFFICULTY_JITTER, size=n)
             difficulties = np.minimum(
                 0.999, self._base_difficulty + transition + jitter
             )

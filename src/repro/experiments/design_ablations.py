@@ -37,8 +37,8 @@ class DesignPoint:
 
 
 def _measure(scenario: Scenario, config: CoCaConfig, rounds: int, warmup: int,
-             knob: str, value: str, **runner_kwargs) -> DesignPoint:
-    runner = CoCaRunner(scenario, config=config, **runner_kwargs)
+             knob: str, value: str) -> DesignPoint:
+    runner = CoCaRunner(scenario, config=config)
     summary = runner.run(rounds, warmup_rounds=warmup).summary()
     return DesignPoint(
         knob=knob,
@@ -113,8 +113,8 @@ def run_local_blend_ablation(
                 client.last_frequencies = np.zeros_like(client.last_frequencies)
                 original = client.run_round
 
-                def wrapped(num_frames=None, _client=client, _orig=original):
-                    report = _orig(num_frames)
+                def wrapped(batch=None, timings=None, _client=client, _orig=original):
+                    report = _orig(batch, timings)
                     _client.last_frequencies = np.zeros_like(
                         _client.last_frequencies
                     )

@@ -6,7 +6,7 @@ experiment is reproducible on a laptop.  See DESIGN.md for the substitution
 rationale.
 """
 
-from repro.sim.clock import Stopwatch, VirtualClock
+from repro.sim.clock import VirtualClock
 from repro.sim.metrics import (
     LatencySummary,
     MetricsCollector,
@@ -24,7 +24,6 @@ __all__ = [
     "MetricsSummary",
     "RecordBatch",
     "ServerLoadModel",
-    "Stopwatch",
     "VirtualClock",
     "merge_summaries",
     "per_class_hit_rates",

@@ -10,23 +10,19 @@ reproducible and independent of the host machine's speed.
 
 from __future__ import annotations
 
-from types import TracebackType
-
 from repro import contracts
 
 
 class VirtualClock:
     """A monotonically non-decreasing virtual clock measured in milliseconds.
 
-    The clock only moves forward via :meth:`advance`; it never observes host
-    time.  A simulation typically owns one clock per client so that per-client
-    latency accounting stays independent.
+    The clock starts at 0 and only moves forward via :meth:`advance`; it
+    never observes host time.  A simulation typically owns one clock per
+    client so that per-client latency accounting stays independent.
     """
 
-    def __init__(self, start_ms: float = 0.0) -> None:
-        if start_ms < 0:
-            raise ValueError(f"start_ms must be >= 0, got {start_ms}")
-        self._now_ms = float(start_ms)
+    def __init__(self) -> None:
+        self._now_ms = 0.0
 
     @property
     def now_ms(self) -> float:
@@ -64,45 +60,6 @@ class VirtualClock:
             contracts.check_clock_monotonic(previous, self._now_ms)
         return self._now_ms
 
-    def elapsed_since(self, t0_ms: float) -> float:
-        """Return virtual milliseconds elapsed since the timestamp ``t0_ms``."""
-        return self._now_ms - t0_ms
-
-    def reset(self, start_ms: float = 0.0) -> None:
-        """Rewind the clock to ``start_ms`` (for reusing a clock between runs)."""
-        if start_ms < 0:
-            raise ValueError(f"start_ms must be >= 0, got {start_ms}")
-        self._now_ms = float(start_ms)
-
     def __repr__(self) -> str:
         return f"VirtualClock(now_ms={self._now_ms:.3f})"
 
-
-class Stopwatch:
-    """Measures a span of virtual time on a :class:`VirtualClock`.
-
-    Example:
-        >>> clock = VirtualClock()
-        >>> with Stopwatch(clock) as sw:
-        ...     _ = clock.advance(12.5)
-        >>> sw.elapsed_ms
-        12.5
-    """
-
-    def __init__(self, clock: VirtualClock) -> None:
-        self._clock = clock
-        self._start_ms: float | None = None
-        self.elapsed_ms: float = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self._start_ms = self._clock.now_ms
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        assert self._start_ms is not None
-        self.elapsed_ms = self._clock.elapsed_since(self._start_ms)

@@ -124,10 +124,6 @@ class TestLearnedCache:
         L = runner.model.num_cache_layers
         assert min(runner.exit_layers) >= L // 4
 
-    def test_validation(self, small_scenario):
-        with pytest.raises(ValueError):
-            LearnedCache(small_scenario, num_exits=0)
-
 
 class TestFoggyCache:
     def test_reuse_hits_after_warm_cache(self, small_scenario):

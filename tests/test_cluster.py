@@ -14,6 +14,8 @@ from repro.cluster import (
     ShardedGlobalCache,
     assign_clients,
 )
+from repro.cluster.coordinator import REGION_SLACK
+from repro.cluster.node import SYNC_SERVICE_MS
 from repro.cluster.sharding import DELTA_FALLBACK_FRACTION
 from repro.core.client import RoundReport, UpdateTable
 from repro.core.config import CoCaConfig
@@ -220,12 +222,11 @@ class TestEdgeServerNode:
 
     def test_sync_charges_per_remote_shard(self):
         node = _node()
-        node.sync_service_ms = 2.0
         assert node.serve_sync(0) == 0.0  # co-located shard is free
         assert node.syncs_served == 0
-        assert node.serve_sync(3) == 6.0
+        assert node.serve_sync(3) == 3 * SYNC_SERVICE_MS
         assert node.syncs_served == 1
-        assert node.total_busy_ms == pytest.approx(6.0)
+        assert node.total_busy_ms == pytest.approx(3 * SYNC_SERVICE_MS)
 
     def test_rejects_negative_inputs(self):
         with pytest.raises(ValueError):
@@ -272,11 +273,11 @@ class TestAssignment:
         dists = np.zeros((6, 12))
         dists[:, router.classes_of(0)] = 1.0 / router.classes_of(0).size
         a = assign_clients(
-            "region", 6, 2, sharded=sharded, client_distributions=dists,
-            region_slack=0,
+            "region", 6, 2, sharded=sharded, client_distributions=dists
         )
+        capacity = -(-6 // 2) + REGION_SLACK  # ceil(C / N) + slack
         counts = np.bincount(a, minlength=2)
-        assert counts[0] == 3 and counts[1] == 3
+        assert counts[0] == capacity and counts[1] == 6 - capacity
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -312,7 +313,6 @@ class TestCoordinator:
 
     def test_sync_interval_counts_rounds(self):
         _, _, coord = self._cluster_bits(sync_interval=3)
-        assert coord.staleness_bound_rounds == 2
         assert not coord.end_round()
         assert not coord.end_round()
         assert coord.end_round()  # third round -> full sync
@@ -473,15 +473,12 @@ class TestClusterFramework:
         kwargs = _cluster_kwargs()
         busy = {}
         for interval in (1, 3):
-            fw = ClusterFramework(
-                num_shards=3, sync_interval=interval,
-                sync_service_ms=50.0, **kwargs
-            )
+            fw = ClusterFramework(num_shards=3, sync_interval=interval, **kwargs)
             fw.run(3)
             busy[interval] = sum(n.total_busy_ms for n in fw.nodes)
         # Interval 1 syncs three times, interval 3 once: two extra syncs
-        # of 3 nodes x 2 remote shards x 50 ms each.
-        assert busy[1] - busy[3] == pytest.approx(2 * 3 * 2 * 50.0)
+        # of 3 nodes x 2 remote shards each.
+        assert busy[1] - busy[3] == pytest.approx(2 * 3 * 2 * SYNC_SERVICE_MS)
 
     def test_fewer_queueing_with_more_shards(self):
         load = ServerLoadModel(service_time_ms=20.0, round_duration_ms=500.0)

@@ -218,6 +218,7 @@ class TestClientRoundUsesBatchPath:
                 stream=stream,
                 config=config,
                 rng=rng,
+                cache_budget_bytes=1,  # read by allocation only; none runs here
             )
             client.install_cache(cache)
             return client

@@ -1,11 +1,14 @@
 """Unit tests for the CoCa client and server protocol pieces."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracle
 from repro.core.client import CoCaClient, UpdateTable
 from repro.core.config import CoCaConfig
+from repro.core.framework import CoCaFramework
 from repro.core.server import CoCaServer, GlobalCacheTable
 from repro.data.datasets import get_dataset
 from repro.data.stream import StreamGenerator
@@ -26,6 +29,10 @@ def server(tiny_model, config, rng):
 
 
 def _client(tiny_model, config, client_id=0, seed=5, budget=None):
+    """A client on a uniform stream; ``budget=None`` gives it the
+    framework's Pi (the server's ``cache_size_limit_bytes``)."""
+    if budget is None:
+        budget = CoCaServer(tiny_model, config).cache_size_limit_bytes()
     rng = np.random.default_rng(seed)
     stream = StreamGenerator(
         class_distribution=np.full(8, 1 / 8),
@@ -171,7 +178,8 @@ class TestServer:
             tiny_model.profile.entry_size_bytes(j)
             for j in range(tiny_model.num_cache_layers)
         )
-        assert server.cache_size_limit_bytes(0.5) == int(0.5 * full)
+        half = CoCaServer(tiny_model, replace(server.config, cache_budget_fraction=0.5))
+        assert half.cache_size_limit_bytes() == int(0.5 * full)
 
 
 #: Every theta the repository runs CoCa at: the SLO sweep's grid
@@ -314,43 +322,50 @@ class TestClient:
         assert status.frequencies.shape == (8,)
         assert status.hit_ratio.shape == (tiny_model.num_cache_layers,)
 
-    def test_default_budget_uses_fraction(self, tiny_model, config):
-        client = _client(tiny_model, config)
-        full = 8 * sum(
-            tiny_model.profile.entry_size_bytes(j)
-            for j in range(tiny_model.num_cache_layers)
+    def test_default_budget_uses_fraction(self):
+        """A framework gives every client Pi = ``cache_budget_fraction``
+        of the full table."""
+        config = CoCaConfig(frames_per_round=20, cache_budget_fraction=0.2)
+        fw = CoCaFramework(
+            get_dataset("ucf101", 12), model_name="resnet50", num_clients=2,
+            config=config, seed=1,
         )
-        assert client.cache_budget_bytes == int(config.cache_budget_fraction * full)
+        profile = fw.model.profile
+        full = fw.model.num_classes * sum(
+            profile.entry_size_bytes(j) for j in range(fw.model.num_cache_layers)
+        )
+        budgets = [client.cache_budget_bytes for client in fw.clients]
+        assert budgets == [int(0.2 * full)] * 2
 
     def test_round_without_cache_runs_full_model(self, tiny_model, config):
-        client = _client(tiny_model, config)
-        report = client.run_round(30)
+        client = _client(tiny_model, replace(config, frames_per_round=30))
+        report = client.run_round()
         assert len(report.records) == 30
         assert not report.records.hit.any()
         lat = np.mean(report.records.latency_ms)
         assert lat == pytest.approx(tiny_model.total_compute_ms)
 
     def test_timestamps_track_recency(self, tiny_model, config):
-        client = _client(tiny_model, config)
-        report = client.run_round(20)
+        client = _client(tiny_model, replace(config, frames_per_round=20))
+        report = client.run_round()
         last = report.records.predicted_class[-1]
         assert client.timestamps[last] == 0.0
         # Total counts: every inference increments all, then zeroes one.
         assert client.timestamps.max() <= 20
 
     def test_frequencies_sum_to_round_length(self, tiny_model, config):
-        client = _client(tiny_model, config)
-        report = client.run_round(25)
+        client = _client(tiny_model, replace(config, frames_per_round=25))
+        report = client.run_round()
         assert report.frequencies.sum() == pytest.approx(25.0)
         assert np.allclose(client.last_frequencies, report.frequencies)
 
     def test_update_entries_are_unit_norm(self, tiny_model, config, server):
-        client = _client(tiny_model, config)
+        client = _client(tiny_model, replace(config, frames_per_round=80))
         cache, _ = server.allocate(
             np.zeros(8), server.reference_hit_ratio, client.cache_budget_bytes
         )
         client.install_cache(cache)
-        report = client.run_round(80)
+        report = client.run_round()
         assert len(report.update_entries) > 0
         for vec in report.update_entries.vectors:
             assert np.linalg.norm(vec) == pytest.approx(1.0)
@@ -365,7 +380,7 @@ class TestClient:
             np.zeros(8), server.reference_hit_ratio, client.cache_budget_bytes
         )
         client.install_cache(cache)
-        report = client.run_round(60)
+        report = client.run_round()
         assert len(report.update_entries) == 0
         assert report.update_entries.vectors.shape == (0, tiny_model.feature_space.config.dim)
         assert report.absorbed_hits == 0
@@ -379,11 +394,6 @@ class TestClient:
         client = _client(tiny_model, config)
         with pytest.raises(ValueError):
             client.seed_hit_ratio(np.zeros(3))
-
-    def test_invalid_round_length(self, tiny_model, config):
-        client = _client(tiny_model, config)
-        with pytest.raises(ValueError):
-            client.run_round(0)
 
     def test_invalid_budget(self, tiny_model, config):
         with pytest.raises(ValueError):
@@ -404,7 +414,7 @@ class TestUpdateTable:
             np.zeros(8), server.reference_hit_ratio, client.cache_budget_bytes
         )
         client.install_cache(cache)
-        report = client.run_round(frames)
+        report = client.run_round()
         assert report.collected_total == frames
         return report
 

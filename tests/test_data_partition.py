@@ -76,10 +76,14 @@ class TestLongtail:
         assert tailed.sum() == pytest.approx(1.0)
         assert head_mass(tailed, 0.2) > head_mass(base, 0.2)
 
-    def test_apply_longtail_deterministic_head(self, rng):
+    def test_apply_longtail_deterministic_head(self):
+        """The head class is the one the generator's shuffle gives the
+        largest long-tail weight: equal seeds, equal heads."""
         base = np.full(10, 0.1)
-        tailed = apply_longtail(base, 10.0, rng, shuffle_classes=False)
-        assert tailed[0] == tailed.max()
+        tailed = apply_longtail(base, 10.0, np.random.default_rng(3))
+        head = int(np.flatnonzero(np.random.default_rng(3).permutation(10) == 0)[0])
+        assert tailed[head] == tailed.max()
+        assert np.allclose(np.sort(tailed)[::-1], longtail_weights(10, 10.0))
 
     def test_apply_longtail_validates_input(self, rng):
         with pytest.raises(ValueError):

@@ -96,50 +96,11 @@ class TestTemporalDrift:
 
 
 class TestClientDropout:
-    def test_partial_participation_produces_fewer_reports(self, dataset, config):
-        fw = CoCaFramework(
-            dataset,
-            model_name="resnet50",
-            num_clients=6,
-            config=config,
-            seed=4,
-            non_iid_level=1.0,
-            participation_rate=0.5,
-        )
-        counts = [len(fw.run_round(r)) for r in range(4)]
-        assert all(1 <= c <= 6 for c in counts)
-        assert any(c < 6 for c in counts)
-
     def test_full_participation_by_default(self, dataset, config):
         fw = CoCaFramework(
             dataset, model_name="resnet50", num_clients=3, config=config, seed=4
         )
         assert len(fw.run_round(0)) == 3
-
-    def test_protocol_survives_dropout(self, dataset, config):
-        fw = CoCaFramework(
-            dataset,
-            model_name="resnet50",
-            num_clients=4,
-            config=config,
-            seed=9,
-            non_iid_level=1.0,
-            participation_rate=0.6,
-        )
-        result = fw.run(3)
-        summary = result.summary()
-        assert summary.num_samples > 0
-        assert summary.avg_latency_ms < fw.model.total_compute_ms
-
-    def test_participation_rate_validated(self, dataset, config):
-        with pytest.raises(ValueError):
-            CoCaFramework(
-                dataset,
-                model_name="resnet50",
-                num_clients=2,
-                config=config,
-                participation_rate=0.0,
-            )
 
 
 def _rewrite_meta(snapshot, **replace):

@@ -66,9 +66,10 @@ class TestRoundInvariants:
             dataset,
             model_name="resnet50",
             num_clients=2,
-            config=CoCaConfig(theta=theta, frames_per_round=30),
+            config=CoCaConfig(
+                theta=theta, frames_per_round=30, cache_budget_fraction=budget_fraction
+            ),
             seed=3,
-            budget_fraction=budget_fraction,
         )
         summary = fw.run(1).summary()
         assert 0.0 <= summary.accuracy <= 1.0
@@ -84,9 +85,10 @@ class TestFailureInjection:
             dataset,
             model_name="resnet50",
             num_clients=2,
-            config=CoCaConfig(theta=0.05, frames_per_round=30),
+            config=CoCaConfig(
+                theta=0.05, frames_per_round=30, cache_budget_fraction=0.0001
+            ),
             seed=5,
-            budget_fraction=0.0001,
         )
         summary = fw.run(1).summary()
         assert summary.hit_ratio == 0.0

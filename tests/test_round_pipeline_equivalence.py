@@ -47,6 +47,7 @@ def _build_client(tiny_model, seed, frames=120, theta=0.05, **overrides):
         stream=stream,
         config=config,
         rng=np.random.default_rng(seed),
+        cache_budget_bytes=1,  # read by allocation only; none runs here
     )
 
 
@@ -137,6 +138,7 @@ class TestClientRoundEquivalence:
                 stream=stream,
                 config=config,
                 rng=np.random.default_rng(9),
+                cache_budget_bytes=1,  # read by allocation only; none runs here
             )
             client.install_cache(_all_layer_cache(tiny_model))
             clients.append(client)
@@ -202,9 +204,9 @@ class TestClientRoundEquivalence:
 
     def test_rejects_empty_round(self, tiny_model):
         client = _build_client(tiny_model, 1)
-        with pytest.raises(ValueError):
-            client.run_round(0)
         empty = tiny_model.draw_samples(client.stream.take_block(0), 0, client._rng)
+        with pytest.raises(ValueError):
+            client.run_round(batch=empty)
         with pytest.raises(ValueError):
             oracle.run_round(client, empty)
 

@@ -2,19 +2,12 @@
 
 import pytest
 
-from repro.sim.clock import Stopwatch, VirtualClock
+from repro.sim.clock import VirtualClock
 
 
 class TestVirtualClock:
     def test_starts_at_zero_by_default(self):
         assert VirtualClock().now_ms == 0.0
-
-    def test_starts_at_given_time(self):
-        assert VirtualClock(5.5).now_ms == 5.5
-
-    def test_rejects_negative_start(self):
-        with pytest.raises(ValueError):
-            VirtualClock(-1.0)
 
     def test_advance_accumulates(self):
         clock = VirtualClock()
@@ -23,11 +16,13 @@ class TestVirtualClock:
         assert clock.now_ms == pytest.approx(7.5)
 
     def test_advance_returns_new_time(self):
-        clock = VirtualClock(1.0)
+        clock = VirtualClock()
+        clock.advance(1.0)
         assert clock.advance(2.0) == pytest.approx(3.0)
 
     def test_advance_zero_is_allowed(self):
-        clock = VirtualClock(2.0)
+        clock = VirtualClock()
+        clock.advance(2.0)
         clock.advance(0.0)
         assert clock.now_ms == pytest.approx(2.0)
 
@@ -37,51 +32,13 @@ class TestVirtualClock:
             clock.advance(-0.1)
 
     def test_advance_to_moves_forward(self):
-        clock = VirtualClock(2.0)
+        clock = VirtualClock()
+        clock.advance(2.0)
         assert clock.advance_to(7.5) == pytest.approx(7.5)
         assert clock.now_ms == pytest.approx(7.5)
 
     def test_advance_to_past_is_noop(self):
-        clock = VirtualClock(10.0)
+        clock = VirtualClock()
+        clock.advance(10.0)
         assert clock.advance_to(4.0) == pytest.approx(10.0)
         assert clock.now_ms == pytest.approx(10.0)
-
-    def test_elapsed_since(self):
-        clock = VirtualClock()
-        t0 = clock.now_ms
-        clock.advance(10.0)
-        assert clock.elapsed_since(t0) == pytest.approx(10.0)
-
-    def test_reset(self):
-        clock = VirtualClock()
-        clock.advance(9.0)
-        clock.reset()
-        assert clock.now_ms == 0.0
-
-    def test_reset_rejects_negative(self):
-        with pytest.raises(ValueError):
-            VirtualClock().reset(-2.0)
-
-
-class TestStopwatch:
-    def test_measures_span(self):
-        clock = VirtualClock()
-        with Stopwatch(clock) as sw:
-            clock.advance(4.0)
-            clock.advance(1.0)
-        assert sw.elapsed_ms == pytest.approx(5.0)
-
-    def test_zero_span(self):
-        clock = VirtualClock()
-        with Stopwatch(clock) as sw:
-            pass
-        assert sw.elapsed_ms == 0.0
-
-    def test_measures_even_on_exception(self):
-        clock = VirtualClock()
-        sw = Stopwatch(clock)
-        with pytest.raises(RuntimeError):
-            with sw:
-                clock.advance(2.0)
-                raise RuntimeError("boom")
-        assert sw.elapsed_ms == pytest.approx(2.0)

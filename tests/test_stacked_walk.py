@@ -743,8 +743,9 @@ def test_kept_walk_views_hold_no_walk_over(tmp_path):
     """The result and carry views a workspace keeps per row count are
     scratch: walks of every row count, of tensors of ``L+1`` and of
     ``pack.levels + 3`` levels, and a worker's single-chunk and coalesced
-    calls, interleaved on one workspace, each equal the same walk on a
-    fresh workspace byte for byte.  (A coalesced call walks
+    calls, interleaved on one workspace, and walks of caches of
+    alternating entry counts, each equal the same walk on a fresh
+    workspace byte for byte.  (A coalesced call walks
     ``pack.levels`` levels, a single chunk all of its own: row offsets
     kept per row count would gather the wrong levels.)"""
     depth = PACK_BLOCK_LAYERS
@@ -790,6 +791,23 @@ def test_kept_walk_views_hold_no_walk_over(tmp_path):
                 lo = hi
             [(ok, reply, _)] = serve_requests(state, [single])  # after a coalesced call
             assert ok and same(reply[:3], alone(single)[:3]), rows
+        # Caches of alternating entry counts change the stack geometry but
+        # keep the walk layouts: switching back finds the same WalkLayout,
+        # and each walk equals a fresh workspace's.
+        narrow = SemanticCache(
+            scene.classes, alpha=cache.alpha, theta=cache.theta, dtype=cache.dtype
+        )
+        ids = np.arange(scene.classes - 4)
+        for layer in range(scene.layers):
+            narrow.set_layer_entries(layer, ids, scene.centroids[ids, layer])
+        vectors = tall(5, 1)
+        walk_cache_batch(cache, vectors, state.workspace)
+        kept = state.workspace.walk_layout(5, scene.classes, cache.dtype)
+        for switch in (narrow, cache, narrow, cache):
+            with LookupWorkspace() as fresh:
+                want = [a.copy() for a in walk_cache_batch(switch, vectors, fresh)]
+            assert same(walk_cache_batch(switch, vectors, state.workspace), want)
+        assert state.workspace.walk_layout(5, scene.classes, cache.dtype) is kept
     finally:
         shutdown_worker(state)
 

@@ -2,12 +2,11 @@
 
 from repro.analysis.clustering import centroid_alignment, cosine_silhouette
 from repro.analysis.plotting import ascii_scatter
-from repro.analysis.tsne import kl_divergence, tsne_embed
+from repro.analysis.tsne import tsne_embed
 
 __all__ = [
     "ascii_scatter",
     "centroid_alignment",
     "cosine_silhouette",
-    "kl_divergence",
     "tsne_embed",
 ]

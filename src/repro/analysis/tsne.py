@@ -107,14 +107,3 @@ def tsne_embed(
         Y = Y - Y.mean(axis=0)
     return Y
 
-
-def kl_divergence(points: np.ndarray, embedding: np.ndarray, perplexity: float = 20.0) -> float:
-    """KL(P || Q) of an embedding — a goodness-of-fit diagnostic."""
-    n = points.shape[0]
-    P_cond = _row_affinities(_pairwise_sq_distances(np.asarray(points, float)), perplexity)
-    P = np.maximum((P_cond + P_cond.T) / (2.0 * n), 1e-12)
-    dist_y = _pairwise_sq_distances(np.asarray(embedding, float))
-    q_num = 1.0 / (1.0 + dist_y)
-    np.fill_diagonal(q_num, 0.0)
-    Q = np.maximum(q_num / q_num.sum(), 1e-12)
-    return float(np.sum(P * np.log(P / Q)))

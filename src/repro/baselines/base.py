@@ -46,6 +46,22 @@ def evenly_spaced_layers(num_layers: int, count: int, start: int = 0) -> list[in
     return sorted({int(round(x)) for x in np.linspace(start, num_layers - 1, count)})
 
 
+#: Eq. 1 cross-layer decay of the fixed-layer caches (SMTM, LRU/FIFO/RAND).
+ALPHA = 0.5
+#: Their number of (evenly spaced) active cache layers.
+NUM_LAYERS_ACTIVE = 6
+#: Their shallowest activated depth (0-1): offline profiling avoids the
+#: undiscriminative early layers.
+MIN_RELATIVE_DEPTH = 0.25
+
+
+def static_layers(num_layers: int) -> list[int]:
+    """The fixed-layer caches' layer set: :data:`NUM_LAYERS_ACTIVE`
+    layers spread evenly from :data:`MIN_RELATIVE_DEPTH` to the last."""
+    start = int(np.clip(round(MIN_RELATIVE_DEPTH * (num_layers - 1)), 0, num_layers - 1))
+    return evenly_spaced_layers(num_layers, NUM_LAYERS_ACTIVE, start)
+
+
 class BaselineRunner(ABC):
     """Drives one inference pipeline over all clients of a scenario.
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.baselines.base import BATCH_WINDOW, BaselineRunner, evenly_spaced_layers
+from repro.baselines.base import ALPHA, BATCH_WINDOW, BaselineRunner, static_layers
 from repro.core.cache import SemanticCache
 from repro.core.engine import BatchedInferenceEngine
 from repro.core.rng import derive_rng
@@ -34,12 +34,6 @@ if TYPE_CHECKING:
     from repro.experiments.scenario import Scenario
 
 POLICIES = ("lru", "fifo", "rand")
-#: Eq. 1 decay.
-ALPHA = 0.5
-#: Static active-layer count.
-NUM_LAYERS_ACTIVE = 6
-#: Shallowest activated depth (0-1).
-MIN_RELATIVE_DEPTH = 0.25
 
 
 class ReplacementPolicyCache(BaselineRunner):
@@ -52,9 +46,9 @@ class ReplacementPolicyCache(BaselineRunner):
         theta: Eq. 2 hit threshold.
         frames_per_round: frames per client per round.
 
-    The layer set and the decay are this module's constants
-    (:data:`ALPHA`, :data:`NUM_LAYERS_ACTIVE`,
-    :data:`MIN_RELATIVE_DEPTH`).
+    The layer set and the decay are SMTM's:
+    :func:`~repro.baselines.base.static_layers` and
+    :data:`~repro.baselines.base.ALPHA`.
     """
 
     def __init__(
@@ -74,9 +68,7 @@ class ReplacementPolicyCache(BaselineRunner):
         self.policy = policy
         self.cache_size = int(cache_size)
         model = self.model
-        L = model.num_cache_layers
-        start = int(np.clip(round(MIN_RELATIVE_DEPTH * (L - 1)), 0, L - 1))
-        self.active_layers = evenly_spaced_layers(L, NUM_LAYERS_ACTIVE, start)
+        self.active_layers = static_layers(model.num_cache_layers)
         self.theta = float(theta)
         self._centroids = {j: model.ideal_centroids(j) for j in self.active_layers}
         self._rand_rng = derive_rng(scenario.seed, "replacement.evict")

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.baselines.base import BATCH_WINDOW, BaselineRunner, evenly_spaced_layers
+from repro.baselines.base import ALPHA, BATCH_WINDOW, BaselineRunner, static_layers
 from repro.core.allocation import select_hotspot_classes
 from repro.core.cache import SemanticCache
 from repro.core.engine import BatchedInferenceEngine
@@ -35,13 +35,6 @@ if TYPE_CHECKING:
     # Annotations only: repro.experiments imports this package.
     from repro.experiments.scenario import Scenario
 
-#: Eq. 1 cross-layer decay.
-ALPHA = 0.5
-#: Number of (evenly spaced) active cache layers.
-NUM_LAYERS_ACTIVE = 6
-#: Shallowest activated depth (0-1): SMTM's offline profiling avoids the
-#: undiscriminative early layers.
-MIN_RELATIVE_DEPTH = 0.25
 #: Score-mass rule for hot-spot classes.
 HOTSPOT_MASS = 0.95
 #: Recency discount base per stale round.
@@ -61,9 +54,10 @@ class SMTM(BaselineRunner):
         frames_per_round: frames per client per round (cache refresh
             cadence).
 
-    The layer set, the class scoring and the adaptation are this
-    module's constants (:data:`ALPHA`, :data:`NUM_LAYERS_ACTIVE`,
-    :data:`MIN_RELATIVE_DEPTH`, :data:`HOTSPOT_MASS`,
+    The layer set and the decay are
+    :func:`~repro.baselines.base.static_layers` and
+    :data:`~repro.baselines.base.ALPHA`; the class scoring and the
+    adaptation are this module's constants (:data:`HOTSPOT_MASS`,
     :data:`RECENCY_BASE`, :data:`EMA`, :data:`REINFORCE_MARGIN`).
     """
 
@@ -77,9 +71,7 @@ class SMTM(BaselineRunner):
     ) -> None:
         super().__init__(scenario, frames_per_round)
         model = self.model
-        L = model.num_cache_layers
-        start = int(np.clip(round(MIN_RELATIVE_DEPTH * (L - 1)), 0, L - 1))
-        self.active_layers = evenly_spaced_layers(L, NUM_LAYERS_ACTIVE, start)
+        self.active_layers = static_layers(model.num_cache_layers)
         self.theta = float(theta)
 
         num_classes = model.num_classes

@@ -157,7 +157,7 @@ def cmd_sweep_theta(args: argparse.Namespace) -> int:
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     setting = _scenario_kwargs(args)
-    result = ClusterFramework(
+    cluster = ClusterFramework(
         **setting,
         num_shards=args.shards,
         config=CoCaConfig(theta=args.theta, frames_per_round=args.frames),
@@ -165,7 +165,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         assignment_policy=args.policy,
         load=ServerLoadModel(service_time_ms=args.service_ms),
         merge_service_ms=args.merge_ms,
-    ).run(args.rounds, warmup_rounds=args.warmup)
+    )
+    result = cluster.run(args.rounds, warmup_rounds=args.warmup)
+    span_ms, throughput = result.measured_span_ms, result.throughput_inferences_per_s
+    assert span_ms is not None and throughput is not None  # a cluster keeps clocks
     payload: dict[str, Any] = {
         "scenario": {
             "model": args.model,
@@ -177,8 +180,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             "rounds": args.rounds,
             "seed": args.seed,
         },
-        "throughput_inferences_per_s": round(result.throughput_inferences_per_s, 2),
-        "virtual_span_ms": round(result.measured_span_ms, 2),
+        "throughput_inferences_per_s": round(throughput, 2),
+        "virtual_span_ms": round(span_ms, 2),
         "metrics": result.summary(),
         "nodes": [
             {
@@ -188,9 +191,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                 "mean_wait_ms": round(node.mean_wait_ms, 2),
                 "busy_ms": round(node.total_busy_ms, 2),
             }
-            for node in result.nodes
+            for node in cluster.nodes
         ],
-        "cross_shard_syncs": result.coordinator.syncs_performed,
+        "cross_shard_syncs": cluster.coordinator.syncs_performed,
     }
     if args.json:
         _print_json(payload)

@@ -9,7 +9,12 @@ sets of the one authoritative table), each hosted on an
 clients are routed to nodes by hash, region affinity, or load
 (:func:`assign_clients`); and a :class:`ClusterCoordinator` bounds
 cross-shard staleness with a configurable sync interval.
-:class:`ClusterFramework` drives the whole fleet on virtual clocks.
+
+There is no second protocol driver: :class:`ClusterFramework` builds a
+:class:`~repro.core.framework.CoCaFramework` and attaches a
+:class:`ClusterPlacement`, which decides where allocation and merges run
+(node replicas, the sharded table) and what virtual time a round costs
+(FCFS node queues, per-client clocks, the coordinator's refresh).
 
 Because Eq. 4 merges are independent per ``(class, layer)`` key, a
 1-shard cluster — and an N-shard cluster at sync interval 1 — reproduces
@@ -23,11 +28,7 @@ from repro.cluster.coordinator import (
     ClusterCoordinator,
     assign_clients,
 )
-from repro.cluster.driver import (
-    ClusterFramework,
-    ClusterResult,
-    ClusterRoundSummary,
-)
+from repro.cluster.driver import ClusterFramework, ClusterPlacement
 from repro.cluster.node import EdgeServerNode, RequestTiming
 from repro.cluster.sharding import ClassShardRouter, ShardedGlobalCache
 
@@ -36,8 +37,7 @@ __all__ = [
     "ClassShardRouter",
     "ClusterCoordinator",
     "ClusterFramework",
-    "ClusterResult",
-    "ClusterRoundSummary",
+    "ClusterPlacement",
     "EdgeServerNode",
     "RequestTiming",
     "ShardedGlobalCache",

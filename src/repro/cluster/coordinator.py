@@ -185,24 +185,23 @@ class ClusterCoordinator:
         """
         remote = self.sharded.num_shards - 1
         writes_done_ms = max(node.clock.now_ms for node in self.nodes)
-        epoch = self.sharded.epoch
+        self.refresh_local_shards()
         for node in self.nodes:
             payload = 0
             for shard_id in range(self.sharded.num_shards):
                 if shard_id == node.node_id:
-                    self.sharded.sync_into(node.server.table, shards=[shard_id])
+                    continue
+                delta = self.sharded.sync_delta_into(
+                    node.server.table,
+                    shard_id,
+                    since_epoch=int(self._synced_epoch[node.node_id, shard_id]),
+                )
+                payload += delta.nbytes
+                if delta.full:
+                    self.full_syncs += 1
                 else:
-                    delta = self.sharded.sync_delta_into(
-                        node.server.table,
-                        shard_id,
-                        since_epoch=int(self._synced_epoch[node.node_id, shard_id]),
-                    )
-                    payload += delta.nbytes
-                    if delta.full:
-                        self.full_syncs += 1
-                    else:
-                        self.delta_syncs += 1
-                self._synced_epoch[node.node_id, shard_id] = epoch
+                    self.delta_syncs += 1
+                self._synced_epoch[node.node_id, shard_id] = self.sharded.epoch
             self.sync_bytes_shipped += payload
             node.serve_sync(remote, arrival_ms=writes_done_ms, payload_bytes=payload)
         self.rounds_since_sync = 0

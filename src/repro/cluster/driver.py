@@ -1,95 +1,109 @@
-"""Event-driven cluster driver: many clients against a sharded node fleet.
+"""The cluster: a placement over :class:`~repro.core.framework.CoCaFramework`'s round.
 
-:class:`ClusterFramework` is the multi-node counterpart of
-:class:`~repro.core.framework.CoCaFramework`.  It builds the identical
-deployment (same seed derivation, same model geometry, same client
-streams — a canonical framework is constructed internally, and its
-``server.table`` is the cluster's one authoritative table), splits that
-table's rows into N shards hosted on N
-:class:`~repro.cluster.node.EdgeServerNode` replicas and drives the
-protocol in virtual time:
-
-1. each client's cache request arrives at its assigned node at the
-   client's current virtual time and queues FCFS for the node CPU
-   (service + contention per :class:`~repro.sim.network.ServerLoadModel`);
-2. the client runs its round through the batched pipeline
-   (:meth:`~repro.core.client.CoCaClient.run_round`) and its clock
-   advances by the response latency plus the round's inference time;
-3. after all clients finish, each upload's
-   :class:`~repro.core.client.UpdateTable` arrays fold into the
-   authoritative table through the one-pass Eq. 4 merge
-   (:meth:`ShardedGlobalCache.apply_client_update`) and merge work is
-   charged to the CPUs of the nodes owning the uploaded rows;
-4. the coordinator refreshes replicas — local shard every round,
-   cross-shard rows every ``sync_interval`` rounds.
-
+:class:`ClusterFramework` builds the single-server deployment (its
+``server.table`` is the cluster's one authoritative table), hosts that
+table's row shards on :class:`~repro.cluster.node.EdgeServerNode`
+replicas, and attaches a :class:`ClusterPlacement`, which decides where
+allocation and merges run and what virtual time a round costs.
 Inference outcomes depend only on cache content, never on the virtual
 clocks, so at ``sync_interval=1`` the cluster reproduces the
-single-server :class:`CoCaFramework` run *exactly* (same records, same
-merged table) while the virtual timeline shows the queueing relief that
-sharding buys: a single node serializes every request, N nodes serialize
-only a 1/N slice each.
+single-server run *exactly* (same records, same merged table) while the
+virtual timeline shows the queueing relief that sharding buys: a single
+node serializes every request, N nodes serialize only a 1/N slice each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.cluster.coordinator import ClusterCoordinator, assign_clients
-from repro.cluster.node import EdgeServerNode
+from repro.cluster.node import EdgeServerNode, RequestTiming
 from repro.cluster.sharding import ClassShardRouter, ShardedGlobalCache
-from repro.core.server import GlobalCacheTable
-from repro.core.client import CoCaClient, RoundReport
+from repro.core.client import RoundReport
 from repro.core.config import CoCaConfig
-from repro.core.framework import CoCaFramework
+from repro.core.framework import CoCaFramework, FrameworkResult, Placement
+from repro.core.server import CoCaServer, GlobalCacheTable
 from repro.data.datasets import DatasetSpec
 from repro.sim.clock import VirtualClock
-from repro.sim.metrics import MetricsCollector, MetricsSummary
 from repro.sim.network import ServerLoadModel
 
 
-@dataclass
-class ClusterRoundSummary:
-    """Per-round cluster diagnostics."""
+class ClusterPlacement(Placement):
+    """A round's server-side work on a sharded node fleet, in virtual time:
+    caches come from the client's node replica, uploads fold into the
+    authoritative table, and the coordinator then refreshes the replicas.
 
-    round_index: int
-    makespan_ms: float  # virtual time the round added to the run
-    mean_response_wait_ms: float
-    accuracy: float
-    hit_ratio: float
-    synced: bool  # whether a cross-shard sync ran at this boundary
+    Protocol state advances in client-id order, as on one server, which
+    is what makes the ``sync_interval=1`` cluster bit-for-bit
+    reproducible against the single-server reference.  The node CPUs,
+    however, serve work in *arrival* order (true FCFS): requests queue
+    at each client's virtual time at round start and merges at each
+    client's round-end time, regardless of client id.  The two orders
+    can differ freely because allocation only reads the replica (frozen
+    during a round) and the Eq. 4 table content only depends on the
+    upload order, never on when CPU time was charged.
+    """
 
+    def __init__(
+        self,
+        framework: CoCaFramework,
+        coordinator: ClusterCoordinator,
+        assignment: np.ndarray,
+    ) -> None:
+        super().__init__(framework.server)
+        self.coordinator = coordinator
+        self.sharded = coordinator.sharded
+        self.nodes = coordinator.nodes
+        self.assignment = assignment
+        self.clocks = [VirtualClock() for _ in framework.clients]
+        self._requests: dict[int, RequestTiming] = {}
 
-@dataclass
-class ClusterResult:
-    """Outcome of a multi-round cluster run."""
+    def start_round(self) -> None:
+        # Cache requests queue FCFS at each client's current time.
+        clocks = self.clocks
+        arrival_order = sorted(range(len(clocks)), key=lambda cid: (clocks[cid].now_ms, cid))
+        self._requests = {
+            cid: self.nodes[self.assignment[cid]].serve_request(clocks[cid].now_ms)
+            for cid in arrival_order
+        }
 
-    metrics: MetricsCollector
-    rounds: list[ClusterRoundSummary]
-    nodes: list[EdgeServerNode]
-    coordinator: ClusterCoordinator
-    assignment: np.ndarray
-    clients: list[CoCaClient]
-    measured_span_ms: float  # virtual makespan of the measured rounds
-    measured_samples: int
-    measured_client_rounds: int
-    reports: list[RoundReport] = field(default_factory=list)
+    def server_for(self, client_id: int) -> CoCaServer:
+        return self.nodes[self.assignment[client_id]].server
 
-    def summary(self) -> MetricsSummary:
-        return self.metrics.summary()
+    def fold(self, reports: list[RoundReport], merge_entries: bool) -> None:
+        """Uploads fold into the table in client order; the merge CPU
+        work queues on the shard-owning nodes FCFS by upload arrival
+        (round-end) time.  Without entry merges the upload still stamps
+        its rows' frequency epochs, so delta sync ships them."""
+        merge_pieces: list[tuple[float, int, int]] = []
+        for report in reports:
+            clock = self.clocks[report.client_id]
+            clock.advance_to(self._requests[report.client_id].response_ms)
+            clock.advance(report.total_latency_ms)
+            touched = self.sharded.apply_client_update(
+                report.update_entries if merge_entries else None,
+                report.frequencies,
+                self.server.config.gamma,
+            )
+            merge_pieces.extend(
+                (clock.now_ms, shard_id, num_entries)
+                for shard_id, num_entries in touched.items()
+            )
+        for end_ms, shard_id, num_entries in sorted(merge_pieces):
+            self.nodes[shard_id].serve_merge(end_ms, num_entries)
 
-    @property
-    def throughput_inferences_per_s(self) -> float:
-        """Aggregate inferences completed per virtual second."""
-        if self.measured_span_ms <= 0:
-            return 0.0
-        return 1e3 * self.measured_samples / self.measured_span_ms
+    def end_round(self) -> None:
+        self.round_synced = self.coordinator.end_round()
+        self.round_wait_ms = float(np.mean([t.wait_ms for t in self._requests.values()]))
+
+    def virtual_now_ms(self) -> float:
+        frontier = max(clock.now_ms for clock in self.clocks)
+        return max(frontier, max(node.clock.now_ms for node in self.nodes))
 
 
 class ClusterFramework:
-    """A sharded multi-node CoCa deployment driven in virtual time.
+    """Builds a sharded multi-node CoCa deployment: a :class:`CoCaFramework`
+    whose placement is a :class:`ClusterPlacement`.
 
     Args:
         dataset / model_name / num_clients / config / seed /
@@ -104,10 +118,6 @@ class ClusterFramework:
         load: per-node latency model (service time, base network latency,
             contention); default :class:`ServerLoadModel`.
         merge_service_ms: node CPU time per merged upload piece.
-
-    Each cross-shard sync charges every node
-    :data:`~repro.cluster.node.SYNC_SERVICE_MS` per remote shard pulled
-    (free for a 1-shard cluster).
     """
 
     def __init__(
@@ -141,17 +151,16 @@ class ClusterFramework:
         self.model = self.framework.model
         self.config = self.framework.config
         self.clients = self.framework.clients
-        self.enable_dca = enable_dca
-        self.load = load if load is not None else ServerLoadModel()
+        load = load if load is not None else ServerLoadModel()
 
         canonical = self.framework.server
-        self.router = ClassShardRouter(self.model.num_classes, num_shards)
-        self.sharded = ShardedGlobalCache(self.router, canonical.table)
+        router = ClassShardRouter(self.model.num_classes, num_shards)
+        self.sharded = ShardedGlobalCache(router, canonical.table)
         self.nodes = [
             EdgeServerNode(
                 node_id=shard_id,
                 server=canonical.replicate(),
-                load=self.load,
+                load=load,
                 merge_service_ms=merge_service_ms,
             )
             for shard_id in range(num_shards)
@@ -159,150 +168,30 @@ class ClusterFramework:
         self.coordinator = ClusterCoordinator(
             self.sharded, self.nodes, sync_interval=sync_interval
         )
-        self.assignment = assign_clients(
+        assignment = assign_clients(
             assignment_policy,
             num_clients,
             num_shards,
             sharded=self.sharded,
             client_distributions=self.framework.distributions,
         )
-        for client_id, node_id in enumerate(self.assignment):
+        for client_id, node_id in enumerate(assignment):
             self.nodes[node_id].assigned_clients.append(client_id)
-        self.client_clocks = [VirtualClock() for _ in range(num_clients)]
-        self._last_round_synced = False
-        self._last_round_wait_ms = 0.0
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.nodes)
+        self.placement = ClusterPlacement(self.framework, self.coordinator, assignment)
+        self.framework.placement = self.placement
+        self.client_clocks = self.placement.clocks
 
     def virtual_now_ms(self) -> float:
         """The cluster-wide virtual frontier (latest clock in the system)."""
-        frontier = max(clock.now_ms for clock in self.client_clocks)
-        return max(frontier, max(node.clock.now_ms for node in self.nodes))
-
-    # ------------------------------------------------------------------
-    # Driving
-    # ------------------------------------------------------------------
+        return self.placement.virtual_now_ms()
 
     def run_round(self, round_index: int = 0) -> list[RoundReport]:
-        """Execute one protocol round across the fleet.
+        """One protocol round across the fleet (the framework's round)."""
+        return self.framework.run_round(round_index)
 
-        Protocol state advances in client-id order — the same order as
-        :meth:`CoCaFramework.run_round`, which is what makes the
-        ``sync_interval=1`` cluster bit-for-bit reproducible against the
-        single-server reference.  The node CPUs, however, serve work in
-        *arrival* order (true FCFS): requests queue at each client's
-        current virtual time and merges at each client's round-end time,
-        regardless of client id.  The two orders can differ freely
-        because cache allocation only reads the replica (frozen during a
-        round) and the Eq. 4 table content only depends on the upload
-        order, never on when CPU time was charged.
-        """
-        # Cache requests queue FCFS at each client's current time.
-        arrival_order = sorted(
-            range(len(self.clients)),
-            key=lambda cid: (self.client_clocks[cid].now_ms, cid),
-        )
-        timings = {}
-        for client_id in arrival_order:
-            node = self.nodes[self.assignment[client_id]]
-            timings[client_id] = node.serve_request(
-                self.client_clocks[client_id].now_ms
-            )
-
-        reports: list[RoundReport] = []
-        round_ends: list[float] = []
-        for client in self.clients:
-            node = self.nodes[self.assignment[client.client_id]]
-            clock = self.client_clocks[client.client_id]
-            status = client.status()
-            if self.enable_dca:
-                cache = node.allocate(status)
-            else:
-                cache = node.server.preset_cache()
-            client.install_cache(cache)
-            report = client.run_round()
-            clock.advance_to(timings[client.client_id].response_ms)
-            clock.advance(report.total_latency_ms)
-            reports.append(report)
-            round_ends.append(clock.now_ms)
-
-        # Uploads fold into the table in client order (the single-server
-        # protocol's ordering); the merge CPU work queues on the
-        # shard-owning nodes FCFS by upload arrival (round-end) time.
-        gamma = self.config.gamma
-        merge_pieces: list[tuple[float, int, int]] = []
-        for report, end_ms in zip(reports, round_ends):
-            touched = self.sharded.apply_client_update(
-                report.update_entries, report.frequencies, gamma
-            )
-            merge_pieces.extend(
-                (end_ms, shard_id, num_entries)
-                for shard_id, num_entries in touched.items()
-            )
-        for end_ms, shard_id, num_entries in sorted(merge_pieces):
-            self.nodes[shard_id].serve_merge(end_ms, num_entries)
-        self._last_round_synced = self.coordinator.end_round()
-        self._last_round_wait_ms = float(
-            np.mean([t.wait_ms for t in timings.values()])
-        ) if timings else 0.0
-        return reports
-
-    def run(self, num_rounds: int, warmup_rounds: int = 0) -> ClusterResult:
-        """Run the protocol and aggregate metrics plus virtual timing.
-
-        Args:
-            num_rounds: measured rounds.
-            warmup_rounds: leading rounds excluded from metrics and from
-                the measured virtual span (cache adaptation).
-        """
-        if num_rounds < 1:
-            raise ValueError(f"num_rounds must be >= 1, got {num_rounds}")
-        if warmup_rounds < 0:
-            raise ValueError(f"warmup_rounds must be >= 0, got {warmup_rounds}")
-        metrics = MetricsCollector()
-        rounds: list[ClusterRoundSummary] = []
-        all_reports: list[RoundReport] = []
-        measured_client_rounds = 0
-        measure_start_ms = None
-        for r in range(warmup_rounds + num_rounds):
-            if r == warmup_rounds:
-                measure_start_ms = self.virtual_now_ms()
-            span_before = self.virtual_now_ms()
-            reports = self.run_round(r)
-            if r < warmup_rounds:
-                continue
-            round_metrics = MetricsCollector()
-            for report in reports:
-                round_metrics.extend(report.records)
-                metrics.extend(report.records)
-            measured_client_rounds += len(reports)
-            all_reports.extend(reports)
-            summary = round_metrics.summary()
-            rounds.append(
-                ClusterRoundSummary(
-                    round_index=r,
-                    makespan_ms=self.virtual_now_ms() - span_before,
-                    mean_response_wait_ms=self._last_round_wait_ms,
-                    accuracy=summary.accuracy,
-                    hit_ratio=summary.hit_ratio,
-                    synced=self._last_round_synced,
-                )
-            )
-        assert measure_start_ms is not None
-        return ClusterResult(
-            metrics=metrics,
-            rounds=rounds,
-            nodes=self.nodes,
-            coordinator=self.coordinator,
-            assignment=self.assignment.copy(),
-            clients=self.clients,
-            measured_span_ms=self.virtual_now_ms() - measure_start_ms,
-            measured_samples=len(metrics),
-            measured_client_rounds=measured_client_rounds,
-            reports=all_reports,
-        )
+    def run(self, num_rounds: int, warmup_rounds: int = 0) -> FrameworkResult:
+        """The framework's run; the result carries the virtual span."""
+        return self.framework.run(num_rounds, warmup_rounds)
 
     def close(self) -> None:
         """Release the fleet's probe workspace (the framework's one pool)."""

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.cache import SemanticCache
-from repro.core.client import ClientStatus
 from repro.core.server import CoCaServer
 from repro.sim.clock import VirtualClock
 from repro.sim.network import ServerLoadModel
@@ -32,30 +30,17 @@ SYNC_SERVICE_MS = 2.0
 
 @dataclass(frozen=True)
 class RequestTiming:
-    """Virtual timeline of one cache request served by a node.
+    """Virtual timeline of one cache request served by a node."""
 
-    Attributes:
-        arrival_ms: when the request reached the node.
-        start_ms: when the node's CPU started serving it (>= arrival).
-        finish_ms: when allocation + packing finished on the node.
-        response_ms: when the client received the cache (finish + network
-            base latency).
-    """
-
-    arrival_ms: float
-    start_ms: float
-    finish_ms: float
-    response_ms: float
+    arrival_ms: float  # when the request reached the node
+    start_ms: float  # when the node's CPU started serving it (>= arrival)
+    finish_ms: float  # when allocation + packing finished on the node
+    response_ms: float  # when the client received the cache (+ base latency)
 
     @property
     def wait_ms(self) -> float:
         """Queueing delay before service started."""
         return self.start_ms - self.arrival_ms
-
-    @property
-    def latency_ms(self) -> float:
-        """End-to-end response latency seen by the client."""
-        return self.response_ms - self.arrival_ms
 
 
 class EdgeServerNode:
@@ -146,10 +131,7 @@ class EdgeServerNode:
         return finish
 
     def serve_sync(
-        self,
-        num_remote_shards: int,
-        arrival_ms: float | None = None,
-        payload_bytes: int = 0,
+        self, num_remote_shards: int, arrival_ms: float, payload_bytes: int
     ) -> float:
         """Charge one cross-shard replica refresh; returns the finish time.
 
@@ -160,11 +142,9 @@ class EdgeServerNode:
         that produced them.  Refreshing the co-located shard is free, so
         a 1-shard cluster charges nothing here.
 
-        ``payload_bytes`` is pure telemetry — the bytes this refresh
-        shipped for remote rows (full copies or delta rows), accumulated
-        in :attr:`sync_payload_bytes`.  It deliberately does not change
-        the timing model, so delta sync alters bandwidth accounting
-        without perturbing the virtual-time results of existing runs.
+        ``payload_bytes`` (the bytes shipped for remote rows, summed in
+        :attr:`sync_payload_bytes`) is telemetry only: it does not change
+        the timing model.
         """
         if num_remote_shards < 0:
             raise ValueError(
@@ -175,24 +155,9 @@ class EdgeServerNode:
         if num_remote_shards == 0:
             return self.clock.now_ms
         self.sync_payload_bytes += int(payload_bytes)
-        arrival = self.clock.now_ms if arrival_ms is None else arrival_ms
-        _, finish = self._occupy(arrival, SYNC_SERVICE_MS * num_remote_shards)
+        _, finish = self._occupy(arrival_ms, SYNC_SERVICE_MS * num_remote_shards)
         self.syncs_served += 1
         return finish
-
-    # ------------------------------------------------------------------
-    # Allocation service (replica reads)
-    # ------------------------------------------------------------------
-
-    def allocate(self, status: ClientStatus) -> SemanticCache:
-        """Run ACA on the replica table for one client status upload."""
-        cache, _ = self.server.allocate(
-            status.timestamps,
-            status.hit_ratio,
-            status.cache_budget_bytes,
-            local_freq=status.frequencies,
-        )
-        return cache
 
     @property
     def mean_wait_ms(self) -> float:

@@ -148,7 +148,7 @@ class ShardedGlobalCache:
 
     def apply_client_update(
         self,
-        update: UpdateTable,
+        update: UpdateTable | None,
         local_freq: np.ndarray,
         gamma: float,
     ) -> dict[int, int]:
@@ -157,12 +157,14 @@ class ShardedGlobalCache:
         The upload's :class:`~repro.core.client.UpdateTable` arrays go
         into one :meth:`GlobalCacheTable.merge_updates` scatter pass, then
         one frequency accumulation — the single-server write path, so the
-        result is the single server's table by construction.
+        result is the single server's table by construction.  A ``None``
+        update folds the frequencies alone, still as an upload, so delta
+        sync ships the rows whose frequencies changed.
 
         Returns:
             ``{shard_id: entries merged}`` for the shards that own the
             uploaded entries (frequency-only shards excluded) — the
-            per-shard write fan-out the driver charges merge time for.
+            per-shard write fan-out the placement charges merge time for.
         """
         local_freq = np.asarray(local_freq, dtype=float)
         if local_freq.shape != (self.num_classes,):
@@ -172,7 +174,7 @@ class ShardedGlobalCache:
             )
         self._epoch += 1
         touched: dict[int, int] = {}
-        if len(update):
+        if update is not None and len(update):
             ids = update.class_ids
             self.table.merge_updates(
                 ids, update.layers, update.vectors, local_freq[ids], gamma

@@ -644,10 +644,6 @@ class SemanticCache:
         """Layers served from borrowed read-only views (mapped storage)."""
         return sorted(self._view_layers)
 
-    def is_view_backed(self, layer: int) -> bool:
-        """Whether a layer's centroids are a borrowed read-only view."""
-        return layer in self._view_layers
-
     def set_similarity_floor(self, layer: int, floor: float) -> None:
         """Require a minimum top-entry cosine at ``layer`` for a hit."""
         _check_layer(layer)

@@ -130,7 +130,7 @@ class RoundReport:
         """Summed virtual inference latency of the round.
 
         The time the client's device was busy computing this round —
-        what an event-driven driver charges to the client's clock between
+        what a cluster placement charges to the client's clock between
         receiving a cache and uploading the round's update table.  Summed
         with the builtin ``sum`` over the rows in stream order.
         """

@@ -17,14 +17,20 @@ Fig. 3 of the paper, for each client in id order:
 4. the server merges the update table into the global cache with one
    vectorized Eq. 4 scatter pass (Eq. 5 for frequencies).
 
+:meth:`CoCaFramework.run_round` is the one round loop; a *placement*
+decides where allocation and merges run and what virtual time a round
+costs.  The default :class:`Placement` is the paper's one server, with
+no clocks; :class:`~repro.cluster.driver.ClusterFramework` attaches a
+sharded node fleet's.
+
 The per-frame scalar oracle of steps 3 and 4 lives in ``tests/oracle.py``;
 nothing here reaches it.
 
 The two core mechanisms can be disabled independently for the Fig. 9
 ablation: with ``enable_dca=False`` every client gets the server's preset
 cache each round (every class at every cache layer, no budget-driven
-selection); with ``enable_gcu=False`` step 4 is skipped so the global
-table keeps its initial shared-dataset centroids.
+selection); with ``enable_gcu=False`` step 4 folds only the frequencies
+(Eq. 5), so the global table keeps its initial shared-dataset centroids.
 """
 
 from __future__ import annotations
@@ -45,7 +51,8 @@ from repro.sim.metrics import MetricsCollector, MetricsSummary
 
 @dataclass
 class RoundSummary:
-    """Per-round aggregate diagnostics."""
+    """Per-round aggregate diagnostics; the last two fields are ``None``
+    unless the placement keeps clocks."""
 
     round_index: int
     avg_latency_ms: float
@@ -53,20 +60,71 @@ class RoundSummary:
     hit_ratio: float
     absorbed_hits: int
     absorbed_misses: int
+    mean_response_wait_ms: float | None = None  # cache requests' mean queueing wait
+    synced: bool | None = None  # a cross-shard sync ran at the round's end
 
 
 @dataclass
 class FrameworkResult:
-    """Outcome of a multi-round CoCa run."""
+    """Outcome of a multi-round CoCa run; ``measured_span_ms`` (the
+    measured rounds' virtual time) is ``None`` unless the placement
+    keeps clocks."""
 
     metrics: MetricsCollector
     rounds: list[RoundSummary]
     server: CoCaServer
     clients: list[CoCaClient]
     reports: list[RoundReport] = field(default_factory=list)
+    measured_span_ms: float | None = None
 
     def summary(self) -> MetricsSummary:
         return self.metrics.summary()
+
+    @property
+    def throughput_inferences_per_s(self) -> float | None:
+        """Inferences completed per virtual second (``None`` without clocks)."""
+        span = self.measured_span_ms
+        if span is None:
+            return None
+        return 1e3 * len(self.metrics) / span if span > 0 else 0.0
+
+
+class Placement:
+    """Which server allocates a client's cache (:meth:`server_for`),
+    where uploads fold in (:meth:`fold`), and what virtual time a round
+    costs (the other hooks).  This one is the paper's one server, with
+    no clocks; :class:`~repro.cluster.driver.ClusterPlacement` refines it.
+    """
+
+    #: The last round's :class:`RoundSummary` clock fields.
+    round_wait_ms: float | None = None
+    round_synced: bool | None = None
+
+    def __init__(self, server: CoCaServer) -> None:
+        self.server = server
+
+    def start_round(self) -> None:
+        """Queue the round's cache requests."""
+
+    def server_for(self, client_id: int) -> CoCaServer:
+        """The server that allocates ``client_id``'s cache."""
+        return self.server
+
+    def fold(self, reports: list[RoundReport], merge_entries: bool) -> None:
+        """Fold the round's uploads in client order: Eq. 4 and Eq. 5, or
+        Eq. 5 alone when ``merge_entries`` is off (frequencies are
+        bookkeeping, not cache content)."""
+        for report in reports:
+            self.server.apply_client_update(
+                report.update_entries if merge_entries else None, report.frequencies
+            )
+
+    def end_round(self) -> None:
+        """Settle the round's virtual time."""
+
+    def virtual_now_ms(self) -> float | None:
+        """The latest virtual time in the deployment."""
+        return None
 
 
 class CoCaFramework:
@@ -124,7 +182,7 @@ class CoCaFramework:
         )
         self.model = model = deployment.model
         #: Per-client class distributions, ``(num_clients, num_classes)``
-        #: (read by the cluster driver's region-affinity assignment).
+        #: (read by the cluster's region-affinity assignment).
         self.distributions = deployment.distributions
 
         self.server = CoCaServer(model, self.config)
@@ -150,6 +208,8 @@ class CoCaFramework:
             client.seed_hit_ratio(self.server.reference_hit_ratio)
             self.clients.append(client)
 
+        #: Where allocation and merges run (the cluster swaps its own in).
+        self.placement = Placement(self.server)
         self._protocol_rng = np.random.default_rng(
             np.random.SeedSequence(seed).spawn(1)[0].generate_state(1)[0] + 17
         )
@@ -179,63 +239,64 @@ class CoCaFramework:
             self.model.feature_space.evolve_drift(
                 self.temporal_drift_per_round, self._protocol_rng
             )
+        placement = self.placement
+        placement.start_round()
         reports: list[RoundReport] = []
         for client in self.clients:
+            server = placement.server_for(client.client_id)
             status = client.status()
             start = time.perf_counter() if timings is not None else 0.0
             if self.enable_dca:
-                cache, _ = self.server.allocate(
+                cache, _ = server.allocate(
                     status.timestamps,
                     status.hit_ratio,
                     status.cache_budget_bytes,
                     local_freq=status.frequencies,
                 )
             else:
-                cache = self.server.preset_cache()
+                cache = server.preset_cache()
             if timings is not None:
                 timings["allocate"] = (
                     timings.get("allocate", 0.0) + time.perf_counter() - start
                 )
             client.install_cache(cache)
+            # No ``timings`` keyword unless the round got one: a wrapper
+            # around ``client.run_round`` may pass its own.
             if timings is not None:
                 report = client.run_round(timings=timings)
             else:
                 report = client.run_round()
             reports.append(report)
         # Global updates happen after all clients finish the round.
-        if self.enable_gcu:
-            start = time.perf_counter() if timings is not None else 0.0
-            for report in reports:
-                self.server.apply_client_update(
-                    report.update_entries, report.frequencies
-                )
-            if timings is not None:
-                timings["merge"] = (
-                    timings.get("merge", 0.0) + time.perf_counter() - start
-                )
-        else:
-            # Frequencies still accumulate (they are bookkeeping, not cache
-            # content); only the semantic entries stay frozen.
-            for report in reports:
-                self.server.table.add_frequencies(report.frequencies)
+        start = time.perf_counter() if timings is not None else 0.0
+        placement.fold(reports, self.enable_gcu)
+        if timings is not None:
+            timings["merge"] = timings.get("merge", 0.0) + time.perf_counter() - start
+        placement.end_round()
         return reports
 
     def run(self, num_rounds: int, warmup_rounds: int = 0) -> FrameworkResult:
-        """Run the protocol and aggregate metrics.
+        """Run the protocol and aggregate metrics (plus the virtual span
+        of the measured rounds when the placement keeps clocks).
 
         Args:
             num_rounds: measured protocol rounds.
             warmup_rounds: extra leading rounds excluded from metrics
-                (lets caches adapt before measuring steady state).
+                and from the virtual span (lets caches adapt before
+                measuring steady state).
         """
         if num_rounds < 1:
             raise ValueError(f"num_rounds must be >= 1, got {num_rounds}")
         if warmup_rounds < 0:
             raise ValueError(f"warmup_rounds must be >= 0, got {warmup_rounds}")
+        placement = self.placement
         metrics = MetricsCollector()
         rounds: list[RoundSummary] = []
         all_reports: list[RoundReport] = []
+        start_ms: float | None = None
         for r in range(warmup_rounds + num_rounds):
+            if r == warmup_rounds:
+                start_ms = placement.virtual_now_ms()
             reports = self.run_round(r)
             if r < warmup_rounds:
                 continue
@@ -256,14 +317,20 @@ class CoCaFramework:
                     hit_ratio=summary.hit_ratio,
                     absorbed_hits=absorbed_hits,
                     absorbed_misses=absorbed_misses,
+                    mean_response_wait_ms=placement.round_wait_ms,
+                    synced=placement.round_synced,
                 )
             )
+        end_ms = placement.virtual_now_ms()
         return FrameworkResult(
             metrics=metrics,
             rounds=rounds,
             server=self.server,
             clients=self.clients,
             reports=all_reports,
+            measured_span_ms=(
+                None if end_ms is None or start_ms is None else end_ms - start_ms
+            ),
         )
 
     def close(self) -> None:

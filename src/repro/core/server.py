@@ -514,7 +514,7 @@ class CoCaServer:
 
     def apply_client_update(
         self,
-        update: UpdateTable,
+        update: UpdateTable | None,
         local_freq: np.ndarray,
     ) -> None:
         """Global updates: one vectorized Eq. 4 pass, then Eq. 5.
@@ -523,10 +523,10 @@ class CoCaServer:
         straight into a single :meth:`GlobalCacheTable.merge_updates`
         scatter pass over the flat ``(class, layer)`` index: the entries
         of one upload are independent, since Phi only accumulates
-        afterwards.
+        afterwards.  A ``None`` update folds the frequencies alone.
         """
         local_freq = np.asarray(local_freq, dtype=float)
-        if len(update):
+        if update is not None and len(update):
             ids = update.class_ids
             self.table.merge_updates(
                 ids, update.layers, update.vectors, local_freq[ids], self.config.gamma

@@ -154,11 +154,6 @@ class StreamGenerator:
     def num_classes(self) -> int:
         return int(self._probs.size)
 
-    @property
-    def working_set(self) -> np.ndarray | None:
-        """Classes currently "in view" (``None`` when disabled)."""
-        return None if self._working_set is None else self._working_set.copy()
-
     def _maybe_churn_working_set(self) -> None:
         if self._working_set is None or self._rng.random() >= self._churn:
             return

@@ -1,11 +1,7 @@
 """Experiment drivers shared by benchmarks and examples (one per paper result)."""
 
 from repro.experiments.ablation import AblationPoint, format_ablation_table, run_ablation
-from repro.experiments.allocation import (
-    AllocationPoint,
-    format_allocation_table,
-    run_allocation_comparison,
-)
+from repro.experiments.allocation import AllocationPoint, run_allocation_comparison
 from repro.experiments.design_ablations import (
     DesignPoint,
     format_design_points,
@@ -69,7 +65,6 @@ __all__ = [
     "format_ablation_table",
     "format_cluster_table",
     "format_design_points",
-    "format_allocation_table",
     "format_method_points",
     "format_slo_table",
     "run_ablation",

@@ -75,19 +75,3 @@ def run_allocation_comparison(
         )
     return points
 
-
-def format_allocation_table(points: list[AllocationPoint], title: str) -> str:
-    lines = [title]
-    sizes = sorted({p.cache_size for p in points})
-    policies = list(dict.fromkeys(p.policy for p in points))
-    header = f"{'Policy':8s}" + "".join(f" | size={s:<3d} lat(ms)" for s in sizes)
-    lines.append(header)
-    lines.append("-" * len(header))
-    index = {(p.policy, p.cache_size): p for p in points}
-    for policy in policies:
-        cells = []
-        for size in sizes:
-            p = index[(policy, size)]
-            cells.append(f" | {p.latency_ms:14.2f}")
-        lines.append(f"{policy:8s}" + "".join(cells))
-    return "\n".join(lines)

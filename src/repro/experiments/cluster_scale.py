@@ -96,16 +96,16 @@ def run_cluster_scale(
             load=load,
             merge_service_ms=merge_service_ms,
         )
-        runs.append((shards, cluster.run(rounds)))
+        result = cluster.run(rounds)
+        throughput = result.throughput_inferences_per_s
+        assert throughput is not None  # a cluster keeps clocks
+        runs.append((shards, result, throughput))
     baseline = next(
-        result.throughput_inferences_per_s
-        for shards, result in runs
-        if shards == 1
+        throughput for shards, _, throughput in runs if shards == 1
     )
     points: list[ClusterScalePoint] = []
-    for shards, result in runs:
+    for shards, result, throughput in runs:
         summary = result.summary()
-        throughput = result.throughput_inferences_per_s
         points.append(
             ClusterScalePoint(
                 num_shards=shards,

@@ -317,10 +317,6 @@ class SemanticFeatureSpace:
         """Index of the final classifier representation."""
         return self.num_layers
 
-    def cluster_of(self, class_id: int) -> int:
-        """Confusion-cluster id of a class (siblings are confusable)."""
-        return int(self._cluster_of[class_id])
-
     def siblings_of(self, class_id: int) -> np.ndarray:
         """Classes a sample of ``class_id`` can be confused with."""
         return self._siblings[class_id].copy()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.clustering import centroid_alignment, cosine_silhouette
-from repro.analysis.tsne import kl_divergence, tsne_embed
+from repro.analysis.tsne import tsne_embed
 
 
 def _two_clusters(rng, n_per=15, dim=10, separation=4.0):
@@ -38,11 +38,6 @@ class TestTsne:
         a = tsne_embed(points, perplexity=8.0, num_iters=60, seed=5)
         b = tsne_embed(points, perplexity=8.0, num_iters=60, seed=5)
         assert np.allclose(a, b)
-
-    def test_kl_divergence_nonnegative(self, rng):
-        points, _ = _two_clusters(rng)
-        emb = tsne_embed(points, perplexity=8.0, num_iters=120)
-        assert kl_divergence(points, emb, perplexity=8.0) >= 0.0
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):

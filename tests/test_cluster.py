@@ -14,6 +14,7 @@ from repro.cluster import (
     ShardedGlobalCache,
     assign_clients,
 )
+from repro.cli import PROFILE_STAGES
 from repro.cluster.coordinator import REGION_SLACK
 from repro.cluster.node import SYNC_SERVICE_MS
 from repro.cluster.sharding import DELTA_FALLBACK_FRACTION
@@ -222,9 +223,10 @@ class TestEdgeServerNode:
 
     def test_sync_charges_per_remote_shard(self):
         node = _node()
-        assert node.serve_sync(0) == 0.0  # co-located shard is free
+        # The co-located shard is free.
+        assert node.serve_sync(0, arrival_ms=0.0, payload_bytes=0) == 0.0
         assert node.syncs_served == 0
-        assert node.serve_sync(3) == 3 * SYNC_SERVICE_MS
+        assert node.serve_sync(3, arrival_ms=0.0, payload_bytes=0) == 3 * SYNC_SERVICE_MS
         assert node.syncs_served == 1
         assert node.total_busy_ms == pytest.approx(3 * SYNC_SERVICE_MS)
 
@@ -235,7 +237,7 @@ class TestEdgeServerNode:
         with pytest.raises(ValueError):
             node.serve_request(-1.0)
         with pytest.raises(ValueError):
-            node.serve_sync(-1)
+            node.serve_sync(-1, arrival_ms=0.0, payload_bytes=0)
 
 
 # ----------------------------------------------------------------------
@@ -428,7 +430,7 @@ class TestClusterFramework:
             num_shards=3, sync_interval=3, **_cluster_kwargs()
         )
         result = cluster_fw.run(3)
-        assert result.coordinator.syncs_performed == 1
+        assert cluster_fw.coordinator.syncs_performed == 1
         assert [r.synced for r in result.rounds] == [False, False, True]
         assert result.summary().num_samples == 3 * 3 * 40
 
@@ -449,7 +451,7 @@ class TestClusterFramework:
         result = cluster_fw.run(2, warmup_rounds=1)
         assert result.measured_span_ms > 0
         assert result.throughput_inferences_per_s > 0
-        assert result.measured_client_rounds == 2 * 3
+        assert len(result.reports) == 2 * 3
         # Warmup rounds are excluded from the measured span.
         assert cluster_fw.virtual_now_ms() > result.measured_span_ms
 
@@ -500,6 +502,93 @@ class TestClusterFramework:
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ValueError):
             ClusterFramework(num_shards=0, **_cluster_kwargs())
+
+
+def _same_records(got, want):
+    return all(
+        np.array_equal(getattr(got, column), getattr(want, column))
+        for column in (
+            "true_class", "predicted_class", "latency_ms", "hit_layer", "client_id"
+        )
+    )
+
+
+class TestOneProtocolLoop:
+    """The cluster is a placement over ``CoCaFramework``'s round, so every
+    framework setting reaches a cluster round too."""
+
+    def test_frequency_only_rounds_match_single_server(self):
+        kwargs = _cluster_kwargs()
+        reference = CoCaFramework(**kwargs, enable_gcu=False)
+        initial = reference.server.table.copy()
+        want = reference.run(2)
+        cluster_fw = ClusterFramework(num_shards=3, sync_interval=1, **kwargs)
+        cluster_fw.framework.enable_gcu = False
+        got = cluster_fw.run(2)
+        assert _same_records(got.metrics.records, want.metrics.records)
+        table = cluster_fw.sharded.table
+        assert np.array_equal(table.class_freq, reference.server.table.class_freq)
+        assert np.array_equal(table.entries, initial.entries)
+        # Delta sync shipped the frequency-only rows to every replica.
+        for node in cluster_fw.nodes:
+            assert np.array_equal(node.server.table.class_freq, table.class_freq)
+
+    def test_temporal_drift_rounds_match_single_server(self):
+        kwargs = _cluster_kwargs()
+        still = CoCaFramework(**kwargs).run(2)
+        want = CoCaFramework(**kwargs, temporal_drift_per_round=0.3).run(2)
+        assert not _same_records(want.metrics.records, still.metrics.records)
+        cluster_fw = ClusterFramework(num_shards=3, sync_interval=1, **kwargs)
+        cluster_fw.framework.temporal_drift_per_round = 0.3
+        got = cluster_fw.run(2)
+        assert _same_records(got.metrics.records, want.metrics.records)
+        assert np.array_equal(
+            cluster_fw.sharded.table.class_freq, want.server.table.class_freq
+        )
+
+    def test_cluster_round_reports_every_profile_stage(self):
+        kwargs = _cluster_kwargs()
+        single: dict[str, float] = {}
+        CoCaFramework(**kwargs).run_round(0, timings=single)
+        cluster: dict[str, float] = {}
+        cluster_fw = ClusterFramework(num_shards=3, **kwargs)
+        cluster_fw.framework.run_round(0, timings=cluster)
+        # The timed round ran on the fleet: every request queued on a node.
+        assert sum(node.requests_served for node in cluster_fw.nodes) == 3
+        stages = [stage for stage in PROFILE_STAGES if stage in single]
+        assert stages == list(PROFILE_STAGES)
+        assert all(stage in cluster for stage in stages)
+
+    @pytest.mark.parametrize("num_shards", [None, 2])
+    def test_round_without_timings_passes_no_timings_keyword(self, num_shards):
+        """A tracer wraps ``client.run_round`` with its own ``timings=``;
+        a round that got none must not pass a second one."""
+        kwargs = _cluster_kwargs()
+        if num_shards is None:
+            fleet, nodes = CoCaFramework(**kwargs), []
+        else:
+            cluster_fw = ClusterFramework(num_shards=num_shards, **kwargs)
+            fleet, nodes = cluster_fw.framework, cluster_fw.nodes
+        seen = []
+
+        def reporting(original):
+            def call(*args, **call_kwargs):
+                timings = {}
+                report = original(*args, timings=timings, **call_kwargs)
+                seen.append(timings)
+                return report
+
+            return call
+
+        for client in fleet.clients:
+            client.run_round = reporting(client.run_round)
+        fleet.run_round(0)
+        assert len(seen) == len(fleet.clients)
+        if nodes:  # a cluster round ran on the fleet
+            assert sum(node.requests_served for node in nodes) == len(fleet.clients)
+        assert all("collect" in timings for timings in seen)
+        with pytest.raises(TypeError, match="timings"):
+            fleet.run_round(1, timings={})
 
 
 # ----------------------------------------------------------------------

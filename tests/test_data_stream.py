@@ -72,10 +72,6 @@ class TestStreamGenerator:
         )
         assert np.unique(stream.take_block(3000).class_ids).size > 5
 
-    def test_working_set_disabled(self):
-        stream = _uniform_stream(num_classes=6, seed=21, working_set_size=None)
-        assert stream.working_set is None
-
     def test_deterministic_given_seed(self):
         a = _uniform_stream(seed=42).take_block(100)
         b = _uniform_stream(seed=42).take_block(100)

@@ -7,7 +7,7 @@ it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import Any, NamedTuple
 
 from repro.baselines.base import BaselineRunner, EdgeOnly
 from repro.baselines.coca_runner import CoCaRunner
@@ -16,10 +16,7 @@ from repro.baselines.learned_cache import LearnedCache
 from repro.baselines.replacement import POLICIES, ReplacementPolicyCache
 from repro.baselines.smtm import SMTM
 from repro.core.config import CoCaConfig
-
-if TYPE_CHECKING:
-    # Annotations only: repro.experiments imports this package.
-    from repro.experiments.scenario import Scenario
+from repro.core.deployment import Scenario
 
 
 class Method(NamedTuple):

@@ -8,6 +8,9 @@ CoCa's.  A round is drawn exactly as
 :meth:`repro.core.client.CoCaClient.run_round` draws it — one
 ``take_block(F)`` on the client's stream, then one ``draw_samples`` on
 the same client generator — so every method sees bit-identical frames.
+Runners only read the scenario's shared model and distributions (the
+same objects a CoCa runner of that scenario reads); each builds its own
+streams on fresh generators.
 
 Subclasses implement :meth:`BaselineRunner.process_round` over the
 round's :class:`~repro.models.feature.SampleBatch` and may override the
@@ -19,16 +22,12 @@ stretch through its engine at once, as a row slice of the batch.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.deployment import Scenario
 from repro.models.feature import SampleBatch
 from repro.sim.metrics import MetricsCollector, RecordBatch
-
-if TYPE_CHECKING:
-    # Annotations only: repro.experiments imports this package.
-    from repro.experiments.scenario import Scenario
 
 #: Most frames one engine call takes from a round.  A window bounds the
 #: frames a cache change sends back through the engine, and keeps each

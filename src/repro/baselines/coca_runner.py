@@ -1,22 +1,18 @@
 """Adapter running CoCa itself under the baseline-runner interface.
 
 Experiment drivers compare methods by calling ``runner.run(num_rounds)``
-uniformly; this adapter wraps :class:`repro.core.framework.CoCaFramework`
-(built from the same :class:`~repro.experiments.scenario.Scenario` seed
-discipline, so the feature geometry and streams match the baselines).
+uniformly; this adapter wraps
+:meth:`repro.core.framework.CoCaFramework.from_scenario`, so a
+:class:`~repro.core.deployment.Scenario`'s CoCa runners and baselines
+read one model object and one calibration, and see the same frames.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.core.config import CoCaConfig
+from repro.core.deployment import Scenario
 from repro.core.framework import CoCaFramework
 from repro.sim.metrics import MetricsCollector
-
-if TYPE_CHECKING:
-    # Annotations only: repro.experiments imports this package.
-    from repro.experiments.scenario import Scenario
 
 
 class CoCaRunner:
@@ -43,17 +39,8 @@ class CoCaRunner:
     ) -> None:
         self.scenario = scenario
         self.config = config if config is not None else CoCaConfig()
-        self.framework = CoCaFramework(
-            dataset=scenario.dataset,
-            model_name=scenario.model_name,
-            num_clients=scenario.num_clients,
-            config=self.config,
-            seed=scenario.seed,
-            non_iid_level=scenario.non_iid_level,
-            longtail_rho=scenario.longtail_rho,
-            enable_dca=enable_dca,
-            enable_gcu=enable_gcu,
-            client_drift_scale=scenario.client_drift_scale,
+        self.framework = CoCaFramework.from_scenario(
+            scenario, self.config, enable_dca=enable_dca, enable_gcu=enable_gcu
         )
         if budget_bytes is not None:
             for client in self.framework.clients:

@@ -26,20 +26,16 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from functools import partial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.baselines.base import BaselineRunner
+from repro.core.deployment import Scenario
 from repro.core.rng import derive_rng
 from repro.lsh.alsh import AdaptiveLSH
 from repro.lsh.hknn import KnnVote, homogenized_knn
 from repro.models.feature import SampleBatch
 from repro.sim.metrics import RecordBatch
-
-if TYPE_CHECKING:
-    # Annotations only: repro.experiments imports this package.
-    from repro.experiments.scenario import Scenario
 
 #: Relative depth (0-1) of the feature layer used for matching.
 REUSE_DEPTH = 0.45

@@ -25,18 +25,13 @@ Simulation mapping:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.baselines.base import BaselineRunner, evenly_spaced_layers
+from repro.core.deployment import Scenario
 from repro.core.rng import derive_rng
 from repro.models.feature import SampleBatch
 from repro.sim.metrics import RecordBatch
-
-if TYPE_CHECKING:
-    # Annotations only: repro.experiments imports this package.
-    from repro.experiments.scenario import Scenario
 
 #: Number of early-exit heads.
 NUM_EXITS = 6

@@ -18,20 +18,16 @@ come from the server-deployed global table, as in the other methods.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.baselines.base import ALPHA, BATCH_WINDOW, BaselineRunner, static_layers
 from repro.core.cache import SemanticCache
+from repro.core.deployment import Scenario
 from repro.core.engine import BatchedInferenceEngine
 from repro.core.rng import derive_rng
 from repro.models.feature import SampleBatch
 from repro.sim.metrics import RecordBatch
-
-if TYPE_CHECKING:
-    # Annotations only: repro.experiments imports this package.
-    from repro.experiments.scenario import Scenario
 
 POLICIES = ("lru", "fifo", "rand")
 

@@ -20,20 +20,15 @@ dataset) and adapt locally with an EMA of confidently-hit samples.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.baselines.base import ALPHA, BATCH_WINDOW, BaselineRunner, static_layers
 from repro.core.allocation import select_hotspot_classes
 from repro.core.cache import SemanticCache
+from repro.core.deployment import Scenario
 from repro.core.engine import BatchedInferenceEngine
 from repro.models.feature import SampleBatch
 from repro.sim.metrics import RecordBatch
-
-if TYPE_CHECKING:
-    # Annotations only: repro.experiments imports this package.
-    from repro.experiments.scenario import Scenario
 
 #: Score-mass rule for hot-spot classes.
 HOTSPOT_MASS = 0.95

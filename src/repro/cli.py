@@ -34,9 +34,9 @@ from typing import Any
 from repro.baselines import METHODS, build_runner
 from repro.cluster import ASSIGNMENT_POLICIES, ClusterFramework
 from repro.core.config import CoCaConfig
+from repro.core.deployment import Scenario
 from repro.core.framework import CoCaFramework
 from repro.data.datasets import get_dataset
-from repro.experiments.scenario import Scenario
 from repro.models.zoo import available_models
 from repro.serve import (
     SERVE_MODES,

@@ -296,7 +296,7 @@ class CoCaClient:
         """EMA-blend observed hit ratios into R (active layers only).
 
         R holds *standalone* per-layer hit-ratio estimates (see
-        :meth:`repro.core.server.CoCaServer.measure_layer_statistics`).
+        :func:`repro.core.server.measure_layer_statistics`).
         With several layers active, the cumulative hits at-or-before layer
         ``j`` estimate layer ``j``'s standalone ratio, by the same
         hits-propagate-deeper hypothesis ACA relies on.

@@ -23,6 +23,13 @@ costs.  The default :class:`Placement` is the paper's one server, with
 no clocks; :class:`~repro.cluster.driver.ClusterFramework` attaches a
 sharded node fleet's.
 
+A framework is built over a :class:`~repro.core.deployment.Scenario`:
+its model, per-client distributions and generators, and the server's
+calibration (:meth:`CoCaServer.initialize` applies θ to it).
+:meth:`CoCaFramework.from_scenario` reads a scenario that other runners
+share; the keyword constructor builds a private one, and only then may
+the framework drift its model between rounds.
+
 The per-frame scalar oracle of steps 3 and 4 lives in ``tests/oracle.py``;
 nothing here reaches it.
 
@@ -43,7 +50,7 @@ import numpy as np
 from repro.core.cache import LookupWorkspace
 from repro.core.client import CoCaClient, RoundReport
 from repro.core.config import CoCaConfig
-from repro.core.deployment import derive_deployment
+from repro.core.deployment import Scenario
 from repro.core.server import CoCaServer
 from repro.data.datasets import DatasetSpec
 from repro.sim.metrics import MetricsCollector, MetricsSummary
@@ -145,8 +152,11 @@ class CoCaFramework:
         temporal_drift_per_round: feature drift applied before every
             round (0 = a static environment).
 
-    Every client's cache budget Pi is
-    :meth:`CoCaServer.cache_size_limit_bytes`.
+    The seven setting keywords build a private
+    :class:`~repro.core.deployment.Scenario`; :meth:`from_scenario`
+    reads a given one.  Both run one builder, which takes the scenario's
+    model, distributions, generators and calibration.  Every client's
+    cache budget Pi is :meth:`CoCaServer.cache_size_limit_bytes`.
     """
 
     def __init__(
@@ -163,30 +173,57 @@ class CoCaFramework:
         client_drift_scale: float | None = None,
         temporal_drift_per_round: float = 0.0,
     ) -> None:
-        if num_clients < 1:
-            raise ValueError(f"num_clients must be >= 1, got {num_clients}")
         if temporal_drift_per_round < 0:
             raise ValueError("temporal_drift_per_round must be >= 0")
+        scenario = Scenario(
+            dataset=dataset,
+            model_name=model_name,
+            num_clients=num_clients,
+            non_iid_level=non_iid_level,
+            longtail_rho=longtail_rho,
+            seed=seed,
+            client_drift_scale=client_drift_scale,
+        )
+        self._build(scenario, config, enable_dca, enable_gcu, temporal_drift_per_round)
+
+    @classmethod
+    def from_scenario(
+        cls,
+        scenario: Scenario,
+        config: CoCaConfig | None = None,
+        enable_dca: bool = True,
+        enable_gcu: bool = True,
+    ) -> "CoCaFramework":
+        """A framework over ``scenario``'s own model and calibration.
+
+        The model is shared with every other reader of the scenario, so
+        this framework never drifts it (no temporal drift).
+        """
+        framework = cls.__new__(cls)
+        framework._build(scenario, config, enable_dca, enable_gcu, 0.0)
+        return framework
+
+    def _build(
+        self,
+        scenario: Scenario,
+        config: CoCaConfig | None,
+        enable_dca: bool,
+        enable_gcu: bool,
+        temporal_drift_per_round: float,
+    ) -> None:
+        if scenario.num_clients < 1:
+            raise ValueError(f"num_clients must be >= 1, got {scenario.num_clients}")
         self.config = config if config is not None else CoCaConfig()
         self.enable_dca = enable_dca
         self.enable_gcu = enable_gcu
         self.temporal_drift_per_round = temporal_drift_per_round
-        deployment = derive_deployment(
-            dataset,
-            model_name,
-            num_clients,
-            seed,
-            non_iid_level,
-            longtail_rho,
-            client_drift_scale,
-        )
-        self.model = model = deployment.model
+        self.model = model = scenario.model
         #: Per-client class distributions, ``(num_clients, num_classes)``
         #: (read by the cluster's region-affinity assignment).
-        self.distributions = deployment.distributions
+        self.distributions = scenario.distributions
 
         self.server = CoCaServer(model, self.config)
-        self.server.initialize_from_shared_dataset(deployment.server_rng())
+        self.server.initialize(scenario.calibration)
 
         budget = self.server.cache_size_limit_bytes()
         #: One probe-buffer pool for the whole deployment: rounds run
@@ -194,12 +231,12 @@ class CoCaFramework:
         #: scratch memory stays constant in the client count.
         self.workspace = LookupWorkspace()
         self.clients: list[CoCaClient] = []
-        for k in range(num_clients):
-            rng = deployment.client_rng(k)
+        for k in range(scenario.num_clients):
+            rng = scenario.client_rng(k)
             client = CoCaClient(
                 client_id=k,
                 model=model,
-                stream=deployment.make_stream(k, rng),
+                stream=scenario.make_stream(k, rng),
                 config=self.config,
                 rng=rng,
                 cache_budget_bytes=budget,
@@ -211,7 +248,7 @@ class CoCaFramework:
         #: Where allocation and merges run (the cluster swaps its own in).
         self.placement = Placement(self.server)
         self._protocol_rng = np.random.default_rng(
-            np.random.SeedSequence(seed).spawn(1)[0].generate_state(1)[0] + 17
+            np.random.SeedSequence(scenario.seed).spawn(1)[0].generate_state(1)[0] + 17
         )
 
     # ------------------------------------------------------------------

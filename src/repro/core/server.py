@@ -18,13 +18,18 @@ Merging is vectorized: :meth:`CoCaServer.apply_client_update` folds the
 uploaded table — the arrays of a :class:`~repro.core.client.UpdateTable`
 — with one Eq. 4 scatter pass over the flat ``(class, layer)`` index
 (:meth:`GlobalCacheTable.merge_updates`).
-Calibration (:meth:`CoCaServer.measure_layer_statistics`,
-:meth:`CoCaServer.measure_similarity_floors`) draws its shared-dataset
-streams as blocks and its samples as one
-:class:`~repro.models.feature.SampleBatch` — no per-sample Python
-objects anywhere on the server.  Layer statistics are kept as a
-θ-free :class:`LayerScores` table, one Eq. 2 score per (layer, sample);
-:meth:`LayerScores.statistics` is the one place θ meets it.
+
+A :class:`Calibration` is the shared dataset read once, without θ:
+:func:`calibrate` draws two :func:`measure_layer_statistics` passes
+(θ-free :class:`LayerScores` tables, one Eq. 2 score per (layer,
+sample)) and then :func:`measure_similarity_floors`, all on one
+generator, each as one block of frames and one
+:class:`~repro.models.feature.SampleBatch`.  These are functions of the
+model alone, and every array of a calibration is read-only, so one
+calibration serves every server of a model
+(:attr:`~repro.core.deployment.Scenario.calibration`).
+:meth:`CoCaServer.initialize` is the one place θ meets it, through
+:meth:`LayerScores.statistics`.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ FLOOR_MARGIN = 0.01
 
 @dataclass(frozen=True)
 class LayerScores:
-    """One θ-free calibration pass (:meth:`CoCaServer.measure_layer_statistics`):
+    """One θ-free calibration pass (:func:`measure_layer_statistics`):
     every layer probed alone for each of ``N`` shared-dataset samples."""
 
     #: ``(L, N)`` Eq. 2 scores, ``-inf`` where the best similarity is <= 0.
@@ -105,6 +110,161 @@ class LayerScores:
             for ok in (self.top1_correct, self.model_correct)
         )
         return ratio, np.maximum(0.0, model_acc - accuracy)
+
+
+@dataclass(frozen=True)
+class Calibration:
+    """The server's θ-free reading of its shared dataset (:func:`calibrate`).
+
+    Every array is read-only, so one calibration serves every server of
+    its model, at any θ (:meth:`CoCaServer.initialize`).
+    """
+
+    #: Two passes over different random cached subsets, so layer
+    #: eligibility does not hinge on one subset draw.
+    passes: tuple[LayerScores, LayerScores]
+    #: ``(L,)`` per-layer similarity floors (:func:`measure_similarity_floors`).
+    floors: np.ndarray
+
+    def __post_init__(self) -> None:
+        for scores in self.passes:
+            for array in vars(scores).values():
+                array.setflags(write=False)
+        self.floors.setflags(write=False)
+
+
+def calibrate(
+    model: SimulatedModel, rng: np.random.Generator, num_samples: int = 600
+) -> Calibration:
+    """Calibrate on ``num_samples`` shared-dataset samples per step, drawn
+    on ``rng`` in this order: two :func:`measure_layer_statistics`
+    passes, then :func:`measure_similarity_floors`."""
+    first = measure_layer_statistics(model, rng, num_samples)
+    second = measure_layer_statistics(model, rng, num_samples)
+    return Calibration((first, second), measure_similarity_floors(model, rng, num_samples))
+
+
+def _draw_shared_dataset(
+    model: SimulatedModel, rng: np.random.Generator, num_samples: int
+) -> tuple[FrameBlock, SampleBatch]:
+    """``num_samples`` shared-dataset frames and their samples, drawn
+    on ``rng``: a uniform class stream with no working set (stable
+    coverage of every class), then one sample draw as client 0."""
+    stream = StreamGenerator(
+        class_distribution=np.full(model.num_classes, 1.0 / model.num_classes),
+        mean_run_length=model.dataset.mean_run_length,
+        rng=rng,
+        base_difficulty=model.dataset.difficulty,
+        working_set_size=None,
+    )
+    block = stream.take_block(num_samples)
+    return block, model.draw_samples(block, 0, rng)
+
+
+def measure_layer_statistics(
+    model: SimulatedModel,
+    rng: np.random.Generator,
+    num_samples: int = 600,
+) -> LayerScores:
+    """Score every cache layer alone on the shared dataset.
+
+    The measurement mirrors deployment conditions: only a random
+    :data:`CACHED_FRACTION` of the classes is cached, and entries
+    are perturbed by the expected client drift (:data:`DRIFT_MARGIN`).
+    A stream sample of an *uncached* class that still fires the
+    threshold is an erroneous hit and counts against the layer's
+    accuracy — the mechanism that makes shallow layers SLO-unsafe.
+
+    Per layer: one ``(N, d) @ (d, n)`` product, the walk's top-2
+    rule (argmax, first index on ties; mask the winner, then max) and
+    its Eq. 2 (:meth:`~repro.core.cache.LookupWorkspace.scores_into`);
+    :meth:`LayerScores.statistics` applies θ.
+    """
+    num_layers = model.num_cache_layers
+    num_classes = model.num_classes
+    num_cached = max(2, int(round(CACHED_FRACTION * num_classes)))
+    cached = rng.choice(num_classes, size=num_cached, replace=False)
+
+    perturb_rng = np.random.default_rng(rng.integers(2**32))
+    centroids = []
+    for layer in range(num_layers):
+        base = model.ideal_centroids(layer)[cached]
+        noise = perturb_rng.standard_normal(base.shape)
+        noise /= np.linalg.norm(noise, axis=1, keepdims=True)
+        base = base + DRIFT_MARGIN * noise
+        base /= np.linalg.norm(base, axis=1, keepdims=True)
+        centroids.append(base)
+    block, batch = _draw_shared_dataset(model, rng, num_samples)
+    class_ids = block.class_ids
+    predictions, _ = model.classify_vectors(batch.final_vectors())
+
+    rows = np.arange(class_ids.size)
+    scores = np.empty((num_layers, rows.size))
+    top1_correct = np.empty((num_layers, rows.size), dtype=bool)
+    nonpos = np.empty(rows.size, dtype=bool)
+    denom = np.empty(rows.size)
+    similarity = np.empty((rows.size, num_cached))
+    for layer, matrix in enumerate(centroids):
+        np.matmul(batch.vectors[:, layer, :], matrix.T, out=similarity)
+        best = similarity.argmax(axis=1)
+        a_best = similarity[rows, best]
+        similarity[rows, best] = -np.inf
+        a_second = similarity.max(axis=1)
+        LookupWorkspace.scores_into(a_best, a_second, scores[layer], nonpos, denom)
+        scores[layer, a_best <= 0] = -np.inf
+        np.equal(cached[best], class_ids, out=top1_correct[layer])
+    return LayerScores(
+        scores=scores,
+        top1_correct=top1_correct,
+        cached=np.isin(class_ids, cached),
+        model_correct=predictions == class_ids,
+    )
+
+
+def measure_similarity_floors(
+    model: SimulatedModel,
+    rng: np.random.Generator,
+    num_samples: int = 600,
+) -> np.ndarray:
+    """Per-layer absolute similarity floors for cache hits.
+
+    For each layer, draw shared-dataset samples of *cached* classes
+    and record the cosine between the sample and its own class
+    centroid; the floor is a low quantile of that distribution minus a
+    small margin (:data:`FLOOR_QUANTILE`, :data:`FLOOR_MARGIN`).  True
+    hits clear the floor essentially always, while a sample of an
+    uncached class — whose best cosine is to some *other* class's
+    centroid — falls below it, because an entry of the wrong class
+    can never be as close as the sample's own centroid.
+
+    The cosines are scored :data:`~repro.models.feature.DRAW_BLOCK_ROWS`
+    kept rows at a time, straight from the drawn batch into one
+    ``(K, L)`` array: no copy of the kept rows and no ``(L, K, d)``
+    centroid gather.  Each cosine is the same product as in one
+    whole-batch ``einsum``, so the floors are bit for bit those of
+    ``similarity_floors`` in ``tests/oracle.py``.
+    """
+    num_layers = model.num_cache_layers
+    centroids = np.stack(
+        [model.ideal_centroids(layer) for layer in range(num_layers)]
+    )  # (L, I, d)
+    block, batch = _draw_shared_dataset(model, rng, num_samples)
+    # Floors gate *confident* hits, so calibrate on the easy
+    # majority (hard samples would not hit their own class anyway).
+    keep = np.flatnonzero(batch.confusion_weights <= 0.4)
+    if keep.size == 0:
+        return np.full(num_layers, -1.0)
+    # own_sims[k, l] = centroid(class of k, layer l) . vector(k, layer l)
+    own_sims = np.empty((keep.size, num_layers))
+    for start in range(0, keep.size, DRAW_BLOCK_ROWS):
+        rows = keep[start : start + DRAW_BLOCK_ROWS]
+        np.einsum(
+            "lkd,kld->kl",
+            centroids[:, block.class_ids[rows], :],
+            batch.vectors[rows, :num_layers, :],
+            out=own_sims[start : start + rows.size],
+        )
+    return np.quantile(own_sims, FLOOR_QUANTILE, axis=0) - FLOOR_MARGIN
 
 
 class GlobalCacheTable:
@@ -275,158 +435,30 @@ class CoCaServer:
     # Initialization from the global shared dataset
     # ------------------------------------------------------------------
 
-    def initialize_from_shared_dataset(
-        self, rng: np.random.Generator, calibration_samples: int = 600
-    ) -> None:
-        """Fill the global table and measure the reference vectors.
+    def initialize(self, calibration: Calibration) -> None:
+        """Fill the global table and set the reference vectors.
 
         The paper's server generates the initial cache from a global
         shared dataset and characterizes the per-layer hit behaviour
         empirically on it.  Our shared dataset is drift-free (client 0 of
         a dedicated drift-free sampler is not available, so we use the
         ideal centroids — the infinite-sample mean of shared-dataset
-        features) and the hit-ratio calibration runs an all-layer cache
-        over a uniform shared stream.
+        features); ``calibration`` (:func:`calibrate`) holds its θ-free
+        scores, and this is the one place they meet ``config.theta``:
+        the reference hit ratios and exit losses average its two passes'
+        statistics.
         """
         for layer in range(self.model.num_cache_layers):
             centroids = self.model.ideal_centroids(layer)
             for class_id in range(self.model.num_classes):
                 self.table.install(class_id, layer, centroids[class_id])
-        # Average two calibration passes (different random cached subsets)
-        # so layer eligibility does not hinge on one subset draw.
         first, second = (
-            self.measure_layer_statistics(rng, calibration_samples).statistics(self.config.theta)
-            for _ in range(2)
+            scores.statistics(self.config.theta) for scores in calibration.passes
         )
         self.reference_hit_ratio, self.reference_exit_loss = (
             (a + b) / 2.0 for a, b in zip(first, second)
         )
-        self.reference_similarity_floor = self.measure_similarity_floors(
-            rng, num_samples=calibration_samples
-        )
-
-    def _draw_shared_dataset(
-        self, rng: np.random.Generator, num_samples: int
-    ) -> tuple[FrameBlock, SampleBatch]:
-        """``num_samples`` shared-dataset frames and their samples, drawn
-        on ``rng``: a uniform class stream with no working set (stable
-        coverage of every class), then one sample draw as client 0."""
-        model = self.model
-        stream = StreamGenerator(
-            class_distribution=np.full(model.num_classes, 1.0 / model.num_classes),
-            mean_run_length=model.dataset.mean_run_length,
-            rng=rng,
-            base_difficulty=model.dataset.difficulty,
-            working_set_size=None,
-        )
-        block = stream.take_block(num_samples)
-        return block, model.draw_samples(block, 0, rng)
-
-    def measure_layer_statistics(
-        self,
-        rng: np.random.Generator,
-        num_samples: int = 600,
-    ) -> LayerScores:
-        """Score every cache layer alone on the shared dataset.
-
-        The measurement mirrors deployment conditions: only a random
-        :data:`CACHED_FRACTION` of the classes is cached, and entries
-        are perturbed by the expected client drift (:data:`DRIFT_MARGIN`).
-        A stream sample of an *uncached* class that still fires the
-        threshold is an erroneous hit and counts against the layer's
-        accuracy — the mechanism that makes shallow layers SLO-unsafe.
-
-        Per layer: one ``(N, d) @ (d, n)`` product, the walk's top-2
-        rule (argmax, first index on ties; mask the winner, then max) and
-        its Eq. 2 (:meth:`~repro.core.cache.LookupWorkspace.scores_into`);
-        :meth:`LayerScores.statistics` applies θ.
-        """
-        model = self.model
-        num_layers = model.num_cache_layers
-        num_classes = model.num_classes
-        num_cached = max(2, int(round(CACHED_FRACTION * num_classes)))
-        cached = rng.choice(num_classes, size=num_cached, replace=False)
-
-        perturb_rng = np.random.default_rng(rng.integers(2**32))
-        centroids = []
-        for layer in range(num_layers):
-            base = model.ideal_centroids(layer)[cached]
-            noise = perturb_rng.standard_normal(base.shape)
-            noise /= np.linalg.norm(noise, axis=1, keepdims=True)
-            base = base + DRIFT_MARGIN * noise
-            base /= np.linalg.norm(base, axis=1, keepdims=True)
-            centroids.append(base)
-        block, batch = self._draw_shared_dataset(rng, num_samples)
-        class_ids = block.class_ids
-        predictions, _ = model.classify_vectors(batch.final_vectors())
-
-        rows = np.arange(class_ids.size)
-        scores = np.empty((num_layers, rows.size))
-        top1_correct = np.empty((num_layers, rows.size), dtype=bool)
-        nonpos = np.empty(rows.size, dtype=bool)
-        denom = np.empty(rows.size)
-        similarity = np.empty((rows.size, num_cached))
-        for layer, matrix in enumerate(centroids):
-            np.matmul(batch.vectors[:, layer, :], matrix.T, out=similarity)
-            best = similarity.argmax(axis=1)
-            a_best = similarity[rows, best]
-            similarity[rows, best] = -np.inf
-            a_second = similarity.max(axis=1)
-            LookupWorkspace.scores_into(a_best, a_second, scores[layer], nonpos, denom)
-            scores[layer, a_best <= 0] = -np.inf
-            np.equal(cached[best], class_ids, out=top1_correct[layer])
-        return LayerScores(
-            scores=scores,
-            top1_correct=top1_correct,
-            cached=np.isin(class_ids, cached),
-            model_correct=predictions == class_ids,
-        )
-
-    def measure_similarity_floors(
-        self,
-        rng: np.random.Generator,
-        num_samples: int = 600,
-    ) -> np.ndarray:
-        """Per-layer absolute similarity floors for cache hits.
-
-        For each layer, draw shared-dataset samples of *cached* classes
-        and record the cosine between the sample and its own class
-        centroid; the floor is a low quantile of that distribution minus a
-        small margin (:data:`FLOOR_QUANTILE`, :data:`FLOOR_MARGIN`).  True
-        hits clear the floor essentially always, while a sample of an
-        uncached class — whose best cosine is to some *other* class's
-        centroid — falls below it, because an entry of the wrong class
-        can never be as close as the sample's own centroid.
-
-        The cosines are scored :data:`~repro.models.feature.DRAW_BLOCK_ROWS`
-        kept rows at a time, straight from the drawn batch into one
-        ``(K, L)`` array: no copy of the kept rows and no ``(L, K, d)``
-        centroid gather.  Each cosine is the same product as in one
-        whole-batch ``einsum``, so the floors are bit for bit those of
-        ``similarity_floors`` in ``tests/oracle.py``.
-        """
-        model = self.model
-        num_layers = model.num_cache_layers
-        centroids = np.stack(
-            [model.ideal_centroids(layer) for layer in range(num_layers)]
-        )  # (L, I, d)
-        block, batch = self._draw_shared_dataset(rng, num_samples)
-        # Floors gate *confident* hits, so calibrate on the easy
-        # majority (hard samples would not hit their own class anyway).
-        keep = np.flatnonzero(batch.confusion_weights <= 0.4)
-        if keep.size == 0:
-            return np.full(num_layers, -1.0)
-        # own_sims[k, l] = centroid(class of k, layer l) . vector(k, layer l)
-        own_sims = np.empty((keep.size, num_layers))
-        for start in range(0, keep.size, DRAW_BLOCK_ROWS):
-            rows = keep[start : start + DRAW_BLOCK_ROWS]
-            np.einsum(
-                "lkd,kld->kl",
-                centroids[:, block.class_ids[rows], :],
-                batch.vectors[rows, :num_layers, :],
-                out=own_sims[start : start + rows.size],
-            )
-        return np.quantile(own_sims, FLOOR_QUANTILE, axis=0) - FLOOR_MARGIN
+        self.reference_similarity_floor = calibration.floors
 
     def eligible_layers(self, accuracy_loss_budget: float | None = None) -> np.ndarray:
         """Cache layers whose early-exit accuracy loss fits the SLO budget.

@@ -1,5 +1,12 @@
-"""Experiment drivers shared by benchmarks and examples (one per paper result)."""
+"""Experiment drivers shared by benchmarks and examples (one per paper result).
 
+Every driver runs its methods on one
+:class:`~repro.core.deployment.Scenario` (re-exported here), so the
+runners of a table or a sweep read one model object and one server
+calibration, and see the same frames.
+"""
+
+from repro.core.deployment import Scenario
 from repro.experiments.ablation import AblationPoint, format_ablation_table, run_ablation
 from repro.experiments.allocation import AllocationPoint, run_allocation_comparison
 from repro.experiments.design_ablations import (
@@ -30,7 +37,6 @@ from repro.experiments.motivation import (
     run_hotspot_count_sweep,
     run_per_layer_stats,
 )
-from repro.experiments.scenario import Scenario
 from repro.experiments.slo import SloRow, format_slo_table, run_slo_experiment
 from repro.experiments.system_load import (
     ClientLoadPoint,

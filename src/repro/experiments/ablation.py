@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from repro.baselines import CoCaRunner
 from repro.core.config import CoCaConfig, recommended_theta
-from repro.experiments.scenario import Scenario
+from repro.core.deployment import Scenario
 
 VARIANTS: tuple[tuple[str, bool, bool], ...] = (
     ("Normal", False, False),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.baselines import CoCaRunner, ReplacementPolicyCache
 from repro.core.config import CoCaConfig
-from repro.experiments.scenario import Scenario
+from repro.core.deployment import Scenario
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ import numpy as np
 
 from repro.baselines import CoCaRunner
 from repro.core.config import CoCaConfig
+from repro.core.deployment import Scenario
 from repro.core.server import GlobalCacheTable
-from repro.experiments.scenario import Scenario
 
 
 @dataclass(frozen=True)

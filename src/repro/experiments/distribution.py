@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.baselines import build_runner
-from repro.experiments.scenario import Scenario
+from repro.core.deployment import Scenario
 
 #: Default per-method operating points for the distribution studies (the
 #: thresholds selected by the 3%-SLO protocol on the reference scenario).

@@ -16,9 +16,9 @@ import numpy as np
 from repro.analysis import centroid_alignment, cosine_silhouette, tsne_embed
 from repro.baselines import CoCaRunner
 from repro.core.config import CoCaConfig
+from repro.core.deployment import Scenario
 from repro.core.rng import derive_rng
 from repro.data.stream import FrameBlock
-from repro.experiments.scenario import Scenario
 
 
 @dataclass

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines import build_runner
-from repro.experiments.scenario import Scenario
+from repro.core.deployment import Scenario
 from repro.sim.metrics import MetricsSummary
 
 #: Per-method grids of the decision threshold that ``build_runner`` sets

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.baselines import CoCaRunner
 from repro.core.config import CoCaConfig
-from repro.experiments.scenario import Scenario
+from repro.core.deployment import Scenario
 from repro.sim.network import ServerLoadModel
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from repro.baselines import CoCaRunner
 from repro.core.config import CoCaConfig
-from repro.experiments.scenario import Scenario
+from repro.core.deployment import Scenario
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,12 @@ the two:
   written as a loop over the activated layers, each probed for the rows
   no earlier layer resolved;
 * :func:`layer_statistics` — the server's calibration at one theta
-  (:meth:`~repro.core.server.CoCaServer.measure_layer_statistics`, then
+  (:func:`~repro.core.server.measure_layer_statistics`, then
   :meth:`~repro.core.server.LayerScores.statistics`) with each layer's
   fires counted straight from its own product, a sort for the top 2 and
   :func:`discriminative_score`;
 * :func:`similarity_floors` — the server's floor calibration
-  (:meth:`~repro.core.server.CoCaServer.measure_similarity_floors`)
+  (:func:`~repro.core.server.measure_similarity_floors`)
   with every kept row and its centroids gathered at once and scored by
   one ``einsum``;
 * :func:`aca_allocate` — Algorithm 1's greedy stage re-evaluating the
@@ -638,11 +638,11 @@ def walk_layers(cache: SemanticCache, vectors: np.ndarray) -> CacheWalk:
 
 
 def layer_statistics(
-    server: CoCaServer, rng: np.random.Generator, num_samples: int, theta: float
+    model: SimulatedModel, rng: np.random.Generator, num_samples: int, theta: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``measure_layer_statistics(rng, num_samples).statistics(theta)``
-    of :class:`~repro.core.server.CoCaServer`, one layer at a time:
-    the per-layer ``(hit_ratio, exit_loss)``.
+    """``measure_layer_statistics(model, rng, num_samples).statistics(theta)``
+    of :mod:`repro.core.server`, one layer at a time: the per-layer
+    ``(hit_ratio, exit_loss)``.
 
     Same draws from ``rng``, in the same order, so the same cached
     classes, drifted centroids and samples.  Per layer: one
@@ -650,7 +650,6 @@ def layer_statistics(
     non-positive runner-up, and a fire on a score above ``theta`` with a
     positive best similarity.
     """
-    model = server.model
     num_layers, num_classes = model.num_cache_layers, model.num_classes
     num_cached = max(2, int(round(CACHED_FRACTION * num_classes)))
     cached = rng.choice(num_classes, size=num_cached, replace=False)
@@ -693,9 +692,9 @@ def layer_statistics(
 
 
 def similarity_floors(
-    server: CoCaServer, rng: np.random.Generator, num_samples: int = 600
+    model: SimulatedModel, rng: np.random.Generator, num_samples: int = 600
 ) -> np.ndarray:
-    """:meth:`~repro.core.server.CoCaServer.measure_similarity_floors`
+    """:func:`~repro.core.server.measure_similarity_floors`
     with the kept rows copied out of the batch and every row's centroids
     gathered into one ``(L, K, d)`` block, scored by one ``einsum``.
 
@@ -703,7 +702,6 @@ def similarity_floors(
     scores the same products in row blocks, so the floors match bit for
     bit.
     """
-    model = server.model
     num_layers = model.num_cache_layers
     centroids = np.stack(
         [model.ideal_centroids(layer) for layer in range(num_layers)]

@@ -18,8 +18,8 @@ from repro.baselines import (
 from repro.baselines.base import BATCH_WINDOW, evenly_spaced_layers
 from repro.baselines.foggy_cache import LshLruCache
 from repro.core.config import CoCaConfig
+from repro.core.deployment import Scenario
 from repro.data.datasets import get_dataset
-from repro.experiments.scenario import Scenario
 from repro.models.zoo import available_models, build_model
 from repro.sim.metrics import RecordBatch
 

@@ -21,7 +21,7 @@ from repro.cluster.sharding import DELTA_FALLBACK_FRACTION
 from repro.core.client import RoundReport, UpdateTable
 from repro.core.config import CoCaConfig
 from repro.core.framework import CoCaFramework
-from repro.core.server import CoCaServer, GlobalCacheTable
+from repro.core.server import CoCaServer, GlobalCacheTable, calibrate
 from repro.data.datasets import get_dataset
 from repro.models.zoo import build_model
 from repro.sim.metrics import RecordBatch, per_class_hit_rates
@@ -609,7 +609,7 @@ class TestReplication:
     def test_server_replicate_allocates_identically(self):
         model = build_model("resnet50", get_dataset("ucf101", 10), seed=1)
         server = CoCaServer(model, CoCaConfig())
-        server.initialize_from_shared_dataset(np.random.default_rng(0))
+        server.initialize(calibrate(model, np.random.default_rng(0)))
         replica = server.replicate()
         assert np.array_equal(replica.table.entries, server.table.entries)
         assert np.array_equal(replica.table.class_freq, server.table.class_freq)
@@ -632,7 +632,7 @@ class TestReplication:
     def test_cache_content_equal_detects_differences(self):
         model = build_model("resnet50", get_dataset("ucf101", 10), seed=1)
         server = CoCaServer(model, CoCaConfig())
-        server.initialize_from_shared_dataset(np.random.default_rng(0))
+        server.initialize(calibrate(model, np.random.default_rng(0)))
         cache_a = server.build_cache([0, 1], np.arange(5))
         cache_b = server.build_cache([0, 1], np.arange(5))
         assert cache_a.content_equal(cache_b)

@@ -9,7 +9,13 @@ import oracle
 from repro.core.client import CoCaClient, UpdateTable
 from repro.core.config import CoCaConfig
 from repro.core.framework import CoCaFramework
-from repro.core.server import CoCaServer, GlobalCacheTable
+from repro.core.server import (
+    CoCaServer,
+    GlobalCacheTable,
+    calibrate,
+    measure_layer_statistics,
+    measure_similarity_floors,
+)
 from repro.data.datasets import get_dataset
 from repro.data.stream import StreamGenerator
 from repro.experiments.slo import DEFAULT_GRIDS
@@ -24,7 +30,7 @@ def config():
 @pytest.fixture
 def server(tiny_model, config, rng):
     server = CoCaServer(tiny_model, config, freq_prior=10.0)
-    server.initialize_from_shared_dataset(rng, calibration_samples=150)
+    server.initialize(calibrate(tiny_model, rng, 150))
     return server
 
 
@@ -145,7 +151,7 @@ class TestServer:
         building a cache of two class sets, which the cache refuses."""
         model = build_model("resnet50", get_dataset("ucf101", 12), seed=1)
         server = CoCaServer(model, CoCaConfig())
-        server.initialize_from_shared_dataset(np.random.default_rng(0))
+        server.initialize(calibrate(model, np.random.default_rng(0)))
         request = dict(
             timestamps=np.zeros(model.num_classes),
             hit_ratio=server.reference_hit_ratio,
@@ -202,40 +208,38 @@ class TestCalibrationMatchesOracle:
     loop that counts fires at that theta, from the same draws."""
 
     @staticmethod
-    def _check(server, seed, num_samples):
+    def _check(model, config, seed, num_samples):
         rng = np.random.default_rng(seed)
-        table = server.measure_layer_statistics(rng, num_samples=num_samples)
+        table = measure_layer_statistics(model, rng, num_samples=num_samples)
         for theta in CALIBRATION_THETAS:
             expected_rng = np.random.default_rng(seed)
-            expected = oracle.layer_statistics(server, expected_rng, num_samples, theta)
+            expected = oracle.layer_statistics(model, expected_rng, num_samples, theta)
             got = table.statistics(theta)
             for a, b in zip(got, expected, strict=True):
                 assert np.array_equal(a, b), theta
             # Both consumed the same draws.
             assert rng.bit_generator.state == expected_rng.bit_generator.state
         # The case is not vacuous: some layer fires at the config's theta.
-        assert table.statistics(server.config.theta)[0].any()
+        assert table.statistics(config.theta)[0].any()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tiny_model(self, tiny_model, config, seed):
-        self._check(CoCaServer(tiny_model, config), seed, num_samples=150)
+        self._check(tiny_model, config, seed, num_samples=150)
 
     @pytest.mark.parametrize("seed", [1000, 1001, 1002])
     def test_resnet101_ucf101_50(self, seed):
         model = build_model("resnet101", get_dataset("ucf101", 50), seed=0)
-        self._check(CoCaServer(model, CoCaConfig()), seed, num_samples=600)
+        self._check(model, CoCaConfig(), seed, num_samples=600)
 
     @pytest.mark.parametrize("seed", [0, 1000])
     def test_resnet152_ucf101(self, seed):
         model = build_model("resnet152", get_dataset("ucf101"), num_clients=4, seed=0)
-        self._check(CoCaServer(model, CoCaConfig()), seed, num_samples=600)
+        self._check(model, CoCaConfig(), seed, num_samples=600)
 
 
 class TestLayerScores:
     def test_fires_and_hit_ratio_fall_as_theta_rises(self, tiny_model, config):
-        table = CoCaServer(tiny_model, config).measure_layer_statistics(
-            np.random.default_rng(0), num_samples=150
-        )
+        table = measure_layer_statistics(tiny_model, np.random.default_rng(0), num_samples=150)
         thetas = np.linspace(0.0, 0.3, 31)
         fires = np.array([(table.scores > theta).sum(axis=1) for theta in thetas])
         ratios = np.array([table.statistics(theta)[0] for theta in thetas])
@@ -253,10 +257,9 @@ class TestLayerScores:
         monkeypatch.setattr(
             tiny_model, "ideal_centroids", lambda layer: ideal(layer) * (-1) ** layer
         )
-        server = CoCaServer(tiny_model, config)
-        table = server.measure_layer_statistics(np.random.default_rng(0), num_samples=150)
+        table = measure_layer_statistics(tiny_model, np.random.default_rng(0), num_samples=150)
         assert np.isneginf(table.scores).any() and np.isfinite(table.scores).any()
-        expected = oracle.layer_statistics(server, np.random.default_rng(0), 150, -np.inf)
+        expected = oracle.layer_statistics(tiny_model, np.random.default_rng(0), 150, -np.inf)
         for a, b in zip(table.statistics(-np.inf), expected, strict=True):
             assert np.array_equal(a, b)
 
@@ -269,13 +272,11 @@ class TestLayerScores:
             model = build_model("resnet101", get_dataset("ucf101", 50), seed=0)
             config, num_samples = CoCaConfig(), 600
         server = CoCaServer(model, config)
-        server.initialize_from_shared_dataset(
-            np.random.default_rng(3), calibration_samples=num_samples
-        )
+        server.initialize(calibrate(model, np.random.default_rng(3), num_samples))
         rng = np.random.default_rng(3)
-        first = oracle.layer_statistics(server, rng, num_samples, config.theta)
-        second = oracle.layer_statistics(server, rng, num_samples, config.theta)
-        floors = oracle.similarity_floors(server, rng, num_samples)
+        first = oracle.layer_statistics(model, rng, num_samples, config.theta)
+        second = oracle.layer_statistics(model, rng, num_samples, config.theta)
+        floors = oracle.similarity_floors(model, rng, num_samples)
         assert np.array_equal(server.reference_hit_ratio, (first[0] + second[0]) / 2.0)
         assert np.array_equal(server.reference_exit_loss, (first[1] + second[1]) / 2.0)
         assert np.array_equal(server.reference_similarity_floor, floors)
@@ -288,11 +289,11 @@ class TestFloorsPinnedToOracle:
     The floors and the generator state afterwards must be bit-equal."""
 
     @staticmethod
-    def _check(server, seed, num_samples):
+    def _check(model, seed, num_samples):
         rng = np.random.default_rng(seed)
         expected_rng = np.random.default_rng(seed)
-        got = server.measure_similarity_floors(rng, num_samples=num_samples)
-        expected = oracle.similarity_floors(server, expected_rng, num_samples)
+        got = measure_similarity_floors(model, rng, num_samples=num_samples)
+        expected = oracle.similarity_floors(model, expected_rng, num_samples)
         assert np.array_equal(got, expected)
         assert rng.bit_generator.state == expected_rng.bit_generator.state
         # The case is not vacuous: the floors come from kept rows.
@@ -300,17 +301,17 @@ class TestFloorsPinnedToOracle:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tiny_model(self, tiny_model, config, seed):
-        self._check(CoCaServer(tiny_model, config), seed, num_samples=150)
+        self._check(tiny_model, seed, num_samples=150)
 
     @pytest.mark.parametrize("seed", [1000, 1001, 1002])
     def test_resnet101_ucf101_50(self, seed):
         model = build_model("resnet101", get_dataset("ucf101", 50), seed=0)
-        self._check(CoCaServer(model, CoCaConfig()), seed, num_samples=600)
+        self._check(model, seed, num_samples=600)
 
     @pytest.mark.parametrize("seed", [1000, 1001, 1002])
     def test_resnet152_ucf101(self, seed):
         model = build_model("resnet152", get_dataset("ucf101"), num_clients=4, seed=0)
-        self._check(CoCaServer(model, CoCaConfig()), seed, num_samples=600)
+        self._check(model, seed, num_samples=600)
 
 
 class TestClient:

@@ -157,7 +157,7 @@ def _cluster_runner(dataset, config):
 
 def _baseline_runner(dataset, config):
     from repro.baselines import EdgeOnly
-    from repro.experiments.scenario import Scenario
+    from repro.core.deployment import Scenario
 
     scenario = Scenario(dataset=dataset, model_name="resnet50", num_clients=2)
     return EdgeOnly(scenario, frames_per_round=config.frames_per_round)

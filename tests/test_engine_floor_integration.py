@@ -13,7 +13,7 @@ import pytest
 from repro.core.cache import SemanticCache
 from repro.core.config import CoCaConfig
 from repro.core.engine import BatchedInferenceEngine
-from repro.core.server import CoCaServer
+from repro.core.server import CoCaServer, calibrate
 from repro.data.datasets import get_dataset
 from repro.data.stream import StreamGenerator
 from repro.models.zoo import build_model
@@ -24,9 +24,7 @@ def calibrated():
     dataset = get_dataset("ucf101", 30)
     model = build_model("resnet101", dataset, seed=9)
     server = CoCaServer(model, CoCaConfig(theta=0.05))
-    server.initialize_from_shared_dataset(
-        np.random.default_rng(2), calibration_samples=400
-    )
+    server.initialize(calibrate(model, np.random.default_rng(2), 400))
     return dataset, model, server
 
 

@@ -5,8 +5,8 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from repro.core.deployment import Scenario
 from repro.data.datasets import get_dataset
-from repro.experiments.scenario import Scenario
 
 
 def _scenario(**overrides):

@@ -7,7 +7,7 @@ import pytest
 from repro import contracts
 from repro.core.config import CoCaConfig
 from repro.core.framework import CoCaFramework
-from repro.core.server import CoCaServer
+from repro.core.server import CoCaServer, calibrate
 from repro.data.datasets import get_dataset
 from repro.experiments import (
     Scenario,
@@ -118,7 +118,7 @@ def _rewrite_meta(snapshot, **replace):
 class TestTablePersistence:
     def test_save_load_roundtrip(self, tiny_model, rng, tmp_path, config):
         server = CoCaServer(tiny_model, config)
-        server.initialize_from_shared_dataset(rng, calibration_samples=100)
+        server.initialize(calibrate(tiny_model, rng, 100))
         server.table.class_freq[3] = 123.0
         path = tmp_path / "table.snapshot"
         server.save_snapshot(path)
@@ -132,7 +132,7 @@ class TestTablePersistence:
 
     def test_load_rejects_shape_mismatch(self, tiny_model, rng, tmp_path, config):
         server = CoCaServer(tiny_model, config)
-        server.initialize_from_shared_dataset(rng, calibration_samples=100)
+        server.initialize(calibrate(tiny_model, rng, 100))
         path = tmp_path / "table.snapshot"
         server.save_snapshot(path)
 
@@ -157,7 +157,7 @@ class TestTablePersistence:
         """Every meta array is validated, not only the entry shards: a
         mismatched filled/class_freq/reference array is named."""
         server = CoCaServer(tiny_model, config)
-        server.initialize_from_shared_dataset(rng, calibration_samples=100)
+        server.initialize(calibrate(tiny_model, rng, 100))
         path = tmp_path / "table.snapshot"
         server.save_snapshot(path)
         good = _rewrite_meta(path)
@@ -182,7 +182,7 @@ class TestTablePersistence:
 
     def test_load_rejects_missing_array(self, tiny_model, rng, tmp_path, config):
         server = CoCaServer(tiny_model, config)
-        server.initialize_from_shared_dataset(rng, calibration_samples=100)
+        server.initialize(calibrate(tiny_model, rng, 100))
         path = tmp_path / "table.snapshot"
         server.save_snapshot(path)
         _rewrite_meta(path, filled=None)
@@ -192,7 +192,7 @@ class TestTablePersistence:
 
     def test_warm_started_server_allocates(self, tiny_model, rng, tmp_path, config):
         server = CoCaServer(tiny_model, config)
-        server.initialize_from_shared_dataset(rng, calibration_samples=100)
+        server.initialize(calibrate(tiny_model, rng, 100))
         path = tmp_path / "table.snapshot"
         server.save_snapshot(path)
 

@@ -11,8 +11,8 @@ import pytest
 
 from repro.baselines import CoCaRunner, EdgeOnly, SMTM
 from repro.core.config import CoCaConfig
+from repro.core.deployment import Scenario
 from repro.data.datasets import get_dataset
-from repro.experiments.scenario import Scenario
 
 
 @pytest.fixture(scope="module")

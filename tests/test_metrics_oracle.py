@@ -17,8 +17,8 @@ import oracle
 from repro.baselines import METHODS, POLICIES, ReplacementPolicyCache, build_runner
 from repro.core.config import CoCaConfig
 from repro.core.framework import CoCaFramework
+from repro.core.deployment import Scenario
 from repro.data.datasets import get_dataset
-from repro.experiments.scenario import Scenario
 from repro.sim.metrics import MetricsCollector, per_class_hit_rates
 
 

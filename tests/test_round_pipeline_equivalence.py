@@ -24,7 +24,7 @@ import oracle
 
 from repro.core.client import CoCaClient
 from repro.core.config import CoCaConfig
-from repro.core.server import CoCaServer, GlobalCacheTable
+from repro.core.server import CoCaServer, GlobalCacheTable, calibrate
 from repro.data.stream import StreamGenerator
 from repro.models.feature import SampleBatch
 
@@ -231,9 +231,7 @@ class TestServerMergeEquivalence:
         fast = CoCaServer(tiny_model, config)
         ref = CoCaServer(tiny_model, config)
         for server in (fast, ref):
-            server.initialize_from_shared_dataset(
-                np.random.default_rng(0), calibration_samples=60
-            )
+            server.initialize(calibrate(tiny_model, np.random.default_rng(0), 60))
         updates = self._update_table(tiny_model, seed)
         freq = np.random.default_rng(seed + 1).integers(
             0, 12, tiny_model.num_classes
@@ -321,9 +319,7 @@ class TestEndToEndEquivalence:
         config = CoCaConfig(frames_per_round=80, theta=0.05, lookup_dtype="float64")
         servers = [CoCaServer(tiny_model, config) for _ in range(2)]
         for server in servers:
-            server.initialize_from_shared_dataset(
-                np.random.default_rng(1), calibration_samples=80
-            )
+            server.initialize(calibrate(tiny_model, np.random.default_rng(1), 80))
         fast_server, ref_server = servers
         collected = 0
         for client_seed in range(3):

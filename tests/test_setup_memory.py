@@ -10,8 +10,7 @@ import tracemalloc
 
 import numpy as np
 
-from repro.core.config import CoCaConfig
-from repro.core.server import CoCaServer
+from repro.core.server import measure_layer_statistics, measure_similarity_floors
 from repro.data.datasets import get_dataset
 from repro.data.stream import StreamGenerator
 from repro.models.zoo import build_model
@@ -50,10 +49,9 @@ def test_draw_peaks_near_its_output():
 
 def test_similarity_floors_peak_near_their_draw():
     model = _resnet152_ucf101()
-    server = CoCaServer(model, CoCaConfig())
-    server.measure_similarity_floors(np.random.default_rng(0))  # warm
+    measure_similarity_floors(model, np.random.default_rng(0))  # warm
     peak, floors = _traced_peak(
-        lambda: server.measure_similarity_floors(np.random.default_rng(1))
+        lambda: measure_similarity_floors(model, np.random.default_rng(1))
     )
     assert floors.shape == (model.num_cache_layers,)
     draw_bytes = 600 * (model.num_cache_layers + 1) * model.feature_space.config.dim * 8
@@ -67,10 +65,9 @@ def test_layer_statistics_peak_near_their_draw():
     (1.74 when it stepped four layers at a time through the walk's
     block step)."""
     model = _resnet152_ucf101()
-    server = CoCaServer(model, CoCaConfig())
-    server.measure_layer_statistics(np.random.default_rng(0))  # warm
+    measure_layer_statistics(model, np.random.default_rng(0))  # warm
     peak, table = _traced_peak(
-        lambda: server.measure_layer_statistics(np.random.default_rng(1))
+        lambda: measure_layer_statistics(model, np.random.default_rng(1))
     )
     assert table.scores.shape == (model.num_cache_layers, 600)
     draw_bytes = 600 * (model.num_cache_layers + 1) * model.feature_space.config.dim * 8

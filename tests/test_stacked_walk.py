@@ -40,7 +40,7 @@ from repro.core.cache import PACK_BLOCK_LAYERS, LookupWorkspace, SemanticCache
 from repro.core.config import CoCaConfig
 from repro.core.framework import CoCaFramework
 from repro.core.probe import CacheWalk, walk_cache_batch
-from repro.core.server import CoCaServer, GlobalCacheTable
+from repro.core.server import CoCaServer, GlobalCacheTable, calibrate
 from repro.data.datasets import get_dataset
 from repro.models.zoo import build_model
 from repro.serve import (
@@ -511,7 +511,7 @@ def test_default_shards_walk_in_owned_blocks(tmp_path):
     model = build_model("resnet101", get_dataset("ucf101", 12), seed=0)
     assert model.num_cache_layers > PACK_BLOCK_LAYERS
     server = CoCaServer(model, CoCaConfig())
-    server.initialize_from_shared_dataset(np.random.default_rng(0), calibration_samples=40)
+    server.initialize(calibrate(model, np.random.default_rng(0), 40))
     server.save_snapshot(tmp_path / "server")
     with MappedTableStore(tmp_path / "server") as store:
         served = block_layers(store.serving_cache(theta=0.3))

@@ -18,7 +18,7 @@ from repro.cli import main as cli_main
 from repro.contracts import ContractViolation
 from repro.core.cache import SemanticCache
 from repro.core.config import CoCaConfig
-from repro.core.server import CoCaServer, GlobalCacheTable
+from repro.core.server import CoCaServer, GlobalCacheTable, calibrate
 from repro.data.datasets import get_dataset
 from repro.models.zoo import build_model
 from repro.store import (
@@ -416,9 +416,7 @@ class TestServerPersistence:
     def test_save_snapshot_load_ram_roundtrip(self, tmp_path):
         model = build_model("resnet50", get_dataset("ucf101", 12), seed=0)
         server = CoCaServer(model, CoCaConfig())
-        server.initialize_from_shared_dataset(
-            np.random.default_rng(0), calibration_samples=40
-        )
+        server.initialize(calibrate(model, np.random.default_rng(0), 40))
         server.table.filled[3, 1] = False  # a gap the fill mask must carry
         server.save_snapshot(tmp_path / "snap", layers_per_shard=4)
         other = CoCaServer(model, CoCaConfig())

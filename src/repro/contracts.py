@@ -482,11 +482,13 @@ def check_call_replies(
 
     ``rows`` are the requests' row counts in call order; ``replies`` the
     call's answers in the same order — a reply with ``predicted`` /
-    ``hit_layer`` / ``hit_score`` arrays and a ``service_ms``, or the
-    exception that refused its request.  One answer per request, every
-    reply's arrays of its own request's row count, and the replies'
-    ``service_ms`` summing to ``busy_ms``, the call's measured busy time
-    (each request's service is its own share, none shared or lost).
+    ``hit_layer`` / ``hit_score`` arrays, a ``hits`` count and a
+    ``service_ms``, or the exception that refused its request.  One
+    answer per request, every reply's arrays of its own request's row
+    count and its ``hits`` (where it has one) the count of its
+    ``hit_layer >= 0``, and the replies' ``service_ms`` summing to
+    ``busy_ms``, the call's measured busy time (each request's service
+    is its own share, none shared or lost).
     """
     require(
         len(replies) == len(rows),
@@ -501,6 +503,13 @@ def check_call_replies(
             require(
                 got == (count,),
                 f"reply {index}: {name} has shape {got}, its request {count} row(s)",
+            )
+        counted = getattr(reply, "hits", None)
+        if counted is not None:
+            hits = int(np.count_nonzero(getattr(reply, "hit_layer") >= 0))
+            require(
+                counted == hits,
+                f"reply {index}: hits is {counted!r}, its hit_layer has {hits}",
             )
         total_ms += float(getattr(reply, "service_ms"))
     require(

@@ -38,6 +38,20 @@ Admission semantics, per attempt:
 service started: its wait for the worker, plus the services of the
 requests ahead of it in its call.
 
+**Deadlines.**  A lane keeps one expiry timer, not one per request.  The
+loop-time deadlines of its unresolved requests wait in one FIFO (the
+resolved ones at its front are dropped at every admission), and one
+``loop.call_at`` timer is armed at the earliest of them — re-armed
+earlier only when a shorter per-attempt ``deadline_ms`` arrives.  When
+it fires it expires every request then due and arms itself at the next
+deadline.  A request served before its deadline costs the timer nothing.
+
+**What a request costs, what a call costs.**  Per request the front-end
+does its bookkeeping only: admission, a deadline entry, the ledger and
+one :class:`ServeResult` tuple.  The rest is paid once per call: one
+cache walk, one owned copy of the walk's per-frame arrays (each reply
+holds views of it) and one hit count over all the call's frames.
+
 Every admitted request resolves with exactly one of the three —
 :func:`repro.contracts.check_admission_invariants` asserts the
 conservation law, per lane and in total, at every admission and
@@ -55,9 +69,9 @@ import multiprocessing
 import socket
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -159,9 +173,8 @@ def _check_deadline(deadline_ms: float) -> None:
         raise ValueError(f"deadline_ms must be finite and > 0, got {deadline_ms}")
 
 
-@dataclass(frozen=True)
-class ServeResult:
-    """Resolution of one request as seen by the client.
+class ServeResult(NamedTuple):
+    """Resolution of one request as seen by the client (immutable).
 
     Attributes:
         outcome: ``"success"`` / ``"timeout"`` / ``"shed"``.
@@ -179,6 +192,10 @@ class ServeResult:
         hits: frames served from the cache (success only, else 0).
         retry_after_ms: backpressure hint (> 0 only when shed).
         worker_pid: serving worker's OS pid (success only, else 0).
+
+    A success's ``hits`` come from its :class:`WorkerReply`, whose arrays
+    are views of its call's own copy of the walk's results, never of a
+    workspace; the worker counts every request's hits once per call.
     """
 
     outcome: str
@@ -251,10 +268,12 @@ class _Request:
 
 
 class _Lane:
-    """One shard's worker, admission queue and dispatcher.
+    """One shard's worker, admission queue, dispatcher and expiry timer.
 
     :meth:`send` is the only way anything reaches the worker; requests
-    reach it through :meth:`dispatch`, one call at a time.
+    reach it through :meth:`dispatch`, one call at a time.  Deadlines
+    wait in :attr:`deadlines`, ``(loop time, request)`` in admission
+    order, under one ``loop.call_at`` timer armed at the earliest.
     """
 
     def __init__(self, shard: int) -> None:
@@ -264,10 +283,51 @@ class _Lane:
         self.busy = False
         self.in_flight = 0
         self.served = 0
+        self.deadlines: deque[tuple[float, _Request]] = deque()
+        self._expiry: asyncio.TimerHandle | None = None
 
     @property
     def queued(self) -> int:
         return len(self.waiting)
+
+    def admit(self, request: _Request, deadline_s: float) -> None:
+        """Dispatch ``request`` to the free worker or queue it for the
+        next call, and expire it ``deadline_s`` on unless it is answered
+        by then."""
+        if self.busy:
+            self.waiting.append(request)
+        else:
+            self.dispatch([request])
+        deadlines = self.deadlines
+        while deadlines and deadlines[0][1].waiter.done():
+            deadlines.popleft()
+        if request.waiter.done():
+            return
+        due = self.loop.time() + deadline_s
+        deadlines.append((due, request))
+        expiry = self._expiry
+        if expiry is None or due < expiry.when():
+            if expiry is not None:
+                expiry.cancel()
+            self._expiry = self.loop.call_at(due, self._on_expiry, due)
+
+    def _on_expiry(self, due: float) -> None:
+        """Expire every request due by now; time the next deadline."""
+        self._expiry = None
+        # The loop may run a timer a clock tick before ``due``.
+        now = max(self.loop.time(), due)
+        pending: deque[tuple[float, _Request]] = deque()
+        for deadline, request in self.deadlines:
+            if request.waiter.done():
+                continue
+            if deadline <= now:
+                request.expire()
+            else:
+                pending.append((deadline, request))
+        self.deadlines = pending
+        if pending:
+            due = min(deadline for deadline, _ in pending)
+            self._expiry = self.loop.call_at(due, self._on_expiry, due)
 
     def send(self, fn: Callable[..., Any], args: tuple[Any, ...], sinks: list[Sink]) -> None:
         """Run ``fn(state, *args)`` on the worker; its answers go to
@@ -311,8 +371,11 @@ class _Lane:
             self.dispatch(batch)
 
     def stop(self) -> None:
-        """Join the worker; call after its ``shutdown_worker`` resolved."""
-        raise NotImplementedError
+        """Join the worker; call after its ``shutdown_worker`` resolved,
+        which answered every request the lane still held."""
+        if self._expiry is not None:
+            self._expiry.cancel()
+            self._expiry = None
 
 
 class _LoopLane(_Lane):
@@ -354,9 +417,6 @@ class _LoopLane(_Lane):
         # The loop may run a timer a clock tick before ``due``.
         self._timer = None
         self._release(max(self.loop.time(), due))
-
-    def stop(self) -> None:
-        """Nothing to join: ``shutdown_worker``'s answer was the last."""
 
 
 class _ProcessLane(_Lane):
@@ -484,6 +544,7 @@ class _ProcessLane(_Lane):
             self._pending.popleft()(False, WorkerLost(self.shard, self.pid))
 
     def stop(self) -> None:
+        super().stop()
         # Closing the socket ends a worker that is still reading it.
         self._lose()
         self.sock.close()
@@ -645,13 +706,9 @@ class ServeFrontend:
                 retry_after_ms=RETRY_AFTER_MS,
             )
         request = _Request(vectors, self._count_late)
-        if lane.busy:
-            lane.waiting.append(request)
-        else:
-            lane.dispatch([request])
+        lane.admit(request, deadline_ms / 1e3)
         self._check(lane)
 
-        timer = lane.loop.call_later(deadline_ms / 1e3, request.expire)
         try:
             reply = await request.waiter
         except BaseException:
@@ -665,8 +722,6 @@ class ServeFrontend:
             self.submitted -= 1
             self._check(lane)
             raise
-        finally:
-            timer.cancel()
         if reply is None:
             if request.dispatched is None:
                 lane.waiting.remove(request)  # never sent
@@ -723,8 +778,7 @@ class ServeFrontend:
             result = await self.submit(class_hint, vectors, deadline_ms)
             attempts += 1
             if result.outcome != OUTCOME_SHED or attempts > self.config.max_retries:
-                return replace(
-                    result,
+                return result._replace(
                     attempts=attempts,
                     latency_ms=1e3 * (time.perf_counter() - started),
                 )

@@ -25,12 +25,13 @@ geometry is refused alone, with the walk's ``ValueError`` naming
 expected and got shapes; the rest of its call is served.  So a call
 does four things: check each tensor's fit, walk the fitting ones
 together with the layer pack that check returned (so no tensor is
-checked twice), cut the walk into per-request copies, and yield, in call
-order, each request's refusal or reply with its due time.  Its fixed
-cost is what a single-frame call pays on top of its walk, so it keeps
-to that: it counts a request's missed frames only when ``miss_ms``
-charges for them, and collects the call's replies only for the
-``REPRO_CONTRACTS=1`` check of the whole call.
+checked twice), copy the walk's results once and cut the copies into
+per-request views, with every request's hit count from one pass over
+the call, and yield, in call order, each request's refusal or reply
+with its due time.  Its fixed cost is what a single-frame call pays on
+top of its walk, so it keeps to that: the copies and the hit count are
+made once per call, not per request, and the call's replies are
+collected only for the ``REPRO_CONTRACTS=1`` check of the whole call.
 
 No request tensor is serialized.  A process lane copies each query
 tensor ``(B, L+1, d)`` of a call into its :class:`RequestArena` — a
@@ -124,9 +125,10 @@ class WorkerOptions(NamedTuple):
 class WorkerReply(NamedTuple):
     """Per-request result shipped back from a shard worker.
 
-    Arrays are owned copies (never workspace views), so they survive
-    pickling in process mode and the next walk while they wait for
-    their due time.
+    Arrays are views of the call's own copy of the walk's results (the
+    copy itself for a call of one request), never workspace views, so
+    they survive pickling in process mode and the next walk while they
+    wait for their due time.
 
     Attributes:
         predicted: ``(B,)`` class served per frame — the hit layer's
@@ -142,6 +144,9 @@ class WorkerReply(NamedTuple):
             process-mode workers from in-loop ones in diagnostics).
         behind_ms: time from the call's start to this request's service
             start — the services of the requests ahead of it in the call.
+        hits: frames that hit (``hit_layer >= 0``), counted by
+            :func:`serve_requests` once per call; ``-1`` on a reply
+            built without the count.
     """
 
     predicted: np.ndarray
@@ -151,10 +156,7 @@ class WorkerReply(NamedTuple):
     probe_ms: float
     worker_pid: int
     behind_ms: float = 0.0
-
-    @property
-    def hits(self) -> int:
-        return int((self.hit_layer >= 0).sum())
+    hits: int = -1
 
 
 class WorkerState:
@@ -198,13 +200,16 @@ def shutdown_worker(state: WorkerState) -> None:
 
 def _walk_together(
     state: WorkerState, pack: LayerPack | None, chunks: list[np.ndarray]
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Walk every chunk's rows in one walk; owned ``(predicted, hit_layer,
-    hit_score)`` copies per chunk.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """Walk every chunk's rows in one walk; ``(predicted, hit_layer,
+    hit_score, hits)`` per chunk.
 
-    Every chunk has passed :func:`~repro.core.probe.check_fit`, and
-    ``pack`` is the layer pack it returned (``None``: no chunk), so the
-    walk does not check them again.
+    The call copies the walk's three arrays once and counts every
+    chunk's hits in one pass; each chunk gets views of those copies
+    (a lone chunk the copies themselves).  Every chunk has passed
+    :func:`~repro.core.probe.check_fit`, and ``pack`` is the layer pack
+    it returned (``None``: no chunk), so the walk does not check them
+    again.
     """
     if pack is None:
         return []
@@ -220,15 +225,23 @@ def _walk_together(
             casting="unsafe",
         )
     walk = _walk_fitted(cache, pack, vectors, state.workspace)
-    outcomes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    predicted = walk.predicted.copy()
+    hit_layer = walk.hit_layer.copy()
+    hit_score = walk.hit_score.copy()
+    if len(chunks) == 1:
+        return [(predicted, hit_layer, hit_score, int(np.count_nonzero(hit_layer >= 0)))]
+    # Hits among the first r rows, for every r: a chunk's are a difference.
+    hits_before = [0, *np.cumsum(hit_layer >= 0).tolist()]
+    outcomes: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
     lo = 0
     for chunk in chunks:
         hi = lo + chunk.shape[0]
         outcomes.append(
             (
-                walk.predicted[lo:hi].copy(),
-                walk.hit_layer[lo:hi].copy(),
-                walk.hit_score[lo:hi].copy(),
+                predicted[lo:hi],
+                hit_layer[lo:hi],
+                hit_score[lo:hi],
+                hits_before[hi] - hits_before[lo],
             )
         )
         lo = hi
@@ -273,11 +286,11 @@ def serve_requests(
         if refusal is not None:
             answer = (False, refusal)
         else:
-            predicted, hit_layer, hit_score = next(walked)
+            predicted, hit_layer, hit_score, hits = next(walked)
             probe_ms = walk_ms * predicted.size / rows
             owed_ms = opts.service_floor_ms
             if opts.miss_ms:
-                owed_ms += opts.miss_ms * int((hit_layer < 0).sum())
+                owed_ms += opts.miss_ms * (predicted.size - hits)
             due_ms += max(probe_ms, owed_ms)
             release_ms = max(due_ms, 1e3 * (time.perf_counter() - started))
             answer = (
@@ -290,6 +303,7 @@ def serve_requests(
                     probe_ms=probe_ms,
                     worker_pid=pid,
                     behind_ms=boundary_ms,
+                    hits=hits,
                 ),
             )
             boundary_ms = release_ms

@@ -423,6 +423,16 @@ def test_tampered_call_replies_fire():
         contracts.check_call_replies(rows, shared, busy_ms=1.6)
 
 
+def test_call_reply_hit_count_must_match_its_hit_layer():
+    from repro.serve import WorkerReply
+
+    hit_layer = np.array([2, -1, 0, -1])
+    reply = WorkerReply(np.zeros(4, dtype=np.int64), hit_layer, np.zeros(4), 0.5, 0.1, 1, hits=2)
+    contracts.check_call_replies([4], [reply], busy_ms=0.5)
+    with pytest.raises(ContractViolation, match="hits is 3"):
+        contracts.check_call_replies([4], [reply._replace(hits=3)], busy_ms=0.5)
+
+
 def test_request_arena_passes_on_disjoint_live_reservations():
     contracts.check_request_arena([(0, 128), (128, 64), (256, 0)], 4096, idle=False)
     contracts.check_request_arena([(0, 4096)], 4096, idle=False)

@@ -53,6 +53,7 @@ from repro.serve import (
     synthesize_requests,
     worker_info,
 )
+from repro.serve.frontend import RETRY_AFTER_MS
 from repro.store import (
     MappedTableStore,
     SnapshotFormatError,
@@ -216,6 +217,8 @@ class TestFrontend:
                 assert result.shard == frontend.shard_of(4)
                 assert result.hits == 1
                 assert result.frames == 1
+                with pytest.raises(AttributeError):
+                    result.hits = 2  # a result is immutable
                 stats = frontend.stats()
                 assert stats["submitted"] == 1
                 assert stats["success"] == 1
@@ -296,15 +299,20 @@ class TestFrontend:
                 await asyncio.sleep(0.015)
                 waiter = asyncio.create_task(frontend.submit(0, vectors))
                 await asyncio.sleep(0.005)
+                started = time.perf_counter()
                 retried = await frontend.submit_with_retry(0, vectors)
+                elapsed_ms = 1e3 * (time.perf_counter() - started)
                 await asyncio.gather(in_service, waiter)
                 stats = frontend.stats()
-            return retried, stats
+            return retried, elapsed_ms, stats
 
-        retried, stats = drive(scenario())
+        retried, elapsed_ms, stats = drive(scenario())
         assert retried.ok
         assert retried.attempts >= 2
-        assert stats["retries"] >= 1
+        assert stats["retries"] == retried.attempts - 1
+        # The latency spans every attempt: each retry first slept at least
+        # the shed's retry-after hint.
+        assert RETRY_AFTER_MS * (retried.attempts - 1) <= retried.latency_ms <= elapsed_ms
 
     def test_admission_contract_armed_and_fires(self, snapshot):
         async def scenario():
@@ -1062,10 +1070,15 @@ class TestCoalescing:
                     *(frontend.submit(0, chunk) for chunk in chunks)
                 )
                 await holder
+                # The next call's walk reuses the workspace the first one
+                # walked in; the first call's replies must not change.
+                assert all(r.ok for r in await asyncio.gather(
+                    *(frontend.submit(0, chunk[::-1].copy()) for chunk in chunks[:3])
+                ))
                 return calls, results
 
         calls, results = drive(scenario())
-        [call] = coalesced(calls)
+        [call, *_] = coalesced(calls)
         assert [c is chunk for c, chunk in zip(call["args"][0], chunks)] == [True] * 6
         with MappedTableStore(snapshot) as store:
             cache = store.serving_cache(theta=1.0)
@@ -1075,7 +1088,10 @@ class TestCoalescing:
                     assert ok and result.ok
                     assert np.array_equal(reply.predicted, alone.predicted)
                     assert np.array_equal(reply.hit_layer, alone.hit_layer)
-                    assert result.hits == int(alone.hit.sum())
+                    # Scores agree to float32 rounding: BLAS may sum a
+                    # product of the call's rows in another order.
+                    np.testing.assert_allclose(reply.hit_score, alone.hit_score, rtol=1e-5)
+                    assert reply.hits == result.hits == int(alone.hit.sum())
                     assert result.frames == chunk.shape[0]
         assert 0 < sum(r.hits for r in results) < sum(r.frames for r in results)
 
@@ -1303,6 +1319,125 @@ class TestCoalescingProcessMode(TestCoalescing):
         assert stats["in_flight"] == 0 and stats["queued"] == 0
         assert stats["submitted"] == stats["success"] == 1
         assert multiprocessing.active_children() == []
+
+
+class TimerLog:
+    """Wrap a running loop's ``call_at`` / ``call_later``: every timer
+    handle scheduled through them, and the ids of those whose callback
+    ran."""
+
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
+        self.handles: list[asyncio.TimerHandle] = []
+        self.ran: set[int] = set()
+        call_at = loop.call_at
+
+        def at(when, callback, *args, **kwargs):
+            def run(*a):
+                self.ran.add(id(handle))
+                callback(*a)
+
+            handle = call_at(when, run, *args, **kwargs)
+            self.handles.append(handle)
+            return handle
+
+        loop.call_at = at
+        loop.call_later = lambda delay, callback, *args, **kwargs: at(
+            loop.time() + delay, callback, *args, **kwargs
+        )
+
+    def pending(self) -> list[asyncio.TimerHandle]:
+        """Handles still on the loop: neither run nor cancelled."""
+        return [h for h in self.handles if not h.cancelled() and id(h) not in self.ran]
+
+
+class TestLaneExpiry:
+    """A lane times its requests out with one expiry timer over a FIFO
+    of deadlines, not a timer per request.  Counts and outcomes only."""
+
+    mode = "thread"
+
+    def config(self, snapshot: str, **settings) -> ServeConfig:
+        settings.setdefault("deadline_ms", 10_000.0)
+        return ServeConfig(snapshot_path=snapshot, num_workers=1, mode=self.mode, **settings)
+
+    def test_sequential_submits_schedule_a_constant_number_of_timers(self, snapshot):
+        vectors = centroid_queries(snapshot, [0])
+
+        async def scenario():
+            config = self.config(snapshot, queue_depth=2)
+            async with ServeFrontend(config) as frontend:
+                lane = frontend._lanes[0]
+                timers = TimerLog(asyncio.get_running_loop())
+                with contracts.activated():
+                    for _ in range(1000):
+                        assert (await frontend.submit(0, vectors)).ok
+                scheduled = len(timers.handles)
+                # Resolved deadlines at the front go at every admission.
+                assert len(lane.deadlines) <= config.queue_depth + lane.in_flight
+                return scheduled, frontend.stats()
+
+        scheduled, stats = drive(scenario())
+        assert scheduled <= 2
+        assert stats["submitted"] == stats["success"] == 1000
+
+    def test_short_override_behind_long_deadlines_times_out(self, snapshot):
+        vectors = centroid_queries(snapshot, [2])
+        options = WorkerOptions(service_floor_ms=100.0)
+
+        async def scenario():
+            async with ServeFrontend(self.config(snapshot, worker=options)) as frontend:
+                calls = record_calls(frontend._lanes[0])
+                with contracts.activated():
+                    long = [asyncio.create_task(frontend.submit(2, vectors))]
+                    await asyncio.sleep(0)  # the first is dispatched
+                    long += [asyncio.create_task(frontend.submit(2, vectors)) for _ in range(2)]
+                    await asyncio.sleep(0)  # the others queue behind it
+                    doomed = vectors.copy()
+                    expired = await frontend.submit(2, doomed, deadline_ms=15.0)
+                    # Expired while the 10 s requests ahead still waited.
+                    assert frontend.stats()["queued"] == 2
+                    assert not any(task.done() for task in long)
+                    served = await asyncio.gather(*long)
+                stats = frontend.stats()
+            return calls, doomed, expired, served, stats
+
+        calls, doomed, expired, served, stats = drive(scenario())
+        assert expired.outcome == "timeout"
+        assert all(r.ok for r in served)
+        sent = [c for call in calls if call["fn"] is serve_requests for c in call["args"][0]]
+        assert len(sent) == 3 and all(c is not doomed for c in sent)
+        assert stats["submitted"] == 4
+        assert stats["success"] == 3 and stats["timeout"] == 1 and stats["shed"] == 0
+        assert stats["queued"] == stats["in_flight"] == stats["late_responses"] == 0
+
+    def test_close_leaves_no_timer_on_the_loop(self, snapshot):
+        vectors = centroid_queries(snapshot, [1])
+        options = WorkerOptions(service_floor_ms=20.0)
+
+        async def scenario():
+            timers = TimerLog(asyncio.get_running_loop())
+            async with ServeFrontend(self.config(snapshot, worker=options)) as frontend:
+                holder = asyncio.create_task(frontend.submit(1, vectors))
+                await asyncio.sleep(0)  # the holder is dispatched
+                results = await asyncio.gather(
+                    *(frontend.submit(1, vectors) for _ in range(3)),
+                    frontend.submit(1, vectors, deadline_ms=5_000.0),
+                )
+                results.append(await holder)
+                lane = frontend._lanes[0]
+                armed = lane._expiry is not None
+            return timers, armed, results
+
+        timers, armed, results = drive(scenario())
+        assert all(r.ok for r in results)
+        assert armed  # the 5 s deadline's timer outlived its request
+        assert timers.pending() == []
+
+
+class TestLaneExpiryProcessMode(TestLaneExpiry):
+    """The same lane timer, with the worker in its own process."""
+
+    mode = "process"
 
 
 class TestInLoopLanes:

@@ -787,7 +787,9 @@ def test_kept_walk_views_hold_no_walk_over(tmp_path):
             lo = 0
             for chunk, outcome in zip(chunks, _walk_together(state, cache.layer_pack(), chunks)):
                 hi = lo + chunk.shape[0]
-                assert same(outcome, [a[lo:hi] for a in want]), rows
+                *arrays, hits = outcome
+                assert same(arrays, [a[lo:hi] for a in want]), rows
+                assert hits == np.count_nonzero(want[1][lo:hi] >= 0), rows
                 lo = hi
             [(ok, reply, _)] = serve_requests(state, [single])  # after a coalesced call
             assert ok and same(reply[:3], alone(single)[:3]), rows

@@ -14,6 +14,9 @@ Three claims, one benchmark:
    (they are in fact identical — the sharded Eq. 4 write path is exact).
 3. **A 1-shard cluster is the single server.**  Its merged table must
    equal the reference server's table bit for bit after the same rounds.
+
+Each claim builds one :class:`~repro.core.deployment.Scenario`, and
+every fleet in it reads that scenario's one model and calibration.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 
 from repro.cluster import ClusterFramework
 from repro.core.config import CoCaConfig
+from repro.core.deployment import Scenario
 from repro.core.framework import CoCaFramework
 from repro.data.datasets import get_dataset
 from repro.experiments.cluster_scale import (
@@ -52,17 +56,16 @@ def _hit_rate_parity() -> tuple[float, int]:
     """Max |per-class hit-rate delta| of a 4-shard cluster vs the
     single-server reference, plus the number of classes compared."""
     config = CoCaConfig(frames_per_round=100)
-    kwargs = dict(
+    scenario = Scenario(
         dataset=get_dataset("ucf101", 50),
         model_name="resnet101",
         num_clients=12,
-        config=config,
         seed=11,
         non_iid_level=0.5,
     )
-    reference = CoCaFramework(**kwargs).run(2)
-    cluster = ClusterFramework(
-        num_shards=4, sync_interval=1, assignment_policy="region", **kwargs
+    reference = CoCaFramework.from_scenario(scenario, config).run(2)
+    cluster = ClusterFramework.from_scenario(
+        scenario, config, num_shards=4, sync_interval=1, assignment_policy="region"
     ).run(2)
     ref_rates = per_class_hit_rates(reference.metrics.records, min_samples=20)
     cluster_rates = per_class_hit_rates(cluster.metrics.records, min_samples=20)
@@ -78,16 +81,17 @@ def _hit_rate_parity() -> tuple[float, int]:
 def _single_shard_equivalence() -> int:
     """1-shard cluster vs single server: identical records and table."""
     config = CoCaConfig(frames_per_round=60)
-    kwargs = dict(
+    scenario = Scenario(
         dataset=get_dataset("ucf101", 20),
         model_name="resnet50",
         num_clients=4,
-        config=config,
         seed=7,
         non_iid_level=0.5,
     )
-    reference = CoCaFramework(**kwargs).run(3)
-    cluster_fw = ClusterFramework(num_shards=1, sync_interval=1, **kwargs)
+    reference = CoCaFramework.from_scenario(scenario, config).run(3)
+    cluster_fw = ClusterFramework.from_scenario(
+        scenario, config, num_shards=1, sync_interval=1
+    )
     cluster = cluster_fw.run(3)
     merged = cluster_fw.merged_table()
     table = reference.server.table

@@ -22,9 +22,6 @@ class CoCaRunner:
         scenario: shared evaluation setting.
         config: CoCa hyper-parameters (``None`` = defaults).
         enable_dca / enable_gcu: ablation switches.
-        budget_bytes: absolute per-client budget in place of the
-            config's ``cache_budget_fraction`` (the Fig. 8
-            memory-matched comparison).
     """
 
     name = "CoCa"
@@ -35,16 +32,12 @@ class CoCaRunner:
         config: CoCaConfig | None = None,
         enable_dca: bool = True,
         enable_gcu: bool = True,
-        budget_bytes: int | None = None,
     ) -> None:
         self.scenario = scenario
         self.config = config if config is not None else CoCaConfig()
         self.framework = CoCaFramework.from_scenario(
             scenario, self.config, enable_dca=enable_dca, enable_gcu=enable_gcu
         )
-        if budget_bytes is not None:
-            for client in self.framework.clients:
-                client.cache_budget_bytes = int(budget_bytes)
         self.model = self.framework.model
 
     def run(self, num_rounds: int, warmup_rounds: int = 0) -> MetricsCollector:

@@ -63,7 +63,7 @@ def _print_json(payload: dict[str, Any]) -> None:
 
 
 def _scenario_kwargs(args: argparse.Namespace) -> dict[str, Any]:
-    """The scenario flags, as the keywords of ``Scenario`` and of both frameworks."""
+    """The scenario flags, as ``Scenario``'s fields (and ``CoCaFramework``'s keywords)."""
     return {
         "dataset": get_dataset(args.dataset, args.classes),
         "model_name": args.model,
@@ -156,11 +156,11 @@ def cmd_sweep_theta(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    setting = _scenario_kwargs(args)
-    cluster = ClusterFramework(
-        **setting,
+    scenario = Scenario(**_scenario_kwargs(args))
+    cluster = ClusterFramework.from_scenario(
+        scenario,
+        CoCaConfig(theta=args.theta, frames_per_round=args.frames),
         num_shards=args.shards,
-        config=CoCaConfig(theta=args.theta, frames_per_round=args.frames),
         sync_interval=args.sync_interval,
         assignment_policy=args.policy,
         load=ServerLoadModel(service_time_ms=args.service_ms),
@@ -172,7 +172,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     payload: dict[str, Any] = {
         "scenario": {
             "model": args.model,
-            "dataset": setting["dataset"].name,
+            "dataset": scenario.dataset.name,
             "shards": args.shards,
             "clients": args.clients,
             "sync_interval": args.sync_interval,

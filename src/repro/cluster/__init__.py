@@ -10,11 +10,12 @@ clients are routed to nodes by hash, region affinity, or load
 (:func:`assign_clients`); and a :class:`ClusterCoordinator` bounds
 cross-shard staleness with a configurable sync interval.
 
-There is no second protocol driver: :class:`ClusterFramework` builds a
-:class:`~repro.core.framework.CoCaFramework` and attaches a
-:class:`ClusterPlacement`, which decides where allocation and merges run
-(node replicas, the sharded table) and what virtual time a round costs
-(FCFS node queues, per-client clocks, the coordinator's refresh).
+There is no second protocol loop: :class:`ClusterFramework` attaches a
+:class:`ClusterPlacement` to a built :class:`~repro.core.framework.CoCaFramework`
+(one over a shared scenario: :meth:`ClusterFramework.from_scenario`), which
+decides where allocation and merges run (node replicas, the sharded table)
+and what virtual time a round costs (FCFS node queues, per-client clocks,
+the coordinator's refresh).
 
 Because Eq. 4 merges are independent per ``(class, layer)`` key, a
 1-shard cluster — and an N-shard cluster at sync interval 1 — reproduces

@@ -1,6 +1,6 @@
 """The cluster: a placement over :class:`~repro.core.framework.CoCaFramework`'s round.
 
-:class:`ClusterFramework` builds the single-server deployment (its
+:class:`ClusterFramework` takes a built single-server deployment (its
 ``server.table`` is the cluster's one authoritative table), hosts that
 table's row shards on :class:`~repro.cluster.node.EdgeServerNode`
 replicas, and attaches a :class:`ClusterPlacement`, which decides where
@@ -21,6 +21,7 @@ from repro.cluster.node import EdgeServerNode, RequestTiming
 from repro.cluster.sharding import ClassShardRouter, ShardedGlobalCache
 from repro.core.client import RoundReport
 from repro.core.config import CoCaConfig
+from repro.core.deployment import Scenario
 from repro.core.framework import CoCaFramework, FrameworkResult, Placement
 from repro.core.server import CoCaServer, GlobalCacheTable
 from repro.data.datasets import DatasetSpec
@@ -102,21 +103,20 @@ class ClusterPlacement(Placement):
 
 
 class ClusterFramework:
-    """Builds a sharded multi-node CoCa deployment: a :class:`CoCaFramework`
-    whose placement is a :class:`ClusterPlacement`.
+    """A sharded multi-node CoCa deployment: a :class:`CoCaFramework`
+    whose placement is a :class:`ClusterPlacement`; :meth:`from_scenario`
+    attaches one to a framework over a shared scenario.
 
     Args:
         dataset / model_name / num_clients / config / seed /
-        non_iid_level / longtail_rho / enable_dca:
-            forwarded to the internal :class:`CoCaFramework`, so a
-            cluster and a single-server run with equal parameters see
-            byte-identical geometry, streams and initial tables.
+        non_iid_level / longtail_rho / enable_dca: build the framework
+            by keyword (a private scenario, whose model it may drift).
         num_shards: shard (= node) count; 1 reproduces the single-server
             deployment under the same queueing model.
         sync_interval: rounds between cross-shard replica refreshes.
         assignment_policy: ``hash`` | ``region`` | ``least-loaded``.
         load: per-node latency model (service time, base network latency,
-            contention); default :class:`ServerLoadModel`.
+            contention); ``None`` = :class:`ServerLoadModel`'s defaults.
         merge_service_ms: node CPU time per merged upload piece.
     """
 
@@ -136,25 +136,48 @@ class ClusterFramework:
         load: ServerLoadModel | None = None,
         merge_service_ms: float = 0.5,
     ) -> None:
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        self.framework = CoCaFramework(
-            dataset=dataset,
-            model_name=model_name,
-            num_clients=num_clients,
-            config=config,
-            seed=seed,
-            non_iid_level=non_iid_level,
-            longtail_rho=longtail_rho,
-            enable_dca=enable_dca,
+        framework = CoCaFramework(  # its first eight keywords, in order
+            dataset, model_name, num_clients, config, seed, non_iid_level, longtail_rho, enable_dca
         )
-        self.model = self.framework.model
-        self.config = self.framework.config
-        self.clients = self.framework.clients
-        load = load if load is not None else ServerLoadModel()
+        self._attach(
+            framework, num_shards, sync_interval, assignment_policy, load, merge_service_ms
+        )
 
-        canonical = self.framework.server
-        router = ClassShardRouter(self.model.num_classes, num_shards)
+    @classmethod
+    def from_scenario(
+        cls,
+        scenario: Scenario,
+        config: CoCaConfig | None = None,
+        enable_dca: bool = True,
+        *,
+        num_shards: int = 4,
+        sync_interval: int = 1,
+        assignment_policy: str = "hash",
+        load: ServerLoadModel | None = None,
+        merge_service_ms: float = 0.5,
+    ) -> "ClusterFramework":
+        """The fleet on :meth:`CoCaFramework.from_scenario` (the scenario's model)."""
+        framework = CoCaFramework.from_scenario(scenario, config, enable_dca=enable_dca)
+        cluster = cls.__new__(cls)
+        cluster._attach(
+            framework, num_shards, sync_interval, assignment_policy, load, merge_service_ms
+        )
+        return cluster
+
+    def _attach(
+        self,
+        framework: CoCaFramework,
+        num_shards: int,
+        sync_interval: int,
+        assignment_policy: str,
+        load: ServerLoadModel | None,
+        merge_service_ms: float,
+    ) -> None:
+        """Host ``framework``'s table on a sharded fleet and swap in its placement."""
+        self.framework = framework
+        self.config = framework.config
+        canonical = framework.server
+        router = ClassShardRouter(framework.model.num_classes, num_shards)
         self.sharded = ShardedGlobalCache(router, canonical.table)
         self.nodes = [
             EdgeServerNode(
@@ -170,20 +193,15 @@ class ClusterFramework:
         )
         assignment = assign_clients(
             assignment_policy,
-            num_clients,
+            len(framework.clients),
             num_shards,
             sharded=self.sharded,
-            client_distributions=self.framework.distributions,
+            client_distributions=framework.distributions,
         )
         for client_id, node_id in enumerate(assignment):
             self.nodes[node_id].assigned_clients.append(client_id)
-        self.placement = ClusterPlacement(self.framework, self.coordinator, assignment)
-        self.framework.placement = self.placement
-        self.client_clocks = self.placement.clocks
-
-    def virtual_now_ms(self) -> float:
-        """The cluster-wide virtual frontier (latest clock in the system)."""
-        return self.placement.virtual_now_ms()
+        self.placement = ClusterPlacement(framework, self.coordinator, assignment)
+        framework.placement = self.placement
 
     def run_round(self, round_index: int = 0) -> list[RoundReport]:
         """One protocol round across the fleet (the framework's round)."""

@@ -6,9 +6,9 @@ per-client class distributions, the per-client generators and streams,
 and the server's :class:`~repro.core.server.Calibration`.
 :class:`~repro.core.framework.CoCaFramework` (through
 :meth:`~repro.core.framework.CoCaFramework.from_scenario`, or a private
-scenario of its keywords) and every baseline read them, so runs of
-equal fields see byte-identical feature geometry, class distributions
-and per-client generators by construction.  A client's round is one
+scenario of its keywords), a cluster attached to one and every baseline
+read them, so runs of equal fields see byte-identical feature geometry,
+class distributions and per-client generators by construction.  A client's round is one
 ``take_block`` on its stream, then one ``draw_samples`` on the same
 generator, for CoCa and every baseline alike, so all methods see
 bit-identical frames — which is what makes the benchmark tables'
@@ -19,8 +19,8 @@ its own fields, so ``dataclasses.replace(scenario, ...)`` always yields
 a scenario whose members match its new fields.  One scenario serves any
 number of runners: each builds its own streams on fresh generators
 (:meth:`Scenario.client_rng`), and none writes to what it shares — the
-distributions and the calibration are read-only, and no runner built
-from a scenario drifts its model.
+distributions and the calibration are read-only, and a framework built
+from a scenario refuses to drift its model.
 """
 
 from __future__ import annotations

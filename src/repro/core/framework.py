@@ -27,8 +27,8 @@ A framework is built over a :class:`~repro.core.deployment.Scenario`:
 its model, per-client distributions and generators, and the server's
 calibration (:meth:`CoCaServer.initialize` applies θ to it).
 :meth:`CoCaFramework.from_scenario` reads a scenario that other runners
-share; the keyword constructor builds a private one, and only then may
-the framework drift its model between rounds.
+share, and so does a cluster's; the keyword constructor builds a private
+one, and only then may the framework drift its model between rounds.
 
 The per-frame scalar oracle of steps 3 and 4 lives in ``tests/oracle.py``;
 nothing here reaches it.
@@ -150,7 +150,7 @@ class CoCaFramework:
         client_drift_scale: per-client feature drift (``None`` = zoo
             default for the client count).
         temporal_drift_per_round: feature drift applied before every
-            round (0 = a static environment).
+            round (0 = a static environment; keyword-built only).
 
     The seven setting keywords build a private
     :class:`~repro.core.deployment.Scenario`; :meth:`from_scenario`
@@ -185,6 +185,7 @@ class CoCaFramework:
             client_drift_scale=client_drift_scale,
         )
         self._build(scenario, config, enable_dca, enable_gcu, temporal_drift_per_round)
+        self._shared_model = False
 
     @classmethod
     def from_scenario(
@@ -197,10 +198,11 @@ class CoCaFramework:
         """A framework over ``scenario``'s own model and calibration.
 
         The model is shared with every other reader of the scenario, so
-        this framework never drifts it (no temporal drift).
+        a round with ``temporal_drift_per_round > 0`` raises ``ValueError``.
         """
         framework = cls.__new__(cls)
         framework._build(scenario, config, enable_dca, enable_gcu, 0.0)
+        framework._shared_model = True
         return framework
 
     def _build(
@@ -273,6 +275,8 @@ class CoCaFramework:
         breakdown.
         """
         if self.temporal_drift_per_round > 0:
+            if self._shared_model:
+                raise ValueError("temporal drift would change a shared Scenario's model")
             self.model.feature_space.evolve_drift(
                 self.temporal_drift_per_round, self._protocol_rng
             )

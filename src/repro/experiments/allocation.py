@@ -2,7 +2,8 @@
 
 All policies manage the same cache structure (a static set of high-benefit
 layers, each holding at most ``cache_size`` class entries); ACA runs with
-the *same total memory* so the comparison isolates the allocation policy.
+the *same total memory* (as its Π, a share of the full table) so the
+comparison isolates the allocation policy.
 The workload is long-tailed (Sec. VI-G uses a 100-class long-tail UCF101
 stream).
 """
@@ -35,6 +36,7 @@ def run_allocation_comparison(
     warmup: int = 1,
 ) -> list[AllocationPoint]:
     """Fig. 8: latency of each policy across cache sizes."""
+    full_bytes = scenario.model.num_classes * sum(scenario.model.profile.entry_sizes_bytes)
     points: list[AllocationPoint] = []
     for size in cache_sizes:
         size = min(size, scenario.dataset.num_classes)
@@ -60,8 +62,7 @@ def run_allocation_comparison(
         assert memory_bytes is not None
         aca = CoCaRunner(
             scenario,
-            config=CoCaConfig(theta=theta),
-            budget_bytes=memory_bytes,
+            config=CoCaConfig(theta=theta, cache_budget_fraction=memory_bytes / full_bytes),
         )
         summary = aca.run(rounds, warmup_rounds=warmup).summary()
         points.append(

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.cluster import ClusterFramework
 from repro.core.config import CoCaConfig
+from repro.core.deployment import Scenario
 from repro.data.datasets import DatasetSpec
 from repro.sim.network import ServerLoadModel
 
@@ -60,49 +61,31 @@ def run_cluster_scale(
     rounds: int = 2,
     seed: int = 3,
     enable_dca: bool = False,
-    sync_interval: int = 1,
-    assignment_policy: str = "hash",
-    load: ServerLoadModel | None = None,
-    merge_service_ms: float = 5.0,
-    theta: float | None = None,
 ) -> list[ClusterScalePoint]:
-    """Aggregate throughput and quality per shard count.
+    """Aggregate throughput and quality per shard count, at sync interval 1.
 
-    Every shard count runs an identically-seeded deployment (same
-    geometry, streams, and initial table), so at ``sync_interval=1`` the
-    quality columns are constant across rows by construction and only
-    the virtual timeline changes.
+    Every shard count runs a fleet over one shared
+    :class:`~repro.core.deployment.Scenario` (one model, one calibration),
+    so the quality columns are constant across rows by construction and
+    only the virtual timeline changes.
     """
     if not shard_counts:
         raise ValueError("shard_counts must not be empty")
     if 1 not in shard_counts:
         raise ValueError("shard_counts must include 1 (the speedup baseline)")
     config = CoCaConfig(frames_per_round=frames_per_round)
-    if theta is not None:
-        config = config.with_theta(theta)
-    load = load if load is not None else SCALE_OUT_LOAD
+    scenario = Scenario(dataset, model_name, num_clients, seed=seed)
     runs = []
     for shards in shard_counts:
-        cluster = ClusterFramework(
-            dataset=dataset,
-            model_name=model_name,
-            num_shards=shards,
-            num_clients=num_clients,
-            config=config,
-            seed=seed,
-            enable_dca=enable_dca,
-            sync_interval=sync_interval,
-            assignment_policy=assignment_policy,
-            load=load,
-            merge_service_ms=merge_service_ms,
+        cluster = ClusterFramework.from_scenario(
+            scenario, config, enable_dca, num_shards=shards,
+            load=SCALE_OUT_LOAD, merge_service_ms=5.0,
         )
         result = cluster.run(rounds)
         throughput = result.throughput_inferences_per_s
         assert throughput is not None  # a cluster keeps clocks
         runs.append((shards, result, throughput))
-    baseline = next(
-        throughput for shards, _, throughput in runs if shards == 1
-    )
+    baseline = next(throughput for shards, _, throughput in runs if shards == 1)
     points: list[ClusterScalePoint] = []
     for shards, result, throughput in runs:
         summary = result.summary()

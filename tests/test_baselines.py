@@ -312,16 +312,6 @@ class TestCoCaRunner:
         assert summary.num_samples == 2 * 60
         assert summary.avg_latency_ms < runner.model.total_compute_ms
 
-    def test_budget_override(self, small_scenario):
-        runner = CoCaRunner(
-            small_scenario,
-            config=CoCaConfig(theta=0.05, frames_per_round=40),
-            budget_bytes=12345,
-        )
-        assert all(
-            c.cache_budget_bytes == 12345 for c in runner.framework.clients
-        )
-
 
 class TestFairComparison:
     def test_all_methods_see_identical_model(self, small_scenario):

@@ -42,3 +42,15 @@ def test_call_binds_to_the_signature(call):
     signature = inspect.signature(CONSTRUCTORS[call.func.id])
     names = [keyword.arg for keyword in call.keywords]
     signature.bind(*call.args, **dict.fromkeys(names))
+
+
+@pytest.mark.parametrize("cls", [CoCaFramework, ClusterFramework], ids=lambda cls: cls.__name__)
+def test_from_scenario_keywords_are_constructor_keywords(cls):
+    """Each ``from_scenario`` keyword is a constructor keyword with the
+    same default, so the two entry points cannot drift apart."""
+    constructor = inspect.signature(cls).parameters
+    for name, parameter in inspect.signature(cls.from_scenario).parameters.items():
+        if name == "scenario":
+            continue
+        assert name in constructor, name
+        assert parameter.default == constructor[name].default, name

@@ -440,7 +440,7 @@ class TestClusterFramework:
         )
         result = cluster_fw.run(1)
         assert result.summary().hit_ratio > 0
-        model = cluster_fw.model
+        model = cluster_fw.framework.model
         for client in result.clients:
             cache = client.engine.cache
             assert cache.active_layers == list(range(model.num_cache_layers))
@@ -453,7 +453,7 @@ class TestClusterFramework:
         assert result.throughput_inferences_per_s > 0
         assert len(result.reports) == 2 * 3
         # Warmup rounds are excluded from the measured span.
-        assert cluster_fw.virtual_now_ms() > result.measured_span_ms
+        assert cluster_fw.placement.virtual_now_ms() > result.measured_span_ms
 
     def test_requests_served_in_arrival_order_not_id_order(self):
         """A late client must not delay an earlier-arriving one (FCFS)."""
@@ -463,7 +463,7 @@ class TestClusterFramework:
             num_shards=1, **_cluster_kwargs(num_clients=2, load=load)
         )
         # Client 0 is far ahead in virtual time; client 1 arrives at 0.
-        cluster_fw.client_clocks[0].advance(100.0)
+        cluster_fw.placement.clocks[0].advance(100.0)
         cluster_fw.run_round(0)
         node = cluster_fw.nodes[0]
         # FCFS: client 1 served at t=0 (idle node), client 0 at t=100 —

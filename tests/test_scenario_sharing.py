@@ -3,8 +3,8 @@
 A :class:`~repro.core.deployment.Scenario` derives its model and the
 server's calibration once; every CoCa runner and baseline built on it
 reads those same objects, and none of them writes to them.  A framework
-built from a shared scenario runs exactly as one built from the same
-seven fields by keyword.
+or a cluster built from a shared scenario runs exactly as one built from
+the same fields by keyword.
 """
 
 import hashlib
@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from repro.baselines import CoCaRunner, EdgeOnly, FoggyCache, SMTM
+from repro.cluster import ClusterFramework
 from repro.core import deployment
 from repro.core.config import CoCaConfig
 from repro.core.deployment import Scenario
 from repro.core.framework import CoCaFramework
 from repro.data.datasets import get_dataset
-from repro.experiments import run_slo_experiment, run_theta_sweep
+from repro.experiments import run_cluster_scale, run_slo_experiment, run_theta_sweep
 
 
 def _scenario(**overrides):
@@ -48,6 +49,19 @@ def _keyword_framework(scenario, config, **switches):
     )
 
 
+def _keyword_cluster(scenario, config, **options):
+    return ClusterFramework(
+        dataset=scenario.dataset,
+        model_name=scenario.model_name,
+        num_clients=scenario.num_clients,
+        config=config,
+        seed=scenario.seed,
+        non_iid_level=scenario.non_iid_level,
+        longtail_rho=scenario.longtail_rho,
+        **options,
+    )
+
+
 def _assert_records_equal(a, b):
     for name in a.__slots__:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -55,20 +69,25 @@ def _assert_records_equal(a, b):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts the scenario calibrations and records every CoCa runner run."""
+    """Counts the scenario calibrations and records every CoCa runner
+    and cluster run."""
     calls, runners = [], []
-    calibrate, run = deployment.calibrate, CoCaRunner.run
+    calibrate = deployment.calibrate
 
     def counting_calibrate(*args, **kwargs):
         calls.append(args)
         return calibrate(*args, **kwargs)
 
-    def recording_run(self, *args, **kwargs):
-        runners.append(self)
-        return run(self, *args, **kwargs)
+    def recording(run):
+        def recording_run(self, *args, **kwargs):
+            runners.append(self)
+            return run(self, *args, **kwargs)
+
+        return recording_run
 
     monkeypatch.setattr(deployment, "calibrate", counting_calibrate)
-    monkeypatch.setattr(CoCaRunner, "run", recording_run)
+    for cls in (CoCaRunner, ClusterFramework):
+        monkeypatch.setattr(cls, "run", recording(cls.run))
     return calls, runners
 
 
@@ -88,6 +107,21 @@ class TestOneCalibrationPerScenario:
         assert len(calls) == 1
         assert len(runners) == 5  # the default thetas
         assert all(runner.framework.model is scenario.model for runner in runners)
+
+    def test_cluster_scale(self, counted):
+        calls, clusters = counted
+        run_cluster_scale(
+            get_dataset("ucf101", 10),
+            model_name="resnet50",
+            shard_counts=(1, 2),
+            num_clients=2,
+            frames_per_round=20,
+            rounds=1,
+        )
+        assert len(calls) == 1
+        assert len(clusters) == 2  # one fleet per shard count
+        model = calls[0][0]  # the scenario's model, as calibrated
+        assert all(cluster.framework.model is model for cluster in clusters)
 
 
 class TestSharedScenarioEquivalence:
@@ -119,6 +153,33 @@ class TestSharedScenarioEquivalence:
         for name in ("entries", "filled", "class_freq"):
             assert np.array_equal(getattr(a.server.table, name), getattr(b.server.table, name))
         # Not vacuous: the run hit the cache.
+        assert a.metrics.records.hit.any()
+
+    CLUSTER_CASES = [
+        {"assignment_policy": "hash"},
+        {"assignment_policy": "region"},
+        {"sync_interval": 3},
+        {"enable_dca": False},
+    ]
+
+    @pytest.mark.parametrize(
+        "case", CLUSTER_CASES, ids=lambda case: "-".join(f"{k}={v}" for k, v in case.items())
+    )
+    def test_cluster_from_scenario_matches_keywords(self, shared, case):
+        config = CoCaConfig(frames_per_round=100)
+        ours = ClusterFramework.from_scenario(shared, config, num_shards=2, **case)
+        theirs = _keyword_cluster(shared, config, num_shards=2, **case)
+        assert ours.framework.model is shared.model
+        assert theirs.framework.model is not shared.model
+        a, b = ours.run(3), theirs.run(3)
+        _assert_records_equal(a.metrics.records, b.metrics.records)
+        ours_table, theirs_table = ours.merged_table(), theirs.merged_table()
+        for name in ("entries", "filled", "class_freq"):
+            assert np.array_equal(getattr(ours_table, name), getattr(theirs_table, name))
+        for mine, other in zip(ours.nodes, theirs.nodes, strict=True):
+            assert mine.requests_served == other.requests_served
+            assert mine.total_wait_ms == other.total_wait_ms
+        assert ours.coordinator.sync_bytes_shipped == theirs.coordinator.sync_bytes_shipped
         assert a.metrics.records.hit.any()
 
     @pytest.mark.parametrize("runner", [EdgeOnly, SMTM, FoggyCache], ids=lambda r: r.name)
@@ -158,6 +219,15 @@ class TestSharedStateIsReadOnly:
         before = _fingerprint(scenario.model)
         assert "_drift_dirs" in before and "_centroids" in before
         CoCaRunner(scenario, config=CoCaConfig(frames_per_round=100)).run(2)
+        assert _fingerprint(scenario.model) == before
+
+    def test_a_shared_model_refuses_drift(self):
+        scenario = _scenario()
+        before = _fingerprint(scenario.model)
+        framework = CoCaFramework.from_scenario(scenario)
+        framework.temporal_drift_per_round = 0.3
+        with pytest.raises(ValueError, match="shared Scenario"):
+            framework.run(1)
         assert _fingerprint(scenario.model) == before
 
     def test_replace_recalibrates(self, counted):

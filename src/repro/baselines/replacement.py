@@ -89,8 +89,8 @@ class ReplacementPolicyCache(BaselineRunner):
         resident = list(self._resident[client_id])
         cache = SemanticCache(self.model.num_classes, alpha=ALPHA, theta=self.theta)
         ids = np.array(resident, dtype=int)
-        for layer in self.active_layers:
-            cache.set_layer_entries(layer, ids, self._centroids[layer][ids])
+        matrices = [self._centroids[layer][ids] for layer in self.active_layers]
+        cache.set_layer_entries(self.active_layers, ids, matrices)
         self._engines[client_id].set_cache(cache)
 
     def _evict_one(self, client_id: int) -> None:

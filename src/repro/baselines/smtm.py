@@ -98,10 +98,8 @@ class SMTM(BaselineRunner):
             self._local_scores(client_id), HOTSPOT_MASS
         )
         cache = SemanticCache(self.model.num_classes, alpha=ALPHA, theta=self.theta)
-        for layer in self.active_layers:
-            cache.set_layer_entries(
-                layer, hotspot, self._centroids[layer][client_id, hotspot]
-            )
+        matrices = [self._centroids[layer][client_id, hotspot] for layer in self.active_layers]
+        cache.set_layer_entries(self.active_layers, hotspot, matrices)
         self._engines[client_id].set_cache(cache)
 
     def process_round(self, client_id: int, batch: SampleBatch) -> RecordBatch:

@@ -24,12 +24,13 @@ A cache holds **one class-id set and one width on every activated
 layer** — the paper's client cache holds the selected hot-spot classes
 at each layer the server activates — and
 :meth:`SemanticCache.set_layer_entries` / :meth:`~SemanticCache.set_layer_view`
-refuse a layer that would break that.  So every cache stacks into one
-:class:`LayerPack`, and lookups run a batch of samples at a time through
-one kernel: :meth:`StackLayout.step` scores a block of layers for a set
-of rows, :func:`repro.core.probe.walk_cache_batch` chains it block by
-block with early exit, and :class:`BatchedLookupSession` runs it one
-layer per call.
+install a stack of layers at once and refuse one that would break that.
+So every cache stacks into one :class:`LayerPack` (an owned stack is
+sliced, not copied), and lookups run a batch of samples at a time
+through one kernel: :meth:`StackLayout.step` scores a block of layers
+for a set of rows, :func:`repro.core.probe.walk_cache_batch` chains it
+block by block with early exit, and :class:`BatchedLookupSession` runs
+it one layer per call.
 
 Serving-path performance rests on two policies layered on top:
 
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import DTypeLike
@@ -79,6 +80,11 @@ SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 #: median and 18 at p90, so at 17 most frames resolve in one block step
 #: (measurements in ``src/repro/core/README.md``).
 PACK_BLOCK_LAYERS = 17
+
+#: An install's layers (one index or ``G``), centroids and floors.
+Layers = int | Sequence[int] | np.ndarray
+Matrices = np.ndarray | Sequence[np.ndarray]
+Floors = np.ndarray | Sequence[float] | float | None
 
 
 def _address(array: np.ndarray) -> int:
@@ -410,13 +416,12 @@ class LayerBlock(NamedTuple):
         layers: ``(G,)`` cache-layer indices, ascending.
         matrices: read-only ``(G, n, d)`` centroids, ``matrices[g]`` being
             layer ``layers[g]``'s matrix.  It always *is* the layers'
-            storage, never a second copy: owned layers are moved into one
-            contiguous tensor when the block is built, view-backed ones
-            are aliased where they lie.
+            storage, never a second copy: owned layers installed apart
+            are moved into one contiguous tensor when the block is built;
+            rows of one owned stack and view-backed ones are aliased.
         floors: ``(G, 1)`` similarity floors in the cache dtype.
-        sources: the borrowed per-layer matrices an aliasing block spans;
-            it reads their memory, so they live as long as it (empty for
-            owned layers).
+        sources: the per-layer matrices an aliasing block spans; it reads
+            their memory, so they live as long as it (empty once moved).
     """
 
     layers: np.ndarray
@@ -515,128 +520,145 @@ class SemanticCache:
     # ------------------------------------------------------------------
 
     def set_layer_entries(
-        self, layer: int, class_ids: np.ndarray, centroids: np.ndarray
+        self, layers: Layers, class_ids: np.ndarray, centroids: Matrices, floors: Floors = None
     ) -> None:
-        """Install the entries of one cache layer (replacing any previous).
+        """Install the entries of one cache layer, or of a stack of layers
+        with one id set (replacing any previous).
 
         Args:
-            layer: cache-layer index.
+            layers: a cache-layer index, or a sequence of ``G``.
             class_ids: integer array of shape ``(n,)``.
-            centroids: float array of shape ``(n, d)``; rows are normalized
-                to unit L2 norm (in double precision) on insertion, then
-                stored C-contiguous in the cache dtype.
+            centroids: float array of shape ``(n, d)``, or ``(G, n, d)``;
+                rows are normalized to unit L2 norm (in double precision)
+                on insertion, then stored as one C-contiguous tensor in
+                the cache dtype, in ascending layer order.
+            floors: each layer's similarity floor (-1 is none); ``None``
+                keeps the floors set.
 
-        An empty ``class_ids`` deactivates the layer; ids or a width that
-        differ from another activated layer's, a negative layer and a
-        zero or non-finite centroid raise ``ValueError``.
+        An empty ``class_ids`` deactivates the layers; ids or a width that
+        differ from another activated layer's, a negative layer, a floor
+        above 1 and a zero or non-finite centroid raise ``ValueError``
+        before anything is installed.
         """
-        _check_layer(layer)
-        self._pack = None
-        ids = np.asarray(class_ids, dtype=int)
-        mat = np.asarray(centroids, dtype=np.float64)
-        if ids.ndim != 1 or mat.ndim != 2 or ids.shape[0] != mat.shape[0]:
-            raise ValueError(
-                f"shape mismatch: ids {ids.shape}, centroids {mat.shape}"
-            )
-        if ids.size == 0:
-            self._drop(layer)
-            return
-        self._check_entries(layer, ids, mat)
-        norms = np.linalg.norm(mat, axis=1, keepdims=True)
-        if not np.isfinite(norms).all():  # a NaN or inf entry spreads here
-            raise ValueError("cannot cache a non-finite centroid")
-        if np.any(norms < _EPS):
-            raise ValueError("cannot cache a zero centroid")
-        stored = np.ascontiguousarray(mat / norms, dtype=self.dtype)
-        self._ids = ids.copy()
-        self._layers[layer] = stored
-        # A write replaces any borrowed view: the layer now owns a
-        # private RAM copy (the promotion contract of mapped serving).
-        self._view_layers.discard(layer)
-        if contracts.ENABLED:
-            contracts.check_layer_entries(
-                layer, ids, stored, self.dtype, self.num_classes
-            )
+        self._install(layers, class_ids, centroids, floors, borrowed=False)
 
     def set_layer_view(
-        self, layer: int, class_ids: np.ndarray, centroids: np.ndarray
+        self, layers: Layers, class_ids: np.ndarray, centroids: Matrices, floors: Floors = None
     ) -> None:
-        """Point one cache layer at a borrowed read-only centroid matrix.
+        """Point one cache layer, or a stack, at borrowed read-only matrices.
 
-        Unlike :meth:`set_layer_entries`, the matrix is **not** copied or
-        re-normalized: the cache stores a read-only view of ``centroids``
-        (typically an mmap slice owned by a
+        Unlike :meth:`set_layer_entries`, a matrix is **not** copied or
+        re-normalized: the cache stores a read-only view of it (typically
+        an mmap slice owned by a
         :class:`~repro.store.reader.MappedTableStore`), so untouched
         layer blocks are only faulted in from disk when a probe first
         reaches them.  Rows must therefore already be unit-normalized —
         true for any layer written by the snapshot writer, whose source
         tables keep merged rows normalized.  The first
-        :meth:`set_layer_entries` write to the layer replaces the view
+        :meth:`set_layer_entries` write to a layer replaces its view
         with a private RAM copy.
 
         Args:
-            layer: cache-layer index.
-            class_ids: integer array of shape ``(n,)``.
-            centroids: C-contiguous array of shape ``(n, d)`` whose dtype
-                equals the cache dtype (no silent conversion — a cast
-                would copy and defeat the mapping).
+            layers, class_ids, floors: as for :meth:`set_layer_entries`.
+            centroids: a C-contiguous ``(n, d)`` matrix, or ``G``, whose
+                dtype equals the cache dtype (no silent conversion — a
+                cast would copy and defeat the mapping).
 
-        Refuses the ids, widths and layers :meth:`set_layer_entries`
-        refuses.
+        Refuses what :meth:`set_layer_entries` refuses.
         """
-        _check_layer(layer)
+        self._install(layers, class_ids, centroids, floors, borrowed=True)
+
+    def _install(
+        self, layers: Layers, class_ids: np.ndarray, centroids: Matrices, floors: Floors, *,
+        borrowed: bool
+    ) -> None:
+        """Both installs: every check once per call, then the stores."""
+        one = isinstance(layers, (int, np.integer))
+        stack: list[int] = np.atleast_1d(layers).tolist()
+        for layer in stack:
+            _check_layer(layer)
         self._pack = None
         ids = np.asarray(class_ids, dtype=int)
-        mat = np.asarray(centroids)
-        if ids.ndim != 1 or mat.ndim != 2 or ids.shape[0] != mat.shape[0]:
-            raise ValueError(
-                f"shape mismatch: ids {ids.shape}, centroids {mat.shape}"
-            )
-        if ids.size == 0:
-            self._drop(layer)
+        if borrowed:
+            mats = [np.asarray(centroids)] if one else list(centroids)
+        else:  # owned rows arrive as one (G, n, d) float64 block
+            block = np.asarray(centroids, dtype=np.float64)
+            block = block[None] if one else block
+            mats = list(block)
+        shapes = [np.shape(mat) for mat in mats]
+        if ids.ndim != 1 or len(shapes) != len(stack) or any(
+            len(shape) != 2 or shape[0] != ids.size for shape in shapes
+        ):
+            shown = np.shape(centroids) if one else shapes
+            raise ValueError(f"shape mismatch: ids {ids.shape}, centroids {shown}")
+        if not stack or ids.size == 0:
+            self._drop(stack)
             return
-        if mat.dtype != self.dtype:
-            raise ValueError(
-                f"view dtype {mat.dtype} does not match cache dtype "
-                f"{self.dtype}; converting would copy — use "
-                f"set_layer_entries for owned storage"
-            )
-        if not mat.flags.c_contiguous:
-            raise ValueError("a layer view must be C-contiguous")
-        self._check_entries(layer, ids, mat)
-        view = mat.view()
-        view.flags.writeable = False
+        for mat in mats if borrowed else ():
+            if mat.dtype != self.dtype:
+                raise ValueError(
+                    f"view dtype {mat.dtype} does not match cache dtype "
+                    f"{self.dtype}; converting would copy — use "
+                    f"set_layer_entries for owned storage"
+                )
+            if not mat.flags.c_contiguous:
+                raise ValueError("a layer view must be C-contiguous")
+        self._check_entries(stack, ids, [shape[1] for shape in shapes])
+        values = None if floors is None else np.broadcast_to(floors, len(stack)).tolist()
+        for floor in values or ():
+            if not floor <= 1.0:
+                raise ValueError(f"floor must be a cosine in [-1, 1], got {floor}")
+        if borrowed:
+            mats = [mat.view() for mat in mats]
+            for mat in mats:
+                mat.flags.writeable = False
+        else:
+            if stack != sorted(stack):  # stored rows ascend with their layers
+                order = np.argsort(stack, kind="stable")
+                stack, block = [stack[g] for g in order], block[order]
+                values = values and [values[g] for g in order]
+            norms = np.linalg.norm(block, axis=-1, keepdims=True)
+            if not np.isfinite(norms).all():  # a NaN or inf entry spreads here
+                raise ValueError("cannot cache a non-finite centroid")
+            if np.any(norms < _EPS):
+                raise ValueError("cannot cache a zero centroid")
+            mats = list(np.ascontiguousarray(block / norms, dtype=self.dtype))
         self._ids = ids.copy()
-        self._layers[layer] = view
-        self._view_layers.add(layer)
-        if contracts.ENABLED:
-            contracts.check_layer_entries(
-                layer, ids, view, self.dtype, self.num_classes
-            )
+        for layer, mat in zip(stack, mats):
+            self._layers[layer] = mat
+            # An owned write replaces any borrowed view: the layer now owns
+            # a private RAM copy (the promotion contract of mapped serving).
+            (self._view_layers.add if borrowed else self._view_layers.discard)(layer)
+            if contracts.ENABLED:
+                contracts.check_layer_entries(layer, ids, mat, self.dtype, self.num_classes)
+        for layer, floor in zip(stack, values or ()):
+            self._similarity_floor[layer] = max(floor, -1.0)
 
-    def _check_entries(self, layer: int, ids: np.ndarray, mat: np.ndarray) -> None:
+    def _check_entries(self, layers: list[int], ids: np.ndarray, widths: list[int]) -> None:
         """Refuse duplicate or out-of-range ids, and ids or a width that
-        differ from the other activated layers': a cache holds one
+        differ from another activated layer's (or the stack's first): one
         class-id set, in one order, and one width on every layer."""
         if np.unique(ids).size != ids.size:
             raise ValueError("duplicate class ids in one cache layer")
         if np.any(ids < 0) or np.any(ids >= self.num_classes):
             raise ValueError("class id out of range")
-        other = next((j for j in self._layers if j != layer), None)
-        if other is None:
-            return
-        width = self._layers[other].shape[1]
-        if not np.array_equal(ids, self._ids) or mat.shape[1] != width:
-            raise ValueError(
-                f"cache layer {layer} ({ids.size} ids, width {mat.shape[1]}) differs "
-                f"from layer {other} ({self._ids.size} ids, width {width}): "
-                f"every layer holds the same class ids, in one order, at one width"
-            )
+        other = next((j for j in self._layers if j not in layers), layers[0])
+        alone = other in layers  # no other activated layer: the stack's first decides
+        other_ids, width = (ids, widths[0]) if alone else (self._ids, self._layers[other].shape[1])
+        same = other_ids is ids or np.array_equal(ids, other_ids)
+        for layer, layer_width in zip(layers, widths):
+            if not same or layer_width != width:
+                raise ValueError(
+                    f"cache layer {layer} ({ids.size} ids, width {layer_width}) differs "
+                    f"from layer {other} ({other_ids.size} ids, width {width}): "
+                    f"every layer holds the same class ids, in one order, at one width"
+                )
 
-    def _drop(self, layer: int) -> None:
-        """Deactivate one layer; the last one takes the id set with it."""
-        self._layers.pop(layer, None)
-        self._view_layers.discard(layer)
+    def _drop(self, layers: list[int]) -> None:
+        """Deactivate layers; the last one takes the id set with it."""
+        for layer in layers:
+            self._layers.pop(layer, None)
+            self._view_layers.discard(layer)
         if not self._layers:
             self._ids = np.empty(0, dtype=int)
 
@@ -727,10 +749,10 @@ class SemanticCache:
     def layer_pack(self) -> LayerPack:
         """The cache's stacked walk plan, built on first use.
 
-        Building a pack copies nothing for view-backed layers (blocks
-        alias the borrowed storage) and moves each run of owned layers
-        into one contiguous ``(G, n, d)`` tensor that becomes their
-        storage, so a pack never holds a second copy.  The plan is
+        Building a pack copies nothing for view-backed layers and rows of
+        one owned stack (blocks alias them) and moves each run of owned
+        layers installed apart into one contiguous ``(G, n, d)`` tensor
+        that becomes their storage, so a pack never holds a second copy.  The plan is
         dropped by every mutator
         (:meth:`set_layer_entries`, :meth:`set_layer_view`,
         :meth:`set_similarity_floor`, :meth:`clear`) and rebuilt by the
@@ -767,7 +789,7 @@ class SemanticCache:
         """Whether one tensor can hold ``layer`` after the layers of ``run``.
 
         Up to :data:`PACK_BLOCK_LAYERS`, owned layers always stack (they
-        are moved).  Borrowed layers stack only without a copy: their
+        are aliased or moved).  Borrowed layers stack only without a copy: their
         matrices must sit at one constant, non-overlapping stride in
         memory — true of the layers of one snapshot shard, false across
         a shard boundary.
@@ -788,24 +810,30 @@ class SemanticCache:
     def _stack_block(self, run: list[int]) -> LayerBlock:
         """One :class:`LayerBlock` over a run :meth:`_extends_run` grew."""
         sources = tuple(self._layers[layer] for layer in run)
-        head = sources[0]
-        if run[0] not in self._view_layers:
-            # Owned layers move into the block: each layer's storage
-            # becomes its row, so the pack is no second resident copy.
+        head, base = sources[0], sources[0].base
+        span = _address(sources[-1]) - _address(head)
+        # Borrowed runs sit at one stride; owned rows of one stack do when
+        # consecutive, and their rows ascend, so the first and last decide.
+        if run[0] in self._view_layers or (
+            base is not None
+            and span == (len(run) - 1) * head.nbytes
+            and all(mat.base is base for mat in sources)
+        ):
+            matrices = np.lib.stride_tricks.as_strided(
+                head,
+                shape=(len(run), *head.shape),
+                strides=(span // max(len(run) - 1, 1), *head.strides),
+                writeable=False,
+            )
+        else:
+            # Owned layers installed apart move into the block: each
+            # layer's storage becomes its row, so the pack is no second
+            # resident copy.
             matrices = np.stack(sources)
             matrices.flags.writeable = False
             for row, layer in zip(matrices, run):
                 self._layers[layer] = row
             sources = ()
-        elif len(run) == 1:
-            matrices = head[None]  # read-only, as every layer view is
-        else:
-            matrices = np.lib.stride_tricks.as_strided(
-                head,
-                shape=(len(run), *head.shape),
-                strides=(_address(sources[1]) - _address(head), *head.strides),
-                writeable=False,
-            )
         floors = np.array(
             [[self.similarity_floor(layer)] for layer in run], dtype=self.dtype
         )

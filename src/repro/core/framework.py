@@ -267,13 +267,15 @@ class CoCaFramework:
 
         With ``temporal_drift_per_round > 0`` the feature environment
         evolves before the round (Sec. IV-A's "contextual feature
-        changes").
+        changes"); a negative one raises ``ValueError`` first.
 
         ``timings`` accumulates wall-clock stage
         seconds — ``allocate`` / ``sample-gen`` / ``probe`` / ``model``
         / ``collect`` / ``merge`` — for the ``repro profile-round``
         breakdown.
         """
+        if self.temporal_drift_per_round < 0:  # the attribute is public
+            raise ValueError("temporal_drift_per_round must be >= 0")
         if self.temporal_drift_per_round > 0:
             if self._shared_model:
                 raise ValueError("temporal drift would change a shared Scenario's model")

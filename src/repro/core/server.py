@@ -537,11 +537,10 @@ class CoCaServer:
             theta=self.config.theta,
             dtype=self.config.cache_dtype,
         )
-        for layer in layers:
-            cache.set_layer_entries(layer, classes, self.table.entries[classes, layer])
-            floor = float(self.reference_similarity_floor[layer])
-            if floor > -1.0:
-                cache.set_similarity_floor(layer, floor)
+        stack = np.array(sorted(layers), dtype=np.intp)
+        ids = np.asarray(classes, dtype=np.intp)
+        entries = self.table.entries[ids[None, :], stack[:, None]]  # (G, n, d)
+        cache.set_layer_entries(stack, ids, entries, self.reference_similarity_floor[stack])
         return cache
 
     def apply_client_update(

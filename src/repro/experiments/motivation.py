@@ -50,10 +50,9 @@ def _run_static_cache(
     seed: int,
 ) -> MetricsSummary:
     cache = SemanticCache(model.num_classes, alpha=0.5, theta=theta)
-    for layer in layers:
-        cache.set_layer_entries(
-            layer, class_ids, model.ideal_centroids(layer)[class_ids]
-        )
+    cache.set_layer_entries(
+        layers, class_ids, [model.ideal_centroids(layer)[class_ids] for layer in layers]
+    )
     rng = np.random.default_rng(seed)
     stream = StreamGenerator(
         class_distribution=np.full(model.num_classes, 1.0 / model.num_classes),

@@ -502,10 +502,11 @@ class SemanticFeatureSpace:
         normalization, filled into the preallocated ``(B, L+1, d)``
         output :data:`DRAW_BLOCK_ROWS` rows at a time.  Beside the output
         the mix holds two ``(DRAW_BLOCK_ROWS, L+1, d)`` scratch blocks
-        (a gathered centroid block and the noise), plus one drifted copy
-        of the ``(I, L+1, d)`` centroids for a drifting client.  The bits
-        and the generator state are those of one whole-batch mix; a zero
-        norm raises ``ValueError`` after every block has drawn its noise.
+        (a gathered centroid block and the noise), plus, for a drifting
+        client, a drifted copy of the centroids the block touches.  The
+        bits and the generator state are those of one whole-batch mix
+        over the whole drifted table; a zero norm raises ``ValueError``
+        after every block has drawn its noise.
         """
         if not 0 <= client_id < self.num_clients:
             raise ValueError(
@@ -556,13 +557,17 @@ class SemanticFeatureSpace:
         )
         w = np.clip(w, 0.0, cfg.w_cap)
 
-        # The client's drift is added once per class, on the (I, L+1, d)
-        # class-major centroids, before any gather: each gathered element
-        # is the same sum as adding the drift after the gather.
-        centers = self._centroids_by_class
+        # The client's drift is added once per class the block touches, on
+        # a gather of those classes that the three role gathers index: the
+        # same sums as drifting the whole (I, L+1, d) table first.
+        centers, roles = self._centroids_by_class, (class_ids, primary, secondary)
         if cfg.client_drift_scale != 0.0:
-            drift = cfg.client_drift_scale * self._drift_dirs[client_id]
-            centers = centers + drift[:, None, :]
+            touched, inverse = np.unique(np.concatenate(roles), return_inverse=True)
+            drift = cfg.client_drift_scale * self._drift_dirs[client_id, touched]
+            centers = centers[touched]
+            centers += drift[:, None, :]
+            roles = inverse.reshape(3, batch)
+        own_at, primary_at, secondary_at = roles
         share = cfg.conf_primary_share
         own_w = (1.0 - w)[:, None, None]
         primary_w = (w * share)[:, None, None]
@@ -583,12 +588,12 @@ class SemanticFeatureSpace:
             span = slice(start, min(start + DRAW_BLOCK_ROWS, batch))
             mixed = vectors[span]
             gathered, drawn = part[: len(mixed)], noise[: len(mixed)]
-            np.take(centers, class_ids[span], axis=0, out=mixed, mode="clip")
+            np.take(centers, own_at[span], axis=0, out=mixed, mode="clip")
             mixed *= own_w[span]
-            np.take(centers, primary[span], axis=0, out=gathered, mode="clip")
+            np.take(centers, primary_at[span], axis=0, out=gathered, mode="clip")
             gathered *= primary_w[span]
             mixed += gathered
-            np.take(centers, secondary[span], axis=0, out=gathered, mode="clip")
+            np.take(centers, secondary_at[span], axis=0, out=gathered, mode="clip")
             gathered *= secondary_w[span]
             mixed += gathered
             rng.standard_normal(out=drawn)

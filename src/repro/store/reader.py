@@ -189,11 +189,11 @@ class MappedTableStore:
     ) -> "SemanticCache":
         """A :class:`SemanticCache` whose layers point at the mapped views.
 
-        Built in O(ms) regardless of table size: every chosen layer is
-        installed through :meth:`SemanticCache.set_layer_view`, so
-        centroid bytes are faulted in on first probe.  The cache dtype is
-        the snapshot dtype; write a ``dtype="float32"`` snapshot for
-        float32 serving.
+        Built in O(ms) regardless of table size: the chosen layers are
+        installed as one stack through :meth:`SemanticCache.set_layer_view`
+        (one id-set check), so centroid bytes are faulted in on first
+        probe.  The cache dtype is the snapshot dtype; write a
+        ``dtype="float32"`` snapshot for float32 serving.
 
         Raises:
             SnapshotFormatError: a chosen layer has an unfilled row — a
@@ -201,24 +201,22 @@ class MappedTableStore:
         """
         from repro.core.cache import SemanticCache
 
-        chosen = range(self.num_layers) if layers is None else layers
+        stack = list(range(self.num_layers) if layers is None else layers)
         filled = np.asarray(self._meta["filled"], dtype=bool)
-        for layer in chosen:
-            unfilled = int((~filled[:, layer]).sum())
-            if unfilled:
+        unfilled = (~filled[:, stack]).sum(axis=0)
+        for layer, count in zip(stack, unfilled.tolist()):
+            if count:
                 raise SnapshotFormatError(
-                    f"snapshot layer {layer} has {unfilled} of "
+                    f"snapshot layer {layer} has {count} of "
                     f"{self.num_classes} classes unfilled; a serving cache "
                     f"needs every row of every layer it serves"
                 )
         cache = SemanticCache(
             self.num_classes, alpha=alpha, theta=theta, dtype=self.dtype
         )
-        ids = np.arange(self.num_classes)
-        for layer in chosen:
-            cache.set_layer_view(layer, ids, self.layer_view(layer))
-            if floors is not None and float(floors[layer]) > -1.0:
-                cache.set_similarity_floor(layer, float(floors[layer]))
+        views = [self.layer_view(layer) for layer in stack]
+        floors = None if floors is None else np.asarray(floors)[stack]
+        cache.set_layer_view(stack, np.arange(self.num_classes), views, floors)
         return cache
 
     # ------------------------------------------------------------------

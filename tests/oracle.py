@@ -236,12 +236,12 @@ def draw_samples(
     client_id: int,
     rng: np.random.Generator,
 ) -> SampleBatch:
-    """The block draw as one whole-batch mix with the client drift added
-    to each gathered ``(B, L+1, d)`` row block, where
-    :meth:`SemanticFeatureSpace.draw_samples` adds it once per class
-    before gathering and mixes in row blocks.  The element operations
-    are the same, so the two must match bit for bit, generator state
-    included."""
+    """The block draw as one whole-batch mix over a drifted copy of the
+    whole ``(I, L+1, d)`` centroid table, then the three role gathers,
+    where :meth:`SemanticFeatureSpace.draw_samples` drifts only the
+    classes the block touches and mixes in row blocks.  The element
+    operations are the same, so the two must match bit for bit,
+    generator state included."""
     if not 0 <= client_id < space.num_clients:
         raise ValueError(
             f"client_id {client_id} out of range [0, {space.num_clients})"
@@ -294,24 +294,16 @@ def draw_samples(
     # Class-major gathers yield fresh (B, L+1, d) blocks, so the mix
     # accumulates in place — no (L+1, B, d) transposed temporaries.
     centers = space._centroids_by_class
+    if cfg.client_drift_scale != 0.0:
+        drift = cfg.client_drift_scale * space._drift_dirs[client_id]
+        centers = centers + drift[:, None, :]
     share = cfg.conf_primary_share
-    drift = (
-        cfg.client_drift_scale * space._drift_dirs[client_id]
-        if cfg.client_drift_scale != 0.0
-        else None
-    )
     mixed = centers[class_ids]
-    if drift is not None:
-        mixed += drift[class_ids][:, None, :]
     mixed *= (1.0 - w)[:, None, None]
     part = centers[primary]
-    if drift is not None:
-        part += drift[primary][:, None, :]
     part *= (w * share)[:, None, None]
     mixed += part
     part = centers[secondary]
-    if drift is not None:
-        part += drift[secondary][:, None, :]
     part *= (w * (1.0 - share))[:, None, None]
     mixed += part  # (B, L+1, d)
     noise = rng.standard_normal((batch, num_levels, d))

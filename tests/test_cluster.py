@@ -546,6 +546,16 @@ class TestOneProtocolLoop:
             cluster_fw.sharded.table.class_freq, want.server.table.class_freq
         )
 
+    def test_negative_drift_set_after_construction_raises(self):
+        cluster_fw = ClusterFramework(num_shards=3, **_cluster_kwargs())
+        cluster_fw.framework.temporal_drift_per_round = -0.3
+        space = cluster_fw.framework.model.feature_space
+        drift_dirs = space._drift_dirs.copy()
+        with pytest.raises(ValueError, match="temporal_drift_per_round must be >= 0"):
+            cluster_fw.run_round(0)
+        assert np.array_equal(space._drift_dirs, drift_dirs)
+        assert sum(node.requests_served for node in cluster_fw.nodes) == 0
+
     def test_cluster_round_reports_every_profile_stage(self):
         kwargs = _cluster_kwargs()
         single: dict[str, float] = {}

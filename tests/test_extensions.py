@@ -95,6 +95,21 @@ class TestTemporalDrift:
             )
 
 
+    def test_round_rejects_negative_drift_set_after_construction(
+        self, dataset, config
+    ):
+        fw = CoCaFramework(
+            dataset, model_name="resnet50", num_clients=2, config=config, seed=4
+        )
+        fw.temporal_drift_per_round = -0.3
+        space = fw.model.feature_space
+        drift_dirs = space._drift_dirs.copy()
+        with pytest.raises(ValueError, match="temporal_drift_per_round must be >= 0"):
+            fw.run_round(0)
+        assert np.array_equal(space._drift_dirs, drift_dirs)
+        assert all(client.engine.cache is None for client in fw.clients)
+
+
 class TestClientDropout:
     def test_full_participation_by_default(self, dataset, config):
         fw = CoCaFramework(

@@ -352,10 +352,10 @@ PIN_COUNTS = [
 
 class TestDrawPinnedToOracle:
     """The block draw's bits: ``oracle.draw_samples`` keeps the draw as
-    one whole-batch mix with the drift added to each gathered row block;
-    the production draw adds it once per class and mixes in row blocks.
-    Vectors, confusion arrays and the generator state afterwards must be
-    bit-equal."""
+    one whole-batch mix over a drifted copy of the whole centroid table;
+    the production draw drifts only the classes the block touches and
+    mixes in row blocks.  Vectors, confusion arrays and the generator
+    state afterwards must be bit-equal."""
 
     def _check(self, space, client_id, count, seed):
         block = _block(space, count, seed=seed)
@@ -402,4 +402,50 @@ class TestDrawPinnedToOracle:
             space.draw_samples(block, 0, rng)
         with pytest.raises(ValueError, match="zero vector"):
             oracle.draw_samples(space, block, 0, expected_rng)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+class TestDrawMatchesWholeTableOracle:
+    """Property form of the pin over block size, drift, client and class
+    count.  With 2 or 6 classes in clusters of 4 some class has one
+    sibling, so both its siblings are one gather of a padded sibling row;
+    such a class always leads the block."""
+
+    @given(
+        count=st.sampled_from(
+            [1, DRAW_BLOCK_ROWS, DRAW_BLOCK_ROWS + 1, 2 * DRAW_BLOCK_ROWS + 5]
+        ),
+        drift=st.sampled_from([0.0, 0.12]),
+        num_classes=st.sampled_from([2, 6, 8]),
+        client_id=st.integers(min_value=0, max_value=2),
+        seed=st.integers(min_value=0, max_value=10_000),
+        zero_norm=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bits_and_generator_state(
+        self, count, drift, num_classes, client_id, seed, zero_norm
+    ):
+        space = _space(num_classes=num_classes, client_drift_scale=drift)
+        block = _block(space, count, seed=seed)
+        lonely = np.flatnonzero(space._sibling_count < 2)
+        if lonely.size:
+            block.class_ids[0] = lonely[seed % lonely.size]
+        if zero_norm:
+            for name in ("_centroids_by_class", "_drift_dirs", "_iso_noise"):
+                setattr(space, name, np.zeros_like(getattr(space, name)))
+        rng = np.random.default_rng(seed + 1)
+        expected_rng = np.random.default_rng(seed + 1)
+        if zero_norm:
+            with pytest.raises(ValueError, match="zero vector"):
+                space.draw_samples(block, client_id, rng)
+            with pytest.raises(ValueError, match="zero vector"):
+                oracle.draw_samples(space, block, client_id, expected_rng)
+        else:
+            got = space.draw_samples(block, client_id, rng)
+            expected = oracle.draw_samples(space, block, client_id, expected_rng)
+            assert got.vectors.tobytes() == expected.vectors.tobytes()
+            assert np.array_equal(got.confusion_targets, expected.confusion_targets)
+            assert (
+                got.confusion_weights.tobytes() == expected.confusion_weights.tobytes()
+            )
         assert rng.bit_generator.state == expected_rng.bit_generator.state
